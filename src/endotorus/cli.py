@@ -14,35 +14,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
 
-from endotorus.words import Endomorphism, parse_word, reduce_word, show_word
-from endotorus.graphmap import GraphMap
+from endotorus.words import Endomorphism, reduce_word, show_word
 from endotorus.traintrack import (
     FiniteOrderCertificate,
     ReductionWitness,
     TrainTrack,
-    Unknown,
-    find_train_track,
 )
-from endotorus.nielsen import (
-    StableRepresentative,
-    critical_equation,
-    enumerate_pinps,
-    group_orbits,
-    nielsen_loops,
-    stabilize,
-)
+from endotorus.nielsen import NielsenLoops, StableRepresentative, critical_equation
 from endotorus.surface import (
+    Analysis,
+    Bounds,
     InternalInconsistency,
-    NotSurface,
     SurfaceRealization,
     Verdict,
-    classify,
-    realize_surface,
 )
 from endotorus.torus import chi_zero_report
 
@@ -218,6 +207,19 @@ def _train_track_dict(tt: TrainTrack) -> dict:
     }
 
 
+def _finite_order_dict(cert: FiniteOrderCertificate) -> dict:
+    return {"power": cert.power, "conjugator": _word_str(cert.conjugator)}
+
+
+def _loops_dict(loops: NielsenLoops) -> dict:
+    return {
+        "loops": [list(l) for l in loops.loops],
+        "multiplicities": {str(k): c for k, c in sorted(loops.multiplicities.items())},
+        "classes": [_word_str(c.letters) for c in loops.classes],
+        "transitive": loops.transitive,
+    }
+
+
 def _witness_dict(w: ReductionWitness) -> dict:
     return {
         "factors": [[_word_str(b) for b in f.basis] for f in w.factors],
@@ -225,6 +227,16 @@ def _witness_dict(w: ReductionWitness) -> dict:
         "provenance": w.provenance,
         "verified": w.verified,
     }
+
+
+def _obstruction_dict(result) -> dict:
+    """The train track stage ended in a witness, a certificate or Unknown."""
+    if isinstance(result, ReductionWitness):
+        return {"reduction_witness": _witness_dict(result)}
+    if isinstance(result, FiniteOrderCertificate):
+        return {"finite_order": _finite_order_dict(result)}
+    return {"unknown": {"reason": result.reason,
+                        "iterations": result.iterations}}
 
 
 def _stable_dict(stable: StableRepresentative) -> dict:
@@ -256,8 +268,7 @@ def _verdict_dict(v: Verdict) -> dict:
     if v.witness is not None:
         out["reduction_witness"] = _witness_dict(v.witness)
     if v.finite_order is not None:
-        out["finite_order"] = {"power": v.finite_order.power,
-                               "conjugator": _word_str(v.finite_order.conjugator)}
+        out["finite_order"] = _finite_order_dict(v.finite_order)
     if v.surface is not None:
         out["surface"] = v.surface.as_dict()
     if v.toroidal is not None:
@@ -268,12 +279,7 @@ def _verdict_dict(v: Verdict) -> dict:
         out["atoroidal"] = {"period_bound": v.atoroidal.period_bound,
                             "radius": v.atoroidal.radius}
     if v.loops is not None:
-        out["nielsen_loops"] = {
-            "loops": [list(l) for l in v.loops.loops],
-            "multiplicities": {str(k): c for k, c in sorted(v.loops.multiplicities.items())},
-            "classes": [_word_str(c.letters) for c in v.loops.classes],
-            "transitive": v.loops.transitive,
-        }
+        out["nielsen_loops"] = _loops_dict(v.loops)
     if v.stable is not None:
         out["stabilization"] = _stable_dict(v.stable)
     return out
@@ -283,20 +289,52 @@ def _verdict_dict(v: Verdict) -> dict:
 # running commands
 # ---------------------------------------------------------------------------
 
+_TORUS_KEYS = ("witness_subgroup", "fiber_chain", "z2_witness", "minimality",
+              "applicable", "inapplicable_reason")
+
+
+def _command_view(command: str, analysis: Analysis) -> dict:
+    """The report entries of one command, read from the analysis."""
+    if command == "classify":
+        return {"verdict": _verdict_dict(analysis.verdict)}
+    if command == "tt":
+        tt = analysis.train_track
+        if isinstance(tt, TrainTrack):
+            return {"train_track": _train_track_dict(tt)}
+        return _obstruction_dict(tt)
+    if command == "nielsen":
+        stable = analysis.stable
+        if stable is None:
+            out = _obstruction_dict(analysis.train_track)
+            if "unknown" in out:   # this view reports no fold count
+                del out["unknown"]["iterations"]
+            return out
+        out = {"stabilization": _stable_dict(stable)}
+        if analysis.loops is not None:
+            out["nielsen_loops"] = _loops_dict(analysis.loops)
+        return out
+    if command == "surface":
+        surf = analysis.surface
+        if surf is None:
+            return {"not_surface": {
+                "reason": "no stable representative with a Nielsen path "
+                          "orbit (nothing to realize)"}}
+        if isinstance(surf, SurfaceRealization):
+            return {"surface": surf.as_dict()}
+        return {"not_surface": {"reason": surf.reason, "vertex": surf.vertex}}
+    if command == "report":
+        return {"characterization": chi_zero_report(analysis)}
+    if command == "torus":
+        rep = chi_zero_report(analysis)
+        return {key: rep[key] for key in _TORUS_KEYS if key in rep}
+    raise ValueError(f"unknown command {command!r}")
+
+
 def run(command: str, spec: EndoSpec, flags: Optional[dict] = None) -> dict:
-    """Execute one pipeline command; module errors are serialized, never
-    raised (except internal inconsistencies, which the caller maps to exit
-    code 2)."""
-    flags = dict(flags or {})
-    bounds = {
-        "max_period": flags.get("max_period", 6),
-        "max_len": flags.get("max_len", 12),
-        "whitehead_depth": flags.get("whitehead_depth", 8),
-        "period_bound": flags.get("period_bound", 8),
-        "max_iterations": flags.get("max_iter", 500),
-        "kmax": flags.get("kmax", 6),
-        "seed": flags.get("seed", 0),
-    }
+    """Execute one pipeline command; `flags` are `Bounds` fields.  Module
+    errors are serialized, never raised (except internal inconsistencies,
+    which the caller maps to exit code 2)."""
+    bounds = Bounds(**(flags or {}))
     report = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -305,88 +343,13 @@ def run(command: str, spec: EndoSpec, flags: Optional[dict] = None) -> dict:
             "images": [_word_str(im) for im in spec.endo.images],
             "text": spec.render(),
         },
-        "bounds": bounds,
+        "bounds": asdict(bounds),
         "warnings": spec.warnings,
     }
     if spec.expect:
         report["input"]["expect"] = spec.expect
-    endo = spec.endo
     try:
-        if command == "classify":
-            v = classify(endo, max_period=bounds["max_period"],
-                         max_len=bounds["max_len"],
-                         whitehead_depth=bounds["whitehead_depth"],
-                         period_bound=bounds["period_bound"],
-                         max_iterations=bounds["max_iterations"],
-                         seed=bounds["seed"])
-            report["verdict"] = _verdict_dict(v)
-        elif command == "tt":
-            result = find_train_track(endo, max_iterations=bounds["max_iterations"],
-                                      seed=bounds["seed"])
-            if isinstance(result, TrainTrack):
-                report["train_track"] = _train_track_dict(result)
-            elif isinstance(result, ReductionWitness):
-                report["reduction_witness"] = _witness_dict(result)
-            elif isinstance(result, FiniteOrderCertificate):
-                report["finite_order"] = {"power": result.power,
-                                          "conjugator": _word_str(result.conjugator)}
-            else:
-                report["unknown"] = {"reason": result.reason,
-                                     "iterations": result.iterations}
-        elif command == "nielsen":
-            result = stabilize(endo, period_bound=bounds["period_bound"],
-                               seed=bounds["seed"])
-            if isinstance(result, StableRepresentative):
-                report["stabilization"] = _stable_dict(result)
-                if result.orbits:
-                    loops = nielsen_loops(result.tt, result.orbits)
-                    report["nielsen_loops"] = {
-                        "loops": [list(l) for l in loops.loops],
-                        "multiplicities": {str(k): c for k, c in
-                                           sorted(loops.multiplicities.items())},
-                        "classes": [_word_str(c.letters) for c in loops.classes],
-                        "transitive": loops.transitive,
-                    }
-            elif isinstance(result, ReductionWitness):
-                report["reduction_witness"] = _witness_dict(result)
-            elif isinstance(result, FiniteOrderCertificate):
-                report["finite_order"] = {"power": result.power,
-                                          "conjugator": _word_str(result.conjugator)}
-            else:
-                report["unknown"] = {"reason": getattr(result, "reason", "unknown")}
-        elif command == "surface":
-            result = stabilize(endo, period_bound=bounds["period_bound"],
-                               seed=bounds["seed"])
-            if isinstance(result, StableRepresentative) and result.orbits:
-                loops = nielsen_loops(result.tt, result.orbits)
-                surf = realize_surface(result, loops)
-                if isinstance(surf, SurfaceRealization):
-                    report["surface"] = surf.as_dict()
-                else:
-                    report["not_surface"] = {"reason": surf.reason,
-                                             "vertex": surf.vertex}
-            else:
-                report["not_surface"] = {
-                    "reason": "no stable representative with a Nielsen path "
-                              "orbit (nothing to realize)"}
-        elif command == "torus":
-            rep = chi_zero_report(endo, max_period=bounds["max_period"],
-                                  max_len=bounds["max_len"],
-                                  whitehead_depth=bounds["whitehead_depth"],
-                                  period_bound=bounds["period_bound"],
-                                  k_max=bounds["kmax"], seed=bounds["seed"])
-            for key in ("witness_subgroup", "fiber_chain", "z2_witness",
-                        "minimality", "applicable", "inapplicable_reason"):
-                if key in rep:
-                    report[key] = rep[key]
-        elif command == "report":
-            report["characterization"] = chi_zero_report(
-                endo, max_period=bounds["max_period"], max_len=bounds["max_len"],
-                whitehead_depth=bounds["whitehead_depth"],
-                period_bound=bounds["period_bound"], k_max=bounds["kmax"],
-                seed=bounds["seed"])
-        else:
-            raise ValueError(f"unknown command {command!r}")
+        report.update(_command_view(command, Analysis(spec.endo, bounds)))
     except InternalInconsistency:
         raise
     except Exception as exc:  # propagated module errors, serialized
@@ -436,12 +399,18 @@ def _render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_single(args_tuple):
-    (command, text, name, flags) = args_tuple
+    """Parse and run one input; with `timing`, record the wall time of both
+    (this breaks byte determinism)."""
+    (command, text, name, flags, timing) = args_tuple
+    t0 = time.monotonic()
     spec = parse(text)
-    spec.name = name
     rep = run(command, spec, flags)
-    rep["input"]["name"] = name
-    return _round_floats(rep)
+    if name is not None:
+        spec.name = name
+        rep["input"]["name"] = name
+    if timing:
+        rep["timing_seconds"] = round(time.monotonic() - t0, 3)
+    return rep
 
 
 def main(argv=None) -> int:
@@ -458,7 +427,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-len", type=int, default=12)
     ap.add_argument("--whitehead-depth", type=int, default=8)
     ap.add_argument("--period-bound", type=int, default=8)
-    ap.add_argument("--max-iter", type=int, default=500)
+    ap.add_argument("--max-iter", dest="max_iterations", type=int, default=500)
     ap.add_argument("--kmax", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
@@ -467,12 +436,7 @@ def main(argv=None) -> int:
                     help="include wall-clock timing (breaks byte determinism)")
     args = ap.parse_intermixed_args(argv)
 
-    flags = {
-        "max_period": args.max_period, "max_len": args.max_len,
-        "whitehead_depth": args.whitehead_depth,
-        "period_bound": args.period_bound, "max_iter": args.max_iter,
-        "kmax": args.kmax, "seed": args.seed,
-    }
+    flags = {f.name: getattr(args, f.name) for f in fields(Bounds)}
 
     def read_input(path: str) -> str:
         if path == "-":
@@ -488,24 +452,18 @@ def main(argv=None) -> int:
                     paths.extend(sorted(p.glob("*.endo")))
                 else:
                     paths.append(p)
-            tasks = [(args.cmd, Path(p).read_text(), Path(p).name, flags)
-                     for p in paths]
+            tasks = [(args.cmd, Path(p).read_text(), Path(p).name, flags,
+                      args.timing) for p in paths]
             if args.jobs > 1:
                 with Pool(args.jobs) as pool:
                     reports = pool.map(_run_single, tasks)
             else:
                 reports = [_run_single(t) for t in tasks]
             for rep in reports:
-                if args.timing:
-                    rep["timing"] = None
                 print(report_json(rep) if args.json else _render_text(rep))
             return 0
         text = read_input(args.inputs[0] if args.inputs else "-")
-        t0 = time.monotonic()
-        spec = parse(text)
-        rep = run(args.command, spec, flags)
-        if args.timing:
-            rep["timing_seconds"] = round(time.monotonic() - t0, 3)
+        rep = _run_single((args.command, text, None, flags, args.timing))
         print(report_json(rep) if args.json else _render_text(rep))
         return 0
     except ParseError as exc:

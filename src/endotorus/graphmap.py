@@ -12,7 +12,7 @@ Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -47,11 +47,6 @@ class MarkedGraph:
 
     def term_of(self, e: int) -> int:
         return self.init_of(-e)
-
-    def path_ends(self, path: Sequence[int], start: Optional[int] = None):
-        if not path:
-            return (start, start)
-        return (self.init_of(path[0]), self.term_of(path[-1]))
 
     def is_path(self, path: Sequence[int]) -> bool:
         return all(self.term_of(path[i]) == self.init_of(path[i + 1])
@@ -265,9 +260,6 @@ class GraphMap:
         for m in self.marking:
             assert g.is_path(m) and g.init_of(m[0]) == g.base \
                 and g.term_of(m[-1]) == g.base
-
-    def is_tight(self) -> bool:
-        return all(tighten_path(p) == p for p in self.eimg.values())
 
     # -- pullback to F ----------------------------------------------------------
 

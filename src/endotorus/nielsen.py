@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from endotorus.words import (
-    CyclicWord,
-    Endomorphism,
-    cyclic_canonical,
-    invert,
-    periodic_conjugacy_search,
-)
+from endotorus.words import CyclicWord
 from endotorus.graphmap import (
     GraphMap,
     refine_at_points,
@@ -31,15 +25,10 @@ from endotorus.graphmap import (
     transport_path,
 )
 from endotorus.traintrack import (
-    FiniteOrderCertificate,
-    ReductionWitness,
     TrainTrack,
-    Unknown,
-    find_train_track,
     fold_at_pair,
     gates,
     is_illegal_turn,
-    legality,
 )
 
 
@@ -543,24 +532,23 @@ def _signature(tt: TrainTrack, orbits: list) -> tuple:
             round(tt.stretch, 9), residuals)
 
 
-def stabilize(endo: Endomorphism, period_bound: int = 8, max_steps: int = 24,
-              seed: int = 0):
-    """Fold periodic Nielsen path orbits until the representative repeats
-    projectively; returns a StableRepresentative, or propagates the
-    obstruction from the train track stage.  When the budget runs out the
-    initial (train track) representative is returned with stable=False; its
-    orbits and the fold bookkeeping log remain valid data."""
-    result = find_train_track(endo, seed=seed)
-    if not isinstance(result, TrainTrack):
-        return result
-    tt, pinps = scan_pinps(result, period_bound)
+STABILIZE_STEPS = 24   # fold budget before stabilization gives up
+
+
+def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
+    """Fold periodic Nielsen path orbits of a train track representative
+    until the representative repeats projectively.  When the budget of
+    STABILIZE_STEPS folds runs out, the initial (prepared) representative is
+    returned with stable=False; its orbits and the fold bookkeeping log
+    remain valid data."""
+    tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
         return StableRepresentative(tt, [], [])
     orbits = group_orbits(tt, pinps)
     log: list = []
     seen: dict = {}
     snapshots: list = []
-    for step in range(max_steps):
+    for _ in range(STABILIZE_STEPS):
         sig = _signature(tt, orbits)
         if sig in seen:
             (tt0, orbits0) = snapshots[seen[sig]]
@@ -766,56 +754,3 @@ def _single_cycle(perm) -> bool:
         seen += 1
         i = perm[i]
     return seen == n
-
-
-# ---------------------------------------------------------------------------
-# the verdict
-# ---------------------------------------------------------------------------
-
-def atoroidality_verdict(endo: Endomorphism, max_period: int = 6,
-                         max_len: int = 12, period_bound: int = 8, seed: int = 0):
-    """Toroidal with a witness, Atoroidal with a bounded certificate, or
-    Unknown.  The word search and the Nielsen path pipeline cross-validate
-    whenever both produce definite answers."""
-    word_hit = periodic_conjugacy_search(endo, max_period, max_len)
-
-    stable = stabilize(endo, period_bound=period_bound, seed=seed)
-    pipeline_hit = None
-    pipeline_empty = False
-    if isinstance(stable, StableRepresentative) and stable.stable:
-        if not stable.orbits:
-            pipeline_empty = True
-        else:
-            loops = nielsen_loops(stable.tt, stable.orbits)
-            cls = loops.classes[0]
-            period = _class_period(endo, cls, 2 * period_bound)
-            pipeline_hit = (cls, period)
-
-    if word_hit is not None and pipeline_empty:
-        raise RuntimeError("internal inconsistency: word search found a "
-                           "periodic class but the Nielsen scan is empty")
-    if word_hit is not None and pipeline_hit is not None:
-        (w, n, _) = word_hit
-        if CyclicWord.of(w) != pipeline_hit[0]:
-            raise RuntimeError("internal inconsistency: periodic class "
-                               "witnesses disagree")
-        return Toroidal(CyclicWord.of(w), n, "both")
-    if pipeline_hit is not None:
-        return Toroidal(pipeline_hit[0], pipeline_hit[1] or 0, "nielsen loops")
-    if word_hit is not None:
-        (w, n, _) = word_hit
-        return Toroidal(CyclicWord.of(w), n, "word search")
-    if pipeline_empty:
-        tt = stable.tt
-        return Atoroidal(period_bound, cancellation_radius(tt))
-    return Unknown("no expanding irreducible stable representative within bounds")
-
-
-def _class_period(endo: Endomorphism, cls: CyclicWord, bound: int) -> Optional[int]:
-    w = cls.letters
-    u = w
-    for n in range(1, bound + 1):
-        u = endo.apply(u)
-        if cyclic_canonical(u, unoriented=True) == cyclic_canonical(w, unoriented=True):
-            return n
-    return None

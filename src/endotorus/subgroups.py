@@ -21,6 +21,7 @@ from endotorus.words import (
     Endomorphism,
     Word,
     concat,
+    cyclic_canonical,
     invert,
     reduce_word,
 )
@@ -168,9 +169,6 @@ class SubgroupGraph:
 
     def is_trivial(self) -> bool:
         return self.num_edges == 0
-
-    def neighbors(self, v: int) -> dict:
-        return dict(self.adj[v])
 
     def step(self, v: int, letter: int) -> Optional[int]:
         for l, w in self.adj[v]:
@@ -771,7 +769,6 @@ def whitehead_minimize_classes(rank: int, words, depth: int = 16):
     """Greedy Whitehead descent on the total cyclic length of a tuple of
     conjugacy classes.  Returns (minimized representatives, composed
     automorphism alpha) with [alpha(words[i])] = [minimized[i]]."""
-    from endotorus.words import cyclic_canonical, Endomorphism
     cur = [cyclic_canonical(w, unoriented=True) for w in words]
     alpha = Endomorphism.identity(rank)
     moves = whitehead_moves(rank)
@@ -803,7 +800,3 @@ def letter_system(rank: int, words, depth: int = 16):
         return None
     return alpha, letters
 
-
-def is_primitive(rank: int, w) -> bool:
-    """Part of a basis: the class Whitehead-minimizes to a single letter."""
-    return letter_system(rank, [w]) is not None

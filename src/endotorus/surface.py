@@ -1,5 +1,5 @@
-"""Surface realization of geometric monodromies and the classification
-pipeline.
+"""Surface realization of geometric monodromies, and the per-input analysis
+behind every verdict and report.
 
 When a stable representative's Nielsen loops cover every edge exactly twice,
 thickening the graph and attaching an annulus along each loop produces a
@@ -7,41 +7,45 @@ compact surface provided the link of every vertex is a single circle; the
 loop system supplies the boundary, and the induced homeomorphism is the
 monodromy.  Euler characteristic bookkeeping turns the combinatorics into
 (genus, boundary count).
+
+`Analysis(endo, bounds)` runs each pipeline stage at most once per input, on
+first use.  `classify`, `reduction_search`, the mapping-torus report and
+every CLI command are views of one analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
-from endotorus.words import Endomorphism, Word
 from endotorus import subgroups as sg
+from endotorus.nielsen import (
+    Atoroidal,
+    NielsenLoops,
+    StableRepresentative,
+    Toroidal,
+    cancellation_radius,
+    nielsen_loops,
+    stabilize,
+)
 from endotorus.traintrack import (
     FiniteOrderCertificate,
-    ReductionWitness,
     InvariantFactor,
+    ReductionWitness,
     TrainTrack,
     Unknown,
     find_train_track,
     is_finite_order,
     verify_reduction_witness,
 )
-from endotorus.nielsen import (
-    Atoroidal,
-    NielsenLoops,
-    StableRepresentative,
-    Toroidal,
-    atoroidality_verdict,
-    critical_equation,
-    nielsen_loops,
-    stabilize,
-)
 from endotorus.words import (
+    CyclicWord,
+    Endomorphism,
     cyclic_canonical,
     find_conjugator,
     invert,
-    parse_word,
-    reduce_word,
+    periodic_conjugacy_search,
 )
 
 
@@ -232,15 +236,12 @@ def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
     return None
 
 
-def _periodic_class_witness(endo: Endomorphism, max_period: int,
-                            max_len: int, depth: int) -> Optional[ReductionWitness]:
-    """A periodic conjugacy class whose unoriented orbit Whitehead-minimizes
-    to distinct single letters yields an invariant system of rank-one
-    factors (the letters pulled back through one common automorphism)."""
-    from endotorus.words import periodic_conjugacy_search
-    hit = periodic_conjugacy_search(endo, max_period, max_len)
-    if hit is None:
-        return None
+def _periodic_class_witness(endo: Endomorphism, hit: tuple,
+                            depth: int) -> Optional[ReductionWitness]:
+    """A periodic conjugacy class (a word search hit) whose unoriented orbit
+    Whitehead-minimizes to distinct single letters yields an invariant
+    system of rank-one factors (the letters pulled back through one common
+    automorphism)."""
     (w, n, _) = hit
     reps = [cyclic_canonical(w, unoriented=True)]
     for _ in range(n):
@@ -273,35 +274,33 @@ def _periodic_class_witness(endo: Endomorphism, max_period: int,
     return witness if verify_reduction_witness(endo, witness) else None
 
 
-def reduction_search(endo: Endomorphism, whitehead_depth: int = 8,
-                     max_period: int = 6, max_len: int = 12) -> Optional[ReductionWitness]:
-    """Bounded search for an invariant proper free factor system: image
-    containment, single-letter class cycles, periodic primitive classes,
-    and invariant subgraphs (through the folding loop).  None is a bounded
-    negative."""
-    image = sg.stallings(endo.rank, list(endo.images))
-    ffc = sg.free_factor_containment(image, depth=whitehead_depth)
-    if ffc.contained:
-        witness = ReductionWitness([InvariantFactor(ffc.factor, ())],
-                                   "image lies in a proper free factor")
-        if verify_reduction_witness(endo, witness):
-            return witness
-    cyc = _letter_cycle_witness(endo)
-    if cyc is not None:
-        return cyc
-    periodic = _periodic_class_witness(endo, max_period, max_len, whitehead_depth)
-    if periodic is not None:
-        return periodic
-    if sg.is_injective(endo):
-        result = find_train_track(endo)
-        if isinstance(result, ReductionWitness):
-            return result
+def _class_period(endo: Endomorphism, cls: CyclicWord, bound: int) -> Optional[int]:
+    """Least n <= bound with phi^n(cls) conjugate to cls or its inverse."""
+    w = cls.letters
+    u = w
+    for n in range(1, bound + 1):
+        u = endo.apply(u)
+        if cyclic_canonical(u, unoriented=True) == cyclic_canonical(w, unoriented=True):
+            return n
     return None
 
 
 # ---------------------------------------------------------------------------
-# the verdict lattice
+# the per-input analysis and the verdict lattice
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bounds:
+    """Every bound of the pipeline.  All of them reach every stage that uses
+    them, whichever view of the analysis is asked for."""
+    max_period: int = 6         # periodic-class word search: period
+    max_len: int = 12           # periodic-class word search: cyclic length
+    whitehead_depth: int = 8    # Whitehead descent in free-factor tests
+    period_bound: int = 8       # Nielsen path scan
+    max_iterations: int = 500   # train-track folding budget
+    kmax: int = 6               # preimage chain depth (the torus report)
+    seed: int = 0               # fold tie-breaking
+
 
 @dataclass
 class Verdict:
@@ -319,103 +318,181 @@ class Verdict:
     bounds: dict = field(default_factory=dict)
 
 
+class Analysis:
+    """The pipeline on one input under one set of bounds.  Each stage is a
+    lazy property, computed at most once and only when a view asks for it.
+
+    Stage functions are looked up as module globals at call time, so a
+    wrapper installed on a module (a tracer, a test spy) sees every call."""
+
+    def __init__(self, endo: Endomorphism, bounds: Bounds = Bounds()):
+        self.endo = endo
+        self.bounds = bounds
+
+    @cached_property
+    def injective(self) -> bool:
+        return sg.is_injective(self.endo)
+
+    @cached_property
+    def finite_order(self) -> Optional[FiniteOrderCertificate]:
+        """Some iterate is inner; tested on injective maps only."""
+        return is_finite_order(self.endo) if self.injective else None
+
+    @cached_property
+    def image_factor(self) -> sg.FreeFactorResult:
+        """Whether the image subgroup lies in a proper free factor."""
+        image = sg.stallings(self.endo.rank, list(self.endo.images))
+        return sg.free_factor_containment(image, depth=self.bounds.whitehead_depth)
+
+    @cached_property
+    def word_hit(self) -> Optional[tuple]:
+        """Bounded search for a periodic conjugacy class:
+        (witness, period, orientation) or None."""
+        return periodic_conjugacy_search(self.endo, self.bounds.max_period,
+                                         self.bounds.max_len)
+
+    @cached_property
+    def reduction_witness(self) -> Optional[ReductionWitness]:
+        """Bounded search for an invariant proper free factor system: image
+        containment, single-letter class cycles, periodic primitive classes,
+        and invariant subgraphs (through the folding loop, injective maps
+        only).  None is a bounded negative."""
+        ffc = self.image_factor
+        if ffc.contained:
+            witness = ReductionWitness([InvariantFactor(ffc.factor, ())],
+                                       "image lies in a proper free factor")
+            if verify_reduction_witness(self.endo, witness):
+                return witness
+        witness = _letter_cycle_witness(self.endo)
+        if witness is None and self.word_hit is not None:
+            witness = _periodic_class_witness(self.endo, self.word_hit,
+                                              self.bounds.whitehead_depth)
+        if witness is None and self.injective \
+                and isinstance(self.train_track, ReductionWitness):
+            witness = self.train_track
+        return witness
+
+    @cached_property
+    def train_track(self):
+        """TrainTrack, ReductionWitness, FiniteOrderCertificate or Unknown."""
+        return find_train_track(self.endo,
+                                max_iterations=self.bounds.max_iterations,
+                                seed=self.bounds.seed)
+
+    @cached_property
+    def stable(self) -> Optional[StableRepresentative]:
+        """None when the train track stage ended in an obstruction."""
+        tt = self.train_track
+        if not isinstance(tt, TrainTrack):
+            return None
+        return stabilize(tt, period_bound=self.bounds.period_bound)
+
+    @cached_property
+    def loops(self) -> Optional[NielsenLoops]:
+        """None without a periodic Nielsen path orbit."""
+        stable = self.stable
+        if stable is None or not stable.orbits:
+            return None
+        return nielsen_loops(stable.tt, stable.orbits)
+
+    @cached_property
+    def surface(self):
+        """SurfaceRealization or NotSurface; None without Nielsen loops."""
+        if self.loops is None:
+            return None
+        return realize_surface(self.stable, self.loops)
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """Injectivity, finite order, reduction search, train track,
+        stabilization, Nielsen loops, surface realization; the word search
+        cross-checks the Nielsen loops."""
+        notes: list = []
+        bounds = asdict(self.bounds)
+        del bounds["kmax"]   # the preimage chain plays no part in a verdict
+
+        def conclude(kind: str, **found) -> Verdict:
+            return Verdict(kind, self.injective, notes=notes, bounds=bounds,
+                           **found)
+
+        if not self.injective:
+            notes.append("endomorphism is not injective (image rank is "
+                         "smaller than the ambient rank)")
+        if self.finite_order is not None:
+            return conclude("finite_order", finite_order=self.finite_order)
+        if self.reduction_witness is not None:
+            return conclude("reducible", witness=self.reduction_witness)
+        if not self.injective:
+            notes.append("train track pipeline needs injectivity; no bounded "
+                         "reduction was found")
+            return conclude("unknown")
+
+        # a ReductionWitness here was already taken by the reduction search
+        tt = self.train_track
+        if isinstance(tt, FiniteOrderCertificate):
+            return conclude("finite_order", finite_order=tt)
+        if isinstance(tt, Unknown):
+            notes.append(f"train track search: {tt.reason}")
+            return conclude("unknown")
+
+        stable = self.stable
+        if not stable.stable:
+            # the returned representative is still a train track whose
+            # Nielsen data verifies directly; only the stability label is
+            # withheld
+            notes.append("stabilization budget exhausted before projective "
+                         "recurrence; Nielsen data taken at the train track "
+                         "representative")
+        word_hit = self.word_hit
+        loops = self.loops
+        if loops is None:
+            if word_hit is not None:
+                raise InternalInconsistency(
+                    "word search found a periodic class but the Nielsen scan "
+                    "at the stable representative is empty")
+            cert = Atoroidal(self.bounds.period_bound,
+                             cancellation_radius(stable.tt))
+            return conclude("irreducible_atoroidal", atoroidal=cert,
+                            stable=stable, irreducibility="bounded")
+
+        if word_hit is not None and CyclicWord.of(word_hit[0]) not in loops.classes:
+            raise InternalInconsistency(
+                "periodic class witnesses disagree between the word search "
+                "and the Nielsen loops")
+        cls = loops.classes[0]
+        period = _class_period(self.endo, cls, 2 * self.bounds.period_bound)
+        toroidal = Toroidal(cls, period or 0,
+                            "both" if word_hit is not None else "nielsen loops")
+        realization = self.surface
+        if isinstance(realization, NotSurface):
+            notes.append(f"surface realization failed: {realization.reason}")
+            return conclude("unknown", stable=stable, loops=loops,
+                            toroidal=toroidal)
+        if realization.transitive_boundary:
+            return conclude("geometric", surface=realization, stable=stable,
+                            loops=loops, toroidal=toroidal,
+                            irreducibility="supported by the surface dichotomy")
+        notes.append("surface realized but the boundary action is not "
+                     "transitive")
+        return conclude("unknown", surface=realization, stable=stable,
+                        loops=loops, toroidal=toroidal)
+
+
+def reduction_search(endo: Endomorphism, whitehead_depth: int = 8,
+                     max_period: int = 6, max_len: int = 12) -> Optional[ReductionWitness]:
+    """The reduction-witness stage of `Analysis`: an invariant proper free
+    factor system, or None (a bounded negative)."""
+    bounds = Bounds(max_period=max_period, max_len=max_len,
+                    whitehead_depth=whitehead_depth)
+    return Analysis(endo, bounds).reduction_witness
+
+
 def classify(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
              whitehead_depth: int = 8, period_bound: int = 8,
              max_iterations: int = 500, seed: int = 0) -> Verdict:
-    """Full pipeline: injectivity, finite order, reduction search, train
-    track, stabilization, Nielsen loops, surface realization."""
-    bounds = {
-        "max_period": max_period, "max_len": max_len,
-        "whitehead_depth": whitehead_depth, "period_bound": period_bound,
-        "max_iterations": max_iterations, "seed": seed,
-    }
-    injective = sg.is_injective(endo)
-    notes = []
-    if not injective:
-        notes.append("endomorphism is not injective (image rank is smaller "
-                     "than the ambient rank)")
-
-    cert = is_finite_order(endo) if injective else None
-    if cert is not None:
-        return Verdict("finite_order", injective, finite_order=cert,
-                       notes=notes, bounds=bounds)
-
-    witness = reduction_search(endo, whitehead_depth, max_period, max_len)
-    if witness is not None:
-        return Verdict("reducible", injective, witness=witness,
-                       notes=notes, bounds=bounds)
-
-    if not injective:
-        notes.append("train track pipeline needs injectivity; no bounded "
-                     "reduction was found")
-        return Verdict("unknown", injective, notes=notes, bounds=bounds)
-
-    tt_result = find_train_track(endo, max_iterations=max_iterations, seed=seed)
-    if isinstance(tt_result, ReductionWitness):
-        return Verdict("reducible", injective, witness=tt_result,
-                       notes=notes, bounds=bounds)
-    if isinstance(tt_result, FiniteOrderCertificate):
-        return Verdict("finite_order", injective, finite_order=tt_result,
-                       notes=notes, bounds=bounds)
-    if isinstance(tt_result, Unknown):
-        notes.append(f"train track search: {tt_result.reason}")
-        return Verdict("unknown", injective, notes=notes, bounds=bounds)
-
-    stable = stabilize(endo, period_bound=period_bound, seed=seed)
-    if isinstance(stable, (ReductionWitness,)):
-        return Verdict("reducible", injective, witness=stable,
-                       notes=notes, bounds=bounds)
-    if isinstance(stable, FiniteOrderCertificate):
-        return Verdict("finite_order", injective, finite_order=stable,
-                       notes=notes, bounds=bounds)
-    if isinstance(stable, Unknown) or not isinstance(stable, StableRepresentative):
-        notes.append("stabilization did not settle")
-        return Verdict("unknown", injective, notes=notes, bounds=bounds)
-    if not stable.stable:
-        # the returned representative is still a train track whose Nielsen
-        # data verifies directly; only the stability label is withheld
-        notes.append("stabilization budget exhausted before projective "
-                     "recurrence; Nielsen data taken at the train track "
-                     "representative")
-
-    from endotorus.words import periodic_conjugacy_search
-    from endotorus.nielsen import cancellation_radius, _class_period
-    from endotorus.words import CyclicWord
-
-    word_hit = periodic_conjugacy_search(endo, max_period, max_len)
-
-    if stable.orbits:
-        loops = nielsen_loops(stable.tt, stable.orbits)
-        if word_hit is not None:
-            (w, _, _) = word_hit
-            if CyclicWord.of(w) not in loops.classes:
-                raise InternalInconsistency(
-                    "periodic class witnesses disagree between the word "
-                    "search and the Nielsen loops")
-        cls = loops.classes[0]
-        toroidal = Toroidal(cls, _class_period(endo, cls, 2 * period_bound) or 0,
-                            "both" if word_hit is not None else "nielsen loops")
-        realization = realize_surface(stable, loops)
-        if isinstance(realization, SurfaceRealization):
-            if realization.transitive_boundary:
-                return Verdict("geometric", injective, surface=realization,
-                               stable=stable, loops=loops, toroidal=toroidal,
-                               irreducibility="supported by the surface dichotomy",
-                               notes=notes, bounds=bounds)
-            notes.append("surface realized but the boundary action is not "
-                         "transitive")
-            return Verdict("unknown", injective, surface=realization,
-                           stable=stable, loops=loops, toroidal=toroidal,
-                           notes=notes, bounds=bounds)
-        notes.append(f"surface realization failed: {realization.reason}")
-        return Verdict("unknown", injective, stable=stable, loops=loops,
-                       toroidal=toroidal, notes=notes, bounds=bounds)
-
-    if word_hit is not None:
-        raise InternalInconsistency(
-            "word search found a periodic class but the Nielsen scan at the "
-            "stable representative is empty")
-    cert = Atoroidal(period_bound, cancellation_radius(stable.tt))
-    return Verdict("irreducible_atoroidal", injective, atoroidal=cert,
-                   stable=stable, irreducibility="bounded",
-                   notes=notes, bounds=bounds)
+    """The verdict of `Analysis`: injectivity, finite order, reduction
+    search, train track, stabilization, Nielsen loops, surface realization."""
+    bounds = Bounds(max_period=max_period, max_len=max_len,
+                    whitehead_depth=whitehead_depth, period_bound=period_bound,
+                    max_iterations=max_iterations, seed=seed)
+    return Analysis(endo, bounds).verdict

@@ -11,14 +11,13 @@ so the self-map of A is i_{x^-1} . phi^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from endotorus.words import (
     Endomorphism,
     Word,
     concat,
-    cyclic_canonical,
     find_conjugator,
     invert,
     reduce_word,
@@ -26,7 +25,7 @@ from endotorus.words import (
 from endotorus import subgroups as sg
 from endotorus.subgroups import SubgroupGraph
 from endotorus.traintrack import ReductionWitness
-from endotorus.surface import Verdict, classify, reduction_search
+from endotorus.surface import Analysis, Bounds
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,6 @@ class WitnessSubgroup:
     chi: int
     cyclic_fiber: bool
     provenance: str
-
-    def generators(self) -> list:
-        return [TorusElement.of(w) for w in self.fiber_basis] + \
-            [TorusElement.of(self.power, self.conjugator)]
 
     def as_dict(self) -> dict:
         return {
@@ -194,15 +189,14 @@ def fiber_chain(endo: Endomorphism, a_graph: SubgroupGraph, x: Word, n: int,
     }
 
 
+_MINIMALITY = {"not_contained": "minimal", "contained": "not_minimal",
+               "unknown": "unknown"}
+
+
 def minimality_check(endo: Endomorphism, depth: int = 8) -> tuple:
     """("minimal" | "not_minimal" | "unknown", factor basis or None)."""
-    image = sg.stallings(endo.rank, list(endo.images))
-    res = sg.free_factor_containment(image, depth=depth)
-    if res.status == "not_contained":
-        return ("minimal", None)
-    if res.status == "contained":
-        return ("not_minimal", res.factor)
-    return ("unknown", None)
+    ffc = Analysis(endo, Bounds(whitehead_depth=depth)).image_factor
+    return (_MINIMALITY[ffc.status], ffc.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +267,31 @@ def spot_check_invariant_subgroup(endo: Endomorphism, k_gens: Sequence[Word],
     return out
 
 
-def chi_zero_report(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
+def chi_zero_report(endo, max_period: int = 6, max_len: int = 12,
                     whitehead_depth: int = 8, period_bound: int = 8,
-                    k_max: int = 6, seed: int = 0,
-                    spot_checks: Sequence = ()) -> dict:
+                    k_max: int = 6, seed: int = 0) -> dict:
     """Everything the zero-Euler-characteristic characterization says about
     this mapping torus, constructively where the reverse direction applies:
     a reducible minimal monodromy yields an explicit chi = 0 noncyclic
     witness subgroup of infinite index, a periodic class yields a rank-two
     free abelian subgroup, and in the irreducible atoroidal case the forward
-    direction is reported as a cited conclusion."""
-    verdict = classify(endo, max_period=max_period, max_len=max_len,
-                       whitehead_depth=whitehead_depth,
-                       period_bound=period_bound, seed=seed)
-    minimality, factor = minimality_check(endo, depth=whitehead_depth)
+    direction is reported as a cited conclusion.
+
+    `endo` is an Endomorphism, or an `Analysis` of one: the report is then
+    a view of that analysis under its own bounds, and the keyword bounds are
+    not used."""
+    if isinstance(endo, Analysis):
+        analysis = endo
+    else:
+        analysis = Analysis(endo, Bounds(
+            max_period=max_period, max_len=max_len,
+            whitehead_depth=whitehead_depth, period_bound=period_bound,
+            kmax=k_max, seed=seed))
+    endo = analysis.endo
+    bounds = analysis.bounds
+    verdict = analysis.verdict
+    minimality = _MINIMALITY[analysis.image_factor.status]
+    factor = analysis.image_factor.factor
     injective = verdict.injective
     applicable = injective and minimality == "minimal"
     report: dict = {
@@ -307,9 +312,7 @@ def chi_zero_report(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
             reasons.append("minimality undecided within bounds")
         report["inapplicable_reason"] = "; ".join(reasons)
 
-    witness = verdict.witness if verdict.kind == "reducible" else None
-    if witness is None:
-        witness = reduction_search(endo, whitehead_depth)
+    witness = analysis.reduction_witness
     if witness is not None:
         a_basis = witness.factors[0].basis
         n = len(witness.factors)
@@ -318,17 +321,16 @@ def chi_zero_report(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
             ws = witness_subgroup(endo, a_basis, X, n,
                                   provenance=witness.provenance)
             a_graph = sg.stallings(endo.rank, a_basis)
-            chain = fiber_chain(endo, a_graph, X, n, k_max=k_max)
+            chain = fiber_chain(endo, a_graph, X, n, k_max=bounds.kmax)
             report["witness_subgroup"] = ws.as_dict()
             report["fiber_chain"] = chain
         except ValueError as exc:
             report["witness_error"] = str(exc)
 
-    from endotorus.words import periodic_conjugacy_search
-    hit = periodic_conjugacy_search(endo, max_period, max_len)
+    hit = analysis.word_hit
     if hit is not None:
         (w, _, _) = hit
-        z2 = _z2_witness(endo, w, max_power=2 * max_period)
+        z2 = _z2_witness(endo, w, max_power=2 * bounds.max_period)
         if z2 is not None:
             report["z2_witness"] = z2
 
@@ -338,9 +340,4 @@ def chi_zero_report(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
             "of the mapping torus with zero Euler characteristic has finite "
             "index; an exhaustive subgroup search is impossible, so this is "
             "asserted from the characterization, not searched")
-    if spot_checks:
-        report["spot_checks"] = [
-            spot_check_invariant_subgroup(endo, gens, n, x, k_max)
-            for (gens, n, x) in spot_checks
-        ]
     return report

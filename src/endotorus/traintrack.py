@@ -9,7 +9,7 @@ subdivide, fold, collapse) make sense for injective non-surjective maps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from endotorus.words import (
@@ -17,14 +17,12 @@ from endotorus.words import (
     Word,
     concat,
     conjugate,
-    cyclic_reduce,
     find_conjugator,
     invert,
     reduce_word,
 )
 from endotorus.graphmap import (
     GraphMap,
-    MarkedGraph,
     TransitionData,
     tighten_path,
     transition_matrix,
@@ -127,14 +125,6 @@ class ReductionWitness:
     factors: list          # [InvariantFactor, ...], indices cyclic
     provenance: str
     verified: bool = False
-
-    def describe(self):
-        return {
-            "factors": [[list(w) for w in f.basis] for f in self.factors],
-            "conjugators": [list(f.conjugator) for f in self.factors],
-            "provenance": self.provenance,
-            "verified": self.verified,
-        }
 
 
 @dataclass

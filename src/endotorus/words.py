@@ -8,7 +8,6 @@ parse_word("abA") == (1, 2, -1).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,7 +326,6 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
     return out
 
 
-@functools.lru_cache(maxsize=256)
 def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                               max_len: int = 12):
     """Bounded search for a nontrivial class [a] with phi^n(a) ~ a (or ~ a^-1,

@@ -98,7 +98,7 @@ def test_criterion_2_extension_example():
 
 def test_criterion_3_geometric_example():
     t0 = time.monotonic()
-    stable = stabilize(GOLDEN)
+    stable = stabilize(find_train_track(GOLDEN))
     assert isinstance(stable, StableRepresentative) and stable.orbits
     loops = nielsen_loops(stable.tt, stable.orbits)
     assert set(loops.multiplicities.values()) == {2}
@@ -155,7 +155,8 @@ def test_criterion_6_oracle_agreement():
         word_hit = periodic_conjugacy_search(endo, 6, 12)
         if not sg.is_injective(endo):
             continue
-        pipeline = stabilize(endo)
+        tt = find_train_track(endo)
+        pipeline = stabilize(tt) if isinstance(tt, TrainTrack) else tt
         if not isinstance(pipeline, StableRepresentative):
             continue
         if pipeline.orbits:

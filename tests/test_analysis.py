@@ -1,0 +1,75 @@
+"""One analysis per input: every command runs each stage once and hands it
+the bounds it was given."""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from endotorus.cli import COMMANDS, parse, run
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+SEARCH_COMMANDS = ("classify", "torus", "report")
+FLAGS = {"max_period": 2, "max_len": 5, "max_iterations": 400, "seed": 1}
+
+
+def _recording(fn, log):
+    signature = inspect.signature(fn)
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        log.append(dict(bound.arguments))
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+def spy_on(monkeypatch, *targets):
+    """Replace each (module, function) of endotorus by a recording wrapper,
+    in every endotorus module that holds it.  Returns, per function name,
+    the list of the bound arguments of each call."""
+    calls = {}
+    modules = [m for (name, m) in list(sys.modules.items())
+               if name.startswith("endotorus") and m is not None]
+    for (module, name) in targets:
+        original = getattr(importlib.import_module(f"endotorus.{module}"), name)
+        calls[name] = []
+        spy = _recording(original, calls[name])
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def _spec(name: str):
+    return parse((CORPUS / f"{name}.endo").read_text())
+
+
+@pytest.mark.parametrize("name", ["golden_geometric", "plastic_rank3"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_honours_every_bound(monkeypatch, command, name):
+    calls = spy_on(monkeypatch, ("words", "periodic_conjugacy_search"),
+                   ("traintrack", "find_train_track"))
+    rep = run(command, _spec(name), FLAGS)
+    assert "error" not in rep
+    assert calls["find_train_track"]
+    assert bool(calls["periodic_conjugacy_search"]) == (command in SEARCH_COMMANDS)
+    for call in calls["periodic_conjugacy_search"]:
+        assert (call["max_period"], call["max_len"]) == (2, 5)
+    for call in calls["find_train_track"]:
+        assert (call["max_iterations"], call["seed"]) == (400, 1)
+
+
+def test_each_stage_runs_once_per_command(monkeypatch):
+    calls = spy_on(monkeypatch, ("words", "periodic_conjugacy_search"),
+                   ("traintrack", "find_train_track"),
+                   ("subgroups", "is_injective"),
+                   ("subgroups", "free_factor_containment"))
+    rep = run("report", _spec("golden_geometric"))
+    assert rep["characterization"]["verdict"] == "geometric"
+    assert {name: len(log) for (name, log) in calls.items()} == dict.fromkeys(calls, 1)

@@ -88,10 +88,11 @@ class TestRun:
         assert not rep["characterization"]["applicable"]
 
     def test_errors_serialized(self):
-        # rank beyond the alphabet prefix triggers a module error, not a crash
+        # a module error lands in the report instead of escaping
         spec = parse("rank 2; a -> a; b -> b;")
-        rep = run("nonsense-command" if False else "classify", spec)
-        assert "error" not in rep
+        rep = run("nonsense-command", spec)
+        assert rep["error"]["type"] == "ValueError"
+        assert "nonsense-command" in rep["error"]["message"]
 
     def test_json_deterministic(self):
         spec = parse("rank 2; a -> a b; b -> a;")
@@ -149,3 +150,14 @@ class TestBatch:
         got_names = [json.loads(line)["input"]["name"]
                      for line in seq.stdout.strip().splitlines()]
         assert got_names == names
+
+    def test_batch_timing(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "endotorus.cli", "batch", "--cmd", "tt",
+             "--json", "--timing", str(CORPUS / "swap_finite_order.endo")],
+            capture_output=True, text=True, cwd=ROOT)
+        assert proc.returncode == 0
+        rep = json.loads(proc.stdout)
+        assert "timing" not in rep
+        assert isinstance(rep["timing_seconds"], (int, float))
+        assert rep["timing_seconds"] >= 0

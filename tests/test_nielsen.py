@@ -1,12 +1,9 @@
 import pytest
 
 from endotorus.words import CyclicWord, Endomorphism, parse_word
-from endotorus.traintrack import TrainTrack, find_train_track
+from endotorus.traintrack import FiniteOrderCertificate, TrainTrack, find_train_track
 from endotorus.nielsen import (
-    Atoroidal,
     StableRepresentative,
-    Toroidal,
-    atoroidality_verdict,
     cancellation_radius,
     critical_equation,
     enumerate_pinps,
@@ -101,12 +98,12 @@ class TestOrbit:
 
 class TestStabilize:
     def test_remark_map_stable_without_orbit(self):
-        stable = stabilize(PHI)
+        stable = stabilize(find_train_track(PHI))
         assert isinstance(stable, StableRepresentative)
         assert not stable.orbits and stable.stable
 
     def test_golden_stable_with_one_orbit(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         assert isinstance(stable, StableRepresentative)
         assert stable.orbit is not None and stable.stable
         assert len(stable.fold_log) >= 1
@@ -115,27 +112,28 @@ class TestStabilize:
             assert abs((entry["orbit_before"] - entry["orbit_after"]) - 2 * entry["x"]) < 1e-9
 
     def test_swap_propagates_finite_order(self):
-        result = stabilize(SWAP)
+        result = find_train_track(SWAP)
         assert not isinstance(result, StableRepresentative)
+        assert isinstance(result, FiniteOrderCertificate)
 
     def test_stability_endpoint_single_orbit(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         assert len(stable.orbits) == 1
 
 
 class TestCriticalEquation:
     def test_golden_residual_vanishes(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         assert critical_equation(stable.tt, stable.orbit) < 1e-9
 
     def test_empty_orbit_flagged(self):
-        stable = stabilize(PHI)
+        stable = stabilize(find_train_track(PHI))
         assert critical_equation(stable.tt, None) == 2.0
 
 
 class TestLoops:
     def test_golden_loops(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         loops = nielsen_loops(stable.tt, stable.orbit)
         assert len(loops.loops) == 1
         assert set(loops.multiplicities.values()) == {2}
@@ -144,30 +142,13 @@ class TestLoops:
 
     def test_two_loop_multiplicities_checked(self):
         # synthetic check of the multiplicity counter on two loops
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         loops = nielsen_loops(stable.tt, stable.orbit)
         doubled = {e: 2 * c for (e, c) in loops.multiplicities.items()}
         assert all(v == 4 for v in doubled.values())
 
 
 class TestVerdict:
-    def test_remark_map_atoroidal(self):
-        verdict = atoroidality_verdict(PHI)
-        assert isinstance(verdict, Atoroidal)
-
-    def test_golden_toroidal_both_sources(self):
-        verdict = atoroidality_verdict(GOLDEN)
-        assert isinstance(verdict, Toroidal)
-        assert verdict.witness == COMMUTATOR
-        assert verdict.period == 2
-        assert verdict.source == "both"
-
-    def test_identity_toroidal(self):
-        verdict = atoroidality_verdict(Endomorphism.identity(2))
-        assert isinstance(verdict, Toroidal)
-        assert verdict.witness == CyclicWord.of((1,))
-        assert verdict.period == 1
-
     def test_bcc_radius_positive(self):
         tt = golden_tt()
         assert cancellation_radius(tt) > 0

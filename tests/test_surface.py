@@ -4,6 +4,7 @@ import pytest
 
 from endotorus.words import CyclicWord, Endomorphism, parse_word
 from endotorus.nielsen import nielsen_loops, stabilize
+from endotorus.traintrack import find_train_track
 from endotorus.surface import (
     NotSurface,
     SurfaceRealization,
@@ -22,7 +23,7 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 class TestRealize:
     def test_golden_once_punctured_torus(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         loops = nielsen_loops(stable.tt, stable.orbit)
         surf = realize_surface(stable, loops)
         assert isinstance(surf, SurfaceRealization)
@@ -33,7 +34,7 @@ class TestRealize:
         assert abs(surf.stretch - GOLDEN_RATIO) < 1e-9
 
     def test_arithmetic_identity(self):
-        stable = stabilize(GOLDEN)
+        stable = stabilize(find_train_track(GOLDEN))
         loops = nielsen_loops(stable.tt, stable.orbit)
         surf = realize_surface(stable, loops)
         g = stable.tt.gm.graph
