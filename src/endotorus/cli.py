@@ -413,6 +413,9 @@ def _run_single(args_tuple):
     return rep
 
 
+_FLAG_SPELLING = {"max_iterations": "max-iter"}   # flags not named after their field
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="endotorus",
@@ -423,13 +426,9 @@ def main(argv=None) -> int:
                     help="DSL files ('-' for stdin); batch mode takes many")
     ap.add_argument("--cmd", default="classify", choices=COMMANDS,
                     help="pipeline command for batch mode")
-    ap.add_argument("--max-period", type=int, default=6)
-    ap.add_argument("--max-len", type=int, default=12)
-    ap.add_argument("--whitehead-depth", type=int, default=8)
-    ap.add_argument("--period-bound", type=int, default=8)
-    ap.add_argument("--max-iter", dest="max_iterations", type=int, default=500)
-    ap.add_argument("--kmax", type=int, default=6)
-    ap.add_argument("--seed", type=int, default=0)
+    for f in fields(Bounds):
+        flag = _FLAG_SPELLING.get(f.name, f.name.replace("_", "-"))
+        ap.add_argument(f"--{flag}", dest=f.name, type=int, default=f.default)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--timing", action="store_true",

@@ -21,16 +21,6 @@ from endotorus.words import Endomorphism, Word, reduce_word
 EdgePath = tuple  # tuple[int, ...] of signed edge ids
 
 
-def tighten_path(path: Sequence[int]) -> EdgePath:
-    out: list[int] = []
-    for e in path:
-        if out and out[-1] == -e:
-            out.pop()
-        else:
-            out.append(e)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MarkedGraph:
     nv: int
@@ -57,12 +47,6 @@ class MarkedGraph:
 
     def volume(self) -> float:
         return sum(self.lengths.values())
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for (a, b) in self.edges.values():
-            d += (a == v) + (b == v)
-        return d
 
     def directions_at(self, v: int) -> list:
         out = []
@@ -123,7 +107,7 @@ class _SubstRecord:
         for e in path:
             rep = self.subst.get(abs(e), (abs(e),))
             out.extend(rep if e > 0 else tuple(-x for x in reversed(rep)))
-        return tighten_path(out)
+        return reduce_word(out)
 
 
 @dataclass
@@ -161,7 +145,7 @@ class _JumpRecord:
             cur = prev_graph.term_of(e)
         if cur != self.base_before:
             out.extend(hop(cur, self.base_before))
-        return tighten_path(out)
+        return reduce_word(out)
 
 
 @dataclass
@@ -210,7 +194,7 @@ class _ForestRecord:
             cur = prev_graph.term_of(e)
         if cur != self.base_before:
             out.extend(forest_path(cur, self.base_before))
-        return tighten_path(out)
+        return reduce_word(out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +250,7 @@ class GraphMap:
     def path_to_word(self, path: Sequence[int]) -> Word:
         """Pull a loop back through every move; on the rose, edge ids are
         the ambient generators."""
-        path = tighten_path(path)
+        path = reduce_word(path)
         for record, prev in zip(reversed(self.history), reversed(self.prev_graphs)):
             path = record.pull(path, prev)
         return reduce_word(path)
@@ -278,14 +262,14 @@ class GraphMap:
         g = self.graph
         head = g.shortest_path(g.base, g.init_of(path[0]))
         tail = g.shortest_path(g.term_of(path[-1]), g.base)
-        return tighten_path(tuple(head) + tuple(path) + tuple(tail))
+        return reduce_word(tuple(head) + tuple(path) + tuple(tail))
 
     def induced_generator_image(self, gen: int) -> Word:
         """Word of f(marking loop), conjugated back to the base point."""
         g = self.graph
         img = self.map_path(self.marking[gen - 1])
         q = g.shortest_path(g.base, self.vimg[g.base])
-        return self.path_to_word(tighten_path(tuple(q) + img + tuple(-x for x in reversed(q))))
+        return self.path_to_word(reduce_word(tuple(q) + img + tuple(-x for x in reversed(q))))
 
     # -- constructors ------------------------------------------------------------
 
@@ -307,7 +291,7 @@ class GraphMap:
     # -- moves --------------------------------------------------------------------
 
     def tighten(self) -> "GraphMap":
-        eimg = {e: tighten_path(p) for (e, p) in self.eimg.items()}
+        eimg = {e: reduce_word(p) for (e, p) in self.eimg.items()}
         return GraphMap(self.graph, self.vimg, eimg, self.marking, self.rank,
                         self.history, self.prev_graphs)
 
@@ -388,7 +372,7 @@ class GraphMap:
                     out.append(-d1)
                 else:
                     out.append(e)
-            return tighten_path(out)
+            return reduce_word(out)
 
         new_edges = {}
         for e, (a, b) in g.edges.items():
@@ -434,7 +418,7 @@ class GraphMap:
         rep_of = {v: find(v) for v in range(g.nv)}
 
         def sub(path):
-            return tighten_path(tuple(e for e in path if abs(e) not in edge_set))
+            return reduce_word(tuple(e for e in path if abs(e) not in edge_set))
 
         new_edges = {e: (rep_of[a], rep_of[b]) for e, (a, b) in g.edges.items()
                      if e not in edge_set}
@@ -498,7 +482,7 @@ class GraphMap:
 
         eimg = {e: sub(p) for (e, p) in self.eimg.items()
                 if e not in (abs(d_in), abs(d_out))}
-        eimg[enew] = sub(tighten_path(self.image_of_edge(d_in) + self.image_of_edge(d_out)))
+        eimg[enew] = sub(reduce_word(self.image_of_edge(d_in) + self.image_of_edge(d_out)))
         vimg = {w: img for (w, img) in self.vimg.items() if w != v}
         marking = tuple(sub(m) for m in self.marking)
         # vertices keep their numbers; nv shrinks only nominally
@@ -688,18 +672,6 @@ def refine_at_points(gm: GraphMap, cuts: dict, tol: float = 1e-7) -> GraphMap:
             out.extend(ids if x > 0 else [-i for i in reversed(ids)])
         return out
 
-    def locate(e, pos):
-        """Vertex id at a boundary position of edge e."""
-        bounds = piece_pos[e]
-        for i, b in enumerate(bounds):
-            if abs(pos - b) < tol:
-                if i == 0:
-                    return g.edges[e][0]
-                if i == len(bounds) - 1:
-                    return g.edges[e][1]
-                return new_vertex_at[(e, round(bounds[i], 6))]
-        raise ValueError(f"image of a cut point misses the cut set on edge {e}")
-
     # re-express images: slice the expanded image path at piece boundaries
     eimg = {}
     for e in g.edge_ids():
@@ -771,50 +743,5 @@ def transport_path(gm_new: GraphMap, start_index: int, path) -> EdgePath:
                 out.extend(rep if e > 0 else [-x for x in reversed(rep)])
             else:
                 out.append(e)
-        path = tighten_path(out)
+        path = reduce_word(out)
     return path
-
-
-@dataclass(frozen=True)
-class Subdivide:
-    edge: int
-    point: int          # index into the edge's image path
-
-
-@dataclass(frozen=True)
-class Fold:
-    d1: int             # oriented edges with a common initial vertex
-    d2: int
-
-
-@dataclass(frozen=True)
-class CollapseForest:
-    edges: frozenset
-
-    @staticmethod
-    def of(edges) -> "CollapseForest":
-        return CollapseForest(frozenset(abs(e) for e in edges))
-
-
-@dataclass(frozen=True)
-class RemoveValence12:
-    vertex: int
-
-
-def bh_move(gm: GraphMap, move) -> GraphMap:
-    """Apply an elementary move; invalid descriptors are rejected with a
-    diagnostic ValueError.  Each move returns a new map inducing the same
-    outer endomorphism."""
-    if isinstance(move, Subdivide):
-        return gm.subdivide(move.edge, move.point)
-    if isinstance(move, Fold):
-        return gm.fold(move.d1, move.d2)
-    if isinstance(move, CollapseForest):
-        return gm.collapse_forest(move.edges)
-    if isinstance(move, RemoveValence12):
-        g = gm.graph
-        if g.degree(move.vertex) == 1:
-            dirs = [d for d in g.all_directions() if g.init_of(d) == move.vertex]
-            return gm.collapse_forest({abs(dirs[0])})
-        return gm.remove_valence_two(move.vertex)
-    raise ValueError(f"unknown move descriptor {move!r}")

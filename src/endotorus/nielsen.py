@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from endotorus.words import CyclicWord
+from endotorus.words import (
+    CyclicWord,
+    cyclic_canonical,
+    invert,
+    reduce_word,
+)
 from endotorus.graphmap import (
     GraphMap,
     refine_at_points,
-    tighten_path,
     transition_matrix,
     transport_path,
 )
@@ -30,14 +34,6 @@ from endotorus.traintrack import (
     gates,
     is_illegal_turn,
 )
-
-
-def invrev(path) -> tuple:
-    return tuple(-x for x in reversed(path))
-
-
-def metric_length(gm: GraphMap, path) -> float:
-    return sum(gm.graph.lengths[abs(e)] for e in path)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +53,7 @@ class NielsenPath:
 
     def canonical(self) -> tuple:
         p = self.path
-        return min(p, invrev(p))
+        return min(p, invert(p))
 
 
 @dataclass
@@ -69,7 +65,7 @@ class NielsenOrbit:
     orientation_reversal: bool
 
     def volume(self, gm: GraphMap) -> float:
-        return sum(metric_length(gm, p) for p in self.paths)
+        return sum(gm.graph.path_length(p) for p in self.paths)
 
 
 @dataclass
@@ -152,7 +148,7 @@ def _ray(gm: GraphMap, d: int, step: int, target: float):
     slack = target + max(gm.graph.lengths.values()) + 1e-9
     ray = (d,)
     for _ in range(64 * step + 64):
-        if metric_length(gm, ray) >= target:
+        if gm.graph.path_length(ray) >= target:
             return ray
         prev = ray
         for _ in range(step):
@@ -257,7 +253,7 @@ def _verify_pinp(tt: TrainTrack, rho, per: int, radius: float):
     genuine periodic Nielsen path obeys the same half-length bound, so any
     intermediate image outgrowing it disqualifies the candidate."""
     gm = tt.gm
-    if len(rho) < 2 or tighten_path(rho) != rho:
+    if len(rho) < 2 or reduce_word(rho) != rho:
         return None
     illegal = [i for i in range(len(rho) - 1)
                if is_illegal_turn(tt.gate_map, -rho[i], rho[i + 1])]
@@ -267,11 +263,11 @@ def _verify_pinp(tt: TrainTrack, rho, per: int, radius: float):
     img = rho
     for _ in range(per):
         img = gm.map_path(img)
-        if metric_length(gm, img) > cap:
+        if gm.graph.path_length(img) > cap:
             return None
     if img == rho:
         return (illegal[0], False)
-    if img == invrev(rho):
+    if img == invert(rho):
         return (illegal[0], True)
     return None
 
@@ -287,14 +283,6 @@ def scan_pinps(tt: TrainTrack, period_bound: int = 8,
     radius = cancellation_radius(tt)
     tt = prepare_representative(tt, min(interior_bound, period_bound))
     return tt, _enumerate_on(tt, period_bound, radius)
-
-
-def enumerate_pinps(tt: TrainTrack, period_bound: int = 8,
-                    interior_bound: int = 3) -> list:
-    """Bounded-complete list of periodic indivisible Nielsen paths of period
-    at most period_bound (endpoint refinement up to interior_bound), halves
-    capped by the cancellation radius."""
-    return scan_pinps(tt, period_bound, interior_bound)[1]
 
 
 def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
@@ -354,38 +342,17 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
                     continue
                 if not is_illegal_turn(tt.gate_map, -X[-1], -Y[-1]):
                     continue
-                rho = X + invrev(Y)
+                rho = X + invert(Y)
                 check = _verify_pinp(tt, rho, per, radius)
                 if check is None:
                     continue
                 (junction, rev) = check
-                key = min(rho, invrev(rho))
+                key = min(rho, invert(rho))
                 if key in found:
                     continue
                 found[key] = NielsenPath(rho[:junction + 1], rho[junction + 1:],
                                          per, rev)
     return [found[k] for k in sorted(found)]
-
-
-# ---------------------------------------------------------------------------
-# maximal legal segments of a loop
-# ---------------------------------------------------------------------------
-
-def max_legal_segments(tt: TrainTrack, loop) -> tuple:
-    """Split a cyclically tight loop at its illegal turns; returns
-    (segment count, segments)."""
-    loop = tuple(loop)
-    if tighten_path(loop) != loop or (len(loop) > 1 and loop[0] == -loop[-1]):
-        raise ValueError("loop must be cyclically tight")
-    n = len(loop)
-    cuts = [i for i in range(n)
-            if is_illegal_turn(tt.gate_map, -loop[i], loop[(i + 1) % n])]
-    if not cuts:
-        return (1, [loop])
-    segments = []
-    for a, b in zip(cuts, cuts[1:] + [cuts[0] + n]):
-        segments.append(tuple(loop[(a + 1 + k) % n] for k in range(b - a)))
-    return (len(cuts), segments)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +376,10 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
             img = gm.map_path(cur)
             if img == paths[0]:
                 break
-            if img == invrev(paths[0]):
+            if img == invert(paths[0]):
                 reversal = True
                 break
-            key = min(img, invrev(img))
+            key = min(img, invert(img))
             if key not in by_canonical:
                 raise AssertionError("orbit left the enumerated set")
             illegal = [i for i in range(len(img) - 1)
@@ -421,7 +388,7 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
             junctions.append(illegal[0])
             cur = img
         for q in paths:
-            used.add(min(q, invrev(q)))
+            used.add(min(q, invert(q)))
         connectors = []
         m = len(paths)
         for i in range(1, m):
@@ -435,7 +402,7 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
         alpha_last = paths[-1][:junctions[-1] + 1]
         f_alpha = gm.map_path(alpha_last)
         if reversal:
-            target = invrev(paths[0][junctions[0] + 1:])   # beta_0 reversed
+            target = invert(paths[0][junctions[0] + 1:])   # beta_0 reversed
         else:
             target = paths[0][:junctions[0] + 1]
         if f_alpha[:len(target)] != target:
@@ -457,14 +424,14 @@ def verify_orbit_relations(tt: TrainTrack, orbit: NielsenOrbit) -> bool:
         f_alpha = gm.map_path(alpha)
         f_beta = gm.map_path(beta)
         if j == 0 and orbit.orientation_reversal:
-            alpha_next = invrev(orbit.paths[0][orbit.junctions[0] + 1:])
-            beta_next = invrev(orbit.paths[0][:orbit.junctions[0] + 1])
+            alpha_next = invert(orbit.paths[0][orbit.junctions[0] + 1:])
+            beta_next = invert(orbit.paths[0][:orbit.junctions[0] + 1])
         else:
             alpha_next = orbit.paths[j][:orbit.junctions[j] + 1]
             beta_next = orbit.paths[j][orbit.junctions[j] + 1:]
         if f_alpha != alpha_next + tau:
             return False
-        if f_beta != invrev(tau) + beta_next:
+        if f_beta != invert(tau) + beta_next:
             return False
     return True
 
@@ -509,7 +476,7 @@ def fold_orbit(tt: TrainTrack, orbit: NielsenOrbit, period_bound: int = 8):
     new_gm = new_gm.tighten()
     x = vol_before - new_gm.graph.volume()
     moved = [transport_path(new_gm, mark, p) for p in orbit.paths]
-    folded_volume = sum(metric_length(new_gm, p) for p in moved)
+    folded_volume = sum(new_gm.graph.path_length(p) for p in moved)
 
     data = transition_matrix(new_gm)
     new_tt = TrainTrack(new_gm, gates(new_gm), data)
@@ -599,30 +566,38 @@ def critical_equation(tt: TrainTrack, orbit) -> float:
     return abs(total / vol - 2.0)
 
 
-def _links_connected(gm: GraphMap, loops) -> bool:
-    """Whether the loop system induces a single circle in the link of every
-    vertex it meets (the surface condition at that vertex)."""
-    links: dict = {}
+def _vertex_links(gm: GraphMap, loops) -> dict:
+    """Link of each vertex: nodes are directions there, edges are the turns
+    the loop system takes.  Every direction has degree two when each edge is
+    covered twice, so links are disjoint circles; a surface point needs a
+    single circle."""
+    links: dict = {v: {} for v in range(gm.graph.nv)}
     for loop in loops:
         n = len(loop)
         for i in range(n):
             d_in, d_out = -loop[i], loop[(i + 1) % n]
-            v = gm.graph.init_of(d_in)
-            links.setdefault(v, {}).setdefault(d_in, []).append(d_out)
-            links.setdefault(v, {}).setdefault(d_out, []).append(d_in)
-    for v, link in links.items():
-        nodes = sorted(link)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
+            link = links.setdefault(gm.graph.init_of(d_in), {})
+            link.setdefault(d_in, []).append(d_out)
+            link.setdefault(d_out, []).append(d_in)
+    return links
+
+
+def _link_components(link: dict) -> int:
+    seen = set()
+    comps = 0
+    for start in sorted(link):
+        if start in seen:
+            continue
+        comps += 1
+        stack = [start]
+        seen.add(start)
         while stack:
             d = stack.pop()
             for e in link[d]:
                 if e not in seen:
                     seen.add(e)
                     stack.append(e)
-        if len(seen) != len(nodes):
-            return False
-    return True
+    return comps
 
 
 def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
@@ -648,8 +623,8 @@ def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
         (aj, sj, vj) = ends[j]
         if vi != vj:
             return False
-        pi = arcs[ai] if si == 1 else invrev(arcs[ai])
-        pj = invrev(arcs[aj]) if sj == 1 else arcs[aj]
+        pi = arcs[ai] if si == 1 else invert(arcs[ai])
+        pj = invert(arcs[aj]) if sj == 1 else arcs[aj]
         return pi[-1] != -pj[0]  # junction stays tight
 
     def loops_of(matching):
@@ -666,7 +641,7 @@ def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
                 seen.add(i)
                 other = i + 1 if s == 0 else i - 1
                 seen.add(other)
-                loop.extend(arcs[a] if s == 0 else invrev(arcs[a]))
+                loop.extend(arcs[a] if s == 0 else invert(arcs[a]))
                 j = matching[other]
                 if j == start:
                     break
@@ -707,7 +682,9 @@ def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
     search({}, list(range(n)))
     if not assemblies:
         raise ValueError("orbit paths do not close into Nielsen loops")
-    loops = next((lp for lp in assemblies if _links_connected(gm, lp)),
+    loops = next((lp for lp in assemblies
+                  if all(_link_components(link) <= 1
+                         for link in _vertex_links(gm, lp).values())),
                  assemblies[0])
     mult: dict = {e: 0 for e in gm.graph.edge_ids()}
     for l in loops:
@@ -718,30 +695,13 @@ def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
     # f permutes the loops up to rotation and reversal; transitivity = one cycle
     canon = {}
     for i, l in enumerate(loops):
-        canon[_cyclic_canonical_path(l)] = i
+        canon[cyclic_canonical(l, unoriented=True)] = i
     perm = []
     for l in loops:
-        img = tighten_path(gm.map_path(l))
-        img = _cyclic_tighten(img)
-        key = _cyclic_canonical_path(img)
+        key = cyclic_canonical(gm.map_path(l), unoriented=True)
         perm.append(canon.get(key, -1))
     transitive = sorted(perm) == list(range(len(loops))) and _single_cycle(perm)
     return NielsenLoops(loops, mult, classes, transitive)
-
-
-def _cyclic_tighten(path):
-    path = tighten_path(path)
-    while len(path) >= 2 and path[0] == -path[-1]:
-        path = path[1:-1]
-    return path
-
-
-def _cyclic_canonical_path(path):
-    cands = []
-    for p in (path, invrev(path)):
-        for r in range(len(p)):
-            cands.append(p[r:] + p[:r])
-    return min(cands)
 
 
 def _single_cycle(perm) -> bool:

@@ -4,11 +4,12 @@ A subgroup is stored as a folded core graph: vertices, directed edges labeled
 by positive generators, base vertex 0.  Graphs are normalized (core-pruned,
 BFS-renumbered) on construction, so equal subgroups compare equal.
 
-The folding machinery exists in two flavors: a plain fold for membership-type
-queries, and a fold with full history (ImageGraph) that supports pulling
-paths back through the fold sequence.  The history version is what makes
-exact preimages under injective endomorphisms possible: fold the subdivided
-rose spelling the generator images, intersect with the target subgroup, and
+One fold serves every query: ImageGraph folds the subdivided rose spelling
+a list of generator words and records each identification.  Its folded
+graph is the Stallings graph (membership, index, intersections), and its
+history pulls paths back through the fold sequence.  That is what makes
+exact preimages under injective endomorphisms possible: fold the rose
+spelling the generator images, intersect with the target subgroup, and
 rewrite a basis of the intersection in petal coordinates.
 """
 
@@ -20,55 +21,12 @@ from typing import Optional, Sequence
 from endotorus.words import (
     Endomorphism,
     Word,
+    _ord,
     concat,
     cyclic_canonical,
     invert,
     reduce_word,
 )
-
-_LETTER_ORDER = lambda ell: ((abs(ell) - 1) << 1) | (ell < 0)  # noqa: E731
-
-
-# ---------------------------------------------------------------------------
-# plain folding
-# ---------------------------------------------------------------------------
-
-def _fold_plain(nv: int, edges):
-    """Fold a multigraph given as [(u, letter, v), ...], letters positive.
-    Returns (vertex_map, folded_edges) with folded_edges a set of triples."""
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cur = set()
-    for (u, l, v) in edges:
-        cur.add((u, l, v))
-    while True:
-        folded = set()
-        out: dict = {}
-        inn: dict = {}
-        merge = None
-        for (u, l, v) in cur:
-            u, v = find(u), find(v)
-            if (u, l) in out and out[(u, l)] != v:
-                merge = (out[(u, l)], v)
-                break
-            if (v, l) in inn and inn[(v, l)] != u:
-                merge = (inn[(v, l)], u)
-                break
-            out[(u, l)] = v
-            inn[(v, l)] = u
-            folded.add((u, l, v))
-        if merge is None:
-            return find, folded
-        a, b = find(merge[0]), find(merge[1])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-        cur = {(find(u), l, find(v)) for (u, l, v) in cur}
 
 
 class SubgroupGraph:
@@ -106,7 +64,7 @@ class SubgroupGraph:
         queue = [base]
         while queue:
             v = queue.pop(0)
-            for l in sorted(adj[v], key=_LETTER_ORDER):
+            for l in sorted(adj[v], key=_ord):
                 w = adj[v][l]
                 if w not in order:
                     order[w] = len(order)
@@ -116,7 +74,7 @@ class SubgroupGraph:
             for l, w in nbrs.items():
                 new_adj[order[v]][l] = order[w]
         self.adj = tuple(
-            tuple(sorted(d.items(), key=lambda it: _LETTER_ORDER(it[0])))
+            tuple(sorted(d.items(), key=lambda it: _ord(it[0])))
             for d in new_adj
         )
         self.base = 0
@@ -125,26 +83,10 @@ class SubgroupGraph:
 
     @staticmethod
     def from_generators(rank: int, gens: Sequence[Sequence[int]]) -> "SubgroupGraph":
-        nv = 1
-        edges = []
-        for g in gens:
-            g = reduce_word(g)
-            prev = 0
-            for i, x in enumerate(g):
-                nxt = 0 if i == len(g) - 1 else nv
-                if i != len(g) - 1:
-                    nv += 1
-                if x > 0:
-                    edges.append((prev, x, nxt))
-                else:
-                    edges.append((nxt, -x, prev))
-                prev = nxt
-        find, folded = _fold_plain(nv, edges)
-        adj: dict = {find(0): {}}
-        for (u, l, v) in folded:
-            adj.setdefault(u, {})[l] = v
-            adj.setdefault(v, {})[-l] = u
-        return SubgroupGraph(rank, adj, find(0))
+        """Stallings graph of the subgroup the words generate; empty words
+        (after free reduction) are ignored."""
+        words = [w for w in map(reduce_word, gens) if w]
+        return ImageGraph(rank, words).subgroup()
 
     @staticmethod
     def full_group(rank: int) -> "SubgroupGraph":
@@ -297,13 +239,13 @@ class _FoldRecord:
 
 
 class ImageGraph:
-    """The subdivided rose spelling the generator images, folded with a full
-    record of identifications.  Supports membership in the image subgroup and
-    exact rewriting of image elements in the domain's generators."""
+    """The subdivided rose with one petal per generator word, folded with a
+    full record of identifications.  Supports membership in the subgroup the
+    words generate and exact rewriting of its elements in petal
+    coordinates (for an endomorphism's images: in the domain generators)."""
 
-    def __init__(self, endo: Endomorphism):
-        self.endo = endo
-        self.rank = endo.rank
+    def __init__(self, rank: int, gens: Sequence[Word]):
+        self.rank = rank
         nv = 1
         self.edge_ends: dict = {}    # eid -> (u, letter, v) at creation time
         self.petal_of: dict = {}     # eid -> (petal index, position)
@@ -311,7 +253,7 @@ class ImageGraph:
         self.petal_len: list = []
         eid = 0
         edges = []
-        for pi, im in enumerate(endo.images):
+        for pi, im in enumerate(gens):
             if not im:
                 raise ValueError("generator image must be nontrivial")
             prev = 0
@@ -330,7 +272,6 @@ class ImageGraph:
                 prev = nxt
                 eid += 1
             self.petal_len.append(len(im))
-        self.nv0 = nv
         self.records: list = []
         self._merge_parent: dict = {}  # vertex -> (kept vertex, record index)
         self._fold(edges)
@@ -406,12 +347,13 @@ class ImageGraph:
         return len(self.alive) - len(verts) + 1
 
     def is_injective(self) -> bool:
-        """Free groups are Hopfian on rank: phi embeds iff its image subgroup
-        has full rank, iff no fold was parallel."""
-        return self.image_rank() == self.rank
+        """Whether the words freely generate their subgroup, iff no fold was
+        parallel.  Free groups are Hopfian on rank: an endomorphism embeds
+        iff its image subgroup has full rank."""
+        return self.image_rank() == len(self.petal_len)
 
     def subgroup(self) -> SubgroupGraph:
-        """The image subgroup as a plain SubgroupGraph."""
+        """The generated subgroup as a plain SubgroupGraph."""
         T = self.final_time()
         adj: dict = {self._rep(0, T): {}}
         for e in self.alive:
@@ -526,17 +468,13 @@ class ImageGraph:
 
 
 def is_injective(endo: Endomorphism) -> bool:
-    return ImageGraph(endo).is_injective()
-
-
-def image_subgroup(endo: Endomorphism) -> SubgroupGraph:
-    return ImageGraph(endo).subgroup()
+    return ImageGraph(endo.rank, endo.images).is_injective()
 
 
 def invert_automorphism(endo: Endomorphism) -> Endomorphism:
     """Inverse of an automorphism, by rewriting each generator in the image
     basis through the fold history."""
-    ig = ImageGraph(endo)
+    ig = ImageGraph(endo.rank, endo.images)
     sub = ig.subgroup()
     if not (ig.is_injective() and sub.index() == 1):
         raise ValueError("not an automorphism")
@@ -556,7 +494,7 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
     """
     if all(G.contains(im) for im in endo.images):
         return SubgroupGraph.full_group(endo.rank)
-    ig = ImageGraph(endo)
+    ig = ImageGraph(endo.rank, endo.images)
     if not ig.is_injective():
         raise ValueError("preimage for non-injective maps is only defined "
                          "when the whole image lies in the subgroup")
@@ -571,7 +509,7 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
     closed = set()
     while queue:
         (p, q) = queue.pop(0)
-        for l in sorted(fadj.get(p, {}), key=_LETTER_ORDER):
+        for l in sorted(fadj.get(p, {}), key=_ord):
             (p2, e, s) = fadj[p][l]
             q2 = G.step(q, l)
             if q2 is None:

@@ -25,6 +25,8 @@ from endotorus.nielsen import (
     NielsenLoops,
     StableRepresentative,
     Toroidal,
+    _link_components,
+    _vertex_links,
     cancellation_radius,
     nielsen_loops,
     stabilize,
@@ -42,6 +44,7 @@ from endotorus.traintrack import (
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
+    conjugacy_period,
     cyclic_canonical,
     find_conjugator,
     invert,
@@ -80,40 +83,6 @@ class NotSurface:
     reason: str
     vertex: Optional[int] = None
     link_components: Optional[int] = None
-
-
-def _vertex_links(gm, loops):
-    """Link of each vertex: nodes are directions there, edges are the turns
-    the loop system takes.  Every direction has degree two when each edge is
-    covered twice, so links are disjoint circles; a surface point needs a
-    single circle."""
-    links: dict = {v: {} for v in range(gm.graph.nv)}
-    for loop in loops:
-        n = len(loop)
-        for i in range(n):
-            d_in, d_out = -loop[i], loop[(i + 1) % n]
-            v = gm.graph.init_of(d_in)
-            links[v].setdefault(d_in, []).append(d_out)
-            links[v].setdefault(d_out, []).append(d_in)
-    return links
-
-
-def _link_components(link: dict) -> int:
-    seen = set()
-    comps = 0
-    for start in sorted(link):
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            d = stack.pop()
-            for e in link[d]:
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-    return comps
 
 
 def _orientable(gm, loops) -> bool:
@@ -272,17 +241,6 @@ def _periodic_class_witness(endo: Endomorphism, hit: tuple,
         factors.append(InvariantFactor([basis[i]], x))
     witness = ReductionWitness(factors, "periodic primitive classes")
     return witness if verify_reduction_witness(endo, witness) else None
-
-
-def _class_period(endo: Endomorphism, cls: CyclicWord, bound: int) -> Optional[int]:
-    """Least n <= bound with phi^n(cls) conjugate to cls or its inverse."""
-    w = cls.letters
-    u = w
-    for n in range(1, bound + 1):
-        u = endo.apply(u)
-        if cyclic_canonical(u, unoriented=True) == cyclic_canonical(w, unoriented=True):
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +418,9 @@ class Analysis:
                 "periodic class witnesses disagree between the word search "
                 "and the Nielsen loops")
         cls = loops.classes[0]
-        period = _class_period(self.endo, cls, 2 * self.bounds.period_bound)
-        toroidal = Toroidal(cls, period or 0,
+        found = conjugacy_period(self.endo, cls.letters,
+                                 2 * self.bounds.period_bound)
+        toroidal = Toroidal(cls, found[0] if found else 0,
                             "both" if word_hit is not None else "nielsen loops")
         realization = self.surface
         if isinstance(realization, NotSurface):

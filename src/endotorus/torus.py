@@ -1,16 +1,14 @@
-"""Mapping-torus layer: HNN presentations, the natural fibration, Euler
-characteristics, witness subgroups and preimage chains.
+"""Mapping-torus layer: HNN presentations, Euler characteristics, witness
+subgroups and preimage chains.
 
-Elements of the extension are kept as raw alternating words in the stable
-letter and fiber elements; only exponent sums and the specific subgroup
-constructions below are ever manipulated, so no normal-form engine is
-needed.  Conjugator convention: a witness records phi^n(A) <= x A x^-1,
-so the self-map of A is i_{x^-1} . phi^n.
+Elements of the extension appear only through the subgroup constructions
+below (a fiber basis, a power of the stable letter and a conjugator), so no
+normal-form engine is needed.  Conjugator convention: a witness records
+phi^n(A) <= x A x^-1, so the self-map of A is i_{x^-1} . phi^n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +16,7 @@ from endotorus.words import (
     Endomorphism,
     Word,
     concat,
-    find_conjugator,
+    conjugacy_period,
     invert,
     reduce_word,
 )
@@ -45,50 +43,6 @@ class HNNPresentation:
 
 def euler_char(p: HNNPresentation) -> int:
     return p.euler_char()
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """Alternating word in the stable letter and fiber elements."""
-    tokens: tuple    # of ("t", k) and ("w", Word)
-
-    @staticmethod
-    def of(*parts) -> "TorusElement":
-        toks = []
-        for p in parts:
-            if isinstance(p, int):
-                toks.append(("t", p))
-            else:
-                toks.append(("w", reduce_word(p)))
-        return TorusElement(tuple(toks))
-
-    def t_exponent(self) -> int:
-        return sum(k for (kind, k) in self.tokens if kind == "t")
-
-    def mul(self, other: "TorusElement") -> "TorusElement":
-        return TorusElement(self.tokens + other.tokens)
-
-    def inv(self) -> "TorusElement":
-        out = []
-        for (kind, val) in reversed(self.tokens):
-            out.append(("t", -val) if kind == "t" else ("w", invert(val)))
-        return TorusElement(tuple(out))
-
-
-def fibration_exponent(gens: Sequence[TorusElement]) -> int:
-    """gcd of the stable-letter exponent sums; zero when the natural
-    fibration kills every generator."""
-    d = 0
-    for g in gens:
-        d = math.gcd(d, abs(g.t_exponent()))
-    return d
-
-
-def chi_multiplicativity(chi: int, index: int) -> int:
-    """Euler characteristic of a finite-index subgroup."""
-    if index < 1:
-        raise ValueError("index must be a positive integer")
-    return index * chi
 
 
 # ---------------------------------------------------------------------------
@@ -215,56 +169,19 @@ def _accumulated_conjugator(endo: Endomorphism, witness: ReductionWitness) -> Wo
 
 def _z2_witness(endo: Endomorphism, cls: Word, max_power: int = 12) -> Optional[dict]:
     """A commuting pair <c, t^n z> from a periodic conjugacy class."""
-    c = tuple(cls)
-    u = c
-    for n in range(1, max_power + 1):
-        u = endo.apply(u)
-        z = find_conjugator(c, u)
-        if z is not None:
-            return {
-                "fiber": list(c),
-                "power": n,
-                "conjugator": list(z),
-                "chi": 0,
-                "commutes": True,
-                "note": "free abelian of rank two; infinite index because "
-                        "the fiber is nonabelian",
-            }
-    return None
-
-
-def spot_check_invariant_subgroup(endo: Endomorphism, k_gens: Sequence[Word],
-                                  n: int, x: Word, k_max: int = 6) -> dict:
-    """Preimage-chain check on a user-supplied subgroup: does the chain of
-    (i_{x^-1} phi^n)-preimages of K reach finite index?"""
-    graph = sg.stallings(endo.rank, list(k_gens))
-    psi = Endomorphism.inner(endo.rank, invert(x)).compose(endo.power(n))
-    invariant = all(graph.contains(psi.apply(w)) for w in graph.basis())
-    out = {
-        "generators": [list(w) for w in k_gens],
+    found = conjugacy_period(endo, cls, max_power)
+    if found is None:
+        return None
+    (n, z) = found
+    return {
+        "fiber": list(cls),
         "power": n,
-        "conjugator": list(reduce_word(x)),
-        "invariant": invariant,
+        "conjugator": list(z),
+        "chi": 0,
+        "commutes": True,
+        "note": "free abelian of rank two; infinite index because "
+                "the fiber is nonabelian",
     }
-    if not invariant:
-        out["conclusion"] = "subgroup is not invariant under the twisted map"
-        return out
-    terms = [graph]
-    finite_at = None
-    for k in range(k_max):
-        nxt = sg.preimage(psi, terms[-1])
-        terms.append(nxt)
-        if nxt.index() is not None:
-            finite_at = k + 1
-            break
-        if nxt == terms[-2]:
-            break
-    out["chain_indices"] = [t.index() if t.index() is not None else "infinite"
-                            for t in terms]
-    out["finite_index_at"] = finite_at
-    out["conclusion"] = ("chain reaches finite index" if finite_at is not None
-                         else "no finite-index term within the bound")
-    return out
 
 
 def chi_zero_report(endo, max_period: int = 6, max_len: int = 12,

@@ -15,6 +15,7 @@ from typing import Optional
 from endotorus.words import (
     Endomorphism,
     Word,
+    _cyclic_split,
     concat,
     conjugate,
     find_conjugator,
@@ -24,7 +25,6 @@ from endotorus.words import (
 from endotorus.graphmap import (
     GraphMap,
     TransitionData,
-    tighten_path,
     transition_matrix,
     with_eigenmetric,
 )
@@ -308,14 +308,6 @@ def largest_invariant_forest(gm: GraphMap) -> Optional[frozenset]:
     return None
 
 
-def _cyclic_split_word(w: Word):
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return tuple(w[i:j]), tuple(w[:i])
-
-
 def _primitive_root(c: Word) -> Word:
     n = len(c)
     for d in range(1, n + 1):
@@ -341,7 +333,7 @@ def _solve_marking_twist(gm: GraphMap, endo: Endomorphism,
     u = find_conjugator(induced[0], endo.images[0])
     if u is None:
         return None
-    core, peel = _cyclic_split_word(induced[0])
+    core, peel = _cyclic_split(induced[0])
     if not core:
         candidates = [u]
     else:
@@ -431,7 +423,7 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
     for ci in cycle:
         root, gamma, _, loops = data[ci]
         basis_words[ci] = [
-            gm.path_to_word(tighten_path(tuple(gamma) + lp + tuple(-x for x in reversed(gamma))))
+            gm.path_to_word(reduce_word(tuple(gamma) + lp + tuple(-x for x in reversed(gamma))))
             for lp in loops
         ]
     for idx, ci in enumerate(cycle):
@@ -443,7 +435,7 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
         delta = tree_j.get(f_root)
         if delta is None:
             return None
-        x_raw = gm.path_to_word(tighten_path(
+        x_raw = gm.path_to_word(reduce_word(
             tuple(q0) + f_gamma + tuple(-d for d in reversed(delta))
             + tuple(-d for d in reversed(gamma_j))))
         x = concat(z, x_raw)

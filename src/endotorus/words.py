@@ -257,6 +257,20 @@ class Endomorphism:
 # bounded search for periodic conjugacy classes
 # ---------------------------------------------------------------------------
 
+def conjugacy_period(endo: Endomorphism, w: Sequence[int],
+                     bound: int) -> Optional[tuple]:
+    """(n, x) for the least n <= bound with phi^n(w) = x w x^-1, the
+    oriented period of the class of w; None when there is none within the
+    bound."""
+    u = tuple(w)
+    for n in range(1, bound + 1):
+        u = endo.apply(u)
+        x = find_conjugator(w, u)
+        if x is not None:
+            return (n, x)
+    return None
+
+
 def _mat_mul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -357,16 +371,19 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     for length in range(1, max_len + 1):
         for cand in _canonical_cyclic_words(rank, length, balanced_only):
             canon = cand  # generated as least rotation already
-            if word_key(cyclic_canonical(invert(cand))) < word_key(canon):
+            canon_inv = cyclic_canonical(invert(cand))
+            if word_key(canon_inv) < word_key(canon):
                 continue  # the inverse class representative covers this one
             vec = [0] * rank
             for x in cand:
                 vec[abs(x) - 1] += 1 if x > 0 else -1
-            ok_plus = [(_in_kernel(constraints[n - 1][0], vec)) for n in range(1, max_period + 1)]
-            ok_minus = [(_in_kernel(constraints[n - 1][1], vec)) for n in range(1, max_period + 1)]
-            if not any(ok_plus) and not any(ok_minus):
-                continue
-            canon_inv = cyclic_canonical(invert(cand))
+            if any(vec):
+                ok_plus = [_in_kernel(mi, vec) for (mi, _) in constraints]
+                ok_minus = [_in_kernel(pl, vec) for (_, pl) in constraints]
+                if not any(ok_plus) and not any(ok_minus):
+                    continue
+            else:   # the zero vector lies in every kernel
+                ok_plus = ok_minus = [True] * max_period
             u = cand
             limit = max_period if best_plus is None else best_plus[0]
             for n in range(1, max_period + 1):
@@ -375,11 +392,14 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 u = cyclic_reduce(endo.apply(u))
                 if not u or len(u) > max_len:
                     break
-                if ok_plus[n - 1] and cyclic_canonical(u) == canon:
+                if not (ok_plus[n - 1] or ok_minus[n - 1]):
+                    continue
+                canon_u = cyclic_canonical(u)
+                if ok_plus[n - 1] and canon_u == canon:
                     if best_plus is None or n < best_plus[0]:
                         best_plus = (n, cand)
                     break
-                if ok_minus[n - 1] and cyclic_canonical(u) == canon_inv:
+                if ok_minus[n - 1] and canon_u == canon_inv:
                     if best_minus is None or n < best_minus[0]:
                         best_minus = (n, cand)
         if best_plus is not None and best_plus[0] == 1:

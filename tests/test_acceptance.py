@@ -12,8 +12,8 @@ import pytest
 from endotorus.cli import parse, report_json, run
 from endotorus.nielsen import (
     critical_equation,
-    enumerate_pinps,
     nielsen_loops,
+    scan_pinps,
     stabilize,
     StableRepresentative,
 )
@@ -65,7 +65,7 @@ def test_criterion_1_remark_example():
     assert verdict.kind == "irreducible_atoroidal"
     tt = find_train_track(PHI)
     assert isinstance(tt, TrainTrack)
-    assert enumerate_pinps(tt, 8) == []                       # (i)
+    assert scan_pinps(tt, 8)[1] == []                         # (i)
     assert reduction_search(PHI, whitehead_depth=3) is None   # (ii)
     assert tt.data.as_lists() == [[1, 1], [1, 1]]             # (iii)
     assert tt.data.lam == 2.0

@@ -2,6 +2,7 @@
 the bounds it was given."""
 
 import importlib
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from endotorus.cli import COMMANDS, parse, run
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 SEARCH_COMMANDS = ("classify", "torus", "report")
 FLAGS = {"max_period": 2, "max_len": 5, "max_iterations": 400, "seed": 1}
@@ -73,3 +75,15 @@ def test_each_stage_runs_once_per_command(monkeypatch):
     rep = run("report", _spec("golden_geometric"))
     assert rep["characterization"]["verdict"] == "geometric"
     assert {name: len(log) for (name, log) in calls.items()} == dict.fromkeys(calls, 1)
+
+
+def test_traced_layers_exist():
+    """The benchmark's tracer wraps these names; a missing one would crash
+    its traced pass."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for (module, name, _, _) in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(f"endotorus.{module}"),
+                                name, None)), f"{module}.{name}"

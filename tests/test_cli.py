@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from endotorus.cli import EndoSpec, ParseError, parse, report_json, run
-from endotorus.words import parse_word
+from endotorus.cli import ParseError, main, parse, report_json, run
+from endotorus.surface import Bounds
+from endotorus.words import parse_word, periodic_conjugacy_search
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -94,6 +96,14 @@ class TestRun:
         assert rep["error"]["type"] == "ValueError"
         assert "nonsense-command" in rep["error"]["message"]
 
+    def test_toroidal_period_is_oriented(self):
+        # phi reverses [a, b]; the Z^2 witness <c, t^n z> needs n = 2
+        spec = parse((CORPUS / "golden_geometric.endo").read_text())
+        rep = run("classify", spec)
+        (_, n, orientation) = periodic_conjugacy_search(spec.endo, 6, 12)
+        assert orientation == +1
+        assert rep["verdict"]["toroidal"]["period"] == n == 2
+
     def test_json_deterministic(self):
         spec = parse("rank 2; a -> a b; b -> a;")
         a = report_json(run("surface", spec))
@@ -125,6 +135,11 @@ class TestCommandLine:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["verdict"]["kind"] == "finite_order"
+
+    def test_flag_defaults_are_the_bounds(self, capsys):
+        assert main(["tt", str(CORPUS / "swap_finite_order.endo"), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["bounds"] == asdict(Bounds())
 
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from endotorus.words import Endomorphism, is_conjugate, parse_word
+from endotorus.words import Endomorphism, is_conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
     GraphMap,
     certify_growth_rate,
-    tighten_path,
     transition_matrix,
     with_eigenmetric,
 )
@@ -54,7 +53,8 @@ class TestTighten:
         assert gm.tighten().eimg == gm.eimg
 
     def test_tighten_path(self):
-        assert tighten_path((1, 2, -2, 1)) == (1, 1)
+        # edge paths tighten by free reduction on signed edge ids
+        assert reduce_word((1, 2, -2, 1)) == (1, 1)
 
 
 class TestTransition:
@@ -170,20 +170,18 @@ class TestPullback:
 
 class TestMoveDispatcher:
     def test_moves_roundtrip_outer_class(self):
-        from endotorus.graphmap import CollapseForest, Fold, Subdivide, bh_move
         gm = rose(GOLDEN)
-        split = bh_move(gm, Subdivide(1, 1))
+        split = gm.subdivide(1, 1)
         e1 = max(gm.graph.edges) + 1
-        folded = bh_move(split, Fold(e1, 2))
+        folded = split.fold(e1, 2)
         for g in (1, 2):
             assert is_conjugate(folded.induced_generator_image(g), GOLDEN.images[g - 1])
 
     def test_invalid_descriptors_rejected(self):
-        from endotorus.graphmap import CollapseForest, Fold, bh_move
         gm = rose(PHI)
         with pytest.raises(ValueError):
-            bh_move(gm, Fold(1, 2))       # images differ
+            gm.fold(1, 2)                 # images differ
         with pytest.raises(ValueError):
-            bh_move(gm, CollapseForest.of({1}))  # a loop is not a forest
+            gm.collapse_forest({1})       # a loop is not a forest
         with pytest.raises(ValueError):
-            bh_move(gm, "not a move")
+            gm.subdivide(1, 3)            # past the end of the image path

@@ -1,16 +1,11 @@
-import pytest
-
 from endotorus.words import CyclicWord, Endomorphism, parse_word
 from endotorus.traintrack import FiniteOrderCertificate, TrainTrack, find_train_track
 from endotorus.nielsen import (
     StableRepresentative,
     cancellation_radius,
     critical_equation,
-    enumerate_pinps,
     fold_orbit,
     group_orbits,
-    invrev,
-    max_legal_segments,
     nielsen_loops,
     scan_pinps,
     stabilize,
@@ -32,7 +27,7 @@ def golden_tt():
 class TestEnumerate:
     def test_remark_map_has_none(self):
         tt = find_train_track(PHI)
-        assert enumerate_pinps(tt, 8) == []
+        assert scan_pinps(tt, 8)[1] == []
 
     def test_golden_finds_commutator_path(self):
         tt0 = golden_tt()
@@ -51,27 +46,6 @@ class TestEnumerate:
     def test_rejects_non_expanding(self):
         result = find_train_track(SWAP)
         assert not isinstance(result, TrainTrack)
-
-
-class TestSegments:
-    def test_legal_loop_single_segment(self):
-        tt = find_train_track(PHI)
-        s, segs = max_legal_segments(tt, (1, 2))
-        assert s == 1
-
-    def test_golden_commutator_segments(self):
-        tt = golden_tt()
-        loop = (-2, -1, 2, 1)
-        s, segs = max_legal_segments(tt, loop)
-        assert s == 1
-        assert sorted(len(x) for x in segs) == [4]
-
-    def test_two_illegal_turns(self):
-        tt = golden_tt()
-        # a A is not cyclically tight; build a loop crossing the illegal
-        # turn {a, b} twice: b A b A has turns {B,A}x2? use direct api contract
-        with pytest.raises(ValueError):
-            max_legal_segments(tt, (1, -1))
 
 
 class TestOrbit:

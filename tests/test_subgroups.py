@@ -1,14 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from endotorus.words import Endomorphism, concat, invert, parse_word
 from endotorus.subgroups import (
     ImageGraph,
     SubgroupGraph,
     free_factor_containment,
-    image_subgroup,
     invert_automorphism,
     is_injective,
     preimage,
@@ -60,6 +59,52 @@ class TestStallings:
             assert graph.contains(concat(h, invert(g)))
 
 
+def words_of_rank(rank):
+    return st.lists(st.integers(-rank, rank).filter(bool),
+                    min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def generator_lists(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(words_of_rank(rank), min_size=1, max_size=4))
+    return rank, gens
+
+
+class TestSingleFold:
+    def test_empty_words_ignored(self):
+        assert stallings(2, [(), (1, -1), (1,)]) == stallings(2, [(1,)])
+        assert stallings(2, [()]) == SubgroupGraph.trivial(2)
+
+    def test_trivial_image_rejected(self):
+        with pytest.raises(ValueError, match="generator image must be nontrivial"):
+            is_injective(Endomorphism(2, (parse_word("a"), parse_word("aA"))))
+
+    @given(generator_lists(), st.data())
+    @settings(max_examples=60)
+    def test_invariant_under_nielsen_moves(self, rank_gens, data):
+        (rank, gens) = rank_gens
+        reference = stallings(rank, gens)
+        gens = list(gens)
+        for _ in range(data.draw(st.integers(1, 6))):
+            i = data.draw(st.integers(0, len(gens) - 1))
+            j = data.draw(st.integers(0, len(gens) - 1))
+            if i != j and data.draw(st.booleans()):
+                gens[i] = concat(gens[i], gens[j])
+            else:
+                gens[i] = invert(gens[i])
+            assert stallings(rank, gens) == reference
+
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda rank: st.lists(words_of_rank(rank), min_size=rank, max_size=rank)))
+    @settings(max_examples=60)
+    def test_injective_iff_image_has_full_rank(self, images):
+        endo = Endomorphism(len(images), tuple(images))
+        assume(all(endo.images))   # is_injective rejects a trivial image
+        assert is_injective(endo) == (
+            stallings(endo.rank, endo.images).graph_rank() == endo.rank)
+
+
 class TestMembershipAndIndex:
     def test_powers_of_generator(self):
         g = stallings(2, [parse_word("a")])
@@ -108,7 +153,7 @@ class TestInjectivity:
         assert not is_injective(Endomorphism(2, (parse_word("ab"), parse_word("ab"))))
 
     def test_image_subgroup(self):
-        img = image_subgroup(PHI)
+        img = stallings(PHI.rank, PHI.images)
         assert img.graph_rank() == 2
         assert not img.contains(parse_word("a"))
         assert img.contains(parse_word("abba"))
@@ -116,13 +161,13 @@ class TestInjectivity:
 
 class TestRewriting:
     def test_express_roundtrip(self):
-        ig = ImageGraph(PHI)
+        ig = ImageGraph(PHI.rank, PHI.images)
         for text in ("ab", "ba", "abba", "baab", "abBA"):
             h = PHI.apply(parse_word(text))
             assert PHI.apply(ig.express(h)) == h
 
     def test_express_rejects_non_members(self):
-        ig = ImageGraph(PHI)
+        ig = ImageGraph(PHI.rank, PHI.images)
         with pytest.raises(ValueError):
             ig.express(parse_word("a"))
 
