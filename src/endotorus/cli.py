@@ -5,7 +5,8 @@ Grammar:  rank N; a -> a b; b -> b a;
 Inverses are uppercase letters or ^-1; whitespace is free; '#' starts a
 comment until end of line.  A corpus file may carry '# expect: <verdict>'.
 
-Exit codes: 0 success, 1 parse error, 2 internal inconsistency.
+Exit codes: 0 success, 1 parse error, 2 usage error or internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _stable_dict(stable: StableRepresentative) -> dict:
         "train_track": _train_track_dict(stable.tt),
         "stable": stable.stable,
         "fold_log": stable.fold_log,
-        "has_orbit": stable.has_orbit,
+        "has_orbit": bool(stable.orbits),
     }
     if stable.orbits:
         out["orbits"] = [{
@@ -423,7 +424,7 @@ def main(argv=None) -> int:
                     "invariants of free group endomorphisms")
     ap.add_argument("command", choices=COMMANDS + ("batch",))
     ap.add_argument("inputs", nargs="*",
-                    help="DSL files ('-' for stdin); batch mode takes many")
+                    help="a DSL file ('-' for stdin); batch mode takes many")
     ap.add_argument("--cmd", default="classify", choices=COMMANDS,
                     help="pipeline command for batch mode")
     for f in fields(Bounds):
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
     ap.add_argument("--timing", action="store_true",
                     help="include wall-clock timing (breaks byte determinism)")
     args = ap.parse_intermixed_args(argv)
+    if args.command != "batch" and len(args.inputs) > 1:
+        ap.error(f"{args.command} takes one input; for several, use "
+                 f"'batch --cmd {args.command}'")
 
     flags = {f.name: getattr(args, f.name) for f in fields(Bounds)}
 

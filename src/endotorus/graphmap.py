@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from endotorus.words import Endomorphism, Word, reduce_word
 
 EdgePath = tuple  # tuple[int, ...] of signed edge ids
+
+POINT_TOL = 1e-7  # metric positions closer than this are one point
 
 
 @dataclass(frozen=True)
@@ -616,21 +619,21 @@ def with_eigenmetric(gm: GraphMap) -> tuple:
     return out, data
 
 
-def refine_at_points(gm: GraphMap, cuts: dict, tol: float = 1e-7) -> GraphMap:
+def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:
     """Subdivide edges at interior metric positions (measured from each
     edge's initial vertex).  The cut set must be closed under the map: the
     image of every cut point has to land on a cut point or vertex, so that
     edge images re-express as paths in the pieces.  Needed to turn interior
     periodic points into vertices."""
     g = gm.graph
-    cuts = {e: sorted(p for p in ps) for (e, ps) in cuts.items() if ps}
+    cuts = {e: sorted(ps) for (e, ps) in cuts.items() if ps}
     if not cuts:
         return gm
     for e, ps in cuts.items():
         le = g.lengths[e]
-        if any(p < tol or p > le - tol for p in ps):
+        if any(p < POINT_TOL or p > le - POINT_TOL for p in ps):
             raise ValueError("cut positions must be strictly interior")
-        if any(b - a < tol for a, b in zip(ps, ps[1:])):
+        if any(b - a < POINT_TOL for a, b in zip(ps, ps[1:])):
             raise ValueError("cut positions must be separated")
 
     next_id = max(g.edges) + 1
@@ -639,31 +642,22 @@ def refine_at_points(gm: GraphMap, cuts: dict, tol: float = 1e-7) -> GraphMap:
     piece_pos: dict = {}      # edge -> boundary positions [0, ..., length]
     new_edges = {}
     new_lengths = {}
-    new_vertex_at: dict = {}  # (edge, rounded position) -> vertex id
     for e in g.edge_ids():
         (a, b) = g.edges[e]
         ps = cuts.get(e, [])
-        bounds = [0.0] + list(ps) + [g.lengths[e]]
-        verts = [a]
-        for p in ps:
-            new_vertex_at[(e, round(p, 6))] = nv
-            verts.append(nv)
-            nv += 1
-        verts.append(b)
-        ids = []
-        if not ps:
-            ids = [e]
-            new_edges[e] = (a, b)
-            new_lengths[e] = g.lengths[e]
-        else:
-            for i in range(len(bounds) - 1):
-                eid = next_id
-                next_id += 1
-                ids.append(eid)
-                new_edges[eid] = (verts[i], verts[i + 1])
-                new_lengths[eid] = bounds[i + 1] - bounds[i]
+        bounds = [0.0] + ps + [g.lengths[e]]
+        verts = [a] + list(range(nv, nv + len(ps))) + [b]
+        nv += len(ps)
+        ids = [e]
+        if ps:
+            ids = list(range(next_id, next_id + len(bounds) - 1))
+            next_id = ids[-1] + 1
+        for i, eid in enumerate(ids):
+            new_edges[eid] = (verts[i], verts[i + 1])
+            new_lengths[eid] = bounds[i + 1] - bounds[i]
         piece_ids[e] = ids
         piece_pos[e] = bounds
+    graph = MarkedGraph(nv, new_edges, new_lengths, g.base)
 
     def expand(path):
         out = []
@@ -672,48 +666,31 @@ def refine_at_points(gm: GraphMap, cuts: dict, tol: float = 1e-7) -> GraphMap:
             out.extend(ids if x > 0 else [-i for i in reversed(ids)])
         return out
 
-    # re-express images: slice the expanded image path at piece boundaries
+    # slice each expanded image at the images of the piece boundaries; a
+    # cut vertex maps to the point where its piece's image slice begins
     eimg = {}
+    vimg = dict(gm.vimg)
     for e in g.edge_ids():
         img = expand(gm.eimg[e])
-        # cumulative metric boundaries of the expanded image
-        acc = [0.0]
-        for x in img:
-            acc.append(acc[-1] + new_lengths[abs(x)])
+        acc = list(accumulate((new_lengths[abs(x)] for x in img), initial=0.0))
         total = acc[-1]
-        src_bounds = piece_pos[e]
         scale = total / g.lengths[e] if g.lengths[e] > 0 else 0.0
-        targets = [p * scale for p in src_bounds]
         idxs = []
-        for t in targets:
+        for p in piece_pos[e]:
+            t = p * scale
             j = min(range(len(acc)), key=lambda i: abs(acc[i] - t))
             if abs(acc[j] - t) > 1e-5 * max(1.0, total):
                 raise ValueError("cut set is not closed under the map")
             idxs.append(j)
-        for k, eid in enumerate(piece_ids[e]):
+        ids = piece_ids[e]
+        for k, eid in enumerate(ids):
             eimg[eid] = tuple(img[idxs[k]:idxs[k + 1]])
-
-    vimg = dict(gm.vimg)
-    for (e, ps) in cuts.items():
-        img_path = expand(gm.eimg[e])
-        acc = [0.0]
-        for x in img_path:
-            acc.append(acc[-1] + new_lengths[abs(x)])
-        scale = (acc[-1] / g.lengths[e]) if g.lengths[e] > 0 else 0.0
-        for p in ps:
-            w = new_vertex_at[(e, round(p, 6))]
-            t = p * scale
-            j = min(range(len(acc)), key=lambda i: abs(acc[i] - t))
-            if abs(acc[j] - t) > 1e-5 * max(1.0, acc[-1]):
-                raise ValueError("cut point image is not a cut point")
-            if j == 0:
-                vimg[w] = gm.vimg[g.edges[e][0]]
-            else:
-                x = img_path[j - 1]
-                vimg[w] = new_edges[abs(x)][1] if x > 0 else new_edges[abs(x)][0]
+            if k:
+                j = idxs[k]
+                vimg[new_edges[eid][0]] = graph.term_of(img[j - 1]) if j \
+                    else gm.vimg[g.edges[e][0]]
 
     marking = tuple(tuple(expand(m)) for m in gm.marking)
-    graph = MarkedGraph(nv, new_edges, new_lengths, g.base)
     subst = {}
     for e, ids in piece_ids.items():
         if ids == [e]:

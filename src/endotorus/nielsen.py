@@ -6,23 +6,21 @@ rho = X . reverse(Y), invariance rel endpoints under F = f^per unpacks to the
 prefix-closure equations F(X) = X.G, F(Y) = Y.G (oriented closure) or
 F(X) = Y.G, F(Y) = X.G (orientation reversing) with a common overflow G.
 Both X and Y are therefore prefixes of eigenrays shot from periodic
-directions, of equal eigenmetric length; enumeration reduces to scanning
-common vertex positions along ray pairs and verifying the candidates
-exactly.  The bounded-cancellation radius caps the scan.
+directions, of equal eigenmetric length.  The eigenray of a direction does
+not depend on the power of f that grows it, so enumeration grows one ray per
+direction, scans the common vertex positions of each ray pair once, and
+iterates each candidate once, to its least return.  The
+bounded-cancellation radius caps the scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate, combinations
 
-from endotorus.words import (
-    CyclicWord,
-    cyclic_canonical,
-    invert,
-    reduce_word,
-)
+from endotorus.words import CyclicWord, cyclic_canonical, invert
 from endotorus.graphmap import (
+    POINT_TOL,
     GraphMap,
     refine_at_points,
     transition_matrix,
@@ -80,16 +78,9 @@ class NielsenLoops:
 class StableRepresentative:
     tt: TrainTrack
     orbits: list
+    radius: float          # cancellation radius of the scan that found the orbits
     fold_log: list = field(default_factory=list)
     stable: bool = True
-
-    @property
-    def orbit(self) -> Optional[NielsenOrbit]:
-        return self.orbits[0] if len(self.orbits) == 1 else None
-
-    @property
-    def has_orbit(self) -> bool:
-        return bool(self.orbits)
 
 
 @dataclass
@@ -123,10 +114,7 @@ def cancellation_radius(tt: TrainTrack) -> float:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _iterate_path(gm: GraphMap, path, n: int):
-    for _ in range(n):
-        path = gm.map_path(path)
-    return path
+INTERIOR_BOUND = 3   # periods whose interior periodic points become vertices
 
 
 def _truncate(gm: GraphMap, path, target: float):
@@ -160,16 +148,6 @@ def _ray(gm: GraphMap, d: int, step: int, target: float):
     return ray
 
 
-def _vertex_positions(gm: GraphMap, ray):
-    """Cumulative metric positions after each edge."""
-    out = []
-    acc = 0.0
-    for e in ray:
-        acc += gm.graph.lengths[abs(e)]
-        out.append(acc)
-    return out
-
-
 def _point_image(gm: GraphMap, e: int, pos: float):
     """Image of the interior point at metric position pos on edge e, as
     (edge, position from that edge's initial vertex)."""
@@ -188,8 +166,7 @@ def _point_image(gm: GraphMap, e: int, pos: float):
     return (abs(x), gm.graph.lengths[abs(x)] if x > 0 else 0.0)
 
 
-def interior_periodic_cuts(tt: TrainTrack, interior_bound: int,
-                           tol: float = 1e-7) -> dict:
+def interior_periodic_cuts(tt: TrainTrack, interior_bound: int) -> dict:
     """Interior fixed points of f^per for per up to the bound, closed under
     the map so the graph can be refined there.  Each crossing of an edge
     over itself contributes an affine fixed point; orientation-reversing
@@ -200,21 +177,22 @@ def interior_periodic_cuts(tt: TrainTrack, interior_bound: int,
 
     def add(e, p):
         le = gm.graph.lengths[e]
-        if p < tol or p > le - tol:
+        if p < POINT_TOL or p > le - POINT_TOL:
             return False
         for q in cuts[e]:
-            if abs(q - p) < tol:
+            if abs(q - p) < POINT_TOL:
                 return False
         cuts[e].append(p)
         return True
 
+    paths = {e: (e,) for e in gm.graph.edge_ids()}   # f^per(e)
     for per in range(1, interior_bound + 1):
         stretch = lam ** per
         for e in gm.graph.edge_ids():
-            path = _iterate_path(gm, (e,), per)
+            paths[e] = gm.map_path(paths[e])
             le = gm.graph.lengths[e]
             acc = 0.0
-            for x in path:
+            for x in paths[e]:
                 lx = gm.graph.lengths[abs(x)]
                 if abs(x) == e:
                     if x > 0:
@@ -236,7 +214,7 @@ def interior_periodic_cuts(tt: TrainTrack, interior_bound: int,
     return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
 
 
-def prepare_representative(tt: TrainTrack, interior_bound: int = 4) -> TrainTrack:
+def prepare_representative(tt: TrainTrack, interior_bound: int) -> TrainTrack:
     """Subdivide at interior periodic points so that every periodic Nielsen
     path of period up to the bound has vertex endpoints."""
     cuts = interior_periodic_cuts(tt, interior_bound)
@@ -247,111 +225,112 @@ def prepare_representative(tt: TrainTrack, interior_bound: int = 4) -> TrainTrac
     return TrainTrack(gm2, gates(gm2), data)
 
 
-def _verify_pinp(tt: TrainTrack, rho, per: int, radius: float):
-    """Return (junction, reversal) when rho is a periodic indivisible
-    Nielsen path for f^per, else None.  Every path in the f-orbit of a
-    genuine periodic Nielsen path obeys the same half-length bound, so any
-    intermediate image outgrowing it disqualifies the candidate."""
-    gm = tt.gm
-    if len(rho) < 2 or reduce_word(rho) != rho:
-        return None
-    illegal = [i for i in range(len(rho) - 1)
-               if is_illegal_turn(tt.gate_map, -rho[i], rho[i + 1])]
-    if len(illegal) != 1:
-        return None
-    cap = 2 * radius + 1e-6
-    img = rho
-    for _ in range(per):
-        img = gm.map_path(img)
-        if gm.graph.path_length(img) > cap:
-            return None
-    if img == rho:
-        return (illegal[0], False)
-    if img == invert(rho):
-        return (illegal[0], True)
-    return None
-
-
-def scan_pinps(tt: TrainTrack, period_bound: int = 8,
-               interior_bound: int = 3) -> tuple:
-    """Prepare the representative (interior periodic points become vertices)
-    and enumerate its periodic indivisible Nielsen paths.  Returns
-    (prepared train track, list of NielsenPath).
+def scan_pinps(tt: TrainTrack, period_bound: int = 8) -> tuple:
+    """Prepare the representative (interior periodic points of period up to
+    INTERIOR_BOUND become vertices) and enumerate its periodic indivisible
+    Nielsen paths.  Returns (prepared train track, list of NielsenPath).
 
     The cancellation radius is computed on the incoming representative; the
     refinement preserves the map and the metric, so the bound carries over."""
     radius = cancellation_radius(tt)
-    tt = prepare_representative(tt, min(interior_bound, period_bound))
+    tt = prepare_representative(tt, min(INTERIOR_BOUND, period_bound))
     return tt, _enumerate_on(tt, period_bound, radius)
 
 
+def _least_return(gm: GraphMap, rho, period_bound: int, radius: float):
+    """(n, reversal) for the least n <= period_bound with f^n(rho) = rho or
+    its reverse, else None.  Every path in the f-orbit of a genuine periodic
+    Nielsen path obeys the same half-length bound, so any image outgrowing
+    it disqualifies the candidate."""
+    cap = 2 * radius + 1e-6
+    back = invert(rho)
+    img = rho
+    for n in range(1, period_bound + 1):
+        img = gm.map_path(img)
+        if gm.graph.path_length(img) > cap:
+            return None
+        if img == rho or img == back:
+            return (n, img == back)
+    return None
+
+
 def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
+    """Scan each pair of periodic directions once.  A pair qualifies when
+    some f^per with per up to the bound fixes both directions or swaps
+    them.  Its junction candidates are the common vertex positions of the
+    two eigenrays within the radius, and each candidate is iterated once,
+    to its least return."""
     if not (tt.data.expanding and tt.data.irreducible):
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
     gm = tt.gm
-    lam = tt.stretch
-    found: dict = {}
     dirs = gm.graph.all_directions()
+    order = {d: i for i, d in enumerate(dirs)}
     # first letter of f^per(e_d) is the per-th iterate of the direction map
     # (edge images on a train track never cancel)
     dmap = {d: gm.image_of_edge(d)[0] for d in dirs}
 
+    pairs = set()          # unordered, kept in direction order
     first = {d: d for d in dirs}
-    for per in range(1, period_bound + 1):
+    for _ in range(period_bound):
         first = {d: dmap[first[d]] for d in dirs}
-        ray_cache: dict = {}
+        fixed = [d for d in dirs if first[d] == d]
+        pairs.update(combinations(fixed, 2))
+        pairs.update((d, first[d]) for d in dirs
+                     if order[d] < order[first[d]] and first[first[d]] == d)
 
-        def ray_for(d, step):
-            key = (d, step)
-            if key not in ray_cache:
-                ray_cache[key] = _ray(gm, d, step, radius + 1e-9)
-            return ray_cache[key]
+    rays: dict = {}        # direction -> (eigenray, vertex positions) or None
 
-        pairs = []
-        oriented_seeds = [d for d in dirs if first[d] == d]
-        for i, d1 in enumerate(oriented_seeds):
-            for d2 in oriented_seeds[i + 1:]:
-                pairs.append((d1, d2, False, per))
-        for d1 in dirs:
-            d2 = first[d1]
-            if d2 != d1 and d1 < d2 and first.get(d2) == d1:
-                pairs.append((d1, d2, True, 2 * per))
-
-        for (d1, d2, reversal, ray_step) in pairs:
+    def ray(d):
+        if d not in rays:
+            step, x = 1, dmap[d]   # least period of d, for the ray's growth
+            while x != d:
+                step, x = step + 1, dmap[x]
             try:
-                r1 = ray_for(d1, ray_step)
-                r2 = ray_for(d2, ray_step)
+                r = _ray(gm, d, step, radius + 1e-9)
             except AssertionError:
+                rays[d] = None
+            else:
+                rays[d] = (r, list(accumulate(gm.graph.lengths[abs(e)]
+                                              for e in r)))
+        return rays[d]
+
+    found: dict = {}
+    for (d1, d2) in sorted(pairs, key=lambda pair: (order[pair[0]],
+                                                    order[pair[1]])):
+        if ray(d1) is None or ray(d2) is None:
+            continue
+        ((r1, pos1), (r2, pos2)) = (rays[d1], rays[d2])
+        j = 0
+        for i, p in enumerate(pos1):
+            if p > radius + 1e-9:
+                break
+            while j < len(pos2) and pos2[j] < p - POINT_TOL:
+                j += 1
+            if j >= len(pos2) or abs(pos2[j] - p) > POINT_TOL:
                 continue
-            pos1 = _vertex_positions(gm, r1)
-            pos2 = _vertex_positions(gm, r2)
-            j = 0
-            for i, p in enumerate(pos1):
-                if p > radius + 1e-9:
-                    break
-                while j < len(pos2) and pos2[j] < p - 1e-7:
-                    j += 1
-                if j >= len(pos2) or abs(pos2[j] - p) > 1e-7:
-                    continue
-                X = r1[:i + 1]
-                Y = r2[:j + 1]
-                if X == Y or X[-1] == Y[-1]:
-                    continue
-                if gm.graph.term_of(X[-1]) != gm.graph.term_of(Y[-1]):
-                    continue
-                if not is_illegal_turn(tt.gate_map, -X[-1], -Y[-1]):
-                    continue
-                rho = X + invert(Y)
-                check = _verify_pinp(tt, rho, per, radius)
-                if check is None:
-                    continue
-                (junction, rev) = check
-                key = min(rho, invert(rho))
-                if key in found:
-                    continue
-                found[key] = NielsenPath(rho[:junction + 1], rho[junction + 1:],
-                                         per, rev)
+            # the halves must meet at one vertex in an illegal turn
+            (e1, e2) = (r1[i], r2[j])
+            if e1 == e2 or not is_illegal_turn(tt.gate_map, -e1, -e2) \
+                    or gm.graph.term_of(e1) != gm.graph.term_of(e2):
+                continue
+            (X, Y) = (r1[:i + 1], r2[:j + 1])
+            rho = X + invert(Y)
+            key = min(rho, invert(rho))
+            if key in found:
+                continue
+            if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
+                   for k in range(len(rho) - 1)) != 1:
+                continue
+            back = _least_return(gm, rho, period_bound, radius)
+            if back is None:
+                continue
+            (per, reversal) = back
+            # orientation convention: a reversing path starts from the
+            # numerically smaller direction, any other from the earlier one
+            if reversal and d1 > d2:
+                (X, Y) = (Y, X)
+            found[key] = NielsenPath(X, invert(Y), per, reversal)
     return [found[k] for k in sorted(found)]
 
 
@@ -437,7 +416,7 @@ def verify_orbit_relations(tt: TrainTrack, orbit: NielsenOrbit) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# folding an orbit
+# stabilization
 # ---------------------------------------------------------------------------
 
 def _fold_candidates(gm: GraphMap, orbits: list):
@@ -458,37 +437,6 @@ def _fold_candidates(gm: GraphMap, orbits: list):
     return candidates
 
 
-def fold_orbit(tt: TrainTrack, orbit: NielsenOrbit, period_bound: int = 8):
-    """Fold at a junction of this orbit whose connector is nontrivial, full
-    folds first.  Returns (new train track, new orbits, x, folded_volume)
-    where x is the eigenmetric length of the folded segment and
-    folded_volume is the volume of this orbit's transported paths in the
-    new metric (independently of the rescan)."""
-    gm = tt.gm
-    candidates = [c for c in _fold_candidates(gm, [orbit])]
-    if not candidates:
-        raise ValueError("no foldable junction: all connectors trivial")
-    (_, _, _, d1, d2) = candidates[0]
-
-    vol_before = gm.graph.volume()
-    mark = len(gm.history)
-    new_gm = fold_at_pair(gm, d1, d2)
-    new_gm = new_gm.tighten()
-    x = vol_before - new_gm.graph.volume()
-    moved = [transport_path(new_gm, mark, p) for p in orbit.paths]
-    folded_volume = sum(new_gm.graph.path_length(p) for p in moved)
-
-    data = transition_matrix(new_gm)
-    new_tt = TrainTrack(new_gm, gates(new_gm), data)
-    new_tt, new_pinps = scan_pinps(new_tt, period_bound)
-    new_orbits = group_orbits(new_tt, new_pinps)
-    return new_tt, new_orbits, x, folded_volume
-
-
-# ---------------------------------------------------------------------------
-# stabilization
-# ---------------------------------------------------------------------------
-
 def _signature(tt: TrainTrack, orbits: list) -> tuple:
     gm = tt.gm
     vol = gm.graph.volume()
@@ -504,66 +452,66 @@ STABILIZE_STEPS = 24   # fold budget before stabilization gives up
 
 def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     """Fold periodic Nielsen path orbits of a train track representative
-    until the representative repeats projectively.  When the budget of
-    STABILIZE_STEPS folds runs out, the initial (prepared) representative is
-    returned with stable=False; its orbits and the fold bookkeeping log
-    remain valid data."""
+    until the representative repeats projectively.  Each step folds the
+    first candidate junction (full folds first) whose connector is
+    nontrivial, rescans the folded representative and logs the volume
+    bookkeeping: x is the eigenmetric length of the folded segment, and the
+    folded orbit's paths are transported across the fold.  When the budget
+    of STABILIZE_STEPS folds runs out, or a fold fails, a representative is
+    returned with stable=False; its orbits and the fold log remain valid
+    data."""
+    radius = cancellation_radius(tt)
     tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
-        return StableRepresentative(tt, [], [])
+        return StableRepresentative(tt, [], radius)
     orbits = group_orbits(tt, pinps)
     log: list = []
-    seen: dict = {}
-    snapshots: list = []
+    seen: dict = {}        # signature -> (train track, orbits, scan radius)
     for _ in range(STABILIZE_STEPS):
         sig = _signature(tt, orbits)
         if sig in seen:
-            (tt0, orbits0) = snapshots[seen[sig]]
-            return StableRepresentative(tt0, orbits0, log)
-        seen[sig] = len(snapshots)
-        snapshots.append((tt, orbits))
+            return StableRepresentative(*seen[sig], log)
+        seen[sig] = (tt, orbits, radius)
         if not orbits:
-            return StableRepresentative(tt, [], log)
+            return StableRepresentative(tt, [], radius, log)
         candidates = _fold_candidates(tt.gm, orbits)
         if not candidates:
-            return StableRepresentative(tt, orbits, log, stable=False)
-        target = orbits[candidates[0][1]]
-        vol_before = tt.gm.graph.volume()
-        orbit_before = target.volume(tt.gm)
+            return StableRepresentative(tt, orbits, radius, log, stable=False)
+        (_, oi, _, d1, d2) = candidates[0]
+        gm = tt.gm
         try:
-            tt2, orbits2, x, folded_volume = fold_orbit(tt, target, period_bound)
+            folded = fold_at_pair(gm, d1, d2).tighten()
+            moved = [transport_path(folded, len(gm.history), p)
+                     for p in orbits[oi].paths]
+            tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
+            radius2 = cancellation_radius(tt2)
+            tt2, pinps = scan_pinps(tt2, period_bound)
+            orbits2 = group_orbits(tt2, pinps)
         except ValueError:
-            return StableRepresentative(tt, orbits, log, stable=False)
-        vol_after = tt2.gm.graph.volume()
+            return StableRepresentative(tt, orbits, radius, log, stable=False)
         log.append({
-            "x": x,
-            "vol_before": vol_before,
-            "vol_after": vol_after,
-            "orbit_before": orbit_before,
-            "orbit_after": folded_volume,
+            "x": gm.graph.volume() - folded.graph.volume(),
+            "vol_before": gm.graph.volume(),
+            "vol_after": tt2.gm.graph.volume(),
+            "orbit_before": orbits[oi].volume(gm),
+            "orbit_after": sum(folded.graph.path_length(p) for p in moved),
             "eigen_residual": tt2.data.residual,
         })
-        tt, orbits = tt2, orbits2
-    (tt0, orbits0) = snapshots[0]
-    return StableRepresentative(tt0, orbits0, log, stable=False)
+        tt, orbits, radius = tt2, orbits2, radius2
+    return StableRepresentative(*next(iter(seen.values())), log, stable=False)
 
 
 # ---------------------------------------------------------------------------
 # critical equation and Nielsen loops
 # ---------------------------------------------------------------------------
 
-def critical_equation(tt: TrainTrack, orbit) -> float:
+def critical_equation(tt: TrainTrack, orbits: list) -> float:
     """|vol(orbits) - 2 vol(graph)| with the metric scaled to volume one.
-    Accepts a single orbit, a list of orbits, or None (reported as the full
-    deficit 2, flagged by the caller as 'no orbit')."""
-    vol = tt.gm.graph.volume()
-    if orbit is None:
-        return 2.0
-    orbits = orbit if isinstance(orbit, (list, tuple)) else [orbit]
+    Without orbits this is the full deficit 2."""
     if not orbits:
         return 2.0
     total = sum(o.volume(tt.gm) for o in orbits)
-    return abs(total / vol - 2.0)
+    return abs(total / tt.gm.graph.volume() - 2.0)
 
 
 def _vertex_links(gm: GraphMap, loops) -> dict:
@@ -600,14 +548,12 @@ def _link_components(link: dict) -> int:
     return comps
 
 
-def nielsen_loops(tt: TrainTrack, orbit) -> NielsenLoops:
+def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     """Assemble the orbit paths into periodic Nielsen loops and count edge
     multiplicities; at a stable representative every edge is covered twice.
-    Accepts a single orbit or a list.  Among closed tight assemblies, one
-    whose vertex links are circles is preferred (that is the assembly the
-    surface construction glues along)."""
+    Among closed tight assemblies, one whose vertex links are circles is
+    preferred (that is the assembly the surface construction glues along)."""
     gm = tt.gm
-    orbits = orbit if isinstance(orbit, (list, tuple)) else [orbit]
     arcs = [p for o in orbits for p in o.paths]
     ends = []
     for idx, p in enumerate(arcs):

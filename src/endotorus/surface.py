@@ -27,7 +27,6 @@ from endotorus.nielsen import (
     Toroidal,
     _link_components,
     _vertex_links,
-    cancellation_radius,
     nielsen_loops,
     stabilize,
 )
@@ -408,8 +407,7 @@ class Analysis:
                 raise InternalInconsistency(
                     "word search found a periodic class but the Nielsen scan "
                     "at the stable representative is empty")
-            cert = Atoroidal(self.bounds.period_bound,
-                             cancellation_radius(stable.tt))
+            cert = Atoroidal(self.bounds.period_bound, stable.radius)
             return conclude("irreducible_atoroidal", atoroidal=cert,
                             stable=stable, irreducibility="bounded")
 

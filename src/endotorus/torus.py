@@ -167,7 +167,7 @@ def _accumulated_conjugator(endo: Endomorphism, witness: ReductionWitness) -> Wo
     return concat(*parts)
 
 
-def _z2_witness(endo: Endomorphism, cls: Word, max_power: int = 12) -> Optional[dict]:
+def _z2_witness(endo: Endomorphism, cls: Word, max_power: int) -> Optional[dict]:
     """A commuting pair <c, t^n z> from a periodic conjugacy class."""
     found = conjugacy_period(endo, cls, max_power)
     if found is None:

@@ -143,21 +143,24 @@ class Unknown:
 # finite order detection
 # ---------------------------------------------------------------------------
 
-def is_finite_order(endo: Endomorphism, max_power: int = 12,
-                    max_conjugator: int = 24) -> Optional[FiniteOrderCertificate]:
+FINITE_ORDER_POWER = 12        # iterates tested for being inner
+FINITE_ORDER_CONJUGATOR = 24   # longest conjugator tried
+
+
+def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
     """Certify that some iterate is an inner automorphism, by solving the
     common-conjugator word equation with bounded conjugator length."""
     current = Endomorphism.identity(endo.rank)
-    for k in range(1, max_power + 1):
+    for k in range(1, FINITE_ORDER_POWER + 1):
         current = endo.compose(current)
         g1 = (1,)
         u = find_conjugator(g1, current.images[0])
         if u is None:
             continue
         # all solutions of x a x^-1 = psi(a) differ by the centralizer of a
-        for j in range(-max_conjugator, max_conjugator + 1):
+        for j in range(-FINITE_ORDER_CONJUGATOR, FINITE_ORDER_CONJUGATOR + 1):
             x = concat(u, g1 * abs(j) if j >= 0 else invert(g1 * abs(j)))
-            if len(x) > max_conjugator:
+            if len(x) > FINITE_ORDER_CONJUGATOR:
                 continue
             if all(conjugate((i,), x) == current.images[i - 1]
                    for i in range(1, endo.rank + 1)):
@@ -323,8 +326,10 @@ def _power(w: Word, n: int) -> Word:
     return reduce_word(base * abs(n))
 
 
-def _solve_marking_twist(gm: GraphMap, endo: Endomorphism,
-                         bound: int = 64) -> Optional[Word]:
+TWIST_BOUND = 64   # longest marking twist tried
+
+
+def _solve_marking_twist(gm: GraphMap, endo: Endomorphism) -> Optional[Word]:
     """Find z with phi(g) = z . induced(g) . z^-1 for every generator; the
     shortest-path basing of the induced map is only well defined up to such
     an inner twist.  Solutions differ by the centralizer of the first
@@ -341,7 +346,7 @@ def _solve_marking_twist(gm: GraphMap, endo: Endomorphism,
         candidates = []
         for j in range(-8, 9):
             z = concat(u, _power(root, j))
-            if len(z) <= bound:
+            if len(z) <= TWIST_BOUND:
                 candidates.append(z)
     for z in candidates:
         if all(conjugate(w, z) == endo.images[i] for i, w in enumerate(induced)):

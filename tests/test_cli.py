@@ -141,6 +141,13 @@ class TestCommandLine:
         rep = json.loads(capsys.readouterr().out)
         assert rep["bounds"] == asdict(Bounds())
 
+    def test_one_input_per_single_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(CORPUS / "golden_geometric.endo"),
+                  str(CORPUS / "dehn_twist.endo")])
+        assert exc.value.code == 2
+        assert "batch --cmd classify" in capsys.readouterr().err
+
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "classify", "-"],

@@ -1,7 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from endotorus.cli import parse
+from endotorus.nielsen import scan_pinps
+from endotorus.traintrack import find_train_track
 from endotorus.words import Endomorphism, is_conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
     GraphMap,
@@ -13,6 +17,7 @@ from endotorus.graphmap import (
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def rose(endo):
@@ -185,3 +190,17 @@ class TestMoveDispatcher:
             gm.collapse_forest({1})       # a loop is not a forest
         with pytest.raises(ValueError):
             gm.subdivide(1, 3)            # past the end of the image path
+
+
+class TestPrepared:
+    @pytest.mark.parametrize("name", ["golden_geometric", "composite_geometric",
+                                      "double_cover_geometric",
+                                      "remark_irreducible_atoroidal"])
+    def test_refined_representative_is_consistent(self, name):
+        endo = parse((CORPUS / f"{name}.endo").read_text()).endo
+        tt = find_train_track(endo)
+        prepared = scan_pinps(tt, 8)[0].gm
+        assert prepared.graph.nv > tt.gm.graph.nv   # the refinement cut edges
+        prepared.check_consistency()
+        for g in range(1, endo.rank + 1):
+            assert prepared.path_to_word(prepared.marking[g - 1]) == (g,)

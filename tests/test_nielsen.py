@@ -1,10 +1,16 @@
-from endotorus.words import CyclicWord, Endomorphism, parse_word
+from pathlib import Path
+
+import pytest
+
+from endotorus import nielsen
+from endotorus.cli import parse
+from endotorus.surface import classify
+from endotorus.words import CyclicWord, Endomorphism, invert, parse_word
 from endotorus.traintrack import FiniteOrderCertificate, TrainTrack, find_train_track
 from endotorus.nielsen import (
     StableRepresentative,
     cancellation_radius,
     critical_equation,
-    fold_orbit,
     group_orbits,
     nielsen_loops,
     scan_pinps,
@@ -15,7 +21,13 @@ from endotorus.nielsen import (
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
 SWAP = Endomorphism(2, (parse_word("b"), parse_word("a")))
+PERIOD_TWO = Endomorphism(2, (parse_word("BA"), parse_word("A")))
 COMMUTATOR = CyclicWord.of(parse_word("abAB"))
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_endo(name):
+    return parse((CORPUS / f"{name}.endo").read_text()).endo
 
 
 def golden_tt():
@@ -43,6 +55,22 @@ class TestEnumerate:
         assert cls == COMMUTATOR
         assert p.alpha and p.beta
 
+    def test_period_two_paths(self):
+        tt, pinps = scan_pinps(find_train_track(PERIOD_TWO), 8)
+        assert [p.period for p in pinps] == [2, 2]
+        assert sorted(len(p.path) for p in pinps) == [4, 8]
+
+    @pytest.mark.parametrize("endo", [PERIOD_TWO, corpus_endo("golden_geometric")])
+    def test_period_is_the_least_return(self, endo):
+        tt, pinps = scan_pinps(find_train_track(endo), 8)
+        assert pinps
+        for p in pinps:
+            img = p.path
+            for n in range(1, p.period + 1):
+                img = tt.gm.map_path(img)
+                assert (img in (p.path, invert(p.path))) == (n == p.period)
+            assert img == (invert(p.path) if p.reversal else p.path)
+
     def test_rejects_non_expanding(self):
         result = find_train_track(SWAP)
         assert not isinstance(result, TrainTrack)
@@ -59,16 +87,6 @@ class TestOrbit:
         assert any(orbit.connectors)
         assert verify_orbit_relations(tt, orbit)
 
-    def test_fold_bookkeeping(self):
-        tt, pinps = scan_pinps(golden_tt(), 8)
-        orbit = group_orbits(tt, pinps)[0]
-        vol0, ovol0 = tt.gm.graph.volume(), orbit.volume(tt.gm)
-        tt2, orbits2, x, folded_vol = fold_orbit(tt, orbit)
-        assert x > 0
-        assert abs((vol0 - tt2.gm.graph.volume()) - x) < 1e-9
-        assert abs((ovol0 - folded_vol) - 2 * x) < 1e-9
-        assert tt2.data.residual < 1e-9
-
 
 class TestStabilize:
     def test_remark_map_stable_without_orbit(self):
@@ -79,9 +97,11 @@ class TestStabilize:
     def test_golden_stable_with_one_orbit(self):
         stable = stabilize(find_train_track(GOLDEN))
         assert isinstance(stable, StableRepresentative)
-        assert stable.orbit is not None and stable.stable
+        assert len(stable.orbits) == 1 and stable.stable
         assert len(stable.fold_log) >= 1
         for entry in stable.fold_log:
+            assert entry["x"] > 0
+            assert entry["eigen_residual"] < 1e-9
             assert abs((entry["vol_before"] - entry["vol_after"]) - entry["x"]) < 1e-9
             assert abs((entry["orbit_before"] - entry["orbit_after"]) - 2 * entry["x"]) < 1e-9
 
@@ -98,17 +118,17 @@ class TestStabilize:
 class TestCriticalEquation:
     def test_golden_residual_vanishes(self):
         stable = stabilize(find_train_track(GOLDEN))
-        assert critical_equation(stable.tt, stable.orbit) < 1e-9
+        assert critical_equation(stable.tt, stable.orbits) < 1e-9
 
     def test_empty_orbit_flagged(self):
         stable = stabilize(find_train_track(PHI))
-        assert critical_equation(stable.tt, None) == 2.0
+        assert critical_equation(stable.tt, stable.orbits) == 2.0
 
 
 class TestLoops:
     def test_golden_loops(self):
         stable = stabilize(find_train_track(GOLDEN))
-        loops = nielsen_loops(stable.tt, stable.orbit)
+        loops = nielsen_loops(stable.tt, stable.orbits)
         assert len(loops.loops) == 1
         assert set(loops.multiplicities.values()) == {2}
         assert loops.classes[0] == COMMUTATOR
@@ -117,7 +137,7 @@ class TestLoops:
     def test_two_loop_multiplicities_checked(self):
         # synthetic check of the multiplicity counter on two loops
         stable = stabilize(find_train_track(GOLDEN))
-        loops = nielsen_loops(stable.tt, stable.orbit)
+        loops = nielsen_loops(stable.tt, stable.orbits)
         doubled = {e: 2 * c for (e, c) in loops.multiplicities.items()}
         assert all(v == 4 for v in doubled.values())
 
@@ -126,3 +146,27 @@ class TestVerdict:
     def test_bcc_radius_positive(self):
         tt = golden_tt()
         assert cancellation_radius(tt) > 0
+
+    def test_reported_radius_is_the_scan_radius(self):
+        # the refinement lengthens edge images, so the refined graph's own
+        # bound (27/7) is not the one the scan used
+        tt = find_train_track(PHI)
+        stable = stabilize(tt)
+        assert stable.radius == cancellation_radius(tt) == 3.0
+        assert cancellation_radius(stable.tt) != stable.radius
+        assert classify(PHI).atoroidal.radius == stable.radius
+
+    def test_radius_belongs_to_the_returned_scan(self, monkeypatch):
+        scanned = {}
+        real = nielsen.scan_pinps
+
+        def spy(tt, period_bound=8):
+            out = real(tt, period_bound)
+            scanned[id(out[0])] = cancellation_radius(tt)
+            return out
+
+        monkeypatch.setattr(nielsen, "scan_pinps", spy)
+        for endo in (GOLDEN, corpus_endo("composite_geometric")):
+            stable = stabilize(find_train_track(endo))
+            assert len(scanned) > 1 and stable.radius == scanned[id(stable.tt)]
+            scanned.clear()

@@ -24,7 +24,7 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 class TestRealize:
     def test_golden_once_punctured_torus(self):
         stable = stabilize(find_train_track(GOLDEN))
-        loops = nielsen_loops(stable.tt, stable.orbit)
+        loops = nielsen_loops(stable.tt, stable.orbits)
         surf = realize_surface(stable, loops)
         assert isinstance(surf, SurfaceRealization)
         assert surf.genus == 1 and surf.boundary_count == 1
@@ -35,7 +35,7 @@ class TestRealize:
 
     def test_arithmetic_identity(self):
         stable = stabilize(find_train_track(GOLDEN))
-        loops = nielsen_loops(stable.tt, stable.orbit)
+        loops = nielsen_loops(stable.tt, stable.orbits)
         surf = realize_surface(stable, loops)
         g = stable.tt.gm.graph
         assert 2 - 2 * surf.genus - surf.boundary_count == g.nv - len(g.edges)
