@@ -5,7 +5,7 @@ Grammar:  rank N; a -> a b; b -> b a;
 Inverses are uppercase letters or ^-1; whitespace is free; '#' starts a
 comment until end of line.  A corpus file may carry '# expect: <verdict>'.
 
-Exit codes: 0 success, 1 parse error, 2 usage error or internal
+Exit codes: 0 success, 1 parse error, 2 usage error, 3 internal
 inconsistency.
 """
 
@@ -334,7 +334,7 @@ def _command_view(command: str, analysis: Analysis) -> dict:
 def run(command: str, spec: EndoSpec, flags: Optional[dict] = None) -> dict:
     """Execute one pipeline command; `flags` are `Bounds` fields.  Module
     errors are serialized, never raised (except internal inconsistencies,
-    which the caller maps to exit code 2)."""
+    which `main` maps to exit code 3)."""
     bounds = Bounds(**(flags or {}))
     report = {
         "schema": SCHEMA_VERSION,
@@ -474,7 +474,7 @@ def main(argv=None) -> int:
         return 1
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

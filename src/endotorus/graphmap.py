@@ -350,7 +350,9 @@ class GraphMap:
     def fold(self, d1: int, d2: int) -> "GraphMap":
         """Identify two distinct oriented edges with the same initial vertex
         and identical image paths.  Rejects folds that would drop the rank
-        (parallel edges), which cannot occur for injective maps."""
+        (parallel edges), which cannot occur for injective maps.  The
+        highest vertex takes the removed vertex's id, so ids stay
+        0..nv-1."""
         g = self.graph
         if abs(d1) == abs(d2):
             raise ValueError("cannot fold an edge with itself")
@@ -361,10 +363,13 @@ class GraphMap:
         v1, v2 = g.term_of(d1), g.term_of(d2)
         if v1 == v2:
             raise ValueError("parallel fold would drop the graph rank")
-        e_keep, e_rem = abs(d1), abs(d2)
+        e_rem = abs(d2)
+        last = g.nv - 1
 
         def remap_v(v):
-            return v1 if v == v2 else v
+            if v == v2:
+                v = v1
+            return v2 if v == last else v
 
         def sub(path):
             out = []
@@ -384,10 +389,12 @@ class GraphMap:
             new_edges[e] = (remap_v(a), remap_v(b))
         new_lengths = {e: l for (e, l) in g.lengths.items() if e != e_rem}
         eimg = {e: sub(p) for (e, p) in self.eimg.items() if e != e_rem}
-        vimg = {v: remap_v(img) for (v, img) in self.vimg.items() if v != v2}
+        vimg = {remap_v(v): remap_v(img) for (v, img) in self.vimg.items()
+                if v != v2}
         marking = tuple(sub(m) for m in self.marking)
         base = remap_v(g.base)
         graph = MarkedGraph(g.nv - 1, new_edges, new_lengths, base)
+        # the record pulls paths back in the previous graph's vertex ids
         connector = (-d2, d1)   # path v2 -> v1 in the previous graph
         push = {e_rem: (d1,) if d2 > 0 else (-d1,)}
         record = _JumpRecord({}, v1, v2, connector, g.base, push)

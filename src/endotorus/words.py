@@ -88,37 +88,43 @@ def conjugate(w: Sequence[int], x: Sequence[int]) -> Word:
 
 
 def _ord(x: int) -> int:
-    # fixed total order: a < A < b < B < ...
+    # fixed total order: a < A < b < B < ...; the inverse of ord o is o ^ 1
     return ((abs(x) - 1) << 1) | (x < 0)
 
 
+def _letter(o: int) -> int:
+    """The letter of an ord; inverse of _ord."""
+    return -((o >> 1) + 1) if o & 1 else (o >> 1) + 1
+
+
 def word_key(w: Sequence[int]) -> tuple:
+    """The word as ords: tuples of ords compare in the letter order."""
     return tuple(_ord(x) for x in w)
 
 
-def _least_rotation(w: Word) -> Word:
-    # O(n^2) scan on flat ordinals; words at desk scale are short.
-    ords = tuple(_ord(x) for x in w)
-    best_r, best = 0, ords
-    for r in range(1, len(w)):
-        cand = ords[r:] + ords[:r]
-        if cand < best:
-            best_r, best = r, cand
-    return w[best_r:] + w[:best_r]
+def _invert_ords(ords: tuple) -> tuple:
+    return tuple([o ^ 1 for o in reversed(ords)])
+
+
+def _least_rotation(ords: tuple) -> tuple:
+    """Least rotation of a nonempty ord tuple: the least n-slice of the
+    doubled tuple that starts with the least ord, compared in C."""
+    n = len(ords)
+    twice = ords + ords
+    least = min(ords)
+    return min([twice[i:i + n] for i, o in enumerate(ords) if o == least])
 
 
 def cyclic_canonical(w: Sequence[int], unoriented: bool = False) -> Word:
     """Least rotation of the cyclic reduction; with unoriented=True the
     inverse word's rotations compete too."""
-    w = cyclic_reduce(w)
-    if not w:
+    ords = word_key(cyclic_reduce(w))
+    if not ords:
         return ()
-    best = _least_rotation(w)
+    best = _least_rotation(ords)
     if unoriented:
-        other = _least_rotation(invert(w))
-        if word_key(other) < word_key(best):
-            best = other
-    return best
+        best = min(best, _least_rotation(_invert_ords(ords)))
+    return tuple(map(_letter, best))
 
 
 @dataclass(frozen=True)
@@ -301,41 +307,70 @@ def _in_kernel(m, v) -> bool:
 
 
 def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
-    """Cyclically reduced words of the given length that are least among
-    their rotations (FKM pre-necklace generation with pruning), restricted to
-    zero exponent sums when balanced_only."""
-    letters = sorted((x for i in range(1, rank + 1) for x in (i, -i)), key=_ord)
-    nsym = len(letters)
-    idx_inv = [letters.index(-letters[i]) for i in range(nsym)]
-    deltas = [(abs(x) - 1, 1 if x > 0 else -1) for x in letters]
-    w = [0] * (length + 1)  # 1-indexed letter indices
-    sums = [0] * rank
-    out: list[Word] = []
+    """Cyclically reduced words of the given length, as ords, that are least
+    among their rotations (FKM necklace generation with pruning),
+    restricted to zero exponent sums when balanced_only.  Words whose least
+    letter is an inverse are left out: the inverse class of such a word is
+    led by a generator and comes first in the order."""
+    nsym = 2 * rank
+    w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
+    sums = [0] * rank       # exponent sum per generator of w[1:t]
+    out: list[tuple] = []
 
     def gen(t, p, pending):
-        if t > length:
-            if length % p == 0 and (idx_inv[w[length]] != w[1] or length == 1):
-                if pending == 0:
-                    out.append(tuple(letters[w[i]] for i in range(1, length + 1)))
-            return
+        # pending = sum of |sums|: the letters still needed to balance
         start = w[t - p]
+        cancel = w[t - 1] ^ 1 if t > 1 else -1
+        letters = range(start, nsym) if t > 1 else range(0, nsym, 2)
+        if t == length:
+            # last letter: w must close up cyclically reduced and be a
+            # necklace
+            cancel_first = w[1] ^ 1 if t > 1 else -1
+            for c in letters:
+                if c == cancel or c == cancel_first or (c == start and length % p):
+                    continue
+                w[t] = c
+                out.append(tuple(w[1:]))
+            return
         rem = length - t
-        prev = w[t - 1] if t > 1 else -1
-        for c in range(start, nsym):
-            if idx_inv[c] == prev:
+        closing = balanced_only and rem == 1
+        for c in letters:
+            if c == cancel:
                 continue
-            g, s = deltas[c]
+            g = c >> 1
             old = sums[g]
-            new = old + s
-            new_pending = pending - abs(old) + abs(new) if balanced_only else 0
+            if c & 1:
+                new = old - 1
+                new_pending = pending - 1 if old > 0 else pending + 1
+            else:
+                new = old + 1
+                new_pending = pending - 1 if old < 0 else pending + 1
             if balanced_only and new_pending > rem:
                 continue
-            sums[g] = new
             w[t] = c
-            gen(t + 1, p if c == start else t, new_pending)
+            q = p if c == start else t
+            if closing:
+                # one generator is off by one after c, and only its letter
+                # of the other sign can close the word
+                if new:
+                    z = 2 * g + (new > 0)
+                else:
+                    h = 0
+                    while h == g or not sums[h]:
+                        h += 1
+                    z = 2 * h + (sums[h] > 0)
+                s = w[length - q]
+                if not (z < s or z == c ^ 1 or z == w[1] ^ 1
+                        or (z == s and length % q)):
+                    w[length] = z
+                    out.append(tuple(w[1:]))
+                continue
+            sums[g] = new
+            gen(t + 1, q, new_pending)
             sums[g] = old
 
-    if length >= 1:
+    # a word with zero exponent sums has even length
+    if length >= 1 and not (balanced_only and length % 2):
         gen(1, 1, 0)
     return out
 
@@ -347,7 +382,8 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
 
     Returns (witness: Word, n, orientation) or None.  Oriented matches win:
     the least oriented period is reported, and a reversing witness only when
-    no oriented one exists within the bounds.  None is a bounded negative,
+    no oriented one exists within the bounds.  Candidates run in (length,
+    FKM) order, and ties go to the first.  None is a bounded negative,
     never a proof of atoroidality.
     """
     if max_period < 1 or max_len < 1:
@@ -366,46 +402,73 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     balanced_only = all(_kernel_trivial(mi) and _kernel_trivial(pl)
                         for mi, pl in constraints)
 
-    best_plus = None   # (n, word)
+    # the search runs on ords: images[o] is phi of the letter with ord o
+    images = [word_key(endo.image_of_letter(_letter(o))) for o in range(2 * rank)]
+    heads = [im[0] ^ 1 if im else -1 for im in images]  # what cancels im
+    every = [True] * max_period
+    # exponent vector -> (ok_plus, ok_minus) per period, None if all False;
+    # the zero vector lies in every kernel
+    filters: dict = {(0,) * rank: (every, every)}
+
+    best_plus = None   # (n, ords)
     best_minus = None
     for length in range(1, max_len + 1):
         for cand in _canonical_cyclic_words(rank, length, balanced_only):
-            canon = cand  # generated as least rotation already
-            canon_inv = cyclic_canonical(invert(cand))
-            if word_key(canon_inv) < word_key(canon):
-                continue  # the inverse class representative covers this one
-            vec = [0] * rank
-            for x in cand:
-                vec[abs(x) - 1] += 1 if x > 0 else -1
-            if any(vec):
-                ok_plus = [_in_kernel(mi, vec) for (mi, _) in constraints]
-                ok_minus = [_in_kernel(pl, vec) for (_, pl) in constraints]
-                if not any(ok_plus) and not any(ok_minus):
+            # the abelian filter first: a class and its inverse pass alike
+            if balanced_only:
+                ok_plus = ok_minus = every
+            else:
+                vec = tuple([cand.count(2 * i) - cand.count(2 * i + 1)
+                             for i in range(rank)])
+                ok = filters.get(vec, False)
+                if ok is False:
+                    ok_plus = [_in_kernel(mi, vec) for (mi, _) in constraints]
+                    ok_minus = [_in_kernel(pl, vec) for (_, pl) in constraints]
+                    ok = filters[vec] = ((ok_plus, ok_minus)
+                                         if any(ok_plus) or any(ok_minus) else None)
+                if ok is None:
                     continue
-            else:   # the zero vector lies in every kernel
-                ok_plus = ok_minus = [True] * max_period
+                ok_plus, ok_minus = ok
+            cand_inv = _least_rotation(_invert_ords(cand))
+            if cand_inv < cand:
+                continue  # the inverse class representative covers this one
             u = cand
             limit = max_period if best_plus is None else best_plus[0]
-            for n in range(1, max_period + 1):
-                if n > limit:
+            for n in range(1, limit + 1):
+                # u <- phi(u), freely and then cyclically reduced; images
+                # are reduced, so cancellation happens only at junctions
+                out = [-2]  # a sentinel that cancels with nothing
+                for o in u:
+                    im = images[o]
+                    if out[-1] != heads[o]:
+                        out.extend(im)
+                        continue
+                    k = 0
+                    while k < len(im) and out[-1] == im[k] ^ 1:
+                        out.pop()
+                        k += 1
+                    out.extend(im[k:])
+                i, j = 1, len(out)
+                while j - i >= 2 and out[i] == out[j - 1] ^ 1:
+                    i += 1
+                    j -= 1
+                if i == j or j - i > max_len:
                     break
-                u = cyclic_reduce(endo.apply(u))
-                if not u or len(u) > max_len:
-                    break
-                if not (ok_plus[n - 1] or ok_minus[n - 1]):
-                    continue
-                canon_u = cyclic_canonical(u)
-                if ok_plus[n - 1] and canon_u == canon:
+                u = tuple(out[i:j])
+                if j - i != length or not (ok_plus[n - 1] or ok_minus[n - 1]):
+                    continue  # a class of another length cannot match
+                canon_u = _least_rotation(u)
+                if ok_plus[n - 1] and canon_u == cand:
                     if best_plus is None or n < best_plus[0]:
                         best_plus = (n, cand)
                     break
-                if ok_minus[n - 1] and canon_u == canon_inv:
+                if ok_minus[n - 1] and canon_u == cand_inv:
                     if best_minus is None or n < best_minus[0]:
                         best_minus = (n, cand)
         if best_plus is not None and best_plus[0] == 1:
             break
     if best_plus is not None:
-        return (best_plus[1], best_plus[0], +1)
+        return (tuple(map(_letter, best_plus[1])), best_plus[0], +1)
     if best_minus is not None:
-        return (best_minus[1], best_minus[0], -1)
+        return (tuple(map(_letter, best_minus[1])), best_minus[0], -1)
     return None

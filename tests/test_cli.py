@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from endotorus import surface
 from endotorus.cli import ParseError, main, parse, report_json, run
-from endotorus.surface import Bounds
+from endotorus.surface import Bounds, InternalInconsistency
 from endotorus.words import parse_word, periodic_conjugacy_search
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +148,14 @@ class TestCommandLine:
                   str(CORPUS / "dehn_twist.endo")])
         assert exc.value.code == 2
         assert "batch --cmd classify" in capsys.readouterr().err
+
+    def test_exit_three_on_internal_inconsistency(self, monkeypatch, capsys):
+        def failing_search(*args):
+            raise InternalInconsistency("cross-check failed")
+
+        monkeypatch.setattr(surface, "periodic_conjugacy_search", failing_search)
+        assert main(["classify", str(CORPUS / "golden_geometric.endo")]) == 3
+        assert "internal inconsistency: cross-check failed" in capsys.readouterr().err
 
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(

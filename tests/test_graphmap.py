@@ -147,6 +147,21 @@ class TestMoves:
         g = folded.graph
         assert len(g.edges) - g.nv + 1 == 2
 
+    def test_fold_keeps_vertex_ids_contiguous(self):
+        # folding away vertex 0 renumbers vertex 1 to 0, so the next
+        # subdivision's new vertex 1 is a vertex of its own
+        folded = rose(GOLDEN).subdivide(1, 1).fold(3, 2)
+        assert folded.graph.nv == 1 and folded.graph.base == 0
+        assert set(folded.vimg) == {0}
+        split = folded.subdivide(3, 1)
+        split.check_consistency()
+        g = split.graph
+        assert {v for ends in g.edges.values() for v in ends} == set(range(g.nv))
+        assert len(g.edges) - g.nv + 1 == 2
+        for gen in (1, 2):
+            assert is_conjugate(split.induced_generator_image(gen),
+                                GOLDEN.images[gen - 1])
+
     def test_fold_rejects_mismatched_images(self):
         gm = rose(PHI)
         with pytest.raises(ValueError):

@@ -1,6 +1,11 @@
+import itertools
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endotorus.cli import parse
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
@@ -15,7 +20,10 @@ from endotorus.words import (
     periodic_conjugacy_search,
     reduce_word,
     show_word,
+    word_key,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))      # irreducible, atoroidal
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))    # geometric, stretch = golden ratio
@@ -165,6 +173,15 @@ class TestCyclicWord:
         if len(c) >= 2:
             assert c[0] != -c[-1]
 
+    @given(words(3, 12))
+    def test_canonical_is_least_rotation(self, w):
+        c = cyclic_reduce(w)
+        oriented = min(_rotations(c), key=word_key, default=())
+        assert cyclic_canonical(w) == oriented
+        unoriented = min(_rotations(c) + _rotations(invert(c)), key=word_key,
+                         default=())
+        assert cyclic_canonical(w, unoriented=True) == unoriented
+
 
 class TestPeriodicSearch:
     def test_identity_finds_generator(self):
@@ -192,3 +209,114 @@ class TestPeriodicSearch:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             periodic_conjugacy_search(PHI, 0, 12)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the periodic-class search
+# ---------------------------------------------------------------------------
+
+def _rotations(w):
+    return [w[k:] + w[:k] for k in range(len(w))]
+
+
+@lru_cache(maxsize=None)
+def _class_representatives(rank, max_len):
+    """One word per class and inverse class, up to max_len: the least, by
+    word_key, of the rotations of w and of w^-1, listed in (length, ord)
+    order."""
+    alphabet = [x for i in range(1, rank + 1) for x in (i, -i)]
+    reps = []
+    for length in range(1, max_len + 1):
+        found = []
+        for w in itertools.product(alphabet, repeat=length):
+            if reduce_word(w + w) != w + w:
+                continue  # not cyclically reduced
+            if min(_rotations(w) + _rotations(invert(w)), key=word_key) == w:
+                found.append(w)
+        reps.extend(sorted(found, key=word_key))
+    return reps
+
+
+def reference_search(endo, max_period, max_len):
+    """The least oriented period over all classes, the first class in
+    (length, ord) order on ties; the least reversing period only when no
+    class has an oriented one.  An orbit stops at the empty word or at a
+    class longer than max_len."""
+    plus = minus = None
+    for w in _class_representatives(endo.rank, max_len):
+        same, inverse = set(_rotations(w)), set(_rotations(invert(w)))
+        oriented = reversing = None
+        u = w
+        for n in range(1, max_period + 1):
+            u = cyclic_reduce(endo.apply(u))
+            if not u or len(u) > max_len:
+                break
+            if u in same:
+                oriented = n
+                break
+            if reversing is None and u in inverse:
+                reversing = n
+        if oriented is not None and (plus is None or oriented < plus[1]):
+            plus = (w, oriented, +1)
+        if reversing is not None and (minus is None or reversing < minus[1]):
+            minus = (w, reversing, -1)
+    return plus if plus is not None else minus
+
+
+def endomorphisms(rank, max_image=4):
+    return st.lists(words(rank, max_image), min_size=rank, max_size=rank).map(
+        lambda images: Endomorphism(rank, tuple(images)))
+
+
+class TestSearchOracle:
+    @given(endomorphisms(2), st.integers(1, 3), st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_two_matches_reference(self, endo, max_period, max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            reference_search(endo, max_period, max_len)
+
+    @given(endomorphisms(3, 3), st.integers(1, 3), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_rank_three_matches_reference(self, endo, max_period, max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            reference_search(endo, max_period, max_len)
+
+    def test_reference_on_known_maps(self):
+        assert reference_search(GOLDEN, 3, 6) == (parse_word("abAB"), 2, +1)
+        assert reference_search(PHI, 3, 6) is None
+
+
+# The search's result on every corpus input at the default bounds
+# (max_period 6, max_len 12): witness, period, orientation.
+CORPUS_HITS = {
+    "composite_geometric": ("abAB", 1, +1),
+    "conjugation_twist": ("b", 1, +1),
+    "cycle3_finite_order": ("abc", 1, +1),
+    "dehn_twist": ("a", 1, +1),
+    "double_cover_geometric": ("abAB", 1, +1),
+    "expanding_double": ("aBB", 2, +1),
+    "golden_geometric": ("abAB", 2, +1),
+    "golden_mirror": ("abAB", 2, +1),
+    "golden_transpose": ("abAB", 2, +1),
+    "identity_rank2": ("a", 1, +1),
+    "inner_rank2": ("a", 1, +1),
+    "noninjective_equal_images": None,
+    "noninjective_extension": ("abAB", 2, +1),
+    "nonsurjective_mixed": ("aB", 2, +1),
+    "plastic_rank3": None,
+    "rank3_invariant_subrose": ("aCb", 1, +1),
+    "rank3_swap_twist": ("ab", 1, +1),
+    "remark_extension_reducible": None,
+    "remark_irreducible_atoroidal": None,
+    "squares_reducible": None,
+    "swap_finite_order": ("ab", 1, +1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in CORPUS.glob("*.endo")))
+def test_corpus_search_results(name):
+    endo = parse((CORPUS / f"{name}.endo").read_text()).endo
+    expected = CORPUS_HITS[name]
+    if expected is not None:
+        expected = (parse_word(expected[0]),) + expected[1:]
+    assert periodic_conjugacy_search(endo) == expected
