@@ -8,13 +8,15 @@ F(X) = Y.G, F(Y) = X.G (orientation reversing) with a common overflow G.
 Both X and Y are therefore prefixes of eigenrays shot from periodic
 directions, of equal eigenmetric length.  The eigenray of a direction does
 not depend on the power of f that grows it, so enumeration grows one ray per
-direction, scans the common vertex positions of each ray pair once, and
-iterates each candidate once, to its least return.  The
-bounded-cancellation radius caps the scan.
+direction, as the fixed point of the substitution e -> f^step(e), indexes
+the ray vertices by the gate of their junction edge, and iterates each
+candidate once, to its least return.  The bounded-cancellation radius caps
+the scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
@@ -101,13 +103,10 @@ class Toroidal:
 # ---------------------------------------------------------------------------
 
 def cancellation_radius(tt: TrainTrack) -> float:
-    """Half-length bound for periodic Nielsen paths: 2 BCC / (lambda - 1) in
-    the eigenmetric, with BCC the Lipschitz-style edge-count bound converted
-    through the longest edge.  Generous is fine: it only widens the scan."""
-    gm = tt.gm
-    bcc_edges = sum(len(gm.eimg[e]) - 1 for e in gm.graph.edge_ids()) + 1
-    bcc_metric = bcc_edges * max(gm.graph.lengths.values())
-    return 2.0 * bcc_metric / (tt.stretch - 1.0)
+    """Bounded-cancellation radius of the scan of a representative; it is
+    kept on the train track (`TrainTrack.radius`), so a representative that
+    is scanned and then reported computes it once."""
+    return tt.radius
 
 
 # ---------------------------------------------------------------------------
@@ -117,35 +116,41 @@ def cancellation_radius(tt: TrainTrack) -> float:
 INTERIOR_BOUND = 3   # periods whose interior periodic points become vertices
 
 
-def _truncate(gm: GraphMap, path, target: float):
-    out = []
-    acc = 0.0
-    for e in path:
-        out.append(e)
-        acc += gm.graph.lengths[abs(e)]
-        if acc >= target:
-            break
-    return tuple(out)
+def _ray(image: dict, lengths: dict, d: int, target: float):
+    """Eigenray of direction d under F = f^step, to metric length at least the
+    target.  On a train track edge images never cancel, so the eigenray is
+    the fixed point x = F(x[0]) F(x[1]) ... of the substitution e -> F(e)
+    that starts with d: it is read left to right and each letter's image is
+    appended.  `image` maps a direction to F(direction).  Returns None when
+    F(d) does not start with d (the ray lost its prefix closure), and the
+    short ray when F(d) = d (a non-expanding direction)."""
+    ray = list(image[d])
+    if ray[:1] != [d]:
+        return None
+    length = sum(lengths[abs(e)] for e in ray)
+    i = 1
+    while length < target and i < len(ray):
+        img = image[ray[i]]
+        ray.extend(img)
+        length += sum(lengths[abs(e)] for e in img)
+        i += 1
+    return tuple(ray)
 
 
-def _ray(gm: GraphMap, d: int, step: int, target: float):
-    """Grow the eigenray of direction d under f^step to at least the target
-    metric length.  Images are truncated along the way: on a train track no
-    cancellation occurs, so truncation commutes with the map as long as the
-    kept prefix still covers the target after stretching."""
-    slack = target + max(gm.graph.lengths.values()) + 1e-9
-    ray = (d,)
-    for _ in range(64 * step + 64):
-        if gm.graph.path_length(ray) >= target:
-            return ray
-        prev = ray
-        for _ in range(step):
-            ray = _truncate(gm, gm.map_path(ray), slack)
-        if ray[:len(prev)] != prev:
-            raise AssertionError("ray lost its prefix closure")
-        if len(ray) == len(prev):
-            return ray  # non-expanding direction; cannot grow further
-    return ray
+class _PowerImages(dict):
+    """F(d) = f^step(d) for each direction d, computed when first read."""
+
+    def __init__(self, gm: GraphMap, step: int):
+        super().__init__()
+        self.gm = gm
+        self.step = step
+
+    def __missing__(self, d):
+        path = (d,)
+        for _ in range(self.step):
+            path = self.gm.map_path(path)
+        self[d] = path
+        return path
 
 
 def _point_image(gm: GraphMap, e: int, pos: float):
@@ -230,8 +235,9 @@ def scan_pinps(tt: TrainTrack, period_bound: int = 8) -> tuple:
     INTERIOR_BOUND become vertices) and enumerate its periodic indivisible
     Nielsen paths.  Returns (prepared train track, list of NielsenPath).
 
-    The cancellation radius is computed on the incoming representative; the
-    refinement preserves the map and the metric, so the bound carries over."""
+    The cancellation radius is that of the incoming representative (the
+    value `stabilize` records for it); the refinement preserves the map and
+    the metric, so the bound carries over."""
     radius = cancellation_radius(tt)
     tt = prepare_representative(tt, min(INTERIOR_BOUND, period_bound))
     return tt, _enumerate_on(tt, period_bound, radius)
@@ -255,15 +261,22 @@ def _least_return(gm: GraphMap, rho, period_bound: int, radius: float):
 
 
 def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
-    """Scan each pair of periodic directions once.  A pair qualifies when
-    some f^per with per up to the bound fixes both directions or swaps
-    them.  Its junction candidates are the common vertex positions of the
-    two eigenrays within the radius, and each candidate is iterated once,
-    to its least return."""
+    """Scan the periodic direction pairs through one junction index.  A pair
+    qualifies when some f^per with per up to the bound fixes both directions
+    or swaps them.  Each direction of a pair grows one eigenray.  A junction
+    of X . reverse(Y) needs an illegal turn between the reversed last edges
+    of X and Y, so every ray vertex within the radius goes into a bucket
+    keyed by the gate of that reversed edge; one sorted sweep per bucket
+    finds the positions the rays share.  A hit (i on the first ray, j on
+    the second) is kept when j is the first vertex of the second ray at or
+    after the first ray's position less POINT_TOL, as in a two-pointer
+    merge of the pair's rays.  Each candidate is iterated once, to its
+    least return, in (pair, position) order."""
     if not (tt.data.expanding and tt.data.irreducible):
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
     gm = tt.gm
+    lengths = gm.graph.lengths
     dirs = gm.graph.all_directions()
     order = {d: i for i, d in enumerate(dirs)}
     # first letter of f^per(e_d) is the per-th iterate of the direction map
@@ -279,58 +292,65 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
         pairs.update((d, first[d]) for d in dirs
                      if order[d] < order[first[d]] and first[first[d]] == d)
 
-    rays: dict = {}        # direction -> (eigenray, vertex positions) or None
+    cut = radius + 1e-9    # the first ray's side of a junction
+    reach = cut + 2 * POINT_TOL
+    powers: dict = {}      # step -> f^step of each direction
+    rays: dict = {}        # direction -> (eigenray, vertex positions)
+    buckets: dict = {}     # gate -> [(position, direction, index)]
+    for d in sorted({d for pair in pairs for d in pair}, key=order.get):
+        step, x = 1, dmap[d]   # least period of d, for the ray's growth
+        while x != d:
+            step, x = step + 1, dmap[x]
+        if step not in powers:
+            powers[step] = _PowerImages(gm, step)
+        r = _ray(powers[step], lengths, d, reach)
+        if r is None:
+            continue
+        pos = list(accumulate(lengths[abs(e)] for e in r))
+        rays[d] = (r, pos)
+        for i, p in enumerate(pos):
+            if p > reach:
+                break
+            buckets.setdefault(tt.gate_map[-r[i]], []).append((p, d, i))
 
-    def ray(d):
-        if d not in rays:
-            step, x = 1, dmap[d]   # least period of d, for the ray's growth
-            while x != d:
-                step, x = step + 1, dmap[x]
-            try:
-                r = _ray(gm, d, step, radius + 1e-9)
-            except AssertionError:
-                rays[d] = None
-            else:
-                rays[d] = (r, list(accumulate(gm.graph.lengths[abs(e)]
-                                              for e in r)))
-        return rays[d]
+    hits = []
+    for bucket in buckets.values():
+        bucket.sort()
+        for k, (p, da, ia) in enumerate(bucket):
+            for m in range(k + 1, len(bucket)):
+                (q, db, ib) = bucket[m]
+                if q - p > POINT_TOL:
+                    break
+                for (d1, i, p1, d2, j) in ((da, ia, p, db, ib),
+                                           (db, ib, q, da, ia)):
+                    if (d1, d2) in pairs and p1 <= cut \
+                            and j == bisect_left(rays[d2][1], p1 - POINT_TOL):
+                        hits.append((order[d1], order[d2], i, j, d1, d2))
+    hits.sort()
 
     found: dict = {}
-    for (d1, d2) in sorted(pairs, key=lambda pair: (order[pair[0]],
-                                                    order[pair[1]])):
-        if ray(d1) is None or ray(d2) is None:
+    for (_, _, i, j, d1, d2) in hits:
+        # the halves must meet at one vertex in an illegal turn
+        (e1, e2) = (rays[d1][0][i], rays[d2][0][j])
+        if e1 == e2 or gm.graph.term_of(e1) != gm.graph.term_of(e2):
             continue
-        ((r1, pos1), (r2, pos2)) = (rays[d1], rays[d2])
-        j = 0
-        for i, p in enumerate(pos1):
-            if p > radius + 1e-9:
-                break
-            while j < len(pos2) and pos2[j] < p - POINT_TOL:
-                j += 1
-            if j >= len(pos2) or abs(pos2[j] - p) > POINT_TOL:
-                continue
-            # the halves must meet at one vertex in an illegal turn
-            (e1, e2) = (r1[i], r2[j])
-            if e1 == e2 or not is_illegal_turn(tt.gate_map, -e1, -e2) \
-                    or gm.graph.term_of(e1) != gm.graph.term_of(e2):
-                continue
-            (X, Y) = (r1[:i + 1], r2[:j + 1])
-            rho = X + invert(Y)
-            key = min(rho, invert(rho))
-            if key in found:
-                continue
-            if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
-                   for k in range(len(rho) - 1)) != 1:
-                continue
-            back = _least_return(gm, rho, period_bound, radius)
-            if back is None:
-                continue
-            (per, reversal) = back
-            # orientation convention: a reversing path starts from the
-            # numerically smaller direction, any other from the earlier one
-            if reversal and d1 > d2:
-                (X, Y) = (Y, X)
-            found[key] = NielsenPath(X, invert(Y), per, reversal)
+        (X, Y) = (rays[d1][0][:i + 1], rays[d2][0][:j + 1])
+        rho = X + invert(Y)
+        key = min(rho, invert(rho))
+        if key in found:
+            continue
+        if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
+               for k in range(len(rho) - 1)) != 1:
+            continue
+        back = _least_return(gm, rho, period_bound, radius)
+        if back is None:
+            continue
+        (per, reversal) = back
+        # orientation convention: a reversing path starts from the
+        # numerically smaller direction, any other from the earlier one
+        if reversal and d1 > d2:
+            (X, Y) = (Y, X)
+        found[key] = NielsenPath(X, invert(Y), per, reversal)
     return [found[k] for k in sorted(found)]
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from endotorus.words import (
     Endomorphism,
     Word,
     _cyclic_split,
+    _mat_mul,
     concat,
     conjugate,
     find_conjugator,
@@ -113,6 +115,17 @@ class TrainTrack:
     def stretch(self) -> float:
         return self.data.lam
 
+    @cached_property
+    def radius(self) -> float:
+        """Half-length bound for periodic Nielsen paths: 2 BCC / (lambda - 1)
+        in the eigenmetric, with BCC the Lipschitz-style edge-count bound
+        converted through the longest edge.  Generous is fine: it only
+        widens the scan.  Computed once per representative."""
+        gm = self.gm
+        bcc_edges = sum(len(gm.eimg[e]) - 1 for e in gm.graph.edge_ids()) + 1
+        bcc_metric = bcc_edges * max(gm.graph.lengths.values())
+        return 2.0 * bcc_metric / (self.stretch - 1.0)
+
 
 @dataclass
 class InvariantFactor:
@@ -149,10 +162,19 @@ FINITE_ORDER_CONJUGATOR = 24   # longest conjugator tried
 
 def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
     """Certify that some iterate is an inner automorphism, by solving the
-    common-conjugator word equation with bounded conjugator length."""
-    current = Endomorphism.identity(endo.rank)
+    common-conjugator word equation with bounded conjugator length.  An
+    inner iterate acts trivially on the abelianization, so phi^k is composed
+    and solved only at the powers k with M^k = I (M the exponent-sum
+    matrix)."""
+    (current, done) = (Endomorphism.identity(endo.rank), 0)   # phi^done
+    m = endo.abelianized()
+    ident = m_k = current.abelianized()
     for k in range(1, FINITE_ORDER_POWER + 1):
-        current = endo.compose(current)
+        m_k = _mat_mul(m, m_k)
+        if m_k != ident:
+            continue
+        while done < k:
+            (current, done) = (endo.compose(current), done + 1)
         g1 = (1,)
         u = find_conjugator(g1, current.images[0])
         if u is None:

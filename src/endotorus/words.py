@@ -406,6 +406,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     images = [word_key(endo.image_of_letter(_letter(o))) for o in range(2 * rank)]
     heads = [im[0] ^ 1 if im else -1 for im in images]  # what cancels im
     every = [True] * max_period
+    never = [False] * max_period
     # exponent vector -> (ok_plus, ok_minus) per period, None if all False;
     # the zero vector lies in every kernel
     filters: dict = {(0,) * rank: (every, every)}
@@ -433,7 +434,11 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
             if cand_inv < cand:
                 continue  # the inverse class representative covers this one
             u = cand
-            limit = max_period if best_plus is None else best_plus[0]
+            limit = max_period
+            if best_plus is not None:
+                # only a shorter oriented period can still win, and a
+                # reversing match is no longer reported
+                (limit, ok_minus) = (best_plus[0] - 1, never)
             for n in range(1, limit + 1):
                 # u <- phi(u), freely and then cyclically reduced; images
                 # are reduced, so cancellation happens only at junctions
@@ -459,8 +464,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                     continue  # a class of another length cannot match
                 canon_u = _least_rotation(u)
                 if ok_plus[n - 1] and canon_u == cand:
-                    if best_plus is None or n < best_plus[0]:
-                        best_plus = (n, cand)
+                    best_plus = (n, cand)
                     break
                 if ok_minus[n - 1] and canon_u == cand_inv:
                     if best_minus is None or n < best_minus[0]:

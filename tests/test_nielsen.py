@@ -1,18 +1,32 @@
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from endotorus import nielsen
 from endotorus.cli import parse
+from endotorus.graphmap import POINT_TOL
 from endotorus.surface import classify
 from endotorus.words import CyclicWord, Endomorphism, invert, parse_word
-from endotorus.traintrack import FiniteOrderCertificate, TrainTrack, find_train_track
+from endotorus.traintrack import (
+    FiniteOrderCertificate,
+    TrainTrack,
+    find_train_track,
+    is_illegal_turn,
+)
 from endotorus.nielsen import (
+    INTERIOR_BOUND,
+    NielsenPath,
     StableRepresentative,
+    _PowerImages,
+    _enumerate_on,
+    _ray,
     cancellation_radius,
     critical_equation,
     group_orbits,
     nielsen_loops,
+    prepare_representative,
     scan_pinps,
     stabilize,
     verify_orbit_relations,
@@ -170,3 +184,216 @@ class TestVerdict:
             stable = stabilize(find_train_track(endo))
             assert len(scanned) > 1 and stable.radius == scanned[id(stable.tt)]
             scanned.clear()
+
+
+# ---------------------------------------------------------------------------
+# scan oracle: the per-pair two-pointer merge over eigenrays grown by
+# remap-and-truncate, kept here as the reference for the junction index
+# ---------------------------------------------------------------------------
+
+GEOMETRIC_CLASSIFY = ("composite_geometric", "double_cover_geometric",
+                      "golden_geometric", "golden_mirror", "golden_transpose",
+                      "remark_irreducible_atoroidal")
+
+
+def reference_ray(gm, d, step, target):
+    """Grow the eigenray by mapping the whole ray under f^step and
+    truncating just past the target; None when the prefix closure fails."""
+    slack = target + max(gm.graph.lengths.values()) + 1e-9
+
+    def truncate(path):
+        out, acc = [], 0.0
+        for e in path:
+            out.append(e)
+            acc += gm.graph.lengths[abs(e)]
+            if acc >= slack:
+                break
+        return tuple(out)
+
+    ray = (d,)
+    for _ in range(64 * step + 64):
+        if gm.graph.path_length(ray) >= target:
+            return ray
+        prev = ray
+        for _ in range(step):
+            ray = truncate(gm.map_path(ray))
+        if ray[:len(prev)] != prev:
+            return None
+        if len(ray) == len(prev):
+            return ray
+    return ray
+
+
+def reference_enumerate(tt, period_bound, radius, tol=POINT_TOL):
+    """Each qualifying direction pair walks a two-pointer merge over its two
+    eigenrays; the candidate checks are those of the scan."""
+    gm = tt.gm
+    dirs = gm.graph.all_directions()
+    order = {d: i for i, d in enumerate(dirs)}
+    dmap = {d: gm.image_of_edge(d)[0] for d in dirs}
+    pairs = set()
+    first = {d: d for d in dirs}
+    for _ in range(period_bound):
+        first = {d: dmap[first[d]] for d in dirs}
+        fixed = [d for d in dirs if first[d] == d]
+        pairs.update(combinations(fixed, 2))
+        pairs.update((d, first[d]) for d in dirs
+                     if order[d] < order[first[d]] and first[first[d]] == d)
+    rays = {}
+
+    def ray(d):
+        if d not in rays:
+            step, x = 1, dmap[d]
+            while x != d:
+                step, x = step + 1, dmap[x]
+            r = reference_ray(gm, d, step, radius + 1e-9)
+            rays[d] = r and (r, list(accumulate(gm.graph.lengths[abs(e)]
+                                                for e in r)))
+        return rays[d]
+
+    found = {}
+    for (d1, d2) in sorted(pairs, key=lambda pair: (order[pair[0]],
+                                                    order[pair[1]])):
+        if ray(d1) is None or ray(d2) is None:
+            continue
+        ((r1, pos1), (r2, pos2)) = (rays[d1], rays[d2])
+        j = 0
+        for i, p in enumerate(pos1):
+            if p > radius + 1e-9:
+                break
+            while j < len(pos2) and pos2[j] < p - tol:
+                j += 1
+            if j >= len(pos2) or abs(pos2[j] - p) > tol:
+                continue
+            (e1, e2) = (r1[i], r2[j])
+            if e1 == e2 or not is_illegal_turn(tt.gate_map, -e1, -e2) \
+                    or gm.graph.term_of(e1) != gm.graph.term_of(e2):
+                continue
+            (X, Y) = (r1[:i + 1], r2[:j + 1])
+            rho = X + invert(Y)
+            key = min(rho, invert(rho))
+            if key in found:
+                continue
+            if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
+                   for k in range(len(rho) - 1)) != 1:
+                continue
+            back = nielsen._least_return(gm, rho, period_bound, radius)
+            if back is None:
+                continue
+            (per, reversal) = back
+            if reversal and d1 > d2:
+                (X, Y) = (Y, X)
+            found[key] = NielsenPath(X, invert(Y), per, reversal)
+    return [found[k] for k in sorted(found)]
+
+
+def rescans(endo):
+    """(prepared train track, period bound, radius, result) of every scan
+    inside `stabilize` on the endomorphism's train track."""
+    calls = []
+    real = nielsen._enumerate_on
+
+    def recording(tt, period_bound, radius):
+        out = real(tt, period_bound, radius)
+        calls.append((tt, period_bound, radius, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nielsen, "_enumerate_on", recording)
+        stabilize(find_train_track(endo))
+    return calls
+
+
+def periodic_directions(gm, period_bound):
+    """(direction, least period under the direction map) for each direction
+    whose period is at most the bound: the directions a scan pairs."""
+    dmap = {d: gm.image_of_edge(d)[0] for d in gm.graph.all_directions()}
+    out = []
+    for d in dmap:
+        step, x = 1, dmap[d]
+        while x != d and step < period_bound:
+            step, x = step + 1, dmap[x]
+        if x == d:
+            out.append((d, step))
+    return out
+
+
+def assert_rays_are_eigenrays(tt, period_bound, radius):
+    gm = tt.gm
+    for (d, step) in periodic_directions(gm, period_bound):
+        r = _ray(_PowerImages(gm, step), gm.graph.lengths, d, radius)
+        assert r is not None and r[0] == d
+        image = r
+        for _ in range(step):
+            image = gm.map_path(image)
+        assert image[:len(r)] == r
+        assert gm.graph.path_length(r) >= radius - 1e-9 or image == r
+
+
+def random_rank2_train_track(images, period_bound):
+    endo = Endomorphism(2, tuple(images))
+    assume(all(endo.images))
+    tt = find_train_track(endo, max_iterations=30)
+    assume(isinstance(tt, TrainTrack) and tt.data.expanding
+           and tt.data.irreducible)
+    return (prepare_representative(tt, min(INTERIOR_BOUND, period_bound)),
+            cancellation_radius(tt))
+
+
+WORDS = st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)
+
+
+def assert_scan_matches_reference(tt, period_bound, radius, tol=POINT_TOL):
+    """The scan and the reference, at the tolerance, find the same paths
+    and hand the same candidates to `_least_return` in the same order, so
+    a change in the junctions found shows even when no Nielsen path
+    depends on it.  Returns the paths."""
+    candidates = []
+    real = nielsen._least_return
+
+    def recording(gm, rho, period_bound, radius):
+        candidates.append(rho)
+        return real(gm, rho, period_bound, radius)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nielsen, "_least_return", recording)
+        patch.setattr(nielsen, "POINT_TOL", tol)
+        out = _enumerate_on(tt, period_bound, radius)
+        scanned = list(candidates)
+        candidates.clear()
+        assert reference_enumerate(tt, period_bound, radius, tol) == out
+        assert candidates == scanned
+    return out
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
+    def test_every_rescan_matches_the_pair_merge(self, name):
+        calls = rescans(corpus_endo(name))
+        assert calls
+        for (tt, period_bound, radius, out) in calls:
+            assert assert_scan_matches_reference(tt, period_bound, radius) == out
+
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
+    def test_coarse_tolerance_matches_the_pair_merge(self, name):
+        # a tolerance wider than the short edges puts several vertices of a
+        # ray within reach of one position and lets the second ray's side
+        # reach past the radius: the matching rule must still be the merge's
+        for (tt, period_bound, radius, _) in rescans(corpus_endo(name))[:3]:
+            for tol in (0.01, 0.05):
+                assert_scan_matches_reference(tt, period_bound, radius, tol)
+
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
+    def test_eigenrays_are_prefixes_of_their_images(self, name):
+        for (tt, period_bound, radius, _) in rescans(corpus_endo(name))[:4]:
+            assert_rays_are_eigenrays(tt, period_bound, radius)
+
+    @given(st.tuples(WORDS, WORDS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_rank2_scans_match_the_pair_merge(self, images):
+        period_bound = 3
+        (tt, radius) = random_rank2_train_track(images, period_bound)
+        assert_rays_are_eigenrays(tt, period_bound, radius)
+        for tol in (POINT_TOL, 0.05):
+            assert_scan_matches_reference(tt, period_bound, radius, tol)

@@ -1,8 +1,23 @@
-import pytest
+import time
+from pathlib import Path
 
-from endotorus.words import Endomorphism, is_conjugate, parse_word
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from endotorus.cli import parse
+from endotorus.words import (
+    Endomorphism,
+    concat,
+    conjugate,
+    find_conjugator,
+    invert,
+    is_conjugate,
+    parse_word,
+)
 from endotorus.graphmap import GraphMap, transition_matrix
 from endotorus.traintrack import (
+    FINITE_ORDER_CONJUGATOR,
+    FINITE_ORDER_POWER,
     FiniteOrderCertificate,
     ReductionWitness,
     TrainTrack,
@@ -21,6 +36,47 @@ PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
 PSI = Endomorphism(3, (parse_word("ab"), parse_word("ba"), parse_word("a")))
 SWAP = Endomorphism(2, (parse_word("b"), parse_word("a")))
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def reference_finite_order(endo):
+    """The search without the homology prefilter: compose every power up to
+    FINITE_ORDER_POWER and solve for a common conjugator at each."""
+    current = Endomorphism.identity(endo.rank)
+    for k in range(1, FINITE_ORDER_POWER + 1):
+        current = endo.compose(current)
+        g1 = (1,)
+        u = find_conjugator(g1, current.images[0])
+        if u is None:
+            continue
+        for j in range(-FINITE_ORDER_CONJUGATOR, FINITE_ORDER_CONJUGATOR + 1):
+            x = concat(u, g1 * abs(j) if j >= 0 else invert(g1 * abs(j)))
+            if len(x) > FINITE_ORDER_CONJUGATOR:
+                continue
+            if all(conjugate((i,), x) == current.images[i - 1]
+                   for i in range(1, endo.rank + 1)):
+                return FiniteOrderCertificate(k, x)
+    return None
+
+
+@st.composite
+def injective_maps(draw):
+    """Random injective rank-2/3 maps: short images, or a signed permutation
+    of the generators followed by an inner automorphism (finite order)."""
+    rank = draw(st.integers(2, 3))
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    if draw(st.booleans()):
+        images = [draw(st.lists(letters, min_size=1, max_size=2))
+                  for _ in range(rank)]
+    else:
+        perm = draw(st.permutations(range(1, rank + 1)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank,
+                              max_size=rank))
+        x = draw(st.lists(letters, max_size=2))
+        images = [conjugate((s * g,), x) for (s, g) in zip(signs, perm)]
+    endo = Endomorphism(rank, tuple(tuple(im) for im in images))
+    assume(all(endo.images) and sg.is_injective(endo))
+    return endo
 
 
 class TestGates:
@@ -77,6 +133,20 @@ class TestFiniteOrder:
 
     def test_expanding_map_is_not(self):
         assert is_finite_order(PHI) is None
+
+    def test_homology_prefilter_skips_composition(self):
+        # phi^2 of squares_reducible doubles every length four times per
+        # power; its homology matrix 4I has no power equal to I
+        phi = parse((CORPUS / "squares_reducible.endo").read_text()).endo
+        square = phi.compose(phi)
+        start = time.process_time()
+        assert is_finite_order(square) is None
+        assert time.process_time() - start < 0.01
+
+    @given(injective_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_unfiltered_search(self, endo):
+        assert is_finite_order(endo) == reference_finite_order(endo)
 
 
 class TestFindTrainTrack:
