@@ -582,13 +582,17 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
             m[idx[e]][idx[abs(x)]] += 1
     matrix = tuple(tuple(r) for r in m)
     irreducible = _strongly_connected(matrix)
+    # the nonzero (j, m_ij) of each row in increasing j: the entries are
+    # nonnegative, so leaving out the exact 0 * v[j] terms of a sum, in
+    # the same order, leaves its bits unchanged
+    rows = [[(j, x) for j, x in enumerate(r) if x] for r in m]
 
     # power iteration on M + I (primitive when M is irreducible)
     v = [1.0] * n
     lam = 0.0
     if n:
         for _ in range(2000):
-            w = [sum(m[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
+            w = [sum(x * v[j] for j, x in row) + v[i] for i, row in enumerate(rows)]
             s = sum(w)
             if s == 0:
                 break
@@ -597,7 +601,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
                 v = w
                 break
             v = w
-        mv = [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
+        mv = [sum(x * v[j] for j, x in row) for row in rows]
         denom = sum(x * x for x in v)
         lam = sum(mv[i] * v[i] for i in range(n)) / denom if denom else 0.0
         if abs(lam - round(lam)) < 1e-12:
@@ -607,7 +611,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     if n and irreducible and min(v) > 0:
         total = sum(v)
         eigenmetric = tuple(x / total for x in v)
-        mv = [sum(m[i][j] * eigenmetric[j] for j in range(n)) for i in range(n)]
+        mv = [sum(x * eigenmetric[j] for j, x in row) for row in rows]
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
     return TransitionData(order, matrix, lam, eigenmetric, irreducible,

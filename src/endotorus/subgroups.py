@@ -468,6 +468,10 @@ class ImageGraph:
 
 
 def is_injective(endo: Endomorphism) -> bool:
+    """Whether phi embeds F in itself; a generator sent to 1 is in the
+    kernel."""
+    if not all(endo.images):
+        return False
     return ImageGraph(endo.rank, endo.images).is_injective()
 
 

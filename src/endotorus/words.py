@@ -307,11 +307,19 @@ def _in_kernel(m, v) -> bool:
 
 
 def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
-    """Cyclically reduced words of the given length, as ords, that are least
-    among their rotations (FKM necklace generation with pruning),
-    restricted to zero exponent sums when balanced_only.  Words whose least
-    letter is an inverse are left out: the inverse class of such a word is
-    led by a generator and comes first in the order."""
+    """One cyclically reduced word of the given length per class and
+    inverse class, as ords: the least, in ord order, among the rotations of
+    w and of w^-1.  Restricted to zero exponent sums when balanced_only.
+    Words come in lexicographic order.
+
+    FKM necklace generation (Ruskey-Savage-Wang 1992) yields each word that
+    is least among its own rotations; its first letter is its least letter
+    and a generator, since otherwise the inverse word has a smaller one.
+    The inverse word's rotations are pruned as in Sawada's bracelet
+    generator (2001): a rotation of w^-1 can only come before w if it
+    starts with w[1], that is, at a position t with w[t] = w[1]^-1.  It then
+    reads w[t]^-1 w[t-1]^-1 ... w[1]^-1 before the letters still to come,
+    so that run against w[1..t] decides it for every extension."""
     nsym = 2 * rank
     w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
     sums = [0] * rank       # exponent sum per generator of w[1:t]
@@ -321,13 +329,13 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
         # pending = sum of |sums|: the letters still needed to balance
         start = w[t - p]
         cancel = w[t - 1] ^ 1 if t > 1 else -1
+        first_inv = w[1] ^ 1 if t > 1 else -1
         letters = range(start, nsym) if t > 1 else range(0, nsym, 2)
         if t == length:
             # last letter: w must close up cyclically reduced and be a
             # necklace
-            cancel_first = w[1] ^ 1 if t > 1 else -1
             for c in letters:
-                if c == cancel or c == cancel_first or (c == start and length % p):
+                if c == cancel or c == first_inv or (c == start and length % p):
                     continue
                 w[t] = c
                 out.append(tuple(w[1:]))
@@ -348,6 +356,21 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
             if balanced_only and new_pending > rem:
                 continue
             w[t] = c
+            if c == first_inv:
+                # compare w[t]^-1 ... w[1]^-1 with w[1..t].  They never
+                # tie: equal up to the middle, the middle letter of
+                # w[1..t] would be its own inverse (t odd) or cancel with
+                # the next one (t even).  A smaller run puts a rotation
+                # of w^-1 before every extension of w[1..t]; a larger one
+                # never lets this rotation win.  The last letter, the
+                # balancing letter included, never equals first_inv (w
+                # must stay cyclically reduced), so each rotation of w^-1
+                # that could win is settled here.
+                i = 2
+                while w[t + 1 - i] ^ 1 == w[i]:
+                    i += 1
+                if w[t + 1 - i] ^ 1 < w[i]:
+                    continue
             q = p if c == start else t
             if closing:
                 # one generator is off by one after c, and only its letter
@@ -360,7 +383,7 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool):
                         h += 1
                     z = 2 * h + (sums[h] > 0)
                 s = w[length - q]
-                if not (z < s or z == c ^ 1 or z == w[1] ^ 1
+                if not (z < s or z == c ^ 1 or z == first_inv
                         or (z == s and length % q)):
                     w[length] = z
                     out.append(tuple(w[1:]))
@@ -382,9 +405,12 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
 
     Returns (witness: Word, n, orientation) or None.  Oriented matches win:
     the least oriented period is reported, and a reversing witness only when
-    no oriented one exists within the bounds.  Candidates run in (length,
-    FKM) order, and ties go to the first.  None is a bounded negative,
-    never a proof of atoroidality.
+    no oriented one exists within the bounds.  Candidates are one word per
+    class and inverse class (_canonical_cyclic_words), run in (length,
+    FKM) order, and ties go to the first.  A class and its inverse have the
+    same periods, so one candidate covers both; the inverse class's
+    canonical form is computed only when a reversing test is reached.  None
+    is a bounded negative, never a proof of atoroidality.
     """
     if max_period < 1 or max_len < 1:
         raise ValueError("bounds must be at least 1")
@@ -430,9 +456,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 if ok is None:
                     continue
                 ok_plus, ok_minus = ok
-            cand_inv = _least_rotation(_invert_ords(cand))
-            if cand_inv < cand:
-                continue  # the inverse class representative covers this one
+            cand_inv = None  # the inverse class's form, when first needed
             u = cand
             limit = max_period
             if best_plus is not None:
@@ -466,8 +490,11 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 if ok_plus[n - 1] and canon_u == cand:
                     best_plus = (n, cand)
                     break
-                if ok_minus[n - 1] and canon_u == cand_inv:
-                    if best_minus is None or n < best_minus[0]:
+                if ok_minus[n - 1]:
+                    if cand_inv is None:
+                        cand_inv = _least_rotation(_invert_ords(cand))
+                    if canon_u == cand_inv and (best_minus is None
+                                                or n < best_minus[0]):
                         best_minus = (n, cand)
         if best_plus is not None and best_plus[0] == 1:
             break

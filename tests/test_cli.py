@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from endotorus import surface
-from endotorus.cli import ParseError, main, parse, report_json, run
+from endotorus.cli import COMMANDS, ParseError, main, parse, report_json, run
 from endotorus.surface import Bounds, InternalInconsistency
 from endotorus.words import parse_word, periodic_conjugacy_search
 
@@ -127,6 +127,11 @@ class TestCorpus:
                          "finite_order", "unknown"} for e in expects)
 
 
+# generator images that reduce to 1
+TRIVIAL_IMAGE = ("rank 2; a -> b B; b -> a b;",
+                 "rank 3; a -> a A; b -> c; c -> b a;")
+
+
 class TestCommandLine:
     def test_exit_zero_and_json(self):
         proc = subprocess.run(
@@ -156,6 +161,23 @@ class TestCommandLine:
         monkeypatch.setattr(surface, "periodic_conjugacy_search", failing_search)
         assert main(["classify", str(CORPUS / "golden_geometric.endo")]) == 3
         assert "internal inconsistency: cross-check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", TRIVIAL_IMAGE)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_trivial_image_reports_without_error(self, command, text, tmp_path,
+                                                 capsys):
+        # a generator sent to 1 makes the map non-injective; no stage fails
+        path = tmp_path / "trivial.endo"
+        path.write_text(text)
+        assert main([command, str(path), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert "error" not in rep
+        if command == "classify":
+            assert rep["verdict"]["kind"] == "reducible"
+            assert rep["verdict"]["injective"] is False
+        if command in ("tt", "nielsen"):
+            assert rep["unknown"]["reason"].startswith(
+                "a loop edge has trivial image")
 
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(

@@ -2,13 +2,17 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from endotorus.cli import parse
+from endotorus import graphmap, nielsen, traintrack
+from endotorus.cli import parse, run
 from endotorus.nielsen import scan_pinps
 from endotorus.traintrack import find_train_track
 from endotorus.words import Endomorphism, is_conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
     GraphMap,
+    TransitionData,
+    _strongly_connected,
     certify_growth_rate,
     transition_matrix,
     with_eigenmetric,
@@ -219,3 +223,95 @@ class TestPrepared:
         prepared.check_consistency()
         for g in range(1, endo.rank + 1):
             assert prepared.path_to_word(prepared.marking[g - 1]) == (g,)
+
+
+# ---------------------------------------------------------------------------
+# transition oracle: the dense power iteration, kept here as the reference
+# for the sparse one
+# ---------------------------------------------------------------------------
+
+GEOMETRIC_CLASSIFY = ("composite_geometric", "double_cover_geometric",
+                      "golden_geometric", "golden_mirror", "golden_transpose",
+                      "remark_irreducible_atoroidal")
+
+
+def reference_transition_matrix(gm):
+    """Every product a full n x n sum, zero entries included."""
+    order = tuple(gm.graph.edge_ids())
+    idx = {e: i for i, e in enumerate(order)}
+    n = len(order)
+    m = [[0] * n for _ in range(n)]
+    for e in order:
+        for x in gm.eimg[e]:
+            m[idx[e]][idx[abs(x)]] += 1
+    matrix = tuple(tuple(r) for r in m)
+    irreducible = _strongly_connected(matrix)
+    v = [1.0] * n
+    lam = 0.0
+    if n:
+        for _ in range(2000):
+            w = [sum(m[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
+            s = sum(w)
+            if s == 0:
+                break
+            w = [x / s for x in w]
+            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16:
+                v = w
+                break
+            v = w
+        mv = [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
+        denom = sum(x * x for x in v)
+        lam = sum(mv[i] * v[i] for i in range(n)) / denom if denom else 0.0
+        if abs(lam - round(lam)) < 1e-12:
+            lam = float(round(lam))
+    eigenmetric = None
+    residual = float("inf")
+    if n and irreducible and min(v) > 0:
+        total = sum(v)
+        eigenmetric = tuple(x / total for x in v)
+        mv = [sum(m[i][j] * eigenmetric[j] for j in range(n)) for i in range(n)]
+        residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
+    expanding = irreducible and lam > 1 + 1e-9
+    return TransitionData(order, matrix, lam, eigenmetric, irreducible,
+                          expanding, residual)
+
+
+@st.composite
+def subdivided_roses(draw):
+    """A rose of a random map with nontrivial images, split a few times."""
+    rank = draw(st.integers(2, 3))
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    images = draw(st.lists(st.lists(letters, min_size=1, max_size=6)
+                           .map(reduce_word).filter(bool),
+                           min_size=rank, max_size=rank))
+    gm = rose(Endomorphism(rank, tuple(images)))
+    for _ in range(draw(st.integers(0, 6))):
+        long = [e for e in gm.graph.edge_ids() if len(gm.eimg[e]) >= 2]
+        if not long:
+            break
+        e = draw(st.sampled_from(long))
+        gm = gm.subdivide(e, draw(st.integers(1, len(gm.eimg[e]) - 1)))
+    return gm
+
+
+class TestTransitionOracle:
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
+    def test_every_call_in_classify_matches_the_dense_product(self, name):
+        calls = []
+        real = graphmap.transition_matrix
+
+        def checked(gm):
+            data = real(gm)
+            calls.append(data == reference_transition_matrix(gm))
+            return data
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (graphmap, traintrack, nielsen):
+                patch.setattr(module, "transition_matrix", checked)
+            run("classify", parse((CORPUS / f"{name}.endo").read_text()))
+        assert calls and all(calls)
+
+    @given(subdivided_roses())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graph_maps_match_the_dense_product(self, gm):
+        assert transition_matrix(gm) == reference_transition_matrix(gm)

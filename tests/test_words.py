@@ -9,6 +9,10 @@ from endotorus.cli import parse
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
+    _canonical_cyclic_words,
+    _invert_ords,
+    _least_rotation,
+    _letter,
     concat,
     conjugate,
     cyclic_canonical,
@@ -284,6 +288,100 @@ class TestSearchOracle:
     def test_reference_on_known_maps(self):
         assert reference_search(GOLDEN, 3, 6) == (parse_word("abAB"), 2, +1)
         assert reference_search(PHI, 3, 6) is None
+
+
+# ---------------------------------------------------------------------------
+# generator oracle: every FKM necklace, then the inverse-class filter
+# ---------------------------------------------------------------------------
+
+def _fkm_necklaces(rank, length, balanced_only):
+    """Cyclically reduced words, as ords, that are least among their
+    rotations and start with a generator; zero exponent sums when
+    balanced_only.  Lexicographic (FKM) order."""
+    nsym = 2 * rank
+    w = [0] * (length + 1)
+    sums = [0] * rank
+    out = []
+
+    def gen(t, p, pending):
+        start = w[t - p]
+        cancel = w[t - 1] ^ 1 if t > 1 else -1
+        letters = range(start, nsym) if t > 1 else range(0, nsym, 2)
+        if t == length:
+            cancel_first = w[1] ^ 1 if t > 1 else -1
+            for c in letters:
+                if c == cancel or c == cancel_first or (c == start and length % p):
+                    continue
+                w[t] = c
+                out.append(tuple(w[1:]))
+            return
+        rem = length - t
+        closing = balanced_only and rem == 1
+        for c in letters:
+            if c == cancel:
+                continue
+            g = c >> 1
+            old = sums[g]
+            if c & 1:
+                new = old - 1
+                new_pending = pending - 1 if old > 0 else pending + 1
+            else:
+                new = old + 1
+                new_pending = pending - 1 if old < 0 else pending + 1
+            if balanced_only and new_pending > rem:
+                continue
+            w[t] = c
+            q = p if c == start else t
+            if closing:
+                if new:
+                    z = 2 * g + (new > 0)
+                else:
+                    h = 0
+                    while h == g or not sums[h]:
+                        h += 1
+                    z = 2 * h + (sums[h] > 0)
+                s = w[length - q]
+                if not (z < s or z == c ^ 1 or z == w[1] ^ 1
+                        or (z == s and length % q)):
+                    w[length] = z
+                    out.append(tuple(w[1:]))
+                continue
+            sums[g] = new
+            gen(t + 1, q, new_pending)
+            sums[g] = old
+
+    if length >= 1 and not (balanced_only and length % 2):
+        gen(1, 1, 0)
+    return out
+
+
+def reference_candidates(rank, length, balanced_only):
+    """The FKM necklaces whose inverse class does not come first."""
+    return [c for c in _fkm_necklaces(rank, length, balanced_only)
+            if not _least_rotation(_invert_ords(c)) < c]
+
+
+def _balanced(w):
+    return not any(sum(1 if x > 0 else -1 for x in w if abs(x) == g)
+                   for g in set(map(abs, w)))
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("rank, max_len, balanced_only", [
+        (2, 12, False), (2, 12, True), (3, 12, True), (3, 7, False)])
+    def test_one_word_per_inverse_pair(self, rank, max_len, balanced_only):
+        for length in range(1, max_len + 1):
+            assert _canonical_cyclic_words(rank, length, balanced_only) == \
+                reference_candidates(rank, length, balanced_only)
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 7), (3, 5)])
+    def test_reference_is_one_word_per_class_pair(self, rank, max_len):
+        for balanced_only in (False, True):
+            listed = [tuple(map(_letter, c)) for length in range(1, max_len + 1)
+                      for c in reference_candidates(rank, length, balanced_only)]
+            expected = [w for w in _class_representatives(rank, max_len)
+                        if not balanced_only or _balanced(w)]
+            assert listed == expected
 
 
 # The search's result on every corpus input at the default bounds
