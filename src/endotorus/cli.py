@@ -3,7 +3,9 @@ JSON reports, and a batch mode for corpora.
 
 Grammar:  rank N; a -> a b; b -> b a;
 Inverses are uppercase letters or ^-1; whitespace is free; '#' starts a
-comment until end of line.  A corpus file may carry '# expect: <verdict>'.
+comment until end of line.  An image written as a lone 1 is the empty
+word: the generator maps to the identity.  A corpus file may carry
+'# expect: <verdict>'.
 
 Exit codes: 0 success, 1 parse error, 2 usage error, 3 internal
 inconsistency.
@@ -52,12 +54,12 @@ class EndoSpec:
     endo: Endomorphism
     warnings: list = field(default_factory=list)
     expect: Optional[str] = None
-    name: str = ""
 
     def render(self) -> str:
         parts = [f"rank {self.rank};"]
         for i, im in enumerate(self.endo.images):
-            parts.append(f"{chr(ord('a') + i)} -> {' '.join(show_word((x,)) for x in im)};")
+            letters = " ".join(show_word((x,)) for x in im) if im else show_word(im)
+            parts.append(f"{chr(ord('a') + i)} -> {letters};")
         return " ".join(parts)
 
 
@@ -133,8 +135,13 @@ def parse(text: str) -> EndoSpec:
             raise ParseError(f"duplicate image for {ch!r}", pos)
         pos += 1
         expect_str("->")
+        skip_ws()
+        trivial = clean.startswith("1", pos)   # a lone '1' is the empty image
+        if trivial:
+            pos += 1
+            expect_str(";")
         letters = []
-        while True:
+        while not trivial:
             skip_ws()
             if pos >= n:
                 raise ParseError("unterminated image (missing ';')", pos)
@@ -162,7 +169,7 @@ def parse(text: str) -> EndoSpec:
             else:
                 pos = save
             letters.append(letter)
-        if not letters:
+        if not letters and not trivial:
             raise ParseError("empty image", pos)
         reduced = reduce_word(letters)
         if tuple(letters) != reduced:
@@ -189,10 +196,6 @@ def _round_floats(obj, digits: int = 10):
     return obj
 
 
-def _word_str(w) -> str:
-    return show_word(w)
-
-
 def _train_track_dict(tt: TrainTrack) -> dict:
     gm = tt.gm
     return {
@@ -209,22 +212,22 @@ def _train_track_dict(tt: TrainTrack) -> dict:
 
 
 def _finite_order_dict(cert: FiniteOrderCertificate) -> dict:
-    return {"power": cert.power, "conjugator": _word_str(cert.conjugator)}
+    return {"power": cert.power, "conjugator": show_word(cert.conjugator)}
 
 
 def _loops_dict(loops: NielsenLoops) -> dict:
     return {
         "loops": [list(l) for l in loops.loops],
         "multiplicities": {str(k): c for k, c in sorted(loops.multiplicities.items())},
-        "classes": [_word_str(c.letters) for c in loops.classes],
+        "classes": [show_word(c.letters) for c in loops.classes],
         "transitive": loops.transitive,
     }
 
 
 def _witness_dict(w: ReductionWitness) -> dict:
     return {
-        "factors": [[_word_str(b) for b in f.basis] for f in w.factors],
-        "conjugators": [_word_str(f.conjugator) for f in w.factors],
+        "factors": [[show_word(b) for b in f.basis] for f in w.factors],
+        "conjugators": [show_word(f.conjugator) for f in w.factors],
         "provenance": w.provenance,
         "verified": w.verified,
     }
@@ -273,7 +276,7 @@ def _verdict_dict(v: Verdict) -> dict:
     if v.surface is not None:
         out["surface"] = v.surface.as_dict()
     if v.toroidal is not None:
-        out["toroidal"] = {"witness": _word_str(v.toroidal.witness.letters),
+        out["toroidal"] = {"witness": show_word(v.toroidal.witness.letters),
                            "period": v.toroidal.period,
                            "source": v.toroidal.source}
     if v.atoroidal is not None:
@@ -341,7 +344,7 @@ def run(command: str, spec: EndoSpec, flags: Optional[dict] = None) -> dict:
         "command": command,
         "input": {
             "rank": spec.rank,
-            "images": [_word_str(im) for im in spec.endo.images],
+            "images": [show_word(im) for im in spec.endo.images],
             "text": spec.render(),
         },
         "bounds": asdict(bounds),
@@ -407,7 +410,6 @@ def _run_single(args_tuple):
     spec = parse(text)
     rep = run(command, spec, flags)
     if name is not None:
-        spec.name = name
         rep["input"]["name"] = name
     if timing:
         rep["timing_seconds"] = round(time.monotonic() - t0, 3)

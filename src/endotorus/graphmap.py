@@ -1,23 +1,25 @@
 """Marked graphs and homotopy representatives of endomorphisms.
 
 A MarkedGraph is a finite connected graph with positive edge lengths.  A
-GraphMap carries vertex and edge images plus a marking: one loop per ambient
-generator, identifying the fundamental group with F.  Every move records
-enough to pull edge paths back to the original rose, where loops read off as
-words in F; that recorded homotopy equivalence is how reduction witnesses
-and induced endomorphisms get expressed in ambient coordinates.
+GraphMap carries vertex and edge images plus a marking that identifies the
+fundamental group with F: every edge has a label, a reduced word in the
+ambient generators, and a loop at the base reads as the reduced product of
+its labels.  Each move updates the labels of the edges it touches, so no
+earlier graph is kept; the labels are how reduction witnesses and induced
+endomorphisms get expressed in ambient coordinates.  The marking loops, one
+per generator, ride along as edge paths.
 
 Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from endotorus.words import Endomorphism, Word, reduce_word
+from endotorus.words import Endomorphism, Word, concat, invert, reduce_word
 
 EdgePath = tuple  # tuple[int, ...] of signed edge ids
 
@@ -93,114 +95,6 @@ class MarkedGraph:
 
 
 # ---------------------------------------------------------------------------
-# move records (pullback to the rose)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _SubstRecord:
-    """A move whose pullback is substitution of edges by paths in the
-    previous graph (subdivision, valence-two merge, forest collapse).
-    `push` optionally carries the forward substitution (old edge to a path
-    in the new graph) for transporting paths across the move."""
-    subst: dict  # new signed edge -> path in previous graph (for +e only)
-    push: dict = field(default_factory=dict)
-
-    def pull(self, path, prev_graph):
-        out = []
-        for e in path:
-            rep = self.subst.get(abs(e), (abs(e),))
-            out.extend(rep if e > 0 else tuple(-x for x in reversed(rep)))
-        return reduce_word(out)
-
-
-@dataclass
-class _JumpRecord:
-    """A move that merged removed_v into kept_v; pulled paths may need hops
-    through the connector (a path removed_v -> kept_v in the previous
-    graph).  Used by folds and forest collapses."""
-    subst: dict
-    kept_v: int
-    removed_v: int
-    connector: tuple
-    base_before: int
-    push: dict = field(default_factory=dict)
-
-    def pull(self, path, prev_graph):
-        raw = []
-        for e in path:
-            rep = self.subst.get(abs(e), (abs(e),))
-            raw.extend(rep if e > 0 else tuple(-x for x in reversed(rep)))
-
-        def hop(frm, to):
-            if frm == self.removed_v and to == self.kept_v:
-                return list(self.connector)
-            if frm == self.kept_v and to == self.removed_v:
-                return [-x for x in reversed(self.connector)]
-            raise AssertionError("pullback jump at a non-merged vertex")
-
-        out = []
-        cur = self.base_before
-        for e in raw:
-            i = prev_graph.init_of(e)
-            if i != cur:
-                out.extend(hop(cur, i))
-            out.append(e)
-            cur = prev_graph.term_of(e)
-        if cur != self.base_before:
-            out.extend(hop(cur, self.base_before))
-        return reduce_word(out)
-
-
-@dataclass
-class _ForestRecord:
-    """Collapse of a forest: pulled paths hop through forest geodesics."""
-    forest_edges: frozenset
-    rep_of: dict          # previous vertex -> class representative
-    base_before: int
-
-    @property
-    def push(self):
-        return {e: () for e in self.forest_edges}
-
-    def pull(self, path, prev_graph):
-        def forest_path(u, v):
-            if u == v:
-                return []
-            prev = {u: None}
-            queue = [u]
-            while queue:
-                w = queue.pop(0)
-                for d in prev_graph.directions_at(w):
-                    if abs(d) not in self.forest_edges:
-                        continue
-                    t = prev_graph.term_of(d)
-                    if t not in prev:
-                        prev[t] = (w, d)
-                        queue.append(t)
-            if v not in prev:
-                raise AssertionError("pullback jump outside the collapsed forest")
-            out = []
-            cur = v
-            while prev[cur] is not None:
-                (p, d2) = prev[cur]
-                out.append(d2)
-                cur = p
-            return list(reversed(out))
-
-        out: list[int] = []
-        cur = self.base_before
-        for e in path:
-            i = prev_graph.init_of(e)
-            if i != cur:
-                out.extend(forest_path(cur, i))
-            out.append(e)
-            cur = prev_graph.term_of(e)
-        if cur != self.base_before:
-            out.extend(forest_path(cur, self.base_before))
-        return reduce_word(out)
-
-
-# ---------------------------------------------------------------------------
 # graph maps
 # ---------------------------------------------------------------------------
 
@@ -208,21 +102,24 @@ class GraphMap:
     """A self-map of a marked graph representing an endomorphism of F."""
 
     def __init__(self, graph: MarkedGraph, vimg: dict, eimg: dict,
-                 marking: tuple, rank: int, history: tuple = (),
-                 prev_graphs: tuple = ()):
+                 marking: tuple, rank: int, labels: dict, history: tuple = ()):
         self.graph = graph
         self.vimg = dict(vimg)
         self.eimg = {e: tuple(p) for (e, p) in eimg.items()}
         self.marking = tuple(tuple(m) for m in marking)
         self.rank = rank
-        self.history = tuple(history)        # records, oldest first
-        self.prev_graphs = tuple(prev_graphs)
+        self.labels = dict(labels)         # unoriented id -> word along +e
+        self.history = tuple(history)      # push map of each move, oldest first
 
     # -- basics ---------------------------------------------------------------
 
     def image_of_edge(self, e: int) -> EdgePath:
         p = self.eimg[abs(e)]
         return p if e > 0 else tuple(-x for x in reversed(p))
+
+    def label_of(self, e: int) -> Word:
+        w = self.labels[abs(e)]
+        return w if e > 0 else invert(w)
 
     def map_path(self, path: Sequence[int]) -> EdgePath:
         out: list[int] = []
@@ -248,15 +145,12 @@ class GraphMap:
             assert g.is_path(m) and g.init_of(m[0]) == g.base \
                 and g.term_of(m[-1]) == g.base
 
-    # -- pullback to F ----------------------------------------------------------
+    # -- words in F ---------------------------------------------------------------
 
     def path_to_word(self, path: Sequence[int]) -> Word:
-        """Pull a loop back through every move; on the rose, edge ids are
-        the ambient generators."""
-        path = reduce_word(path)
-        for record, prev in zip(reversed(self.history), reversed(self.prev_graphs)):
-            path = record.pull(path, prev)
-        return reduce_word(path)
+        """Word in F of a loop at the base: the reduced product of its
+        edge labels."""
+        return reduce_word(x for e in path for x in self.label_of(e))
 
     def loop_at_base(self, path: Sequence[int]) -> EdgePath:
         """Close a path into a base loop along shortest connectors."""
@@ -279,29 +173,42 @@ class GraphMap:
     @staticmethod
     def rose(endo: Endomorphism) -> "GraphMap":
         """One vertex, one edge per generator, edge images spelling the
-        generator images."""
+        generator images; edge i is labeled by generator i."""
         r = endo.rank
         graph = MarkedGraph(1, {i: (0, 0) for i in range(1, r + 1)},
                             {i: 1.0 for i in range(1, r + 1)})
         eimg = {i: tuple(endo.images[i - 1]) for i in range(1, r + 1)}
         marking = tuple((i,) for i in range(1, r + 1))
-        return GraphMap(graph, {0: 0}, eimg, marking, r)
+        labels = {i: (i,) for i in range(1, r + 1)}
+        return GraphMap(graph, {0: 0}, eimg, marking, r, labels)
 
-    def _derive(self, graph, vimg, eimg, marking, record) -> "GraphMap":
-        return GraphMap(graph, vimg, eimg, marking, self.rank,
-                        self.history + (record,), self.prev_graphs + (self.graph,))
+    def _derive(self, graph, vimg, eimg, marking, labels, push) -> "GraphMap":
+        return GraphMap(graph, vimg, eimg, marking, self.rank, labels,
+                        self.history + (push,))
+
+    def _relabel(self, h: dict) -> dict:
+        """Labels after each vertex v is re-attached along the word h[v]
+        (default 1): an edge from a to b gets h[a] . label . h[b]^-1, so
+        that loops keep their words once the moved vertices merge."""
+        out = {}
+        for e, (a, b) in self.graph.edges.items():
+            w = self.labels[e]
+            if a in h or b in h:
+                w = concat(h.get(a, ()), w, invert(h.get(b, ())))
+            out[e] = w
+        return out
 
     # -- moves --------------------------------------------------------------------
 
     def tighten(self) -> "GraphMap":
         eimg = {e: reduce_word(p) for (e, p) in self.eimg.items()}
         return GraphMap(self.graph, self.vimg, eimg, self.marking, self.rank,
-                        self.history, self.prev_graphs)
+                        self.labels, self.history)
 
     def subdivide(self, edge: int, k: int) -> "GraphMap":
         """Split edge at the point mapping to position k of its image path;
         0 <= k <= len(image) is allowed, the extreme values giving a
-        trivial-image half."""
+        trivial-image half.  The first half keeps the edge's label."""
         g = self.graph
         p = self.eimg[edge]
         if not 0 <= k <= len(p):
@@ -342,10 +249,12 @@ class GraphMap:
         # vertex images live in the old graph; translate through sub()
         # only edge paths need translation, vertices persist
         marking = tuple(sub(m) for m in self.marking)
+        labels = dict(self.labels)
+        del labels[edge]
+        labels[e1] = self.labels[edge]
+        labels[e2] = ()
         graph = MarkedGraph(g.nv + 1, new_edges, new_lengths, g.base)
-        record = _SubstRecord({e1: (edge,), e2: ()}, push={edge: (e1, e2)})
-        gm = self._derive(graph, vimg, eimg, marking, record)
-        return gm
+        return self._derive(graph, vimg, eimg, marking, labels, {edge: (e1, e2)})
 
     def fold(self, d1: int, d2: int) -> "GraphMap":
         """Identify two distinct oriented edges with the same initial vertex
@@ -392,14 +301,15 @@ class GraphMap:
         vimg = {remap_v(v): remap_v(img) for (v, img) in self.vimg.items()
                 if v != v2}
         marking = tuple(sub(m) for m in self.marking)
+        # c is the word of the connector v2 -> v1; the base keeps its
+        # attachment, so base loops are never conjugated
+        c = concat(self.label_of(-d2), self.label_of(d1))
+        labels = self._relabel({v1: c} if v2 == g.base else {v2: invert(c)})
+        del labels[e_rem]
         base = remap_v(g.base)
         graph = MarkedGraph(g.nv - 1, new_edges, new_lengths, base)
-        # the record pulls paths back in the previous graph's vertex ids
-        connector = (-d2, d1)   # path v2 -> v1 in the previous graph
         push = {e_rem: (d1,) if d2 > 0 else (-d1,)}
-        record = _JumpRecord({}, v1, v2, connector, g.base, push)
-        gm = self._derive(graph, vimg, eimg, marking, record)
-        return gm
+        return self._derive(graph, vimg, eimg, marking, labels, push)
 
     def collapse_forest(self, edge_set) -> "GraphMap":
         """Collapse an f-invariant forest.  Validity: the set contains no
@@ -441,64 +351,32 @@ class GraphMap:
         for v in survivors:
             vimg[renum[v]] = renum[rep_of[self.vimg[v]]]
         marking = tuple(sub(m) for m in self.marking)
+        # h[v]: word of the tree path to v from its class's anchor, the base
+        # in the base's class and the least vertex (the representative) in
+        # every other class
+        forest: dict = {}
+        for e in edge_set:
+            (a, b) = g.edges[e]
+            forest.setdefault(a, []).append(e)
+            forest.setdefault(b, []).append(-e)
+        h: dict = {}
+        for anchor in (g.base, *sorted(forest)):
+            if anchor in h:
+                continue
+            h[anchor] = ()
+            stack = [anchor]
+            while stack:
+                v = stack.pop()
+                for d in forest.get(v, ()):
+                    w = g.term_of(d)
+                    if w not in h:
+                        h[w] = concat(h[v], self.label_of(d))
+                        stack.append(w)
+        labels = {e: w for e, w in self._relabel(h).items() if e not in edge_set}
         graph = MarkedGraph(len(survivors), new_edges, new_lengths,
                             renum[rep_of[g.base]])
-        record = _ForestRecord(edge_set, rep_of, g.base)
-        # account for the renumbering inside the record pull: pulled paths are
-        # in the previous graph already, so renumbering does not affect them
-        gm = self._derive(graph, vimg, eimg, marking, record)
-        return gm
-
-    def remove_valence_two(self, v: int) -> "GraphMap":
-        """Merge the two edges at a valence-two vertex into one."""
-        g = self.graph
-        if v == g.base:
-            raise ValueError("will not remove the base vertex")
-        dirs = [d for d in g.all_directions() if g.init_of(d) == v]
-        if len(dirs) != 2 or abs(dirs[0]) == abs(dirs[1]):
-            raise ValueError("vertex is not a clean valence-two point")
-        if any(img == v for img in self.vimg.values()):
-            raise ValueError("a vertex maps to the removed point")
-        d_in, d_out = -dirs[0], dirs[1]   # d_in ends at v, d_out leaves v
-        for p in list(self.eimg.values()) + list(self.marking):
-            if p and (g.init_of(p[0]) == v or g.term_of(p[-1]) == v):
-                raise ValueError("an image path ends at the removed point")
-        enew = max(g.edges) + 1
-        new_edges = dict(g.edges)
-        del new_edges[abs(d_in)]
-        del new_edges[abs(d_out)]
-        new_edges[enew] = (g.init_of(d_in), g.term_of(d_out))
-        new_lengths = dict(g.lengths)
-        le = new_lengths.pop(abs(d_in)) + new_lengths.pop(abs(d_out))
-        new_lengths[enew] = le
-
-        def sub(path):
-            out = []
-            i = 0
-            path = list(path)
-            while i < len(path):
-                if path[i] == d_in and i + 1 < len(path) and path[i + 1] == d_out:
-                    out.append(enew)
-                    i += 2
-                elif path[i] == -d_out and i + 1 < len(path) and path[i + 1] == -d_in:
-                    out.append(-enew)
-                    i += 2
-                elif abs(path[i]) in (abs(d_in), abs(d_out)):
-                    raise ValueError("image path passes the vertex irregularly")
-                else:
-                    out.append(path[i])
-                    i += 1
-            return tuple(out)
-
-        eimg = {e: sub(p) for (e, p) in self.eimg.items()
-                if e not in (abs(d_in), abs(d_out))}
-        eimg[enew] = sub(reduce_word(self.image_of_edge(d_in) + self.image_of_edge(d_out)))
-        vimg = {w: img for (w, img) in self.vimg.items() if w != v}
-        marking = tuple(sub(m) for m in self.marking)
-        # vertices keep their numbers; nv shrinks only nominally
-        graph = MarkedGraph(g.nv, new_edges, new_lengths, g.base)
-        record = _SubstRecord({enew: (d_in, d_out)}, push=None)
-        return self._derive(graph, vimg, eimg, marking, record)
+        return self._derive(graph, vimg, eimg, marking, labels,
+                            {e: () for e in edge_set})
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +504,7 @@ def with_eigenmetric(gm: GraphMap) -> tuple:
     lengths = {e: data.eigenmetric[i] for i, e in enumerate(data.edge_order)}
     graph = MarkedGraph(gm.graph.nv, dict(gm.graph.edges), lengths, gm.graph.base)
     out = GraphMap(graph, gm.vimg, gm.eimg, gm.marking, gm.rank,
-                   gm.history, gm.prev_graphs)
+                   gm.labels, gm.history)
     return out, data
 
 
@@ -702,28 +580,21 @@ def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:
                     else gm.vimg[g.edges[e][0]]
 
     marking = tuple(tuple(expand(m)) for m in gm.marking)
-    subst = {}
-    for e, ids in piece_ids.items():
-        if ids == [e]:
-            continue
-        subst[ids[0]] = (e,)
-        for eid in ids[1:]:
-            subst[eid] = ()
-    record = _SubstRecord(
-        subst, push={e: tuple(ids) for e, ids in piece_ids.items() if ids != [e]})
-    return GraphMap(graph, vimg, eimg, marking, gm.rank,
-                    gm.history + (record,), gm.prev_graphs + (gm.graph,))
+    # the first piece of a cut edge keeps its label
+    labels = {ids[0]: gm.labels[e] for e, ids in piece_ids.items()}
+    labels.update((eid, ()) for ids in piece_ids.values() for eid in ids[1:])
+    push = {e: tuple(ids) for e, ids in piece_ids.items() if ids != [e]}
+    return GraphMap(graph, vimg, eimg, marking, gm.rank, labels,
+                    gm.history + (push,))
 
 
 def transport_path(gm_new: GraphMap, start_index: int, path) -> EdgePath:
-    """Push a path forward through the moves recorded from start_index on;
-    only substitution-style moves (subdivide, fold, collapse, refine)
-    support this."""
+    """Push a path forward through the moves made since `start_index`: each
+    move in `history` keeps the map from its old edges to their paths in
+    the new graph (a folded edge to its partner, a collapsed one to the
+    empty path, a cut one to its pieces)."""
     path = tuple(path)
-    for record in gm_new.history[start_index:]:
-        push = getattr(record, "push", None)
-        if push is None:
-            raise ValueError("move does not support forward transport")
+    for push in gm_new.history[start_index:]:
         out = []
         for e in path:
             if abs(e) in push:

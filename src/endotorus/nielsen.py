@@ -99,17 +99,6 @@ class Toroidal:
 
 
 # ---------------------------------------------------------------------------
-# bounded cancellation radius
-# ---------------------------------------------------------------------------
-
-def cancellation_radius(tt: TrainTrack) -> float:
-    """Bounded-cancellation radius of the scan of a representative; it is
-    kept on the train track (`TrainTrack.radius`), so a representative that
-    is scanned and then reported computes it once."""
-    return tt.radius
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -238,7 +227,7 @@ def scan_pinps(tt: TrainTrack, period_bound: int = 8) -> tuple:
     The cancellation radius is that of the incoming representative (the
     value `stabilize` records for it); the refinement preserves the map and
     the metric, so the bound carries over."""
-    radius = cancellation_radius(tt)
+    radius = tt.radius
     tt = prepare_representative(tt, min(INTERIOR_BOUND, period_bound))
     return tt, _enumerate_on(tt, period_bound, radius)
 
@@ -480,7 +469,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     of STABILIZE_STEPS folds runs out, or a fold fails, a representative is
     returned with stable=False; its orbits and the fold log remain valid
     data."""
-    radius = cancellation_radius(tt)
+    radius = tt.radius
     tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
         return StableRepresentative(tt, [], radius)
@@ -504,7 +493,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             moved = [transport_path(folded, len(gm.history), p)
                      for p in orbits[oi].paths]
             tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
-            radius2 = cancellation_radius(tt2)
+            radius2 = tt2.radius
             tt2, pinps = scan_pinps(tt2, period_bound)
             orbits2 = group_orbits(tt2, pinps)
         except ValueError:

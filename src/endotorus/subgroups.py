@@ -5,12 +5,13 @@ by positive generators, base vertex 0.  Graphs are normalized (core-pruned,
 BFS-renumbered) on construction, so equal subgroups compare equal.
 
 One fold serves every query: ImageGraph folds the subdivided rose spelling
-a list of generator words and records each identification.  Its folded
-graph is the Stallings graph (membership, index, intersections), and its
-history pulls paths back through the fold sequence.  That is what makes
-exact preimages under injective endomorphisms possible: fold the rose
-spelling the generator images, intersect with the target subgroup, and
-rewrite a basis of the intersection in petal coordinates.
+a list of generator words, and every edge carries a label, the word in the
+generators (the petals) that the edge stands for.  Its folded graph is the
+Stallings graph (membership, index, intersections), and a loop at its base
+reads as the reduced product of its labels.  That is what makes exact
+preimages under injective endomorphisms possible: fold the rose spelling
+the generator images, intersect with the target subgroup, and read a basis
+of the intersection in petal coordinates off the labels.
 """
 
 from __future__ import annotations
@@ -225,34 +226,27 @@ def stallings(rank: int, gens: Sequence[Sequence[int]]) -> SubgroupGraph:
 
 
 # ---------------------------------------------------------------------------
-# folding with history: image graphs, preimages, rewriting
+# labeled folding: image graphs, preimages, rewriting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FoldRecord:
-    kept_edge: int
-    removed_edge: int
-    kept_v: int      # vertex representative surviving the merge (time-local)
-    removed_v: int
-    connector: tuple  # path removed_v -> kept_v in the before graph
-    parallel: bool    # endpoints already equal: the fold drops graph rank
-
-
 class ImageGraph:
-    """The subdivided rose with one petal per generator word, folded with a
-    full record of identifications.  Supports membership in the subgroup the
-    words generate and exact rewriting of its elements in petal
-    coordinates (for an endomorphism's images: in the domain generators)."""
+    """The subdivided rose with one petal per generator word, folded.  Every
+    edge carries a label, a reduced word in the petals (for an
+    endomorphism's images: the domain generators); before any fold the
+    first edge of petal i is labeled i and the others 1.  A fold merges two
+    vertices and moves the labels at the removed one so that every loop at
+    the base keeps its word, which is the reduced product of its labels.
+    The folded graph is the Stallings graph of the generated subgroup
+    (membership, index, intersections), and its labels rewrite each element
+    in petal coordinates."""
 
     def __init__(self, rank: int, gens: Sequence[Word]):
         self.rank = rank
+        self.gens = tuple(gens)
+        self.edges: dict = {}    # eid -> (u, letter, v)
+        self.labels: dict = {}   # eid -> petal word along the letter
         nv = 1
-        self.edge_ends: dict = {}    # eid -> (u, letter, v) at creation time
-        self.petal_of: dict = {}     # eid -> (petal index, position)
-        self.petal_sign: dict = {}   # +1 if the petal runs along the edge
-        self.petal_len: list = []
         eid = 0
-        edges = []
         for pi, im in enumerate(gens):
             if not im:
                 raise ValueError("generator image must be nontrivial")
@@ -261,210 +255,110 @@ class ImageGraph:
                 nxt = 0 if j == len(im) - 1 else nv
                 if j != len(im) - 1:
                     nv += 1
+                petal = (pi + 1,) if j == 0 else ()
                 if x > 0:
-                    self.edge_ends[eid] = (prev, x, nxt)
-                    self.petal_sign[eid] = +1
+                    self.edges[eid] = (prev, x, nxt)
+                    self.labels[eid] = petal
                 else:
-                    self.edge_ends[eid] = (nxt, -x, prev)
-                    self.petal_sign[eid] = -1
-                self.petal_of[eid] = (pi, j)
-                edges.append(eid)
+                    self.edges[eid] = (nxt, -x, prev)
+                    self.labels[eid] = invert(petal)
                 prev = nxt
                 eid += 1
-            self.petal_len.append(len(im))
-        self.records: list = []
-        self._merge_parent: dict = {}  # vertex -> (kept vertex, record index)
-        self._fold(edges)
+        self.base = 0
+        # the words freely generate their subgroup iff no fold is parallel;
+        # free groups are Hopfian, so an endomorphism embeds iff its image
+        # subgroup has full rank
+        self.injective = True
+        self._fold()
+        # {vertex: {signed letter: (vertex, eid, sign)}} of the folded graph
+        self.adj: dict = {self.base: {}}
+        for e, (u, l, v) in self.edges.items():
+            self.adj.setdefault(u, {})[l] = (v, e, +1)
+            self.adj.setdefault(v, {})[-l] = (u, e, -1)
 
-    # vertex representative after the first t records
-    def _rep(self, x: int, t: int) -> int:
-        while x in self._merge_parent and self._merge_parent[x][1] < t:
-            x = self._merge_parent[x][0]
-        return x
-
-    def _ends_at(self, eid: int, t: int) -> tuple:
-        (u, l, v) = self.edge_ends[eid]
-        return (self._rep(u, t), l, self._rep(v, t))
-
-    def _fold(self, edges):
-        alive = set(edges)
+    def _fold(self):
+        """Fold the first clash in edge order until none is left.  The
+        removed vertex's edges move to the kept one: with c the word of the
+        connector from removed to kept, an edge gets h(a) . label . h(b)^-1
+        with h(removed) = c^-1, or h(kept) = c when the base is removed, so
+        base loops are never conjugated."""
+        edges, labels = self.edges, self.labels
         while True:
-            t = len(self.records)
             out: dict = {}
             inn: dict = {}
             clash = None
-            for e in sorted(alive):
-                (u, l, v) = self._ends_at(e, t)
+            for e in sorted(edges):
+                (u, l, v) = edges[e]
                 if (u, l) in out:
-                    clash = ("out", out[(u, l)], e)
+                    clash = (out[(u, l)], e, True)
                     break
                 if (v, l) in inn:
-                    clash = ("in", inn[(v, l)], e)
+                    clash = (inn[(v, l)], e, False)
                     break
                 out[(u, l)] = e
                 inn[(v, l)] = e
             if clash is None:
-                self.alive = alive
-                break
-            kind, e1, e2 = clash
-            (u1, l, v1) = self._ends_at(e1, t)
-            (u2, _, v2) = self._ends_at(e2, t)
-            if kind == "out":
-                kept_v, removed_v = v1, v2
-                connector = ((e2, -1), (e1, +1))
+                return
+            (e1, e2, outgoing) = clash
+            (u1, _, v1) = edges[e1]
+            (u2, _, v2) = edges.pop(e2)
+            w2 = labels.pop(e2)
+            if outgoing:
+                kept, removed = v1, v2
+                c = concat(invert(w2), labels[e1])
             else:
-                kept_v, removed_v = u1, u2
-                connector = ((e2, +1), (e1, -1))
-            parallel = kept_v == removed_v
-            rec = _FoldRecord(e1, e2, kept_v, removed_v, connector, parallel)
-            alive.discard(e2)
-            if not parallel:
-                self._merge_parent[removed_v] = (kept_v, t)
-            self.records.append(rec)
-
-    # -- final folded graph ----------------------------------------------------
-
-    def final_time(self) -> int:
-        return len(self.records)
-
-    def folded_adjacency(self) -> dict:
-        """{vertex: {signed letter: (vertex, eid, sign)}} of the folded graph."""
-        T = self.final_time()
-        fadj: dict = {self._rep(0, T): {}}
-        for e in self.alive:
-            (u, l, v) = self._ends_at(e, T)
-            fadj.setdefault(u, {})[l] = (v, e, +1)
-            fadj.setdefault(v, {})[-l] = (u, e, -1)
-        return fadj
-
-    def image_rank(self) -> int:
-        T = self.final_time()
-        verts = {self._rep(0, T)}
-        for e in self.alive:
-            (u, _, v) = self._ends_at(e, T)
-            verts.add(u)
-            verts.add(v)
-        return len(self.alive) - len(verts) + 1
-
-    def is_injective(self) -> bool:
-        """Whether the words freely generate their subgroup, iff no fold was
-        parallel.  Free groups are Hopfian on rank: an endomorphism embeds
-        iff its image subgroup has full rank."""
-        return self.image_rank() == len(self.petal_len)
+                kept, removed = u1, u2
+                c = concat(w2, invert(labels[e1]))
+            if kept == removed:
+                self.injective = False   # the fold drops the graph rank
+                continue
+            if removed == self.base:
+                (h, self.base) = ({kept: c}, kept)
+            else:
+                h = {removed: invert(c)}
+            for e, (u, l, v) in edges.items():
+                if u in h or v in h:
+                    labels[e] = concat(h.get(u, ()), labels[e], invert(h.get(v, ())))
+                if u == removed or v == removed:
+                    edges[e] = (kept if u == removed else u, l,
+                                kept if v == removed else v)
 
     def subgroup(self) -> SubgroupGraph:
         """The generated subgroup as a plain SubgroupGraph."""
-        T = self.final_time()
-        adj: dict = {self._rep(0, T): {}}
-        for e in self.alive:
-            (u, l, v) = self._ends_at(e, T)
-            adj.setdefault(u, {})[l] = v
-            adj.setdefault(v, {})[-l] = u
-        return SubgroupGraph(self.rank, adj, self._rep(0, T))
-
-    # -- pullback --------------------------------------------------------------
-
-    def _tighten(self, path):
-        out = []
-        for step in path:
-            if out and out[-1][0] == step[0] and out[-1][1] == -step[1]:
-                out.pop()
-            else:
-                out.append(step)
-        return out
-
-    def _pull_once(self, path, k: int):
-        """Path valid after record k becomes a path valid after record k-1..k
-        boundary (i.e. before record k), anchored at the base."""
-        rec = self.records[k]
-        if rec.parallel:
-            raise ValueError("pullback through a rank-dropping fold is not sound")
-        base_before = self._rep(0, k)
-
-        def ends(step):
-            (e, s) = step
-            (u, l, v) = self._ends_at(e, k)
-            return (u, v) if s > 0 else (v, u)
-
-        def hop(frm, to):
-            if frm == rec.removed_v and to == rec.kept_v:
-                return list(rec.connector)
-            if frm == rec.kept_v and to == rec.removed_v:
-                return [(e, -s) for (e, s) in reversed(rec.connector)]
-            raise AssertionError("pullback endpoint jump at a non-merged vertex")
-
-        out = []
-        cur = base_before
-        for step in path:
-            (i, t) = ends(step)
-            if i != cur:
-                out.extend(hop(cur, i))
-            out.append(step)
-            cur = t
-        if cur != base_before:
-            out.extend(hop(cur, base_before))
-        return self._tighten(out)
-
-    def pull_loop(self, path) -> list:
-        """Pull a loop at the folded base all the way back to the unfolded
-        rose of petals; returns a petal-path [(eid, sign), ...]."""
-        path = self._tighten(list(path))
-        for k in range(len(self.records) - 1, -1, -1):
-            path = self._pull_once(path, k)
-        return path
-
-    def petal_word(self, path) -> Word:
-        """Read a loop in the unfolded rose as a word in the domain
-        generators (one letter per full petal traversal)."""
-        out = []
-        i = 0
-        while i < len(path):
-            (e, s) = path[i]
-            (pi, pos) = self.petal_of[e]
-            n = self.petal_len[pi]
-            forward = s == self.petal_sign[e]
-            if i + n > len(path):
-                raise AssertionError("partial petal traversal")
-            for j in range(n):
-                (e2, s2) = path[i + j]
-                want = (pi, j) if forward else (pi, n - 1 - j)
-                want_sign = self.petal_sign[e2] if forward else -self.petal_sign[e2]
-                if self.petal_of[e2] != want or s2 != want_sign:
-                    raise AssertionError("broken petal traversal")
-            if (pos, forward) not in (((0, True)), ((n - 1, False))):
-                raise AssertionError("partial petal traversal")
-            out.append(pi + 1 if forward else -(pi + 1))
-            i += n
-        return reduce_word(out)
+        adj = {v: {l: w for l, (w, _, _) in nbrs.items()}
+               for v, nbrs in self.adj.items()}
+        return SubgroupGraph(self.rank, adj, self.base)
 
     # -- rewriting ---------------------------------------------------------------
 
-    def trace_word(self, word: Sequence[int]):
-        """Trace a reduced word in the folded graph from the base; returns the
-        edge path [(eid, sign), ...] or None if it leaves the graph."""
-        fadj = self.folded_adjacency()
-        T = self.final_time()
-        v = self._rep(0, T)
-        out = []
-        for x in reduce_word(word):
-            if x not in fadj.get(v, {}):
-                return None
-            (w, e, s) = fadj[v][x]
-            out.append((e, s))
-            v = w
-        return out, v
+    def loop_word(self, path) -> Word:
+        """The petal word w of a loop [(eid, sign), ...] at the base, read
+        off its labels.  Checked exactly: the generator words must spell
+        the loop's own letters when substituted into w."""
+        w = reduce_word(x for (e, s) in path
+                        for x in (self.labels[e] if s > 0 else invert(self.labels[e])))
+        letters = reduce_word(self.edges[e][1] * s for (e, s) in path)
+        spelled = reduce_word(y for x in w for y in (
+            self.gens[x - 1] if x > 0 else invert(self.gens[-x - 1])))
+        if spelled != letters:
+            raise AssertionError("edge labels do not spell the loop")
+        return w
 
     def express(self, h: Sequence[int]) -> Word:
         """For h in the image subgroup of an injective endo, the unique w with
         phi(w) = h."""
-        if not self.is_injective():
+        if not self.injective:
             raise ValueError("rewriting requires an injective endomorphism")
-        traced = self.trace_word(h)
-        T = self.final_time()
-        if traced is None or traced[1] != self._rep(0, T):
+        v = self.base
+        path = []
+        for x in reduce_word(h):
+            if x not in self.adj[v]:
+                raise ValueError("element is not in the image subgroup")
+            (v, e, s) = self.adj[v][x]
+            path.append((e, s))
+        if v != self.base:
             raise ValueError("element is not in the image subgroup")
-        w = self.petal_word(self.pull_loop(traced[0]))
-        return w
+        return self.loop_word(path)
 
 
 def is_injective(endo: Endomorphism) -> bool:
@@ -472,15 +366,15 @@ def is_injective(endo: Endomorphism) -> bool:
     kernel."""
     if not all(endo.images):
         return False
-    return ImageGraph(endo.rank, endo.images).is_injective()
+    return ImageGraph(endo.rank, endo.images).injective
 
 
 def invert_automorphism(endo: Endomorphism) -> Endomorphism:
     """Inverse of an automorphism, by rewriting each generator in the image
-    basis through the fold history."""
+    basis through the edge labels."""
     ig = ImageGraph(endo.rank, endo.images)
     sub = ig.subgroup()
-    if not (ig.is_injective() and sub.index() == 1):
+    if not (ig.injective and sub.index() == 1):
         raise ValueError("not an automorphism")
     images = tuple(ig.express((i,)) for i in range(1, endo.rank + 1))
     inv = Endomorphism(endo.rank, images)
@@ -490,22 +384,19 @@ def invert_automorphism(endo: Endomorphism) -> Endomorphism:
 def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
     """Stallings graph of phi^{-1}(<G>).
 
-    For injective phi: intersect the image subgroup with G, then rewrite a
-    basis of the intersection in the domain generators through the fold
-    history.  A non-injective phi is only supported in the degenerate case
-    where every generator image already lies in <G> (then the preimage is all
-    of F); otherwise the preimage need not be finitely generated.
+    For injective phi: intersect the image subgroup with G, then read a
+    basis of the intersection in the domain generators off the edge labels.
+    A non-injective phi is only supported in the degenerate case where
+    every generator image already lies in <G> (then the preimage is all of
+    F); otherwise the preimage need not be finitely generated.
     """
     if all(G.contains(im) for im in endo.images):
         return SubgroupGraph.full_group(endo.rank)
     ig = ImageGraph(endo.rank, endo.images)
-    if not ig.is_injective():
+    if not ig.injective:
         raise ValueError("preimage for non-injective maps is only defined "
                          "when the whole image lies in the subgroup")
-    fadj = ig.folded_adjacency()
-    T = ig.final_time()
-    s_base = ig._rep(0, T)
-    start = (s_base, 0)
+    start = (ig.base, 0)
     tree: dict = {start: []}
     parent_edge: dict = {start: None}
     queue = [start]
@@ -513,8 +404,8 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
     closed = set()
     while queue:
         (p, q) = queue.pop(0)
-        for l in sorted(fadj.get(p, {}), key=_ord):
-            (p2, e, s) = fadj[p][l]
+        for l in sorted(ig.adj[p], key=_ord):
+            (p2, e, s) = ig.adj[p][l]
             q2 = G.step(q, l)
             if q2 is None:
                 continue
@@ -533,7 +424,7 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
                 closed.add(edge_id)
                 back = [(e2, -s2) for (e2, s2) in reversed(tree[key])]
                 loops.append(tree[(p, q)] + [(e, s)] + back)
-    gens = [ig.petal_word(ig.pull_loop(lp)) for lp in loops]
+    gens = [ig.loop_word(lp) for lp in loops]
     return SubgroupGraph.from_generators(endo.rank, gens)
 
 

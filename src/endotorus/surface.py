@@ -52,7 +52,7 @@ from endotorus.words import (
 
 
 class InternalInconsistency(RuntimeError):
-    """A certified invariant failed; reported with exit code 2 by the CLI."""
+    """A certified invariant failed; reported with exit code 3 by the CLI."""
 
 
 @dataclass

@@ -274,63 +274,40 @@ def _subgraph_components(gm: GraphMap, edge_set) -> list:
     return comps
 
 
-def invariant_subgraph(gm: GraphMap) -> Optional[frozenset]:
-    """Largest proper f-invariant edge set carrying fundamental group, or
-    None.  Maximal proper invariant sets are complements of source components
-    of the edge digraph."""
+def _source_complements(gm: GraphMap):
+    """The maximal proper f-invariant edge sets: the complement of each
+    source component of the edge digraph (a strong component that no other
+    one maps into), in component order; nothing when the digraph is
+    strongly connected."""
     digraph = _edge_digraph(gm)
     comps = _sccs(digraph)
     if len(comps) <= 1:
-        return None
-    comp_of = {}
+        return
+    comp_of = {e: i for i, c in enumerate(comps) for e in c}
+    entered = {comp_of[t] for e, targets in digraph.items() for t in targets
+               if comp_of[e] != comp_of[t]}
     for i, c in enumerate(comps):
-        for e in c:
-            comp_of[e] = i
-    incoming = {i: 0 for i in range(len(comps))}
-    for e, targets in digraph.items():
-        for t in targets:
-            if comp_of[e] != comp_of[t]:
-                incoming[comp_of[t]] += 1
-    best = None
-    for i, c in enumerate(comps):
-        if incoming[i] != 0:
-            continue
         rest = frozenset(digraph) - frozenset(c)
-        if not rest:
-            continue
+        if i not in entered and rest:
+            yield rest
+
+
+def invariant_subgraph(gm: GraphMap) -> Optional[frozenset]:
+    """Largest proper f-invariant edge set carrying fundamental group, or
+    None."""
+    best = None
+    for rest in _source_complements(gm):
         rank = sum(len(es) - len(vs) + 1 for (vs, es) in _subgraph_components(gm, rest))
-        if rank <= 0:
-            continue
-        if best is None or len(rest) > len(best):
+        if rank > 0 and (best is None or len(rest) > len(best)):
             best = rest
     return best
 
 
 def largest_invariant_forest(gm: GraphMap) -> Optional[frozenset]:
     """A proper invariant edge set that is a forest (to collapse), or None."""
-    digraph = _edge_digraph(gm)
-    comps = _sccs(digraph)
-    if len(comps) <= 1:
-        return None
-    comp_of = {}
-    for i, c in enumerate(comps):
-        for e in c:
-            comp_of[e] = i
-    incoming = {i: 0 for i in range(len(comps))}
-    for e, targets in digraph.items():
-        for t in targets:
-            if comp_of[e] != comp_of[t]:
-                incoming[comp_of[t]] += 1
-    for i, c in enumerate(comps):
-        if incoming[i] != 0:
-            continue
-        rest = frozenset(digraph) - frozenset(c)
-        if not rest:
-            continue
-        if all(len(es) - len(vs) + 1 <= 0
-               for (vs, es) in _subgraph_components(gm, rest)):
-            return rest
-    return None
+    return next((rest for rest in _source_complements(gm)
+                 if all(len(es) - len(vs) + 1 <= 0
+                        for (vs, es) in _subgraph_components(gm, rest))), None)
 
 
 def _primitive_root(c: Word) -> Word:

@@ -57,13 +57,22 @@ class TestParse:
         assert spec.expect == "geometric"
 
     def test_roundtrip(self):
-        spec = parse("rank 2; a -> a b; b -> b a;")
-        again = parse(spec.render())
-        assert again.endo == spec.endo and again.rank == spec.rank
+        # a trivial image renders as 1 and parses back
+        for text in ("rank 2; a -> a b; b -> b a;", "rank 2; a -> b B; b -> a b;",
+                     "rank 3; a -> a A; b -> c; c -> b a;"):
+            spec = parse(text)
+            again = parse(spec.render())
+            assert again.endo == spec.endo and again.rank == spec.rank
 
     def test_rank_one_rejected(self):
         with pytest.raises(ParseError):
             parse("rank 1; a -> a;")
+
+    def test_empty_image_needs_the_one(self):
+        assert parse("rank 2; a -> 1; b -> a;").endo.images == ((), (1,))
+        for text in ("rank 2; a -> ; b -> a;", "rank 2; a -> 1 b; b -> a;"):
+            with pytest.raises(ParseError):
+                parse(text)
 
 
 class TestRun:

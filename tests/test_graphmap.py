@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from endotorus import graphmap, nielsen, traintrack
 from endotorus.cli import parse, run
-from endotorus.nielsen import scan_pinps
-from endotorus.traintrack import find_train_track
-from endotorus.words import Endomorphism, is_conjugate, parse_word, reduce_word
+from endotorus.nielsen import scan_pinps, stabilize
+from endotorus.subgroups import SubgroupGraph
+from endotorus.traintrack import TrainTrack, find_train_track
+from endotorus.words import Endomorphism, invert, is_conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
     GraphMap,
     TransitionData,
@@ -117,16 +118,6 @@ class TestMoves:
         back.check_consistency()
         for g in (1, 2):
             assert is_conjugate(back.induced_generator_image(g), GOLDEN.images[g - 1])
-
-    def test_subdivide_then_remove_valence_two(self):
-        gm = rose(GOLDEN)
-        split = gm.subdivide(1, 1)
-        split.check_consistency()
-        new_vertex = split.graph.nv - 1
-        merged = split.remove_valence_two(new_vertex)
-        merged.check_consistency()
-        for g in (1, 2):
-            assert is_conjugate(merged.induced_generator_image(g), GOLDEN.images[g - 1])
 
     def test_fold_merges_edges_with_equal_images(self):
         # map with f(a) = ab, f(b) = ab: not injective, but the fold itself
@@ -277,14 +268,20 @@ def reference_transition_matrix(gm):
 
 
 @st.composite
-def subdivided_roses(draw):
-    """A rose of a random map with nontrivial images, split a few times."""
+def random_maps(draw, max_len):
+    """A rank-2/3 map with nontrivial images of up to max_len letters."""
     rank = draw(st.integers(2, 3))
     letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
-    images = draw(st.lists(st.lists(letters, min_size=1, max_size=6)
+    images = draw(st.lists(st.lists(letters, min_size=1, max_size=max_len)
                            .map(reduce_word).filter(bool),
                            min_size=rank, max_size=rank))
-    gm = rose(Endomorphism(rank, tuple(images)))
+    return Endomorphism(rank, tuple(images))
+
+
+@st.composite
+def subdivided_roses(draw):
+    """A rose of a random map with nontrivial images, split a few times."""
+    gm = rose(draw(random_maps(6)))
     for _ in range(draw(st.integers(0, 6))):
         long = [e for e in gm.graph.edge_ids() if len(gm.eimg[e]) >= 2]
         if not long:
@@ -315,3 +312,52 @@ class TestTransitionOracle:
     @settings(max_examples=60, deadline=None)
     def test_random_graph_maps_match_the_dense_product(self, gm):
         assert transition_matrix(gm) == reference_transition_matrix(gm)
+
+
+# ---------------------------------------------------------------------------
+# edge labels: every intermediate graph of the pipeline stays marked
+# ---------------------------------------------------------------------------
+
+def moved_graph_maps(endo):
+    """Every GraphMap made by a subdivision, fold, forest collapse or
+    refinement inside find_train_track and, on a train track, stabilize."""
+    made = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            made.append(out)
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("subdivide", "fold", "collapse_forest"):
+            patch.setattr(GraphMap, name, recording(getattr(GraphMap, name)))
+        patch.setattr(nielsen, "refine_at_points", recording(nielsen.refine_at_points))
+        tt = find_train_track(endo, max_iterations=15)
+        if isinstance(tt, TrainTrack) and tt.data.expanding:
+            stabilize(tt, period_bound=3)
+    return made
+
+
+def assert_marked(gm, endo):
+    """The edge loops' words generate F, and f acts on each as phi does, up
+    to conjugacy.  Both orientations are needed: a tree edge's loop, read
+    against the tree, may come back along the same edge and be trivial."""
+    g = gm.graph
+    loops = [gm.loop_at_base((d,)) for d in g.all_directions()]
+    words = [gm.path_to_word(lp) for lp in loops]
+    assert SubgroupGraph.from_generators(endo.rank, words).index() == 1
+    q = g.shortest_path(g.base, gm.vimg[g.base])
+    for w, lp in zip(words, loops):
+        image = gm.path_to_word(reduce_word(q + gm.map_path(lp) + invert(q)))
+        assert is_conjugate(endo.apply(w), image)
+
+
+class TestLabels:
+    @given(random_maps(4))
+    @settings(max_examples=50, deadline=None)
+    def test_every_intermediate_graph_is_marked(self, endo):
+        for gm in moved_graph_maps(endo):
+            assert_marked(gm, endo)
+

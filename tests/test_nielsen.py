@@ -22,7 +22,6 @@ from endotorus.nielsen import (
     _PowerImages,
     _enumerate_on,
     _ray,
-    cancellation_radius,
     critical_equation,
     group_orbits,
     nielsen_loops,
@@ -159,15 +158,15 @@ class TestLoops:
 class TestVerdict:
     def test_bcc_radius_positive(self):
         tt = golden_tt()
-        assert cancellation_radius(tt) > 0
+        assert tt.radius > 0
 
     def test_reported_radius_is_the_scan_radius(self):
         # the refinement lengthens edge images, so the refined graph's own
         # bound (27/7) is not the one the scan used
         tt = find_train_track(PHI)
         stable = stabilize(tt)
-        assert stable.radius == cancellation_radius(tt) == 3.0
-        assert cancellation_radius(stable.tt) != stable.radius
+        assert stable.radius == tt.radius == 3.0
+        assert stable.tt.radius != stable.radius
         assert classify(PHI).atoroidal.radius == stable.radius
 
     def test_radius_belongs_to_the_returned_scan(self, monkeypatch):
@@ -176,7 +175,7 @@ class TestVerdict:
 
         def spy(tt, period_bound=8):
             out = real(tt, period_bound)
-            scanned[id(out[0])] = cancellation_radius(tt)
+            scanned[id(out[0])] = tt.radius
             return out
 
         monkeypatch.setattr(nielsen, "scan_pinps", spy)
@@ -337,7 +336,7 @@ def random_rank2_train_track(images, period_bound):
     assume(isinstance(tt, TrainTrack) and tt.data.expanding
            and tt.data.irreducible)
     return (prepare_representative(tt, min(INTERIOR_BOUND, period_bound)),
-            cancellation_radius(tt))
+            tt.radius)
 
 
 WORDS = st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)

@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from endotorus.words import Endomorphism, concat, invert, parse_word
+from endotorus.words import Endomorphism, concat, invert, parse_word, reduce_word
 from endotorus.subgroups import (
     ImageGraph,
     SubgroupGraph,
@@ -171,6 +171,12 @@ class TestRewriting:
         with pytest.raises(ValueError):
             ig.express(parse_word("a"))
 
+    def test_wrong_label_raises(self):
+        ig = ImageGraph(PHI.rank, PHI.images)
+        ig.labels = {e: () for e in ig.labels}
+        with pytest.raises(AssertionError):
+            ig.express(PHI.apply(parse_word("ab")))
+
     def test_invert_golden(self):
         inv = invert_automorphism(GOLDEN)
         assert inv.images == (parse_word("b"), parse_word("Ba"))
@@ -249,3 +255,34 @@ class TestFreeFactor:
     def test_whitehead_graph_of_rose(self):
         wh = whitehead_graph(SubgroupGraph.full_group(2))
         assert all(len(v) == 3 for v in wh.values())  # complete graph on 4 germs
+
+
+# ---------------------------------------------------------------------------
+# edge labels: rewriting and preimages on random injective maps
+# ---------------------------------------------------------------------------
+
+@st.composite
+def injective_cases(draw):
+    """(phi, domain words, generators of a target subgroup), phi injective."""
+    rank = draw(st.integers(2, 3))
+    words = words_of_rank(rank).map(reduce_word)
+    endo = Endomorphism(rank, tuple(draw(st.lists(words, min_size=rank, max_size=rank))))
+    assume(is_injective(endo))
+    return (endo, draw(st.lists(words, max_size=4)),
+            draw(st.lists(words, min_size=1, max_size=3)))
+
+
+class TestLabelRewriting:
+    @given(injective_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_express_and_preimage(self, case):
+        (endo, ws, gens) = case
+        ig = ImageGraph(endo.rank, endo.images)
+        for w in ws:
+            h = endo.apply(w)
+            assert endo.apply(ig.express(h)) == h
+            assert ig.express(h) == w      # phi is injective
+        G = stallings(endo.rank, gens)
+        for b in preimage(endo, G).basis():
+            assert G.contains(endo.apply(b))
+

@@ -1,4 +1,5 @@
-"""Digest of every command's report and every PINP scan on the corpus.
+"""Digest of every command's report, every PINP scan and every graph move
+on the corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
@@ -8,20 +9,28 @@ bytes.  After the `classify` line of an input come its scan lines
 `scan input k sha256`, one for the k-th `nielsen.scan_pinps` result inside
 that `classify` (k from 0): the hash covers the prepared graph's vertex and
 edge counts and the list of periodic indivisible Nielsen paths, so a scan
-change that does not reach the report bytes still shows.  Run it with
-PYTHONPATH set to each of two source trees and `diff` the outputs to check
-that a change leaves every report and every scan identical.
+change that does not reach the report bytes still shows.  The last line of
+an input is `moves input sha256`: after every subdivision, fold, forest
+collapse and refinement inside its `classify` and `tt`, in call order, the
+hash takes the ambient word `path_to_word(loop_at_base((e,)))` of every
+edge e of the new graph, so a change in how the marking is carried through
+the moves shows even where no report reads it.  Run it with PYTHONPATH set
+to each of two source trees and `diff` the outputs to check that a change
+leaves every report, every scan and every move identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from endotorus import nielsen
 from endotorus.cli import COMMANDS, parse, report_json, run
+from endotorus.graphmap import GraphMap
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+MOVE_COMMANDS = ("classify", "tt")
 
 
 def _sha(data: bytes) -> str:
@@ -34,34 +43,60 @@ def _scan_digest(result) -> str:
     return _sha(repr((tt.gm.graph.nv, len(tt.gm.graph.edges), paths)).encode())
 
 
-def _run_recording_scans(command: str, spec) -> tuple:
-    """(report, scan results) of one command; the scans are recorded by
-    wrapping `nielsen.scan_pinps`, which `stabilize` looks up at call time."""
-    scans: list = []
-    real = nielsen.scan_pinps
+def _edge_words(gm) -> list:
+    return [gm.path_to_word(gm.loop_at_base((e,))) for e in gm.graph.edge_ids()]
 
-    def recording(*args, **kwargs):
+
+@contextmanager
+def _recording(owner, name: str, record):
+    """Wrap `owner.name` so that `record` sees each result; the callers
+    look the name up at call time, so the wrapper is what they run."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
         result = real(*args, **kwargs)
-        scans.append(result)
+        record(result)
         return result
 
-    nielsen.scan_pinps = recording
+    setattr(owner, name, wrapper)
     try:
-        return run(command, spec), scans
+        yield
     finally:
-        nielsen.scan_pinps = real
+        setattr(owner, name, real)
+
+
+def _run_recording(command: str, spec) -> tuple:
+    """(report, scan results, edge words after each move) of one command;
+    the moves are recorded only for MOVE_COMMANDS."""
+    scans: list = []
+    moves: list = []
+
+    def move(gm):
+        moves.append(_edge_words(gm))
+
+    with ExitStack() as stack:
+        stack.enter_context(_recording(nielsen, "scan_pinps", scans.append))
+        if command in MOVE_COMMANDS:
+            stack.enter_context(_recording(nielsen, "refine_at_points", move))
+            for name in ("subdivide", "fold", "collapse_forest"):
+                stack.enter_context(_recording(GraphMap, name, move))
+        return run(command, spec), scans, moves
 
 
 def main() -> None:
     for path in sorted(CORPUS.glob("*.endo")):
         spec = parse(path.read_text())
+        moves: list = []
         for command in COMMANDS:
-            (report, scans) = _run_recording_scans(command, spec)
+            (report, scans, command_moves) = _run_recording(command, spec)
             print(f"{command} {path.stem} {_sha(report_json(report).encode())}",
                   flush=True)
             if command == "classify":
                 for k, result in enumerate(scans):
                     print(f"scan {path.stem} {k} {_scan_digest(result)}", flush=True)
+            if command in MOVE_COMMANDS:
+                moves.append((command, command_moves))
+        print(f"moves {path.stem} {_sha(repr(moves).encode())}", flush=True)
 
 
 if __name__ == "__main__":
