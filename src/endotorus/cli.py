@@ -27,6 +27,7 @@ from endotorus.traintrack import (
     FiniteOrderCertificate,
     ReductionWitness,
     TrainTrack,
+    Unknown,
 )
 from endotorus.nielsen import NielsenLoops, StableRepresentative, critical_equation
 from endotorus.surface import (
@@ -314,8 +315,11 @@ def _command_view(command: str, analysis: Analysis) -> dict:
                 del out["unknown"]["iterations"]
             return out
         out = {"stabilization": _stable_dict(stable)}
-        if analysis.loops is not None:
-            out["nielsen_loops"] = _loops_dict(analysis.loops)
+        loops = analysis.loops
+        if isinstance(loops, Unknown):
+            out["unknown"] = {"reason": loops.reason}
+        elif loops is not None:
+            out["nielsen_loops"] = _loops_dict(loops)
         return out
     if command == "surface":
         surf = analysis.surface

@@ -99,7 +99,12 @@ class MarkedGraph:
 # ---------------------------------------------------------------------------
 
 class GraphMap:
-    """A self-map of a marked graph representing an endomorphism of F."""
+    """A self-map of a marked graph representing an endomorphism of F.
+
+    `history` holds the push maps of the move that made this map, which is
+    what `transport_path` reads: one for a single move, one per step for a
+    composite move (`traintrack.fold_at_pair`).  A tighten or a change of
+    metric keeps it; the rose has none."""
 
     def __init__(self, graph: MarkedGraph, vimg: dict, eimg: dict,
                  marking: tuple, rank: int, labels: dict, history: tuple = ()):
@@ -109,7 +114,7 @@ class GraphMap:
         self.marking = tuple(tuple(m) for m in marking)
         self.rank = rank
         self.labels = dict(labels)         # unoriented id -> word along +e
-        self.history = tuple(history)      # push map of each move, oldest first
+        self.history = tuple(history)      # push maps of the last move
 
     # -- basics ---------------------------------------------------------------
 
@@ -183,8 +188,7 @@ class GraphMap:
         return GraphMap(graph, {0: 0}, eimg, marking, r, labels)
 
     def _derive(self, graph, vimg, eimg, marking, labels, push) -> "GraphMap":
-        return GraphMap(graph, vimg, eimg, marking, self.rank, labels,
-                        self.history + (push,))
+        return GraphMap(graph, vimg, eimg, marking, self.rank, labels, (push,))
 
     def _relabel(self, h: dict) -> dict:
         """Labels after each vertex v is re-attached along the word h[v]
@@ -584,17 +588,16 @@ def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:
     labels = {ids[0]: gm.labels[e] for e, ids in piece_ids.items()}
     labels.update((eid, ()) for ids in piece_ids.values() for eid in ids[1:])
     push = {e: tuple(ids) for e, ids in piece_ids.items() if ids != [e]}
-    return GraphMap(graph, vimg, eimg, marking, gm.rank, labels,
-                    gm.history + (push,))
+    return GraphMap(graph, vimg, eimg, marking, gm.rank, labels, (push,))
 
 
-def transport_path(gm_new: GraphMap, start_index: int, path) -> EdgePath:
-    """Push a path forward through the moves made since `start_index`: each
-    move in `history` keeps the map from its old edges to their paths in
-    the new graph (a folded edge to its partner, a collapsed one to the
-    empty path, a cut one to its pieces)."""
+def transport_path(gm_new: GraphMap, path) -> EdgePath:
+    """Push a path forward through the last move that made `gm_new`: each
+    push map in `history` sends the old edges to their paths in the new
+    graph (a folded edge to its partner, a collapsed one to the empty path,
+    a cut one to its pieces)."""
     path = tuple(path)
-    for push in gm_new.history[start_index:]:
+    for push in gm_new.history:
         out = []
         for e in path:
             if abs(e) in push:

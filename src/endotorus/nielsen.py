@@ -490,8 +490,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
         gm = tt.gm
         try:
             folded = fold_at_pair(gm, d1, d2).tighten()
-            moved = [transport_path(folded, len(gm.history), p)
-                     for p in orbits[oi].paths]
+            moved = [transport_path(folded, p) for p in orbits[oi].paths]
             tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
             radius2 = tt2.radius
             tt2, pinps = scan_pinps(tt2, period_bound)

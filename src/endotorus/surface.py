@@ -345,19 +345,26 @@ class Analysis:
         return stabilize(tt, period_bound=self.bounds.period_bound)
 
     @cached_property
-    def loops(self) -> Optional[NielsenLoops]:
-        """None without a periodic Nielsen path orbit."""
+    def loops(self):
+        """NielsenLoops; None without a periodic Nielsen path orbit, and
+        Unknown when the orbit paths do not close into loops."""
         stable = self.stable
         if stable is None or not stable.orbits:
             return None
-        return nielsen_loops(stable.tt, stable.orbits)
+        try:
+            return nielsen_loops(stable.tt, stable.orbits)
+        except ValueError as exc:
+            return Unknown(f"nielsen loops: {exc}")
 
     @cached_property
     def surface(self):
         """SurfaceRealization or NotSurface; None without Nielsen loops."""
-        if self.loops is None:
+        loops = self.loops
+        if loops is None:
             return None
-        return realize_surface(self.stable, self.loops)
+        if isinstance(loops, Unknown):
+            return NotSurface(loops.reason)
+        return realize_surface(self.stable, loops)
 
     @cached_property
     def verdict(self) -> Verdict:
@@ -402,6 +409,9 @@ class Analysis:
                          "representative")
         word_hit = self.word_hit
         loops = self.loops
+        if isinstance(loops, Unknown):
+            notes.append(loops.reason)
+            return conclude("unknown", stable=stable)
         if loops is None:
             if word_hit is not None:
                 raise InternalInconsistency(

@@ -218,6 +218,8 @@ def chi_zero_report(endo, max_period: int = 6, max_len: int = 12,
                        "factor": [list(w) for w in factor] if factor else None},
         "applicable": applicable,
     }
+    if verdict.kind == "unknown":
+        report["notes"] = verdict.notes   # which stage or bound stopped it
     if not applicable:
         reasons = []
         if not injective:

@@ -496,7 +496,9 @@ def _subdivide_head(gm: GraphMap, d: int, k: int):
 
 def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
     """Fold two directions whose images share their first edge, subdividing
-    as needed; full folds happen when the image paths coincide."""
+    as needed; full folds happen when the image paths coincide.  The result's
+    `history` lists the push map of every subdivision and of the fold."""
+    steps: tuple = ()
     for _ in range(8):
         if abs(d1) == abs(d2):
             # folding a loop edge onto its own reverse: split off the head,
@@ -509,6 +511,7 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
                 raise ValueError("degenerate self-fold")
             top = max(gm.graph.edges)
             gm = gm.subdivide(abs(d1), len(c))
+            steps += gm.history
             d1, d2 = top + 1, -(top + 2)
             continue
         p1 = gm.image_of_edge(d1)
@@ -516,12 +519,15 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
         if not p1 or not p2 or p1[0] != p2[0]:
             raise ValueError("directions do not share an initial image edge")
         if p1 == p2:
-            return gm.fold(d1, d2)
+            folded = gm.fold(d1, d2)
+            folded.history = steps + folded.history
+            return folded
         c = _common_prefix(p1, p2)
         if len(c) < len(p1):
             gm, d1 = _subdivide_head(gm, d1, len(c))
         else:
             gm, d2 = _subdivide_head(gm, d2, len(c))
+        steps += gm.history
     raise AssertionError("fold did not stabilize")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from endotorus import surface
+from endotorus import cli, surface
 from endotorus.cli import COMMANDS, ParseError, main, parse, report_json, run
 from endotorus.surface import Bounds, InternalInconsistency
 from endotorus.words import parse_word, periodic_conjugacy_search
@@ -187,6 +187,23 @@ class TestCommandLine:
         if command in ("tt", "nielsen"):
             assert rep["unknown"]["reason"].startswith(
                 "a loop edge has trivial image")
+
+    def test_unclosed_orbit_paths_report_unknown(self, monkeypatch):
+        # the orbit paths of this map do not close into Nielsen loops; each
+        # command reports an unknown that names the stage, not an error
+        spec = parse("rank 2; a -> b a b a b a; b -> a;")
+        analysis = surface.Analysis(spec.endo, Bounds())
+        monkeypatch.setattr(cli, "Analysis", lambda endo, bounds: analysis)
+        reason = "nielsen loops: orbit paths do not close into Nielsen loops"
+        reports = {command: run(command, spec) for command in COMMANDS}
+        for rep in reports.values():
+            assert "error" not in rep
+        assert reports["classify"]["verdict"]["kind"] == "unknown"
+        assert reason in reports["classify"]["verdict"]["notes"]
+        assert reports["nielsen"]["unknown"]["reason"] == reason
+        assert reports["surface"]["not_surface"]["reason"] == reason
+        assert reports["report"]["characterization"]["verdict"] == "unknown"
+        assert reason in reports["report"]["characterization"]["notes"]
 
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(

@@ -210,6 +210,23 @@ class TestFindTrainTrack:
                 got = result.gm.induced_generator_image(g)
                 assert is_conjugate(got, endo.images[g - 1])
 
+    def test_history_holds_only_the_last_move(self, monkeypatch):
+        # every graph map keeps the push maps of the move that made it, so
+        # the folding loop does not pile them up: fold_at_pair makes at
+        # most 8 subdivisions and one fold
+        made = []
+        real_init = GraphMap.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(GraphMap, "__init__", recording_init)
+        endo = parse((CORPUS / "inner_rank2.endo").read_text()).endo
+        find_train_track(endo, max_iterations=60)
+        assert len(made) > 60
+        assert max(len(gm.history) for gm in made) <= 9
+
     def test_deterministic(self):
         a = find_train_track(GOLDEN, seed=0)
         b = find_train_track(GOLDEN, seed=0)

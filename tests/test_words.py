@@ -9,10 +9,13 @@ from endotorus.cli import parse
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
+    _PeriodFilter,
     _canonical_cyclic_words,
     _invert_ords,
+    _kernel_trivial,
     _least_rotation,
     _letter,
+    _mat_mul,
     concat,
     conjugate,
     cyclic_canonical,
@@ -355,10 +358,18 @@ def _fkm_necklaces(rank, length, balanced_only):
     return out
 
 
+@lru_cache(maxsize=None)
 def reference_candidates(rank, length, balanced_only):
     """The FKM necklaces whose inverse class does not come first."""
     return [c for c in _fkm_necklaces(rank, length, balanced_only)
             if not _least_rotation(_invert_ords(c)) < c]
+
+
+def unfiltered_candidates(rank, length, balanced_only):
+    """The generator under the identity's filter, which admits every word."""
+    everything = _PeriodFilter(Endomorphism.identity(rank), 1, length)
+    return [c for c, _ in _canonical_cyclic_words(rank, length, balanced_only,
+                                                  everything)]
 
 
 def _balanced(w):
@@ -371,7 +382,7 @@ class TestGeneratorOracle:
         (2, 12, False), (2, 12, True), (3, 12, True), (3, 7, False)])
     def test_one_word_per_inverse_pair(self, rank, max_len, balanced_only):
         for length in range(1, max_len + 1):
-            assert _canonical_cyclic_words(rank, length, balanced_only) == \
+            assert unfiltered_candidates(rank, length, balanced_only) == \
                 reference_candidates(rank, length, balanced_only)
 
     @pytest.mark.parametrize("rank, max_len", [(2, 7), (3, 5)])
@@ -382,6 +393,215 @@ class TestGeneratorOracle:
             expected = [w for w in _class_representatives(rank, max_len)
                         if not balanced_only or _balanced(w)]
             assert listed == expected
+
+
+# ---------------------------------------------------------------------------
+# the class-two filter against the search without it
+# ---------------------------------------------------------------------------
+
+def unfiltered_search(endo, max_period, max_len):
+    """The search loop as it ran before the class-two filter: every
+    candidate of reference_candidates, an abelian filter per exponent
+    vector (all of them pass when no nonzero vector can), and the same
+    iteration, ordering and tie-breaking."""
+    rank = endo.rank
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    m = endo.abelianized()
+    cur = ident
+    constraints = []  # (M^n - I, M^n + I) for n = 1..max_period
+    for _ in range(max_period):
+        cur = _mat_mul(m, cur)
+        constraints.append(tuple(
+            tuple(tuple(cur[i][j] + s * ident[i][j] for j in range(rank))
+                  for i in range(rank)) for s in (-1, 1)))
+    balanced_only = all(_kernel_trivial(mi) and _kernel_trivial(pl)
+                        for mi, pl in constraints)
+
+    def in_kernel(a, v):
+        return all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+    images = [word_key(endo.image_of_letter(_letter(o))) for o in range(2 * rank)]
+    every = [True] * max_period
+    never = [False] * max_period
+    # exponent vector -> (ok_plus, ok_minus) per period, None if all False
+    filters: dict = {(0,) * rank: (every, every)}
+    best_plus = best_minus = None
+    for length in range(1, max_len + 1):
+        for cand in reference_candidates(rank, length, balanced_only):
+            if balanced_only:
+                ok_plus = ok_minus = every
+            else:
+                vec = tuple([cand.count(2 * i) - cand.count(2 * i + 1)
+                             for i in range(rank)])
+                ok = filters.get(vec, False)
+                if ok is False:
+                    ok_plus = [in_kernel(mi, vec) for (mi, _) in constraints]
+                    ok_minus = [in_kernel(pl, vec) for (_, pl) in constraints]
+                    ok = filters[vec] = ((ok_plus, ok_minus)
+                                         if any(ok_plus) or any(ok_minus) else None)
+                if ok is None:
+                    continue
+                ok_plus, ok_minus = ok
+            cand_inv = None
+            u = cand
+            limit = max_period
+            if best_plus is not None:
+                (limit, ok_minus) = (best_plus[0] - 1, never)
+            for n in range(1, limit + 1):
+                u = word_key(cyclic_reduce(tuple(
+                    x for o in u for x in map(_letter, images[o]))))
+                if not u or len(u) > max_len:
+                    break
+                if len(u) != length or not (ok_plus[n - 1] or ok_minus[n - 1]):
+                    continue
+                canon_u = _least_rotation(u)
+                if ok_plus[n - 1] and canon_u == cand:
+                    best_plus = (n, cand)
+                    break
+                if ok_minus[n - 1]:
+                    if cand_inv is None:
+                        cand_inv = _least_rotation(_invert_ords(cand))
+                    if canon_u == cand_inv and (best_minus is None
+                                                or n < best_minus[0]):
+                        best_minus = (n, cand)
+        if best_plus is not None and best_plus[0] == 1:
+            break
+    for (best, orientation) in ((best_plus, +1), (best_minus, -1)):
+        if best is not None:
+            return (tuple(map(_letter, best[1])), best[0], orientation)
+    return None
+
+
+def half_area(rank, w):
+    """H(w) from its definition: for i < j, the sum over the letters of
+    generator j of the letter's sign times the exponent sum of generator i
+    before it; pairs ordered by j, then i."""
+    sums = [0] * rank
+    area = {(i, j): 0 for j in range(rank) for i in range(j)}
+    for x in w:
+        (g, sign) = (abs(x) - 1, 1 if x > 0 else -1)
+        for i in range(g):
+            area[i, g] += sign * sums[i]
+        sums[g] += sign
+    return tuple(area.values())
+
+
+def wedge_square(m):
+    """The action on the exterior square: (ij),(kl) -> M_ik M_jl - M_jk M_il."""
+    pairs = [(i, j) for j in range(len(m)) for i in range(j)]
+    return [[m[i][k] * m[j][l] - m[j][k] * m[i][l] for (k, l) in pairs]
+            for (i, j) in pairs]
+
+
+def balance(rank, w):
+    """w followed by the letters that zero its exponent sums."""
+    tail = []
+    for g in range(1, rank + 1):
+        e = sum(1 if x == g else -1 if x == -g else 0 for x in w)
+        tail.extend([-g if e > 0 else g] * abs(e))
+    return reduce_word(tuple(w) + tuple(tail))
+
+
+def admitted(endo, max_period, reversing, w):
+    """(ok_plus, ok_minus) of the filter from its definition: the exponent
+    vector under M^n, or for a balanced word the half-area under the
+    exterior square of M^n; None when no period admits w."""
+    rank = endo.rank
+    x = tuple(sum(1 if y == g else -1 if y == -g else 0 for y in w)
+              for g in range(1, rank + 1))
+    balanced_word = not any(x)
+    if balanced_word:
+        x = half_area(rank, w)
+    m = power = endo.abelianized()
+    images = []
+    for _ in range(max_period):
+        act = wedge_square(power) if balanced_word else power
+        images.append(tuple(sum(a * c for a, c in zip(row, x)) for row in act))
+        power = _mat_mul(m, power)
+    ok_plus = tuple(y == x for y in images)
+    ok_minus = tuple(reversing and y == tuple(-c for c in x) for y in images)
+    return (ok_plus, ok_minus) if any(ok_plus + ok_minus) else None
+
+
+def balanced_only_maps(rank, max_image, max_period):
+    """Maps under which no nonzero exponent vector can be periodic."""
+    return endomorphisms(rank, max_image).filter(
+        lambda e: _PeriodFilter(e, max_period, 1).balanced_only)
+
+
+class TestClassTwoFilter:
+    @given(endomorphisms(2), st.integers(1, 4), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_rank_two_matches_unfiltered(self, endo, max_period, max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            unfiltered_search(endo, max_period, max_len)
+
+    # the subtree check needs length 6, past the rank-3 brute-force oracle
+    @given(balanced_only_maps(3, 3, 3), st.integers(1, 3), st.integers(6, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_rank_three_balanced_matches_unfiltered(self, endo, max_period,
+                                                    max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            unfiltered_search(endo, max_period, max_len)
+
+    @given(endomorphisms(3, 3), st.integers(1, 3), st.integers(6, 9))
+    @settings(max_examples=15, deadline=None)
+    def test_rank_three_matches_unfiltered(self, endo, max_period, max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            unfiltered_search(endo, max_period, max_len)
+
+    # (rank, balanced_only, longest word): the unbalanced rank-3 lists grow
+    # fastest, and the subtree check fires from length 6
+    @given(st.sampled_from([(2, False, 10), (2, True, 12), (3, False, 6),
+                            (3, True, 10)]).flatmap(
+        lambda case: st.tuples(st.just(case[1]), endomorphisms(case[0], 3),
+                               st.integers(1, 4), st.integers(1, case[2]),
+                               st.booleans())))
+    @settings(max_examples=40, deadline=None)
+    def test_generator_keeps_exactly_the_admitted_words(self, case):
+        (balanced_only, endo, max_period, length, reversing) = case
+        rank = endo.rank
+        filt = _PeriodFilter(endo, max_period, length, reversing)
+        expected = []
+        for c in unfiltered_candidates(rank, length, balanced_only):
+            ok = admitted(endo, max_period, reversing, tuple(map(_letter, c)))
+            if ok is not None:
+                expected.append((c, ok))
+        assert _canonical_cyclic_words(rank, length, balanced_only, filt) == expected
+
+    def test_later_class_with_a_shorter_period_wins(self):
+        # a has period 3; the longer aBC has period 2 and is found after the
+        # search has narrowed its filter to periods below 3
+        endo = Endomorphism(3, (parse_word("bA"), parse_word("A"), parse_word("aC")))
+        assert periodic_conjugacy_search(endo, 6, 2) == ((1,), 3, +1)
+        assert periodic_conjugacy_search(endo, 6, 3) == \
+            (parse_word("aBC"), 2, +1) == unfiltered_search(endo, 6, 3)
+
+    def test_unfiltered_search_on_known_maps(self):
+        for endo in (PHI, GOLDEN, SWAP):
+            assert unfiltered_search(endo, 3, 6) == reference_search(endo, 3, 6)
+
+    @given(st.integers(2, 3).flatmap(
+        lambda r: st.tuples(endomorphisms(r, 3), words(r, 10))))
+    @settings(max_examples=80, deadline=None)
+    def test_half_area_invariants(self, case):
+        (endo, w) = case
+        rank = endo.rank
+        w = balance(rank, w)
+        area = half_area(rank, w)
+        for k in range(len(w)):
+            assert half_area(rank, w[k:] + w[:k]) == area
+        assert half_area(rank, invert(w)) == tuple(-x for x in area)
+        image = [sum(a * x for a, x in zip(row, area))
+                 for row in wedge_square(endo.abelianized())]
+        assert list(half_area(rank, endo.apply(w))) == image
+        # the generator's packed, letter-by-letter update gives the same H
+        filt = _PeriodFilter(endo, 1, max(len(w), 1))
+        (vv, hh) = (filt.zero, 0)
+        for o in word_key(w):
+            (vv, hh) = filt.step(vv, hh, o)
+        assert vv == filt.zero
+        assert filt.digits(hh, len(area)) == area
 
 
 # The search's result on every corpus input at the default bounds

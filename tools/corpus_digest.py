@@ -1,5 +1,5 @@
-"""Digest of every command's report, every PINP scan and every graph move
-on the corpus.
+"""Digest of every command's report, every PINP scan, every graph move and
+the periodic-class word search on the corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
@@ -9,14 +9,18 @@ bytes.  After the `classify` line of an input come its scan lines
 `scan input k sha256`, one for the k-th `nielsen.scan_pinps` result inside
 that `classify` (k from 0): the hash covers the prepared graph's vertex and
 edge counts and the list of periodic indivisible Nielsen paths, so a scan
-change that does not reach the report bytes still shows.  The last line of
-an input is `moves input sha256`: after every subdivision, fold, forest
-collapse and refinement inside its `classify` and `tt`, in call order, the
-hash takes the ambient word `path_to_word(loop_at_base((e,)))` of every
-edge e of the new graph, so a change in how the marking is carried through
-the moves shows even where no report reads it.  Run it with PYTHONPATH set
-to each of two source trees and `diff` the outputs to check that a change
-leaves every report, every scan and every move identical.
+change that does not reach the report bytes still shows.  Then comes
+`moves input sha256`: after every subdivision, fold, forest collapse and
+refinement inside its `classify` and `tt`, in call order, the hash takes
+the ambient word `path_to_word(loop_at_base((e,)))` of every edge e of the
+new graph, so a change in how the marking is carried through the moves
+shows even where no report reads it.  The last two lines of an input are
+`search input max_period,max_len result`: what `periodic_conjugacy_search`
+returns at the default bounds (6, 12) and at (3, 8), as
+`witness,period,orientation` or `none`, so a change in the search's
+witnesses shows even where no report byte reads them.  Run it with
+PYTHONPATH set to each of two source trees and `diff` the outputs to check
+that a change leaves every report, scan, move and search result identical.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from pathlib import Path
 from endotorus import nielsen
 from endotorus.cli import COMMANDS, parse, report_json, run
 from endotorus.graphmap import GraphMap
+from endotorus.words import periodic_conjugacy_search, show_word
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 MOVE_COMMANDS = ("classify", "tt")
+SEARCH_BOUNDS = ((6, 12), (3, 8))   # (max_period, max_len)
 
 
 def _sha(data: bytes) -> str:
@@ -97,6 +103,11 @@ def main() -> None:
             if command in MOVE_COMMANDS:
                 moves.append((command, command_moves))
         print(f"moves {path.stem} {_sha(repr(moves).encode())}", flush=True)
+        for (max_period, max_len) in SEARCH_BOUNDS:
+            hit = periodic_conjugacy_search(spec.endo, max_period, max_len)
+            result = "none" if hit is None else \
+                f"{show_word(hit[0])},{hit[1]},{hit[2]:+d}"
+            print(f"search {path.stem} {max_period},{max_len} {result}", flush=True)
 
 
 if __name__ == "__main__":
