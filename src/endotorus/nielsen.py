@@ -10,13 +10,16 @@ directions, of equal eigenmetric length.  The eigenray of a direction does
 not depend on the power of f that grows it, so enumeration grows one ray per
 direction, as the fixed point of the substitution e -> f^step(e), indexes
 the ray vertices by the gate of their junction edge, and iterates each
-candidate once, to its least return.  The bounded-cancellation radius caps
-the scan.
+candidate once, to its least return.  Only gates of two or more directions
+are indexed: every junction edge in a one-direction gate is the same edge,
+and two halves ending in the same edge meet in no turn.  The
+bounded-cancellation radius caps the scan.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
@@ -30,6 +33,7 @@ from endotorus.graphmap import (
 )
 from endotorus.traintrack import (
     TrainTrack,
+    direction_map,
     fold_at_pair,
     gates,
     is_illegal_turn,
@@ -105,41 +109,47 @@ class Toroidal:
 INTERIOR_BOUND = 3   # periods whose interior periodic points become vertices
 
 
-def _ray(image: dict, lengths: dict, d: int, target: float):
+def _ray(image: dict, d: int, target: float):
     """Eigenray of direction d under F = f^step, to metric length at least the
     target.  On a train track edge images never cancel, so the eigenray is
     the fixed point x = F(x[0]) F(x[1]) ... of the substitution e -> F(e)
     that starts with d: it is read left to right and each letter's image is
-    appended.  `image` maps a direction to F(direction).  Returns None when
-    F(d) does not start with d (the ray lost its prefix closure), and the
-    short ray when F(d) = d (a non-expanding direction)."""
-    ray = list(image[d])
-    if ray[:1] != [d]:
+    appended.  `image` maps a direction to (F(direction), its metric
+    length), so no image is summed twice.  Returns None when F(d) does not
+    start with d (the ray lost its prefix closure), and the short ray when
+    F(d) = d (a non-expanding direction)."""
+    (first, length) = image[d]
+    if first[:1] != (d,):
         return None
-    length = sum(lengths[abs(e)] for e in ray)
+    ray = list(first)
     i = 1
     while length < target and i < len(ray):
-        img = image[ray[i]]
+        (img, img_length) = image[ray[i]]
         ray.extend(img)
-        length += sum(lengths[abs(e)] for e in img)
+        length += img_length
         i += 1
     return tuple(ray)
 
 
 class _PowerImages(dict):
-    """F(d) = f^step(d) for each direction d, computed when first read."""
+    """(F(d), metric length of F(d)) with F = f^step for each direction d,
+    computed when first read, as f of the path that the table of f^(step-1)
+    (`lower`; built here when not given) holds for d.  The length is summed
+    left to right, letter by letter, once per direction."""
 
-    def __init__(self, gm: GraphMap, step: int):
+    def __init__(self, gm: GraphMap, step: int, lower=None):
         super().__init__()
         self.gm = gm
-        self.step = step
+        if lower is None and step > 1:
+            lower = _PowerImages(gm, step - 1)
+        self.lower = lower
 
     def __missing__(self, d):
-        path = (d,)
-        for _ in range(self.step):
-            path = self.gm.map_path(path)
-        self[d] = path
-        return path
+        path = (d,) if self.lower is None else self.lower[d][0]
+        path = self.gm.map_path(path)
+        lengths = self.gm.graph.lengths
+        self[d] = entry = (path, sum(lengths[abs(e)] for e in path))
+        return entry
 
 
 def _point_image(gm: GraphMap, e: int, pos: float):
@@ -256,11 +266,16 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     of X . reverse(Y) needs an illegal turn between the reversed last edges
     of X and Y, so every ray vertex within the radius goes into a bucket
     keyed by the gate of that reversed edge; one sorted sweep per bucket
-    finds the positions the rays share.  A hit (i on the first ray, j on
-    the second) is kept when j is the first vertex of the second ray at or
-    after the first ray's position less POINT_TOL, as in a two-pointer
-    merge of the pair's rays.  Each candidate is iterated once, to its
-    least return, in (pair, position) order."""
+    finds the positions the rays share.  Only gates holding two or more
+    directions get a bucket, and the sweep skips two entries with the same
+    junction edge.  Both are exact: X and Y ending in one edge e meet in no
+    turn, and a gate of one direction -e holds only entries with junction
+    edge e.  Most gates are of that kind, since most vertices of a refined
+    representative are valence-two periodic cuts with one direction per
+    gate.  A hit (i on the first ray, j on the second) is kept when j is the
+    first vertex of the second ray at or after the first ray's position less
+    POINT_TOL, as in a two-pointer merge of the pair's rays.  Each candidate
+    is iterated once, to its least return, in (pair, position) order."""
     if not (tt.data.expanding and tt.data.irreducible):
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
@@ -270,7 +285,7 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     order = {d: i for i, d in enumerate(dirs)}
     # first letter of f^per(e_d) is the per-th iterate of the direction map
     # (edge images on a train track never cancel)
-    dmap = {d: gm.image_of_edge(d)[0] for d in dirs}
+    dmap = direction_map(gm)
 
     pairs = set()          # unordered, kept in direction order
     first = {d: d for d in dirs}
@@ -283,33 +298,38 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
 
     cut = radius + 1e-9    # the first ray's side of a junction
     reach = cut + 2 * POINT_TOL
-    powers: dict = {}      # step -> f^step of each direction
+    powers = [_PowerImages(gm, 1)]   # powers[s - 1]: (f^s(d), its length)
     rays: dict = {}        # direction -> (eigenray, vertex positions)
-    buckets: dict = {}     # gate -> [(position, direction, index)]
+    buckets: dict = {}     # gate -> [(position, direction, index, edge)]
+    # junction edge e -> gate of -e, for the gates of two or more directions
+    # (a gate with one direction -e has only junction edge e: never a turn)
+    size = Counter(tt.gate_map.values())
+    junction = {-d: g for (d, g) in tt.gate_map.items() if size[g] > 1}
     for d in sorted({d for pair in pairs for d in pair}, key=order.get):
         step, x = 1, dmap[d]   # least period of d, for the ray's growth
         while x != d:
             step, x = step + 1, dmap[x]
-        if step not in powers:
-            powers[step] = _PowerImages(gm, step)
-        r = _ray(powers[step], lengths, d, reach)
+        while len(powers) < step:
+            powers.append(_PowerImages(gm, len(powers) + 1, powers[-1]))
+        r = _ray(powers[step - 1], d, reach)
         if r is None:
             continue
         pos = list(accumulate(lengths[abs(e)] for e in r))
         rays[d] = (r, pos)
-        for i, p in enumerate(pos):
-            if p > reach:
-                break
-            buckets.setdefault(tt.gate_map[-r[i]], []).append((p, d, i))
+        for i, e in enumerate(r[:bisect_right(pos, reach)]):
+            if e in junction:
+                buckets.setdefault(junction[e], []).append((pos[i], d, i, e))
 
     hits = []
     for bucket in buckets.values():
         bucket.sort()
-        for k, (p, da, ia) in enumerate(bucket):
+        for k, (p, da, ia, ea) in enumerate(bucket):
             for m in range(k + 1, len(bucket)):
-                (q, db, ib) = bucket[m]
+                (q, db, ib, eb) = bucket[m]
                 if q - p > POINT_TOL:
                     break
+                if ea == eb:          # one edge: no turn at the junction
+                    continue
                 for (d1, i, p1, d2, j) in ((da, ia, p, db, ib),
                                            (db, ib, q, da, ia)):
                     if (d1, d2) in pairs and p1 <= cut \
@@ -319,9 +339,8 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
 
     found: dict = {}
     for (_, _, i, j, d1, d2) in hits:
-        # the halves must meet at one vertex in an illegal turn
-        (e1, e2) = (rays[d1][0][i], rays[d2][0][j])
-        if e1 == e2 or gm.graph.term_of(e1) != gm.graph.term_of(e2):
+        # the halves must meet at one vertex (in an illegal turn: one gate)
+        if gm.graph.term_of(rays[d1][0][i]) != gm.graph.term_of(rays[d2][0][j]):
             continue
         (X, Y) = (rays[d1][0][:i + 1], rays[d2][0][:j + 1])
         rho = X + invert(Y)

@@ -20,6 +20,7 @@ from endotorus.words import (
     _mat_mul,
     concat,
     conjugate,
+    cyclic_reduce,
     find_conjugator,
     invert,
     reduce_word,
@@ -164,8 +165,10 @@ def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
     """Certify that some iterate is an inner automorphism, by solving the
     common-conjugator word equation with bounded conjugator length.  An
     inner iterate acts trivially on the abelianization, so phi^k is composed
-    and solved only at the powers k with M^k = I (M the exponent-sum
-    matrix)."""
+    only at the powers k with M^k = I (M the exponent-sum matrix).  It also
+    sends each generator x to some g x g^-1, which cyclically reduces to x,
+    so the equation is solved only at the powers where every generator
+    image does."""
     (current, done) = (Endomorphism.identity(endo.rank), 0)   # phi^done
     m = endo.abelianized()
     ident = m_k = current.abelianized()
@@ -175,6 +178,9 @@ def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
             continue
         while done < k:
             (current, done) = (endo.compose(current), done + 1)
+        if any(cyclic_reduce(img) != (i,)
+               for (i, img) in enumerate(current.images, 1)):
+            continue
         g1 = (1,)
         u = find_conjugator(g1, current.images[0])
         if u is None:

@@ -320,7 +320,7 @@ def periodic_directions(gm, period_bound):
 def assert_rays_are_eigenrays(tt, period_bound, radius):
     gm = tt.gm
     for (d, step) in periodic_directions(gm, period_bound):
-        r = _ray(_PowerImages(gm, step), gm.graph.lengths, d, radius)
+        r = _ray(_PowerImages(gm, step), d, radius)
         assert r is not None and r[0] == d
         image = r
         for _ in range(step):
@@ -329,8 +329,8 @@ def assert_rays_are_eigenrays(tt, period_bound, radius):
         assert gm.graph.path_length(r) >= radius - 1e-9 or image == r
 
 
-def random_rank2_train_track(images, period_bound):
-    endo = Endomorphism(2, tuple(images))
+def random_train_track(images, period_bound):
+    endo = Endomorphism(len(images), tuple(images))
     assume(all(endo.images))
     tt = find_train_track(endo, max_iterations=30)
     assume(isinstance(tt, TrainTrack) and tt.data.expanding
@@ -340,6 +340,22 @@ def random_rank2_train_track(images, period_bound):
 
 
 WORDS = st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)
+
+
+@st.composite
+def rank3_images(draw):
+    """Three images, each holding the next generator (a in c's image) among
+    one or two random letters: the rose's transition matrix is irreducible,
+    so about a third of the draws have an expanding irreducible train
+    track."""
+    letters = st.sampled_from((1, -1, 2, -2, 3, -3))
+    images = []
+    for g in (2, 3, 1):
+        word = draw(st.lists(letters, min_size=1, max_size=2))
+        word.insert(draw(st.integers(0, len(word))),
+                    draw(st.sampled_from((g, -g))))
+        images.append(tuple(word))
+    return images
 
 
 def assert_scan_matches_reference(tt, period_bound, radius, tol=POINT_TOL):
@@ -392,7 +408,20 @@ class TestScanOracle:
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_random_rank2_scans_match_the_pair_merge(self, images):
         period_bound = 3
-        (tt, radius) = random_rank2_train_track(images, period_bound)
+        (tt, radius) = random_train_track(images, period_bound)
+        assert_rays_are_eigenrays(tt, period_bound, radius)
+        for tol in (POINT_TOL, 0.05):
+            assert_scan_matches_reference(tt, period_bound, radius, tol)
+
+    @given(rank3_images())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_rank3_scans_match_the_pair_merge(self, images):
+        # gates with three or more directions, and gates of several
+        # directions at vertices other than the base, which the rank-2
+        # maps rarely have
+        period_bound = 3
+        (tt, radius) = random_train_track(images, period_bound)
         assert_rays_are_eigenrays(tt, period_bound, radius)
         for tol in (POINT_TOL, 0.05):
             assert_scan_matches_reference(tt, period_bound, radius, tol)

@@ -31,6 +31,7 @@ from endotorus.traintrack import (
     verify_reduction_witness,
 )
 from endotorus import subgroups as sg
+from endotorus import traintrack as tt_module
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -142,6 +143,17 @@ class TestFiniteOrder:
         start = time.process_time()
         assert is_finite_order(square) is None
         assert time.process_time() - start < 0.01
+
+    def test_non_conjugate_generator_image_skips_the_solve(self, monkeypatch):
+        # c -> c [a, b] acts trivially on homology (M^k = I for every k) but
+        # has infinite order: c's image never cyclically reduces to c
+        twist = Endomorphism(3, (parse_word("a"), parse_word("b"),
+                                 parse_word("cabAB")))
+        calls = []
+        monkeypatch.setattr(tt_module, "find_conjugator",
+                            lambda *args: calls.append(args))
+        assert is_finite_order(twist) is None
+        assert calls == []
 
     @given(injective_maps())
     @settings(max_examples=80, deadline=None)
