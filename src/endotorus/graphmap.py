@@ -14,8 +14,10 @@ Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -53,32 +55,33 @@ class MarkedGraph:
     def volume(self) -> float:
         return sum(self.lengths.values())
 
-    def directions_at(self, v: int) -> list:
-        out = []
+    @cached_property
+    def _adjacency(self) -> dict:
+        """vertex -> the directions leaving it, in (abs(d), d < 0) order.
+        Built once: a graph never changes after the move that made it."""
+        adjacency: dict = {}
         for e in self.edge_ids():
             (a, b) = self.edges[e]
-            if a == v:
-                out.append(e)
-            if b == v:
-                out.append(-e)
-        return sorted(out, key=lambda d: (abs(d), d < 0))
+            adjacency.setdefault(a, []).append(e)
+            adjacency.setdefault(b, []).append(-e)
+        return adjacency
+
+    def directions_at(self, v: int) -> list:
+        return list(self._adjacency.get(v, ()))
 
     def all_directions(self) -> list:
-        out = []
-        for e in self.edge_ids():
-            out.append(e)
-            out.append(-e)
-        return sorted(out, key=lambda d: (abs(d), d < 0))
+        return [d for e in self.edge_ids() for d in (e, -e)]
 
     def shortest_path(self, u: int, v: int) -> Optional[EdgePath]:
         """Deterministic BFS edge path from u to v."""
         if u == v:
             return ()
+        adjacency = self._adjacency
         prev = {u: None}
-        queue = [u]
+        queue = deque([u])
         while queue:
-            w = queue.pop(0)
-            for d in self.directions_at(w):
+            w = queue.popleft()
+            for d in adjacency.get(w, ()):
                 t = self.term_of(d)
                 if t not in prev:
                     prev[t] = (w, d)

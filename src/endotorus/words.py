@@ -569,6 +569,33 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     return out
 
 
+def _on_eventual_alphabet(endo: Endomorphism) -> Optional[tuple]:
+    """(phi restricted to <S>, S) for the eventual alphabet S of phi, or
+    None when S is empty.
+
+    S_0 is every generator and S_(k+1) the generators whose letters occur
+    in phi(x) for x in S_k.  The sets only shrink, so they settle within
+    `rank` steps at an S with phi(<S>) in <S>, and phi^k(F) lies in <S_k>.
+    The generators of S, in increasing order, become 1..|S| of the
+    restricted map, so its letter order is the order of the letters it
+    keeps."""
+    alphabet = set(range(1, endo.rank + 1))
+    while True:
+        found = {abs(x) for g in alphabet for x in endo.images[g - 1]}
+        if found == alphabet:
+            break
+        alphabet = found
+    if not alphabet:
+        return None
+    kept = tuple(sorted(alphabet))
+    if len(kept) == endo.rank:
+        return (endo, kept)
+    index = {g: i for (i, g) in enumerate(kept, 1)}
+    images = tuple(tuple(index[x] if x > 0 else -index[-x]
+                         for x in endo.images[g - 1]) for g in kept)
+    return (Endomorphism(len(kept), images), kept)
+
+
 def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                               max_len: int = 12):
     """Bounded search for a nontrivial class [a] with phi^n(a) ~ a (or ~ a^-1,
@@ -593,9 +620,24 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     search finds.  When no nonzero exponent vector is admitted, only
     balanced words are generated.  None is a bounded negative, never a
     proof of atoroidality.
+
+    The search runs on phi restricted to its eventual alphabet S
+    (`_on_eventual_alphabet`), the generators whose letters occur in every
+    phi^k(F).  A periodic class lies in phi^k(F) for every k, so its
+    cyclically reduced form uses only letters of S, and every candidate
+    that the restriction drops could never match.  The renumbering keeps
+    the order of the letters of S, so canonical forms and the candidate
+    order are those of the full search; the restricted map's class-two
+    filter is a necessary condition too.  So the witness, period and
+    orientation are exactly the full search's.  An empty S means that
+    some phi^k is trivial, and no candidate is generated.
     """
     if max_period < 1 or max_len < 1:
         raise ValueError("bounds must be at least 1")
+    restricted = _on_eventual_alphabet(endo)
+    if restricted is None:
+        return None
+    (endo, alphabet) = restricted
 
     rank = endo.rank
     filt = _PeriodFilter(endo, max_period, max_len)
@@ -656,8 +698,10 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 # later lengths need an oriented period below the best
                 filt = _PeriodFilter(endo, best_plus[0] - 1, max_len,
                                      reversing=False)
-    if best_plus is not None:
-        return (tuple(map(_letter, best_plus[1])), best_plus[0], +1)
-    if best_minus is not None:
-        return (tuple(map(_letter, best_minus[1])), best_minus[0], -1)
+    # the witness in the generators of phi: ord o stands for alphabet[o >> 1]
+    for (best, orientation) in ((best_plus, +1), (best_minus, -1)):
+        if best is not None:
+            witness = tuple(-alphabet[o >> 1] if o & 1 else alphabet[o >> 1]
+                            for o in best[1])
+            return (witness, best[0], orientation)
     return None

@@ -75,6 +75,14 @@ def test_each_stage_runs_once_per_command(monkeypatch):
     rep = run("report", _spec("golden_geometric"))
     assert rep["characterization"]["verdict"] == "geometric"
     assert {name: len(log) for (name, log) in calls.items()} == dict.fromkeys(calls, 1)
+    # a search restricted to a smaller eventual alphabet is still one call;
+    # this input is decided before the train-track stage
+    for log in calls.values():
+        log.clear()
+    rep = run("report", _spec("remark_extension_reducible"))
+    assert rep["characterization"]["verdict"] == "reducible"
+    assert len(calls["periodic_conjugacy_search"]) == 1
+    assert all(len(log) <= 1 for log in calls.values())
 
 
 def test_traced_layers_exist():

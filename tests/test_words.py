@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
     CyclicWord,
@@ -16,6 +17,7 @@ from endotorus.words import (
     _least_rotation,
     _letter,
     _mat_mul,
+    _on_eventual_alphabet,
     concat,
     conjugate,
     cyclic_canonical,
@@ -602,6 +604,84 @@ class TestClassTwoFilter:
             (vv, hh) = filt.step(vv, hh, o)
         assert vv == filt.zero
         assert filt.digits(hh, len(area)) == area
+
+
+# ---------------------------------------------------------------------------
+# the search on the eventual alphabet
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shrinking_maps(draw, rank=3, max_image=3):
+    """Maps whose eventual alphabet is a proper subset of the generators.
+    In a random order g_1..g_rank, the first `kept` generators map into
+    themselves, and each later g_i maps into g_1..g_(i-1).  So the last
+    generator occurs in no image, then the one before it in none of the
+    rest, and so on: a -> b.., b -> b.., c -> a.. drops c, then a."""
+    order = draw(st.permutations(range(1, rank + 1)))
+    kept = draw(st.integers(0, rank - 1))
+    images = [()] * rank
+    for (i, g) in enumerate(order):
+        alphabet = [x for h in order[:max(i, kept)] for x in (h, -h)]
+        if alphabet:
+            images[g - 1] = tuple(draw(st.lists(st.sampled_from(alphabet),
+                                                max_size=max_image)))
+    return Endomorphism(rank, tuple(images))
+
+
+class TestEventualAlphabet:
+    @given(shrinking_maps(), st.integers(1, 3), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_shrinking_rank_three_matches_both_oracles(self, endo, max_period,
+                                                       max_len):
+        restricted = _on_eventual_alphabet(endo)
+        assert restricted is None or restricted[0].rank < endo.rank
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            reference_search(endo, max_period, max_len) == \
+            unfiltered_search(endo, max_period, max_len)
+
+    def test_alphabet_shrinks_in_two_steps(self):
+        # c occurs in no image, and a only in the image of c
+        endo = Endomorphism(3, (parse_word("bb"), parse_word("B"), parse_word("aB")))
+        (restricted, kept) = _on_eventual_alphabet(endo)
+        assert kept == (2,)
+        assert restricted == Endomorphism(1, (parse_word("A"),))
+        # b -> B -> b: the oriented period 2 beats the reversing period 1
+        assert periodic_conjugacy_search(endo, 6, 12) == \
+            (parse_word("b"), 2, +1) == unfiltered_search(endo, 6, 6)
+
+    def test_witness_is_mapped_back(self):
+        # the restricted map on (b, c) is the swap; its witness bc is read
+        # back in the generators of the rank-3 map
+        endo = Endomorphism(3, (parse_word("bc"), parse_word("c"), parse_word("b")))
+        assert _on_eventual_alphabet(endo)[1] == (2, 3)
+        assert periodic_conjugacy_search(endo, 6, 12) == \
+            (parse_word("bc"), 1, +1) == unfiltered_search(endo, 6, 6)
+
+    @pytest.mark.parametrize("endo", [
+        Endomorphism(2, ((), parse_word("a"))),  # rank 2; a -> 1; b -> a;
+        Endomorphism(1, ((),)),                  # rank 1; a -> 1;
+    ], ids=["rank2", "rank1"])
+    def test_empty_alphabet_generates_no_candidates(self, monkeypatch, endo):
+        def refuse(*args):
+            raise AssertionError("no candidate should be generated")
+
+        assert _on_eventual_alphabet(endo) is None
+        monkeypatch.setattr(words_module, "_canonical_cyclic_words", refuse)
+        assert periodic_conjugacy_search(endo, 6, 12) is None
+
+    def test_corpus_extension_searches_rank_two(self, monkeypatch):
+        ranks = []
+        generate = words_module._canonical_cyclic_words
+
+        def record(rank, *args):
+            ranks.append(rank)
+            return generate(rank, *args)
+
+        monkeypatch.setattr(words_module, "_canonical_cyclic_words", record)
+        endo = parse((CORPUS / "remark_extension_reducible.endo").read_text()).endo
+        assert endo.rank == 3
+        assert periodic_conjugacy_search(endo) is None
+        assert ranks and set(ranks) == {2}
 
 
 # The search's result on every corpus input at the default bounds
