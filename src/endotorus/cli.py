@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
 
@@ -464,6 +463,8 @@ def main(argv=None) -> int:
             tasks = [(args.cmd, Path(p).read_text(), Path(p).name, flags,
                       args.timing) for p in paths]
             if args.jobs > 1:
+                # imported here: only a parallel batch pays for it
+                from multiprocessing import Pool
                 with Pool(args.jobs) as pool:
                     reports = pool.map(_run_single, tasks)
             else:

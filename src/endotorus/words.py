@@ -307,11 +307,11 @@ def _kernel_trivial(m) -> bool:
 # dropped, with its subtree, when no r letters that balance it can make its
 # area admissible (r = 1 is the closing letter, which is placed exactly).
 # On plastic_rank3 at length 12 the check at r = 4 drops 85% of the
-# prefixes that reach it.  4 is the smallest table that is as fast as any:
-# the three rank-3 corpus searches took 0.35-0.40 s of CPU time together
-# with 3 letters, against 0.26 s with 4, and tables for 5 or 6 letters
-# measured no faster (0.34, 0.36 and 0.35 s for 4, 5 and 6, medians of six
-# interleaved runs on a 2-vCPU Xeon, Python 3.11).
+# prefixes that reach it.  Its search, the only corpus search at rank 3,
+# took 0.18, 0.11, 0.10, 0.11 and 0.13 s of CPU time with tables for 3, 4,
+# 5, 6 and 7 letters (medians of seven interleaved cold runs on a 2-vCPU
+# Xeon, Python 3.11).  4 stays: 3 is much slower, and 5 gains about 0.01 s
+# on this one input.
 COMPLETION_LETTERS = 4
 
 
@@ -353,7 +353,19 @@ class _PeriodFilter:
     the class; `completable` maps (r, packed v, packed H) of a prefix with
     r letters to come to whether some r letters that balance it can give an
     admissible area.  With reversing=False, no period admits a reversing
-    match."""
+    match.
+
+    Two exact shortcuts read the kernels of these conditions.  When every
+    M^n - I, and with reversing every M^n + I, n <= max_period, has trivial
+    kernel, no v != 0 is admitted, so `balanced_only` holds and only
+    balanced words need to be generated; with reversing=False the M^n + I
+    do not count, since M^n v = -v is never asked for.  When the exterior
+    squares' kernels are all trivial in the same sense, H = 0 is the only
+    admissible area.  Packing is additive and one-to-one on the coordinates
+    that occur, so a prefix is then completable exactly when -H is one of
+    the area changes in its completion table: one set lookup instead of a
+    memo lookup per change.  That flag costs a Fraction elimination per
+    period, so it is computed on the first `completable` miss."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
@@ -373,10 +385,7 @@ class _PeriodFilter:
             self.area_powers.append(tuple(
                 tuple(cur[i][k] * cur[j][l] - cur[j][k] * cur[i][l] for (k, l) in pairs)
                 for (i, j) in pairs))
-        self.balanced_only = all(
-            _kernel_trivial(tuple(tuple(a[i][j] + s * (i == j) for j in range(rank))
-                                  for i in range(rank)))
-            for a in self.vector_powers for s in (-1, 1))
+        self.balanced_only = self._admits_only_zero(self.vector_powers)
 
         # a prefix's v, its area, and an area plus a completion's change
         # all have coordinates below (max_len + COMPLETION_LETTERS)^2, so
@@ -426,11 +435,28 @@ class _PeriodFilter:
         return self._verdict(self.area_powers,
                              self.digits(hh, self.rank * (self.rank - 1) // 2))
 
+    def _admits_only_zero(self, powers) -> bool:
+        """Whether every A - I, and with reversing every A + I, for A in
+        `powers` has trivial kernel, so that only 0 can be admitted."""
+        signs = (-1, 1) if self.reversing else (-1,)
+        return all(
+            _kernel_trivial(tuple(tuple(a[i][j] + s * (i == j) for j in range(len(a)))
+                                  for i in range(len(a))))
+            for a in powers for s in signs)
+
+    @cached_property
+    def _zero_area_only(self) -> bool:
+        """Whether H = 0 is the only admissible half-area."""
+        return self._admits_only_zero(self.area_powers)
+
     def _completable(self, state: tuple) -> bool:
         (rem, vv, hh) = state
+        deltas = self._completions[rem].get(vv, ())
+        if self._zero_area_only:
+            # packing is additive and one-to-one on these coordinates
+            return -hh in deltas
         by_area = self.by_area
-        return any(by_area[hh + d] is not None
-                   for d in self._completions[rem].get(vv, ()))
+        return any(by_area[hh + d] is not None for d in deltas)
 
     @cached_property
     def _completions(self) -> list:
@@ -618,7 +644,13 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     without reversing matches, since nothing else can still win.  The
     conditions are necessary, so the witness is the one an unfiltered
     search finds.  When no nonzero exponent vector is admitted, only
-    balanced words are generated.  None is a bounded negative, never a
+    balanced words are generated; without reversing matches that needs
+    only the kernels of the M^n - I to be trivial, so after an oriented
+    match a map with eigenvalue -1 (M + I singular) generates balanced
+    words only.  When no nonzero half-area is admitted either, the check
+    that a balanced prefix can still be completed is one set lookup.
+    Both rules drop only what the filter rejects anyway, so the candidates
+    and the witness are unchanged.  None is a bounded negative, never a
     proof of atoroidality.
 
     The search runs on phi restricted to its eventual alphabet S

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
+    COMPLETION_LETTERS,
     CyclicWord,
     Endomorphism,
     _PeriodFilter,
@@ -604,6 +605,135 @@ class TestClassTwoFilter:
             (vv, hh) = filt.step(vv, hh, o)
         assert vv == filt.zero
         assert filt.digits(hh, len(area)) == area
+
+
+# ---------------------------------------------------------------------------
+# the kernels of the filter's conditions
+# ---------------------------------------------------------------------------
+
+def plus_singular_maps(max_image=4):
+    """Rank-2 maps whose abelianized matrix M has M + I singular: -1 is an
+    eigenvalue, so exponent vectors can come back reversed."""
+    def plus_singular(endo):
+        ((p, q), (r, s)) = endo.abelianized()
+        return (p + 1) * (s + 1) == q * r
+    return endomorphisms(2, max_image).filter(plus_singular)
+
+
+def corpus_endo(name):
+    return parse((CORPUS / f"{name}.endo").read_text()).endo
+
+
+class TestOrientedNarrowing:
+    # M has eigenvalues 2 and -1, so M + I is singular and M - I is not
+    @pytest.mark.parametrize("name", ["expanding_double", "nonsurjective_mixed"])
+    def test_oriented_filter_ignores_the_reversing_kernel(self, name):
+        endo = corpus_endo(name)
+        assert _PeriodFilter(endo, 1, 12, reversing=False).balanced_only
+        assert not _PeriodFilter(endo, 1, 12, reversing=True).balanced_only
+
+    @pytest.mark.parametrize("name", ["expanding_double", "nonsurjective_mixed"])
+    def test_narrowed_search_generates_balanced_words_only(self, monkeypatch,
+                                                           name):
+        calls = []
+        generate = words_module._canonical_cyclic_words
+
+        def record(rank, length, balanced_only, filt):
+            calls.append((length, balanced_only))
+            return generate(rank, length, balanced_only, filt)
+
+        monkeypatch.setattr(words_module, "_canonical_cyclic_words", record)
+        (witness, n, orientation) = periodic_conjugacy_search(corpus_endo(name))
+        assert (n, orientation) == (2, +1)
+        # M^2 - I is singular, so the full filter admits unbalanced words;
+        # after the match only period 1 is left, oriented only
+        assert calls == [(length, length > len(witness)) for length in range(1, 13)]
+
+    @given(plus_singular_maps(), st.integers(1, 4), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_rank_two_plus_singular_matches_unfiltered(self, endo, max_period,
+                                                       max_len):
+        assert periodic_conjugacy_search(endo, max_period, max_len) == \
+            unfiltered_search(endo, max_period, max_len)
+
+
+def area_admitted(endo, max_period, reversing, area):
+    """Whether some period n <= max_period sends the half-area to itself, or
+    with reversing to its negative, under the exterior square of M^n."""
+    m = power = endo.abelianized()
+    neg = tuple(-c for c in area)
+    for _ in range(max_period):
+        image = tuple(sum(a * c for a, c in zip(row, area))
+                      for row in wedge_square(power))
+        if image == area or (reversing and image == neg):
+            return True
+        power = _mat_mul(m, power)
+    return False
+
+
+@st.composite
+def completion_states(draw):
+    """(filter, its map, rem, packed v, packed H): the state of a prefix that
+    is either random or the real prefix of a word, with rem letters to come."""
+    rank = draw(st.integers(2, 3))
+    # inner automorphisms act trivially on v and H, so every H is admitted
+    endo = draw(st.one_of(endomorphisms(rank, 3), words(rank, 3).map(
+        lambda x: Endomorphism.inner(rank, x))))
+    (max_period, reversing) = (draw(st.integers(1, 4)), draw(st.booleans()))
+    filt = _PeriodFilter(endo, max_period, 12, reversing)
+    rem = draw(st.integers(0, COMPLETION_LETTERS))
+    if draw(st.booleans()):
+        # a real prefix; at times one that its own inverse closes up
+        prefix = draw(st.lists(letters(rank), max_size=12 - rem))
+        if draw(st.booleans()):
+            prefix = prefix[:rem]
+            rem = len(prefix)
+        (vv, hh) = (filt.zero, 0)
+        for o in word_key(prefix):
+            (vv, hh) = filt.step(vv, hh, o)
+    else:
+        bits = filt.bits
+        v = draw(st.lists(st.integers(-rem, rem), min_size=rank, max_size=rank))
+        area = draw(st.lists(st.integers(-8, 8), min_size=rank * (rank - 1) // 2,
+                             max_size=rank * (rank - 1) // 2))
+        vv = filt.zero + sum(x << (bits * i) for (i, x) in enumerate(v))
+        hh = sum(x << (bits * k) for (k, x) in enumerate(area))
+    return (filt, endo, rem, vv, hh)
+
+
+class TestCompletionCheck:
+    @given(completion_states())
+    @settings(max_examples=150, deadline=None)
+    def test_completable_matches_its_definition(self, state):
+        (filt, endo, rem, vv, hh) = state
+        count = endo.rank * (endo.rank - 1) // 2
+        expected = any(
+            area_admitted(endo, filt.max_period, filt.reversing,
+                          filt.digits(hh + d, count))
+            for d in filt._completions[rem].get(vv, ()))
+        assert filt.completable[rem, vv, hh] == expected
+
+    def test_plastic_rank3_checks_by_one_lookup(self):
+        endo = corpus_endo("plastic_rank3")
+        filt = _PeriodFilter(endo, 6, 12)
+        assert filt.balanced_only and filt._zero_area_only
+
+        class Refuse(dict):
+            def __missing__(self, key):
+                raise AssertionError("the completion check read by_area")
+
+        # states of real balanced words' prefixes, checked without by_area
+        reference = _PeriodFilter(endo, 6, 12)
+        filt.by_area = Refuse()
+        for c in reference_candidates(3, 8, True)[::7]:
+            (vv, hh) = (filt.zero, 0)
+            for (t, o) in enumerate(c, 1):
+                (vv, hh) = filt.step(vv, hh, o)
+                rem = len(c) - t
+                if rem <= COMPLETION_LETTERS:
+                    deltas = reference._completions[rem].get(vv, ())
+                    assert filt.completable[rem, vv, hh] == any(
+                        reference.by_area[hh + d] is not None for d in deltas)
 
 
 # ---------------------------------------------------------------------------
