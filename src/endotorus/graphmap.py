@@ -9,6 +9,13 @@ earlier graph is kept; the labels are how reduction witnesses and induced
 endomorphisms get expressed in ambient coordinates.  The marking loops, one
 per generator, ride along as edge paths.
 
+Every move is its push map: a dict sending each edge id the move removes to
+its path in the new graph.  `push_path` applies one to any edge path (e
+becomes push[e], -e the reverse path, every other edge stays, and the result
+is freely reduced), and `GraphMap._move` carries every path of the map, edge
+images and marking loops, through it.  Applying the map itself is the same
+substitution, with the edge images as the push map.
+
 Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 """
 
@@ -97,6 +104,25 @@ class MarkedGraph:
         return None
 
 
+def push_path(path: Sequence[int], push: dict) -> EdgePath:
+    """The path `path` becomes under the push map `push`: each edge e in it
+    becomes push[e] and -e the reverse of push[e], every other edge stays,
+    and the result is freely reduced as its letters are appended."""
+    out: list = []
+    for e in path:
+        rep = push.get(abs(e))
+        if rep is None:
+            rep = (e,)
+        elif e < 0:
+            rep = [-x for x in reversed(rep)]
+        for x in rep:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # graph maps
 # ---------------------------------------------------------------------------
@@ -130,14 +156,7 @@ class GraphMap:
         return w if e > 0 else invert(w)
 
     def map_path(self, path: Sequence[int]) -> EdgePath:
-        out: list[int] = []
-        for e in path:
-            for x in self.image_of_edge(e):
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        return tuple(out)
+        return push_path(path, self.eimg)
 
     def check_consistency(self) -> None:
         g = self.graph
@@ -190,20 +209,45 @@ class GraphMap:
         labels = {i: (i,) for i in range(1, r + 1)}
         return GraphMap(graph, {0: 0}, eimg, marking, r, labels)
 
-    def _derive(self, graph, vimg, eimg, marking, labels, push) -> "GraphMap":
-        return GraphMap(graph, vimg, eimg, marking, self.rank, labels, (push,))
+    def _move(self, push: dict, new_edges: dict, new_vimg: Optional[dict] = None,
+              rename: Optional[Sequence[int]] = None,
+              h: Optional[dict] = None) -> "GraphMap":
+        """The map after a move, from what the move decides.
 
-    def _relabel(self, h: dict) -> dict:
-        """Labels after each vertex v is re-attached along the word h[v]
-        (default 1): an edge from a to b gets h[a] . label . h[b]^-1, so
-        that loops keep their words once the moved vertices merge."""
-        out = {}
-        for e, (a, b) in self.graph.edges.items():
-            w = self.labels[e]
+        `push` is the move's push map: the edge ids it removes, each sent to
+        its path in the new graph.  The images of the kept edges and the
+        marking loops become their `push_path`, and `push` becomes the new
+        `history`.  `rename` sends each old vertex to its new id (by default
+        every id stays), and `new_vimg` gives the images of the vertices the
+        move adds.  `new_edges` maps each edge id the move makes or redefines
+        to (ends, length, image, label) in the new graph.  Kept edges keep
+        their lengths and their order, and the edges of `new_edges` come
+        after them, in the order given.  The label twist h re-attaches each
+        old vertex v along the word h[v] (default 1): a kept edge from a to b
+        gets h[a] . label . h[b]^-1, so that loops keep their words once the
+        moved vertices merge."""
+        g = self.graph
+        ren = range(g.nv) if rename is None else rename
+        h = h or {}
+        edges = {e: (ren[a], ren[b]) for e, (a, b) in g.edges.items()
+                 if e not in push and e not in new_edges}
+        lengths = {e: x for e, x in g.lengths.items() if e in edges}
+        eimg = {e: push_path(self.eimg[e], push) for e in edges}
+        labels = {e: self.labels[e] for e in edges}
+        for e in labels:
+            (a, b) = g.edges[e]
             if a in h or b in h:
-                w = concat(h.get(a, ()), w, invert(h.get(b, ())))
-            out[e] = w
-        return out
+                labels[e] = concat(h.get(a, ()), labels[e], invert(h.get(b, ())))
+        for e, (ends, length, image, label) in new_edges.items():
+            edges[e] = ends
+            lengths[e] = length
+            eimg[e] = image
+            labels[e] = label
+        vimg = {ren[v]: ren[w] for v, w in self.vimg.items()}
+        vimg.update(new_vimg or {})
+        marking = tuple(push_path(m, push) for m in self.marking)
+        graph = MarkedGraph(len(vimg), edges, lengths, ren[g.base])
+        return GraphMap(graph, vimg, eimg, marking, self.rank, labels, (push,))
 
     # -- moves --------------------------------------------------------------------
 
@@ -224,44 +268,13 @@ class GraphMap:
         e2 = e1 + 1
         w = g.nv
         (a, b) = g.edges[edge]
-        new_edges = dict(g.edges)
-        del new_edges[edge]
-        new_edges[e1] = (a, w)
-        new_edges[e2] = (w, b)
         total = max(g.lengths[edge], 1e-12)
-        head_len = self.graph.path_length(p[:k])
-        full_len = max(self.graph.path_length(p), 1e-12)
-        ratio = head_len / full_len if p else 0.5
-        new_lengths = dict(g.lengths)
-        del new_lengths[edge]
-        new_lengths[e1] = total * ratio
-        new_lengths[e2] = total * (1 - ratio)
-
-        def sub(path):
-            out = []
-            for e in path:
-                if e == edge:
-                    out.extend((e1, e2))
-                elif e == -edge:
-                    out.extend((-e2, -e1))
-                else:
-                    out.append(e)
-            return tuple(out)
-
-        eimg = {e: sub(q) for (e, q) in self.eimg.items() if e != edge}
-        eimg[e1] = sub(p[:k])
-        eimg[e2] = sub(p[k:])
-        vimg = dict(self.vimg)
-        vimg[w] = self.graph.term_of(p[k - 1]) if k > 0 else self.vimg[a]
-        # vertex images live in the old graph; translate through sub()
-        # only edge paths need translation, vertices persist
-        marking = tuple(sub(m) for m in self.marking)
-        labels = dict(self.labels)
-        del labels[edge]
-        labels[e1] = self.labels[edge]
-        labels[e2] = ()
-        graph = MarkedGraph(g.nv + 1, new_edges, new_lengths, g.base)
-        return self._derive(graph, vimg, eimg, marking, labels, {edge: (e1, e2)})
+        ratio = g.path_length(p[:k]) / max(g.path_length(p), 1e-12) if p else 0.5
+        push = {edge: (e1, e2)}
+        return self._move(push, {
+            e1: ((a, w), total * ratio, push_path(p[:k], push), self.labels[edge]),
+            e2: ((w, b), total * (1 - ratio), push_path(p[k:], push), ()),
+        }, new_vimg={w: g.term_of(p[k - 1]) if k > 0 else self.vimg[a]})
 
     def fold(self, d1: int, d2: int) -> "GraphMap":
         """Identify two distinct oriented edges with the same initial vertex
@@ -279,44 +292,14 @@ class GraphMap:
         v1, v2 = g.term_of(d1), g.term_of(d2)
         if v1 == v2:
             raise ValueError("parallel fold would drop the graph rank")
-        e_rem = abs(d2)
         last = g.nv - 1
-
-        def remap_v(v):
-            if v == v2:
-                v = v1
-            return v2 if v == last else v
-
-        def sub(path):
-            out = []
-            for e in path:
-                if e == d2:
-                    out.append(d1)
-                elif e == -d2:
-                    out.append(-d1)
-                else:
-                    out.append(e)
-            return reduce_word(out)
-
-        new_edges = {}
-        for e, (a, b) in g.edges.items():
-            if e == e_rem:
-                continue
-            new_edges[e] = (remap_v(a), remap_v(b))
-        new_lengths = {e: l for (e, l) in g.lengths.items() if e != e_rem}
-        eimg = {e: sub(p) for (e, p) in self.eimg.items() if e != e_rem}
-        vimg = {remap_v(v): remap_v(img) for (v, img) in self.vimg.items()
-                if v != v2}
-        marking = tuple(sub(m) for m in self.marking)
+        merged = [v1 if v == v2 else v for v in range(g.nv)]
         # c is the word of the connector v2 -> v1; the base keeps its
         # attachment, so base loops are never conjugated
         c = concat(self.label_of(-d2), self.label_of(d1))
-        labels = self._relabel({v1: c} if v2 == g.base else {v2: invert(c)})
-        del labels[e_rem]
-        base = remap_v(g.base)
-        graph = MarkedGraph(g.nv - 1, new_edges, new_lengths, base)
-        push = {e_rem: (d1,) if d2 > 0 else (-d1,)}
-        return self._derive(graph, vimg, eimg, marking, labels, push)
+        return self._move({abs(d2): (d1,) if d2 > 0 else (-d1,)}, {},
+                          rename=[v2 if v == last else v for v in merged],
+                          h={v1: c} if v2 == g.base else {v2: invert(c)})
 
     def collapse_forest(self, edge_set) -> "GraphMap":
         """Collapse an f-invariant forest.  Validity: the set contains no
@@ -342,22 +325,8 @@ class GraphMap:
             if ra == rb:
                 raise ValueError("edge set contains a cycle, not a forest")
             parent[max(ra, rb)] = min(ra, rb)
-        rep_of = {v: find(v) for v in range(g.nv)}
-
-        def sub(path):
-            return reduce_word(tuple(e for e in path if abs(e) not in edge_set))
-
-        new_edges = {e: (rep_of[a], rep_of[b]) for e, (a, b) in g.edges.items()
-                     if e not in edge_set}
-        new_lengths = {e: l for (e, l) in g.lengths.items() if e not in edge_set}
-        survivors = sorted({rep_of[v] for v in range(g.nv)})
-        renum = {v: i for i, v in enumerate(survivors)}
-        new_edges = {e: (renum[a], renum[b]) for e, (a, b) in new_edges.items()}
-        eimg = {e: sub(p) for (e, p) in self.eimg.items() if e not in edge_set}
-        vimg = {}
-        for v in survivors:
-            vimg[renum[v]] = renum[rep_of[self.vimg[v]]]
-        marking = tuple(sub(m) for m in self.marking)
+        rep_of = [find(v) for v in range(g.nv)]
+        renum = {v: i for i, v in enumerate(sorted(set(rep_of)))}
         # h[v]: word of the tree path to v from its class's anchor, the base
         # in the base's class and the least vertex (the representative) in
         # every other class
@@ -379,11 +348,8 @@ class GraphMap:
                     if w not in h:
                         h[w] = concat(h[v], self.label_of(d))
                         stack.append(w)
-        labels = {e: w for e, w in self._relabel(h).items() if e not in edge_set}
-        graph = MarkedGraph(len(survivors), new_edges, new_lengths,
-                            renum[rep_of[g.base]])
-        return self._derive(graph, vimg, eimg, marking, labels,
-                            {e: () for e in edge_set})
+        return self._move({e: () for e in edge_set}, {},
+                          rename=[renum[r] for r in rep_of], h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -534,64 +500,49 @@ def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:
 
     next_id = max(g.edges) + 1
     nv = g.nv
-    piece_ids: dict = {}
-    piece_pos: dict = {}      # edge -> boundary positions [0, ..., length]
-    new_edges = {}
-    new_lengths = {}
+    push: dict = {}
+    ends: dict = {}
+    lengths: dict = {}
+    bounds_of: dict = {}      # edge -> boundary positions [0, ..., length]
     for e in g.edge_ids():
         (a, b) = g.edges[e]
         ps = cuts.get(e, [])
         bounds = [0.0] + ps + [g.lengths[e]]
         verts = [a] + list(range(nv, nv + len(ps))) + [b]
         nv += len(ps)
-        ids = [e]
         if ps:
-            ids = list(range(next_id, next_id + len(bounds) - 1))
-            next_id = ids[-1] + 1
-        for i, eid in enumerate(ids):
-            new_edges[eid] = (verts[i], verts[i + 1])
-            new_lengths[eid] = bounds[i + 1] - bounds[i]
-        piece_ids[e] = ids
-        piece_pos[e] = bounds
-    graph = MarkedGraph(nv, new_edges, new_lengths, g.base)
+            push[e] = tuple(range(next_id, next_id + len(bounds) - 1))
+            next_id += len(bounds) - 1
+        for i, eid in enumerate(push.get(e, (e,))):
+            ends[eid] = (verts[i], verts[i + 1])
+            lengths[eid] = bounds[i + 1] - bounds[i]
+        bounds_of[e] = bounds
 
-    def expand(path):
-        out = []
-        for x in path:
-            ids = piece_ids[abs(x)]
-            out.extend(ids if x > 0 else [-i for i in reversed(ids)])
-        return out
-
-    # slice each expanded image at the images of the piece boundaries; a
-    # cut vertex maps to the point where its piece's image slice begins
-    eimg = {}
-    vimg = dict(gm.vimg)
+    # every edge is redefined: slice its pushed image at the images of the
+    # piece boundaries; a cut vertex maps to the point where its piece's
+    # image slice begins, and the first piece keeps the edge's label
+    new_edges = {}
+    new_vimg = {}
     for e in g.edge_ids():
-        img = expand(gm.eimg[e])
-        acc = list(accumulate((new_lengths[abs(x)] for x in img), initial=0.0))
+        img = push_path(gm.eimg[e], push)
+        acc = list(accumulate((lengths[abs(x)] for x in img), initial=0.0))
         total = acc[-1]
         scale = total / g.lengths[e] if g.lengths[e] > 0 else 0.0
         idxs = []
-        for p in piece_pos[e]:
+        for p in bounds_of[e]:
             t = p * scale
             j = min(range(len(acc)), key=lambda i: abs(acc[i] - t))
             if abs(acc[j] - t) > 1e-5 * max(1.0, total):
                 raise ValueError("cut set is not closed under the map")
             idxs.append(j)
-        ids = piece_ids[e]
-        for k, eid in enumerate(ids):
-            eimg[eid] = tuple(img[idxs[k]:idxs[k + 1]])
+        for k, eid in enumerate(push.get(e, (e,))):
+            new_edges[eid] = (ends[eid], lengths[eid], img[idxs[k]:idxs[k + 1]],
+                              () if k else gm.labels[e])
             if k:
-                j = idxs[k]
-                vimg[new_edges[eid][0]] = graph.term_of(img[j - 1]) if j \
-                    else gm.vimg[g.edges[e][0]]
-
-    marking = tuple(tuple(expand(m)) for m in gm.marking)
-    # the first piece of a cut edge keeps its label
-    labels = {ids[0]: gm.labels[e] for e, ids in piece_ids.items()}
-    labels.update((eid, ()) for ids in piece_ids.values() for eid in ids[1:])
-    push = {e: tuple(ids) for e, ids in piece_ids.items() if ids != [e]}
-    return GraphMap(graph, vimg, eimg, marking, gm.rank, labels, (push,))
+                j = idxs[k]     # the slice begins at the term of img[j - 1]
+                new_vimg[ends[eid][0]] = gm.vimg[g.edges[e][0]] if j == 0 \
+                    else ends[abs(img[j - 1])][img[j - 1] > 0]
+    return gm._move(push, new_edges, new_vimg)
 
 
 def transport_path(gm_new: GraphMap, path) -> EdgePath:
@@ -601,12 +552,5 @@ def transport_path(gm_new: GraphMap, path) -> EdgePath:
     a cut one to its pieces)."""
     path = tuple(path)
     for push in gm_new.history:
-        out = []
-        for e in path:
-            if abs(e) in push:
-                rep = push[abs(e)]
-                out.extend(rep if e > 0 else [-x for x in reversed(rep)])
-            else:
-                out.append(e)
-        path = reduce_word(out)
+        path = push_path(path, push)
     return path

@@ -445,21 +445,15 @@ class Analysis:
                         loops=loops, toroidal=toroidal)
 
 
-def reduction_search(endo: Endomorphism, whitehead_depth: int = 8,
-                     max_period: int = 6, max_len: int = 12) -> Optional[ReductionWitness]:
+def reduction_search(endo: Endomorphism,
+                     whitehead_depth: int = 8) -> Optional[ReductionWitness]:
     """The reduction-witness stage of `Analysis`: an invariant proper free
     factor system, or None (a bounded negative)."""
-    bounds = Bounds(max_period=max_period, max_len=max_len,
-                    whitehead_depth=whitehead_depth)
-    return Analysis(endo, bounds).reduction_witness
+    return Analysis(endo, Bounds(whitehead_depth=whitehead_depth)).reduction_witness
 
 
-def classify(endo: Endomorphism, max_period: int = 6, max_len: int = 12,
-             whitehead_depth: int = 8, period_bound: int = 8,
-             max_iterations: int = 500, seed: int = 0) -> Verdict:
-    """The verdict of `Analysis`: injectivity, finite order, reduction
-    search, train track, stabilization, Nielsen loops, surface realization."""
-    bounds = Bounds(max_period=max_period, max_len=max_len,
-                    whitehead_depth=whitehead_depth, period_bound=period_bound,
-                    max_iterations=max_iterations, seed=seed)
-    return Analysis(endo, bounds).verdict
+def classify(endo: Endomorphism) -> Verdict:
+    """The verdict of `Analysis` at the default bounds: injectivity, finite
+    order, reduction search, train track, stabilization, Nielsen loops,
+    surface realization."""
+    return Analysis(endo, Bounds()).verdict

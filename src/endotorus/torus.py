@@ -147,9 +147,10 @@ _MINIMALITY = {"not_contained": "minimal", "contained": "not_minimal",
                "unknown": "unknown"}
 
 
-def minimality_check(endo: Endomorphism, depth: int = 8) -> tuple:
-    """("minimal" | "not_minimal" | "unknown", factor basis or None)."""
-    ffc = Analysis(endo, Bounds(whitehead_depth=depth)).image_factor
+def minimality_check(endo: Endomorphism) -> tuple:
+    """("minimal" | "not_minimal" | "unknown", factor basis or None), at the
+    default bounds."""
+    ffc = Analysis(endo, Bounds()).image_factor
     return (_MINIMALITY[ffc.status], ffc.factor)
 
 
@@ -184,9 +185,7 @@ def _z2_witness(endo: Endomorphism, cls: Word, max_power: int) -> Optional[dict]
     }
 
 
-def chi_zero_report(endo, max_period: int = 6, max_len: int = 12,
-                    whitehead_depth: int = 8, period_bound: int = 8,
-                    k_max: int = 6, seed: int = 0) -> dict:
+def chi_zero_report(endo) -> dict:
     """Everything the zero-Euler-characteristic characterization says about
     this mapping torus, constructively where the reverse direction applies:
     a reducible minimal monodromy yields an explicit chi = 0 noncyclic
@@ -194,16 +193,9 @@ def chi_zero_report(endo, max_period: int = 6, max_len: int = 12,
     free abelian subgroup, and in the irreducible atoroidal case the forward
     direction is reported as a cited conclusion.
 
-    `endo` is an Endomorphism, or an `Analysis` of one: the report is then
-    a view of that analysis under its own bounds, and the keyword bounds are
-    not used."""
-    if isinstance(endo, Analysis):
-        analysis = endo
-    else:
-        analysis = Analysis(endo, Bounds(
-            max_period=max_period, max_len=max_len,
-            whitehead_depth=whitehead_depth, period_bound=period_bound,
-            kmax=k_max, seed=seed))
+    `endo` is an `Analysis`, and the report is a view of it under its own
+    bounds, or an Endomorphism, analysed at the default bounds."""
+    analysis = endo if isinstance(endo, Analysis) else Analysis(endo, Bounds())
     endo = analysis.endo
     bounds = analysis.bounds
     verdict = analysis.verdict

@@ -52,29 +52,17 @@ def direction_map(gm: GraphMap) -> dict:
 def gates(gm: GraphMap) -> dict:
     """Partition of directions by iterated identification under the direction
     map; two directions in one gate make an illegal turn.  Returns a map
-    direction -> gate id (stable kernel of the iterated direction map)."""
+    direction -> gate id, numbered by first appearance in
+    `all_directions()` order.  The kernels of Df^k grow until their first
+    repeat and stay there, within D steps for D directions, so the kernel of
+    Df^N for N >= D is the final partition; N = 2^bit_length(D), by
+    repeated squaring."""
     dmap = direction_map(gm)
     dirs = gm.graph.all_directions()
-    cur = {d: d for d in dirs}
-
-    def partition_of(m):
-        classes: dict = {}
-        out = {}
-        for d in dirs:
-            key = m[d]
-            if key not in classes:
-                classes[key] = len(classes)
-            out[d] = classes[key]
-        return out
-
-    part = partition_of(cur)
-    for _ in range(2 * len(dirs) + 1):
-        cur = {d: dmap[cur[d]] for d in dirs}
-        new_part = partition_of(cur)
-        if new_part == part:
-            break
-        part = new_part
-    return part
+    for _ in range(len(dirs).bit_length()):
+        dmap = {d: dmap[dmap[d]] for d in dirs}
+    ids: dict = {}
+    return {d: ids.setdefault(dmap[d], len(ids)) for d in dirs}
 
 
 def is_illegal_turn(gate_map: dict, d1: int, d2: int) -> bool:
@@ -623,8 +611,9 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500, seed: int = 
         dmap = direction_map(gm)
         pick = _select_fold(gm, gate_map, dmap, seed)
         if pick is None:
+            # the eigenmetric changes only lengths; gates read only images
             tt_gm, tt_data = with_eigenmetric(gm)
-            return TrainTrack(tt_gm, gates(tt_gm), tt_data)
+            return TrainTrack(tt_gm, gate_map, tt_data)
         try:
             gm = fold_at_pair(gm, *pick)
         except ValueError as exc:

@@ -1,3 +1,4 @@
+import copy
 import math
 from pathlib import Path
 
@@ -15,7 +16,9 @@ from endotorus.graphmap import (
     TransitionData,
     _strongly_connected,
     certify_growth_rate,
+    push_path,
     transition_matrix,
+    transport_path,
     with_eigenmetric,
 )
 
@@ -318,15 +321,18 @@ class TestTransitionOracle:
 # edge labels: every intermediate graph of the pipeline stays marked
 # ---------------------------------------------------------------------------
 
-def moved_graph_maps(endo):
-    """Every GraphMap made by a subdivision, fold, forest collapse or
-    refinement inside find_train_track and, on a train track, stabilize."""
+def moves(endo):
+    """(map before, map after) of every subdivision, fold, forest collapse
+    or refinement inside find_train_track and, on a train track, stabilize.
+    The map after is a shallow copy taken as the move returns, so its
+    `history` is the move's own even after `fold_at_pair` prepends its
+    subdivisions to the original's."""
     made = []
 
     def recording(real):
-        def wrapper(*args, **kwargs):
-            out = real(*args, **kwargs)
-            made.append(out)
+        def wrapper(gm, *args, **kwargs):
+            out = real(gm, *args, **kwargs)
+            made.append((gm, copy.copy(out)))
             return out
         return wrapper
 
@@ -338,6 +344,11 @@ def moved_graph_maps(endo):
         if isinstance(tt, TrainTrack) and tt.data.expanding:
             stabilize(tt, period_bound=3)
     return made
+
+
+def moved_graph_maps(endo):
+    """Every GraphMap made by a move of `moves`."""
+    return [after for (_, after) in moves(endo)]
 
 
 def assert_marked(gm, endo):
@@ -361,3 +372,38 @@ class TestLabels:
         for gm in moved_graph_maps(endo):
             assert_marked(gm, endo)
 
+
+# ---------------------------------------------------------------------------
+# push maps: each move's recorded push map is the substitution it applied
+# ---------------------------------------------------------------------------
+
+def assert_pushed(before, after):
+    """The marking and the images of the edges the move keeps are the
+    old ones carried across by `transport_path`, and they are paths and
+    base loops of the new graph."""
+    after.check_consistency()
+    assert after.marking == tuple(transport_path(after, m) for m in before.marking)
+    for e in set(before.eimg) & set(after.eimg):
+        assert after.eimg[e] == transport_path(after, before.eimg[e])
+
+
+class TestPushMaps:
+    def test_push_path_rule(self):
+        push = {1: (3, 4), 2: ()}
+        assert push_path((1, 5, -1), push) == (3, 4, 5, -4, -3)
+        assert push_path((5, 2, -5), push) == ()           # reduced as it goes
+        assert push_path((-1, 1), push) == ()
+        assert push_path((5, 6), push) == (5, 6)           # other edges stay
+
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
+    def test_corpus_moves_carry_their_paths(self, name):
+        pairs = moves(parse((CORPUS / f"{name}.endo").read_text()).endo)
+        assert pairs
+        for (before, after) in pairs:
+            assert_pushed(before, after)
+
+    @given(random_maps(4))
+    @settings(max_examples=25, deadline=None)
+    def test_random_moves_carry_their_paths(self, endo):
+        for (before, after) in moves(endo):
+            assert_pushed(before, after)

@@ -15,6 +15,7 @@ from endotorus.words import (
     parse_word,
 )
 from endotorus.graphmap import GraphMap, transition_matrix
+from endotorus.nielsen import scan_pinps
 from endotorus.traintrack import (
     FINITE_ORDER_CONJUGATOR,
     FINITE_ORDER_POWER,
@@ -22,6 +23,7 @@ from endotorus.traintrack import (
     ReductionWitness,
     TrainTrack,
     Unknown,
+    direction_map,
     find_train_track,
     gates,
     illegal_crossings,
@@ -80,7 +82,67 @@ def injective_maps(draw):
     return endo
 
 
+TRAIN_TRACK_INPUTS = ("composite_geometric", "double_cover_geometric",
+                      "expanding_double", "golden_geometric", "golden_mirror",
+                      "golden_transpose", "noninjective_equal_images",
+                      "nonsurjective_mixed", "plastic_rank3",
+                      "remark_irreducible_atoroidal")
+
+
+def reference_gates(gm):
+    """The iterated-partition loop: number the kernel of Df^k, k = 0, 1, ...,
+    by first appearance, until one repeats."""
+    dmap = direction_map(gm)
+    dirs = gm.graph.all_directions()
+    cur = {d: d for d in dirs}
+
+    def partition_of(m):
+        classes: dict = {}
+        return {d: classes.setdefault(m[d], len(classes)) for d in dirs}
+
+    part = partition_of(cur)
+    for _ in range(2 * len(dirs) + 1):
+        cur = {d: dmap[cur[d]] for d in dirs}
+        new_part = partition_of(cur)
+        if new_part == part:
+            break
+        part = new_part
+    return part
+
+
+@st.composite
+def subdivided_roses(draw):
+    """The rose of a rank-2/3 map with nonempty images of up to 6 letters,
+    split up to 8 times strictly inside an image, so every image stays
+    nonempty and the direction map is defined."""
+    rank = draw(st.integers(2, 3))
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    images = [draw(st.lists(letters, min_size=1, max_size=6)) for _ in range(rank)]
+    gm = GraphMap.rose(Endomorphism(rank, tuple(tuple(im) for im in images)))
+    assume(all(gm.eimg.values()))
+    for _ in range(draw(st.integers(0, 8))):
+        long = [e for e in gm.graph.edge_ids() if len(gm.eimg[e]) >= 2]
+        if not long:
+            break
+        e = draw(st.sampled_from(long))
+        gm = gm.subdivide(e, draw(st.integers(1, len(gm.eimg[e]) - 1)))
+    return gm
+
+
 class TestGates:
+    @given(subdivided_roses())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_iterated_partition(self, gm):
+        assert gates(gm) == reference_gates(gm)
+
+    @pytest.mark.parametrize("name", TRAIN_TRACK_INPUTS)
+    def test_corpus_train_tracks_match_the_iterated_partition(self, name):
+        tt = find_train_track(parse((CORPUS / f"{name}.endo").read_text()).endo)
+        assert isinstance(tt, TrainTrack)
+        assert tt.gate_map == gates(tt.gm) == reference_gates(tt.gm)
+        prepared = scan_pinps(tt)[0].gm     # refined at interior periodic points
+        assert gates(prepared) == reference_gates(prepared)
+
     def test_remark_map_has_no_illegal_turns(self):
         gm = GraphMap.rose(PHI)
         gate_map = gates(gm)

@@ -14,7 +14,12 @@ change that does not reach the report bytes still shows.  Then comes
 refinement inside its `classify` and `tt`, in call order, the hash takes
 the ambient word `path_to_word(loop_at_base((e,)))` of every edge e of the
 new graph, so a change in how the marking is carried through the moves
-shows even where no report reads it.  The last two lines of an input are
+shows even where no report reads it.  Next comes `maps input sha256`: the
+hash of the full state of each map those same moves make, in the same
+order: vertex count, edge ends, the lengths in insertion order (the order
+`MarkedGraph.volume` sums them in), base, edge and vertex images, marking,
+labels and the move's push maps, so a change in any of them shows even
+between moves where no report reads it.  The last two lines of an input are
 `search input max_period,max_len result`: what `periodic_conjugacy_search`
 returns at the default bounds (6, 12) and at (3, 8), as
 `witness,period,orientation` or `none`, so a change in the search's
@@ -53,6 +58,16 @@ def _edge_words(gm) -> list:
     return [gm.path_to_word(gm.loop_at_base((e,))) for e in gm.graph.edge_ids()]
 
 
+def _map_state(gm) -> bytes:
+    """Every part of a graph map, through public attributes only; dicts are
+    sorted, except the lengths, whose order reaches the volume sums."""
+    g = gm.graph
+    state = (g.nv, sorted(g.edges.items()), list(g.lengths.items()), g.base,
+             sorted(gm.eimg.items()), sorted(gm.vimg.items()), gm.marking,
+             sorted(gm.labels.items()), [sorted(p.items()) for p in gm.history])
+    return repr(state).encode()
+
+
 @contextmanager
 def _recording(owner, name: str, record):
     """Wrap `owner.name` so that `record` sees each result; the callers
@@ -71,14 +86,16 @@ def _recording(owner, name: str, record):
         setattr(owner, name, real)
 
 
-def _run_recording(command: str, spec) -> tuple:
+def _run_recording(command: str, spec, states) -> tuple:
     """(report, scan results, edge words after each move) of one command;
-    the moves are recorded only for MOVE_COMMANDS."""
+    the moves are recorded only for MOVE_COMMANDS, and each moved map's
+    state goes into the hash `states`."""
     scans: list = []
     moves: list = []
 
     def move(gm):
         moves.append(_edge_words(gm))
+        states.update(_map_state(gm))
 
     with ExitStack() as stack:
         stack.enter_context(_recording(nielsen, "scan_pinps", scans.append))
@@ -93,8 +110,9 @@ def main() -> None:
     for path in sorted(CORPUS.glob("*.endo")):
         spec = parse(path.read_text())
         moves: list = []
+        states = hashlib.sha256()
         for command in COMMANDS:
-            (report, scans, command_moves) = _run_recording(command, spec)
+            (report, scans, command_moves) = _run_recording(command, spec, states)
             print(f"{command} {path.stem} {_sha(report_json(report).encode())}",
                   flush=True)
             if command == "classify":
@@ -103,6 +121,7 @@ def main() -> None:
             if command in MOVE_COMMANDS:
                 moves.append((command, command_moves))
         print(f"moves {path.stem} {_sha(repr(moves).encode())}", flush=True)
+        print(f"maps {path.stem} {states.hexdigest()}", flush=True)
         for (max_period, max_len) in SEARCH_BOUNDS:
             hit = periodic_conjugacy_search(spec.endo, max_period, max_len)
             result = "none" if hit is None else \
