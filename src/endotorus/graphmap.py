@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import add, itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from endotorus.words import Endomorphism, Word, concat, invert, reduce_word
@@ -371,22 +372,26 @@ class TransitionData:
 
 
 def _strongly_connected(matrix) -> bool:
+    """Every index reaches every other along the nonzero entries, and is
+    reached from it."""
     n = len(matrix)
-    if n == 0:
-        return True
+    out = [[j for j, x in enumerate(r) if x] for r in matrix]
+    back: list = [[] for _ in range(n)]
+    for i, js in enumerate(out):
+        for j in js:
+            back[j].append(i)
 
-    def reach(adj):
+    def reaches_all(adj) -> bool:
         seen = {0}
         stack = [0]
         while stack:
-            i = stack.pop()
-            for j in range(n):
-                if adj[i][j] and j not in seen:
+            for j in adj[stack.pop()]:
+                if j not in seen:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == n
 
-    return reach(matrix) and reach([[matrix[j][i] for j in range(n)] for i in range(n)])
+    return n == 0 or (reaches_all(out) and reaches_all(back))
 
 
 def _char_poly(matrix):
@@ -429,30 +434,47 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     n = len(order)
     m = [[0] * n for _ in range(n)]
     for e in order:
+        row = m[idx[e]]
         for x in gm.eimg[e]:
-            m[idx[e]][idx[abs(x)]] += 1
+            row[idx[abs(x)]] += 1
     matrix = tuple(tuple(r) for r in m)
     irreducible = _strongly_connected(matrix)
-    # the nonzero (j, m_ij) of each row in increasing j: the entries are
-    # nonnegative, so leaving out the exact 0 * v[j] terms of a sum, in
-    # the same order, leaves its bits unchanged
-    rows = [[(j, x) for j, x in enumerate(r) if x] for r in m]
+    # each row as a getter of the v[j] at its nonzero columns, in
+    # increasing order, and their coefficients, or None when every
+    # coefficient is 1.  The entries are nonnegative integers, so leaving
+    # out the exact 0 * v[j] terms and reading 1 * v[j] as v[j] leaves each
+    # sum, taken by the builtin `sum` over the same terms in the same order,
+    # unchanged to the bit.  A getter of one index would return the bare
+    # float, so a single column is read as a one-entry slice.
+    rows = []
+    for r in m:
+        cols = [j for j, x in enumerate(r) if x]
+        coefs = tuple(r[j] for j in cols)
+        if len(cols) == 1:
+            cols = [slice(cols[0], cols[0] + 1)]
+        get = itemgetter(*cols) if cols else itemgetter(slice(0, 0))
+        rows.append((get, None if coefs.count(1) == len(coefs) else coefs))
+
+    def times(v) -> list:
+        """M v."""
+        return [sum(get(v)) if coefs is None else sum(map(mul, coefs, get(v)))
+                for (get, coefs) in rows]
 
     # power iteration on M + I (primitive when M is irreducible)
     v = [1.0] * n
     lam = 0.0
     if n:
         for _ in range(2000):
-            w = [sum(x * v[j] for j, x in row) + v[i] for i, row in enumerate(rows)]
+            w = list(map(add, times(v), v))
             s = sum(w)
             if s == 0:
                 break
             w = [x / s for x in w]
-            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16:
+            if max(map(abs, map(sub, w, v))) < 1e-16:
                 v = w
                 break
             v = w
-        mv = [sum(x * v[j] for j, x in row) for row in rows]
+        mv = times(v)
         denom = sum(x * x for x in v)
         lam = sum(mv[i] * v[i] for i in range(n)) / denom if denom else 0.0
         if abs(lam - round(lam)) < 1e-12:
@@ -462,7 +484,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     if n and irreducible and min(v) > 0:
         total = sum(v)
         eigenmetric = tuple(x / total for x in v)
-        mv = [sum(x * eigenmetric[j] for j, x in row) for row in rows]
+        mv = times(eigenmetric)
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
     return TransitionData(order, matrix, lam, eigenmetric, irreducible,

@@ -14,6 +14,18 @@ candidate once, to its least return.  Only gates of two or more directions
 are indexed: every junction edge in a one-direction gate is the same edge,
 and two halves ending in the same edge meet in no turn.  The
 bounded-cancellation radius caps the scan.
+
+Stabilization folds at the illegal turns of these paths.  Folding at the
+illegal turn of an indivisible Nielsen path sends the other Nielsen paths to
+Nielsen paths (Bestvina-Handel 1992, section 5), so after a fold that needs
+no refinement the paths are carried instead of rescanned: each goes through
+the fold's push maps and must pass the scan's own acceptance rule, `_admit`,
+on the folded track, and if one fails the folded track is scanned.  A carry
+keeps only paths that pass the scan's rule, but it cannot see a path that
+no earlier path goes to.  So whenever the paths of the representative that
+`stabilize` returns were carried, that representative is scanned once more,
+and if the lists differ the scanned orbits are returned with stable=False:
+the Nielsen data that leaves `stabilize` is always a scan's.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
+from typing import Optional
 
 from endotorus.words import CyclicWord, cyclic_canonical, invert
 from endotorus.graphmap import (
@@ -37,6 +50,7 @@ from endotorus.traintrack import (
     fold_at_pair,
     gates,
     is_illegal_turn,
+    legality,
 )
 
 
@@ -259,6 +273,46 @@ def _least_return(gm: GraphMap, rho, period_bound: int, radius: float):
     return None
 
 
+def _admit(tt: TrainTrack, X: tuple, Y: tuple, at_x, at_y, period_bound: int,
+           radius: float, found: dict) -> bool:
+    """The one acceptance rule for a candidate rho = X . reverse(Y), with X
+    and Y legal halves that start at the earlier and the later direction of
+    their pair.  `at_x` and `at_y` hold the metric positions of the vertices
+    along X and Y, as prefix sums of edge lengths (a longer list, such as
+    the positions along the eigenray X starts, is fine).  X ends within the
+    cut radius; Y ends within POINT_TOL of it, at the first vertex of Y at
+    or after X's end less POINT_TOL; the halves end in two edges at one
+    vertex, and rho has exactly one illegal turn; some f^n with n up to the
+    bound returns rho or its reverse within the half-length bound.  An
+    accepted rho goes into `found` under min(rho, reverse(rho)).  Returns
+    whether `found` holds that key."""
+    (i, j) = (len(X) - 1, len(Y) - 1)
+    p = at_x[i]
+    if p > radius + 1e-9 or abs(at_y[j] - p) > POINT_TOL \
+            or (j and at_y[j - 1] >= p - POINT_TOL):
+        return False
+    g = tt.gm.graph
+    if X[-1] == Y[-1] or g.term_of(X[-1]) != g.term_of(Y[-1]):
+        return False
+    rho = X + invert(Y)
+    key = min(rho, invert(rho))
+    if key in found:
+        return True
+    if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
+           for k in range(len(rho) - 1)) != 1:
+        return False
+    back = _least_return(tt.gm, rho, period_bound, radius)
+    if back is None:
+        return False
+    (per, reversal) = back
+    # orientation convention: a reversing path starts from the
+    # numerically smaller direction, any other from the earlier one
+    if reversal and X[0] > Y[0]:
+        (X, Y) = (Y, X)
+    found[key] = NielsenPath(X, invert(Y), per, reversal)
+    return True
+
+
 def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     """Scan the periodic direction pairs through one junction index.  A pair
     qualifies when some f^per with per up to the bound fixes both directions
@@ -275,7 +329,7 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     gate.  A hit (i on the first ray, j on the second) is kept when j is the
     first vertex of the second ray at or after the first ray's position less
     POINT_TOL, as in a two-pointer merge of the pair's rays.  Each candidate
-    is iterated once, to its least return, in (pair, position) order."""
+    goes through `_admit`, in (pair, position) order."""
     if not (tt.data.expanding and tt.data.irreducible):
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
@@ -339,26 +393,8 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
 
     found: dict = {}
     for (_, _, i, j, d1, d2) in hits:
-        # the halves must meet at one vertex (in an illegal turn: one gate)
-        if gm.graph.term_of(rays[d1][0][i]) != gm.graph.term_of(rays[d2][0][j]):
-            continue
-        (X, Y) = (rays[d1][0][:i + 1], rays[d2][0][:j + 1])
-        rho = X + invert(Y)
-        key = min(rho, invert(rho))
-        if key in found:
-            continue
-        if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
-               for k in range(len(rho) - 1)) != 1:
-            continue
-        back = _least_return(gm, rho, period_bound, radius)
-        if back is None:
-            continue
-        (per, reversal) = back
-        # orientation convention: a reversing path starts from the
-        # numerically smaller direction, any other from the earlier one
-        if reversal and d1 > d2:
-            (X, Y) = (Y, X)
-        found[key] = NielsenPath(X, invert(Y), per, reversal)
+        _admit(tt, rays[d1][0][:i + 1], rays[d2][0][:j + 1], rays[d1][1],
+               rays[d2][1], period_bound, radius, found)
     return [found[k] for k in sorted(found)]
 
 
@@ -478,33 +514,83 @@ def _signature(tt: TrainTrack, orbits: list) -> tuple:
 STABILIZE_STEPS = 24   # fold budget before stabilization gives up
 
 
+def _carry(tt: TrainTrack, pinps: list, period_bound: int,
+           radius: float) -> Optional[list]:
+    """The periodic Nielsen paths of a folded train track, as the images of
+    those before the fold.  Each path goes through the fold's push maps
+    (`transport_path`), splits at its first illegal turn into X . reverse(Y)
+    with X from the earlier direction, and must pass `_admit` at the given
+    radius, as a scan hit would.  Returns the paths in the scan's order, or
+    None when the track is not expanding and irreducible or some path fails
+    (the caller then scans)."""
+    if not (tt.data.expanding and tt.data.irreducible):
+        return None
+    gm = tt.gm
+    lengths = gm.graph.lengths
+    order = {d: i for i, d in enumerate(gm.graph.all_directions())}
+    found: dict = {}
+    for p in pinps:
+        rho = transport_path(gm, p.path)
+        (legal, k) = legality(gm, tt.gate_map, rho)
+        if legal:
+            return None
+        (X, Y) = (rho[:k + 1], invert(rho[k + 1:]))
+        if X[0] == Y[0]:
+            return None
+        if order[X[0]] > order[Y[0]]:
+            (X, Y) = (Y, X)
+        if not _admit(tt, X, Y, list(accumulate(lengths[abs(e)] for e in X)),
+                      list(accumulate(lengths[abs(e)] for e in Y)),
+                      period_bound, radius, found):
+            return None
+    return [found[k] for k in sorted(found)]
+
+
 def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     """Fold periodic Nielsen path orbits of a train track representative
     until the representative repeats projectively.  Each step folds the
     first candidate junction (full folds first) whose connector is
-    nontrivial, rescans the folded representative and logs the volume
-    bookkeeping: x is the eigenmetric length of the folded segment, and the
-    folded orbit's paths are transported across the fold.  When the budget
-    of STABILIZE_STEPS folds runs out, or a fold fails, a representative is
-    returned with stable=False; its orbits and the fold log remain valid
-    data."""
+    nontrivial and logs the volume bookkeeping: x is the eigenmetric length
+    of the folded segment, and the folded orbit's paths are transported
+    across the fold.  When the budget of STABILIZE_STEPS folds runs out, or
+    a fold fails, a representative is returned with stable=False; its
+    orbits and the fold log remain valid data.
+
+    After a fold that needs no refinement the paths are carried across it
+    (`_carry`) instead of rescanned, and a failed carry means a scan.  A
+    carry cannot see a path that no earlier path goes to, so the paths of
+    the returned representative always come from a scan: when they were
+    carried, `scan_pinps` runs once more on it, and if the lists differ the
+    scanned orbits are returned with stable=False."""
     radius = tt.radius
     tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
         return StableRepresentative(tt, [], radius)
-    orbits = group_orbits(tt, pinps)
     log: list = []
-    seen: dict = {}        # signature -> (train track, orbits, scan radius)
+
+    def returned(entry, stable: bool) -> StableRepresentative:
+        (tt, orbits, radius, pinps, carried) = entry
+        if carried:
+            (tt, scanned) = scan_pinps(tt, period_bound)
+            if scanned != pinps:
+                return StableRepresentative(tt, group_orbits(tt, scanned),
+                                            radius, log, stable=False)
+        return StableRepresentative(tt, orbits, radius, log, stable)
+
+    entry = (tt, group_orbits(tt, pinps), radius, pinps, False)
+    seen: dict = {}        # signature -> (train track, orbits, scan radius,
+                           #               paths, whether they were carried)
     for _ in range(STABILIZE_STEPS):
+        (tt, orbits, radius, pinps, _) = entry
         sig = _signature(tt, orbits)
         if sig in seen:
-            return StableRepresentative(*seen[sig], log)
-        seen[sig] = (tt, orbits, radius)
+            return returned(seen[sig], True)
+        seen[sig] = entry
         if not orbits:
-            return StableRepresentative(tt, [], radius, log)
+            return returned(entry, True)
         candidates = _fold_candidates(tt.gm, orbits)
         if not candidates:
-            return StableRepresentative(tt, orbits, radius, log, stable=False)
+            return returned(entry, False)
         (_, oi, _, d1, d2) = candidates[0]
         gm = tt.gm
         try:
@@ -512,10 +598,15 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             moved = [transport_path(folded, p) for p in orbits[oi].paths]
             tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
             radius2 = tt2.radius
-            tt2, pinps = scan_pinps(tt2, period_bound)
-            orbits2 = group_orbits(tt2, pinps)
+            pinps2 = None
+            if prepare_representative(tt2, min(INTERIOR_BOUND, period_bound)) is tt2:
+                pinps2 = _carry(tt2, pinps, period_bound, radius2)
+            carried = pinps2 is not None
+            if not carried:
+                tt2, pinps2 = scan_pinps(tt2, period_bound)
+            orbits2 = group_orbits(tt2, pinps2)
         except ValueError:
-            return StableRepresentative(tt, orbits, radius, log, stable=False)
+            return returned(entry, False)
         log.append({
             "x": gm.graph.volume() - folded.graph.volume(),
             "vol_before": gm.graph.volume(),
@@ -524,8 +615,8 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             "orbit_after": sum(folded.graph.path_length(p) for p in moved),
             "eigen_residual": tt2.data.residual,
         })
-        tt, orbits, radius = tt2, orbits2, radius2
-    return StableRepresentative(*next(iter(seen.values())), log, stable=False)
+        entry = (tt2, orbits2, radius2, pinps2, carried)
+    return returned(next(iter(seen.values())), False)
 
 
 # ---------------------------------------------------------------------------

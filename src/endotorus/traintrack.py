@@ -49,15 +49,17 @@ def direction_map(gm: GraphMap) -> dict:
     return dmap
 
 
-def gates(gm: GraphMap) -> dict:
+def gates(gm: GraphMap, dmap: Optional[dict] = None) -> dict:
     """Partition of directions by iterated identification under the direction
     map; two directions in one gate make an illegal turn.  Returns a map
     direction -> gate id, numbered by first appearance in
     `all_directions()` order.  The kernels of Df^k grow until their first
     repeat and stay there, within D steps for D directions, so the kernel of
     Df^N for N >= D is the final partition; N = 2^bit_length(D), by
-    repeated squaring."""
-    dmap = direction_map(gm)
+    repeated squaring.  A caller that holds `direction_map(gm)` passes it
+    as `dmap`."""
+    if dmap is None:
+        dmap = direction_map(gm)
     dirs = gm.graph.all_directions()
     for _ in range(len(dirs).bit_length()):
         dmap = {d: dmap[dmap[d]] for d in dirs}
@@ -607,8 +609,8 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500, seed: int = 
                 return cert
             return Unknown("non-expanding irreducible representative without "
                            "finite-order certificate", iteration)
-        gate_map = gates(gm)
         dmap = direction_map(gm)
+        gate_map = gates(gm, dmap)
         pick = _select_fold(gm, gate_map, dmap, seed)
         if pick is None:
             # the eigenmetric changes only lengths; gates read only images

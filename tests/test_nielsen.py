@@ -181,7 +181,7 @@ class TestVerdict:
         monkeypatch.setattr(nielsen, "scan_pinps", spy)
         for endo in (GOLDEN, corpus_endo("composite_geometric")):
             stable = stabilize(find_train_track(endo))
-            assert len(scanned) > 1 and stable.radius == scanned[id(stable.tt)]
+            assert stable.fold_log and stable.radius == scanned[id(stable.tt)]
             scanned.clear()
 
 
@@ -287,20 +287,33 @@ def reference_enumerate(tt, period_bound, radius, tol=POINT_TOL):
 
 
 def rescans(endo):
-    """(prepared train track, period bound, radius, result) of every scan
-    inside `stabilize` on the endomorphism's train track."""
-    calls = []
-    real = nielsen._enumerate_on
+    """(prepared train track, period bound, radius, paths) of every
+    representative that `stabilize` visits on the endomorphism's train
+    track, whether a scan found its paths or a fold carried them."""
+    return [call[1:] for call in stabilize_steps(endo)[1] if call[4] is not None]
 
-    def recording(tt, period_bound, radius):
-        out = real(tt, period_bound, radius)
-        calls.append((tt, period_bound, radius, out))
-        return out
+
+def stabilize_steps(endo, steps=nielsen.STABILIZE_STEPS):
+    """(stable representative, calls) of `stabilize`, held to at most
+    `steps` folds, on the endomorphism's train track.  The calls are
+    (function, train track, period bound, radius, result) of every scan
+    (`_enumerate_on`) and every carry (`_carry`, None when it fails), in
+    call order."""
+    calls = []
+
+    def recording(name, real):
+        def call(tt, *args):
+            out = real(tt, *args)
+            calls.append((name, tt, args[-2], args[-1], out))
+            return out
+        return call
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nielsen, "_enumerate_on", recording)
-        stabilize(find_train_track(endo))
-    return calls
+        patch.setattr(nielsen, "STABILIZE_STEPS", steps)
+        for name in ("_enumerate_on", "_carry"):
+            patch.setattr(nielsen, name, recording(name, getattr(nielsen, name)))
+        stable = stabilize(find_train_track(endo))
+    return stable, calls
 
 
 def periodic_directions(gm, period_bound):
@@ -425,3 +438,66 @@ class TestScanOracle:
         assert_rays_are_eigenrays(tt, period_bound, radius)
         for tol in (POINT_TOL, 0.05):
             assert_scan_matches_reference(tt, period_bound, radius, tol)
+
+
+# ---------------------------------------------------------------------------
+# carry oracle: at every fold of `stabilize` the carried paths are the paths
+# that the scan and the reference find on the folded representative
+# ---------------------------------------------------------------------------
+
+GOLDEN_NAMES = ("golden_geometric", "golden_mirror", "golden_transpose")
+I_B = Endomorphism.inner(2, parse_word("b"))
+# the corpus inputs with periodic Nielsen paths, three squares, and i_b
+# after each geometric input that has a train track: i_b after
+# composite_geometric and after golden_geometric has none yet (ROADMAP
+# item 1), so stabilize never runs on them
+CARRY_CASES = (
+    [(n, corpus_endo(n)) for n in
+     ("composite_geometric", "double_cover_geometric", "expanding_double",
+      *GOLDEN_NAMES, "nonsurjective_mixed")]
+    + [(f"{n}^2", corpus_endo(n).power(2)) for n in GOLDEN_NAMES]
+    + [(f"i_b*{n}", I_B.compose(corpus_endo(n))) for n in
+       ("double_cover_geometric", "golden_mirror", "golden_transpose")])
+
+
+def carried_steps(endo, steps=nielsen.STABILIZE_STEPS):
+    """(train track, period bound, radius, carried paths) of every carry
+    inside `stabilize`, after asserting that every fold was carried."""
+    (stable, calls) = stabilize_steps(endo, steps)
+    carries = [call[1:] for call in calls if call[0] == "_carry"]
+    assert len(carries) == len(stable.fold_log) > 0
+    assert all(out is not None for (_, _, _, out) in carries)
+    return carries
+
+
+class TestCarry:
+    @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
+                             ids=[name for (name, _) in CARRY_CASES])
+    def test_every_carry_is_the_scan(self, endo):
+        for (tt, period_bound, radius, out) in carried_steps(endo):
+            assert out == _enumerate_on(tt, period_bound, radius)
+            assert out == reference_enumerate(tt, period_bound, radius)
+
+    @pytest.mark.parametrize("name", ("composite_geometric",
+                                      "double_cover_geometric"))
+    def test_squares_carry_the_scan(self, name):
+        # the squares refine to about 360 edges: two folds, and no
+        # reference, which takes minutes per representative there
+        for (tt, period_bound, radius, out) in \
+                carried_steps(corpus_endo(name).power(2), steps=2):
+            assert out == _enumerate_on(tt, period_bound, radius)
+
+    @pytest.mark.parametrize("name", ("golden_geometric", "composite_geometric"))
+    def test_a_dropped_path_falls_back_to_the_scan(self, name, monkeypatch):
+        real = nielsen._carry
+
+        def dropping(*args):
+            return real(*args)[1:]
+
+        monkeypatch.setattr(nielsen, "_carry", dropping)
+        stable = stabilize(find_train_track(corpus_endo(name)))
+        (tt, pinps) = scan_pinps(stable.tt)
+        assert tt is stable.tt and pinps
+        assert stable.fold_log and not stable.stable
+        assert [o.paths for o in stable.orbits] == \
+            [o.paths for o in group_orbits(tt, pinps)]

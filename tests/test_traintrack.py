@@ -143,6 +143,26 @@ class TestGates:
         prepared = scan_pinps(tt)[0].gm     # refined at interior periodic points
         assert gates(prepared) == reference_gates(prepared)
 
+    @given(subdivided_roses())
+    @settings(max_examples=50, deadline=None)
+    def test_a_given_direction_map_gives_the_same_gates(self, gm):
+        assert gates(gm, direction_map(gm)) == gates(gm)
+
+    def test_one_direction_map_per_fold_iteration(self, monkeypatch):
+        # every iteration on this map folds, and none collapses a forest
+        calls = []
+        real = tt_module.direction_map
+
+        def counted(gm):
+            calls.append(gm)
+            return real(gm)
+
+        monkeypatch.setattr(tt_module, "direction_map", counted)
+        result = find_train_track(
+            Endomorphism(2, (parse_word("Ab"), parse_word("ba"))), max_iterations=30)
+        assert isinstance(result, Unknown)
+        assert len(calls) == 30
+
     def test_remark_map_has_no_illegal_turns(self):
         gm = GraphMap.rose(PHI)
         gate_map = gates(gm)

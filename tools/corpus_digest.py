@@ -1,15 +1,19 @@
-"""Digest of every command's report, every PINP scan, every graph move and
-the periodic-class word search on the corpus.
+"""Digest of every command's report, every stabilization step's periodic
+Nielsen paths, every graph move and the periodic-class word search on the
+corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
 For each command and each input in `corpus/`, at the default flags, prints
 one line `command input sha256`, the hash of the input's `report_json`
 bytes.  After the `classify` line of an input come its scan lines
-`scan input k sha256`, one for the k-th `nielsen.scan_pinps` result inside
-that `classify` (k from 0): the hash covers the prepared graph's vertex and
-edge counts and the list of periodic indivisible Nielsen paths, so a scan
-change that does not reach the report bytes still shows.  Then comes
+`scan input k sha256`, one for the k-th stabilization step inside that
+`classify` (k from 0): the hash covers the step's representative's vertex
+and edge counts and its list of periodic indivisible Nielsen paths, the
+list that `nielsen.group_orbits` receives, whether a scan found it or a
+fold carried it.  A representative without such paths ends stabilization
+at once and is hashed with its empty list.  So a change in the paths that
+does not reach the report bytes still shows.  Then comes
 `moves input sha256`: after every subdivision, fold, forest collapse and
 refinement inside its `classify` and `tt`, in call order, the hash takes
 the ambient word `path_to_word(loop_at_base((e,)))` of every edge e of the
@@ -25,7 +29,7 @@ returns at the default bounds (6, 12) and at (3, 8), as
 `witness,period,orientation` or `none`, so a change in the search's
 witnesses shows even where no report byte reads them.  Run it with
 PYTHONPATH set to each of two source trees and `diff` the outputs to check
-that a change leaves every report, scan, move and search result identical.
+that a change leaves every report, step, move and search result identical.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import hashlib
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-from endotorus import nielsen
+from endotorus import nielsen, surface
 from endotorus.cli import COMMANDS, parse, report_json, run
 from endotorus.graphmap import GraphMap
 from endotorus.words import periodic_conjugacy_search, show_word
@@ -48,8 +52,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _scan_digest(result) -> str:
-    (tt, pinps) = result
+def _step_digest(step) -> str:
+    (tt, pinps) = step
     paths = [(p.alpha, p.beta, p.period, p.reversal) for p in pinps]
     return _sha(repr((tt.gm.graph.nv, len(tt.gm.graph.edges), paths)).encode())
 
@@ -70,13 +74,14 @@ def _map_state(gm) -> bytes:
 
 @contextmanager
 def _recording(owner, name: str, record):
-    """Wrap `owner.name` so that `record` sees each result; the callers
-    look the name up at call time, so the wrapper is what they run."""
+    """Wrap `owner.name` so that `record(args, result)` sees each call; the
+    callers look the name up at call time, so the wrapper is what they
+    run."""
     real = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         result = real(*args, **kwargs)
-        record(result)
+        record(args, result)
         return result
 
     setattr(owner, name, wrapper)
@@ -87,23 +92,33 @@ def _recording(owner, name: str, record):
 
 
 def _run_recording(command: str, spec, states) -> tuple:
-    """(report, scan results, edge words after each move) of one command;
-    the moves are recorded only for MOVE_COMMANDS, and each moved map's
-    state goes into the hash `states`."""
-    scans: list = []
+    """(report, stabilization steps, edge words after each move) of one
+    command; a step is a (representative, paths) pair, and the moves are
+    recorded only for MOVE_COMMANDS, each moved map's state going into the
+    hash `states`."""
+    steps: list = []
     moves: list = []
 
-    def move(gm):
+    def step(args, _):
+        steps.append(args[:2])
+
+    def unfolded(_, stable):
+        # stabilization stopped at its first scan, before any grouping
+        if not stable.orbits and not stable.fold_log:
+            steps.append((stable.tt, []))
+
+    def move(_, gm):
         moves.append(_edge_words(gm))
         states.update(_map_state(gm))
 
     with ExitStack() as stack:
-        stack.enter_context(_recording(nielsen, "scan_pinps", scans.append))
+        stack.enter_context(_recording(nielsen, "group_orbits", step))
+        stack.enter_context(_recording(surface, "stabilize", unfolded))
         if command in MOVE_COMMANDS:
             stack.enter_context(_recording(nielsen, "refine_at_points", move))
             for name in ("subdivide", "fold", "collapse_forest"):
                 stack.enter_context(_recording(GraphMap, name, move))
-        return run(command, spec), scans, moves
+        return run(command, spec), steps, moves
 
 
 def main() -> None:
@@ -112,12 +127,12 @@ def main() -> None:
         moves: list = []
         states = hashlib.sha256()
         for command in COMMANDS:
-            (report, scans, command_moves) = _run_recording(command, spec, states)
+            (report, steps, command_moves) = _run_recording(command, spec, states)
             print(f"{command} {path.stem} {_sha(report_json(report).encode())}",
                   flush=True)
             if command == "classify":
-                for k, result in enumerate(scans):
-                    print(f"scan {path.stem} {k} {_scan_digest(result)}", flush=True)
+                for k, step in enumerate(steps):
+                    print(f"scan {path.stem} {k} {_step_digest(step)}", flush=True)
             if command in MOVE_COMMANDS:
                 moves.append((command, command_moves))
         print(f"moves {path.stem} {_sha(repr(moves).encode())}", flush=True)
