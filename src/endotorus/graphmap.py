@@ -1,20 +1,23 @@
 """Marked graphs and homotopy representatives of endomorphisms.
 
 A MarkedGraph is a finite connected graph with positive edge lengths.  A
-GraphMap carries vertex and edge images plus a marking that identifies the
+GraphMap carries vertex and edge images plus edge labels that identify the
 fundamental group with F: every edge has a label, a reduced word in the
-ambient generators, and a loop at the base reads as the reduced product of
-its labels.  Each move updates the labels of the edges it touches, so no
-earlier graph is kept; the labels are how reduction witnesses and induced
-endomorphisms get expressed in ambient coordinates.  The marking loops, one
-per generator, ride along as edge paths.
+ambient generators, and an edge path reads as the reduced product of its
+labels, word(p).  A loop at the base reads as an element of F, and a
+closed path elsewhere as a conjugate of the base loop it makes with any
+path from the base and back.  Each move updates the labels of the edges it
+touches, so no earlier graph is kept; the labels are how reduction
+witnesses and induced endomorphisms get expressed in ambient coordinates.
+One word, the map's twist, makes them exact: for every loop gamma at the
+base, phi(word(gamma)) = twist . word(f(gamma)) . twist^-1.
 
 Every move is its push map: a dict sending each edge id the move removes to
 its path in the new graph.  `push_path` applies one to any edge path (e
 becomes push[e], -e the reverse path, every other edge stays, and the result
-is freely reduced), and `GraphMap._move` carries every path of the map, edge
-images and marking loops, through it.  Applying the map itself is the same
-substitution, with the edge images as the push map.
+is freely reduced), and `GraphMap._move` carries the edge images through
+it.  Applying the map itself is the same substitution, with the edge images
+as the push map.
 
 Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 """
@@ -131,19 +134,24 @@ def push_path(path: Sequence[int], push: dict) -> EdgePath:
 class GraphMap:
     """A self-map of a marked graph representing an endomorphism of F.
 
+    `twist` is the word with phi(word(gamma)) = twist . word(f(gamma)) .
+    twist^-1 for every loop gamma at the base.  It is () on the rose, and
+    a move whose label twist re-attaches each old vertex v along h[v]
+    multiplies it on the right by h[f(base)]^-1 (`_move`).
+
     `history` holds the push maps of the move that made this map, which is
     what `transport_path` reads: one for a single move, one per step for a
     composite move (`traintrack.fold_at_pair`).  A tighten or a change of
     metric keeps it; the rose has none."""
 
     def __init__(self, graph: MarkedGraph, vimg: dict, eimg: dict,
-                 marking: tuple, rank: int, labels: dict, history: tuple = ()):
+                 rank: int, labels: dict, twist: Word = (), history: tuple = ()):
         self.graph = graph
         self.vimg = dict(vimg)
         self.eimg = {e: tuple(p) for (e, p) in eimg.items()}
-        self.marking = tuple(tuple(m) for m in marking)
         self.rank = rank
         self.labels = dict(labels)         # unoriented id -> word along +e
+        self.twist = tuple(twist)          # phi(w) = twist . f_*(w) . twist^-1
         self.history = tuple(history)      # push maps of the last move
 
     # -- basics ---------------------------------------------------------------
@@ -169,32 +177,13 @@ class GraphMap:
                 assert g.term_of(p[-1]) == self.vimg[g.term_of(e)]
             else:
                 assert self.vimg[g.init_of(e)] == self.vimg[g.term_of(e)]
-        for m in self.marking:
-            assert g.is_path(m) and g.init_of(m[0]) == g.base \
-                and g.term_of(m[-1]) == g.base
 
     # -- words in F ---------------------------------------------------------------
 
     def path_to_word(self, path: Sequence[int]) -> Word:
-        """Word in F of a loop at the base: the reduced product of its
-        edge labels."""
+        """word(path): the reduced product of the edge labels along any
+        edge path.  A loop at the base reads as its element of F."""
         return reduce_word(x for e in path for x in self.label_of(e))
-
-    def loop_at_base(self, path: Sequence[int]) -> EdgePath:
-        """Close a path into a base loop along shortest connectors."""
-        if not path:
-            return ()
-        g = self.graph
-        head = g.shortest_path(g.base, g.init_of(path[0]))
-        tail = g.shortest_path(g.term_of(path[-1]), g.base)
-        return reduce_word(tuple(head) + tuple(path) + tuple(tail))
-
-    def induced_generator_image(self, gen: int) -> Word:
-        """Word of f(marking loop), conjugated back to the base point."""
-        g = self.graph
-        img = self.map_path(self.marking[gen - 1])
-        q = g.shortest_path(g.base, self.vimg[g.base])
-        return self.path_to_word(reduce_word(tuple(q) + img + tuple(-x for x in reversed(q))))
 
     # -- constructors ------------------------------------------------------------
 
@@ -206,9 +195,8 @@ class GraphMap:
         graph = MarkedGraph(1, {i: (0, 0) for i in range(1, r + 1)},
                             {i: 1.0 for i in range(1, r + 1)})
         eimg = {i: tuple(endo.images[i - 1]) for i in range(1, r + 1)}
-        marking = tuple((i,) for i in range(1, r + 1))
         labels = {i: (i,) for i in range(1, r + 1)}
-        return GraphMap(graph, {0: 0}, eimg, marking, r, labels)
+        return GraphMap(graph, {0: 0}, eimg, r, labels)
 
     def _move(self, push: dict, new_edges: dict, new_vimg: Optional[dict] = None,
               rename: Optional[Sequence[int]] = None,
@@ -216,17 +204,19 @@ class GraphMap:
         """The map after a move, from what the move decides.
 
         `push` is the move's push map: the edge ids it removes, each sent to
-        its path in the new graph.  The images of the kept edges and the
-        marking loops become their `push_path`, and `push` becomes the new
-        `history`.  `rename` sends each old vertex to its new id (by default
-        every id stays), and `new_vimg` gives the images of the vertices the
-        move adds.  `new_edges` maps each edge id the move makes or redefines
-        to (ends, length, image, label) in the new graph.  Kept edges keep
-        their lengths and their order, and the edges of `new_edges` come
-        after them, in the order given.  The label twist h re-attaches each
-        old vertex v along the word h[v] (default 1): a kept edge from a to b
-        gets h[a] . label . h[b]^-1, so that loops keep their words once the
-        moved vertices merge."""
+        its path in the new graph.  The images of the kept edges become their
+        `push_path`, and `push` becomes the new `history`.  `rename` sends
+        each old vertex to its new id (by default every id stays), and
+        `new_vimg` gives the images of the vertices the move adds.
+        `new_edges` maps each edge id the move makes or redefines to (ends,
+        length, image, label) in the new graph.  Kept edges keep their lengths
+        and their order, and the edges of `new_edges` come after them, in the
+        order given.  The label twist h re-attaches each old vertex v along
+        the word h[v] (default 1): a kept edge from a to b gets h[a] . label .
+        h[b]^-1, so that loops keep their words once the moved vertices merge.
+        The base keeps its attachment, so a base loop keeps its word, while
+        the word of its image, a loop at f(base), is conjugated by h[f(base)]:
+        the twist becomes twist . h[f(base)]^-1."""
         g = self.graph
         ren = range(g.nv) if rename is None else rename
         h = h or {}
@@ -246,16 +236,16 @@ class GraphMap:
             labels[e] = label
         vimg = {ren[v]: ren[w] for v, w in self.vimg.items()}
         vimg.update(new_vimg or {})
-        marking = tuple(push_path(m, push) for m in self.marking)
+        twist = concat(self.twist, invert(h.get(self.vimg[g.base], ())))
         graph = MarkedGraph(len(vimg), edges, lengths, ren[g.base])
-        return GraphMap(graph, vimg, eimg, marking, self.rank, labels, (push,))
+        return GraphMap(graph, vimg, eimg, self.rank, labels, twist, (push,))
 
     # -- moves --------------------------------------------------------------------
 
     def tighten(self) -> "GraphMap":
         eimg = {e: reduce_word(p) for (e, p) in self.eimg.items()}
-        return GraphMap(self.graph, self.vimg, eimg, self.marking, self.rank,
-                        self.labels, self.history)
+        return GraphMap(self.graph, self.vimg, eimg, self.rank, self.labels,
+                        self.twist, self.history)
 
     def subdivide(self, edge: int, k: int) -> "GraphMap":
         """Split edge at the point mapping to position k of its image path;
@@ -491,16 +481,16 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
                           expanding, residual)
 
 
-def with_eigenmetric(gm: GraphMap) -> tuple:
-    """Return (graph map with edge lengths set to the eigenmetric, data)."""
-    data = transition_matrix(gm)
+def with_eigenmetric(gm: GraphMap, data: TransitionData) -> GraphMap:
+    """The graph map with edge lengths set to the eigenmetric of `data`,
+    `transition_matrix(gm)`, which reads only the images and so holds for
+    the result too."""
     if data.eigenmetric is None:
-        return gm, data
+        return gm
     lengths = {e: data.eigenmetric[i] for i, e in enumerate(data.edge_order)}
     graph = MarkedGraph(gm.graph.nv, dict(gm.graph.edges), lengths, gm.graph.base)
-    out = GraphMap(graph, gm.vimg, gm.eimg, gm.marking, gm.rank,
-                   gm.labels, gm.history)
-    return out, data
+    return GraphMap(graph, gm.vimg, gm.eimg, gm.rank, gm.labels, gm.twist,
+                    gm.history)
 
 
 def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:

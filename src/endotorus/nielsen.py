@@ -531,7 +531,7 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
     found: dict = {}
     for p in pinps:
         rho = transport_path(gm, p.path)
-        (legal, k) = legality(gm, tt.gate_map, rho)
+        (legal, k) = legality(tt.gate_map, rho)
         if legal:
             return None
         (X, Y) = (rho[:k + 1], invert(rho[k + 1:]))
@@ -754,7 +754,8 @@ def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     for l in loops:
         for e in l:
             mult[abs(e)] += 1
-    classes = [CyclicWord.of(gm.path_to_word(gm.loop_at_base(l))) for l in loops]
+    # a closed path's word is conjugate to that of any base loop it closes into
+    classes = [CyclicWord.of(gm.path_to_word(l)) for l in loops]
 
     # f permutes the loops up to rotation and reversal; transitivity = one cycle
     canon = {}

@@ -200,12 +200,6 @@ class SubgroupGraph:
                 adj[v][l] = seen[key]
         return SubgroupGraph(self.rank, adj, 0)
 
-    def conjugated(self, x: Sequence[int]) -> "SubgroupGraph":
-        """Graph of x <self> x^-1."""
-        x = reduce_word(x)
-        return SubgroupGraph.from_generators(
-            self.rank, [concat(x, w, invert(x)) for w in self.basis()])
-
     # -- identity --------------------------------------------------------------
 
     def canonical_key(self) -> tuple:

@@ -16,14 +16,12 @@ from typing import Optional
 from endotorus.words import (
     Endomorphism,
     Word,
-    _cyclic_split,
     _mat_mul,
     concat,
     conjugate,
     cyclic_reduce,
     find_conjugator,
     invert,
-    reduce_word,
 )
 from endotorus.graphmap import (
     GraphMap,
@@ -71,7 +69,7 @@ def is_illegal_turn(gate_map: dict, d1: int, d2: int) -> bool:
     return gate_map[d1] == gate_map[d2]
 
 
-def legality(gm: GraphMap, gate_map: dict, path) -> tuple:
+def legality(gate_map: dict, path) -> tuple:
     """(True, None) for a legal path, else (False, index of first illegal
     turn), where turn i sits between path[i] and path[i+1]."""
     for i in range(len(path) - 1):
@@ -306,54 +304,11 @@ def largest_invariant_forest(gm: GraphMap) -> Optional[frozenset]:
                         for (vs, es) in _subgraph_components(gm, rest))), None)
 
 
-def _primitive_root(c: Word) -> Word:
-    n = len(c)
-    for d in range(1, n + 1):
-        if n % d == 0 and c[:d] * (n // d) == c:
-            return tuple(c[:d])
-    return tuple(c)
-
-
-def _power(w: Word, n: int) -> Word:
-    if n == 0:
-        return ()
-    base = w if n > 0 else invert(w)
-    return reduce_word(base * abs(n))
-
-
-TWIST_BOUND = 64   # longest marking twist tried
-
-
-def _solve_marking_twist(gm: GraphMap, endo: Endomorphism) -> Optional[Word]:
-    """Find z with phi(g) = z . induced(g) . z^-1 for every generator; the
-    shortest-path basing of the induced map is only well defined up to such
-    an inner twist.  Solutions differ by the centralizer of the first
-    induced image, a cyclic group we scan with small exponents."""
-    induced = [gm.induced_generator_image(g) for g in range(1, endo.rank + 1)]
-    u = find_conjugator(induced[0], endo.images[0])
-    if u is None:
-        return None
-    core, peel = _cyclic_split(induced[0])
-    if not core:
-        candidates = [u]
-    else:
-        root = conjugate(_primitive_root(core), peel)
-        candidates = []
-        for j in range(-8, 9):
-            z = concat(u, _power(root, j))
-            if len(z) <= TWIST_BOUND:
-                candidates.append(z)
-    for z in candidates:
-        if all(conjugate(w, z) == endo.images[i] for i, w in enumerate(induced)):
-            return z
-    return None
-
-
 def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
                             provenance: str) -> Optional[ReductionWitness]:
     """Convert an invariant subgraph into a verified free factor system via
-    the marking.  Returns None when verification fails (never emits an
-    unverified witness)."""
+    the edge labels and the map's twist.  Returns None when verification
+    fails (never emits an unverified witness)."""
     comps = [(vs, es) for (vs, es) in _subgraph_components(gm, edge_set)
              if len(es) - len(vs) + 1 > 0]
     if not comps:
@@ -386,9 +341,6 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
         if j == i:
             break
 
-    z = _solve_marking_twist(gm, endo)
-    if z is None:
-        return None
     g = gm.graph
 
     def component_data(ci):
@@ -417,15 +369,12 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
         return root, gamma, tree_path, loops
 
     data = {ci: component_data(ci) for ci in cycle}
-    q0 = g.shortest_path(g.base, gm.vimg[g.base])
     factors = []
     basis_words = {}
     for ci in cycle:
         root, gamma, _, loops = data[ci]
-        basis_words[ci] = [
-            gm.path_to_word(reduce_word(tuple(gamma) + lp + tuple(-x for x in reversed(gamma))))
-            for lp in loops
-        ]
+        basis_words[ci] = [gm.path_to_word(gamma + lp + invert(gamma))
+                           for lp in loops]
     for idx, ci in enumerate(cycle):
         cj = cycle[(idx + 1) % len(cycle)]
         root_i, gamma_i, _, _ = data[ci]
@@ -435,10 +384,9 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
         delta = tree_j.get(f_root)
         if delta is None:
             return None
-        x_raw = gm.path_to_word(reduce_word(
-            tuple(q0) + f_gamma + tuple(-d for d in reversed(delta))
-            + tuple(-d for d in reversed(gamma_j))))
-        x = concat(z, x_raw)
+        # f(gamma_i) . delta^-1 . gamma_j^-1 runs from f(base) to the base
+        x = concat(gm.twist, gm.path_to_word(
+            f_gamma + invert(delta) + invert(gamma_j)))
         factors.append(InvariantFactor(basis_words[ci], x))
     witness = ReductionWitness(factors, provenance)
     return witness if verify_reduction_witness(endo, witness) else None
@@ -613,9 +561,9 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500, seed: int = 
         gate_map = gates(gm, dmap)
         pick = _select_fold(gm, gate_map, dmap, seed)
         if pick is None:
-            # the eigenmetric changes only lengths; gates read only images
-            tt_gm, tt_data = with_eigenmetric(gm)
-            return TrainTrack(tt_gm, gate_map, tt_data)
+            # the eigenmetric changes only lengths; gates and the transition
+            # data read only images
+            return TrainTrack(with_eigenmetric(gm, data), gate_map, data)
         try:
             gm = fold_at_pair(gm, *pick)
         except ValueError as exc:

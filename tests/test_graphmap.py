@@ -10,9 +10,10 @@ from endotorus.cli import parse, run
 from endotorus.nielsen import scan_pinps, stabilize
 from endotorus.subgroups import SubgroupGraph
 from endotorus.traintrack import TrainTrack, find_train_track
-from endotorus.words import Endomorphism, invert, is_conjugate, parse_word, reduce_word
+from endotorus.words import Endomorphism, conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
     GraphMap,
+    MarkedGraph,
     TransitionData,
     _strongly_connected,
     certify_growth_rate,
@@ -44,13 +45,15 @@ class TestRose:
 
     def test_marking_words(self):
         gm = rose(GOLDEN)
+        assert gm.twist == ()
         for g in (1, 2):
-            assert gm.path_to_word(gm.marking[g - 1]) == (g,)
+            assert gm.path_to_word((g,)) == (g,)
 
     def test_induced_images(self):
         gm = rose(GOLDEN)
         for g in (1, 2):
-            assert gm.induced_generator_image(g) == GOLDEN.images[g - 1]
+            assert gm.path_to_word(gm.map_path((g,))) == GOLDEN.images[g - 1]
+        assert_marked(gm, GOLDEN)
 
 
 class TestTighten:
@@ -103,7 +106,8 @@ class TestTransition:
             assert sum(data.matrix[i]) == len(gm.eimg[e])
 
     def test_volume_after_eigenmetric(self):
-        gm, data = with_eigenmetric(rose(GOLDEN))
+        gm = rose(GOLDEN)
+        gm = with_eigenmetric(gm, transition_matrix(gm))
         assert abs(gm.graph.volume() - 1.0) < 1e-12
 
 
@@ -119,8 +123,7 @@ class TestMoves:
         e1 = [e for e in split.graph.edge_ids() if split.eimg[e] == ()][0]
         back = split.collapse_forest({e1})
         back.check_consistency()
-        for g in (1, 2):
-            assert is_conjugate(back.induced_generator_image(g), GOLDEN.images[g - 1])
+        assert_marked(back, GOLDEN)
 
     def test_fold_merges_edges_with_equal_images(self):
         # map with f(a) = ab, f(b) = ab: not injective, but the fold itself
@@ -135,8 +138,7 @@ class TestMoves:
         folded = split.fold(e1, 2)
         folded.check_consistency()
         assert folded.graph.nv == split.graph.nv - 1
-        for g in (1, 2):
-            assert is_conjugate(folded.induced_generator_image(g), GOLDEN.images[g - 1])
+        assert_marked(folded, GOLDEN)
 
     def test_fold_preserves_rank(self):
         gm = rose(GOLDEN).subdivide(1, 1)
@@ -156,9 +158,7 @@ class TestMoves:
         g = split.graph
         assert {v for ends in g.edges.values() for v in ends} == set(range(g.nv))
         assert len(g.edges) - g.nv + 1 == 2
-        for gen in (1, 2):
-            assert is_conjugate(split.induced_generator_image(gen),
-                                GOLDEN.images[gen - 1])
+        assert_marked(split, GOLDEN)
 
     def test_fold_rejects_mismatched_images(self):
         gm = rose(PHI)
@@ -166,7 +166,8 @@ class TestMoves:
             gm.fold(1, 2)
 
     def test_fold_bookkeeping_volumes(self):
-        gm, data = with_eigenmetric(rose(GOLDEN))
+        gm = rose(GOLDEN)
+        gm = with_eigenmetric(gm, transition_matrix(gm))
         vol0 = gm.graph.volume()
         split = gm.subdivide(1, 1)
         assert abs(split.graph.volume() - vol0) < 1e-9
@@ -181,9 +182,49 @@ class TestPullback:
         gm = rose(GOLDEN).subdivide(1, 1)
         e1 = max(rose(GOLDEN).graph.edges) + 1
         folded = gm.fold(e1, 2)
-        # the marking loops still read the generators
-        for g in (1, 2):
-            assert folded.path_to_word(folded.marking[g - 1]) == (g,)
+        # the fold keeps the base's attachment: the edge loops read b and
+        # Ba, and f fixes the base, so the twist stays trivial
+        assert folded.labels == {3: (2,), 4: (-2, 1)}
+        assert folded.twist == ()
+        assert_marked(folded, GOLDEN)
+
+
+def off_base_map():
+    """A map of phi: a -> ab, b -> b that sends the base 0 to vertex 2:
+    edges 1: 0 -> 1 (label b) and 2: 0 -> 2 (label 1) with equal images,
+    and loops 3 at 1 (label a) and 4 at 2 (label b), with the empty twist."""
+    graph = MarkedGraph(3, {1: (0, 1), 2: (0, 2), 3: (1, 1), 4: (2, 2)},
+                        {e: 1.0 for e in (1, 2, 3, 4)})
+    eimg = {1: (-2, 1), 2: (-2, 1), 3: (3, -1, 2, 4, -2, 1),
+            4: (-1, 2, 4, -2, 1)}
+    return GraphMap(graph, {0: 2, 1: 1, 2: 1}, eimg, 2,
+                    {1: (2,), 2: (), 3: (1,), 4: (2,)})
+
+
+class TestTwist:
+    ENDO = Endomorphism(2, (parse_word("ab"), parse_word("b")))
+
+    def test_a_move_that_reattaches_the_base_image_twists(self):
+        # folding 1 onto 2 re-attaches vertex 2 = f(base) along b^-1, so
+        # the twist becomes b; collapsing edge 1 then re-attaches vertex
+        # 1 = f(base) along b and the twist is 1 again
+        gm = off_base_map()
+        gm.check_consistency()
+        assert_marked(gm, self.ENDO)
+        folded = gm.fold(1, 2)
+        folded.check_consistency()
+        assert folded.twist == (2,)
+        assert_marked(folded, self.ENDO)
+        collapsed = folded.collapse_forest({1})
+        assert collapsed.twist == ()
+        assert_marked(collapsed, self.ENDO)
+
+    def test_subdivide_and_tighten_keep_the_twist(self):
+        folded = off_base_map().fold(1, 2)
+        split = folded.subdivide(3, 1)
+        assert split.twist == folded.twist == split.tighten().twist
+        assert with_eigenmetric(split, transition_matrix(split)).twist == folded.twist
+        assert_marked(split, self.ENDO)
 
 
 class TestMoveDispatcher:
@@ -192,8 +233,7 @@ class TestMoveDispatcher:
         split = gm.subdivide(1, 1)
         e1 = max(gm.graph.edges) + 1
         folded = split.fold(e1, 2)
-        for g in (1, 2):
-            assert is_conjugate(folded.induced_generator_image(g), GOLDEN.images[g - 1])
+        assert_marked(folded, GOLDEN)
 
     def test_invalid_descriptors_rejected(self):
         gm = rose(PHI)
@@ -215,8 +255,7 @@ class TestPrepared:
         prepared = scan_pinps(tt, 8)[0].gm
         assert prepared.graph.nv > tt.gm.graph.nv   # the refinement cut edges
         prepared.check_consistency()
-        for g in range(1, endo.rank + 1):
-            assert prepared.path_to_word(prepared.marking[g - 1]) == (g,)
+        assert_marked(prepared, endo)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +423,24 @@ def moved_graph_maps(endo):
     return [after for (_, after) in moves(endo)]
 
 
-def assert_marked(gm, endo):
-    """The edge loops' words generate F, and f acts on each as phi does, up
-    to conjugacy.  Both orientations are needed: a tree edge's loop, read
-    against the tree, may come back along the same edge and be trivial."""
+def base_loop(gm, d):
+    """The direction d closed into a loop at the base along BFS paths."""
     g = gm.graph
-    loops = [gm.loop_at_base((d,)) for d in g.all_directions()]
+    return (g.shortest_path(g.base, g.init_of(d)) + (d,)
+            + g.shortest_path(g.term_of(d), g.base))
+
+
+def assert_marked(gm, endo):
+    """The edge loops' words generate F, and phi(word(loop)) is
+    twist . word(f(loop)) . twist^-1 for each, exactly.  Both orientations
+    are needed: a tree edge's loop, read against the tree, may come back
+    along the same edge and be trivial."""
+    loops = [base_loop(gm, d) for d in gm.graph.all_directions()]
     words = [gm.path_to_word(lp) for lp in loops]
     assert SubgroupGraph.from_generators(endo.rank, words).index() == 1
-    q = g.shortest_path(g.base, gm.vimg[g.base])
     for w, lp in zip(words, loops):
-        image = gm.path_to_word(reduce_word(q + gm.map_path(lp) + invert(q)))
-        assert is_conjugate(endo.apply(w), image)
+        assert endo.apply(w) == conjugate(gm.path_to_word(gm.map_path(lp)),
+                                          gm.twist)
 
 
 class TestLabels:
@@ -411,11 +456,9 @@ class TestLabels:
 # ---------------------------------------------------------------------------
 
 def assert_pushed(before, after):
-    """The marking and the images of the edges the move keeps are the
-    old ones carried across by `transport_path`, and they are paths and
-    base loops of the new graph."""
+    """The images of the edges the move keeps are the old ones carried
+    across by `transport_path`, and they are paths of the new graph."""
     after.check_consistency()
-    assert after.marking == tuple(transport_path(after, m) for m in before.marking)
     for e in set(before.eimg) & set(after.eimg):
         assert after.eimg[e] == transport_path(after, before.eimg[e])
 

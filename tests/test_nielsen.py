@@ -6,17 +6,19 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from endotorus import nielsen
 from endotorus.cli import parse
-from endotorus.graphmap import POINT_TOL
+from endotorus.graphmap import POINT_TOL, GraphMap, MarkedGraph, transition_matrix
 from endotorus.surface import classify
 from endotorus.words import CyclicWord, Endomorphism, invert, parse_word
 from endotorus.traintrack import (
     FiniteOrderCertificate,
     TrainTrack,
     find_train_track,
+    gates,
     is_illegal_turn,
 )
 from endotorus.nielsen import (
     INTERIOR_BOUND,
+    NielsenOrbit,
     NielsenPath,
     StableRepresentative,
     _PowerImages,
@@ -60,11 +62,13 @@ class TestEnumerate:
         assert len(pinps) == 1
         p = pinps[0]
         assert p.period == 1 and p.reversal
-        # the path is the commutator loop: volume twice the graph volume,
-        # class [a,b] after closing up
+        # the path is the commutator loop: closed, volume twice the graph
+        # volume, class [a,b]
         vol = sum(tt.gm.graph.lengths[abs(e)] for e in p.path)
         assert abs(vol - 2 * tt.gm.graph.volume()) < 1e-9
-        cls = CyclicWord.of(tt.gm.path_to_word(tt.gm.loop_at_base(p.path)))
+        g = tt.gm.graph
+        assert g.init_of(p.path[0]) == g.term_of(p.path[-1])
+        cls = CyclicWord.of(tt.gm.path_to_word(p.path))
         assert cls == COMMUTATOR
         assert p.alpha and p.beta
 
@@ -146,6 +150,24 @@ class TestLoops:
         assert set(loops.multiplicities.values()) == {2}
         assert loops.classes[0] == COMMUTATOR
         assert loops.transitive
+
+    def test_class_of_a_loop_away_from_the_base(self):
+        # edges 1: 0 -> 1 (label a), 4: 1 -> 2, 3: 0 -> 3, 2: 3 -> 2 and a
+        # loop 5 at 0 (label b), under the identity.  The loop
+        # (-4, -1, 3, 2) at vertex 2 reads A; closing it at the base along
+        # the BFS paths (1, 4) there and (-2, -3) back, which are not
+        # reverses of each other, would read the trivial class instead
+        graph = MarkedGraph(4, {1: (0, 1), 4: (1, 2), 3: (0, 3), 2: (3, 2),
+                                5: (0, 0)}, {e: 1.0 for e in range(1, 6)})
+        gm = GraphMap(graph, {v: v for v in range(4)},
+                      {e: (e,) for e in range(1, 6)}, 2,
+                      {1: (1,), 2: (), 3: (), 4: (), 5: (2,)})
+        assert graph.shortest_path(0, 2) == (1, 4)
+        assert graph.shortest_path(2, 0) == (-2, -3)
+        tt = TrainTrack(gm, gates(gm), transition_matrix(gm))
+        orbit = NielsenOrbit([(-4, -1, 3, 2)], [0], [], 1, False)
+        loops = nielsen_loops(tt, [orbit])
+        assert loops.classes == [CyclicWord.of(parse_word("a"))]
 
     def test_two_loop_multiplicities_checked(self):
         # synthetic check of the multiplicity counter on two loops

@@ -11,7 +11,6 @@ from endotorus.words import (
     conjugate,
     find_conjugator,
     invert,
-    is_conjugate,
     parse_word,
 )
 from endotorus.graphmap import GraphMap, transition_matrix
@@ -33,6 +32,7 @@ from endotorus.traintrack import (
     verify_reduction_witness,
 )
 from endotorus import subgroups as sg
+from endotorus import graphmap
 from endotorus import traintrack as tt_module
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
@@ -181,10 +181,10 @@ class TestGates:
     def test_legality_along_paths(self):
         gm = GraphMap.rose(GOLDEN)
         gate_map = gates(gm)
-        assert legality(gm, gate_map, (1,)) == (True, None)
-        assert legality(gm, gate_map, (1, -1)) == (False, 0)      # degenerate turn
-        assert legality(gm, gate_map, (1, 2)) == (True, None)     # turn {A, b} legal
-        assert legality(gm, gate_map, (-1, 2)) == (False, 0)      # turn {a, b} illegal
+        assert legality(gate_map, (1,)) == (True, None)
+        assert legality(gate_map, (1, -1)) == (False, 0)      # degenerate turn
+        assert legality(gate_map, (1, 2)) == (True, None)     # turn {A, b} legal
+        assert legality(gate_map, (-1, 2)) == (False, 0)      # turn {a, b} illegal
 
 
 class TestInvariantSubgraph:
@@ -258,7 +258,7 @@ class TestFindTrainTrack:
         # edge images legal, volume one
         assert abs(result.gm.graph.volume() - 1.0) < 1e-9
         for e in result.gm.graph.edge_ids():
-            ok, _ = legality(result.gm, result.gate_map, result.gm.eimg[e])
+            ok, _ = legality(result.gate_map, result.gm.eimg[e])
             assert ok
 
     def test_extension_reduction(self):
@@ -297,12 +297,37 @@ class TestFindTrainTrack:
                 p = q
 
     def test_outer_class_preserved(self):
+        # phi(word(loop)) = twist . word(f(loop)) . twist^-1 on every edge's
+        # base loop
         for endo in (PHI, GOLDEN):
             result = find_train_track(endo)
             assert isinstance(result, TrainTrack)
-            for g in range(1, endo.rank + 1):
-                got = result.gm.induced_generator_image(g)
-                assert is_conjugate(got, endo.images[g - 1])
+            gm = result.gm
+            g = gm.graph
+            for d in g.all_directions():
+                loop = (g.shortest_path(g.base, g.init_of(d)) + (d,)
+                        + g.shortest_path(g.term_of(d), g.base))
+                assert endo.apply(gm.path_to_word(loop)) == conjugate(
+                    gm.path_to_word(gm.map_path(loop)), gm.twist)
+
+    @pytest.mark.parametrize("name", ["golden_geometric", "plastic_rank3"])
+    def test_transition_data_is_computed_once_per_map(self, name, monkeypatch):
+        # the returned track carries the data the loop computed for its
+        # images; setting the eigenmetric does not compute it again
+        calls = []
+        real = tt_module.transition_matrix
+
+        def recording(gm):
+            calls.append((gm, real(gm)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(tt_module, "transition_matrix", recording)
+        monkeypatch.setattr(graphmap, "transition_matrix", recording)
+        result = find_train_track(parse((CORPUS / f"{name}.endo").read_text()).endo)
+        assert isinstance(result, TrainTrack)
+        assert len({id(gm) for (gm, _) in calls}) == len(calls)
+        assert result.data is calls[-1][1]
+        assert result.gm.eimg == calls[-1][0].eimg
 
     def test_history_holds_only_the_last_move(self, monkeypatch):
         # every graph map keeps the push maps of the move that made it, so

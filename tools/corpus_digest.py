@@ -16,20 +16,22 @@ at once and is hashed with its empty list.  So a change in the paths that
 does not reach the report bytes still shows.  Then comes
 `moves input sha256`: after every subdivision, fold, forest collapse and
 refinement inside its `classify` and `tt`, in call order, the hash takes
-the ambient word `path_to_word(loop_at_base((e,)))` of every edge e of the
-new graph, so a change in how the marking is carried through the moves
-shows even where no report reads it.  Next comes `maps input sha256`: the
-hash of the full state of each map those same moves make, in the same
-order: vertex count, edge ends, the lengths in insertion order (the order
-`MarkedGraph.volume` sums them in), base, edge and vertex images, marking,
-labels and the move's push maps, so a change in any of them shows even
-between moves where no report reads it.  The last two lines of an input are
-`search input max_period,max_len result`: what `periodic_conjugacy_search`
-returns at the default bounds (6, 12) and at (3, 8), as
-`witness,period,orientation` or `none`, so a change in the search's
-witnesses shows even where no report byte reads them.  Run it with
-PYTHONPATH set to each of two source trees and `diff` the outputs to check
-that a change leaves every report, step, move and search result identical.
+the ambient word `path_to_word` of every edge e of the new graph, closed
+into a base loop along `shortest_path` from the base to e and from e back
+to the base, so a change in how the edge labels are carried through the
+moves shows even where no report reads them.  Next comes
+`maps input sha256`: the hash of the full state of each map those same
+moves make, in the same order: vertex count, edge ends, the lengths in
+insertion order (the order `MarkedGraph.volume` sums them in), base, edge
+and vertex images, labels and the move's push maps, so a change in any of
+them shows even between moves where no report reads it.  The last two
+lines of an input are `search input max_period,max_len result`: what
+`periodic_conjugacy_search` returns at the default bounds (6, 12) and at
+(3, 8), as `witness,period,orientation` or `none`, so a change in the
+search's witnesses shows even where no report byte reads them.  Run it
+with PYTHONPATH set to each of two source trees and `diff` the outputs to
+check that a change leaves every report, step, move and search result
+identical.
 """
 
 from __future__ import annotations
@@ -59,7 +61,13 @@ def _step_digest(step) -> str:
 
 
 def _edge_words(gm) -> list:
-    return [gm.path_to_word(gm.loop_at_base((e,))) for e in gm.graph.edge_ids()]
+    """The word of each edge's base loop: the edge between the BFS paths
+    from the base to its initial vertex and from its terminal vertex
+    back."""
+    g = gm.graph
+    return [gm.path_to_word(g.shortest_path(g.base, g.init_of(e)) + (e,)
+                            + g.shortest_path(g.term_of(e), g.base))
+            for e in g.edge_ids()]
 
 
 def _map_state(gm) -> bytes:
@@ -67,7 +75,7 @@ def _map_state(gm) -> bytes:
     sorted, except the lengths, whose order reaches the volume sums."""
     g = gm.graph
     state = (g.nv, sorted(g.edges.items()), list(g.lengths.items()), g.base,
-             sorted(gm.eimg.items()), sorted(gm.vimg.items()), gm.marking,
+             sorted(gm.eimg.items()), sorted(gm.vimg.items()),
              sorted(gm.labels.items()), [sorted(p.items()) for p in gm.history])
     return repr(state).encode()
 
