@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from endotorus.words import (
     Endomorphism,
+    InternalInconsistency,
     Word,
     _ord,
     concat,
@@ -423,12 +424,12 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
 
 
 # ---------------------------------------------------------------------------
-# free factor containment (Whitehead descent + cut vertex test)
+# free factor containment (Whitehead's cut-vertex lemma on the cyclic core)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FreeFactorResult:
-    status: str                    # "contained" | "not_contained" | "unknown"
+    status: str                    # "contained" | "not_contained"
     factor: Optional[list] = None  # basis of a proper free factor containing G
     reason: str = ""
 
@@ -437,9 +438,27 @@ class FreeFactorResult:
         return self.status == "contained"
 
 
+def _whitehead_move(rank: int, v: int, y: set) -> Endomorphism:
+    """The Whitehead automorphism (Y, v) of Lyndon-Schupp, with v in Y and
+    -v not in Y: g maps to v^-eps(-g in Y) g v^eps(g in Y), v fixed."""
+    images = []
+    for g in range(1, rank + 1):
+        if g == abs(v):
+            images.append((g,))
+            continue
+        img = []
+        if -g in y:
+            img.append(-v)
+        img.append(g)
+        if g in y:
+            img.append(v)
+        images.append(reduce_word(img))
+    return Endomorphism(rank, tuple(images))
+
+
 def whitehead_moves(rank: int):
-    """Whitehead automorphisms of the second kind: multiplier v, cut Y with
-    v in Y, -v not in Y; g maps to v^-eps(-g in Y) g v^eps(g in Y), v fixed."""
+    """Every Whitehead automorphism of the second kind: each multiplier v
+    with each cut Y that holds v and no other letter of v's generator."""
     letters = [x for i in range(1, rank + 1) for x in (i, -i)]
     moves = []
     for v in letters:
@@ -447,19 +466,7 @@ def whitehead_moves(rank: int):
         for mask in range(1, 1 << len(others)):
             y = {others[i] for i in range(len(others)) if mask >> i & 1}
             y.add(v)
-            images = []
-            for g in range(1, rank + 1):
-                if g == abs(v):
-                    images.append((g,))
-                    continue
-                img = []
-                if -g in y:
-                    img.append(-v)
-                img.append(g)
-                if g in y:
-                    img.append(v)
-                images.append(reduce_word(img))
-            moves.append(Endomorphism(rank, tuple(images)))
+            moves.append(_whitehead_move(rank, v, y))
     return moves
 
 
@@ -477,129 +484,96 @@ def whitehead_graph(G: SubgroupGraph) -> dict:
     return nbrs
 
 
-def _connected_without(nbrs: dict, removed=None) -> bool:
-    nodes = [x for x in nbrs if x != removed]
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    queue = [nodes[0]]
+def _reach(nbrs: dict, starts, removed: int) -> set:
+    """The nodes joined to `starts` in the graph without the node
+    `removed`."""
+    seen = set(starts)
+    queue = list(seen)
     while queue:
-        v = queue.pop()
-        for w in nbrs[v]:
-            if w != removed and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(nodes)
+        for w in nbrs[queue.pop()] - seen - {removed}:
+            seen.add(w)
+            queue.append(w)
+    return seen
 
 
-def _connected_no_cut_vertex(nbrs: dict) -> bool:
-    if not _connected_without(nbrs):
-        return False
-    return all(_connected_without(nbrs, x) for x in nbrs)
+def _cut_vertex_move(rank: int, nbrs: dict) -> Optional[Endomorphism]:
+    """The move of the rule in `free_factor_containment` on the Whitehead
+    graph `nbrs`, or None when no germ c has a nonempty S."""
+    for c in sorted(nbrs, key=_ord):
+        s = _reach(nbrs, nbrs[c], c) - _reach(nbrs, {-c}, c)
+        if s:
+            return _whitehead_move(rank, -c, {-x for x in s | {c}})
+    return None
 
 
-def _sub_basis_factor(used: set, rank: int) -> list:
-    return [(i,) for i in sorted(used)]
+def _cyclic_core(G: SubgroupGraph) -> tuple:
+    """(core, u) with <G> = u <core> u^-1: the base moved along its hair, the
+    path u, to the first vertex of the cyclic core."""
+    (v, u) = (0, ())
+    while len(G.adj[v]) - (1 if u else 0) == 1:
+        (l, v) = next((l, w) for (l, w) in G.adj[v] if not u or l != -u[-1])
+        u += (l,)
+    if not u:
+        return G, u
+    adj = {x: dict(nbrs) for x, nbrs in enumerate(G.adj)}
+    return SubgroupGraph(G.rank, adj, v), u
 
 
-def free_factor_containment(G: SubgroupGraph, depth: int = 8) -> FreeFactorResult:
-    """Bounded test whether <G> lies in a proper free factor of F.
+def free_factor_containment(G: SubgroupGraph) -> FreeFactorResult:
+    """Whether <G> lies in a proper free factor of F, exactly.
 
-    Sound certificates only: "contained" comes with an explicit factor basis
-    (membership-checkable), "not_contained" from a connected cut-vertex-free
-    Whitehead graph (or finite index).  Search failure is honest "unknown".
+    The test runs on the cyclic core: its base path u is peeled off and the
+    inner automorphism by u^-1 composed into alpha, so the core is always
+    the Stallings graph of alpha(<G>).  Then, at each step:
+    - letters missing from the core: "contained", with the factor basis
+      alpha^-1 of the used letters, which is membership-checkable;
+    - no germ c has a nonempty S, the union of the components of Wh - c
+      that touch c and do not hold c^-1: "not_contained", because the
+      Whitehead graph Wh is then connected without cut vertex (a core that
+      uses every letter has no disconnected Wh whose components are all
+      closed under inversion);
+    - otherwise the Whitehead move cut out at the first such c, in `_ord`
+      order.  `whitehead_graph` joins the germs leaving each vertex, which
+      is the Lyndon-Schupp graph with every letter inverted, so the move
+      has multiplier c^-1 and cut -({c} | S).
+    By Whitehead's cut-vertex lemma (Stallings 1999; Heusener-Weidmann
+    2019) each move strictly shrinks the core, so the loop ends; a move
+    that does not raises InternalInconsistency.
     """
     rank = G.rank
-    if rank < 2:
-        return FreeFactorResult("not_contained", reason="rank one ambient group")
     if G.is_trivial():
         return FreeFactorResult("contained", [(1,)], "trivial subgroup")
-    if G.index() is not None:
-        return FreeFactorResult("not_contained",
-                                reason="finite index subgroups meet every factor")
-    used = G.used_letters()
-    if len(used) < rank:
-        return FreeFactorResult("contained", _sub_basis_factor(used, rank),
-                                "core graph misses a generator")
-    if _connected_no_cut_vertex(whitehead_graph(G)):
-        return FreeFactorResult("not_contained",
-                                reason="Whitehead graph is connected without cut vertex")
-
-    moves = whitehead_moves(rank)
-    chain: list = []           # automorphisms applied so far, in order
-    gens = G.basis()
-    size = G.num_edges
-    budget = depth
-
-    def conclude_contained(extra, letters_used):
-        alpha = Endomorphism.identity(rank)
-        for sigma in chain + extra:
-            alpha = sigma.compose(alpha)
-        inv = invert_automorphism(alpha)
-        factor = [inv.apply((i,)) for i in sorted(letters_used)]
-        return FreeFactorResult("contained", factor, "Whitehead descent")
-
-    while budget > 0:
-        budget -= 1
-        best = None
-        for sigma in moves:
-            H = stallings(rank, [sigma.apply(w) for w in gens])
-            if H.is_trivial():
-                return FreeFactorResult("contained", [(1,)], "trivial after move")
-            u = H.used_letters()
-            if len(u) < rank:
-                return conclude_contained([sigma], u)
-            if H.num_edges < size and (best is None or H.num_edges < best[0]):
-                best = (H.num_edges, sigma, H)
-        if best is not None:
-            size, sigma, H = best
-            chain.append(sigma)
-            gens = H.basis()
-            continue
-        # local minimum: explore the equal-size plateau for a letter-dropping
-        # sequence, bounded; certify non-containment if some plateau form has
-        # a cut-vertex-free Whitehead graph
-        seen = {stallings(rank, gens).canonical_key()}
-        frontier = [(gens, [])]
-        plateau_cap = 64
-        while frontier and len(seen) < plateau_cap:
-            cur_gens, path = frontier.pop(0)
-            for sigma in moves:
-                H = stallings(rank, [sigma.apply(w) for w in cur_gens])
-                u = H.used_letters()
-                if len(u) < rank:
-                    return conclude_contained(path + [sigma], u)
-                if H.num_edges < size:
-                    chain.extend(path + [sigma])
-                    gens = H.basis()
-                    size = H.num_edges
-                    frontier = []
-                    break
-                if H.num_edges == size:
-                    key = H.canonical_key()
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append((H.basis(), path + [sigma]))
-            else:
-                continue
-            break
-        else:
-            if _connected_no_cut_vertex(whitehead_graph(stallings(rank, gens))):
-                return FreeFactorResult(
-                    "not_contained",
-                    reason="Whitehead graph is connected without cut vertex at a local minimum")
-            return FreeFactorResult("unknown", reason="Whitehead search exhausted")
-    return FreeFactorResult("unknown", reason="Whitehead depth exhausted")
+    (G, u) = _cyclic_core(G)
+    alpha = Endomorphism.inner(rank, invert(u))
+    while True:
+        used = G.used_letters()
+        if len(used) < rank:
+            inv = invert_automorphism(alpha)
+            return FreeFactorResult("contained",
+                                    [inv.apply((l,)) for l in sorted(used)],
+                                    "core graph misses a generator")
+        move = _cut_vertex_move(rank, whitehead_graph(G))
+        if move is None:
+            return FreeFactorResult(
+                "not_contained",
+                reason="Whitehead graph is connected without cut vertex")
+        (H, u) = _cyclic_core(stallings(rank, [move.apply(w) for w in G.basis()]))
+        if H.num_edges >= G.num_edges:
+            raise InternalInconsistency(
+                "a cut-vertex Whitehead move did not shrink the core")
+        alpha = Endomorphism.inner(rank, invert(u)).compose(move.compose(alpha))
+        G = H
 
 
-def whitehead_minimize_classes(rank: int, words, depth: int = 16):
+def whitehead_minimize_classes(rank: int, words):
     """Greedy Whitehead descent on the total cyclic length of a tuple of
-    conjugacy classes.  Returns (minimized representatives, composed
-    automorphism alpha) with [alpha(words[i])] = [minimized[i]]."""
+    conjugacy classes, until no move lowers it; the total falls at every
+    step, so the descent ends.  Returns (minimized representatives,
+    composed automorphism alpha) with [alpha(words[i])] = [minimized[i]]."""
     cur = [cyclic_canonical(w, unoriented=True) for w in words]
     alpha = Endomorphism.identity(rank)
     moves = whitehead_moves(rank)
-    for _ in range(depth):
+    while True:
         total = sum(len(w) for w in cur)
         best = None
         for sigma in moves:
@@ -611,15 +585,14 @@ def whitehead_minimize_classes(rank: int, words, depth: int = 16):
             return cur, alpha
         cur = best[1]
         alpha = best[2].compose(alpha)
-    return cur, alpha
 
 
-def letter_system(rank: int, words, depth: int = 16):
+def letter_system(rank: int, words):
     """When the classes form a simultaneous system of rank-one free factors
     (Whitehead minimization lands on distinct single letters), return
     (alpha, letters); else None.  The factors are alpha^-1 of the letters,
     a genuine joint system since they come from one automorphism."""
-    cur, alpha = whitehead_minimize_classes(rank, words, depth)
+    cur, alpha = whitehead_minimize_classes(rank, words)
     if any(len(w) != 1 for w in cur):
         return None
     letters = [abs(w[0]) for w in cur]

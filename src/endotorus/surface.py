@@ -43,16 +43,13 @@ from endotorus.traintrack import (
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
+    InternalInconsistency,
     conjugacy_period,
     cyclic_canonical,
     find_conjugator,
     invert,
     periodic_conjugacy_search,
 )
-
-
-class InternalInconsistency(RuntimeError):
-    """A certified invariant failed; reported with exit code 3 by the CLI."""
 
 
 @dataclass
@@ -204,8 +201,8 @@ def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
     return None
 
 
-def _periodic_class_witness(endo: Endomorphism, hit: tuple,
-                            depth: int) -> Optional[ReductionWitness]:
+def _periodic_class_witness(endo: Endomorphism,
+                            hit: tuple) -> Optional[ReductionWitness]:
     """A periodic conjugacy class (a word search hit) whose unoriented orbit
     Whitehead-minimizes to distinct single letters yields an invariant
     system of rank-one factors (the letters pulled back through one common
@@ -221,7 +218,7 @@ def _periodic_class_witness(endo: Endomorphism, hit: tuple,
         reps.append(nxt)
     else:
         return None
-    system = sg.letter_system(endo.rank, reps, depth=2 * depth)
+    system = sg.letter_system(endo.rank, reps)
     if system is None:
         return None
     (alpha, letters) = system
@@ -249,10 +246,10 @@ def _periodic_class_witness(endo: Endomorphism, hit: tuple,
 @dataclass(frozen=True)
 class Bounds:
     """Every bound of the pipeline.  All of them reach every stage that uses
-    them, whichever view of the analysis is asked for."""
+    them, whichever view of the analysis is asked for.  The free-factor and
+    finite-order tests are exact and take none."""
     max_period: int = 6         # periodic-class word search: period
     max_len: int = 12           # periodic-class word search: cyclic length
-    whitehead_depth: int = 8    # Whitehead descent in free-factor tests
     period_bound: int = 8       # Nielsen path scan
     max_iterations: int = 500   # train-track folding budget
     kmax: int = 6               # preimage chain depth (the torus report)
@@ -299,7 +296,7 @@ class Analysis:
     def image_factor(self) -> sg.FreeFactorResult:
         """Whether the image subgroup lies in a proper free factor."""
         image = sg.stallings(self.endo.rank, list(self.endo.images))
-        return sg.free_factor_containment(image, depth=self.bounds.whitehead_depth)
+        return sg.free_factor_containment(image)
 
     @cached_property
     def word_hit(self) -> Optional[tuple]:
@@ -322,8 +319,7 @@ class Analysis:
                 return witness
         witness = _letter_cycle_witness(self.endo)
         if witness is None and self.word_hit is not None:
-            witness = _periodic_class_witness(self.endo, self.word_hit,
-                                              self.bounds.whitehead_depth)
+            witness = _periodic_class_witness(self.endo, self.word_hit)
         if witness is None and self.injective \
                 and isinstance(self.train_track, ReductionWitness):
             witness = self.train_track
@@ -445,11 +441,10 @@ class Analysis:
                         loops=loops, toroidal=toroidal)
 
 
-def reduction_search(endo: Endomorphism,
-                     whitehead_depth: int = 8) -> Optional[ReductionWitness]:
+def reduction_search(endo: Endomorphism) -> Optional[ReductionWitness]:
     """The reduction-witness stage of `Analysis`: an invariant proper free
     factor system, or None (a bounded negative)."""
-    return Analysis(endo, Bounds(whitehead_depth=whitehead_depth)).reduction_witness
+    return Analysis(endo, Bounds()).reduction_witness
 
 
 def classify(endo: Endomorphism) -> Verdict:

@@ -143,13 +143,12 @@ def fiber_chain(endo: Endomorphism, a_graph: SubgroupGraph, x: Word, n: int,
     }
 
 
-_MINIMALITY = {"not_contained": "minimal", "contained": "not_minimal",
-               "unknown": "unknown"}
+_MINIMALITY = {"not_contained": "minimal", "contained": "not_minimal"}
 
 
 def minimality_check(endo: Endomorphism) -> tuple:
-    """("minimal" | "not_minimal" | "unknown", factor basis or None), at the
-    default bounds."""
+    """("minimal" | "not_minimal", factor basis or None): whether the image
+    lies in no proper free factor."""
     ffc = Analysis(endo, Bounds()).image_factor
     return (_MINIMALITY[ffc.status], ffc.factor)
 
@@ -219,8 +218,6 @@ def chi_zero_report(endo) -> dict:
         if minimality == "not_minimal":
             reasons.append("the image lies in a proper free factor, so the "
                            "characterization's hypothesis fails")
-        if minimality == "unknown":
-            reasons.append("minimality undecided within bounds")
         report["inapplicable_reason"] = "; ".join(reasons)
 
     witness = analysis.reduction_witness

@@ -8,6 +8,7 @@ subdivide, fold, collapse) make sense for injective non-surjective maps.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,42 +146,57 @@ class Unknown:
 # finite order detection
 # ---------------------------------------------------------------------------
 
-FINITE_ORDER_POWER = 12        # iterates tested for being inner
-FINITE_ORDER_CONJUGATOR = 24   # longest conjugator tried
+def _order_mod_3(m) -> Optional[int]:
+    """The order of the integer matrix m in GL(r, F_3), or None when m is
+    singular mod 3 (its powers then repeat without reaching I)."""
+    r = len(m)
+    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    p = m_k = tuple(tuple(x % 3 for x in row) for row in m)
+    seen = set()
+    for k in itertools.count(1):
+        if m_k == ident:
+            return k
+        if m_k in seen:
+            return None
+        seen.add(m_k)
+        m_k = tuple(tuple(x % 3 for x in row) for row in _mat_mul(p, m_k))
 
 
 def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
-    """Certify that some iterate is an inner automorphism, by solving the
-    common-conjugator word equation with bounded conjugator length.  An
-    inner iterate acts trivially on the abelianization, so phi^k is composed
-    only at the powers k with M^k = I (M the exponent-sum matrix).  It also
-    sends each generator x to some g x g^-1, which cyclically reduces to x,
-    so the equation is solved only at the powers where every generator
-    image does."""
-    (current, done) = (Endomorphism.identity(endo.rank), 0)   # phi^done
+    """Certify that phi has finite order in Out(F), exactly: phi^k = i_x.
+
+    The kernel of GL(r, Z) -> GL(r, F_3) is torsion-free (Minkowski), so a
+    finite-order exponent-sum matrix M has the order m of M mod 3, and M has
+    finite order iff M^m = I.  The kernel of Out(F) -> GL(r, Z) is
+    torsion-free too (Baumslag-Taylor), so phi has finite order iff
+    psi = phi^m is inner, and m is then the least such power.  An inner psi
+    sends each generator g to a conjugate, which cyclically reduces to g;
+    psi(a) = u a u^-1 (`find_conjugator`) leaves x = u a^j, with j read off
+    u^-1 psi(b) u = a^j b a^-j, and x is checked on every generator."""
     m = endo.abelianized()
-    ident = m_k = current.abelianized()
-    for k in range(1, FINITE_ORDER_POWER + 1):
+    k = _order_mod_3(m)
+    if k is None:
+        return None
+    (m_k, psi) = (m, endo)
+    for _ in range(k - 1):
         m_k = _mat_mul(m, m_k)
-        if m_k != ident:
-            continue
-        while done < k:
-            (current, done) = (endo.compose(current), done + 1)
-        if any(cyclic_reduce(img) != (i,)
-               for (i, img) in enumerate(current.images, 1)):
-            continue
-        g1 = (1,)
-        u = find_conjugator(g1, current.images[0])
-        if u is None:
-            continue
-        # all solutions of x a x^-1 = psi(a) differ by the centralizer of a
-        for j in range(-FINITE_ORDER_CONJUGATOR, FINITE_ORDER_CONJUGATOR + 1):
-            x = concat(u, g1 * abs(j) if j >= 0 else invert(g1 * abs(j)))
-            if len(x) > FINITE_ORDER_CONJUGATOR:
-                continue
-            if all(conjugate((i,), x) == current.images[i - 1]
-                   for i in range(1, endo.rank + 1)):
-                return FiniteOrderCertificate(k, x)
+    if m_k != Endomorphism.identity(endo.rank).abelianized():
+        return None
+    for _ in range(k - 1):
+        psi = endo.compose(psi)
+    if any(cyclic_reduce(img) != (i,) for (i, img) in enumerate(psi.images, 1)):
+        return None
+    u = find_conjugator((1,), psi.images[0])
+    if u is None:
+        return None
+    x = u
+    if endo.rank > 1:
+        w = concat(invert(u), psi.images[1], u)
+        half = len(w) // 2
+        x = concat(u, (1,) * half if w[:1] == (1,) else (-1,) * half)
+    if all(conjugate((i,), x) == psi.images[i - 1]
+           for i in range(1, endo.rank + 1)):
+        return FiniteOrderCertificate(k, x)
     return None
 
 

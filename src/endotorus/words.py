@@ -17,6 +17,10 @@ from typing import Iterable, Optional, Sequence
 Word = tuple  # tuple[int, ...]
 
 
+class InternalInconsistency(RuntimeError):
+    """A certified invariant failed; reported with exit code 3 by the CLI."""
+
+
 # ---------------------------------------------------------------------------
 # reading and printing
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_criterion_1_remark_example():
     tt = find_train_track(PHI)
     assert isinstance(tt, TrainTrack)
     assert scan_pinps(tt, 8)[1] == []                         # (i)
-    assert reduction_search(PHI, whitehead_depth=3) is None   # (ii)
+    assert reduction_search(PHI) is None   # (ii)
     assert tt.data.as_lists() == [[1, 1], [1, 1]]             # (iii)
     assert tt.data.lam == 2.0
     elapsed = time.monotonic() - t0

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from endotorus import cli, surface
+from endotorus import subgroups as sg
 from endotorus.cli import COMMANDS, ParseError, main, parse, report_json, run
 from endotorus.surface import Bounds, InternalInconsistency
-from endotorus.words import parse_word, periodic_conjugacy_search
+from endotorus.words import Endomorphism, parse_word, periodic_conjugacy_search
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -162,6 +163,23 @@ class TestCommandLine:
                   str(CORPUS / "dehn_twist.endo")])
         assert exc.value.code == 2
         assert "batch --cmd classify" in capsys.readouterr().err
+
+    def test_whitehead_depth_is_not_a_flag(self, capsys):
+        # the free-factor test is exact and takes no bound
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(CORPUS / "golden_geometric.endo"),
+                  "--whitehead-depth", "3"])
+        assert exc.value.code == 2
+
+    def test_exit_three_when_a_whitehead_move_does_not_shrink(self, monkeypatch,
+                                                              capsys):
+        # the image <ab> has a disconnected Whitehead graph, so the test
+        # makes a move; the identity in its place leaves the core as it is
+        monkeypatch.setattr(sg, "_cut_vertex_move",
+                            lambda rank, nbrs: Endomorphism.identity(rank))
+        path = CORPUS / "noninjective_equal_images.endo"
+        assert main(["classify", str(path)]) == 3
+        assert "did not shrink the core" in capsys.readouterr().err
 
     def test_exit_three_on_internal_inconsistency(self, monkeypatch, capsys):
         def failing_search(*args):

@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from endotorus.words import Endomorphism, concat, invert, parse_word, reduce_word
+from endotorus.words import (
+    Endomorphism,
+    concat,
+    conjugate,
+    invert,
+    is_conjugate,
+    parse_word,
+    reduce_word,
+)
 from endotorus.subgroups import (
     ImageGraph,
     SubgroupGraph,
@@ -13,6 +21,7 @@ from endotorus.subgroups import (
     preimage,
     stallings,
     whitehead_graph,
+    whitehead_moves,
 )
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
@@ -222,6 +231,27 @@ class TestPreimage:
         assert all(h.contains(w) for w in g.basis())
 
 
+WHITEHEAD_MOVES = {rank: whitehead_moves(rank) for rank in (2, 3)}
+
+
+@st.composite
+def scrambled_factors(draw):
+    """(rank, words): 1-3 words inside a proper letter factor, scrambled by
+    up to 4 Whitehead automorphisms and conjugated by a word of length at
+    most 6."""
+    rank = draw(st.integers(2, 3))
+    kept = draw(st.lists(st.integers(1, rank), min_size=1, max_size=rank - 1,
+                         unique=True))
+    inside = st.sampled_from([s * i for i in kept for s in (1, -1)])
+    gens = [reduce_word(draw(st.lists(inside, min_size=1, max_size=6)))
+            for _ in range(draw(st.integers(1, 3)))]
+    for move in draw(st.lists(st.sampled_from(WHITEHEAD_MOVES[rank]), max_size=4)):
+        gens = [move.apply(g) for g in gens]
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    u = draw(st.lists(letters, max_size=6))
+    return rank, [conjugate(g, u) for g in gens]
+
+
 class TestFreeFactor:
     def test_cyclic_generator_factor(self):
         res = free_factor_containment(stallings(2, [parse_word("a")]))
@@ -251,6 +281,24 @@ class TestFreeFactor:
     def test_finite_index_not_contained(self):
         res = free_factor_containment(stallings(2, KERNEL_GENS))
         assert res.status == "not_contained"
+
+    def test_conjugated_letter_is_contained(self):
+        # baBaBAbAB = u B u^-1 with u = baBa: the graph is a b-loop at the
+        # end of a hair, and the factor is read on the cyclic core
+        w = parse_word("baBaBAbAB")
+        res = free_factor_containment(stallings(2, [w]))
+        assert res.contained and len(res.factor) == 1
+        assert is_conjugate(res.factor[0], parse_word("b"))
+        assert stallings(2, res.factor).contains(w)
+
+    @given(scrambled_factors())
+    @settings(max_examples=60, deadline=None)
+    def test_scrambled_factor_is_found(self, case):
+        (rank, gens) = case
+        res = free_factor_containment(stallings(rank, gens))
+        assert res.contained and len(res.factor) < rank
+        factor = stallings(rank, res.factor)
+        assert all(factor.contains(g) for g in gens)
 
     def test_whitehead_graph_of_rose(self):
         wh = whitehead_graph(SubgroupGraph.full_group(2))

@@ -43,7 +43,7 @@ class TestRealize:
 
 class TestReductionSearch:
     def test_remark_map_empty_at_depth_three(self):
-        assert reduction_search(PHI, whitehead_depth=3) is None
+        assert reduction_search(PHI) is None
 
     def test_extension_found(self):
         w = reduction_search(PSI)
@@ -95,7 +95,7 @@ class TestClassify:
         # a single-boundary geometric monodromy stays irreducible under
         # iteration (bounded search on the first few powers)
         for k in (2, 3, 4):
-            assert reduction_search(GOLDEN.power(k), whitehead_depth=4) is None
+            assert reduction_search(GOLDEN.power(k)) is None
 
     def test_multi_boundary_power_reduces(self):
         # the square of the swap map fixes each generator class: reducible

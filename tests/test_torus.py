@@ -1,8 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from endotorus.cli import parse, run
 from endotorus.words import Endomorphism, parse_word
 from endotorus import subgroups as sg
+from endotorus.traintrack import (
+    InvariantFactor,
+    ReductionWitness,
+    verify_reduction_witness,
+)
 from endotorus.torus import (
     HNNPresentation,
     chi_zero_report,
@@ -92,6 +98,23 @@ class TestMinimality:
 
     def test_remark_map_minimal(self):
         assert minimality_check(PHI)[0] == "minimal"
+
+    def test_image_in_a_conjugated_factor(self):
+        # every image is u w u^-1 with u = Cbc and w in <a, b>: the image
+        # graph has a hair, and the invariant factor is u <a, b> u^-1
+        spec = parse("rank 3; a -> C b c b A B A C B c; b -> C b c a a C B c; "
+                     "c -> C b c B C B c;")
+        assert minimality_check(spec.endo)[0] == "not_minimal"
+        verdict = run("classify", spec)["verdict"]
+        assert verdict["kind"] == "reducible"
+        w = verdict["reduction_witness"]
+        word = lambda text: () if text == "1" else parse_word(text)
+        witness = ReductionWitness(
+            [InvariantFactor([word(b) for b in basis], word(x))
+             for (basis, x) in zip(w["factors"], w["conjugators"])],
+            w["provenance"])
+        assert verify_reduction_witness(spec.endo, witness)
+        assert run("report", spec)["characterization"]["applicable"] is False
 
 
 class TestReport:

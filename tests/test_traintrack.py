@@ -1,3 +1,4 @@
+import random
 import time
 from pathlib import Path
 
@@ -12,12 +13,12 @@ from endotorus.words import (
     find_conjugator,
     invert,
     parse_word,
+    reduce_word,
 )
 from endotorus.graphmap import GraphMap, transition_matrix
 from endotorus.nielsen import scan_pinps
+from endotorus.surface import classify
 from endotorus.traintrack import (
-    FINITE_ORDER_CONJUGATOR,
-    FINITE_ORDER_POWER,
     FiniteOrderCertificate,
     ReductionWitness,
     TrainTrack,
@@ -42,9 +43,14 @@ SWAP = Endomorphism(2, (parse_word("b"), parse_word("a")))
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
+FINITE_ORDER_POWER = 12        # iterates the reference tests for being inner
+FINITE_ORDER_CONJUGATOR = 24   # longest conjugator the reference tries
+
+
 def reference_finite_order(endo):
-    """The search without the homology prefilter: compose every power up to
-    FINITE_ORDER_POWER and solve for a common conjugator at each."""
+    """A bounded search with no theory behind it: compose every power up to
+    FINITE_ORDER_POWER and solve for a common conjugator of length at most
+    FINITE_ORDER_CONJUGATOR at each."""
     current = Endomorphism.identity(endo.rank)
     for k in range(1, FINITE_ORDER_POWER + 1):
         current = endo.compose(current)
@@ -80,6 +86,30 @@ def injective_maps(draw):
     endo = Endomorphism(rank, tuple(tuple(im) for im in images))
     assume(all(endo.images) and sg.is_injective(endo))
     return endo
+
+
+@st.composite
+def twisted_permutations(draw):
+    """i_x after a random signed permutation of the generators, |x| <= 60."""
+    rank = draw(st.integers(2, 3))
+    perm = draw(st.permutations(range(1, rank + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    x = reduce_word(draw(st.lists(letters, max_size=60)))
+    return Endomorphism(rank, tuple(conjugate((s * g,), x)
+                                    for (s, g) in zip(signs, perm)))
+
+
+def matrix_order(endo):
+    """The least k with M^k = I, by composing the map; a signed permutation
+    of at most three generators has order at most 6."""
+    ident = Endomorphism.identity(endo.rank).abelianized()
+    power = endo
+    for k in range(1, 7):
+        if power.abelianized() == ident:
+            return k
+        power = endo.compose(power)
+    raise AssertionError("not a signed permutation")
 
 
 TRAIN_TRACK_INPUTS = ("composite_geometric", "double_cover_geometric",
@@ -236,6 +266,25 @@ class TestFiniteOrder:
                             lambda *args: calls.append(args))
         assert is_finite_order(twist) is None
         assert calls == []
+
+    def test_long_inner_automorphisms(self):
+        rng = random.Random(13)
+        for length in (25, 40, 200):
+            x = ()
+            while len(x) < length:
+                x = reduce_word(x + (rng.choice((1, -1, 2, -2)),))
+            cert = is_finite_order(Endomorphism.inner(2, x))
+            assert cert == FiniteOrderCertificate(1, x)
+
+    @given(twisted_permutations())
+    @settings(max_examples=60, deadline=None)
+    def test_twisted_permutations_have_the_order_of_their_matrix(self, endo):
+        verdict = classify(endo)
+        assert verdict.kind == "finite_order"
+        cert = verdict.finite_order
+        assert cert.power == matrix_order(endo)
+        assert endo.power(cert.power) == Endomorphism.inner(endo.rank,
+                                                             cert.conjugator)
 
     @given(injective_maps())
     @settings(max_examples=80, deadline=None)

@@ -4,15 +4,19 @@ corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
-For each command and each input in `corpus/`, at the default flags, prints
-one line `command input sha256`, the hash of the input's `report_json`
-bytes.  After the `classify` line of an input come its scan lines
-`scan input k sha256`, one for the k-th stabilization step inside that
-`classify` (k from 0): the hash covers the step's representative's vertex
-and edge counts and its list of periodic indivisible Nielsen paths, the
-list that `nielsen.group_orbits` receives, whether a scan found it or a
-fold carried it.  A representative without such paths ends stabilization
-at once and is hashed with its empty list.  So a change in the paths that
+The first line is `bounds <json>`, the default `Bounds` as JSON.  Then,
+for each command and each input in `corpus/`, at the default flags, it
+prints one line `command input sha256`, the hash of the input's
+`report_json` bytes with the report's `bounds` objects (the top-level one
+and the verdict's) removed, so a change to `Bounds` shows on the one
+`bounds` line and leaves every per-input line comparable.  After the
+`classify` line of an input come its scan lines `scan input k sha256`,
+one for the k-th stabilization step inside that `classify` (k from 0):
+the hash covers the step's representative's vertex and edge counts and
+its list of periodic indivisible Nielsen paths, the list that
+`nielsen.group_orbits` receives, whether a scan found it or a fold carried
+it.  A representative without such paths ends stabilization at once and
+is hashed with its empty list.  So a change in the paths that
 does not reach the report bytes still shows.  Then comes
 `moves input sha256`: after every subdivision, fold, forest collapse and
 refinement inside its `classify` and `tt`, in call order, the hash takes
@@ -37,7 +41,9 @@ identical.
 from __future__ import annotations
 
 import hashlib
+import json
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from endotorus import nielsen, surface
@@ -52,6 +58,15 @@ SEARCH_BOUNDS = ((6, 12), (3, 8))   # (max_period, max_len)
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _without_bounds(report: dict) -> dict:
+    """The report without its top-level `bounds` and `verdict.bounds`."""
+    report = {k: v for k, v in report.items() if k != "bounds"}
+    if "verdict" in report:
+        report["verdict"] = {k: v for k, v in report["verdict"].items()
+                             if k != "bounds"}
+    return report
 
 
 def _step_digest(step) -> str:
@@ -130,14 +145,15 @@ def _run_recording(command: str, spec, states) -> tuple:
 
 
 def main() -> None:
+    print(f"bounds {json.dumps(asdict(surface.Bounds()), sort_keys=True)}", flush=True)
     for path in sorted(CORPUS.glob("*.endo")):
         spec = parse(path.read_text())
         moves: list = []
         states = hashlib.sha256()
         for command in COMMANDS:
             (report, steps, command_moves) = _run_recording(command, spec, states)
-            print(f"{command} {path.stem} {_sha(report_json(report).encode())}",
-                  flush=True)
+            digest = _sha(report_json(_without_bounds(report)).encode())
+            print(f"{command} {path.stem} {digest}", flush=True)
             if command == "classify":
                 for k, step in enumerate(steps):
                     print(f"scan {path.stem} {k} {_step_digest(step)}", flush=True)
