@@ -17,15 +17,18 @@ bounded-cancellation radius caps the scan.
 
 Stabilization folds at the illegal turns of these paths.  Folding at the
 illegal turn of an indivisible Nielsen path sends the other Nielsen paths to
-Nielsen paths (Bestvina-Handel 1992, section 5), so after a fold that needs
-no refinement the paths are carried instead of rescanned: each goes through
-the fold's push maps and must pass the scan's own acceptance rule, `_admit`,
-on the folded track, and if one fails the folded track is scanned.  A carry
-keeps only paths that pass the scan's rule, but it cannot see a path that
-no earlier path goes to.  So whenever the paths of the representative that
-`stabilize` returns were carried, that representative is scanned once more,
-and if the lists differ the scanned orbits are returned with stable=False:
-the Nielsen data that leaves `stabilize` is always a scan's.
+Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
+paths are carried instead of rescanned: each goes through the fold's push
+maps and must pass the scan's own acceptance rule, `_admit`, on the folded
+track, and if one fails the folded track is scanned.  Interior periodic
+points become vertices only inside the scan.  A carry therefore cannot see
+two kinds of path: one that no earlier path goes to, and one that ends at
+an interior periodic point which the scan's refinement would have made a
+vertex.  One guard covers both: whenever the paths of the representative
+that `stabilize` returns were carried, that representative is prepared and
+scanned once more, and if the lists differ the scanned orbits are returned
+with stable=False.  The Nielsen data that leaves `stabilize` is always a
+scan's.
 """
 
 from __future__ import annotations
@@ -556,12 +559,13 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     a fold fails, a representative is returned with stable=False; its
     orbits and the fold log remain valid data.
 
-    After a fold that needs no refinement the paths are carried across it
-    (`_carry`) instead of rescanned, and a failed carry means a scan.  A
-    carry cannot see a path that no earlier path goes to, so the paths of
+    After each fold the paths are carried across it (`_carry`) instead of
+    rescanned, and a failed carry means a scan.  A carry cannot see a path
+    that no earlier path goes to, nor one that ends at an interior periodic
+    point that only the scan's refinement makes a vertex.  So the paths of
     the returned representative always come from a scan: when they were
-    carried, `scan_pinps` runs once more on it, and if the lists differ the
-    scanned orbits are returned with stable=False."""
+    carried, `scan_pinps` prepares and scans it once more, and if the lists
+    differ the scanned orbits are returned with stable=False."""
     radius = tt.radius
     tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
@@ -598,9 +602,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             moved = [transport_path(folded, p) for p in orbits[oi].paths]
             tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
             radius2 = tt2.radius
-            pinps2 = None
-            if prepare_representative(tt2, min(INTERIOR_BOUND, period_bound)) is tt2:
-                pinps2 = _carry(tt2, pinps, period_bound, radius2)
+            pinps2 = _carry(tt2, pinps, period_bound, radius2)
             carried = pinps2 is not None
             if not carried:
                 tt2, pinps2 = scan_pinps(tt2, period_bound)

@@ -391,35 +391,8 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
     if not ig.injective:
         raise ValueError("preimage for non-injective maps is only defined "
                          "when the whole image lies in the subgroup")
-    start = (ig.base, 0)
-    tree: dict = {start: []}
-    parent_edge: dict = {start: None}
-    queue = [start]
-    loops = []
-    closed = set()
-    while queue:
-        (p, q) = queue.pop(0)
-        for l in sorted(ig.adj[p], key=_ord):
-            (p2, e, s) = ig.adj[p][l]
-            q2 = G.step(q, l)
-            if q2 is None:
-                continue
-            key = (p2, q2)
-            if key not in tree:
-                tree[key] = tree[(p, q)] + [(e, s)]
-                parent_edge[key] = ((p, q), l)
-                queue.append(key)
-            else:
-                if parent_edge.get(key) == ((p, q), l) or \
-                        parent_edge.get((p, q)) == (key, -l):
-                    continue  # spanning tree edge
-                edge_id = frozenset((((p, q), l), (key, -l)))
-                if edge_id in closed:
-                    continue
-                closed.add(edge_id)
-                back = [(e2, -s2) for (e2, s2) in reversed(tree[key])]
-                loops.append(tree[(p, q)] + [(e, s)] + back)
-    gens = [ig.loop_word(lp) for lp in loops]
+    # phi^-1(G) = phi^-1(phi(F) & G), and phi is a bijection onto phi(F)
+    gens = [ig.express(w) for w in ig.subgroup().intersect(G).basis()]
     return SubgroupGraph.from_generators(endo.rank, gens)
 
 
@@ -431,7 +404,6 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
 class FreeFactorResult:
     status: str                    # "contained" | "not_contained"
     factor: Optional[list] = None  # basis of a proper free factor containing G
-    reason: str = ""
 
     @property
     def contained(self) -> bool:
@@ -542,7 +514,7 @@ def free_factor_containment(G: SubgroupGraph) -> FreeFactorResult:
     """
     rank = G.rank
     if G.is_trivial():
-        return FreeFactorResult("contained", [(1,)], "trivial subgroup")
+        return FreeFactorResult("contained", [(1,)])
     (G, u) = _cyclic_core(G)
     alpha = Endomorphism.inner(rank, invert(u))
     while True:
@@ -550,13 +522,10 @@ def free_factor_containment(G: SubgroupGraph) -> FreeFactorResult:
         if len(used) < rank:
             inv = invert_automorphism(alpha)
             return FreeFactorResult("contained",
-                                    [inv.apply((l,)) for l in sorted(used)],
-                                    "core graph misses a generator")
+                                    [inv.apply((l,)) for l in sorted(used)])
         move = _cut_vertex_move(rank, whitehead_graph(G))
         if move is None:
-            return FreeFactorResult(
-                "not_contained",
-                reason="Whitehead graph is connected without cut vertex")
+            return FreeFactorResult("not_contained")
         (H, u) = _cyclic_core(stallings(rank, [move.apply(w) for w in G.basis()]))
         if H.num_edges >= G.num_edges:
             raise InternalInconsistency(

@@ -181,22 +181,9 @@ def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
             letters.append(nxt)
         if not letters or not ok:
             continue
-        factors = []
-        valid = True
-        for i, l in enumerate(letters):
-            nxt = letters[(i + 1) % len(letters)]
-            img = endo.apply((l,))
-            x = find_conjugator((nxt,), img)
-            if x is None:
-                x = find_conjugator((-nxt,), img)
-            if x is None:
-                valid = False
-                break
-            factors.append(InvariantFactor([(l,)], x))
-        if not valid:
-            continue
-        witness = ReductionWitness(factors, "generator classes permute")
-        if verify_reduction_witness(endo, witness):
+        witness = _factor_cycle(endo, [(l,) for l in letters],
+                                "generator classes permute")
+        if witness is not None:
             return witness
     return None
 
@@ -223,19 +210,27 @@ def _periodic_class_witness(endo: Endomorphism,
         return None
     (alpha, letters) = system
     inv = sg.invert_automorphism(alpha)
-    basis = [inv.apply((l,)) for l in letters]
-    k = len(reps)
+    return _factor_cycle(endo, [inv.apply((l,)) for l in letters],
+                         "periodic primitive classes")
+
+
+def _factor_cycle(endo: Endomorphism, basis: list,
+                  provenance: str) -> Optional[ReductionWitness]:
+    """The rank-one factors <basis[i]>, each sent by phi into a conjugate of
+    the next, cyclically, as a verified witness; None when some image is
+    conjugate to neither the next word nor its inverse, or the witness
+    fails verification."""
     factors = []
-    for i in range(k):
-        target = basis[(i + 1) % k]
-        img = endo.apply(basis[i])
+    for (i, w) in enumerate(basis):
+        target = basis[(i + 1) % len(basis)]
+        img = endo.apply(w)
         x = find_conjugator(target, img)
         if x is None:
             x = find_conjugator(invert(target), img)
         if x is None:
             return None
-        factors.append(InvariantFactor([basis[i]], x))
-    witness = ReductionWitness(factors, "periodic primitive classes")
+        factors.append(InvariantFactor([w], x))
+    witness = ReductionWitness(factors, provenance)
     return witness if verify_reduction_witness(endo, witness) else None
 
 

@@ -159,12 +159,12 @@ def minimality_check(endo: Endomorphism) -> tuple:
 
 def _accumulated_conjugator(endo: Endomorphism, witness: ReductionWitness) -> Word:
     """phi^k(A_1) <= X A_1 X^-1 where X = phi^{k-1}(x_1) phi^{k-2}(x_2) ... x_k
-    telescopes the one-step conjugators through the iterates."""
-    k = len(witness.factors)
-    parts = []
-    for i, f in enumerate(witness.factors):
-        parts.append(endo.power(k - 1 - i).apply(f.conjugator))
-    return concat(*parts)
+    telescopes the one-step conjugators through the iterates, in Horner
+    form: X <- phi(X) x_i, one factor at a time."""
+    X: Word = ()
+    for f in witness.factors:
+        X = concat(endo.apply(X), f.conjugator)
+    return X
 
 
 def _z2_witness(endo: Endomorphism, cls: Word, max_power: int) -> Optional[dict]:

@@ -243,8 +243,9 @@ class Endomorphism:
         while n:
             if n & 1:
                 result = result.compose(base)
-            base = base.compose(base)
             n >>= 1
+            if n:
+                base = base.compose(base)
         return result
 
     def is_identity(self) -> bool:

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import accumulate, combinations
 from pathlib import Path
 
@@ -497,6 +498,9 @@ class TestCarry:
                              ids=[name for (name, _) in CARRY_CASES])
     def test_every_carry_is_the_scan(self, endo):
         for (tt, period_bound, radius, out) in carried_steps(endo):
+            # no carried track needs the refinement that the scan would add
+            assert prepare_representative(
+                tt, min(INTERIOR_BOUND, period_bound)) is tt
             assert out == _enumerate_on(tt, period_bound, radius)
             assert out == reference_enumerate(tt, period_bound, radius)
 
@@ -507,7 +511,29 @@ class TestCarry:
         # reference, which takes minutes per representative there
         for (tt, period_bound, radius, out) in \
                 carried_steps(corpus_endo(name).power(2), steps=2):
+            assert prepare_representative(
+                tt, min(INTERIOR_BOUND, period_bound)) is tt
             assert out == _enumerate_on(tt, period_bound, radius)
+
+    @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
+                             ids=[name for (name, _) in CARRY_CASES])
+    def test_only_the_scan_refines(self, endo, monkeypatch):
+        # interior periodic points are sought once per scan, never per fold
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(nielsen, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        for name in ("scan_pinps", "interior_periodic_cuts"):
+            monkeypatch.setattr(nielsen, name, counting(name))
+        stable = stabilize(find_train_track(endo))
+        assert stable.fold_log and calls["scan_pinps"] >= 1
+        assert calls["interior_periodic_cuts"] == calls["scan_pinps"]
 
     @pytest.mark.parametrize("name", ("golden_geometric", "composite_geometric"))
     def test_a_dropped_path_falls_back_to_the_scan(self, name, monkeypatch):

@@ -125,6 +125,24 @@ class TestCompose:
         assert PHI.power(2) == PHI.compose(PHI)
         assert PHI.power(0).is_identity()
 
+    def test_power_builds_no_higher_power(self, monkeypatch):
+        # a -> ab, b -> b: the k-th power sends a to a b^k, so the length
+        # of a's image less one is the exponent of each composed map
+        shear = Endomorphism(2, (parse_word("ab"), parse_word("b")))
+        built = []
+        real = Endomorphism.compose
+
+        def recording(self, other):
+            out = real(self, other)
+            built.append(len(out.images[0]) - 1)
+            return out
+
+        monkeypatch.setattr(Endomorphism, "compose", recording)
+        for n in range(1, 17):
+            built.clear()
+            assert shear.power(n).images[0] == (1,) + (2,) * n
+            assert max(built) == n
+
 
 class TestConjugacy:
     def test_explicit_conjugator(self):
