@@ -116,7 +116,7 @@ class Atoroidal:
 class Toroidal:
     witness: CyclicWord
     period: int
-    source: str            # "word search", "nielsen loops", or "both"
+    source: str            # "nielsen loops", or "both" with the word search
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from endotorus.words import (
     Word,
     _ord,
     concat,
-    cyclic_canonical,
+    cyclic_reduce,
     invert,
     reduce_word,
 )
@@ -397,7 +397,7 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
 
 
 # ---------------------------------------------------------------------------
-# free factor containment (Whitehead's cut-vertex lemma on the cyclic core)
+# free factors and rank-one systems (Whitehead's cut-vertex lemma)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -428,27 +428,13 @@ def _whitehead_move(rank: int, v: int, y: set) -> Endomorphism:
     return Endomorphism(rank, tuple(images))
 
 
-def whitehead_moves(rank: int):
-    """Every Whitehead automorphism of the second kind: each multiplier v
-    with each cut Y that holds v and no other letter of v's generator."""
-    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
-    moves = []
-    for v in letters:
-        others = [x for x in letters if abs(x) != abs(v)]
-        for mask in range(1, 1 << len(others)):
-            y = {others[i] for i in range(len(others)) if mask >> i & 1}
-            y.add(v)
-            moves.append(_whitehead_move(rank, v, y))
-    return moves
-
-
-def whitehead_graph(G: SubgroupGraph) -> dict:
-    """Nodes are the signed letters; each vertex of the core graph contributes
-    the complete graph on the letters readable from it."""
-    nodes = [x for i in range(1, G.rank + 1) for x in (i, -i)]
-    nbrs: dict = {x: set() for x in nodes}
-    for v in range(G.num_vertices):
-        germs = [l for (l, _) in G.adj[v]]
+def whitehead_graph(rank: int, junctions) -> dict:
+    """Nodes are the signed letters; each junction, a list of the germs that
+    leave one point, contributes the complete graph on them.  The points are
+    the vertices of a core graph, or the junctions (-w[i-1], w[i]) of
+    cyclic words."""
+    nbrs: dict = {x: set() for i in range(1, rank + 1) for x in (i, -i)}
+    for germs in junctions:
         for i, g1 in enumerate(germs):
             for g2 in germs[i + 1:]:
                 nbrs[g1].add(g2)
@@ -523,7 +509,8 @@ def free_factor_containment(G: SubgroupGraph) -> FreeFactorResult:
             inv = invert_automorphism(alpha)
             return FreeFactorResult("contained",
                                     [inv.apply((l,)) for l in sorted(used)])
-        move = _cut_vertex_move(rank, whitehead_graph(G))
+        move = _cut_vertex_move(rank, whitehead_graph(
+            rank, [[l for (l, _) in nbrs] for nbrs in G.adj]))
         if move is None:
             return FreeFactorResult("not_contained")
         (H, u) = _cyclic_core(stallings(rank, [move.apply(w) for w in G.basis()]))
@@ -534,38 +521,23 @@ def free_factor_containment(G: SubgroupGraph) -> FreeFactorResult:
         G = H
 
 
-def whitehead_minimize_classes(rank: int, words):
-    """Greedy Whitehead descent on the total cyclic length of a tuple of
-    conjugacy classes, until no move lowers it; the total falls at every
-    step, so the descent ends.  Returns (minimized representatives,
-    composed automorphism alpha) with [alpha(words[i])] = [minimized[i]]."""
-    cur = [cyclic_canonical(w, unoriented=True) for w in words]
-    alpha = Endomorphism.identity(rank)
-    moves = whitehead_moves(rank)
-    while True:
-        total = sum(len(w) for w in cur)
-        best = None
-        for sigma in moves:
-            cand = [cyclic_canonical(sigma.apply(w), unoriented=True) for w in cur]
-            t = sum(len(w) for w in cand)
-            if t < total and (best is None or t < best[0]):
-                best = (t, cand, sigma)
-        if best is None:
-            return cur, alpha
-        cur = best[1]
-        alpha = best[2].compose(alpha)
-
-
-def letter_system(rank: int, words):
-    """When the classes form a simultaneous system of rank-one free factors
-    (Whitehead minimization lands on distinct single letters), return
-    (alpha, letters); else None.  The factors are alpha^-1 of the letters,
-    a genuine joint system since they come from one automorphism."""
-    cur, alpha = whitehead_minimize_classes(rank, words)
-    if any(len(w) != 1 for w in cur):
-        return None
-    letters = [abs(w[0]) for w in cur]
-    if len(set(letters)) != len(letters):
-        return None
-    return alpha, letters
-
+def rank_one_system(rank: int, classes) -> bool:
+    """Whether the conjugacy classes generate a system of rank-one free
+    factors, exactly: the rule of `free_factor_containment` on the
+    Whitehead graph of the cyclic words, until every word is a single
+    letter (a system iff the letters are distinct generators) or no germ
+    has a nonempty cut (not a system).  Each move strictly shrinks the
+    total length; one that does not raises InternalInconsistency."""
+    words = [cyclic_reduce(w) for w in classes]
+    while not all(len(w) == 1 for w in words):
+        move = _cut_vertex_move(rank, whitehead_graph(
+            rank, [(-w[i - 1], w[i]) for w in words for i in range(len(w))]))
+        if move is None:
+            return False
+        moved = [cyclic_reduce(move.apply(w)) for w in words]
+        if sum(map(len, moved)) >= sum(map(len, words)):
+            raise InternalInconsistency(
+                "a cut-vertex Whitehead move did not shrink the classes")
+        words = moved
+    letters = {abs(w[0]) for w in words}
+    return len(letters) == len(words)

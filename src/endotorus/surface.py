@@ -46,6 +46,7 @@ from endotorus.words import (
     InternalInconsistency,
     conjugacy_period,
     cyclic_canonical,
+    cyclic_reduce,
     find_conjugator,
     invert,
     periodic_conjugacy_search,
@@ -159,30 +160,34 @@ def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
 # bounded reduction search
 # ---------------------------------------------------------------------------
 
+def _class_cycle(endo: Endomorphism, w, bound: int) -> Optional[list]:
+    """The unoriented canonical words of the orbit of [w] under phi, when it
+    returns to [w] within `bound` steps through distinct nontrivial
+    classes; else None."""
+    reps = [cyclic_canonical(w, unoriented=True)]
+    for _ in range(bound):
+        nxt = cyclic_canonical(endo.apply(reps[-1]), unoriented=True)
+        if nxt == reps[0]:
+            return reps
+        if nxt in reps or not nxt:
+            return None
+        reps.append(nxt)
+    return None
+
+
 def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
     """Detect generators whose conjugacy classes permute among single-letter
-    classes: a cyclic free factor system of rank-one factors."""
+    classes: a cyclic free factor system of rank-one factors.  The orbits
+    run under phi with every generator whose class does not go to a letter
+    class sent to 1, which ends an orbit at its first longer class instead
+    of letting it grow for `rank` steps."""
+    onto_letters = Endomorphism(endo.rank, tuple(
+        im if len(cyclic_reduce(im)) == 1 else () for im in endo.images))
     for g in range(1, endo.rank + 1):
-        letters = [g]
-        ok = False
-        for _ in range(endo.rank + 1):
-            img = endo.apply((letters[-1],))
-            core = cyclic_canonical(img, unoriented=True)
-            if len(core) != 1:
-                letters = None
-                break
-            nxt = abs(core[0])
-            if nxt == letters[0]:
-                ok = True
-                break
-            if nxt in letters:
-                letters = None  # enters a sub-cycle not through the start
-                break
-            letters.append(nxt)
-        if not letters or not ok:
+        reps = _class_cycle(onto_letters, (g,), endo.rank)
+        if reps is None:
             continue
-        witness = _factor_cycle(endo, [(l,) for l in letters],
-                                "generator classes permute")
+        witness = _factor_cycle(endo, reps, "generator classes permute")
         if witness is not None:
             return witness
     return None
@@ -191,27 +196,12 @@ def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
 def _periodic_class_witness(endo: Endomorphism,
                             hit: tuple) -> Optional[ReductionWitness]:
     """A periodic conjugacy class (a word search hit) whose unoriented orbit
-    Whitehead-minimizes to distinct single letters yields an invariant
-    system of rank-one factors (the letters pulled back through one common
-    automorphism)."""
+    generates a system of rank-one free factors yields an invariant one."""
     (w, n, _) = hit
-    reps = [cyclic_canonical(w, unoriented=True)]
-    for _ in range(n):
-        nxt = cyclic_canonical(endo.apply(reps[-1]), unoriented=True)
-        if nxt == reps[0]:
-            break
-        if nxt in reps or not nxt:
-            return None
-        reps.append(nxt)
-    else:
+    reps = _class_cycle(endo, w, n)
+    if reps is None or not sg.rank_one_system(endo.rank, reps):
         return None
-    system = sg.letter_system(endo.rank, reps)
-    if system is None:
-        return None
-    (alpha, letters) = system
-    inv = sg.invert_automorphism(alpha)
-    return _factor_cycle(endo, [inv.apply((l,)) for l in letters],
-                         "periodic primitive classes")
+    return _factor_cycle(endo, reps, "periodic primitive classes")
 
 
 def _factor_cycle(endo: Endomorphism, basis: list,
@@ -248,7 +238,6 @@ class Bounds:
     period_bound: int = 8       # Nielsen path scan
     max_iterations: int = 500   # train-track folding budget
     kmax: int = 6               # preimage chain depth (the torus report)
-    seed: int = 0               # fold tie-breaking
 
 
 @dataclass
@@ -324,8 +313,7 @@ class Analysis:
     def train_track(self):
         """TrainTrack, ReductionWitness, FiniteOrderCertificate or Unknown."""
         return find_train_track(self.endo,
-                                max_iterations=self.bounds.max_iterations,
-                                seed=self.bounds.seed)
+                                max_iterations=self.bounds.max_iterations)
 
     @cached_property
     def stable(self) -> Optional[StableRepresentative]:
@@ -382,10 +370,9 @@ class Analysis:
                          "reduction was found")
             return conclude("unknown")
 
-        # a ReductionWitness here was already taken by the reduction search
+        # a ReductionWitness here was already taken by the reduction search,
+        # and a FiniteOrderCertificate by `finite_order`, the same exact test
         tt = self.train_track
-        if isinstance(tt, FiniteOrderCertificate):
-            return conclude("finite_order", finite_order=tt)
         if isinstance(tt, Unknown):
             notes.append(f"train track search: {tt.reason}")
             return conclude("unknown")

@@ -9,7 +9,6 @@ subdivide, fold, collapse) make sense for injective non-surjective maps.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -491,21 +490,13 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
     raise AssertionError("fold did not stabilize")
 
 
-def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict, seed: int):
+def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict):
     """Deterministic fold choice: from each illegal turn crossed in an image,
     walk back along the direction map to a foldable pair; order candidates
-    full-before-partial, then by vertex and edge indices (seed permutes the
-    edge tie-break)."""
+    full-before-partial, then by vertex and edge indices."""
     crossings = illegal_crossings(gm, gate_map)
     if not crossings:
         return None
-    rng = random.Random(seed)
-    ids = sorted(gm.graph.edges)
-    perm = list(range(len(ids)))
-    if seed:
-        rng.shuffle(perm)
-    pri = {e: perm[i] for i, e in enumerate(ids)}
-
     candidates = []
     for (_, _, d1, d2) in crossings:
         # find minimal j with Df^j equalizing, fold the pair one step before
@@ -521,8 +512,7 @@ def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict, seed: int):
             continue
         full = gm.image_of_edge(a) == gm.image_of_edge(b)
         v = gm.graph.init_of(a)
-        key = (0 if full else 1, v,
-               min(pri[abs(a)], pri[abs(b)]), max(pri[abs(a)], pri[abs(b)]),
+        key = (0 if full else 1, v, min(abs(a), abs(b)), max(abs(a), abs(b)),
                min(a, b), max(a, b))
         candidates.append((key, a, b))
     if not candidates:
@@ -532,7 +522,7 @@ def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict, seed: int):
     return (a, b)
 
 
-def find_train_track(endo: Endomorphism, max_iterations: int = 500, seed: int = 0):
+def find_train_track(endo: Endomorphism, max_iterations: int = 500):
     """Run the folding loop: returns TrainTrack, ReductionWitness,
     FiniteOrderCertificate, or Unknown.
 
@@ -575,7 +565,7 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500, seed: int = 
                            "finite-order certificate", iteration)
         dmap = direction_map(gm)
         gate_map = gates(gm, dmap)
-        pick = _select_fold(gm, gate_map, dmap, seed)
+        pick = _select_fold(gm, gate_map, dmap)
         if pick is None:
             # the eigenmetric changes only lengths; gates and the transition
             # data read only images

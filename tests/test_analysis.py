@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
 SEARCH_COMMANDS = ("classify", "torus", "report")
-FLAGS = {"max_period": 2, "max_len": 5, "max_iterations": 400, "seed": 1}
+FLAGS = {"max_period": 2, "max_len": 5, "max_iterations": 400}
 
 
 def _recording(fn, log):
@@ -64,7 +64,7 @@ def test_every_command_honours_every_bound(monkeypatch, command, name):
     for call in calls["periodic_conjugacy_search"]:
         assert (call["max_period"], call["max_len"]) == (2, 5)
     for call in calls["find_train_track"]:
-        assert (call["max_iterations"], call["seed"]) == (400, 1)
+        assert call["max_iterations"] == 400
 
 
 def test_each_stage_runs_once_per_command(monkeypatch):

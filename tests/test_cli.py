@@ -171,6 +171,13 @@ class TestCommandLine:
                   "--whitehead-depth", "3"])
         assert exc.value.code == 2
 
+    def test_seed_is_not_a_flag(self, capsys):
+        # fold ties break by edge id; there is no other order to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(CORPUS / "golden_geometric.endo"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_exit_three_when_a_whitehead_move_does_not_shrink(self, monkeypatch,
                                                               capsys):
         # the image <ab> has a disconnected Whitehead graph, so the test

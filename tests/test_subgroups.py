@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from endotorus import subgroups as sg
 from endotorus.words import (
     Endomorphism,
+    InternalInconsistency,
     concat,
     conjugate,
     invert,
@@ -19,9 +21,9 @@ from endotorus.subgroups import (
     invert_automorphism,
     is_injective,
     preimage,
+    rank_one_system,
     stallings,
     whitehead_graph,
-    whitehead_moves,
 )
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
@@ -226,12 +228,20 @@ class TestPreimage:
         sq = Endomorphism(2, (parse_word("aa"), parse_word("bb")))
         g = stallings(2, [parse_word("a")])
         h = preimage(sq, g)
-        for w in g.basis():
-            assert h.contains(w) or True  # ascending holds when phi(<G>) <= <G>
         assert all(h.contains(w) for w in g.basis())
 
 
-WHITEHEAD_MOVES = {rank: whitehead_moves(rank) for rank in (2, 3)}
+def letters_of_rank(rank):
+    return st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+
+
+@st.composite
+def whitehead_automorphisms(draw, rank):
+    """A Whitehead automorphism (Y, v) of F_rank: Y holds v and no other
+    letter of v's generator."""
+    v = draw(letters_of_rank(rank))
+    y = draw(st.sets(letters_of_rank(rank).filter(lambda x: abs(x) != abs(v))))
+    return sg._whitehead_move(rank, v, y | {v})
 
 
 @st.composite
@@ -245,11 +255,25 @@ def scrambled_factors(draw):
     inside = st.sampled_from([s * i for i in kept for s in (1, -1)])
     gens = [reduce_word(draw(st.lists(inside, min_size=1, max_size=6)))
             for _ in range(draw(st.integers(1, 3)))]
-    for move in draw(st.lists(st.sampled_from(WHITEHEAD_MOVES[rank]), max_size=4)):
+    for move in draw(st.lists(whitehead_automorphisms(rank), max_size=4)):
         gens = [move.apply(g) for g in gens]
-    letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
-    u = draw(st.lists(letters, max_size=6))
+    u = draw(st.lists(letters_of_rank(rank), max_size=6))
     return rank, [conjugate(g, u) for g in gens]
+
+
+@st.composite
+def scrambled_systems(draw):
+    """(rank, classes): 1-rank distinct letters, each possibly inverted,
+    scrambled by up to 4 Whitehead automorphisms, each class conjugated by
+    a word of length at most 4."""
+    rank = draw(st.integers(2, 4))
+    letters = draw(st.lists(st.integers(1, rank), min_size=1, max_size=rank,
+                            unique=True))
+    words = [(draw(st.sampled_from([1, -1])) * l,) for l in letters]
+    for move in draw(st.lists(whitehead_automorphisms(rank), max_size=4)):
+        words = [move.apply(w) for w in words]
+    return rank, [conjugate(w, draw(st.lists(letters_of_rank(rank), max_size=4)))
+                  for w in words]
 
 
 class TestFreeFactor:
@@ -301,8 +325,33 @@ class TestFreeFactor:
         assert all(factor.contains(g) for g in gens)
 
     def test_whitehead_graph_of_rose(self):
-        wh = whitehead_graph(SubgroupGraph.full_group(2))
+        rose = SubgroupGraph.full_group(2)
+        wh = whitehead_graph(2, [[l for (l, _) in nbrs] for nbrs in rose.adj])
         assert all(len(v) == 3 for v in wh.values())  # complete graph on 4 germs
+        # the cyclic word ab has the junctions (B, a) and (A, b)
+        word = parse_word("ab")
+        wh = whitehead_graph(2, [(-word[i - 1], word[i]) for i in range(2)])
+        assert wh == {1: {-2}, -2: {1}, -1: {2}, 2: {-1}}
+
+
+class TestRankOneSystem:
+    @given(scrambled_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_scrambled_letters_are_a_system(self, case):
+        (rank, classes) = case
+        assert rank_one_system(rank, classes)
+
+    @pytest.mark.parametrize("classes", [["aa"], ["abAB"], ["ab", "aB"]])
+    def test_non_systems(self, classes):
+        # ab and aB are each primitive, but their abelianized determinant
+        # is -2, so they are no basis of a free factor together
+        assert not rank_one_system(2, [parse_word(w) for w in classes])
+
+    def test_move_that_does_not_shrink_raises(self, monkeypatch):
+        monkeypatch.setattr(sg, "_cut_vertex_move",
+                            lambda rank, nbrs: Endomorphism.identity(rank))
+        with pytest.raises(InternalInconsistency, match="did not shrink"):
+            rank_one_system(2, [parse_word("ab")])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from endotorus.words import CyclicWord, Endomorphism, parse_word
 from endotorus.nielsen import nielsen_loops, stabilize
 from endotorus.traintrack import find_train_track
+from endotorus import surface
 from endotorus.surface import (
     NotSurface,
     SurfaceRealization,
@@ -56,6 +57,22 @@ class TestReductionSearch:
 
     def test_golden_none(self):
         assert reduction_search(GOLDEN) is None
+
+    def test_letter_cycles_stop_at_the_first_longer_class(self, monkeypatch):
+        # b and c do not go to letter classes, so the orbit of a ends at b
+        # instead of growing through ccab and its images
+        lengths = []
+        real = surface.cyclic_canonical
+
+        def recording(w, unoriented=False):
+            lengths.append(len(w))
+            return real(w, unoriented)
+
+        monkeypatch.setattr(surface, "cyclic_canonical", recording)
+        endo = Endomorphism(3, (parse_word("b"), parse_word("ccab"),
+                                parse_word("abcab")))
+        assert surface._letter_cycle_witness(endo) is None
+        assert max(lengths) == 1
 
 
 class TestClassify:
