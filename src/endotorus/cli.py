@@ -36,7 +36,7 @@ from endotorus.surface import (
     SurfaceRealization,
     Verdict,
 )
-from endotorus.torus import chi_zero_report
+from endotorus.torus import chi_zero_report, subgroup_report
 
 SCHEMA_VERSION = 1
 COMMANDS = ("classify", "tt", "nielsen", "surface", "torus", "report")
@@ -293,10 +293,6 @@ def _verdict_dict(v: Verdict) -> dict:
 # running commands
 # ---------------------------------------------------------------------------
 
-_TORUS_KEYS = ("witness_subgroup", "fiber_chain", "z2_witness", "minimality",
-              "applicable", "inapplicable_reason")
-
-
 def _command_view(command: str, analysis: Analysis) -> dict:
     """The report entries of one command, read from the analysis."""
     if command == "classify":
@@ -332,8 +328,7 @@ def _command_view(command: str, analysis: Analysis) -> dict:
     if command == "report":
         return {"characterization": chi_zero_report(analysis)}
     if command == "torus":
-        rep = chi_zero_report(analysis)
-        return {key: rep[key] for key in _TORUS_KEYS if key in rep}
+        return subgroup_report(analysis)
     raise ValueError(f"unknown command {command!r}")
 
 

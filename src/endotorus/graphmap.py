@@ -361,6 +361,19 @@ class TransitionData:
         return [list(r) for r in self.matrix]
 
 
+def reach(adj, start) -> set:
+    """The nodes reachable from `start` along `adj` (node -> successors),
+    `start` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def _strongly_connected(matrix) -> bool:
     """Every index reaches every other along the nonzero entries, and is
     reached from it."""
@@ -370,18 +383,7 @@ def _strongly_connected(matrix) -> bool:
     for i, js in enumerate(out):
         for j in js:
             back[j].append(i)
-
-    def reaches_all(adj) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    return n == 0 or (reaches_all(out) and reaches_all(back))
+    return n == 0 or (len(reach(out, 0)) == n and len(reach(back, 0)) == n)
 
 
 def _char_poly(matrix):

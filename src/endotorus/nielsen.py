@@ -333,7 +333,7 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     first vertex of the second ray at or after the first ray's position less
     POINT_TOL, as in a two-pointer merge of the pair's rays.  Each candidate
     goes through `_admit`, in (pair, position) order."""
-    if not (tt.data.expanding and tt.data.irreducible):
+    if not tt.data.expanding:
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
     gm = tt.gm
@@ -526,7 +526,7 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
     radius, as a scan hit would.  Returns the paths in the scan's order, or
     None when the track is not expanding and irreducible or some path fails
     (the caller then scans)."""
-    if not (tt.data.expanding and tt.data.irreducible):
+    if not tt.data.expanding:
         return None
     gm = tt.gm
     lengths = gm.graph.lengths

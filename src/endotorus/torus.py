@@ -184,33 +184,22 @@ def _z2_witness(endo: Endomorphism, cls: Word, max_power: int) -> Optional[dict]
     }
 
 
-def chi_zero_report(endo) -> dict:
-    """Everything the zero-Euler-characteristic characterization says about
-    this mapping torus, constructively where the reverse direction applies:
-    a reducible minimal monodromy yields an explicit chi = 0 noncyclic
-    witness subgroup of infinite index, a periodic class yields a rank-two
-    free abelian subgroup, and in the irreducible atoroidal case the forward
-    direction is reported as a cited conclusion.
-
-    `endo` is an `Analysis`, and the report is a view of it under its own
-    bounds, or an Endomorphism, analysed at the default bounds."""
-    analysis = endo if isinstance(endo, Analysis) else Analysis(endo, Bounds())
+def subgroup_report(analysis: Analysis) -> dict:
+    """The entries of the characterization report that need no verdict:
+    whether the characterization applies, and the chi = 0 subgroups built
+    from a reduction witness (with their preimage chain) or from a periodic
+    class."""
     endo = analysis.endo
     bounds = analysis.bounds
-    verdict = analysis.verdict
     minimality = _MINIMALITY[analysis.image_factor.status]
     factor = analysis.image_factor.factor
-    injective = verdict.injective
+    injective = analysis.injective
     applicable = injective and minimality == "minimal"
     report: dict = {
-        "verdict": verdict.kind,
-        "injective": injective,
         "minimality": {"status": minimality,
                        "factor": [list(w) for w in factor] if factor else None},
         "applicable": applicable,
     }
-    if verdict.kind == "unknown":
-        report["notes"] = verdict.notes   # which stage or bound stopped it
     if not applicable:
         reasons = []
         if not injective:
@@ -241,7 +230,26 @@ def chi_zero_report(endo) -> dict:
         z2 = _z2_witness(endo, w, max_power=2 * bounds.max_period)
         if z2 is not None:
             report["z2_witness"] = z2
+    return report
 
+
+def chi_zero_report(endo) -> dict:
+    """Everything the zero-Euler-characteristic characterization says about
+    this mapping torus, constructively where the reverse direction applies:
+    a reducible minimal monodromy yields an explicit chi = 0 noncyclic
+    witness subgroup of infinite index, a periodic class yields a rank-two
+    free abelian subgroup, and in the irreducible atoroidal case the forward
+    direction is reported as a cited conclusion.  It is the verdict's
+    entries and the `subgroup_report`.
+
+    `endo` is an `Analysis`, and the report is a view of it under its own
+    bounds, or an Endomorphism, analysed at the default bounds."""
+    analysis = endo if isinstance(endo, Analysis) else Analysis(endo, Bounds())
+    verdict = analysis.verdict
+    report: dict = {"verdict": verdict.kind, "injective": verdict.injective,
+                    **subgroup_report(analysis)}
+    if verdict.kind == "unknown":
+        report["notes"] = verdict.notes   # which stage or bound stopped it
     if verdict.kind == "irreducible_atoroidal":
         report["forward_direction"] = (
             "cited conclusion: every finitely generated noncyclic subgroup "

@@ -9,6 +9,7 @@ subdivide, fold, collapse) make sense for injective non-surjective maps.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -26,6 +27,7 @@ from endotorus.words import (
 from endotorus.graphmap import (
     GraphMap,
     TransitionData,
+    reach,
     transition_matrix,
     with_eigenmetric,
 )
@@ -203,120 +205,63 @@ def is_finite_order(endo: Endomorphism) -> Optional[FiniteOrderCertificate]:
 # invariant subgraphs and reduction witnesses
 # ---------------------------------------------------------------------------
 
-def _edge_digraph(gm: GraphMap) -> dict:
-    return {e: sorted({abs(x) for x in gm.eimg[e]}) for e in gm.graph.edge_ids()}
-
-def _sccs(digraph: dict) -> list:
-    """Tarjan, iterative; deterministic order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out = []
-    counter = [0]
-    for root in sorted(digraph):
-        if root in index:
-            continue
-        work = [(root, iter(digraph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(digraph[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
-
-
 def _subgraph_components(gm: GraphMap, edge_set) -> list:
-    """Connected components of the subgraph spanned by edge_set:
-    [(vertices, edges)], deterministic order."""
-    edge_set = sorted(edge_set)
-    adj: dict = {}
-    for e in edge_set:
-        (a, b) = gm.graph.edges[e]
-        adj.setdefault(a, []).append((e, b))
-        adj.setdefault(b, []).append((e, a))
+    """Connected components of the subgraph spanned by edge_set, in order of
+    their least vertex: [(tree, edges)], where tree sends each vertex of the
+    component to its path from the least vertex, the FIFO breadth-first
+    tree over `directions_at`, in visiting order, and edges is sorted."""
+    g = gm.graph
     seen: set = set()
     comps = []
-    for v0 in sorted(adj):
-        if v0 in seen:
+    for root in sorted({v for e in edge_set for v in g.edges[e]}):
+        if root in seen:
             continue
-        verts = {v0}
+        tree = {root: ()}
         edges = set()
-        queue = [v0]
-        seen.add(v0)
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
-            for (e, w) in adj[v]:
-                edges.add(e)
-                if w not in seen:
-                    seen.add(w)
-                    verts.add(w)
+            v = queue.popleft()
+            for d in g.directions_at(v):
+                if abs(d) not in edge_set:
+                    continue
+                edges.add(abs(d))
+                w = g.term_of(d)
+                if w not in tree:
+                    tree[w] = tree[v] + (d,)
                     queue.append(w)
-        comps.append((sorted(verts), sorted(edges)))
+        seen.update(tree)
+        comps.append((tree, sorted(edges)))
     return comps
 
 
-def _source_complements(gm: GraphMap):
-    """The maximal proper f-invariant edge sets: the complement of each
-    source component of the edge digraph (a strong component that no other
-    one maps into), in component order; nothing when the digraph is
-    strongly connected."""
-    digraph = _edge_digraph(gm)
-    comps = _sccs(digraph)
-    if len(comps) <= 1:
-        return
-    comp_of = {e: i for i, c in enumerate(comps) for e in c}
-    entered = {comp_of[t] for e, targets in digraph.items() for t in targets
-               if comp_of[e] != comp_of[t]}
-    for i, c in enumerate(comps):
-        rest = frozenset(digraph) - frozenset(c)
-        if i not in entered and rest:
-            yield rest
+def invariant_sets(gm: GraphMap) -> tuple:
+    """(subgraph, forest) among the maximal proper f-invariant edge sets,
+    each None when there is none: the largest that carries fundamental
+    group (the first on a tie), and the first that is a forest.
 
-
-def invariant_subgraph(gm: GraphMap) -> Optional[frozenset]:
-    """Largest proper f-invariant edge set carrying fundamental group, or
-    None."""
-    best = None
-    for rest in _source_complements(gm):
-        rank = sum(len(es) - len(vs) + 1 for (vs, es) in _subgraph_components(gm, rest))
-        if rank > 0 and (best is None or len(rest) > len(best)):
-            best = rest
-    return best
-
-
-def largest_invariant_forest(gm: GraphMap) -> Optional[frozenset]:
-    """A proper invariant edge set that is a forest (to collapse), or None."""
-    return next((rest for rest in _source_complements(gm)
-                 if all(len(es) - len(vs) + 1 <= 0
-                        for (vs, es) in _subgraph_components(gm, rest))), None)
+    Those sets are the complements of the source components of the edge
+    digraph e -> the edges of f(e).  The predecessors of e form its
+    component when they are all among its successors, and then that
+    component is a source; the components are read in order of their least
+    edge."""
+    edges = gm.graph.edge_ids()
+    succ = {e: {abs(x) for x in gm.eimg[e]} for e in edges}
+    reached = {e: reach(succ, e) for e in edges}
+    subgraph = forest = None
+    for e in edges:
+        comp = {d for d in edges if e in reached[d]}
+        if min(comp) != e or not comp <= reached[e]:
+            continue
+        rest = frozenset(edges) - comp
+        if not rest:
+            continue
+        comps = _subgraph_components(gm, rest)
+        if sum(len(es) - len(tree) + 1 for (tree, es) in comps) > 0:
+            if subgraph is None or len(rest) > len(subgraph):
+                subgraph = rest
+        elif forest is None:
+            forest = rest
+    return (subgraph, forest)
 
 
 def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
@@ -324,18 +269,18 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
     """Convert an invariant subgraph into a verified free factor system via
     the edge labels and the map's twist.  Returns None when verification
     fails (never emits an unverified witness)."""
-    comps = [(vs, es) for (vs, es) in _subgraph_components(gm, edge_set)
-             if len(es) - len(vs) + 1 > 0]
+    comps = [(tree, es) for (tree, es) in _subgraph_components(gm, edge_set)
+             if len(es) - len(tree) + 1 > 0]
     if not comps:
         return None
     # functional map on components: where does f send each one
     succ = []
-    for (vs, es) in comps:
+    for (_, es) in comps:
         img_edges = set()
         for e in es:
             img_edges.update(abs(x) for x in gm.eimg[e])
         target = None
-        for j, (vs2, es2) in enumerate(comps):
+        for j, (_, es2) in enumerate(comps):
             if img_edges <= set(es2):
                 target = j
                 break
@@ -359,28 +304,16 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
     g = gm.graph
 
     def component_data(ci):
-        (vs, es) = comps[ci]
-        root = vs[0]
+        (tree_path, es) = comps[ci]
+        root = next(iter(tree_path))
         gamma = g.shortest_path(g.base, root)
-        # spanning tree of the component only
-        tree_path = {root: ()}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for d in g.directions_at(v):
-                if abs(d) not in es:
-                    continue
-                w = g.term_of(d)
-                if w not in tree_path:
-                    tree_path[w] = tree_path[v] + (d,)
-                    queue.append(w)
+        tree_edges = {abs(p[-1]) for p in tree_path.values() if p}
         loops = []
-        tree_dirs = {p[-1] for p in tree_path.values() if p}
         for e in es:
-            if e in {abs(d) for d in tree_dirs}:
+            if e in tree_edges:
                 continue
             (a, b) = g.edges[e]
-            loops.append(tree_path[a] + (e,) + tuple(-x for x in reversed(tree_path[b])))
+            loops.append(tree_path[a] + (e,) + invert(tree_path[b]))
         return root, gamma, tree_path, loops
 
     data = {ci: component_data(ci) for ci in cycle}
@@ -544,20 +477,19 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
             continue
         data = transition_matrix(gm)
         if not data.irreducible:
-            sub = invariant_subgraph(gm)
+            (sub, forest) = invariant_sets(gm)
             if sub is not None:
                 witness = build_reduction_witness(gm, endo, sub,
                                                   "invariant subgraph of the folded representative")
                 if witness is not None:
                     return witness
                 return Unknown("invariant subgraph failed verification", iteration)
-            forest = largest_invariant_forest(gm)
             if forest is not None:
                 gm = gm.collapse_forest(forest)
                 continue
             return Unknown("reducible transition matrix without usable "
                            "invariant subgraph", iteration)
-        if data.lam <= 1 + 1e-9:
+        if not data.expanding:
             cert = is_finite_order(endo)
             if cert is not None:
                 return cert

@@ -85,6 +85,17 @@ def test_each_stage_runs_once_per_command(monkeypatch):
     assert all(len(log) <= 1 for log in calls.values())
 
 
+def test_torus_reads_no_verdict(monkeypatch):
+    """The torus view needs injectivity, the image factor, the reduction
+    witness and the word search, never stabilization."""
+    calls = spy_on(monkeypatch, ("nielsen", "stabilize"))
+    rep = run("torus", _spec("golden_geometric"))
+    assert "error" not in rep and rep["applicable"]
+    assert calls["stabilize"] == []
+    run("report", _spec("golden_geometric"))
+    assert len(calls["stabilize"]) == 1
+
+
 def test_traced_layers_exist():
     """The benchmark's tracer wraps these names; a missing one would crash
     its traced pass."""

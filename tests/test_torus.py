@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from endotorus.cli import parse, run
 from endotorus.words import Endomorphism, parse_word
 from endotorus import subgroups as sg
+from endotorus import torus
 from endotorus.traintrack import (
     InvariantFactor,
     ReductionWitness,
@@ -145,6 +146,16 @@ class TestReport:
         assert rep["applicable"]
         assert rep["verdict"] == "reducible"
         assert rep["fiber_chain"]["conclusion"] == "infinite index (stable chain)"
+
+    def test_torus_view_carries_the_witness_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("no witness subgroup")
+
+        monkeypatch.setattr(torus, "witness_subgroup", failing)
+        spec = parse("rank 2; a -> b; b -> a;")
+        report = run("report", spec)["characterization"]
+        assert report["witness_error"] == "no witness subgroup"
+        assert run("torus", spec)["witness_error"] == report["witness_error"]
 
     def test_spot_check(self):
         # the image subgroup is invariant; its preimage is everything

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ from endotorus.words import (
     parse_word,
     reduce_word,
 )
-from endotorus.graphmap import GraphMap, transition_matrix
+from endotorus.graphmap import GraphMap, MarkedGraph, transition_matrix
 from endotorus.nielsen import scan_pinps
 from endotorus.surface import classify
 from endotorus.traintrack import (
@@ -27,7 +28,7 @@ from endotorus.traintrack import (
     find_train_track,
     gates,
     illegal_crossings,
-    invariant_subgraph,
+    invariant_sets,
     is_finite_order,
     legality,
     verify_reduction_witness,
@@ -141,16 +142,16 @@ def reference_gates(gm):
 
 
 @st.composite
-def subdivided_roses(draw):
+def subdivided_roses(draw, splits=8):
     """The rose of a rank-2/3 map with nonempty images of up to 6 letters,
-    split up to 8 times strictly inside an image, so every image stays
-    nonempty and the direction map is defined."""
+    split up to `splits` times strictly inside an image, so every image
+    stays nonempty and the direction map is defined."""
     rank = draw(st.integers(2, 3))
     letters = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
     images = [draw(st.lists(letters, min_size=1, max_size=6)) for _ in range(rank)]
     gm = GraphMap.rose(Endomorphism(rank, tuple(tuple(im) for im in images)))
     assume(all(gm.eimg.values()))
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, splits))):
         long = [e for e in gm.graph.edge_ids() if len(gm.eimg[e]) >= 2]
         if not long:
             break
@@ -219,15 +220,113 @@ class TestGates:
 
 class TestInvariantSubgraph:
     def test_irreducible_has_none(self):
-        assert invariant_subgraph(GraphMap.rose(PHI)) is None
+        assert invariant_sets(GraphMap.rose(PHI))[0] is None
 
     def test_extension_invariant_pair(self):
-        sub = invariant_subgraph(GraphMap.rose(PSI))
+        sub = invariant_sets(GraphMap.rose(PSI))[0]
         assert sub == frozenset({1, 2})
 
     def test_dehn_twist_like(self):
         gm = GraphMap.rose(Endomorphism(2, (parse_word("a"), parse_word("ba"))))
-        assert invariant_subgraph(gm) == frozenset({1})
+        assert invariant_sets(gm)[0] == frozenset({1})
+
+
+def reference_rank(gm, edge_set):
+    """Rank of the fundamental group of the subgraph spanned by edge_set:
+    edges - vertices + components, with components by union-find."""
+    parent: dict = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for e in edge_set:
+        (a, b) = gm.graph.edges[e]
+        parent[find(a)] = find(b)
+    return len(edge_set) - len(parent) + len({find(v) for v in list(parent)})
+
+
+def maximal_invariant_sets(gm):
+    """Every maximal proper edge set S with f(S) inside S, by listing every
+    subset."""
+    edges = gm.graph.edge_ids()
+    invariant = [frozenset(s) for k in range(1, len(edges))
+                 for s in itertools.combinations(edges, k)
+                 if all(abs(x) in s for e in s for x in gm.eimg[e])]
+    return [s for s in invariant if not any(s < t for t in invariant)]
+
+
+def assert_matches_subset_enumeration(gm):
+    """invariant_sets picks a largest carrying set and a forest among the
+    maximal proper invariant sets, and None only when there is none."""
+    (sub, forest) = invariant_sets(gm)
+    sets = maximal_invariant_sets(gm)
+    carrying = [s for s in sets if reference_rank(gm, s) > 0]
+    forests = [s for s in sets if reference_rank(gm, s) == 0]
+    if carrying:
+        assert sub in carrying
+        assert len(sub) == max(map(len, carrying))
+    else:
+        assert sub is None
+    if forests:
+        assert forest in forests
+    else:
+        assert forest is None
+
+
+def assert_collapses_to_one_vertex(gm, forest, endo):
+    collapsed = gm.collapse_forest(forest)
+    collapsed.check_consistency()
+    assert collapsed.graph.nv == 1
+    for e in collapsed.graph.edge_ids():
+        w = collapsed.path_to_word((e,))
+        assert endo.apply(w) == conjugate(
+            collapsed.path_to_word(collapsed.eimg[e]), collapsed.twist)
+
+
+class TestInvariantSets:
+    def forest_map(self, base):
+        """Loops 1 at vertex 0 (label a) and 2 at vertex 1 (label b), edge 3
+        from 0 to 1 (label 1); f(1) = 3 2 -3 1, f(2) = -3 1 3 2 and f(3) = 3,
+        fixing both vertices: the map a -> ba, b -> ab, read at either end
+        of the tree edge 3."""
+        graph = MarkedGraph(2, {1: (0, 0), 2: (1, 1), 3: (0, 1)},
+                            {1: 1.0, 2: 1.0, 3: 1.0}, base)
+        eimg = {1: (3, 2, -3, 1), 2: (-3, 1, 3, 2), 3: (3,)}
+        return GraphMap(graph, {0: 0, 1: 1}, eimg, 2, {1: (1,), 2: (2,), 3: ()})
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_forest_branch_collapses_to_one_vertex(self, base):
+        gm = self.forest_map(base)
+        gm.check_consistency()
+        assert not transition_matrix(gm).irreducible
+        assert invariant_sets(gm) == (None, frozenset({3}))
+        assert_matches_subset_enumeration(gm)
+        assert_collapses_to_one_vertex(
+            gm, frozenset({3}), Endomorphism(2, (parse_word("ba"), parse_word("ab"))))
+
+    def test_the_forest_is_a_maximal_invariant_set(self):
+        # the path 1 (0 -> 1), 2 (1 -> 2) with loops 3 at 0 (label a) and 4
+        # at 2 (label b), f swapping vertices 1 and 2: the map a -> ab,
+        # b -> ba.  The edges reaching edge 1 are 1, 3 and 4, whose
+        # complement {2} is an invariant forest but not a maximal one: edge
+        # 1 is no source, and the source {3, 4} leaves the path {1, 2}
+        graph = MarkedGraph(3, {1: (0, 1), 2: (1, 2), 3: (0, 0), 4: (2, 2)},
+                            {e: 1.0 for e in (1, 2, 3, 4)})
+        eimg = {1: (1, 2), 2: (-2,), 3: (3, 1, 2, 4, -2, -1),
+                4: (2, 4, -2, -1, 3, 1)}
+        gm = GraphMap(graph, {0: 0, 1: 2, 2: 1}, eimg, 2,
+                      {1: (), 2: (), 3: (1,), 4: (2,)})
+        gm.check_consistency()
+        assert invariant_sets(gm) == (None, frozenset({1, 2}))
+        assert_matches_subset_enumeration(gm)
+        assert_collapses_to_one_vertex(gm, frozenset({1, 2}), PHI)
+
+    @given(subdivided_roses(splits=5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_subset_enumeration(self, gm):
+        assert_matches_subset_enumeration(gm)
 
 
 class TestFiniteOrder:
