@@ -356,6 +356,7 @@ class TransitionData:
     irreducible: bool
     expanding: bool
     residual: float
+    steps: int             # power-iteration steps taken; a work counter
 
     def as_lists(self):
         return [list(r) for r in self.matrix]
@@ -421,6 +422,21 @@ def certify_growth_rate(matrix, lam: float, eps: float = 1e-9) -> bool:
 
 
 def transition_matrix(gm: GraphMap) -> TransitionData:
+    """The transition matrix M of `gm` (rows and columns in edge id order)
+    and its Perron-Frobenius data, by power iteration on M + I.
+
+    The iteration starts from the graph's own lengths, taken in edge order,
+    when every one is positive, and from ones otherwise: a zero entry could
+    miss the dominant block of a reducible M.  Every move carries the
+    metric (a subdivision splits a length by ratio, a fold and a refinement
+    keep them, and `find_train_track` ends on the eigenmetric), and a fold
+    of a train track keeps lambda and the eigenmetric, scaled (Bestvina-
+    Handel 1992, section 5).  So after a stabilization fold or a refinement
+    the start is already an eigenvector and the loop ends in a few steps.
+    It ends when no entry changes by 1e-16 or more, when the iterate
+    repeats the one two steps back (floats can settle into a two-cycle),
+    or after 2000 steps.  lambda is the Rayleigh quotient of the last
+    iterate, snapped to an integer within 1e-12."""
     order = tuple(gm.graph.edge_ids())
     idx = {e: i for i, e in enumerate(order)}
     n = len(order)
@@ -453,19 +469,23 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
                 for (get, coefs) in rows]
 
     # power iteration on M + I (primitive when M is irreducible)
-    v = [1.0] * n
+    v = [gm.graph.lengths[e] for e in order]
+    if n and min(v) <= 0:
+        v = [1.0] * n
+    back = None            # the iterate before v
     lam = 0.0
+    steps = 0
     if n:
-        for _ in range(2000):
+        for steps in range(1, 2001):
             w = list(map(add, times(v), v))
             s = sum(w)
             if s == 0:
                 break
             w = [x / s for x in w]
-            if max(map(abs, map(sub, w, v))) < 1e-16:
+            if max(map(abs, map(sub, w, v))) < 1e-16 or w == back:
                 v = w
                 break
-            v = w
+            (back, v) = (v, w)
         mv = times(v)
         denom = sum(x * x for x in v)
         lam = sum(mv[i] * v[i] for i in range(n)) / denom if denom else 0.0
@@ -480,7 +500,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
     return TransitionData(order, matrix, lam, eigenmetric, irreducible,
-                          expanding, residual)
+                          expanding, residual, steps)
 
 
 def with_eigenmetric(gm: GraphMap, data: TransitionData) -> GraphMap:

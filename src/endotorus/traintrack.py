@@ -240,17 +240,25 @@ def invariant_sets(gm: GraphMap) -> tuple:
     group (the first on a tie), and the first that is a forest.
 
     Those sets are the complements of the source components of the edge
-    digraph e -> the edges of f(e).  The predecessors of e form its
-    component when they are all among its successors, and then that
-    component is a source; the components are read in order of their least
-    edge."""
+    digraph e -> the edges of f(e).  The strong component of e is what e
+    reaches and is reached from, and it is a source when nothing else
+    reaches e.  The components are read in order of their least edge, one
+    pair of `reach` per component, shared by its members."""
     edges = gm.graph.edge_ids()
     succ = {e: {abs(x) for x in gm.eimg[e]} for e in edges}
-    reached = {e: reach(succ, e) for e in edges}
+    pred: dict = {e: set() for e in edges}
+    for e in edges:
+        for d in succ[e]:
+            pred[d].add(e)
+    placed: set = set()
     subgraph = forest = None
     for e in edges:
-        comp = {d for d in edges if e in reached[d]}
-        if min(comp) != e or not comp <= reached[e]:
+        if e in placed:
+            continue
+        behind = reach(pred, e)
+        comp = behind & reach(succ, e)
+        placed |= comp
+        if comp != behind:
             continue
         rest = frozenset(edges) - comp
         if not rest:

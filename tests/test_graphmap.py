@@ -289,7 +289,9 @@ def reference_strongly_connected(matrix):
 
 def reference_transition_matrix(gm):
     """Every product a full n x n sum, zero entries included: the same
-    products as the sparse rows, plus the exact 0 * v[j] terms."""
+    products as the sparse rows, plus the exact 0 * v[j] terms, from the
+    same start (the lengths when all are positive, else ones) and with the
+    same stops."""
     order = tuple(gm.graph.edge_ids())
     idx = {e: i for i, e in enumerate(order)}
     n = len(order)
@@ -299,19 +301,23 @@ def reference_transition_matrix(gm):
             m[idx[e]][idx[abs(x)]] += 1
     matrix = tuple(tuple(r) for r in m)
     irreducible = reference_strongly_connected(matrix)
-    v = [1.0] * n
+    v = [gm.graph.lengths[e] for e in order]
+    if not all(x > 0 for x in v):
+        v = [1.0] * n
+    back = None
     lam = 0.0
+    steps = 0
     if n:
-        for _ in range(2000):
+        for steps in range(1, 2001):
             w = [sum(m[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
             s = sum(w)
             if s == 0:
                 break
             w = [x / s for x in w]
-            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16:
+            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16 or w == back:
                 v = w
                 break
-            v = w
+            (back, v) = (v, w)
         mv = [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
         denom = sum(x * x for x in v)
         lam = sum(mv[i] * v[i] for i in range(n)) / denom if denom else 0.0
@@ -326,7 +332,7 @@ def reference_transition_matrix(gm):
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
     return TransitionData(order, matrix, lam, eigenmetric, irreducible,
-                          expanding, residual)
+                          expanding, residual, steps)
 
 
 @st.composite
@@ -353,23 +359,31 @@ def subdivided_roses(draw):
     return gm
 
 
+def classify_calls(name):
+    """(graph map, transition data) of every transition_matrix call inside
+    `classify` of a corpus input."""
+    calls = []
+    real = graphmap.transition_matrix
+
+    def recording(gm):
+        data = real(gm)
+        calls.append((gm, data))
+        return data
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (graphmap, traintrack, nielsen):
+            patch.setattr(module, "transition_matrix", recording)
+        run("classify", parse((CORPUS / f"{name}.endo").read_text()))
+    return calls
+
+
 class TestTransitionOracle:
     # repr compares the floats bit for bit (and nan, -0.0 and inf as well)
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.endo")))
     def test_every_call_in_classify_matches_the_dense_product(self, name):
-        calls = []
-        real = graphmap.transition_matrix
-
-        def checked(gm):
-            data = real(gm)
-            calls.append(repr(data) == repr(reference_transition_matrix(gm)))
-            return data
-
-        with pytest.MonkeyPatch.context() as patch:
-            for module in (graphmap, traintrack, nielsen):
-                patch.setattr(module, "transition_matrix", checked)
-            run("classify", parse((CORPUS / f"{name}.endo").read_text()))
-        assert all(calls)
+        calls = classify_calls(name)
+        for (gm, data) in calls:
+            assert repr(data) == repr(reference_transition_matrix(gm))
         assert calls or name not in GEOMETRIC_CLASSIFY
 
     @given(subdivided_roses())
@@ -387,6 +401,77 @@ class TestTransitionOracle:
     @settings(max_examples=200, deadline=None)
     def test_strong_connectivity_matches_the_dense_scan(self, matrix):
         assert _strongly_connected(matrix) == reference_strongly_connected(matrix)
+
+
+# ---------------------------------------------------------------------------
+# the start of the power iteration: the map's own lengths against ones
+# ---------------------------------------------------------------------------
+
+def with_lengths(gm, lengths):
+    """The graph map with its edge lengths replaced."""
+    g = gm.graph
+    graph = MarkedGraph(g.nv, dict(g.edges), dict(lengths), g.base)
+    return GraphMap(graph, gm.vimg, gm.eimg, gm.rank, gm.labels, gm.twist,
+                    gm.history)
+
+
+def cold_start(gm):
+    """transition_matrix(gm) started from ones, whatever the lengths."""
+    return transition_matrix(with_lengths(gm, {e: 1.0 for e in gm.graph.lengths}))
+
+
+def assert_warm_is_cold(gm):
+    """The same data from the lengths and from ones.  A cold run that ends
+    on the 2000-step budget has not settled lambda from any start: on
+    a -> a, b -> ab (M = ((1, 0), (1, 1)), a Jordan block) the Rayleigh
+    quotient still reads 1.000999 there, so lambda is compared only when
+    the cold run stopped on its own."""
+    (warm, cold) = (transition_matrix(gm), cold_start(gm))
+    assert (warm.edge_order, warm.matrix, warm.irreducible, warm.expanding) == \
+        (cold.edge_order, cold.matrix, cold.irreducible, cold.expanding)
+    assert cold.steps < 2000 or not cold.irreducible
+    if cold.steps < 2000:
+        assert abs(warm.lam - cold.lam) <= 1e-12
+    assert (warm.eigenmetric is None) == (cold.eigenmetric is None)
+    if warm.eigenmetric is not None:
+        assert max(abs(x - y) for (x, y) in
+                   zip(warm.eigenmetric, cold.eigenmetric)) <= 1e-12
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.endo")))
+    def test_every_call_in_classify_matches_the_cold_start(self, name):
+        for (gm, _) in classify_calls(name):
+            assert_warm_is_cold(gm)
+
+    @given(subdivided_roses(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_lengths_match_the_cold_start(self, gm, data):
+        lengths = {e: data.draw(st.floats(0.01, 10.0)) for e in gm.graph.edge_ids()}
+        assert_warm_is_cold(with_lengths(gm, lengths))
+
+    def test_a_zero_length_starts_from_ones(self):
+        # M = ((2, 0), (1, 1)): from the lengths (0, 1) the iteration would
+        # never see the block of edge 1 and would read lambda = 1
+        gm = rose(Endomorphism(2, (parse_word("aa"), parse_word("ba"))))
+        gm = with_lengths(gm, {1: 0.0, 2: 1.0})
+        data = transition_matrix(gm)
+        assert not data.irreducible
+        assert data.lam == cold_start(gm).lam == 2.0
+
+    def test_a_float_cycle_stops_the_iteration(self):
+        # M = ((2, 2, 2), (1, 1, 0), (1, 2, 1)): from ones the iterates
+        # alternate between two vectors from about step 25
+        gm = rose(Endomorphism(3, tuple(map(parse_word, ("aabbcc", "ab", "abbc")))))
+        data = transition_matrix(gm)
+        assert data.matrix == ((2, 2, 2), (1, 1, 0), (1, 2, 1))
+        assert data.steps < 100
+        assert data.lam == 3.8751297941627785
+
+    def test_geometric_classify_takes_few_steps(self):
+        # from ones, these calls took 3,793 steps
+        assert sum(data.steps for name in GEOMETRIC_CLASSIFY
+                   for (_, data) in classify_calls(name)) < 400
 
 
 # ---------------------------------------------------------------------------

@@ -549,3 +549,30 @@ class TestCarry:
         assert stable.fold_log and not stable.stable
         assert [o.paths for o in stable.orbits] == \
             [o.paths for o in group_orbits(tt, pinps)]
+
+
+class TestEigenmetricCarry:
+    # a fold of a train track keeps lambda and the eigenmetric, scaled
+    # (Bestvina-Handel 1992, section 5), which is why the power iteration
+    # can start from the folded lengths
+    @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY[:5])
+    def test_folds_keep_the_eigenmetric(self, name, monkeypatch):
+        tt = find_train_track(corpus_endo(name))
+        made = []
+        real = nielsen.transition_matrix
+
+        def recording(gm):
+            data = real(gm)
+            made.append((gm.graph, data))
+            return data
+
+        monkeypatch.setattr(nielsen, "transition_matrix", recording)
+        stable = stabilize(tt)
+        assert len(made) >= len(stable.fold_log) > 0
+        lam = tt.stretch
+        for (graph, data) in made:
+            volume = graph.volume()
+            assert max(abs(graph.lengths[e] / volume - x) for (e, x) in
+                       zip(data.edge_order, data.eigenmetric)) <= 1e-12
+            assert abs(data.lam - lam) <= 1e-12
+            lam = data.lam

@@ -1,6 +1,6 @@
 """Digest of every command's report, every stabilization step's periodic
-Nielsen paths, every graph move and the periodic-class word search on the
-corpus.
+Nielsen paths, the power-iteration work, every graph move and the
+periodic-class word search on the corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
@@ -17,7 +17,12 @@ its list of periodic indivisible Nielsen paths, the list that
 `nielsen.group_orbits` receives, whether a scan found it or a fold carried
 it.  A representative without such paths ends stabilization at once and
 is hashed with its empty list.  So a change in the paths that
-does not reach the report bytes still shows.  Then comes
+does not reach the report bytes still shows.  The last line of that block
+is `steps input n`: the `TransitionData.steps` of every
+`transition_matrix` call inside that `classify`, summed, so a change in
+how much power iteration the pipeline does shows (the count is
+deterministic; it reads 0 on a tree whose `TransitionData` has no
+`steps`).  Then comes
 `moves input sha256`: after every subdivision, fold, forest collapse and
 refinement inside its `classify` and `tt`, in call order, the hash takes
 the ambient word `path_to_word` of every edge e of the new graph, closed
@@ -46,7 +51,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from endotorus import nielsen, surface
+from endotorus import graphmap, nielsen, surface, traintrack
 from endotorus.cli import COMMANDS, parse, report_json, run
 from endotorus.graphmap import GraphMap
 from endotorus.words import periodic_conjugacy_search, show_word
@@ -115,12 +120,14 @@ def _recording(owner, name: str, record):
 
 
 def _run_recording(command: str, spec, states) -> tuple:
-    """(report, stabilization steps, edge words after each move) of one
-    command; a step is a (representative, paths) pair, and the moves are
-    recorded only for MOVE_COMMANDS, each moved map's state going into the
-    hash `states`."""
+    """(report, stabilization steps, edge words after each move, power
+    iteration steps) of one command; a step is a (representative, paths)
+    pair, the moves are recorded only for MOVE_COMMANDS, each moved map's
+    state going into the hash `states`, and the power-iteration steps are
+    summed over every `transition_matrix` call."""
     steps: list = []
     moves: list = []
+    power = [0]
 
     def step(args, _):
         steps.append(args[:2])
@@ -134,14 +141,19 @@ def _run_recording(command: str, spec, states) -> tuple:
         moves.append(_edge_words(gm))
         states.update(_map_state(gm))
 
+    def iterated(_, data):
+        power[0] += getattr(data, "steps", 0)
+
     with ExitStack() as stack:
         stack.enter_context(_recording(nielsen, "group_orbits", step))
         stack.enter_context(_recording(surface, "stabilize", unfolded))
+        for module in (graphmap, traintrack, nielsen):
+            stack.enter_context(_recording(module, "transition_matrix", iterated))
         if command in MOVE_COMMANDS:
             stack.enter_context(_recording(nielsen, "refine_at_points", move))
             for name in ("subdivide", "fold", "collapse_forest"):
                 stack.enter_context(_recording(GraphMap, name, move))
-        return run(command, spec), steps, moves
+        return run(command, spec), steps, moves, power[0]
 
 
 def main() -> None:
@@ -151,12 +163,14 @@ def main() -> None:
         moves: list = []
         states = hashlib.sha256()
         for command in COMMANDS:
-            (report, steps, command_moves) = _run_recording(command, spec, states)
+            (report, steps, command_moves, power) = \
+                _run_recording(command, spec, states)
             digest = _sha(report_json(_without_bounds(report)).encode())
             print(f"{command} {path.stem} {digest}", flush=True)
             if command == "classify":
                 for k, step in enumerate(steps):
                     print(f"scan {path.stem} {k} {_step_digest(step)}", flush=True)
+                print(f"steps {path.stem} {power}", flush=True)
             if command in MOVE_COMMANDS:
                 moves.append((command, command_moves))
         print(f"moves {path.stem} {_sha(repr(moves).encode())}", flush=True)
