@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add, itemgetter, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from endotorus.words import Endomorphism, Word, concat, invert, reduce_word
 
@@ -85,25 +85,16 @@ class MarkedGraph:
 
     def shortest_path(self, u: int, v: int) -> Optional[EdgePath]:
         """Deterministic BFS edge path from u to v."""
-        if u == v:
-            return ()
-        adjacency = self._adjacency
-        prev = {u: None}
+        paths = {u: ()}
         queue = deque([u])
         while queue:
             w = queue.popleft()
-            for d in adjacency.get(w, ()):
+            if w == v:
+                return paths[w]
+            for d in self._adjacency.get(w, ()):
                 t = self.term_of(d)
-                if t not in prev:
-                    prev[t] = (w, d)
-                    if t == v:
-                        path = []
-                        cur = v
-                        while prev[cur] is not None:
-                            (p, d2) = prev[cur]
-                            path.append(d2)
-                            cur = p
-                        return tuple(reversed(path))
+                if t not in paths:
+                    paths[t] = paths[w] + (d,)
                     queue.append(t)
         return None
 
@@ -321,22 +312,17 @@ class GraphMap:
         # h[v]: word of the tree path to v from its class's anchor, the base
         # in the base's class and the least vertex (the representative) in
         # every other class
-        forest: dict = {}
-        for e in edge_set:
-            (a, b) = g.edges[e]
-            forest.setdefault(a, []).append(e)
-            forest.setdefault(b, []).append(-e)
         h: dict = {}
-        for anchor in (g.base, *sorted(forest)):
+        for anchor in (g.base, *sorted({v for e in edge_set for v in g.edges[e]})):
             if anchor in h:
                 continue
             h[anchor] = ()
             stack = [anchor]
             while stack:
                 v = stack.pop()
-                for d in forest.get(v, ()):
+                for d in g.directions_at(v):
                     w = g.term_of(d)
-                    if w not in h:
+                    if abs(d) in edge_set and w not in h:
                         h[w] = concat(h[v], self.label_of(d))
                         stack.append(w)
         return self._move({e: () for e in edge_set}, {},
@@ -347,10 +333,37 @@ class GraphMap:
 # transition data
 # ---------------------------------------------------------------------------
 
+class EdgeDigraph(NamedTuple):
+    """The digraph e -> the edges of f(e), over edge positions in id order."""
+    succ: tuple     # succ[i]: the j with e_j in f(e_i), increasing
+    counts: tuple   # counts[i][k]: times f(e_i) crosses e_j, j = succ[i][k]
+    pred: tuple     # pred[j]: the i with e_j in f(e_i), increasing
+
+
+def edge_digraph(gm: GraphMap) -> EdgeDigraph:
+    """The edge digraph of `gm`, read off its edge images."""
+    order = gm.graph.edge_ids()
+    idx = {e: i for i, e in enumerate(order)}
+    succ = []
+    counts = []
+    pred: list = [[] for _ in order]
+    for i, e in enumerate(order):
+        crossed: dict = {}
+        for x in gm.eimg[e]:
+            j = idx[abs(x)]
+            crossed[j] = crossed.get(j, 0) + 1
+        cols = tuple(sorted(crossed))
+        succ.append(cols)
+        counts.append(tuple(map(crossed.__getitem__, cols)))
+        for j in cols:
+            pred[j].append(i)
+    return EdgeDigraph(tuple(succ), tuple(counts), tuple(map(tuple, pred)))
+
+
 @dataclass
 class TransitionData:
     edge_order: tuple
-    matrix: tuple          # matrix[i][j] = times f(e_i) crosses e_j
+    digraph: EdgeDigraph   # the nonzero entries of the transition matrix
     lam: float
     eigenmetric: Optional[tuple]   # positive lengths with M v = lam v, sum 1
     irreducible: bool
@@ -359,7 +372,9 @@ class TransitionData:
     steps: int             # power-iteration steps taken; a work counter
 
     def as_lists(self):
-        return [list(r) for r in self.matrix]
+        """The transition matrix: M[i][j] = times f(e_i) crosses e_j."""
+        rows = map(dict, map(zip, self.digraph.succ, self.digraph.counts))
+        return [[row.get(j, 0) for j in range(len(self.edge_order))] for row in rows]
 
 
 def reach(adj, start) -> set:
@@ -373,18 +388,6 @@ def reach(adj, start) -> set:
                 seen.add(j)
                 stack.append(j)
     return seen
-
-
-def _strongly_connected(matrix) -> bool:
-    """Every index reaches every other along the nonzero entries, and is
-    reached from it."""
-    n = len(matrix)
-    out = [[j for j, x in enumerate(r) if x] for r in matrix]
-    back: list = [[] for _ in range(n)]
-    for i, js in enumerate(out):
-        for j in js:
-            back[j].append(i)
-    return n == 0 or (len(reach(out, 0)) == n and len(reach(back, 0)) == n)
 
 
 def _char_poly(matrix):
@@ -436,17 +439,14 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     It ends when no entry changes by 1e-16 or more, when the iterate
     repeats the one two steps back (floats can settle into a two-cycle),
     or after 2000 steps.  lambda is the Rayleigh quotient of the last
-    iterate, snapped to an integer within 1e-12."""
+    iterate, snapped to an integer within 1e-12.  On a reducible M with a
+    defective dominant eigenvalue it is not the Perron root (a -> a,
+    b -> ab reads 1.000999 for 1), but `expanding` needs M irreducible."""
     order = tuple(gm.graph.edge_ids())
-    idx = {e: i for i, e in enumerate(order)}
     n = len(order)
-    m = [[0] * n for _ in range(n)]
-    for e in order:
-        row = m[idx[e]]
-        for x in gm.eimg[e]:
-            row[idx[abs(x)]] += 1
-    matrix = tuple(tuple(r) for r in m)
-    irreducible = _strongly_connected(matrix)
+    digraph = edge_digraph(gm)
+    irreducible = n == 0 or (len(reach(digraph.succ, 0)) == n
+                             and len(reach(digraph.pred, 0)) == n)
     # each row as a getter of the v[j] at its nonzero columns, in
     # increasing order, and their coefficients, or None when every
     # coefficient is 1.  The entries are nonnegative integers, so leaving
@@ -455,9 +455,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     # unchanged to the bit.  A getter of one index would return the bare
     # float, so a single column is read as a one-entry slice.
     rows = []
-    for r in m:
-        cols = [j for j, x in enumerate(r) if x]
-        coefs = tuple(r[j] for j in cols)
+    for (cols, coefs) in zip(digraph.succ, digraph.counts):
         if len(cols) == 1:
             cols = [slice(cols[0], cols[0] + 1)]
         get = itemgetter(*cols) if cols else itemgetter(slice(0, 0))
@@ -499,7 +497,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
         mv = times(eigenmetric)
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
-    return TransitionData(order, matrix, lam, eigenmetric, irreducible,
+    return TransitionData(order, digraph, lam, eigenmetric, irreducible,
                           expanding, residual, steps)
 
 

@@ -25,6 +25,7 @@ from endotorus.words import (
     invert,
 )
 from endotorus.graphmap import (
+    EdgeDigraph,
     GraphMap,
     TransitionData,
     reach,
@@ -234,33 +235,28 @@ def _subgraph_components(gm: GraphMap, edge_set) -> list:
     return comps
 
 
-def invariant_sets(gm: GraphMap) -> tuple:
+def invariant_sets(gm: GraphMap, digraph: EdgeDigraph) -> tuple:
     """(subgraph, forest) among the maximal proper f-invariant edge sets,
     each None when there is none: the largest that carries fundamental
     group (the first on a tie), and the first that is a forest.
 
-    Those sets are the complements of the source components of the edge
-    digraph e -> the edges of f(e).  The strong component of e is what e
-    reaches and is reached from, and it is a source when nothing else
-    reaches e.  The components are read in order of their least edge, one
-    pair of `reach` per component, shared by its members."""
+    Those sets are the complements of the source components of `digraph`,
+    `edge_digraph(gm)`.  The strong component of e is what e reaches and
+    is reached from, and it is a source when nothing else reaches e.  The
+    components are read in order of their least edge, one pair of `reach`
+    per component, shared by its members."""
     edges = gm.graph.edge_ids()
-    succ = {e: {abs(x) for x in gm.eimg[e]} for e in edges}
-    pred: dict = {e: set() for e in edges}
-    for e in edges:
-        for d in succ[e]:
-            pred[d].add(e)
     placed: set = set()
     subgraph = forest = None
-    for e in edges:
-        if e in placed:
+    for i in range(len(edges)):
+        if i in placed:
             continue
-        behind = reach(pred, e)
-        comp = behind & reach(succ, e)
+        behind = reach(digraph.pred, i)
+        comp = behind & reach(digraph.succ, i)
         placed |= comp
         if comp != behind:
             continue
-        rest = frozenset(edges) - comp
+        rest = frozenset(edges) - {edges[j] for j in comp}
         if not rest:
             continue
         comps = _subgraph_components(gm, rest)
@@ -273,45 +269,39 @@ def invariant_sets(gm: GraphMap) -> tuple:
 
 
 def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
+                            digraph: EdgeDigraph,
                             provenance: str) -> Optional[ReductionWitness]:
     """Convert an invariant subgraph into a verified free factor system via
-    the edge labels and the map's twist.  Returns None when verification
-    fails (never emits an unverified witness)."""
+    the edge labels and the map's twist; `digraph` is `edge_digraph(gm)`.
+    Returns None when verification fails (never emits an unverified
+    witness)."""
     comps = [(tree, es) for (tree, es) in _subgraph_components(gm, edge_set)
              if len(es) - len(tree) + 1 > 0]
     if not comps:
         return None
     # functional map on components: where does f send each one
+    idx = {e: i for i, e in enumerate(gm.graph.edge_ids())}
+    members = [{idx[e] for e in es} for (_, es) in comps]
     succ = []
-    for (_, es) in comps:
-        img_edges = set()
-        for e in es:
-            img_edges.update(abs(x) for x in gm.eimg[e])
-        target = None
-        for j, (_, es2) in enumerate(comps):
-            if img_edges <= set(es2):
-                target = j
-                break
+    for own in members:
+        crossed = set().union(*(digraph.succ[i] for i in own))
+        target = next((j for j, other in enumerate(members)
+                       if crossed <= other), None)
         if target is None:
             return None
         succ.append(target)
     # walk into a cycle
-    seen = {}
+    seen: list = []
     i = 0
     while i not in seen:
-        seen[i] = len(seen)
+        seen.append(i)
         i = succ[i]
-    cycle = []
-    j = i
-    while True:
-        cycle.append(j)
-        j = succ[j]
-        if j == i:
-            break
+    cycle = seen[seen.index(i):]
 
     g = gm.graph
 
     def component_data(ci):
+        """(root, path from the base to it, tree paths, basis words)."""
         (tree_path, es) = comps[ci]
         root = next(iter(tree_path))
         gamma = g.shortest_path(g.base, root)
@@ -322,28 +312,21 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
                 continue
             (a, b) = g.edges[e]
             loops.append(tree_path[a] + (e,) + invert(tree_path[b]))
-        return root, gamma, tree_path, loops
+        return (root, gamma, tree_path,
+                [gm.path_to_word(gamma + lp + invert(gamma)) for lp in loops])
 
     data = {ci: component_data(ci) for ci in cycle}
     factors = []
-    basis_words = {}
-    for ci in cycle:
-        root, gamma, _, loops = data[ci]
-        basis_words[ci] = [gm.path_to_word(gamma + lp + invert(gamma))
-                           for lp in loops]
-    for idx, ci in enumerate(cycle):
-        cj = cycle[(idx + 1) % len(cycle)]
-        root_i, gamma_i, _, _ = data[ci]
-        root_j, gamma_j, tree_j, _ = data[cj]
-        f_gamma = gm.map_path(gamma_i)
-        f_root = gm.vimg[root_i]
-        delta = tree_j.get(f_root)
+    for k, ci in enumerate(cycle):
+        (root_i, gamma_i, _, basis) = data[ci]
+        (_, gamma_j, tree_j, _) = data[cycle[(k + 1) % len(cycle)]]
+        delta = tree_j.get(gm.vimg[root_i])
         if delta is None:
             return None
         # f(gamma_i) . delta^-1 . gamma_j^-1 runs from f(base) to the base
         x = concat(gm.twist, gm.path_to_word(
-            f_gamma + invert(delta) + invert(gamma_j)))
-        factors.append(InvariantFactor(basis_words[ci], x))
+            gm.map_path(gamma_i) + invert(delta) + invert(gamma_j)))
+        factors.append(InvariantFactor(basis, x))
     witness = ReductionWitness(factors, provenance)
     return witness if verify_reduction_witness(endo, witness) else None
 
@@ -485,18 +468,17 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
             continue
         data = transition_matrix(gm)
         if not data.irreducible:
-            (sub, forest) = invariant_sets(gm)
-            if sub is not None:
-                witness = build_reduction_witness(gm, endo, sub,
-                                                  "invariant subgraph of the folded representative")
-                if witness is not None:
-                    return witness
-                return Unknown("invariant subgraph failed verification", iteration)
-            if forest is not None:
+            # a source component of a reducible M is proper, so its
+            # complement carries fundamental group or is a forest
+            (sub, forest) = invariant_sets(gm, data.digraph)
+            if sub is None:
                 gm = gm.collapse_forest(forest)
                 continue
-            return Unknown("reducible transition matrix without usable "
-                           "invariant subgraph", iteration)
+            witness = build_reduction_witness(gm, endo, sub, data.digraph,
+                                              "invariant subgraph of the folded representative")
+            if witness is not None:
+                return witness
+            return Unknown("invariant subgraph failed verification", iteration)
         if not data.expanding:
             cert = is_finite_order(endo)
             if cert is not None:

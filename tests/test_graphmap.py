@@ -12,10 +12,10 @@ from endotorus.subgroups import SubgroupGraph
 from endotorus.traintrack import TrainTrack, find_train_track
 from endotorus.words import Endomorphism, conjugate, parse_word, reduce_word
 from endotorus.graphmap import (
+    EdgeDigraph,
     GraphMap,
     MarkedGraph,
     TransitionData,
-    _strongly_connected,
     certify_growth_rate,
     push_path,
     transition_matrix,
@@ -90,7 +90,7 @@ class TestTransition:
         data = transition_matrix(rose(GOLDEN))
         assert data.as_lists() == [[1, 1], [1, 0]]
         assert abs(data.lam - GOLDEN_RATIO) < 1e-12
-        assert certify_growth_rate(data.matrix, data.lam)
+        assert certify_growth_rate(data.as_lists(), data.lam)
 
     def test_eigenmetric_equation(self):
         data = transition_matrix(rose(GOLDEN))
@@ -103,7 +103,7 @@ class TestTransition:
         gm = rose(GOLDEN)
         data = transition_matrix(gm)
         for i, e in enumerate(data.edge_order):
-            assert sum(data.matrix[i]) == len(gm.eimg[e])
+            assert sum(data.as_lists()[i]) == len(gm.eimg[e])
 
     def test_volume_after_eigenmetric(self):
         gm = rose(GOLDEN)
@@ -301,6 +301,10 @@ def reference_transition_matrix(gm):
             m[idx[e]][idx[abs(x)]] += 1
     matrix = tuple(tuple(r) for r in m)
     irreducible = reference_strongly_connected(matrix)
+    digraph = EdgeDigraph(
+        tuple(tuple(j for j in range(n) if m[i][j]) for i in range(n)),
+        tuple(tuple(x for x in m[i] if x) for i in range(n)),
+        tuple(tuple(i for i in range(n) if m[i][j]) for j in range(n)))
     v = [gm.graph.lengths[e] for e in order]
     if not all(x > 0 for x in v):
         v = [1.0] * n
@@ -331,7 +335,7 @@ def reference_transition_matrix(gm):
         mv = [sum(m[i][j] * eigenmetric[j] for j in range(n)) for i in range(n)]
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
     expanding = irreducible and lam > 1 + 1e-9
-    return TransitionData(order, matrix, lam, eigenmetric, irreducible,
+    return TransitionData(order, digraph, lam, eigenmetric, irreducible,
                           expanding, residual, steps)
 
 
@@ -400,7 +404,17 @@ class TestTransitionOracle:
         min_size=n, max_size=n)))
     @settings(max_examples=200, deadline=None)
     def test_strong_connectivity_matches_the_dense_scan(self, matrix):
-        assert _strongly_connected(matrix) == reference_strongly_connected(matrix)
+        # the rose whose edge i maps to edge j M[i][j] times, in column
+        # order; built by hand, since an Endomorphism has rank at least 1
+        n = len(matrix)
+        graph = MarkedGraph(1, {i: (0, 0) for i in range(1, n + 1)},
+                            {i: 1.0 for i in range(1, n + 1)})
+        eimg = {i: tuple(j for (j, x) in enumerate(row, 1) for _ in range(x))
+                for (i, row) in enumerate(matrix, 1)}
+        gm = GraphMap(graph, {0: 0}, eimg, n, {i: (i,) for i in range(1, n + 1)})
+        data = transition_matrix(gm)
+        assert data.as_lists() == matrix
+        assert data.irreducible == reference_strongly_connected(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +441,8 @@ def assert_warm_is_cold(gm):
     quotient still reads 1.000999 there, so lambda is compared only when
     the cold run stopped on its own."""
     (warm, cold) = (transition_matrix(gm), cold_start(gm))
-    assert (warm.edge_order, warm.matrix, warm.irreducible, warm.expanding) == \
-        (cold.edge_order, cold.matrix, cold.irreducible, cold.expanding)
+    assert (warm.edge_order, warm.digraph, warm.irreducible, warm.expanding) == \
+        (cold.edge_order, cold.digraph, cold.irreducible, cold.expanding)
     assert cold.steps < 2000 or not cold.irreducible
     if cold.steps < 2000:
         assert abs(warm.lam - cold.lam) <= 1e-12
@@ -464,7 +478,7 @@ class TestWarmStart:
         # alternate between two vectors from about step 25
         gm = rose(Endomorphism(3, tuple(map(parse_word, ("aabbcc", "ab", "abbc")))))
         data = transition_matrix(gm)
-        assert data.matrix == ((2, 2, 2), (1, 1, 0), (1, 2, 1))
+        assert data.as_lists() == [[2, 2, 2], [1, 1, 0], [1, 2, 1]]
         assert data.steps < 100
         assert data.lam == 3.8751297941627785
 

@@ -16,7 +16,7 @@ from endotorus.words import (
     parse_word,
     reduce_word,
 )
-from endotorus.graphmap import GraphMap, MarkedGraph, transition_matrix
+from endotorus.graphmap import GraphMap, MarkedGraph, edge_digraph, transition_matrix
 from endotorus.nielsen import scan_pinps
 from endotorus.surface import classify
 from endotorus.traintrack import (
@@ -220,15 +220,17 @@ class TestGates:
 
 class TestInvariantSubgraph:
     def test_irreducible_has_none(self):
-        assert invariant_sets(GraphMap.rose(PHI))[0] is None
+        gm = GraphMap.rose(PHI)
+        assert invariant_sets(gm, edge_digraph(gm))[0] is None
 
     def test_extension_invariant_pair(self):
-        sub = invariant_sets(GraphMap.rose(PSI))[0]
+        gm = GraphMap.rose(PSI)
+        sub = invariant_sets(gm, edge_digraph(gm))[0]
         assert sub == frozenset({1, 2})
 
     def test_dehn_twist_like(self):
         gm = GraphMap.rose(Endomorphism(2, (parse_word("a"), parse_word("ba"))))
-        assert invariant_sets(gm)[0] == frozenset({1})
+        assert invariant_sets(gm, edge_digraph(gm))[0] == frozenset({1})
 
 
 def reference_rank(gm, edge_set):
@@ -260,7 +262,7 @@ def maximal_invariant_sets(gm):
 def assert_matches_subset_enumeration(gm):
     """invariant_sets picks a largest carrying set and a forest among the
     maximal proper invariant sets, and None only when there is none."""
-    (sub, forest) = invariant_sets(gm)
+    (sub, forest) = invariant_sets(gm, edge_digraph(gm))
     sets = maximal_invariant_sets(gm)
     carrying = [s for s in sets if reference_rank(gm, s) > 0]
     forests = [s for s in sets if reference_rank(gm, s) == 0]
@@ -301,7 +303,7 @@ class TestInvariantSets:
         gm = self.forest_map(base)
         gm.check_consistency()
         assert not transition_matrix(gm).irreducible
-        assert invariant_sets(gm) == (None, frozenset({3}))
+        assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({3}))
         assert_matches_subset_enumeration(gm)
         assert_collapses_to_one_vertex(
             gm, frozenset({3}), Endomorphism(2, (parse_word("ba"), parse_word("ab"))))
@@ -319,7 +321,7 @@ class TestInvariantSets:
         gm = GraphMap(graph, {0: 0, 1: 2, 2: 1}, eimg, 2,
                       {1: (), 2: (), 3: (1,), 4: (2,)})
         gm.check_consistency()
-        assert invariant_sets(gm) == (None, frozenset({1, 2}))
+        assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({1, 2}))
         assert_matches_subset_enumeration(gm)
         assert_collapses_to_one_vertex(gm, frozenset({1, 2}), PHI)
 
@@ -327,6 +329,14 @@ class TestInvariantSets:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_subset_enumeration(self, gm):
         assert_matches_subset_enumeration(gm)
+
+    @given(subdivided_roses())
+    @settings(max_examples=150, deadline=None)
+    def test_some_set_exactly_when_reducible(self, gm):
+        # a source component of a reducible M is proper, so the folding
+        # loop's reducible branch always has a subgraph or a forest
+        data = transition_matrix(gm)
+        assert data.irreducible == (invariant_sets(gm, data.digraph) == (None, None))
 
 
 class TestFiniteOrder:
@@ -509,7 +519,7 @@ class TestFindTrainTrack:
     def test_deterministic(self):
         a = find_train_track(GOLDEN)
         b = find_train_track(GOLDEN)
-        assert a.gm.eimg == b.gm.eimg and a.data.matrix == b.data.matrix
+        assert a.gm.eimg == b.gm.eimg and a.data.as_lists() == b.data.as_lists()
 
 
 class TestWitnessVerification:
