@@ -24,6 +24,7 @@ Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -563,7 +564,12 @@ def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:
         idxs = []
         for p in bounds_of[e]:
             t = p * scale
-            j = min(range(len(acc)), key=lambda i: abs(acc[i] - t))
+            # the index of acc (sorted) nearest t, the first one on a tie
+            j = bisect_left(acc, t)
+            if j == len(acc) or j and abs(acc[j - 1] - t) <= abs(acc[j] - t):
+                j -= 1
+                while j and abs(acc[j - 1] - t) == abs(acc[j] - t):
+                    j -= 1
             if abs(acc[j] - t) > 1e-5 * max(1.0, total):
                 raise ValueError("cut set is not closed under the map")
             idxs.append(j)

@@ -13,7 +13,8 @@ the ray vertices by the gate of their junction edge, and iterates each
 candidate once, to its least return.  Only gates of two or more directions
 are indexed: every junction edge in a one-direction gate is the same edge,
 and two halves ending in the same edge meet in no turn.  The
-bounded-cancellation radius caps the scan.
+bounded-cancellation radius caps the scan, and each ray is read lazily,
+letter by letter, only up to it: no whole f^step image is ever built.
 
 Stabilization folds at the illegal turns of these paths.  Folding at the
 illegal turn of an indivisible Nielsen path sends the other Nielsen paths to
@@ -36,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Optional
 
 from endotorus.words import CyclicWord, cyclic_canonical, invert
@@ -126,47 +127,26 @@ class Toroidal:
 INTERIOR_BOUND = 3   # periods whose interior periodic points become vertices
 
 
-def _ray(image: dict, d: int, target: float):
-    """Eigenray of direction d under F = f^step, to metric length at least the
-    target.  On a train track edge images never cancel, so the eigenray is
-    the fixed point x = F(x[0]) F(x[1]) ... of the substitution e -> F(e)
-    that starts with d: it is read left to right and each letter's image is
-    appended.  `image` maps a direction to (F(direction), its metric
-    length), so no image is summed twice.  Returns None when F(d) does not
-    start with d (the ray lost its prefix closure), and the short ray when
-    F(d) = d (a non-expanding direction)."""
-    (first, length) = image[d]
-    if first[:1] != (d,):
-        return None
-    ray = list(first)
-    i = 1
-    while length < target and i < len(ray):
-        (img, img_length) = image[ray[i]]
-        ray.extend(img)
-        length += img_length
-        i += 1
-    return tuple(ray)
-
-
-class _PowerImages(dict):
-    """(F(d), metric length of F(d)) with F = f^step for each direction d,
-    computed when first read, as f of the path that the table of f^(step-1)
-    (`lower`; built here when not given) holds for d.  The length is summed
-    left to right, letter by letter, once per direction."""
-
-    def __init__(self, gm: GraphMap, step: int, lower=None):
-        super().__init__()
-        self.gm = gm
-        if lower is None and step > 1:
-            lower = _PowerImages(gm, step - 1)
-        self.lower = lower
-
-    def __missing__(self, d):
-        path = (d,) if self.lower is None else self.lower[d][0]
-        path = self.gm.map_path(path)
-        lengths = self.gm.graph.lengths
-        self[d] = entry = (path, sum(lengths[abs(e)] for e in path))
-        return entry
+def _ray(image: dict, lengths: dict, d: int, step: int, reach: float):
+    """(eigenray, vertex positions) of direction d under F = f^step, up to
+    its first vertex at or beyond `reach`.  Edge images on a train track
+    never cancel and d's period under the direction map divides `step`, so
+    F(d) starts with d and the eigenray is the fixed point
+    x = F(x[0]) F(x[1]) ... of e -> F(e).  F is `step` lazy substitutions
+    by `image` (direction -> f-image) stacked on the ray's own letters, so
+    the ray is made only up to the reach.  The ray is (d,) when F(d) = d."""
+    ray = [d]
+    letters = iter(ray)
+    for _ in range(step):
+        letters = chain.from_iterable(map(image.__getitem__, letters))
+    next(letters)            # F(d) starts with d
+    positions = [lengths[abs(d)]]
+    for e in letters:
+        if positions[-1] >= reach:
+            break
+        ray.append(e)
+        positions.append(positions[-1] + lengths[abs(e)])
+    return tuple(ray), positions
 
 
 def _point_image(gm: GraphMap, e: int, pos: float):
@@ -319,7 +299,7 @@ def _admit(tt: TrainTrack, X: tuple, Y: tuple, at_x, at_y, period_bound: int,
 def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     """Scan the periodic direction pairs through one junction index.  A pair
     qualifies when some f^per with per up to the bound fixes both directions
-    or swaps them.  Each direction of a pair grows one eigenray.  A junction
+    or swaps them.  Each direction grows its eigenray to the cut.  A junction
     of X . reverse(Y) needs an illegal turn between the reversed last edges
     of X and Y, so every ray vertex within the radius goes into a bucket
     keyed by the gate of that reversed edge; one sorted sweep per bucket
@@ -355,7 +335,7 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
 
     cut = radius + 1e-9    # the first ray's side of a junction
     reach = cut + 2 * POINT_TOL
-    powers = [_PowerImages(gm, 1)]   # powers[s - 1]: (f^s(d), its length)
+    image = {d: gm.image_of_edge(d) for d in dirs}
     rays: dict = {}        # direction -> (eigenray, vertex positions)
     buckets: dict = {}     # gate -> [(position, direction, index, edge)]
     # junction edge e -> gate of -e, for the gates of two or more directions
@@ -366,13 +346,7 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
         step, x = 1, dmap[d]   # least period of d, for the ray's growth
         while x != d:
             step, x = step + 1, dmap[x]
-        while len(powers) < step:
-            powers.append(_PowerImages(gm, len(powers) + 1, powers[-1]))
-        r = _ray(powers[step - 1], d, reach)
-        if r is None:
-            continue
-        pos = list(accumulate(lengths[abs(e)] for e in r))
-        rays[d] = (r, pos)
+        rays[d] = (r, pos) = _ray(image, lengths, d, step, reach)
         for i, e in enumerate(r[:bisect_right(pos, reach)]):
             if e in junction:
                 buckets.setdefault(junction[e], []).append((pos[i], d, i, e))

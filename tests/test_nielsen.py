@@ -1,3 +1,10 @@
+import json
+import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations
 from pathlib import Path
@@ -22,7 +29,6 @@ from endotorus.nielsen import (
     NielsenOrbit,
     NielsenPath,
     StableRepresentative,
-    _PowerImages,
     _enumerate_on,
     _ray,
     critical_equation,
@@ -353,16 +359,27 @@ def periodic_directions(gm, period_bound):
     return out
 
 
+def direction_images(gm):
+    return {d: gm.image_of_edge(d) for d in gm.graph.all_directions()}
+
+
 def assert_rays_are_eigenrays(tt, period_bound, radius):
     gm = tt.gm
+    lengths = gm.graph.lengths
+    image = direction_images(gm)
     for (d, step) in periodic_directions(gm, period_bound):
-        r = _ray(_PowerImages(gm, step), d, radius)
-        assert r is not None and r[0] == d
-        image = r
+        (r, pos) = _ray(image, lengths, d, step, radius)
+        assert r[0] == d
+        assert pos == list(accumulate(lengths[abs(e)] for e in r))
+        mapped = r
         for _ in range(step):
-            image = gm.map_path(image)
-        assert image[:len(r)] == r
-        assert gm.graph.path_length(r) >= radius - 1e-9 or image == r
+            mapped = gm.map_path(mapped)
+        assert mapped[:len(r)] == r
+        assert gm.graph.path_length(r) >= radius - 1e-9 or mapped == r
+        # the ray stops at its first vertex at or beyond the target
+        assert mapped == r or (pos[-1] >= radius
+                               and (len(pos) == 1 or pos[-2] < radius))
+        assert reference_ray(gm, d, step, radius)[:len(r)] == r
 
 
 def random_train_track(images, period_bound):
@@ -461,6 +478,59 @@ class TestScanOracle:
         assert_rays_are_eigenrays(tt, period_bound, radius)
         for tol in (POINT_TOL, 0.05):
             assert_scan_matches_reference(tt, period_bound, radius, tol)
+
+
+# a = A A A B A A A A B, b = A A A A B (trace -8, det -1, lambda = 4 + sqrt 17):
+# the refinement gives directions of period 6 and more, whose whole
+# f^period images run to hundreds of thousands of letters
+LONG_PERIOD = "rank 2; a -> A A A B A A A A B; b -> A A A A B;"
+
+
+class TestLongPeriodRays:
+    def test_a_ray_makes_only_the_letters_it_keeps(self):
+        tt = find_train_track(parse(LONG_PERIOD).endo)
+        gm = tt.gm
+        assert len(gm.graph.edges) == 2
+        image = direction_images(gm)
+        periodic = periodic_directions(gm, 8)
+        assert periodic
+        for (d, step) in periodic:
+            assert 8 % step == 0
+            tracemalloc.start()
+            try:
+                (r, _) = _ray(image, gm.graph.lengths, d, 8, tt.radius)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert r == reference_ray(gm, d, 8, tt.radius)[:len(r)]
+
+    def test_classify_under_a_one_gigabyte_cap(self):
+        # in a child process, so that running out of memory fails this test
+        # instead of killing the suite
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, (str(root / "src"),
+                                             os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "endotorus.cli", "classify", "-", "--json"],
+            input=LONG_PERIOD, capture_output=True, text=True, cwd=root,
+            env={**os.environ, "PYTHONPATH": path}, preexec_fn=limit,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert "error" not in rep
+        verdict = rep["verdict"]
+        assert verdict["kind"] == "geometric"
+        surface = verdict["surface"]
+        assert (surface["g"], surface["b"]) == (1, 1)
+        assert abs(surface["lambda"] - (4 + math.sqrt(17))) <= 1e-9
+        assert verdict["toroidal"]["witness"] == "abAB"
+        assert verdict["toroidal"]["period"] == 2
 
 
 # ---------------------------------------------------------------------------
