@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -150,12 +149,6 @@ class CyclicWord:
         return f"[{show_word(self.letters)}]"
 
 
-def is_conjugate(u: Sequence[int], v: Sequence[int], unoriented: bool = False) -> bool:
-    """Exact conjugacy in F via canonical cyclic forms.  Orientation matters
-    unless unoriented=True, which also identifies v with v^-1."""
-    return cyclic_canonical(u, unoriented) == cyclic_canonical(v, unoriented)
-
-
 def _cyclic_split(w: Word) -> tuple[Word, Word]:
     """w = p c p^-1 with c cyclically reduced; returns (c, p)."""
     i, j = 0, len(w)
@@ -290,34 +283,38 @@ def _mat_mul(a, b):
 
 
 def _kernel_trivial(m) -> bool:
-    """True iff the integer matrix has trivial rational kernel."""
+    """True iff the square integer matrix has trivial rational kernel, that
+    is, a nonzero determinant.  Fraction-free (Bareiss) elimination: after
+    step k each entry below and right of the pivots is a (k+2)-minor of the
+    row-swapped matrix, so every division is exact; a column with no pivot
+    left means the determinant is 0."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if a[r][col] != 0), None)
+    a = [list(row) for row in m]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        for r in range(n):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [a[r][j] - f * a[rank][j] for j in range(n)]
-        rank += 1
-    return rank == n
+            return False
+        a[k], a[piv] = a[piv], a[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return True
 
 
 # A balanced prefix with r <= COMPLETION_LETTERS letters still to come is
 # dropped, with its subtree, when no r letters that balance it can make its
 # area admissible (r = 1 is the closing letter, which is placed exactly).
-# On plastic_rank3 at length 12 the check at r = 4 drops 85% of the
-# prefixes that reach it.  Its search, the only corpus search at rank 3,
-# took 0.18, 0.11, 0.10, 0.11 and 0.13 s of CPU time with tables for 3, 4,
-# 5, 6 and 7 letters (medians of seven interleaved cold runs on a 2-vCPU
-# Xeon, Python 3.11).  4 stays: 3 is much slower, and 5 gains about 0.01 s
-# on this one input.
-COMPLETION_LETTERS = 4
+# The completions are those of the word's first letter (`_PeriodFilter`).
+# On plastic_rank3 at length 12 the check at r = 5 drops 78% of the
+# prefixes that reach it, and the walk makes 9,020 calls, against 18,038
+# with first-letter-blind tables for 4 letters.  Its search, the only
+# corpus search at rank 3, took 0.070, 0.038, 0.030, 0.031 and 0.040 s of
+# CPU time with tables for 3, 4, 5, 6 and 7 letters (medians of 11
+# interleaved cold runs on a 2-vCPU Xeon, Python 3.11).  6 letters save
+# another 972 calls there but no time, and 7 letters save none.
+COMPLETION_LETTERS = 5
 
 
 class _Memo(dict):
@@ -355,22 +352,29 @@ class _PeriodFilter:
     that is, the low g coordinates of v shifted to the first pair of g.  The
     memo tables `by_vector` (packed v != 0) and `by_area` (packed H) hold
     (ok_plus, ok_minus), one flag per period, or None when no period admits
-    the class; `completable` maps (r, packed v, packed H) of a prefix with
-    r letters to come to whether some r letters that balance it can give an
-    admissible area.  With reversing=False, no period admits a reversing
-    match.
+    the class.  With reversing=False, no period admits a reversing match.
+
+    A canonical word (`_canonical_cyclic_words`) starts with its least
+    letter, a generator, and closes cyclically reduced, so its last letter
+    is not the inverse of its first.  `completions` maps the ord of that
+    first letter to one table per r = 0..COMPLETION_LETTERS, built on the
+    first lookup, at most `rank` of them: packed v -> the changes of packed
+    H made by r letters of ord at least the first's, the last of them not
+    the first's inverse, that bring v back to 0.  `completable` maps (first ord, r,
+    packed v, packed H) of a prefix with r letters to come to whether one
+    of those changes gives an admissible area.
 
     Two exact shortcuts read the kernels of these conditions.  When every
     M^n - I, and with reversing every M^n + I, n <= max_period, has trivial
     kernel, no v != 0 is admitted, so `balanced_only` holds and only
     balanced words need to be generated; with reversing=False the M^n + I
     do not count, since M^n v = -v is never asked for.  When the exterior
-    squares' kernels are all trivial in the same sense, H = 0 is the only
-    admissible area.  Packing is additive and one-to-one on the coordinates
-    that occur, so a prefix is then completable exactly when -H is one of
-    the area changes in its completion table: one set lookup instead of a
-    memo lookup per change.  That flag costs a Fraction elimination per
-    period, so it is computed on the first `completable` miss."""
+    squares' kernels are all trivial in the same sense (`_zero_area_only`,
+    computed on first use), H = 0 is the only admissible area.  Packing is
+    additive and one-to-one on the coordinates that occur, so a prefix is
+    then completable exactly when -H is one of the area changes in its
+    completion table: one set lookup, which the generator makes inline,
+    in place of a `completable` lookup."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
@@ -408,6 +412,7 @@ class _PeriodFilter:
                        for o in range(2 * rank)]
         self.by_vector = _Memo(self._vector_ok)
         self.by_area = _Memo(self._area_ok)
+        self.completions = _Memo(self._completion_tables)
         self.completable = _Memo(self._completable)
 
     def step(self, vv: int, hh: int, o: int) -> tuple:
@@ -455,25 +460,23 @@ class _PeriodFilter:
         return self._admits_only_zero(self.area_powers)
 
     def _completable(self, state: tuple) -> bool:
-        (rem, vv, hh) = state
-        deltas = self._completions[rem].get(vv, ())
-        if self._zero_area_only:
-            # packing is additive and one-to-one on these coordinates
-            return -hh in deltas
+        (first, rem, vv, hh) = state
         by_area = self.by_area
-        return any(by_area[hh + d] is not None for d in deltas)
+        return any(by_area[hh + d] is not None
+                   for d in self.completions[first][rem].get(vv, ()))
 
-    @cached_property
-    def _completions(self) -> list:
-        """For r = 0..COMPLETION_LETTERS: packed v -> the changes of packed H
-        made by any r letters that bring v back to 0.  Reduction and
-        necklace order are ignored, so each table over-approximates what a
-        real completion reaches."""
+    def _completion_tables(self, first: int) -> list:
+        """The completion tables of words whose first letter has ord
+        `first`, built backward from the last letter.  Reduction inside the
+        completion and necklace order are ignored, so each table
+        over-approximates what a real completion reaches."""
+        ords = range(first, 2 * self.rank)
+        last = [o for o in ords if o != first ^ 1]
         tables = [{self.zero: {0}}]
-        for _ in range(COMPLETION_LETTERS):
+        for letters in [last] + [ords] * (COMPLETION_LETTERS - 1):
             cur: dict = {}
             for after, deltas in tables[-1].items():
-                for o in range(2 * self.rank):
+                for o in letters:
                     vv = after - self.vstep[o]
                     x = self.step(vv, 0, o)[1]
                     cur.setdefault(vv, set()).update(x + d for d in deltas)
@@ -505,15 +508,20 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     balanced, and a word that no period admits is never built.  When
     balanced_only, a prefix with at most COMPLETION_LETTERS letters to come
     is dropped with its whole subtree when no balancing completion can make
-    its area admissible."""
+    its area admissible.  The completions are read from the tables of w[1]
+    (`_PeriodFilter.completions`): letters no less than w[1], the last not
+    w[1]^-1, as every word here ends.  So the check starts at the second
+    letter, once w[1] is placed.  When H = 0 is the only admissible area
+    it is one set lookup, made inline."""
     nsym = 2 * rank
     w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
     sums = [0] * rank       # exponent sum per generator of w[1:t]
     out: list[tuple] = []
     (vstep, amask, abias, ashift) = (filt.vstep, filt.amask, filt.abias, filt.ashift)
     (zero, by_vector, by_area) = (filt.zero, filt.by_vector, filt.by_area)
-    completable = filt.completable
+    (tables, completable) = (filt.completions, filt.completable)
     check_from = COMPLETION_LETTERS if balanced_only else 0
+    zero_only = balanced_only and filt._zero_area_only
 
     def gen(t, p, pending, vv, hh):
         # pending = sum of |sums|: the letters still needed to balance;
@@ -537,6 +545,8 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
             return
         rem = length - t
         closing = balanced_only and rem == 1
+        # the completion table of w's first letter, from the second letter on
+        comp = tables[w[1]][rem] if rem <= check_from and t > 1 else None
         for c in letters:
             if c == cancel:
                 continue
@@ -588,8 +598,12 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                         out.append((tuple(w[1:]), ok))
                 continue
             v2 = vv + vstep[c]
-            if rem <= check_from and not completable[rem, v2, h2]:
-                continue
+            if comp is not None:
+                if zero_only:
+                    if -h2 not in comp.get(v2, ()):
+                        continue
+                elif not completable[w[1], rem, v2, h2]:
+                    continue
             sums[g] = new
             gen(t + 1, q, new_pending, v2, h2)
             sums[g] = old

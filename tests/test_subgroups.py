@@ -10,7 +10,6 @@ from endotorus.words import (
     concat,
     conjugate,
     invert,
-    is_conjugate,
     parse_word,
     reduce_word,
 )
@@ -25,6 +24,8 @@ from endotorus.subgroups import (
     stallings,
     whitehead_graph,
 )
+
+from helpers import is_conjugate
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))

@@ -1,9 +1,11 @@
 import itertools
+import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from endotorus import words as words_module
 from endotorus.cli import parse
@@ -25,13 +27,14 @@ from endotorus.words import (
     cyclic_reduce,
     find_conjugator,
     invert,
-    is_conjugate,
     parse_word,
     periodic_conjugacy_search,
     reduce_word,
     show_word,
     word_key,
 )
+
+from helpers import is_conjugate
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -420,6 +423,26 @@ class TestGeneratorOracle:
 # the class-two filter against the search without it
 # ---------------------------------------------------------------------------
 
+def fraction_kernel_trivial(m):
+    """True iff the integer matrix has trivial rational kernel: Gaussian
+    elimination over the rationals, the oracle's own copy."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = a[rank][col]
+        for r in range(n):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col] / inv
+                a[r] = [a[r][j] - f * a[rank][j] for j in range(n)]
+        rank += 1
+    return rank == n
+
+
 def unfiltered_search(endo, max_period, max_len):
     """The search loop as it ran before the class-two filter: every
     candidate of reference_candidates, an abelian filter per exponent
@@ -435,7 +458,8 @@ def unfiltered_search(endo, max_period, max_len):
         constraints.append(tuple(
             tuple(tuple(cur[i][j] + s * ident[i][j] for j in range(rank))
                   for i in range(rank)) for s in (-1, 1)))
-    balanced_only = all(_kernel_trivial(mi) and _kernel_trivial(pl)
+    balanced_only = all(fraction_kernel_trivial(mi)
+                        and fraction_kernel_trivial(pl)
                         for mi, pl in constraints)
 
     def in_kernel(a, v):
@@ -642,6 +666,37 @@ def corpus_endo(name):
     return parse((CORPUS / f"{name}.endo").read_text()).endo
 
 
+@st.composite
+def integer_matrices(draw, max_size=6):
+    """Square integer matrices, half of them singular by construction: one
+    row is an integer combination of the others."""
+    n = draw(st.integers(0, max_size))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        combo = [sum(c * row[j] for c, row in zip(coeffs, rows[1:]))
+                 for j in range(n)]
+        rows[0] = combo
+        rows = draw(st.permutations(rows))
+    return tuple(tuple(row) for row in rows)
+
+
+class TestKernelTrivial:
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rational_elimination(self, m):
+        assert _kernel_trivial(m) == fraction_kernel_trivial(m)
+
+    def test_small_cases(self):
+        assert _kernel_trivial(())
+        assert not _kernel_trivial(((0,),))
+        assert _kernel_trivial(((0, 1), (1, 0)))           # needs a row swap
+        assert not _kernel_trivial(((2, 4), (1, 2)))
+        assert _kernel_trivial(((2, 1, 0), (1, 1, 0), (0, 0, -3)))
+        assert not _kernel_trivial(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+
+
 class TestOrientedNarrowing:
     # M has eigenvalues 2 and -1, so M + I is singular and M - I is not
     @pytest.mark.parametrize("name", ["expanding_double", "nonsurjective_mixed"])
@@ -691,14 +746,16 @@ def area_admitted(endo, max_period, reversing, area):
 
 @st.composite
 def completion_states(draw):
-    """(filter, its map, rem, packed v, packed H): the state of a prefix that
-    is either random or the real prefix of a word, with rem letters to come."""
+    """(filter, its map, first ord, rem, packed v, packed H): the state of a
+    prefix that is either random or the real prefix of a word, with rem
+    letters to come, in a word whose first letter has the first ord."""
     rank = draw(st.integers(2, 3))
     # inner automorphisms act trivially on v and H, so every H is admitted
     endo = draw(st.one_of(endomorphisms(rank, 3), words(rank, 3).map(
         lambda x: Endomorphism.inner(rank, x))))
     (max_period, reversing) = (draw(st.integers(1, 4)), draw(st.booleans()))
     filt = _PeriodFilter(endo, max_period, 12, reversing)
+    first = 2 * draw(st.integers(0, rank - 1))
     rem = draw(st.integers(0, COMPLETION_LETTERS))
     if draw(st.booleans()):
         # a real prefix; at times one that its own inverse closes up
@@ -716,42 +773,136 @@ def completion_states(draw):
                              max_size=rank * (rank - 1) // 2))
         vv = filt.zero + sum(x << (bits * i) for (i, x) in enumerate(v))
         hh = sum(x << (bits * k) for (k, x) in enumerate(area))
-    return (filt, endo, rem, vv, hh)
+    return (filt, endo, first, rem, vv, hh)
+
+
+def brute_completable(endo, max_period, reversing, first, rem, v, area):
+    """Whether some rem letters of ord at least `first`, the last of them
+    not the inverse of that first letter, bring the exponent vector v back
+    to 0 with an admitted half-area, found by enumerating the letters.  v and area are unpacked,
+    the pairs of area ordered by j, then i."""
+    rank = endo.rank
+    pairs = [(i, j) for j in range(rank) for i in range(j)]
+    admitted_areas = {}
+
+    def walk(k, v, area):
+        if k == rem:
+            key = tuple(area[p] for p in pairs)
+            if key not in admitted_areas:
+                admitted_areas[key] = area_admitted(endo, max_period,
+                                                    reversing, key)
+            return not any(v) and admitted_areas[key]
+        if sum(map(abs, v)) > rem - k:
+            return False
+        for o in range(first, 2 * rank):
+            if k == rem - 1 and o == first ^ 1:
+                continue
+            (g, sign) = (o >> 1, -1 if o & 1 else 1)
+            after = dict(area)
+            for i in range(g):
+                after[i, g] += sign * v[i]
+            if walk(k + 1, v[:g] + (v[g] + sign,) + v[g + 1:], after):
+                return True
+        return False
+
+    return walk(0, tuple(v), dict(zip(pairs, area)))
+
+
+@st.composite
+def canonical_balanced_words(draw):
+    """(rank, w): a nonempty balanced, cyclically reduced word of rank 2 or
+    3 in the generator's canonical form, the least rotation of w or w^-1,
+    as ords."""
+    rank = draw(st.integers(2, 3))
+    w = cyclic_canonical(balance(rank, draw(words(rank, 8))), unoriented=True)
+    assume(w)
+    return (rank, word_key(w))
 
 
 class TestCompletionCheck:
     @given(completion_states())
     @settings(max_examples=150, deadline=None)
     def test_completable_matches_its_definition(self, state):
-        (filt, endo, rem, vv, hh) = state
-        count = endo.rank * (endo.rank - 1) // 2
-        expected = any(
-            area_admitted(endo, filt.max_period, filt.reversing,
-                          filt.digits(hh + d, count))
-            for d in filt._completions[rem].get(vv, ()))
-        assert filt.completable[rem, vv, hh] == expected
+        (filt, endo, first, rem, vv, hh) = state
+        rank = endo.rank
+        v = filt.digits(vv - filt.zero, rank)
+        area = filt.digits(hh, rank * (rank - 1) // 2)
+        assert filt.completable[first, rem, vv, hh] == brute_completable(
+            endo, filt.max_period, filt.reversing, first, rem, v, area)
+
+    @given(canonical_balanced_words(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_real_words_pass_the_check(self, case, data):
+        # the prune drops only prefixes that no real word extends
+        (rank, w) = case
+        endo = data.draw(endomorphisms(rank, 3))
+        filt = _PeriodFilter(endo, data.draw(st.integers(1, 4)), len(w),
+                             data.draw(st.booleans()))
+        (vv, hh) = (filt.zero, 0)
+        states = [(vv, hh)]
+        for o in w:
+            (vv, hh) = filt.step(vv, hh, o)
+            states.append((vv, hh))
+        assert vv == filt.zero
+        word_admitted = filt.by_area[hh] is not None
+        for (t, (pv, ph)) in enumerate(states):
+            rem = len(w) - t
+            if rem <= COMPLETION_LETTERS:
+                # the real completion's area change is in the table
+                assert hh - ph in filt.completions[w[0]][rem][pv]
+                if word_admitted:
+                    assert filt.completable[w[0], rem, pv, ph]
 
     def test_plastic_rank3_checks_by_one_lookup(self):
         endo = corpus_endo("plastic_rank3")
         filt = _PeriodFilter(endo, 6, 12)
         assert filt.balanced_only and filt._zero_area_only
 
-        class Refuse(dict):
-            def __missing__(self, key):
-                raise AssertionError("the completion check read by_area")
-
-        # states of real balanced words' prefixes, checked without by_area
-        reference = _PeriodFilter(endo, 6, 12)
-        filt.by_area = Refuse()
+        # on the states of real balanced words' prefixes, the one lookup
+        # agrees with the check that reads by_area
         for c in reference_candidates(3, 8, True)[::7]:
             (vv, hh) = (filt.zero, 0)
             for (t, o) in enumerate(c, 1):
                 (vv, hh) = filt.step(vv, hh, o)
                 rem = len(c) - t
                 if rem <= COMPLETION_LETTERS:
-                    deltas = reference._completions[rem].get(vv, ())
-                    assert filt.completable[rem, vv, hh] == any(
-                        reference.by_area[hh + d] is not None for d in deltas)
+                    table = filt.completions[c[0]][rem]
+                    assert (-hh in table.get(vv, ())) == \
+                        filt.completable[c[0], rem, vv, hh]
+
+        # and the generator makes that lookup instead of reading the memo
+        class Refuse(dict):
+            def __missing__(self, key):
+                raise AssertionError("the generator read completable")
+
+        fresh = _PeriodFilter(endo, 6, 12)
+        fresh.completable = Refuse()
+        for length in range(1, 11):
+            assert _canonical_cyclic_words(3, length, True, fresh) == \
+                _canonical_cyclic_words(3, length, True, filt)
+
+    def test_plastic_rank3_walk_is_pinned(self, monkeypatch):
+        # frames of the generator's recursive walk at length 12
+        endo = corpus_endo("plastic_rank3")
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "gen":
+                calls.append(None)
+
+        filt = _PeriodFilter(endo, 6, 12)
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            pruned = _canonical_cyclic_words(3, 12, True, filt)
+        finally:
+            sys.setprofile(previous)
+        assert len(pruned) == 726
+        assert len(calls) < 10_000
+        # the same words as the walk without the completion check
+        monkeypatch.setattr(words_module, "COMPLETION_LETTERS", 0)
+        unchecked = _PeriodFilter(endo, 6, 12)
+        assert _canonical_cyclic_words(3, 12, True, unchecked) == pruned
 
 
 # ---------------------------------------------------------------------------
