@@ -7,8 +7,8 @@ comment until end of line.  An image written as a lone 1 is the empty
 word: the generator maps to the identity.  A corpus file may carry
 '# expect: <verdict>'.
 
-Exit codes: 0 success, 1 parse error, 2 usage error, 3 internal
-inconsistency.
+Exit codes: 0 success, 1 parse error, 2 usage error (a bound below 1 or an
+input that cannot be read), 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -440,23 +440,31 @@ def main(argv=None) -> int:
                  f"'batch --cmd {args.command}'")
 
     flags = {f.name: getattr(args, f.name) for f in fields(Bounds)}
+    try:
+        Bounds(**flags)
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    def read_input(path: str) -> str:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text()
+    if args.command == "batch":
+        paths = []
+        for item in args.inputs:
+            p = Path(item)
+            paths.extend(sorted(p.glob("*.endo")) if p.is_dir() else [p])
+    else:
+        paths = [args.inputs[0] if args.inputs else "-"]
+    texts = []
+    for path in paths:
+        try:
+            texts.append(sys.stdin.read() if path == "-" else Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {path}: "
+                  f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            return 2
 
     try:
         if args.command == "batch":
-            paths = []
-            for item in args.inputs:
-                p = Path(item)
-                if p.is_dir():
-                    paths.extend(sorted(p.glob("*.endo")))
-                else:
-                    paths.append(p)
-            tasks = [(args.cmd, Path(p).read_text(), Path(p).name, flags,
-                      args.timing) for p in paths]
+            tasks = [(args.cmd, text, p.name, flags, args.timing)
+                     for (p, text) in zip(paths, texts)]
             if args.jobs > 1:
                 # imported here: only a parallel batch pays for it
                 from multiprocessing import Pool
@@ -467,8 +475,7 @@ def main(argv=None) -> int:
             for rep in reports:
                 print(report_json(rep) if args.json else _render_text(rep))
             return 0
-        text = read_input(args.inputs[0] if args.inputs else "-")
-        rep = _run_single((args.command, text, None, flags, args.timing))
+        rep = _run_single((args.command, texts[0], None, flags, args.timing))
         print(report_json(rep) if args.json else _render_text(rep))
         return 0
     except ParseError as exc:

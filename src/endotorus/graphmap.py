@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import add, itemgetter, mul, sub
@@ -56,10 +55,6 @@ class MarkedGraph:
 
     def term_of(self, e: int) -> int:
         return self.init_of(-e)
-
-    def is_path(self, path: Sequence[int]) -> bool:
-        return all(self.term_of(path[i]) == self.init_of(path[i + 1])
-                   for i in range(len(path) - 1))
 
     def path_length(self, path: Sequence[int]) -> float:
         return sum(self.lengths[abs(e)] for e in path)
@@ -158,17 +153,6 @@ class GraphMap:
 
     def map_path(self, path: Sequence[int]) -> EdgePath:
         return push_path(path, self.eimg)
-
-    def check_consistency(self) -> None:
-        g = self.graph
-        for e in g.edge_ids():
-            p = self.eimg[e]
-            if p:
-                assert g.is_path(p), f"image of edge {e} is not a path"
-                assert g.init_of(p[0]) == self.vimg[g.init_of(e)]
-                assert g.term_of(p[-1]) == self.vimg[g.term_of(e)]
-            else:
-                assert self.vimg[g.init_of(e)] == self.vimg[g.term_of(e)]
 
     # -- words in F ---------------------------------------------------------------
 
@@ -389,40 +373,6 @@ def reach(adj, start) -> set:
                 seen.add(j)
                 stack.append(j)
     return seen
-
-
-def _char_poly(matrix):
-    """Exact characteristic polynomial coefficients via Faddeev-LeVerrier
-    (works with Fractions)."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        m = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        mm = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(mm[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return coeffs  # p(x) = sum coeffs[i] * x^(n-i)
-
-
-def certify_growth_rate(matrix, lam: float, eps: float = 1e-9) -> bool:
-    """Exact-rational sign check that the characteristic polynomial has a
-    root within eps of lam (the dominant root for PF matrices)."""
-    coeffs = _char_poly(matrix)
-
-    def val(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    lo = Fraction(lam - eps).limit_denominator(10 ** 12)
-    hi = Fraction(lam + eps).limit_denominator(10 ** 12)
-    vlo, vhi = val(lo), val(hi)
-    return vlo == 0 or vhi == 0 or (vlo < 0) != (vhi < 0)
 
 
 def transition_matrix(gm: GraphMap) -> TransitionData:

@@ -94,10 +94,6 @@ class SubgroupGraph:
     def full_group(rank: int) -> "SubgroupGraph":
         return SubgroupGraph.from_generators(rank, [(i,) for i in range(1, rank + 1)])
 
-    @staticmethod
-    def trivial(rank: int) -> "SubgroupGraph":
-        return SubgroupGraph.from_generators(rank, [])
-
     # -- basic queries -------------------------------------------------------
 
     @property

@@ -79,7 +79,6 @@ class SurfaceRealization:
 class NotSurface:
     reason: str
     vertex: Optional[int] = None
-    link_components: Optional[int] = None
 
 
 def _orientable(gm, loops) -> bool:
@@ -133,12 +132,11 @@ def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
     links = _vertex_links(gm, loops.loops)
     for v in sorted(links):
         if not links[v]:
-            return NotSurface("isolated vertex in the loop system", v, 0)
-        comps = _link_components(links[v])
-        if comps != 1:
+            return NotSurface("isolated vertex in the loop system", v)
+        if _link_components(links[v]) != 1:
             return NotSurface(
                 "vertex link splits after blow-up: the connecting arc would "
-                "be uncovered", v, comps)
+                "be uncovered", v)
     V = gm.graph.nv
     E = len(gm.graph.edges)
     chi = V - E
@@ -230,14 +228,19 @@ def _factor_cycle(endo: Endomorphism, basis: list,
 
 @dataclass(frozen=True)
 class Bounds:
-    """Every bound of the pipeline.  All of them reach every stage that uses
-    them, whichever view of the analysis is asked for.  The free-factor and
-    finite-order tests are exact and take none."""
+    """Every bound of the pipeline, each at least 1.  All of them reach
+    every stage that uses them, whichever view of the analysis is asked
+    for.  The free-factor and finite-order tests are exact and take none."""
     max_period: int = 6         # periodic-class word search: period
     max_len: int = 12           # periodic-class word search: cyclic length
     period_bound: int = 8       # Nielsen path scan
     max_iterations: int = 500   # train-track folding budget
     kmax: int = 6               # preimage chain depth (the torus report)
+
+    def __post_init__(self):
+        for (name, value) in asdict(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
 
 
 @dataclass

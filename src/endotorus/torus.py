@@ -1,5 +1,5 @@
-"""Mapping-torus layer: HNN presentations, Euler characteristics, witness
-subgroups and preimage chains.
+"""Mapping-torus layer: witness subgroups, preimage chains and the
+characterization report.
 
 Elements of the extension appear only through the subgroup constructions
 below (a fiber basis, a power of the stable letter and a conjugator), so no
@@ -24,25 +24,6 @@ from endotorus import subgroups as sg
 from endotorus.subgroups import SubgroupGraph
 from endotorus.traintrack import ReductionWitness
 from endotorus.surface import Analysis, Bounds
-
-
-@dataclass(frozen=True)
-class HNNPresentation:
-    """F *_A with relators t^-1 a t = phi(a) over a basis of the factor A."""
-    ambient_rank: int              # m
-    factor_rank: int               # n
-    factor: Optional[SubgroupGraph] = None
-
-    def euler_char(self) -> int:
-        return self.factor_rank - self.ambient_rank
-
-    @property
-    def ascending(self) -> bool:
-        return self.factor_rank == self.ambient_rank
-
-
-def euler_char(p: HNNPresentation) -> int:
-    return p.euler_char()
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,7 @@ def concat(*ws: Sequence[int]) -> Word:
 
 
 def cyclic_reduce(w: Sequence[int]) -> Word:
-    w = reduce_word(w)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return tuple(w[i:j])
+    return _cyclic_split(reduce_word(w))[0]
 
 
 def conjugate(w: Sequence[int], x: Sequence[int]) -> Word:
@@ -240,9 +235,6 @@ class Endomorphism:
             if n:
                 base = base.compose(base)
         return result
-
-    def is_identity(self) -> bool:
-        return all(im == (i + 1,) for i, im in enumerate(self.images))
 
     def abelianized(self) -> tuple:
         """Exponent-sum matrix; column j is the image of generator j."""

@@ -18,7 +18,7 @@ from endotorus.nielsen import (
     StableRepresentative,
 )
 from endotorus.surface import classify, reduction_search
-from endotorus.torus import HNNPresentation, chi_zero_report, euler_char, minimality_check
+from endotorus.torus import chi_zero_report, minimality_check
 from endotorus.traintrack import TrainTrack, find_train_track
 from endotorus.words import (
     CyclicWord,
@@ -30,6 +30,7 @@ from endotorus.words import (
 )
 from endotorus import subgroups as sg
 from endotorus.subgroups import SubgroupGraph
+from helpers import HNNPresentation, euler_char
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "corpus").glob("*.endo"))

@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -230,12 +230,61 @@ class TestCommandLine:
         assert reports["report"]["characterization"]["verdict"] == "unknown"
         assert reason in reports["report"]["characterization"]["notes"]
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(Bounds)])
+    def test_bound_below_one_is_a_usage_error(self, name, value, capsys):
+        # a search cut at 0 finds nothing, and the pipeline would read that
+        # as a bounded negative (or a cross-check failure, exit 3)
+        flag = cli._FLAG_SPELLING.get(name, name.replace("_", "-"))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(CORPUS / "golden_geometric.endo"),
+                  f"--{flag}", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{name} must be at least 1, not {value}" in err
+        with pytest.raises(ValueError):
+            Bounds(**{name: int(value)})
+
+    def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys):
+        # a missing file, a directory where a single command reads a file,
+        # and bytes that are not UTF-8
+        binary = tmp_path / "binary.endo"
+        binary.write_bytes(b"rank 2; a -> \xff;")
+        for path in (tmp_path / "missing.endo", tmp_path, binary):
+            assert main(["classify", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_unreadable_batch_input_is_a_usage_error(self, tmp_path, capsys):
+        # every input is read before any runs, so nothing reaches stdout
+        missing = tmp_path / "missing.endo"
+        assert main(["batch", str(CORPUS / "swap_finite_order.endo"),
+                     str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: cannot read {missing}: No such file or directory"]
+
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "classify", "-"],
             input="rank 2; a -> a;", capture_output=True, text=True, cwd=ROOT)
         assert proc.returncode == 1
         assert "parse error" in proc.stderr
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_fractions_or_multiprocessing(self):
+        # every CLI process pays for what `import endotorus.cli` loads
+        code = ("import sys; before = set(sys.modules); import endotorus.cli; "
+                "print(sorted({'fractions', 'decimal', 'multiprocessing'} "
+                "& (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBatch:

@@ -16,12 +16,12 @@ from endotorus.graphmap import (
     GraphMap,
     MarkedGraph,
     TransitionData,
-    certify_growth_rate,
     push_path,
     transition_matrix,
     transport_path,
     with_eigenmetric,
 )
+from helpers import certify_growth_rate, check_consistency
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -37,7 +37,7 @@ class TestRose:
     def test_remark_map(self):
         gm = rose(PHI)
         assert gm.eimg == {1: (1, 2), 2: (2, 1)}
-        gm.check_consistency()
+        check_consistency(gm)
 
     def test_identity(self):
         gm = rose(Endomorphism.identity(2))
@@ -119,10 +119,10 @@ class TestMoves:
     def test_subdivide_then_collapse_trivial_half(self):
         gm = rose(GOLDEN)
         split = gm.subdivide(1, 0)       # first half has trivial image
-        split.check_consistency()
+        check_consistency(split)
         e1 = [e for e in split.graph.edge_ids() if split.eimg[e] == ()][0]
         back = split.collapse_forest({e1})
-        back.check_consistency()
+        check_consistency(back)
         assert_marked(back, GOLDEN)
 
     def test_fold_merges_edges_with_equal_images(self):
@@ -132,11 +132,11 @@ class TestMoves:
         # matching initial segments
         gm = rose(GOLDEN)   # f(a) = ab, f(b) = a
         split = gm.subdivide(1, 1)  # a = a1 a2 with f(a1) = a-ish prefix
-        split.check_consistency()
+        check_consistency(split)
         e1 = max(gm.graph.edges) + 1   # first half of old edge 1
         assert split.eimg[e1] == split.eimg[2]
         folded = split.fold(e1, 2)
-        folded.check_consistency()
+        check_consistency(folded)
         assert folded.graph.nv == split.graph.nv - 1
         assert_marked(folded, GOLDEN)
 
@@ -154,7 +154,7 @@ class TestMoves:
         assert folded.graph.nv == 1 and folded.graph.base == 0
         assert set(folded.vimg) == {0}
         split = folded.subdivide(3, 1)
-        split.check_consistency()
+        check_consistency(split)
         g = split.graph
         assert {v for ends in g.edges.values() for v in ends} == set(range(g.nv))
         assert len(g.edges) - g.nv + 1 == 2
@@ -209,10 +209,10 @@ class TestTwist:
         # the twist becomes b; collapsing edge 1 then re-attaches vertex
         # 1 = f(base) along b and the twist is 1 again
         gm = off_base_map()
-        gm.check_consistency()
+        check_consistency(gm)
         assert_marked(gm, self.ENDO)
         folded = gm.fold(1, 2)
-        folded.check_consistency()
+        check_consistency(folded)
         assert folded.twist == (2,)
         assert_marked(folded, self.ENDO)
         collapsed = folded.collapse_forest({1})
@@ -254,7 +254,7 @@ class TestPrepared:
         tt = find_train_track(endo)
         prepared = scan_pinps(tt, 8)[0].gm
         assert prepared.graph.nv > tt.gm.graph.nv   # the refinement cut edges
-        prepared.check_consistency()
+        check_consistency(prepared)
         assert_marked(prepared, endo)
 
 
@@ -557,7 +557,7 @@ class TestLabels:
 def assert_pushed(before, after):
     """The images of the edges the move keeps are the old ones carried
     across by `transport_path`, and they are paths of the new graph."""
-    after.check_consistency()
+    check_consistency(after)
     for e in set(before.eimg) & set(after.eimg):
         assert after.eimg[e] == transport_path(after, before.eimg[e])
 

@@ -37,7 +37,6 @@ from endotorus.nielsen import (
     prepare_representative,
     scan_pinps,
     stabilize,
-    verify_orbit_relations,
 )
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
@@ -56,6 +55,30 @@ def golden_tt():
     tt = find_train_track(GOLDEN)
     assert isinstance(tt, TrainTrack)
     return tt
+
+
+def verify_orbit_relations(tt, orbit):
+    """Symbolic re-check of f(alpha) = alpha' tau and f(beta) = tau-bar beta'."""
+    gm = tt.gm
+    m = len(orbit.paths)
+    for i in range(m):
+        j = (i + 1) % m
+        alpha = orbit.paths[i][:orbit.junctions[i] + 1]
+        beta = orbit.paths[i][orbit.junctions[i] + 1:]
+        tau = orbit.connectors[(i + 1) % m]
+        f_alpha = gm.map_path(alpha)
+        f_beta = gm.map_path(beta)
+        if j == 0 and orbit.orientation_reversal:
+            alpha_next = invert(orbit.paths[0][orbit.junctions[0] + 1:])
+            beta_next = invert(orbit.paths[0][:orbit.junctions[0] + 1])
+        else:
+            alpha_next = orbit.paths[j][:orbit.junctions[j] + 1]
+            beta_next = orbit.paths[j][orbit.junctions[j] + 1:]
+        if f_alpha != alpha_next + tau:
+            return False
+        if f_beta != invert(tau) + beta_next:
+            return False
+    return True
 
 
 class TestEnumerate:

@@ -86,7 +86,7 @@ def generator_lists(draw):
 class TestSingleFold:
     def test_empty_words_ignored(self):
         assert stallings(2, [(), (1, -1), (1,)]) == stallings(2, [(1,)])
-        assert stallings(2, [()]) == SubgroupGraph.trivial(2)
+        assert stallings(2, [()]) == stallings(2, [])
 
     def test_trivial_image_is_not_injective(self):
         # a generator sent to 1 lies in the kernel
@@ -192,8 +192,8 @@ class TestRewriting:
     def test_invert_golden(self):
         inv = invert_automorphism(GOLDEN)
         assert inv.images == (parse_word("b"), parse_word("Ba"))
-        assert GOLDEN.compose(inv).is_identity()
-        assert inv.compose(GOLDEN).is_identity()
+        assert GOLDEN.compose(inv) == Endomorphism.identity(2)
+        assert inv.compose(GOLDEN) == Endomorphism.identity(2)
 
     def test_invert_rejects_nonsurjective(self):
         with pytest.raises(ValueError):

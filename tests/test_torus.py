@@ -11,13 +11,12 @@ from endotorus.traintrack import (
     verify_reduction_witness,
 )
 from endotorus.torus import (
-    HNNPresentation,
     chi_zero_report,
-    euler_char,
     fiber_chain,
     minimality_check,
     witness_subgroup,
 )
+from helpers import HNNPresentation, euler_char
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 PSI = Endomorphism(3, (parse_word("ab"), parse_word("ba"), parse_word("a")))

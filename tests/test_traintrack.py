@@ -36,6 +36,7 @@ from endotorus.traintrack import (
 from endotorus import subgroups as sg
 from endotorus import graphmap
 from endotorus import traintrack as tt_module
+from helpers import check_consistency
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -279,7 +280,7 @@ def assert_matches_subset_enumeration(gm):
 
 def assert_collapses_to_one_vertex(gm, forest, endo):
     collapsed = gm.collapse_forest(forest)
-    collapsed.check_consistency()
+    check_consistency(collapsed)
     assert collapsed.graph.nv == 1
     for e in collapsed.graph.edge_ids():
         w = collapsed.path_to_word((e,))
@@ -301,7 +302,7 @@ class TestInvariantSets:
     @pytest.mark.parametrize("base", [0, 1])
     def test_forest_branch_collapses_to_one_vertex(self, base):
         gm = self.forest_map(base)
-        gm.check_consistency()
+        check_consistency(gm)
         assert not transition_matrix(gm).irreducible
         assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({3}))
         assert_matches_subset_enumeration(gm)
@@ -320,7 +321,7 @@ class TestInvariantSets:
                 4: (2, 4, -2, -1, 3, 1)}
         gm = GraphMap(graph, {0: 0, 1: 2, 2: 1}, eimg, 2,
                       {1: (), 2: (), 3: (1,), 4: (2,)})
-        gm.check_consistency()
+        check_consistency(gm)
         assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({1, 2}))
         assert_matches_subset_enumeration(gm)
         assert_collapses_to_one_vertex(gm, frozenset({1, 2}), PHI)

@@ -126,7 +126,7 @@ class TestCompose:
 
     def test_power(self):
         assert PHI.power(2) == PHI.compose(PHI)
-        assert PHI.power(0).is_identity()
+        assert PHI.power(0) == Endomorphism.identity(2)
 
     def test_power_builds_no_higher_power(self, monkeypatch):
         # a -> ab, b -> b: the k-th power sends a to a b^k, so the length
