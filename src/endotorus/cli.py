@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     texts = []
     for path in paths:
         try:
-            texts.append(sys.stdin.read() if path == "-" else Path(path).read_text())
+            texts.append(sys.stdin.read() if str(path) == "-" else Path(path).read_text())
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {path}: "
                   f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)

@@ -30,6 +30,14 @@ that `stabilize` returns were carried, that representative is prepared and
 scanned once more, and if the lists differ the scanned orbits are returned
 with stable=False.  The Nielsen data that leaves `stabilize` is always a
 scan's.
+
+The refinement and the Nielsen loops are read off directly, with no
+search.  The scan cuts each edge e at the interior fixed points of f, f^2
+and f^3 (up to INTERIOR_BOUND), one per occurrence of e or its reverse in
+the f^per-image of e; f sends each of them to another or to a vertex, so
+they need no closure under f.  The Nielsen loops pair the orbit paths'
+ends vertex by vertex, since whether a junction is tight and whether a
+vertex link is one circle are both decided at one vertex.
 """
 
 from __future__ import annotations
@@ -37,13 +45,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from typing import Optional
 
 from endotorus.words import CyclicWord, cyclic_canonical, invert
 from endotorus.graphmap import (
     POINT_TOL,
     GraphMap,
+    reach,
     refine_at_points,
     transition_matrix,
     transport_path,
@@ -149,69 +158,35 @@ def _ray(image: dict, lengths: dict, d: int, step: int, reach: float):
     return tuple(ray), positions
 
 
-def _point_image(gm: GraphMap, e: int, pos: float):
-    """Image of the interior point at metric position pos on edge e, as
-    (edge, position from that edge's initial vertex)."""
-    img = gm.eimg[e]
-    le = gm.graph.lengths[e]
-    total = sum(gm.graph.lengths[abs(x)] for x in img)
-    t = pos / le * total
-    acc = 0.0
-    for x in img:
-        lx = gm.graph.lengths[abs(x)]
-        if t <= acc + lx + 1e-12:
-            inner = t - acc
-            return (abs(x), inner) if x > 0 else (abs(x), lx - inner)
-        acc += lx
-    x = img[-1]
-    return (abs(x), gm.graph.lengths[abs(x)] if x > 0 else 0.0)
-
-
 def interior_periodic_cuts(tt: TrainTrack, interior_bound: int) -> dict:
-    """Interior fixed points of f^per for per up to the bound, closed under
-    the map so the graph can be refined there.  Each crossing of an edge
-    over itself contributes an affine fixed point; orientation-reversing
-    crossings give flip points."""
+    """Interior fixed points of f^per for per up to the bound, where the
+    graph is refined.  The metric is the eigenmetric and f^per(e) is a
+    legal path, so f^per maps e onto each letter of f^per(e) affinely,
+    stretched by lambda^per.  Each occurrence of +e or -e in f^per(e),
+    after `acc` of the image's length, therefore holds exactly one fixed
+    point of f^per in e: at acc / (lambda^per - 1) from e's initial vertex
+    for +e, and at (acc + l(e)) / (lambda^per + 1) for -e (a flip point).
+    f sends a fixed point of f^per to another one or to a vertex, so the
+    points found form an f-invariant set and need no closure.  A point
+    within POINT_TOL of a vertex or of a point already found is dropped."""
     gm = tt.gm
-    lam = tt.stretch
+    lengths = gm.graph.lengths
     cuts: dict = {e: [] for e in gm.graph.edge_ids()}
-
-    def add(e, p):
-        le = gm.graph.lengths[e]
-        if p < POINT_TOL or p > le - POINT_TOL:
-            return False
-        for q in cuts[e]:
-            if abs(q - p) < POINT_TOL:
-                return False
-        cuts[e].append(p)
-        return True
-
-    paths = {e: (e,) for e in gm.graph.edge_ids()}   # f^per(e)
+    paths = {e: (e,) for e in cuts}   # f^per(e)
     for per in range(1, interior_bound + 1):
-        stretch = lam ** per
-        for e in gm.graph.edge_ids():
+        stretch = tt.stretch ** per
+        for e in cuts:
             paths[e] = gm.map_path(paths[e])
-            le = gm.graph.lengths[e]
+            le = lengths[e]
             acc = 0.0
             for x in paths[e]:
-                lx = gm.graph.lengths[abs(x)]
                 if abs(x) == e:
-                    if x > 0:
-                        p = acc / (stretch - 1.0)
-                    else:
-                        p = (acc + le) / (stretch + 1.0)
-                    add(e, p)
-                acc += lx
-    # close under the single map
-    for _ in range(4 * interior_bound + 4):
-        new = False
-        for e in sorted(cuts):
-            for p in list(cuts[e]):
-                (e2, p2) = _point_image(gm, e, p)
-                if add(e2, p2):
-                    new = True
-        if not new:
-            break
+                    p = acc / (stretch - 1.0) if x > 0 \
+                        else (acc + le) / (stretch + 1.0)
+                    if POINT_TOL <= p <= le - POINT_TOL \
+                            and all(abs(q - p) >= POINT_TOL for q in cuts[e]):
+                        cuts[e].append(p)
+                acc += lengths[abs(x)]
     return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
 
 
@@ -585,124 +560,103 @@ def critical_equation(tt: TrainTrack, orbits: list) -> float:
 
 
 def _vertex_links(gm: GraphMap, loops) -> dict:
-    """Link of each vertex: nodes are directions there, edges are the turns
-    the loop system takes.  Every direction has degree two when each edge is
-    covered twice, so links are disjoint circles; a surface point needs a
-    single circle."""
-    links: dict = {v: {} for v in range(gm.graph.nv)}
+    """Link of each vertex, as the turns the loop system takes there: pairs
+    (d_in, d_out) of directions at the vertex, the edges of a graph on
+    them.  Every direction has degree two when each edge is covered twice,
+    so links are disjoint circles; a surface point needs a single circle."""
+    links: dict = {v: [] for v in range(gm.graph.nv)}
     for loop in loops:
-        n = len(loop)
-        for i in range(n):
-            d_in, d_out = -loop[i], loop[(i + 1) % n]
-            link = links.setdefault(gm.graph.init_of(d_in), {})
-            link.setdefault(d_in, []).append(d_out)
-            link.setdefault(d_out, []).append(d_in)
+        for (x, y) in zip(loop, loop[1:] + loop[:1]):
+            links[gm.graph.term_of(x)].append((-x, y))
     return links
 
 
-def _link_components(link: dict) -> int:
-    seen = set()
+def _link_components(turns) -> int:
+    """Number of components of the link whose edges are `turns`."""
+    link: dict = {}
+    for (d, e) in turns:
+        link.setdefault(d, []).append(e)
+        link.setdefault(e, []).append(d)
+    seen: set = set()
     comps = 0
-    for start in sorted(link):
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            d = stack.pop()
-            for e in link[d]:
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
+    for d in link:
+        if d not in seen:
+            seen |= reach(link, d)
+            comps += 1
     return comps
 
 
+def _pairings(ends: list, away: list):
+    """The perfect matchings of `ends` into tight junctions, pairs of ends
+    that leave their vertex by distinct directions (`away[i]` for end i):
+    the least end is paired with each later end in turn, and the rest are
+    matched by the same rule."""
+    if not ends:
+        yield ()
+        return
+    for k in range(1, len(ends)):
+        if away[ends[0]] != away[ends[k]]:
+            for rest in _pairings(ends[1:k] + ends[k + 1:], away):
+                yield ((ends[0], ends[k]),) + rest
+
+
 def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
-    """Assemble the orbit paths into periodic Nielsen loops and count edge
+    """Close the orbit paths into periodic Nielsen loops and count edge
     multiplicities; at a stable representative every edge is covered twice.
-    Among closed tight assemblies, one whose vertex links are circles is
-    preferred (that is the assembly the surface construction glues along)."""
+
+    The arc ends are paired vertex by vertex, since both whether a
+    junction is tight and whether a vertex link is a circle are decided at
+    one vertex.  `_pairings` lists up to 64 tight pairings of each vertex's
+    ends.  When every vertex has a pairing whose link (the turns inside the
+    arcs plus the pairing's junctions) is one circle, the first such
+    pairing is taken at each vertex: that is the system the surface
+    construction glues along.  Otherwise the first tight pairing is taken
+    at each vertex.  The choices at different vertices do not interact, so
+    among the matchings of all the ends, listed by the same rule with the
+    least end of all paired first, this is the first one with the same
+    property.  A perfect matching of tight junctions closes every walk into
+    a tight loop, since each loop's closing junction is one of them; a
+    vertex without a tight perfect matching of its ends raises ValueError."""
     gm = tt.gm
+    g = gm.graph
     arcs = [p for o in orbits for p in o.paths]
-    ends = []
-    for idx, p in enumerate(arcs):
-        ends.append((idx, 0, gm.graph.init_of(p[0])))
-        ends.append((idx, 1, gm.graph.term_of(p[-1])))
-
-    # match arc ends at common vertices into closed tight loops; orbits are
-    # tiny, so backtracking over perfect matchings is fine
-    n = len(ends)
-
-    def compatible(i, j):
-        (ai, si, vi) = ends[i]
-        (aj, sj, vj) = ends[j]
-        if vi != vj:
-            return False
-        pi = arcs[ai] if si == 1 else invert(arcs[ai])
-        pj = invert(arcs[aj]) if sj == 1 else arcs[aj]
-        return pi[-1] != -pj[0]  # junction stays tight
-
-    def loops_of(matching):
-        seen = set()
-        loops = []
-        for start in range(n):
-            if start in seen or ends[start][1] == 1:
-                continue
-            loop: list = []
-            i = start
-            ok = True
-            for _ in range(n + 1):
-                (a, s, _) = ends[i]
-                seen.add(i)
-                other = i + 1 if s == 0 else i - 1
-                seen.add(other)
-                loop.extend(arcs[a] if s == 0 else invert(arcs[a]))
-                j = matching[other]
-                if j == start:
-                    break
-                i = j
-            else:
-                ok = False
-            if ok:
-                loops.append(tuple(loop))
-        return loops if len(seen) == n else None
-
-    def valid_loops(matching):
-        lp = loops_of(matching)
-        if lp is None:
-            return None
-        if all(len(l) > 0 and (len(l) == 1 or l[0] != -l[-1]) for l in lp):
-            return lp
-        return None
-
-    assemblies: list = []
-
-    def search(matching, free):
-        if not free:
-            lp = valid_loops(matching)
-            if lp is not None:
-                assemblies.append(lp)
-            return
-        i = free[0]
-        for j in free[1:]:
-            if compatible(i, j) and compatible(j, i):
-                matching[i] = j
-                matching[j] = i
-                search(matching, [k for k in free if k not in (i, j)])
-                del matching[i]
-                del matching[j]
-                if len(assemblies) >= 64:
-                    return
-
-    search({}, list(range(n)))
-    if not assemblies:
-        raise ValueError("orbit paths do not close into Nielsen loops")
-    loops = next((lp for lp in assemblies
-                  if all(_link_components(link) <= 1
-                         for link in _vertex_links(gm, lp).values())),
-                 assemblies[0])
-    mult: dict = {e: 0 for e in gm.graph.edge_ids()}
+    # end 2a is the start of arc a and end 2a + 1 its end; away[i] is the
+    # direction by which end i leaves its vertex into the arc
+    away = [d for p in arcs for d in (p[0], -p[-1])]
+    ends: dict = {v: [] for v in range(g.nv)}
+    for i, d in enumerate(away):
+        ends[g.init_of(d)].append(i)
+    inner: dict = {v: [] for v in range(g.nv)}   # the turns inside the arcs
+    for p in arcs:
+        for (x, y) in zip(p, p[1:]):
+            inner[g.term_of(x)].append((-x, y))
+    (tight, circles) = ([], [])
+    for v in range(g.nv):
+        pairings = list(islice(_pairings(ends[v], away), 64))
+        if not pairings:
+            raise ValueError("orbit paths do not close into Nielsen loops")
+        tight.append(pairings[0])
+        circles.append(next(
+            (pairing for pairing in pairings if _link_components(
+                inner[v] + [(away[i], away[j]) for (i, j) in pairing]) <= 1),
+            None))
+    partner: dict = {}
+    for pairing in (circles if None not in circles else tight):
+        for (i, j) in pairing:
+            (partner[i], partner[j]) = (j, i)
+    loops = []
+    walked: set = set()
+    for a in range(len(arcs)):
+        if a in walked:
+            continue
+        (loop, i) = ([], 2 * a)
+        while not loop or i != 2 * a:
+            (b, s) = divmod(i, 2)
+            walked.add(b)
+            loop.extend(invert(arcs[b]) if s else arcs[b])
+            i = partner[i ^ 1]
+        loops.append(tuple(loop))
+    mult: dict = {e: 0 for e in g.edge_ids()}
     for l in loops:
         for e in l:
             mult[abs(e)] += 1
@@ -710,24 +664,14 @@ def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     classes = [CyclicWord.of(gm.path_to_word(l)) for l in loops]
 
     # f permutes the loops up to rotation and reversal; transitivity = one cycle
-    canon = {}
-    for i, l in enumerate(loops):
-        canon[cyclic_canonical(l, unoriented=True)] = i
-    perm = []
-    for l in loops:
-        key = cyclic_canonical(gm.map_path(l), unoriented=True)
-        perm.append(canon.get(key, -1))
+    canon = {cyclic_canonical(l, unoriented=True): i
+             for i, l in enumerate(loops)}
+    perm = [canon.get(cyclic_canonical(gm.map_path(l), unoriented=True), -1)
+            for l in loops]
     transitive = sorted(perm) == list(range(len(loops))) and _single_cycle(perm)
     return NielsenLoops(loops, mult, classes, transitive)
 
 
 def _single_cycle(perm) -> bool:
-    n = len(perm)
-    if n == 0:
-        return False
-    seen = 1
-    i = perm[0]
-    while i != 0 and seen <= n:
-        seen += 1
-        i = perm[i]
-    return seen == n
+    """Whether the permutation `perm` of range(len(perm)) is one cycle."""
+    return bool(perm) and len(reach([(j,) for j in perm], 0)) == len(perm)

@@ -304,6 +304,15 @@ class TestBatch:
                      for line in seq.stdout.strip().splitlines()]
         assert got_names == names
 
+    def test_batch_reads_stdin(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "endotorus.cli", "batch", "-", "--json"],
+            input=(CORPUS / "golden_geometric.endo").read_text(),
+            capture_output=True, text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["verdict"]["kind"] == "geometric"
+
     def test_batch_timing(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "batch", "--cmd", "tt",

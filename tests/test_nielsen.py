@@ -16,7 +16,13 @@ from endotorus import nielsen
 from endotorus.cli import parse
 from endotorus.graphmap import POINT_TOL, GraphMap, MarkedGraph, transition_matrix
 from endotorus.surface import classify
-from endotorus.words import CyclicWord, Endomorphism, invert, parse_word
+from endotorus.words import (
+    CyclicWord,
+    Endomorphism,
+    cyclic_canonical,
+    invert,
+    parse_word,
+)
 from endotorus.traintrack import (
     FiniteOrderCertificate,
     TrainTrack,
@@ -26,6 +32,7 @@ from endotorus.traintrack import (
 )
 from endotorus.nielsen import (
     INTERIOR_BOUND,
+    NielsenLoops,
     NielsenOrbit,
     NielsenPath,
     StableRepresentative,
@@ -669,3 +676,369 @@ class TestEigenmetricCarry:
                        zip(data.edge_order, data.eigenmetric)) <= 1e-12
             assert abs(data.lam - lam) <= 1e-12
             lam = data.lam
+
+
+# ---------------------------------------------------------------------------
+# cut-set oracle: the interior periodic points found once, then closed under
+# the single map, as the refinement found them before it read the fixed-point
+# set as f-invariant
+# ---------------------------------------------------------------------------
+
+def reference_point_image(gm, e, pos):
+    """Image of the interior point at metric position pos on edge e, as
+    (edge, position from that edge's initial vertex)."""
+    img = gm.eimg[e]
+    le = gm.graph.lengths[e]
+    total = sum(gm.graph.lengths[abs(x)] for x in img)
+    t = pos / le * total
+    acc = 0.0
+    for x in img:
+        lx = gm.graph.lengths[abs(x)]
+        if t <= acc + lx + 1e-12:
+            inner = t - acc
+            return (abs(x), inner) if x > 0 else (abs(x), lx - inner)
+        acc += lx
+    x = img[-1]
+    return (abs(x), gm.graph.lengths[abs(x)] if x > 0 else 0.0)
+
+
+def reference_cuts(tt, interior_bound):
+    """Interior fixed points of f^per for per up to the bound, closed under
+    the map."""
+    gm = tt.gm
+    lam = tt.stretch
+    cuts = {e: [] for e in gm.graph.edge_ids()}
+
+    def add(e, p):
+        le = gm.graph.lengths[e]
+        if p < POINT_TOL or p > le - POINT_TOL:
+            return False
+        for q in cuts[e]:
+            if abs(q - p) < POINT_TOL:
+                return False
+        cuts[e].append(p)
+        return True
+
+    paths = {e: (e,) for e in gm.graph.edge_ids()}   # f^per(e)
+    for per in range(1, interior_bound + 1):
+        stretch = lam ** per
+        for e in gm.graph.edge_ids():
+            paths[e] = gm.map_path(paths[e])
+            le = gm.graph.lengths[e]
+            acc = 0.0
+            for x in paths[e]:
+                lx = gm.graph.lengths[abs(x)]
+                if abs(x) == e:
+                    if x > 0:
+                        p = acc / (stretch - 1.0)
+                    else:
+                        p = (acc + le) / (stretch + 1.0)
+                    add(e, p)
+                acc += lx
+    # close under the single map
+    for _ in range(4 * interior_bound + 4):
+        new = False
+        for e in sorted(cuts):
+            for p in list(cuts[e]):
+                (e2, p2) = reference_point_image(gm, e, p)
+                if add(e2, p2):
+                    new = True
+        if not new:
+            break
+    return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
+
+
+def assert_cuts_match_reference(tt, interior_bound):
+    """The same edges, in the same order, with the same floats."""
+    out = nielsen.interior_periodic_cuts(tt, interior_bound)
+    assert list(out.items()) == list(reference_cuts(tt, interior_bound).items())
+    return out
+
+
+def classify_cut_calls(endo):
+    """(train track, bound) of every `interior_periodic_cuts` call that
+    `classify` makes on the endomorphism."""
+    calls = []
+    real = nielsen.interior_periodic_cuts
+
+    def recording(tt, interior_bound):
+        calls.append((tt, interior_bound))
+        return real(tt, interior_bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nielsen, "interior_periodic_cuts", recording)
+        classify(endo)
+    return calls
+
+
+def expanding_train_track(images):
+    endo = Endomorphism(len(images), tuple(images))
+    assume(all(endo.images))
+    tt = find_train_track(endo, max_iterations=30)
+    assume(isinstance(tt, TrainTrack) and tt.data.expanding
+           and tt.data.irreducible)
+    return tt
+
+
+class TestCutOracle:
+    def test_every_corpus_refinement_matches_the_closure(self):
+        calls = [call for path in sorted(CORPUS.glob("*.endo"))
+                 for call in classify_cut_calls(parse(path.read_text()).endo)]
+        assert len(calls) >= 7
+        assert any(assert_cuts_match_reference(tt, bound)
+                   for (tt, bound) in calls)
+
+    @pytest.mark.parametrize("name", ("golden_geometric", "composite_geometric",
+                                      "double_cover_geometric"))
+    def test_square_refinements_match_the_closure(self, name):
+        # the squares of the last two cut their 2-edge train tracks into
+        # about 360 edges
+        calls = classify_cut_calls(corpus_endo(name).power(2))
+        assert calls
+        for (tt, bound) in calls:
+            assert assert_cuts_match_reference(tt, bound)
+
+    @given(st.tuples(WORDS, WORDS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_rank2_cuts_match_the_closure(self, images):
+        assert_cuts_match_reference(expanding_train_track(images),
+                                    INTERIOR_BOUND)
+
+    @given(rank3_images())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_rank3_cuts_match_the_closure(self, images):
+        assert_cuts_match_reference(expanding_train_track(images),
+                                    INTERIOR_BOUND)
+
+
+# ---------------------------------------------------------------------------
+# loop oracle: one search over the perfect matchings of all arc ends at once,
+# the first matching whose vertex links are all circles, else the first one
+# ---------------------------------------------------------------------------
+
+def reference_vertex_links(gm, loops):
+    links = {v: {} for v in range(gm.graph.nv)}
+    for loop in loops:
+        n = len(loop)
+        for i in range(n):
+            d_in, d_out = -loop[i], loop[(i + 1) % n]
+            link = links.setdefault(gm.graph.init_of(d_in), {})
+            link.setdefault(d_in, []).append(d_out)
+            link.setdefault(d_out, []).append(d_in)
+    return links
+
+
+def reference_link_components(link):
+    seen = set()
+    comps = 0
+    for start in sorted(link):
+        if start in seen:
+            continue
+        comps += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            d = stack.pop()
+            for e in link[d]:
+                if e not in seen:
+                    seen.add(e)
+                    stack.append(e)
+    return comps
+
+
+def reference_single_cycle(perm):
+    n = len(perm)
+    if n == 0:
+        return False
+    seen = 1
+    i = perm[0]
+    while i != 0 and seen <= n:
+        seen += 1
+        i = perm[i]
+    return seen == n
+
+
+def reference_loops(tt, orbits):
+    """Backtracking over the perfect matchings of all arc ends, without a
+    cap on the assemblies."""
+    gm = tt.gm
+    arcs = [p for o in orbits for p in o.paths]
+    ends = []
+    for idx, p in enumerate(arcs):
+        ends.append((idx, 0, gm.graph.init_of(p[0])))
+        ends.append((idx, 1, gm.graph.term_of(p[-1])))
+    n = len(ends)
+
+    def compatible(i, j):
+        (ai, si, vi) = ends[i]
+        (aj, sj, vj) = ends[j]
+        if vi != vj:
+            return False
+        pi = arcs[ai] if si == 1 else invert(arcs[ai])
+        pj = invert(arcs[aj]) if sj == 1 else arcs[aj]
+        return pi[-1] != -pj[0]  # junction stays tight
+
+    def loops_of(matching):
+        seen = set()
+        loops = []
+        for start in range(n):
+            if start in seen or ends[start][1] == 1:
+                continue
+            loop = []
+            i = start
+            ok = True
+            for _ in range(n + 1):
+                (a, s, _) = ends[i]
+                seen.add(i)
+                other = i + 1 if s == 0 else i - 1
+                seen.add(other)
+                loop.extend(arcs[a] if s == 0 else invert(arcs[a]))
+                j = matching[other]
+                if j == start:
+                    break
+                i = j
+            else:
+                ok = False
+            if ok:
+                loops.append(tuple(loop))
+        return loops if len(seen) == n else None
+
+    def valid_loops(matching):
+        lp = loops_of(matching)
+        if lp is None:
+            return None
+        if all(len(l) > 0 and (len(l) == 1 or l[0] != -l[-1]) for l in lp):
+            return lp
+        return None
+
+    assemblies = []
+
+    def search(matching, free):
+        if not free:
+            lp = valid_loops(matching)
+            if lp is not None:
+                assemblies.append(lp)
+            return
+        i = free[0]
+        for j in free[1:]:
+            if compatible(i, j) and compatible(j, i):
+                matching[i] = j
+                matching[j] = i
+                search(matching, [k for k in free if k not in (i, j)])
+                del matching[i]
+                del matching[j]
+
+    search({}, list(range(n)))
+    if not assemblies:
+        raise ValueError("orbit paths do not close into Nielsen loops")
+    loops = next((lp for lp in assemblies
+                  if all(reference_link_components(link) <= 1
+                         for link in reference_vertex_links(gm, lp).values())),
+                 assemblies[0])
+    mult = {e: 0 for e in gm.graph.edge_ids()}
+    for l in loops:
+        for e in l:
+            mult[abs(e)] += 1
+    classes = [CyclicWord.of(gm.path_to_word(l)) for l in loops]
+    canon = {}
+    for i, l in enumerate(loops):
+        canon[cyclic_canonical(l, unoriented=True)] = i
+    perm = []
+    for l in loops:
+        key = cyclic_canonical(gm.map_path(l), unoriented=True)
+        perm.append(canon.get(key, -1))
+    transitive = sorted(perm) == list(range(len(loops))) \
+        and reference_single_cycle(perm)
+    return NielsenLoops(loops, mult, classes, transitive)
+
+
+def identity_track(nv, edges):
+    """The identity of the graph with edges 1.. (init, term) over nv
+    vertices, as a train track: the first nv - 1 edges span a tree and are
+    labeled by the empty word, each other edge by a generator of its own."""
+    graph = MarkedGraph(nv, dict(enumerate(edges, 1)),
+                        {e: 1.0 for e in range(1, len(edges) + 1)})
+    labels = {e: () if e < nv else (e - nv + 1,) for e in graph.edges}
+    gm = GraphMap(graph, {v: v for v in range(nv)},
+                  {e: (e,) for e in graph.edges}, len(edges) - nv + 1, labels)
+    return TrainTrack(gm, gates(gm), transition_matrix(gm))
+
+
+def arc_orbits(arcs):
+    return [NielsenOrbit(list(arcs), [0] * len(arcs), [], 1, False)]
+
+
+def assert_loops_match_reference(tt, orbits):
+    """The same loops, multiplicities, classes and transitivity as the
+    global search, or ValueError from both.  Returns the loops."""
+    try:
+        expected = reference_loops(tt, orbits)
+    except ValueError:
+        with pytest.raises(ValueError):
+            nielsen_loops(tt, orbits)
+        return None
+    loops = nielsen_loops(tt, orbits)
+    assert loops == expected
+    return loops
+
+
+@st.composite
+def arc_systems(draw):
+    """(identity train track on a connected graph of 1-4 vertices, orbits of
+    tight edge paths of 1-4 edges) with an even number of at most six arc
+    ends at every vertex."""
+    nv = draw(st.integers(1, 4))
+    vertex = st.integers(0, nv - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    tt = identity_track(nv, edges)
+    graph = tt.gm.graph
+    arcs = []
+    for _ in range(draw(st.integers(1, 6))):
+        arc = [draw(st.sampled_from(graph.all_directions()))]
+        for _ in range(draw(st.integers(0, 3))):
+            onward = [d for d in graph.directions_at(graph.term_of(arc[-1]))
+                      if d != -arc[-1]]
+            if not onward:
+                break
+            arc.append(draw(st.sampled_from(onward)))
+        arcs.append(tuple(arc))
+    ends = Counter(graph.init_of(d) for p in arcs for d in (p[0], -p[-1]))
+    assume(all(c % 2 == 0 and c <= 6 for c in ends.values()))
+    return tt, arc_orbits(arcs)
+
+
+# edges 1 and 2 are loops at vertex 0, edge 3 joins it to vertex 1, and
+# edges 4 and 5 are loops there
+TWO_ROSES = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]
+
+
+class TestLoopOracle:
+    @given(arc_systems())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    def test_random_arc_systems_match_the_global_search(self, system):
+        assert_loops_match_reference(*system)
+
+    def test_a_later_pairing_closes_the_link(self):
+        # eight ends at one vertex: the first tight pairing closes each arc
+        # on itself and splits the link into {1, -1} and {2, -2}
+        tt = identity_track(1, [(0, 0), (0, 0)])
+        loops = assert_loops_match_reference(
+            tt, arc_orbits([(1,), (1,), (2,), (2,)]))
+        assert loops.loops == [(1,), (1, -2), (2,)]
+        links = nielsen._vertex_links(tt.gm, loops.loops)
+        assert nielsen._link_components(links[0]) == 1
+
+    def test_a_vertex_without_a_circle_takes_the_first_pairings(self):
+        # vertex 1 has no circle pairing for its four ends, so vertex 0
+        # keeps its first tight pairing although a later one is a circle
+        tt = identity_track(2, TWO_ROSES)
+        arcs = [(1,), (1,), (2,), (2,), (4,), (5,)]
+        loops = assert_loops_match_reference(tt, arc_orbits(arcs))
+        assert loops.loops == arcs
+        circles = assert_loops_match_reference(tt, arc_orbits(arcs[:4]))
+        assert circles.loops == [(1,), (1, -2), (2,)]

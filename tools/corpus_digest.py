@@ -37,10 +37,18 @@ them shows even between moves where no report reads it.  The last two
 lines of an input are `search input max_period,max_len result`: what
 `periodic_conjugacy_search` returns at the default bounds (6, 12) and at
 (3, 8), as `witness,period,orientation` or `none`, so a change in the
-search's witnesses shows even where no report byte reads them.  Run it
-with PYTHONPATH set to each of two source trees and `diff` the outputs to
-check that a change leaves every report, step, move and search result
-identical.
+search's witnesses shows even where no report byte reads them.
+
+After the corpus come maps outside it, whose `classify` refines the
+train track into up to 362 edges where the corpus stays under two dozen:
+the square of each corpus input whose square's images have at most 40
+letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
+named `a->a^kb,b->a`.  Each prints `derived name sha256`, the hash of its
+`classify` report without bounds, followed by its `scan` lines as above.
+
+Run it with PYTHONPATH set to each of two source trees and `diff` the
+outputs to check that a change leaves every report, step, move and search
+result identical.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from endotorus import graphmap, nielsen, surface, traintrack
-from endotorus.cli import COMMANDS, parse, report_json, run
+from endotorus.cli import COMMANDS, EndoSpec, parse, report_json, run
 from endotorus.graphmap import GraphMap
 from endotorus.words import periodic_conjugacy_search, show_word
 
@@ -122,9 +130,9 @@ def _recording(owner, name: str, record):
 def _run_recording(command: str, spec, states) -> tuple:
     """(report, stabilization steps, edge words after each move, power
     iteration steps) of one command; a step is a (representative, paths)
-    pair, the moves are recorded only for MOVE_COMMANDS, each moved map's
-    state going into the hash `states`, and the power-iteration steps are
-    summed over every `transition_matrix` call."""
+    pair, the moves are recorded only for MOVE_COMMANDS when `states` is
+    a hash, each moved map's state going into it, and the power-iteration
+    steps are summed over every `transition_matrix` call."""
     steps: list = []
     moves: list = []
     power = [0]
@@ -149,16 +157,26 @@ def _run_recording(command: str, spec, states) -> tuple:
         stack.enter_context(_recording(surface, "stabilize", unfolded))
         for module in (graphmap, traintrack, nielsen):
             stack.enter_context(_recording(module, "transition_matrix", iterated))
-        if command in MOVE_COMMANDS:
+        if command in MOVE_COMMANDS and states is not None:
             stack.enter_context(_recording(nielsen, "refine_at_points", move))
             for name in ("subdivide", "fold", "collapse_forest"):
                 stack.enter_context(_recording(GraphMap, name, move))
         return run(command, spec), steps, moves, power[0]
 
 
+def _print_classify(name: str, spec) -> None:
+    """The `derived` line of a map outside the corpus and its scan lines."""
+    (report, steps, _, _) = _run_recording("classify", spec, None)
+    digest = _sha(report_json(_without_bounds(report)).encode())
+    print(f"derived {name} {digest}", flush=True)
+    for k, step in enumerate(steps):
+        print(f"scan {name} {k} {_step_digest(step)}", flush=True)
+
+
 def main() -> None:
     print(f"bounds {json.dumps(asdict(surface.Bounds()), sort_keys=True)}", flush=True)
-    for path in sorted(CORPUS.glob("*.endo")):
+    paths = sorted(CORPUS.glob("*.endo"))
+    for path in paths:
         spec = parse(path.read_text())
         moves: list = []
         states = hashlib.sha256()
@@ -180,6 +198,14 @@ def main() -> None:
             result = "none" if hit is None else \
                 f"{show_word(hit[0])},{hit[1]},{hit[2]:+d}"
             print(f"search {path.stem} {max_period},{max_len} {result}", flush=True)
+    for path in paths:
+        spec = parse(path.read_text())
+        square = spec.endo.power(2)
+        if sum(map(len, square.images)) <= 40:
+            _print_classify(f"{path.stem}^2", EndoSpec(spec.rank, square))
+    for k in range(3, 7):
+        _print_classify(f"a->a^{k}b,b->a",
+                        parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
 
 
 if __name__ == "__main__":
