@@ -375,6 +375,18 @@ def reach(adj, start) -> set:
     return seen
 
 
+def transition_flags(digraph: EdgeDigraph) -> tuple:
+    """(irreducible, expanding) of the transition matrix M, exactly: M is
+    strongly connected, and then some row sum exceeds 1.  An irreducible M's
+    Perron root lies between its least and greatest row sums (each at least
+    1 on two or more edges, the root itself on one), equal to either only
+    when all are equal (Horn-Johnson, "Matrix Analysis", section 8.1)."""
+    n = len(digraph.succ)
+    irreducible = n == 0 or (len(reach(digraph.succ, 0)) == n
+                             and len(reach(digraph.pred, 0)) == n)
+    return (irreducible, irreducible and any(sum(c) > 1 for c in digraph.counts))
+
+
 def transition_matrix(gm: GraphMap) -> TransitionData:
     """The transition matrix M of `gm` (rows and columns in edge id order)
     and its Perron-Frobenius data, by power iteration on M + I.
@@ -392,12 +404,11 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     or after 2000 steps.  lambda is the Rayleigh quotient of the last
     iterate, snapped to an integer within 1e-12.  On a reducible M with a
     defective dominant eigenvalue it is not the Perron root (a -> a,
-    b -> ab reads 1.000999 for 1), but `expanding` needs M irreducible."""
+    b -> ab reads 1.000999 for 1), and no flag reads it."""
     order = tuple(gm.graph.edge_ids())
     n = len(order)
     digraph = edge_digraph(gm)
-    irreducible = n == 0 or (len(reach(digraph.succ, 0)) == n
-                             and len(reach(digraph.pred, 0)) == n)
+    (irreducible, expanding) = transition_flags(digraph)
     # each row as a getter of the v[j] at its nonzero columns, in
     # increasing order, and their coefficients, or None when every
     # coefficient is 1.  The entries are nonnegative integers, so leaving
@@ -447,7 +458,6 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
         eigenmetric = tuple(x / total for x in v)
         mv = times(eigenmetric)
         residual = max(abs(mv[i] - lam * eigenmetric[i]) for i in range(n))
-    expanding = irreducible and lam > 1 + 1e-9
     return TransitionData(order, digraph, lam, eigenmetric, irreducible,
                           expanding, residual, steps)
 

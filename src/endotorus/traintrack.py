@@ -28,7 +28,9 @@ from endotorus.graphmap import (
     EdgeDigraph,
     GraphMap,
     TransitionData,
+    edge_digraph,
     reach,
+    transition_flags,
     transition_matrix,
     with_eigenmetric,
 )
@@ -417,7 +419,9 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
 def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict):
     """Deterministic fold choice: from each illegal turn crossed in an image,
     walk back along the direction map to a foldable pair; order candidates
-    full-before-partial, then by vertex and edge indices."""
+    full-before-partial, then by vertex and edge indices.  Each crossing
+    gives one: its two directions differ, the walk keeps them apart, and
+    they meet within N steps, as `gate_map` is the kernel of Df^N (`gates`)."""
     crossings = illegal_crossings(gm, gate_map)
     if not crossings:
         return None
@@ -425,24 +429,14 @@ def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict):
     for (_, _, d1, d2) in crossings:
         # find minimal j with Df^j equalizing, fold the pair one step before
         a, b = d1, d2
-        guard = 0
         while dmap[a] != dmap[b]:
             a, b = dmap[a], dmap[b]
-            guard += 1
-            if guard > 4 * len(dmap):
-                a = None
-                break
-        if a is None or a == b:
-            continue
         full = gm.image_of_edge(a) == gm.image_of_edge(b)
         v = gm.graph.init_of(a)
         key = (0 if full else 1, v, min(abs(a), abs(b)), max(abs(a), abs(b)),
                min(a, b), max(a, b))
         candidates.append((key, a, b))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda t: t[0])
-    (_, a, b) = candidates[0]
+    (_, a, b) = min(candidates, key=lambda t: t[0])
     return (a, b)
 
 
@@ -450,9 +444,11 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
     """Run the folding loop: returns TrainTrack, ReductionWitness,
     FiniteOrderCertificate, or Unknown.
 
-    Reducible transition matrices are resolved into reduction witnesses when
-    the invariant subgraph carries fundamental group, and collapsed when it
-    is a forest.  Every witness is verified by membership before returning.
+    Each iteration reads `transition_flags` off the edge digraph; only the
+    train track returned gets `transition_matrix`.  Reducible transition
+    matrices are resolved into reduction witnesses when the invariant
+    subgraph carries fundamental group, and collapsed when it is a forest.
+    Every witness is verified by membership before returning.
     """
     gm = GraphMap.rose(endo)
     for iteration in range(max_iterations):
@@ -466,20 +462,21 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
                                "(map is not injective on homotopy)", iteration)
             gm = gm.collapse_forest(trivial)
             continue
-        data = transition_matrix(gm)
-        if not data.irreducible:
+        digraph = edge_digraph(gm)
+        (irreducible, expanding) = transition_flags(digraph)
+        if not irreducible:
             # a source component of a reducible M is proper, so its
             # complement carries fundamental group or is a forest
-            (sub, forest) = invariant_sets(gm, data.digraph)
+            (sub, forest) = invariant_sets(gm, digraph)
             if sub is None:
                 gm = gm.collapse_forest(forest)
                 continue
-            witness = build_reduction_witness(gm, endo, sub, data.digraph,
+            witness = build_reduction_witness(gm, endo, sub, digraph,
                                               "invariant subgraph of the folded representative")
             if witness is not None:
                 return witness
             return Unknown("invariant subgraph failed verification", iteration)
-        if not data.expanding:
+        if not expanding:
             cert = is_finite_order(endo)
             if cert is not None:
                 return cert
@@ -491,6 +488,7 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
         if pick is None:
             # the eigenmetric changes only lengths; gates and the transition
             # data read only images
+            data = transition_matrix(gm)
             return TrainTrack(with_eigenmetric(gm, data), gate_map, data)
         try:
             gm = fold_at_pair(gm, *pick)

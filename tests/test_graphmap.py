@@ -16,7 +16,9 @@ from endotorus.graphmap import (
     GraphMap,
     MarkedGraph,
     TransitionData,
+    edge_digraph,
     push_path,
+    transition_flags,
     transition_matrix,
     transport_path,
     with_eigenmetric,
@@ -415,6 +417,59 @@ class TestTransitionOracle:
         data = transition_matrix(gm)
         assert data.as_lists() == matrix
         assert data.irreducible == reference_strongly_connected(matrix)
+
+
+# ---------------------------------------------------------------------------
+# the exact flags against the float rule they replaced
+# ---------------------------------------------------------------------------
+
+def assert_flags_match_the_float_rule(gm):
+    """`transition_flags` against the oracle's `irreducible` and its
+    `expanding`, which is `irreducible and lam > 1 + 1e-9` on the power
+    iteration."""
+    ref = reference_transition_matrix(gm)
+    flags = transition_flags(edge_digraph(gm))
+    assert flags == (ref.irreducible, ref.expanding)
+    return (flags, ref.lam)
+
+
+@st.composite
+def signed_permutations(draw):
+    """A rank-2..6 automorphism sending each generator to another one or
+    its inverse."""
+    rank = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(1, rank + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    return Endomorphism(rank, tuple((s * g,) for (s, g) in zip(signs, perm)))
+
+
+class TestTransitionFlags:
+    @given(subdivided_roses())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graph_maps_match_the_float_rule(self, gm):
+        assert_flags_match_the_float_rule(gm)
+
+    @given(signed_permutations())
+    @settings(max_examples=60, deadline=None)
+    def test_signed_permutations_do_not_expand(self, endo):
+        # lambda = 1; the rose is irreducible when the permutation is one
+        # cycle
+        ((irreducible, expanding), lam) = assert_flags_match_the_float_rule(rose(endo))
+        assert not expanding and lam == 1.0
+        cycle = [1]
+        while abs(endo.images[cycle[-1] - 1][0]) != 1:
+            cycle.append(abs(endo.images[cycle[-1] - 1][0]))
+        assert irreducible == (len(cycle) == endo.rank)
+
+    @pytest.mark.parametrize("tail", [(1, 2), (1, 1)], ids=["l^n=l+1", "l^n=2"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_roots_near_one_expand(self, n, tail):
+        # a_1 -> a_2, ..., a_{n-1} -> a_n and a_n -> a_1 a_2 or a_1 a_1:
+        # lambda^n = lambda + 1 or lambda^n = 2, down to 1.0866 at n = 8
+        endo = Endomorphism(n, tuple((i,) for i in range(2, n + 1)) + (tail,))
+        (flags, lam) = assert_flags_match_the_float_rule(rose(endo))
+        assert flags == (True, True)
+        assert abs(lam ** n - (lam + 1 if tail == (1, 2) else 2)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

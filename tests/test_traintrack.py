@@ -500,6 +500,31 @@ class TestFindTrainTrack:
         assert result.data is calls[-1][1]
         assert result.gm.eimg == calls[-1][0].eimg
 
+    @pytest.mark.parametrize("source,max_iterations,kind", [
+        ("rank 3; a -> c c c b; b -> b a; c -> B B A;", 500, TrainTrack),
+        ((CORPUS / "inner_rank2.endo").read_text(), 60, Unknown),
+        ((CORPUS / "squares_reducible.endo").read_text(), 500, ReductionWitness),
+    ], ids=["three_folds", "inner_rank2", "squares_reducible"])
+    def test_transition_matrix_runs_only_for_a_returned_train_track(
+            self, source, max_iterations, kind, monkeypatch):
+        # the loop reads its flags off the edge digraph; lambda and the
+        # eigenmetric are computed once, for the train track it returns
+        calls = []
+        real = tt_module.transition_matrix
+
+        def recording(gm):
+            calls.append(real(gm))
+            return calls[-1]
+
+        monkeypatch.setattr(tt_module, "transition_matrix", recording)
+        monkeypatch.setattr(graphmap, "transition_matrix", recording)
+        result = find_train_track(parse(source).endo, max_iterations)
+        assert isinstance(result, kind)
+        if kind is TrainTrack:
+            assert len(calls) == 1 and calls[0] is result.data
+        else:
+            assert calls == []
+
     def test_history_holds_only_the_last_move(self, monkeypatch):
         # every graph map keeps the push maps of the move that made it, so
         # the folding loop does not pile them up: fold_at_pair makes at

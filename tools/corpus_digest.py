@@ -46,6 +46,15 @@ letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
 named `a->a^kb,b->a`.  Each prints `derived name sha256`, the hash of its
 `classify` report without bounds, followed by its `scan` lines as above.
 
+Last come 13 maps on which the folding loop runs out its iteration budget
+or fails to verify an invariant subgraph (`FOLD_LOOP_MAPS`), each named by
+its images without spaces, as `a->Ab,b->ba`.  Each prints
+`tt name sha256`, the hash of its `tt` report without bounds, and then
+`maps name sha256`, the hash of the state of every map that the moves
+inside that `tt` make, as above.  Up to 500 folds each, they hold the
+folding loop to thousands of graphs that the corpus never reaches.  Their
+edge words are not hashed: on graphs that large they take minutes a map.
+
 Run it with PYTHONPATH set to each of two source trees and `diff` the
 outputs to check that a change leaves every report, step, move and search
 result identical.
@@ -67,6 +76,21 @@ from endotorus.words import periodic_conjugacy_search, show_word
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 MOVE_COMMANDS = ("classify", "tt")
 SEARCH_BOUNDS = ((6, 12), (3, 8))   # (max_period, max_len)
+FOLD_LOOP_MAPS = (
+    "rank 2; a -> A b; b -> b a;",
+    "rank 2; a -> A b a; b -> b a;",
+    "rank 2; a -> a b A; b -> a b;",
+    "rank 2; a -> b a; b -> b b a B;",
+    "rank 2; a -> B A; b -> a b b;",
+    "rank 3; a -> b; b -> b c B; c -> b a;",
+    "rank 2; a -> b a b a B; b -> b a;",
+    "rank 2; a -> B A b A A; b -> B A b;",
+    "rank 2; a -> A b b A b A b; b -> A b;",
+    "rank 3; a -> b C; b -> C a a; c -> c a B C;",
+    "rank 2; a -> A B; b -> b A B;",
+    "rank 2; a -> B; b -> a b b b;",
+    "rank 2; a -> A B a; b -> A B A B B a;",
+)
 
 
 def _sha(data: bytes) -> str:
@@ -127,6 +151,14 @@ def _recording(owner, name: str, record):
         setattr(owner, name, real)
 
 
+def _record_moves(stack: ExitStack, move) -> None:
+    """Record every subdivision, fold, forest collapse and refinement as
+    `move(args, new map)` until `stack` closes."""
+    stack.enter_context(_recording(nielsen, "refine_at_points", move))
+    for name in ("subdivide", "fold", "collapse_forest"):
+        stack.enter_context(_recording(GraphMap, name, move))
+
+
 def _run_recording(command: str, spec, states) -> tuple:
     """(report, stabilization steps, edge words after each move, power
     iteration steps) of one command; a step is a (representative, paths)
@@ -158,9 +190,7 @@ def _run_recording(command: str, spec, states) -> tuple:
         for module in (graphmap, traintrack, nielsen):
             stack.enter_context(_recording(module, "transition_matrix", iterated))
         if command in MOVE_COMMANDS and states is not None:
-            stack.enter_context(_recording(nielsen, "refine_at_points", move))
-            for name in ("subdivide", "fold", "collapse_forest"):
-                stack.enter_context(_recording(GraphMap, name, move))
+            _record_moves(stack, move)
         return run(command, spec), steps, moves, power[0]
 
 
@@ -171,6 +201,19 @@ def _print_classify(name: str, spec) -> None:
     print(f"derived {name} {digest}", flush=True)
     for k, step in enumerate(steps):
         print(f"scan {name} {k} {_step_digest(step)}", flush=True)
+
+
+def _print_tt(source: str) -> None:
+    """The `tt` line of a map outside the corpus and the `maps` line of the
+    moves inside it."""
+    name = ",".join(part.replace(" ", "") for part in source.split(";")[1:-1])
+    states = hashlib.sha256()
+    with ExitStack() as stack:
+        _record_moves(stack, lambda _, gm: states.update(_map_state(gm)))
+        report = run("tt", parse(source))
+    print(f"tt {name} {_sha(report_json(_without_bounds(report)).encode())}",
+          flush=True)
+    print(f"maps {name} {states.hexdigest()}", flush=True)
 
 
 def main() -> None:
@@ -206,6 +249,8 @@ def main() -> None:
     for k in range(3, 7):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
+    for source in FOLD_LOOP_MAPS:
+        _print_tt(source)
 
 
 if __name__ == "__main__":
