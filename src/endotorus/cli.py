@@ -117,6 +117,9 @@ def parse(text: str) -> EndoSpec:
     rank = int(clean[start:pos])
     if rank < 2:
         raise ParseError("rank must be at least 2", start)
+    if rank > 26:
+        raise ParseError("rank must be at most 26, one generator for each "
+                         "letter a-z", start)
     expect_str(";")
 
     images: dict = {}
@@ -281,6 +284,8 @@ def _verdict_dict(v: Verdict) -> dict:
                            "source": v.toroidal.source}
     if v.atoroidal is not None:
         out["atoroidal"] = {"period_bound": v.atoroidal.period_bound,
+                            "interior_endpoint_period_bound":
+                                v.atoroidal.interior_endpoint_period_bound,
                             "radius": v.atoroidal.radius}
     if v.loops is not None:
         out["nielsen_loops"] = _loops_dict(v.loops)
@@ -383,8 +388,10 @@ def _render_text(report: dict) -> str:
             lines.append(f"periodic class: {v['toroidal']['witness']} "
                          f"(period {v['toroidal']['period']})")
         if "atoroidal" in v:
+            a = v["atoroidal"]
             lines.append(f"atoroidal within bounds: period <= "
-                         f"{v['atoroidal']['period_bound']}")
+                         f"{a['period_bound']}, interior endpoint period <= "
+                         f"{a['interior_endpoint_period_bound']}")
         for note in v.get("notes", []):
             lines.append(f"note: {note}")
     for key in ("train_track", "surface", "witness_subgroup", "fiber_chain",

@@ -387,9 +387,10 @@ def transition_flags(digraph: EdgeDigraph) -> tuple:
     return (irreducible, irreducible and any(sum(c) > 1 for c in digraph.counts))
 
 
-def transition_matrix(gm: GraphMap) -> TransitionData:
-    """The transition matrix M of `gm` (rows and columns in edge id order)
-    and its Perron-Frobenius data, by power iteration on M + I.
+def transition_matrix(gm: GraphMap, digraph: EdgeDigraph) -> TransitionData:
+    """The transition matrix M of `gm` (rows and columns in edge id order),
+    read off `digraph`, the `edge_digraph(gm)` that the caller holds, and
+    its Perron-Frobenius data, by power iteration on M + I.
 
     The iteration starts from the graph's own lengths, taken in edge order,
     when every one is positive, and from ones otherwise: a zero entry could
@@ -407,7 +408,6 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
     b -> ab reads 1.000999 for 1), and no flag reads it."""
     order = tuple(gm.graph.edge_ids())
     n = len(order)
-    digraph = edge_digraph(gm)
     (irreducible, expanding) = transition_flags(digraph)
     # each row as a getter of the v[j] at its nonzero columns, in
     # increasing order, and their coefficients, or None when every
@@ -464,7 +464,7 @@ def transition_matrix(gm: GraphMap) -> TransitionData:
 
 def with_eigenmetric(gm: GraphMap, data: TransitionData) -> GraphMap:
     """The graph map with edge lengths set to the eigenmetric of `data`,
-    `transition_matrix(gm)`, which reads only the images and so holds for
+    `transition_matrix(gm, ...)`, which reads only the images and so holds for
     the result too."""
     if data.eigenmetric is None:
         return gm

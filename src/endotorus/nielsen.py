@@ -37,7 +37,8 @@ and f^3 (up to INTERIOR_BOUND), one per occurrence of e or its reverse in
 the f^per-image of e; f sends each of them to another or to a vertex, so
 they need no closure under f.  The Nielsen loops pair the orbit paths'
 ends vertex by vertex, since whether a junction is tight and whether a
-vertex link is one circle are both decided at one vertex.
+vertex link is one circle are both decided at one vertex; the link counts
+of the pairings taken are the surface test, which the surface layer reads.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from endotorus.words import CyclicWord, cyclic_canonical, invert
 from endotorus.graphmap import (
     POINT_TOL,
     GraphMap,
+    edge_digraph,
     reach,
     refine_at_points,
     transition_matrix,
@@ -105,6 +107,7 @@ class NielsenLoops:
     multiplicities: dict   # unoriented edge -> times covered
     classes: list          # CyclicWord per loop (ambient conjugacy classes)
     transitive: bool       # f permutes the loops in a single cycle
+    link_components: list  # per vertex: components of its link (1: a circle)
 
 
 @dataclass
@@ -120,6 +123,11 @@ class StableRepresentative:
 class Atoroidal:
     period_bound: int
     radius: float          # bounded-cancellation scan radius used
+
+    @property
+    def interior_endpoint_period_bound(self) -> int:
+        """The greatest period of an interior path end the scan can see."""
+        return min(INTERIOR_BOUND, self.period_bound)
 
 
 @dataclass
@@ -197,7 +205,7 @@ def prepare_representative(tt: TrainTrack, interior_bound: int) -> TrainTrack:
     if not cuts:
         return tt
     gm2 = refine_at_points(tt.gm, cuts)
-    data = transition_matrix(gm2)
+    data = transition_matrix(gm2, edge_digraph(gm2))
     return TrainTrack(gm2, gates(gm2), data)
 
 
@@ -525,7 +533,8 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
         try:
             folded = fold_at_pair(gm, d1, d2).tighten()
             moved = [transport_path(folded, p) for p in orbits[oi].paths]
-            tt2 = TrainTrack(folded, gates(folded), transition_matrix(folded))
+            tt2 = TrainTrack(folded, gates(folded),
+                             transition_matrix(folded, edge_digraph(folded)))
             radius2 = tt2.radius
             pinps2 = _carry(tt2, pinps, period_bound, radius2)
             carried = pinps2 is not None
@@ -557,18 +566,6 @@ def critical_equation(tt: TrainTrack, orbits: list) -> float:
         return 2.0
     total = sum(o.volume(tt.gm) for o in orbits)
     return abs(total / tt.gm.graph.volume() - 2.0)
-
-
-def _vertex_links(gm: GraphMap, loops) -> dict:
-    """Link of each vertex, as the turns the loop system takes there: pairs
-    (d_in, d_out) of directions at the vertex, the edges of a graph on
-    them.  Every direction has degree two when each edge is covered twice,
-    so links are disjoint circles; a surface point needs a single circle."""
-    links: dict = {v: [] for v in range(gm.graph.nv)}
-    for loop in loops:
-        for (x, y) in zip(loop, loop[1:] + loop[:1]):
-            links[gm.graph.term_of(x)].append((-x, y))
-    return links
 
 
 def _link_components(turns) -> int:
@@ -616,7 +613,9 @@ def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     least end of all paired first, this is the first one with the same
     property.  A perfect matching of tight junctions closes every walk into
     a tight loop, since each loop's closing junction is one of them; a
-    vertex without a tight perfect matching of its ends raises ValueError."""
+    vertex without a tight perfect matching of its ends raises ValueError.
+    `link_components` keeps the count made for the pairing taken at each
+    vertex: the surface construction's vertex-link test, decided once."""
     gm = tt.gm
     g = gm.graph
     arcs = [p for o in orbits for p in o.paths]
@@ -630,18 +629,20 @@ def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     for p in arcs:
         for (x, y) in zip(p, p[1:]):
             inner[g.term_of(x)].append((-x, y))
-    (tight, circles) = ([], [])
+    (tight, circles) = ([], [])   # per vertex: (pairing, link components)
     for v in range(g.nv):
-        pairings = list(islice(_pairings(ends[v], away), 64))
-        if not pairings:
+        counted = ((pairing, _link_components(
+            inner[v] + [(away[i], away[j]) for (i, j) in pairing]))
+            for pairing in islice(_pairings(ends[v], away), 64))
+        first = next(counted, None)
+        if first is None:
             raise ValueError("orbit paths do not close into Nielsen loops")
-        tight.append(pairings[0])
-        circles.append(next(
-            (pairing for pairing in pairings if _link_components(
-                inner[v] + [(away[i], away[j]) for (i, j) in pairing]) <= 1),
-            None))
+        tight.append(first)
+        circles.append(next((pc for pc in chain([first], counted)
+                             if pc[1] <= 1), None))
+    chosen = circles if None not in circles else tight
     partner: dict = {}
-    for pairing in (circles if None not in circles else tight):
+    for (pairing, _) in chosen:
         for (i, j) in pairing:
             (partner[i], partner[j]) = (j, i)
     loops = []
@@ -669,7 +670,8 @@ def nielsen_loops(tt: TrainTrack, orbits: list) -> NielsenLoops:
     perm = [canon.get(cyclic_canonical(gm.map_path(l), unoriented=True), -1)
             for l in loops]
     transitive = sorted(perm) == list(range(len(loops))) and _single_cycle(perm)
-    return NielsenLoops(loops, mult, classes, transitive)
+    return NielsenLoops(loops, mult, classes, transitive,
+                        [count for (_, count) in chosen])
 
 
 def _single_cycle(perm) -> bool:

@@ -3,7 +3,8 @@ behind every verdict and report.
 
 When a stable representative's Nielsen loops cover every edge exactly twice,
 thickening the graph and attaching an annulus along each loop produces a
-compact surface provided the link of every vertex is a single circle; the
+compact surface provided the link of every vertex is a single circle (the
+loops count each link when they close; this module reads the counts); the
 loop system supplies the boundary, and the induced homeomorphism is the
 monodromy.  Euler characteristic bookkeeping turns the combinatorics into
 (genus, boundary count).
@@ -25,8 +26,6 @@ from endotorus.nielsen import (
     NielsenLoops,
     StableRepresentative,
     Toroidal,
-    _link_components,
-    _vertex_links,
     nielsen_loops,
     stabilize,
 )
@@ -117,7 +116,8 @@ def _orientable(gm, loops) -> bool:
 
 
 def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
-    """SurfaceRealization, or NotSurface with the offending vertex link.
+    """SurfaceRealization, or NotSurface with the least vertex whose link,
+    as `nielsen_loops` counted it, is not one circle.
 
     The blow-up of a disconnected link splits the vertex and joins the parts
     by an arc; the arc is not covered by the loop system, so the covering
@@ -129,11 +129,10 @@ def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
             f"(multiplicities {sorted(set(loops.multiplicities.values()))}); "
             "with certified irreducibility this would contradict the "
             "stable-representative covering property")
-    links = _vertex_links(gm, loops.loops)
-    for v in sorted(links):
-        if not links[v]:
+    for (v, count) in enumerate(loops.link_components):
+        if count == 0:
             return NotSurface("isolated vertex in the loop system", v)
-        if _link_components(links[v]) != 1:
+        if count != 1:
             return NotSurface(
                 "vertex link splits after blow-up: the connecting arc would "
                 "be uncovered", v)

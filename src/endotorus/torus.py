@@ -39,6 +39,7 @@ class WitnessSubgroup:
     chi: int
     cyclic_fiber: bool
     provenance: str
+    graph: SubgroupGraph       # Stallings graph of A; as_dict leaves it out
 
     def as_dict(self) -> dict:
         return {
@@ -55,7 +56,8 @@ def witness_subgroup(endo: Endomorphism, a_basis: Sequence[Word], x: Word,
                      n: int, provenance: str = "") -> WitnessSubgroup:
     """Verified construction of <A, t^n x>: requires phi^n(A) <= x A x^-1 by
     membership and A proper.  chi = 0 because the presentation is an
-    ascending extension of A over itself."""
+    ascending extension of A over itself.  The Stallings graph of A built
+    for the membership test is kept, for the preimage chain."""
     graph = sg.stallings(endo.rank, list(a_basis))
     if graph.index() == 1:
         raise ValueError("witness fiber must be a proper subgroup")
@@ -66,7 +68,7 @@ def witness_subgroup(endo: Endomorphism, a_basis: Sequence[Word], x: Word,
                              "basis element")
     rank = len(graph.basis())
     return WitnessSubgroup([reduce_word(w) for w in a_basis], n,
-                           reduce_word(x), 0, rank <= 1, provenance)
+                           reduce_word(x), 0, rank <= 1, provenance, graph)
 
 
 def fiber_chain(endo: Endomorphism, a_graph: SubgroupGraph, x: Word, n: int,
@@ -198,8 +200,7 @@ def subgroup_report(analysis: Analysis) -> dict:
         try:
             ws = witness_subgroup(endo, a_basis, X, n,
                                   provenance=witness.provenance)
-            a_graph = sg.stallings(endo.rank, a_basis)
-            chain = fiber_chain(endo, a_graph, X, n, k_max=bounds.kmax)
+            chain = fiber_chain(endo, ws.graph, X, n, k_max=bounds.kmax)
             report["witness_subgroup"] = ws.as_dict()
             report["fiber_chain"] = chain
         except ValueError as exc:

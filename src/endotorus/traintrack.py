@@ -445,10 +445,10 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
     FiniteOrderCertificate, or Unknown.
 
     Each iteration reads `transition_flags` off the edge digraph; only the
-    train track returned gets `transition_matrix`.  Reducible transition
-    matrices are resolved into reduction witnesses when the invariant
-    subgraph carries fundamental group, and collapsed when it is a forest.
-    Every witness is verified by membership before returning.
+    train track returned gets `transition_matrix`, on that digraph.
+    Reducible transition matrices are resolved into reduction witnesses when
+    the invariant subgraph carries fundamental group, and collapsed when it
+    is a forest.  Every witness is verified by membership before returning.
     """
     gm = GraphMap.rose(endo)
     for iteration in range(max_iterations):
@@ -488,7 +488,7 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
         if pick is None:
             # the eigenmetric changes only lengths; gates and the transition
             # data read only images
-            data = transition_matrix(gm)
+            data = transition_matrix(gm, digraph)
             return TrainTrack(with_eigenmetric(gm, data), gate_map, data)
         try:
             gm = fold_at_pair(gm, *pick)

@@ -3,6 +3,9 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
+from endotorus.graphmap import GraphMap, MarkedGraph, edge_digraph, transition_matrix
+from endotorus.nielsen import NielsenOrbit
+from endotorus.traintrack import TrainTrack, gates
 from endotorus.words import cyclic_canonical
 
 
@@ -85,3 +88,28 @@ def certify_growth_rate(matrix, lam: float, eps: float = 1e-9) -> bool:
     hi = Fraction(lam + eps).limit_denominator(10 ** 12)
     vlo, vhi = val(lo), val(hi)
     return vlo == 0 or vhi == 0 or (vlo < 0) != (vhi < 0)
+
+
+# ---------------------------------------------------------------------------
+# arc systems for the Nielsen loops and the surface test
+# ---------------------------------------------------------------------------
+
+def identity_track(nv, edges):
+    """The identity of the graph with edges 1.. (init, term) over nv
+    vertices, as a train track: the first nv - 1 edges span a tree and are
+    labeled by the empty word, each other edge by a generator of its own."""
+    graph = MarkedGraph(nv, dict(enumerate(edges, 1)),
+                        {e: 1.0 for e in range(1, len(edges) + 1)})
+    labels = {e: () if e < nv else (e - nv + 1,) for e in graph.edges}
+    gm = GraphMap(graph, {v: v for v in range(nv)},
+                  {e: (e,) for e in graph.edges}, len(edges) - nv + 1, labels)
+    return TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
+
+
+def arc_orbits(arcs):
+    return [NielsenOrbit(list(arcs), [0] * len(arcs), [], 1, False)]
+
+
+# edges 1 and 2 are loops at vertex 0, edge 3 joins it to vertex 1, and
+# edges 4 and 5 are loops there
+TWO_ROSES = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]

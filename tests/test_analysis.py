@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from endotorus.cli import COMMANDS, parse, run
+from endotorus.surface import Analysis, Bounds
+from endotorus.torus import subgroup_report
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -94,6 +96,69 @@ def test_torus_reads_no_verdict(monkeypatch):
     assert calls["stabilize"] == []
     run("report", _spec("golden_geometric"))
     assert len(calls["stabilize"]) == 1
+
+
+# each stage hands on what it computed, and no later stage builds it again
+
+@pytest.mark.parametrize("name,vertices", [
+    ("composite_geometric", 20), ("double_cover_geometric", 21),
+    ("golden_geometric", 4), ("golden_mirror", 4), ("golden_transpose", 4)])
+def test_vertex_links_are_counted_once(monkeypatch, name, vertices):
+    """The surface reads the link counts that the Nielsen loops made for
+    the pairings they took; on these inputs the first pairing at each
+    vertex is a circle, so there is one count per vertex."""
+    calls = spy_on(monkeypatch, ("nielsen", "_link_components"))
+    verdict = run("classify", _spec(name))["verdict"]
+    assert verdict["kind"] == "geometric"
+    assert verdict["stabilization"]["train_track"]["vertices"] == vertices
+    assert len(calls["_link_components"]) == vertices
+
+
+TRAIN_TRACK_INPUTS = (
+    "composite_geometric", "double_cover_geometric", "expanding_double",
+    "golden_geometric", "golden_mirror", "golden_transpose",
+    "noninjective_equal_images", "nonsurjective_mixed", "plastic_rank3",
+    "remark_irreducible_atoroidal")
+
+
+@pytest.mark.parametrize("name", TRAIN_TRACK_INPUTS)
+def test_the_train_track_keeps_the_fold_loops_digraph(monkeypatch, name):
+    """`transition_matrix` reads the edge digraph of the fold loop's last
+    iteration instead of building it again."""
+    calls = spy_on(monkeypatch, ("graphmap", "edge_digraph"))
+    images = run("tt", _spec(name))["train_track"]["edge_images"]
+    final = [call for call in calls["edge_digraph"]
+             if {str(e): list(p) for (e, p) in call["gm"].eimg.items()} == images]
+    assert len(final) == 1
+
+
+WITNESS_INPUTS = (
+    "conjugation_twist", "cycle3_finite_order", "dehn_twist",
+    "expanding_double", "identity_rank2", "inner_rank2",
+    "noninjective_equal_images", "noninjective_extension",
+    "nonsurjective_mixed", "rank3_invariant_subrose", "rank3_swap_twist",
+    "remark_extension_reducible", "squares_reducible", "swap_finite_order")
+
+
+@pytest.mark.parametrize("name", WITNESS_INPUTS)
+def test_the_fiber_chain_takes_the_witness_graph(monkeypatch, name):
+    """Past the stages of the analysis, the subgroup report folds A's
+    Stallings graph once, in `witness_subgroup`, and the chain starts from
+    it."""
+    analysis = Analysis(_spec(name).endo, Bounds())
+    # run the stages the report reads first, so only its own folds count
+    (analysis.verdict, analysis.reduction_witness, analysis.word_hit)
+    calls = spy_on(monkeypatch, ("subgroups", "stallings"))
+    report = subgroup_report(analysis)
+    assert "witness_subgroup" in report and "fiber_chain" in report
+    assert len(calls["stallings"]) == 1
+
+
+def test_report_of_conjugation_twist_folds_three_graphs(monkeypatch):
+    # the image, the witness's verification, and A for the witness subgroup
+    calls = spy_on(monkeypatch, ("subgroups", "stallings"))
+    run("report", _spec("conjugation_twist"))
+    assert len(calls["stallings"]) == 3
 
 
 def test_traced_layers_exist():

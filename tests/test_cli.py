@@ -267,6 +267,41 @@ class TestCommandLine:
         assert err.splitlines() == [
             f"error: cannot read {missing}: No such file or directory"]
 
+    def test_rank_above_26_is_rejected_at_the_integer(self, tmp_path, capsys):
+        # generators are the letters a-z; a 27th could never be named
+        text = "rank 27; " + " ".join(f"{c} -> {c};"
+                                      for c in "abcdefghijklmnopqrstuvwxyz")
+        path = tmp_path / "rank27.endo"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            f"error: parse error at offset {text.index('27')}: ")
+        assert "a-z" in err
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == text.index("27")
+
+    @pytest.mark.parametrize("flags,bounds", [([], (8, 3)),
+                                              (["--period-bound", "2"], (2, 2))])
+    def test_atoroidal_names_the_endpoint_period_it_covered(
+            self, flags, bounds, tmp_path, capsys):
+        # the scan makes vertices only of interior periodic points of period
+        # up to 3, so a Nielsen path ending at one of period 4 goes unseen;
+        # on this map a scan refined to period 4 finds two of period 2
+        path = tmp_path / "endpoints.endo"
+        path.write_text("rank 3; a -> a c; b -> a; c -> b;")
+        assert main(["classify", str(path), "--json", *flags]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["kind"] == "irreducible_atoroidal"
+        atoroidal = verdict["atoroidal"]
+        assert (atoroidal["period_bound"],
+                atoroidal["interior_endpoint_period_bound"]) == bounds
+        assert main(["classify", str(path), *flags]) == 0
+        assert (f"atoroidal within bounds: period <= {bounds[0]}, interior "
+                f"endpoint period <= {bounds[1]}") in capsys.readouterr().out
+
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "classify", "-"],

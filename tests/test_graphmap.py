@@ -77,25 +77,29 @@ class TestTighten:
 
 class TestTransition:
     def test_remark_matrix_and_lambda(self):
-        data = transition_matrix(rose(PHI))
+        gm = rose(PHI)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == [[1, 1], [1, 1]]
         assert data.lam == 2.0
         assert data.irreducible and data.expanding
 
     def test_identity_not_expanding(self):
-        data = transition_matrix(rose(Endomorphism.identity(2)))
+        gm = rose(Endomorphism.identity(2))
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == [[1, 0], [0, 1]]
         assert data.lam == 1.0
         assert not data.expanding
 
     def test_golden_ratio(self):
-        data = transition_matrix(rose(GOLDEN))
+        gm = rose(GOLDEN)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == [[1, 1], [1, 0]]
         assert abs(data.lam - GOLDEN_RATIO) < 1e-12
         assert certify_growth_rate(data.as_lists(), data.lam)
 
     def test_eigenmetric_equation(self):
-        data = transition_matrix(rose(GOLDEN))
+        gm = rose(GOLDEN)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.residual < 1e-9
         v = data.eigenmetric
         assert all(x > 0 for x in v)
@@ -103,13 +107,13 @@ class TestTransition:
 
     def test_row_sums_are_image_lengths(self):
         gm = rose(GOLDEN)
-        data = transition_matrix(gm)
+        data = transition_matrix(gm, edge_digraph(gm))
         for i, e in enumerate(data.edge_order):
             assert sum(data.as_lists()[i]) == len(gm.eimg[e])
 
     def test_volume_after_eigenmetric(self):
         gm = rose(GOLDEN)
-        gm = with_eigenmetric(gm, transition_matrix(gm))
+        gm = with_eigenmetric(gm, transition_matrix(gm, edge_digraph(gm)))
         assert abs(gm.graph.volume() - 1.0) < 1e-12
 
 
@@ -169,7 +173,7 @@ class TestMoves:
 
     def test_fold_bookkeeping_volumes(self):
         gm = rose(GOLDEN)
-        gm = with_eigenmetric(gm, transition_matrix(gm))
+        gm = with_eigenmetric(gm, transition_matrix(gm, edge_digraph(gm)))
         vol0 = gm.graph.volume()
         split = gm.subdivide(1, 1)
         assert abs(split.graph.volume() - vol0) < 1e-9
@@ -225,7 +229,8 @@ class TestTwist:
         folded = off_base_map().fold(1, 2)
         split = folded.subdivide(3, 1)
         assert split.twist == folded.twist == split.tighten().twist
-        assert with_eigenmetric(split, transition_matrix(split)).twist == folded.twist
+        data = transition_matrix(split, edge_digraph(split))
+        assert with_eigenmetric(split, data).twist == folded.twist
         assert_marked(split, self.ENDO)
 
 
@@ -371,8 +376,8 @@ def classify_calls(name):
     calls = []
     real = graphmap.transition_matrix
 
-    def recording(gm):
-        data = real(gm)
+    def recording(gm, digraph):
+        data = real(gm, digraph)
         calls.append((gm, data))
         return data
 
@@ -395,11 +400,11 @@ class TestTransitionOracle:
     @given(subdivided_roses())
     @settings(max_examples=60, deadline=None)
     def test_random_graph_maps_match_the_dense_product(self, gm):
-        assert repr(transition_matrix(gm)) == repr(reference_transition_matrix(gm))
+        assert repr(transition_matrix(gm, edge_digraph(gm))) == repr(reference_transition_matrix(gm))
 
     def test_an_empty_row_matches_the_dense_product(self):
         gm = rose(Endomorphism(2, (parse_word("aab"), ())))
-        assert repr(transition_matrix(gm)) == repr(reference_transition_matrix(gm))
+        assert repr(transition_matrix(gm, edge_digraph(gm))) == repr(reference_transition_matrix(gm))
 
     @given(st.integers(0, 7).flatmap(lambda n: st.lists(
         st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=n, max_size=n),
@@ -414,7 +419,7 @@ class TestTransitionOracle:
         eimg = {i: tuple(j for (j, x) in enumerate(row, 1) for _ in range(x))
                 for (i, row) in enumerate(matrix, 1)}
         gm = GraphMap(graph, {0: 0}, eimg, n, {i: (i,) for i in range(1, n + 1)})
-        data = transition_matrix(gm)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == matrix
         assert data.irreducible == reference_strongly_connected(matrix)
 
@@ -485,8 +490,9 @@ def with_lengths(gm, lengths):
 
 
 def cold_start(gm):
-    """transition_matrix(gm) started from ones, whatever the lengths."""
-    return transition_matrix(with_lengths(gm, {e: 1.0 for e in gm.graph.lengths}))
+    """transition_matrix of gm started from ones, whatever the lengths."""
+    gm = with_lengths(gm, {e: 1.0 for e in gm.graph.lengths})
+    return transition_matrix(gm, edge_digraph(gm))
 
 
 def assert_warm_is_cold(gm):
@@ -495,7 +501,7 @@ def assert_warm_is_cold(gm):
     a -> a, b -> ab (M = ((1, 0), (1, 1)), a Jordan block) the Rayleigh
     quotient still reads 1.000999 there, so lambda is compared only when
     the cold run stopped on its own."""
-    (warm, cold) = (transition_matrix(gm), cold_start(gm))
+    (warm, cold) = (transition_matrix(gm, edge_digraph(gm)), cold_start(gm))
     assert (warm.edge_order, warm.digraph, warm.irreducible, warm.expanding) == \
         (cold.edge_order, cold.digraph, cold.irreducible, cold.expanding)
     assert cold.steps < 2000 or not cold.irreducible
@@ -524,7 +530,7 @@ class TestWarmStart:
         # never see the block of edge 1 and would read lambda = 1
         gm = rose(Endomorphism(2, (parse_word("aa"), parse_word("ba"))))
         gm = with_lengths(gm, {1: 0.0, 2: 1.0})
-        data = transition_matrix(gm)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert not data.irreducible
         assert data.lam == cold_start(gm).lam == 2.0
 
@@ -532,7 +538,7 @@ class TestWarmStart:
         # M = ((2, 2, 2), (1, 1, 0), (1, 2, 1)): from ones the iterates
         # alternate between two vectors from about step 25
         gm = rose(Endomorphism(3, tuple(map(parse_word, ("aabbcc", "ab", "abbc")))))
-        data = transition_matrix(gm)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == [[2, 2, 2], [1, 1, 0], [1, 2, 1]]
         assert data.steps < 100
         assert data.lam == 3.8751297941627785

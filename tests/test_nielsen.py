@@ -14,7 +14,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from endotorus import nielsen
 from endotorus.cli import parse
-from endotorus.graphmap import POINT_TOL, GraphMap, MarkedGraph, transition_matrix
+from endotorus.graphmap import (
+    POINT_TOL,
+    GraphMap,
+    MarkedGraph,
+    edge_digraph,
+    transition_matrix,
+)
 from endotorus.surface import classify
 from endotorus.words import (
     CyclicWord,
@@ -45,6 +51,8 @@ from endotorus.nielsen import (
     scan_pinps,
     stabilize,
 )
+
+from helpers import TWO_ROSES, arc_orbits, identity_track
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -201,7 +209,7 @@ class TestLoops:
                       {1: (1,), 2: (), 3: (), 4: (), 5: (2,)})
         assert graph.shortest_path(0, 2) == (1, 4)
         assert graph.shortest_path(2, 0) == (-2, -3)
-        tt = TrainTrack(gm, gates(gm), transition_matrix(gm))
+        tt = TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
         orbit = NielsenOrbit([(-4, -1, 3, 2)], [0], [], 1, False)
         loops = nielsen_loops(tt, [orbit])
         assert loops.classes == [CyclicWord.of(parse_word("a"))]
@@ -661,8 +669,8 @@ class TestEigenmetricCarry:
         made = []
         real = nielsen.transition_matrix
 
-        def recording(gm):
-            data = real(gm)
+        def recording(gm, digraph):
+            data = real(gm, digraph)
             made.append((gm.graph, data))
             return data
 
@@ -951,23 +959,10 @@ def reference_loops(tt, orbits):
         perm.append(canon.get(key, -1))
     transitive = sorted(perm) == list(range(len(loops))) \
         and reference_single_cycle(perm)
-    return NielsenLoops(loops, mult, classes, transitive)
-
-
-def identity_track(nv, edges):
-    """The identity of the graph with edges 1.. (init, term) over nv
-    vertices, as a train track: the first nv - 1 edges span a tree and are
-    labeled by the empty word, each other edge by a generator of its own."""
-    graph = MarkedGraph(nv, dict(enumerate(edges, 1)),
-                        {e: 1.0 for e in range(1, len(edges) + 1)})
-    labels = {e: () if e < nv else (e - nv + 1,) for e in graph.edges}
-    gm = GraphMap(graph, {v: v for v in range(nv)},
-                  {e: (e,) for e in graph.edges}, len(edges) - nv + 1, labels)
-    return TrainTrack(gm, gates(gm), transition_matrix(gm))
-
-
-def arc_orbits(arcs):
-    return [NielsenOrbit(list(arcs), [0] * len(arcs), [], 1, False)]
+    links = reference_vertex_links(gm, loops)
+    return NielsenLoops(loops, mult, classes, transitive,
+                        [reference_link_components(links[v])
+                         for v in range(gm.graph.nv)])
 
 
 def assert_loops_match_reference(tt, orbits):
@@ -1010,11 +1005,6 @@ def arc_systems(draw):
     return tt, arc_orbits(arcs)
 
 
-# edges 1 and 2 are loops at vertex 0, edge 3 joins it to vertex 1, and
-# edges 4 and 5 are loops there
-TWO_ROSES = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]
-
-
 class TestLoopOracle:
     @given(arc_systems())
     @settings(max_examples=150, deadline=None,
@@ -1030,8 +1020,9 @@ class TestLoopOracle:
         loops = assert_loops_match_reference(
             tt, arc_orbits([(1,), (1,), (2,), (2,)]))
         assert loops.loops == [(1,), (1, -2), (2,)]
-        links = nielsen._vertex_links(tt.gm, loops.loops)
-        assert nielsen._link_components(links[0]) == 1
+        links = reference_vertex_links(tt.gm, loops.loops)
+        assert reference_link_components(links[0]) == 1
+        assert loops.link_components == [1]
 
     def test_a_vertex_without_a_circle_takes_the_first_pairings(self):
         # vertex 1 has no circle pairing for its four ends, so vertex 0
@@ -1040,5 +1031,7 @@ class TestLoopOracle:
         arcs = [(1,), (1,), (2,), (2,), (4,), (5,)]
         loops = assert_loops_match_reference(tt, arc_orbits(arcs))
         assert loops.loops == arcs
+        assert loops.link_components == [2, 2]
         circles = assert_loops_match_reference(tt, arc_orbits(arcs[:4]))
         assert circles.loops == [(1,), (1, -2), (2,)]
+        assert circles.link_components == [1, 0]

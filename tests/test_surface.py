@@ -3,7 +3,7 @@ import math
 import pytest
 
 from endotorus.words import CyclicWord, Endomorphism, parse_word
-from endotorus.nielsen import nielsen_loops, stabilize
+from endotorus.nielsen import StableRepresentative, nielsen_loops, stabilize
 from endotorus.traintrack import find_train_track
 from endotorus import surface
 from endotorus.surface import (
@@ -14,6 +14,8 @@ from endotorus.surface import (
     realize_surface,
     reduction_search,
 )
+
+from helpers import TWO_ROSES, arc_orbits, identity_track
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -40,6 +42,44 @@ class TestRealize:
         surf = realize_surface(stable, loops)
         g = stable.tt.gm.graph
         assert 2 - 2 * surf.genus - surf.boundary_count == g.nv - len(g.edges)
+
+
+def realize_arcs(tt, arcs):
+    """`realize_surface` of the loops that the arcs close into."""
+    orbits = arc_orbits(arcs)
+    return realize_surface(StableRepresentative(tt, orbits, 1.0),
+                           nielsen_loops(tt, orbits))
+
+
+class TestNotSurface:
+    # loop systems on the identity of two roses joined by edge 3; no corpus
+    # input reaches these reasons
+    @pytest.mark.parametrize("arcs,vertex", [
+        # the arc (3, 5, 5, -3) closes the link (-3, 5, -5) at vertex 1, so
+        # no pairing there is a circle, and vertex 0 keeps its first tight
+        # pairing, which closes (1,) and (2,) on themselves although a
+        # later pairing is a circle
+        ([(1,), (1,), (2,), (2,), (3, 5, 5, -3), (4,), (4,)], 0),
+        # here vertex 0's first tight pairing is a circle
+        ([(1,), (2,), (1, -2), (3, 5, 5, -3), (4,), (4,)], 1),
+    ])
+    def test_a_vertex_without_a_circle_splits(self, arcs, vertex):
+        tt = identity_track(2, TWO_ROSES)
+        loops = nielsen_loops(tt, arc_orbits(arcs))
+        assert set(loops.multiplicities.values()) == {2}
+        surf = realize_arcs(tt, arcs)
+        assert isinstance(surf, NotSurface)
+        assert surf.reason.startswith("vertex link splits after blow-up")
+        assert surf.vertex == vertex
+
+    def test_an_edge_covered_once_fails_the_coverage(self):
+        tt = identity_track(1, [(0, 0), (0, 0)])
+        surf = realize_arcs(tt, [(1,), (1,), (2,)])
+        assert isinstance(surf, NotSurface)
+        assert surf.reason.startswith(
+            "Nielsen loops do not cover each edge exactly twice "
+            "(multiplicities [1, 2])")
+        assert surf.vertex is None
 
 
 class TestReductionSearch:

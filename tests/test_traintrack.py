@@ -303,7 +303,7 @@ class TestInvariantSets:
     def test_forest_branch_collapses_to_one_vertex(self, base):
         gm = self.forest_map(base)
         check_consistency(gm)
-        assert not transition_matrix(gm).irreducible
+        assert not transition_matrix(gm, edge_digraph(gm)).irreducible
         assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({3}))
         assert_matches_subset_enumeration(gm)
         assert_collapses_to_one_vertex(
@@ -336,7 +336,7 @@ class TestInvariantSets:
     def test_some_set_exactly_when_reducible(self, gm):
         # a source component of a reducible M is proper, so the folding
         # loop's reducible branch always has a subgraph or a forest
-        data = transition_matrix(gm)
+        data = transition_matrix(gm, edge_digraph(gm))
         assert data.irreducible == (invariant_sets(gm, data.digraph) == (None, None))
 
 
@@ -488,8 +488,8 @@ class TestFindTrainTrack:
         calls = []
         real = tt_module.transition_matrix
 
-        def recording(gm):
-            calls.append((gm, real(gm)))
+        def recording(gm, digraph):
+            calls.append((gm, real(gm, digraph)))
             return calls[-1][1]
 
         monkeypatch.setattr(tt_module, "transition_matrix", recording)
@@ -512,8 +512,8 @@ class TestFindTrainTrack:
         calls = []
         real = tt_module.transition_matrix
 
-        def recording(gm):
-            calls.append(real(gm))
+        def recording(gm, digraph):
+            calls.append(real(gm, digraph))
             return calls[-1]
 
         monkeypatch.setattr(tt_module, "transition_matrix", recording)

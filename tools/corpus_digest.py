@@ -43,7 +43,10 @@ After the corpus come maps outside it, whose `classify` refines the
 train track into up to 362 edges where the corpus stays under two dozen:
 the square of each corpus input whose square's images have at most 40
 letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
-named `a->a^kb,b->a`.  Each prints `derived name sha256`, the hash of its
+named `a->a^kb,b->a`, then five rank-3 maps (`ENDPOINT_MAPS`) with
+periodic Nielsen paths whose ends are interior points of period above 3,
+which the scan cannot see, named by their images without spaces, as
+`a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
 `classify` report without bounds, followed by its `scan` lines as above.
 
 Last come 13 maps on which the folding loop runs out its iteration budget
@@ -90,6 +93,13 @@ FOLD_LOOP_MAPS = (
     "rank 2; a -> A B; b -> b A B;",
     "rank 2; a -> B; b -> a b b b;",
     "rank 2; a -> A B a; b -> A B A B B a;",
+)
+ENDPOINT_MAPS = (
+    "rank 3; a -> a c; b -> a; c -> b;",
+    "rank 3; a -> c c; b -> a; c -> b c;",
+    "rank 3; a -> c; b -> a; c -> b c;",
+    "rank 3; a -> C B A; b -> C; c -> A;",
+    "rank 3; a -> b c a; b -> a; c -> b;",
 )
 
 
@@ -203,10 +213,15 @@ def _print_classify(name: str, spec) -> None:
         print(f"scan {name} {k} {_step_digest(step)}", flush=True)
 
 
+def _name(source: str) -> str:
+    """A map's images without spaces, as `a->Ab,b->ba`."""
+    return ",".join(part.replace(" ", "") for part in source.split(";")[1:-1])
+
+
 def _print_tt(source: str) -> None:
     """The `tt` line of a map outside the corpus and the `maps` line of the
     moves inside it."""
-    name = ",".join(part.replace(" ", "") for part in source.split(";")[1:-1])
+    name = _name(source)
     states = hashlib.sha256()
     with ExitStack() as stack:
         _record_moves(stack, lambda _, gm: states.update(_map_state(gm)))
@@ -249,6 +264,8 @@ def main() -> None:
     for k in range(3, 7):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
+    for source in ENDPOINT_MAPS:
+        _print_classify(_name(source), parse(source))
     for source in FOLD_LOOP_MAPS:
         _print_tt(source)
 
