@@ -394,10 +394,11 @@ def _render_text(report: dict) -> str:
                          f"{a['interior_endpoint_period_bound']}")
         for note in v.get("notes", []):
             lines.append(f"note: {note}")
-    for key in ("train_track", "surface", "witness_subgroup", "fiber_chain",
-                "characterization", "stabilization", "nielsen_loops",
-                "not_surface", "finite_order", "reduction_witness",
-                "unknown", "error"):
+    for key in ("train_track", "surface", "minimality", "applicable",
+                "inapplicable_reason", "witness_subgroup", "fiber_chain",
+                "witness_error", "z2_witness", "characterization",
+                "stabilization", "nielsen_loops", "not_surface",
+                "finite_order", "reduction_witness", "unknown", "error"):
         if key in report:
             lines.append(f"{key}: {json.dumps(report[key], sort_keys=True, default=str)}")
     return "\n".join(lines)

@@ -129,9 +129,8 @@ def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
             f"(multiplicities {sorted(set(loops.multiplicities.values()))}); "
             "with certified irreducibility this would contradict the "
             "stable-representative covering property")
+    # every edge is covered, so every vertex has a turn and a count >= 1
     for (v, count) in enumerate(loops.link_components):
-        if count == 0:
-            return NotSurface("isolated vertex in the loop system", v)
         if count != 1:
             return NotSurface(
                 "vertex link splits after blow-up: the connecting arc would "

@@ -5,12 +5,16 @@ Elements of the extension appear only through the subgroup constructions
 below (a fiber basis, a power of the stable letter and a conjugator), so no
 normal-form engine is needed.  Conjugator convention: a witness records
 phi^n(A) <= x A x^-1, so the self-map of A is i_{x^-1} . phi^n.
+
+The witness subgroup is a view of a verified reduction witness, and the
+preimage chain a view of the witness subgroup: A is folded once, by the
+witness's verification, and the self-map is composed and checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from endotorus.words import (
     Endomorphism,
@@ -40,6 +44,7 @@ class WitnessSubgroup:
     cyclic_fiber: bool
     provenance: str
     graph: SubgroupGraph       # Stallings graph of A; as_dict leaves it out
+    psi: Endomorphism          # i_{x^-1} . phi^n, A's self-map; left out too
 
     def as_dict(self) -> dict:
         return {
@@ -52,77 +57,72 @@ class WitnessSubgroup:
         }
 
 
-def witness_subgroup(endo: Endomorphism, a_basis: Sequence[Word], x: Word,
-                     n: int, provenance: str = "") -> WitnessSubgroup:
-    """Verified construction of <A, t^n x>: requires phi^n(A) <= x A x^-1 by
-    membership and A proper.  chi = 0 because the presentation is an
-    ascending extension of A over itself.  The Stallings graph of A built
-    for the membership test is kept, for the preimage chain."""
-    graph = sg.stallings(endo.rank, list(a_basis))
+def witness_subgroup(endo: Endomorphism,
+                     witness: ReductionWitness) -> WitnessSubgroup:
+    """<A, t^n x> from a verified witness A_1 -> ... -> A_n -> A_1, with A
+    = A_1 and its graph as verified; x = phi^{n-1}(x_1) ... x_n telescopes
+    the one-step conjugators (Horner: x <- phi(x) x_i).  Checks A proper and
+    psi(A) <= A by membership for psi = i_{x^-1} . phi^n, which the chain
+    reuses.  chi = 0: the presentation ascends from A to itself."""
+    if not witness.verified:
+        raise ValueError("the reduction witness is not verified")
+    first = witness.factors[0]
+    graph = first.graph
     if graph.index() == 1:
         raise ValueError("witness fiber must be a proper subgroup")
-    power = endo.power(n)
-    for w in a_basis:
-        if not graph.contains(concat(invert(x), power.apply(w), x)):
+    n = len(witness.factors)
+    x: Word = ()
+    for f in witness.factors:
+        x = concat(endo.apply(x), f.conjugator)
+    psi = Endomorphism.inner(endo.rank, invert(x)).compose(endo.power(n))
+    for w in first.basis:
+        if not graph.contains(psi.apply(w)):
             raise ValueError("invariance phi^n(A) <= x A x^-1 failed on a "
                              "basis element")
-    rank = len(graph.basis())
-    return WitnessSubgroup([reduce_word(w) for w in a_basis], n,
-                           reduce_word(x), 0, rank <= 1, provenance, graph)
+    return WitnessSubgroup([reduce_word(w) for w in first.basis], n,
+                           reduce_word(x), 0, graph.graph_rank() <= 1,
+                           witness.provenance, graph, psi)
 
 
-def fiber_chain(endo: Endomorphism, a_graph: SubgroupGraph, x: Word, n: int,
-                k_max: int = 6) -> dict:
-    """Iterated preimages of A under i_{x^-1} phi^n, with indices and a
-    stabilization check.  A finite-index term certifies finite index of the
-    witness subgroup in the mapping torus; a stabilized infinite-index chain
-    certifies infinite index."""
-    if a_graph.index() == 1:
-        raise ValueError("the fiber of a witness subgroup must be proper")
-    psi = Endomorphism.inner(endo.rank, invert(x)).compose(endo.power(n))
-    for w in a_graph.basis():
-        if not a_graph.contains(psi.apply(w)):
-            raise ValueError("the twisted endomorphism does not keep A "
-                             "inside itself")
-    terms = [a_graph]
-    report_terms = []
+def fiber_chain(ws: WitnessSubgroup, k_max: int = 6) -> dict:
+    """Iterated preimages of A under the witness subgroup's psi, with
+    indices and a stabilization check.  A finite-index term certifies
+    finite index of the witness subgroup in the mapping torus; a
+    stabilized infinite-index chain certifies infinite index.  `ws` has
+    checked A proper and psi(A) <= A."""
+    terms = [ws.graph]
     stabilized_at = None
     ascending_ok = True
     for k in range(k_max):
-        nxt = sg.preimage(psi, terms[-1])
-        for w in terms[-1].basis():
-            if not nxt.contains(w):
-                ascending_ok = False
+        nxt = sg.preimage(ws.psi, terms[-1])
+        ascending_ok &= all(nxt.contains(w) for w in terms[-1].basis())
         if nxt == terms[-1]:
             stabilized_at = k
             break
         terms.append(nxt)
-    for t in terms:
-        report_terms.append({
-            "vertices": t.num_vertices,
-            "edges": t.num_edges,
-            "rank": t.graph_rank(),
-            "index": t.index() if t.index() is not None else "infinite",
-        })
-    finite_at = next((i for i, t in enumerate(terms) if t.index() is not None), None)
+    indices = [t.index() for t in terms]
+    report_terms = [{"vertices": t.num_vertices,
+                     "edges": t.num_edges,
+                     "rank": t.graph_rank(),
+                     "index": "infinite" if index is None else index}
+                    for (t, index) in zip(terms, indices)]
+    finite_at = next((i for i, index in enumerate(indices)
+                      if index is not None), None)
     if finite_at is not None:
         conclusion = "finite index"
-        certified = True
     elif stabilized_at is not None:
-        conclusion = "infinite index (stable chain)"
-        certified = True   # the stable term is a non-covering graph
+        conclusion = "infinite index (stable chain)"   # a non-covering term
     else:
         conclusion = f"undetermined at k_max={k_max}"
-        certified = False
     return {
-        "power": n,
-        "conjugator": list(reduce_word(x)),
+        "power": ws.power,
+        "conjugator": list(ws.conjugator),
         "terms": report_terms,
         "ascending": ascending_ok,
         "stabilized_at": stabilized_at,
         "finite_index_at": finite_at,
         "conclusion": conclusion,
-        "certified": certified,
+        "certified": finite_at is not None or stabilized_at is not None,
     }
 
 
@@ -139,16 +139,6 @@ def minimality_check(endo: Endomorphism) -> tuple:
 # ---------------------------------------------------------------------------
 # the characterization report
 # ---------------------------------------------------------------------------
-
-def _accumulated_conjugator(endo: Endomorphism, witness: ReductionWitness) -> Word:
-    """phi^k(A_1) <= X A_1 X^-1 where X = phi^{k-1}(x_1) phi^{k-2}(x_2) ... x_k
-    telescopes the one-step conjugators through the iterates, in Horner
-    form: X <- phi(X) x_i, one factor at a time."""
-    X: Word = ()
-    for f in witness.factors:
-        X = concat(endo.apply(X), f.conjugator)
-    return X
-
 
 def _z2_witness(endo: Endomorphism, cls: Word, max_power: int) -> Optional[dict]:
     """A commuting pair <c, t^n z> from a periodic conjugacy class."""
@@ -194,15 +184,10 @@ def subgroup_report(analysis: Analysis) -> dict:
 
     witness = analysis.reduction_witness
     if witness is not None:
-        a_basis = witness.factors[0].basis
-        n = len(witness.factors)
-        X = _accumulated_conjugator(endo, witness)
         try:
-            ws = witness_subgroup(endo, a_basis, X, n,
-                                  provenance=witness.provenance)
-            chain = fiber_chain(endo, ws.graph, X, n, k_max=bounds.kmax)
-            report["witness_subgroup"] = ws.as_dict()
-            report["fiber_chain"] = chain
+            ws = witness_subgroup(endo, witness)
+            report.update(witness_subgroup=ws.as_dict(),
+                          fiber_chain=fiber_chain(ws, k_max=bounds.kmax))
         except ValueError as exc:
             report["witness_error"] = str(exc)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -125,6 +125,9 @@ class TrainTrack:
 class InvariantFactor:
     basis: list            # words generating A_i
     conjugator: Word       # x_i with phi(A_i) <= x_i A_{i+1} x_i^{-1}
+    # Stallings graph of A_i, kept by verify_reduction_witness
+    graph: Optional[sg.SubgroupGraph] = field(default=None, compare=False,
+                                              repr=False)
 
 
 @dataclass
@@ -335,17 +338,18 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
 
 def verify_reduction_witness(endo: Endomorphism, witness: ReductionWitness) -> bool:
     """Membership check: phi(basis of A_i) inside x_i A_{i+1} x_i^-1, plus
-    properness of the system."""
+    properness of the system.  Each factor keeps the Stallings graph folded
+    for the check, so the views of a verified witness fold none again."""
     k = len(witness.factors)
     total_rank = 0
     for i, f in enumerate(witness.factors):
         nxt = witness.factors[(i + 1) % k]
-        graph = sg.stallings(endo.rank, nxt.basis)
+        nxt.graph = sg.stallings(endo.rank, nxt.basis)
         total_rank += len(f.basis)
         x = f.conjugator
         for w in f.basis:
             img = endo.apply(w)
-            if not graph.contains(concat(invert(x), img, x)):
+            if not nxt.graph.contains(concat(invert(x), img, x)):
                 return False
     if k == 1 and total_rank >= endo.rank:
         return False

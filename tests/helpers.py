@@ -3,10 +3,21 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
+from typing import Sequence
+
+from endotorus import subgroups as sg
 from endotorus.graphmap import GraphMap, MarkedGraph, edge_digraph, transition_matrix
 from endotorus.nielsen import NielsenOrbit
-from endotorus.traintrack import TrainTrack, gates
-from endotorus.words import cyclic_canonical
+from endotorus.subgroups import SubgroupGraph
+from endotorus.traintrack import ReductionWitness, TrainTrack, gates
+from endotorus.words import (
+    Endomorphism,
+    Word,
+    concat,
+    cyclic_canonical,
+    invert,
+    reduce_word,
+)
 
 
 def is_conjugate(u, v, unoriented=False):
@@ -113,3 +124,135 @@ def arc_orbits(arcs):
 # edges 1 and 2 are loops at vertex 0, edge 3 joins it to vertex 1, and
 # edges 4 and 5 are loops there
 TWO_ROSES = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the witness subgroup and its preimage chain, built from scratch
+# ---------------------------------------------------------------------------
+# The construction as it stood before the torus layer read A's graph and
+# phi^n off the verified witness: A is folded again, phi^n is composed twice,
+# and the chain checks properness and invariance once more.
+
+@dataclass
+class ReferenceWitnessSubgroup:
+    """<A, t^n x> inside the mapping torus, carrying chi = 0."""
+    fiber_basis: list          # basis of A
+    power: int                 # n
+    conjugator: Word           # x
+    chi: int
+    cyclic_fiber: bool
+    provenance: str
+    graph: SubgroupGraph       # Stallings graph of A; as_dict leaves it out
+
+    def as_dict(self) -> dict:
+        return {
+            "fiber_basis": [list(w) for w in self.fiber_basis],
+            "power": self.power,
+            "conjugator": list(self.conjugator),
+            "chi": self.chi,
+            "cyclic_fiber": self.cyclic_fiber,
+            "provenance": self.provenance,
+        }
+
+
+def reference_witness_subgroup(endo: Endomorphism, a_basis: Sequence[Word],
+                               x: Word, n: int,
+                               provenance: str = "") -> ReferenceWitnessSubgroup:
+    """Verified construction of <A, t^n x>: requires phi^n(A) <= x A x^-1 by
+    membership and A proper.  chi = 0 because the presentation is an
+    ascending extension of A over itself.  The Stallings graph of A built
+    for the membership test is kept, for the preimage chain."""
+    graph = sg.stallings(endo.rank, list(a_basis))
+    if graph.index() == 1:
+        raise ValueError("witness fiber must be a proper subgroup")
+    power = endo.power(n)
+    for w in a_basis:
+        if not graph.contains(concat(invert(x), power.apply(w), x)):
+            raise ValueError("invariance phi^n(A) <= x A x^-1 failed on a "
+                             "basis element")
+    rank = len(graph.basis())
+    return ReferenceWitnessSubgroup([reduce_word(w) for w in a_basis], n,
+                                    reduce_word(x), 0, rank <= 1, provenance,
+                                    graph)
+
+
+def reference_fiber_chain(endo: Endomorphism, a_graph: SubgroupGraph, x: Word,
+                          n: int, k_max: int = 6) -> dict:
+    """Iterated preimages of A under i_{x^-1} phi^n, with indices and a
+    stabilization check.  A finite-index term certifies finite index of the
+    witness subgroup in the mapping torus; a stabilized infinite-index chain
+    certifies infinite index."""
+    if a_graph.index() == 1:
+        raise ValueError("the fiber of a witness subgroup must be proper")
+    psi = Endomorphism.inner(endo.rank, invert(x)).compose(endo.power(n))
+    for w in a_graph.basis():
+        if not a_graph.contains(psi.apply(w)):
+            raise ValueError("the twisted endomorphism does not keep A "
+                             "inside itself")
+    terms = [a_graph]
+    report_terms = []
+    stabilized_at = None
+    ascending_ok = True
+    for k in range(k_max):
+        nxt = sg.preimage(psi, terms[-1])
+        for w in terms[-1].basis():
+            if not nxt.contains(w):
+                ascending_ok = False
+        if nxt == terms[-1]:
+            stabilized_at = k
+            break
+        terms.append(nxt)
+    for t in terms:
+        report_terms.append({
+            "vertices": t.num_vertices,
+            "edges": t.num_edges,
+            "rank": t.graph_rank(),
+            "index": t.index() if t.index() is not None else "infinite",
+        })
+    finite_at = next((i for i, t in enumerate(terms) if t.index() is not None), None)
+    if finite_at is not None:
+        conclusion = "finite index"
+        certified = True
+    elif stabilized_at is not None:
+        conclusion = "infinite index (stable chain)"
+        certified = True   # the stable term is a non-covering graph
+    else:
+        conclusion = f"undetermined at k_max={k_max}"
+        certified = False
+    return {
+        "power": n,
+        "conjugator": list(reduce_word(x)),
+        "terms": report_terms,
+        "ascending": ascending_ok,
+        "stabilized_at": stabilized_at,
+        "finite_index_at": finite_at,
+        "conclusion": conclusion,
+        "certified": certified,
+    }
+
+
+def _reference_accumulated_conjugator(endo: Endomorphism,
+                                      witness: ReductionWitness) -> Word:
+    """phi^k(A_1) <= X A_1 X^-1 where X = phi^{k-1}(x_1) phi^{k-2}(x_2) ... x_k
+    telescopes the one-step conjugators through the iterates, in Horner
+    form: X <- phi(X) x_i, one factor at a time."""
+    X: Word = ()
+    for f in witness.factors:
+        X = concat(endo.apply(X), f.conjugator)
+    return X
+
+
+def reference_witness_block(endo: Endomorphism, witness: ReductionWitness,
+                            kmax: int) -> dict:
+    """The witness entries of the subgroup report from the reference:
+    `witness_subgroup` and `fiber_chain`, or `witness_error`."""
+    a_basis = witness.factors[0].basis
+    n = len(witness.factors)
+    X = _reference_accumulated_conjugator(endo, witness)
+    try:
+        ws = reference_witness_subgroup(endo, a_basis, X, n,
+                                        provenance=witness.provenance)
+        chain = reference_fiber_chain(endo, ws.graph, X, n, k_max=kmax)
+        return {"witness_subgroup": ws.as_dict(), "fiber_chain": chain}
+    except ValueError as exc:
+        return {"witness_error": str(exc)}

@@ -12,6 +12,7 @@ import pytest
 from endotorus.cli import COMMANDS, parse, run
 from endotorus.surface import Analysis, Bounds
 from endotorus.torus import subgroup_report
+from endotorus.words import Endomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -140,25 +141,45 @@ WITNESS_INPUTS = (
     "remark_extension_reducible", "squares_reducible", "swap_finite_order")
 
 
+def _analysed(name: str) -> Analysis:
+    """The analysis of a corpus input with the stages the subgroup report
+    reads already run, so that only the report's own work is counted."""
+    analysis = Analysis(_spec(name).endo, Bounds())
+    (analysis.verdict, analysis.reduction_witness, analysis.word_hit)
+    return analysis
+
+
 @pytest.mark.parametrize("name", WITNESS_INPUTS)
 def test_the_fiber_chain_takes_the_witness_graph(monkeypatch, name):
-    """Past the stages of the analysis, the subgroup report folds A's
-    Stallings graph once, in `witness_subgroup`, and the chain starts from
-    it."""
-    analysis = Analysis(_spec(name).endo, Bounds())
-    # run the stages the report reads first, so only its own folds count
-    (analysis.verdict, analysis.reduction_witness, analysis.word_hit)
+    """Past the stages of the analysis, the subgroup report folds no
+    Stallings graph: the witness subgroup reads A's graph off the verified
+    witness, and the chain starts from it."""
+    analysis = _analysed(name)
     calls = spy_on(monkeypatch, ("subgroups", "stallings"))
     report = subgroup_report(analysis)
     assert "witness_subgroup" in report and "fiber_chain" in report
-    assert len(calls["stallings"]) == 1
+    assert calls["stallings"] == []
 
 
-def test_report_of_conjugation_twist_folds_three_graphs(monkeypatch):
-    # the image, the witness's verification, and A for the witness subgroup
+@pytest.mark.parametrize("name", WITNESS_INPUTS)
+def test_the_torus_layer_composes_phi_to_the_n_once(monkeypatch, name):
+    """The witness subgroup composes psi = i_{x^-1} . phi^n and the chain
+    takes it from there."""
+    analysis = _analysed(name)
+    log: list = []
+    monkeypatch.setattr(Endomorphism, "power",
+                        _recording(Endomorphism.power, log))
+    report = subgroup_report(analysis)
+    assert "fiber_chain" in report
+    assert [call["n"] for call in log] == [report["fiber_chain"]["power"]]
+
+
+def test_report_of_conjugation_twist_folds_two_graphs(monkeypatch):
+    # the image, and A for the witness's verification, which the witness
+    # subgroup reads
     calls = spy_on(monkeypatch, ("subgroups", "stallings"))
     run("report", _spec("conjugation_twist"))
-    assert len(calls["stallings"]) == 3
+    assert len(calls["stallings"]) == 2
 
 
 def test_traced_layers_exist():

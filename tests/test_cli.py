@@ -302,6 +302,19 @@ class TestCommandLine:
         assert (f"atoroidal within bounds: period <= {bounds[0]}, interior "
                 f"endpoint period <= {bounds[1]}") in capsys.readouterr().out
 
+    def test_torus_text_shows_its_conclusions(self, tmp_path, capsys):
+        assert main(["torus", str(CORPUS / "golden_geometric.endo")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [
+            'minimality: {"factor": null, "status": "minimal"}',
+            "applicable: true"]
+        assert lines[3].startswith('z2_witness: {"chi": 0')
+        path = tmp_path / "trivial_image.endo"
+        path.write_text("rank 3; a -> C A A B; b -> 1; c -> b C B B;\n")
+        assert main(["torus", str(path)]) == 0
+        assert 'witness_error: "generator image must be nontrivial"' in \
+            capsys.readouterr().out.splitlines()
+
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "classify", "-"],

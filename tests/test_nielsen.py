@@ -1005,6 +1005,21 @@ def arc_systems(draw):
     return tt, arc_orbits(arcs)
 
 
+@st.composite
+def doubled_edges(draw):
+    """(identity train track on a connected graph of 1-3 vertices, one
+    orbit that runs over each edge twice, each time as an arc of its own in
+    a drawn direction)."""
+    nv = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=2))
+    tt = identity_track(nv, edges)
+    arcs = [(draw(st.sampled_from((e, -e))),)
+            for e in tt.gm.graph.edge_ids() for _ in range(2)]
+    return tt, arc_orbits(arcs)
+
+
 class TestLoopOracle:
     @given(arc_systems())
     @settings(max_examples=150, deadline=None,
@@ -1012,6 +1027,21 @@ class TestLoopOracle:
                                      HealthCheck.too_slow])
     def test_random_arc_systems_match_the_global_search(self, system):
         assert_loops_match_reference(*system)
+
+    @given(arc_systems() | doubled_edges())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    def test_a_twice_covered_graph_has_a_turn_at_every_vertex(self, system):
+        """Once every edge is covered twice, every vertex has a covered
+        edge and so a turn in its link: `realize_surface` never reads a
+        zero count."""
+        try:
+            loops = nielsen_loops(*system)
+        except ValueError:
+            return
+        if all(c == 2 for c in loops.multiplicities.values()):
+            assert min(loops.link_components) >= 1
 
     def test_a_later_pairing_closes_the_link(self):
         # eight ends at one vertex: the first tight pairing closes each arc

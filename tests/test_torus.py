@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from endotorus.cli import parse, run
-from endotorus.words import Endomorphism, parse_word
+from endotorus.surface import Analysis, Bounds
+from endotorus.words import Endomorphism, parse_word, reduce_word
 from endotorus import subgroups as sg
 from endotorus import torus
 from endotorus.traintrack import (
@@ -14,9 +17,12 @@ from endotorus.torus import (
     chi_zero_report,
     fiber_chain,
     minimality_check,
+    subgroup_report,
     witness_subgroup,
 )
-from helpers import HNNPresentation, euler_char
+from helpers import HNNPresentation, euler_char, reference_witness_block
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 PSI = Endomorphism(3, (parse_word("ab"), parse_word("ba"), parse_word("a")))
@@ -41,49 +47,71 @@ class TestEulerChar:
             assert euler_char(HNNPresentation(m, n)) == n - m
 
 
+def verified(endo, *bases):
+    """The reduction witness A_1 -> A_2 -> ... -> A_1 with trivial
+    conjugators, each A_i given by the texts of its basis; it must pass
+    `verify_reduction_witness`."""
+    witness = ReductionWitness(
+        [InvariantFactor([parse_word(w) for w in basis], ()) for basis in bases],
+        "test")
+    assert verify_reduction_witness(endo, witness)
+    return witness
+
+
 class TestWitnessSubgroup:
     def test_swap_period_two(self):
-        ws = witness_subgroup(SWAP, [parse_word("a")], (), 2)
+        ws = witness_subgroup(SWAP, verified(SWAP, ["a"], ["b"]))
         assert ws.chi == 0 and ws.cyclic_fiber
         assert ws.power == 2 and ws.conjugator == ()
 
     def test_extension_witness(self):
-        ws = witness_subgroup(PSI, [parse_word("a"), parse_word("b")], (), 1)
+        ws = witness_subgroup(PSI, verified(PSI, ["a", "b"]))
         assert ws.chi == 0 and not ws.cyclic_fiber
 
     def test_rejects_non_invariant(self):
+        witness = ReductionWitness([InvariantFactor([parse_word("a")], ())],
+                                   "test")
+        assert not verify_reduction_witness(PHI, witness)
         with pytest.raises(ValueError):
-            witness_subgroup(PHI, [parse_word("a")], (), 1)
+            witness_subgroup(PHI, witness)
+
+    def test_rechecks_invariance(self):
+        # a witness marked verified by hand, which phi does not keep
+        witness = ReductionWitness([InvariantFactor([parse_word("a")], ())],
+                                   "test", verified=True)
+        witness.factors[0].graph = sg.stallings(2, [parse_word("a")])
+        with pytest.raises(ValueError, match="invariance"):
+            witness_subgroup(PHI, witness)
 
     def test_rejects_full_fiber(self):
-        with pytest.raises(ValueError):
-            witness_subgroup(SWAP, [parse_word("a"), parse_word("b")], (), 1)
+        # two factors, each all of F, pass the witness's own check
+        witness = verified(SWAP, ["a", "b"], ["a", "b"])
+        with pytest.raises(ValueError,
+                           match="witness fiber must be a proper subgroup"):
+            witness_subgroup(SWAP, witness)
+
+
+def chain_of(endo, *bases):
+    return fiber_chain(witness_subgroup(endo, verified(endo, *bases)))
 
 
 class TestFiberChain:
     def test_swap_constant_chain(self):
-        a = sg.stallings(2, [parse_word("a")])
-        chain = fiber_chain(SWAP, a, (), 2)
+        chain = chain_of(SWAP, ["a"], ["b"])
         assert chain["conclusion"] == "infinite index (stable chain)"
         assert chain["certified"] and chain["stabilized_at"] == 0
         assert chain["terms"][0]["index"] == "infinite"
         assert chain["ascending"]
 
     def test_extension_reaches_everything(self):
-        ab = sg.stallings(3, [parse_word("a"), parse_word("b")])
-        chain = fiber_chain(PSI, ab, (), 1)
+        chain = chain_of(PSI, ["a", "b"])
         assert chain["conclusion"] == "finite index"
         assert chain["finite_index_at"] == 1
         assert chain["terms"][1]["index"] == 1
 
     def test_squares_chain(self):
-        a = sg.stallings(2, [parse_word("a")])
-        chain = fiber_chain(SQUARES, a, (), 1)
+        chain = chain_of(SQUARES, ["a"])
         assert chain["conclusion"] == "infinite index (stable chain)"
-
-    def test_rejects_full_group(self):
-        with pytest.raises(ValueError):
-            fiber_chain(SWAP, sg.SubgroupGraph.full_group(2), (), 1)
 
 
 class TestMinimality:
@@ -157,7 +185,77 @@ class TestReport:
         assert run("torus", spec)["witness_error"] == report["witness_error"]
 
     def test_spot_check(self):
-        # the image subgroup is invariant; its preimage is everything
-        image = sg.stallings(2, PHI.images)
-        chain = fiber_chain(PHI, image, (), 1)
+        # the image subgroup is invariant; its preimage is everything (a
+        # one-factor witness of rank 2 in F_2 fails the witness's coarse
+        # properness check, so the factor is taken twice)
+        chain = chain_of(PHI, ["ab", "ba"], ["ab", "ba"])
         assert chain["ascending"] and chain["finite_index_at"] == 1
+
+
+# the witness block of the report against the construction built from
+# scratch (helpers.reference_witness_block)
+
+WITNESS_KEYS = ("witness_subgroup", "fiber_chain", "witness_error")
+TORUS_MAPS = (
+    "rank 2; a -> a; b -> 1;",                        # the chain ends in F
+    "rank 3; a -> C A A B; b -> 1; c -> b C B B;",    # a trivial image
+    "rank 3; a -> b a a b; b -> c c; c -> c;",        # non-injective preimage
+)
+
+
+def assert_witness_block_matches_reference(endo, bounds=Bounds()):
+    """The report's witness entries equal the reference's on the analysis's
+    witness; returns them, or None without a witness."""
+    analysis = Analysis(endo, bounds)
+    witness = analysis.reduction_witness
+    if witness is None:
+        return None
+    report = subgroup_report(analysis)
+    block = {key: report[key] for key in WITNESS_KEYS if key in report}
+    assert block == reference_witness_block(endo, witness, bounds.kmax)
+    return block
+
+
+def corpus_endos():
+    return [parse(path.read_text()).endo
+            for path in sorted(CORPUS.glob("*.endo"))]
+
+
+def bounded_endomorphisms():
+    """Rank-2 and rank-3 maps with images of at most 4 letters, trivial
+    images included."""
+    def maps(rank):
+        letters = st.integers(-rank, rank).filter(bool)
+        image = st.lists(letters, max_size=4).map(reduce_word)
+        return st.lists(image, min_size=rank, max_size=rank).map(
+            lambda images: Endomorphism(rank, tuple(images)))
+    return st.one_of(maps(2), maps(3))
+
+
+class TestWitnessBlockOracle:
+    def test_corpus_and_squares(self):
+        blocks = [assert_witness_block_matches_reference(e)
+                  for endo in corpus_endos() for e in (endo, endo.power(2))]
+        assert sum(block is not None for block in blocks[::2]) == 14
+        assert sum(block is not None for block in blocks[1::2]) == 14
+
+    def test_torus_maps(self):
+        blocks = [assert_witness_block_matches_reference(parse(text).endo)
+                  for text in TORUS_MAPS]
+        assert blocks[0]["fiber_chain"]["finite_index_at"] == 1
+        assert blocks[1] == {"witness_error": "generator image must be nontrivial"}
+        assert blocks[2]["witness_error"].startswith(
+            "preimage for non-injective maps")
+
+    def test_a_two_step_conjugator_telescopes(self):
+        # the classes of a and c swap with conjugators A and c: x = phi(A) c
+        block = assert_witness_block_matches_reference(
+            parse("rank 3; a -> A b a; b -> c A C; c -> a;").endo)
+        assert block["witness_subgroup"]["power"] == 2
+        assert block["witness_subgroup"]["conjugator"] == list(parse_word("ABac"))
+
+    @given(bounded_endomorphisms())
+    @settings(max_examples=150, deadline=None)
+    def test_random_maps(self, endo):
+        assert_witness_block_matches_reference(
+            endo, Bounds(max_period=2, max_len=4, max_iterations=30))

@@ -47,7 +47,14 @@ named `a->a^kb,b->a`, then five rank-3 maps (`ENDPOINT_MAPS`) with
 periodic Nielsen paths whose ends are interior points of period above 3,
 which the scan cannot see, named by their images without spaces, as
 `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
-`classify` report without bounds, followed by its `scan` lines as above.
+`classify` report without bounds, followed by its `scan` lines as above
+and by `torus name sha256`, the hash of its `torus` report without
+bounds.  Three more maps (`TORUS_MAPS`) print only their `torus` line:
+`a->a,b->1`, a trivial image whose preimage chain ends in F;
+`a->CAAB,b->1,c->bCBB`, whose chain fails with "generator image must be
+nontrivial"; and `a->baab,b->cc,c->c`, whose chain fails on the
+non-injective preimage.  They reach the witness subgroup and the chain
+where the corpus does not.
 
 Last come 13 maps on which the folding loop runs out its iteration budget
 or fails to verify an invariant subgraph (`FOLD_LOOP_MAPS`), each named by
@@ -93,6 +100,14 @@ FOLD_LOOP_MAPS = (
     "rank 2; a -> A B; b -> b A B;",
     "rank 2; a -> B; b -> a b b b;",
     "rank 2; a -> A B a; b -> A B A B B a;",
+)
+# maps whose torus report reaches paths of the preimage chain that the
+# corpus does not: a trivial image with a chain that ends in F, a witness
+# whose chain fails on a trivial image, and the non-injective preimage
+TORUS_MAPS = (
+    "rank 2; a -> a; b -> 1;",
+    "rank 3; a -> C A A B; b -> 1; c -> b C B B;",
+    "rank 3; a -> b a a b; b -> c c; c -> c;",
 )
 ENDPOINT_MAPS = (
     "rank 3; a -> a c; b -> a; c -> b;",
@@ -204,13 +219,21 @@ def _run_recording(command: str, spec, states) -> tuple:
         return run(command, spec), steps, moves, power[0]
 
 
+def _print_torus(name: str, spec) -> None:
+    """The `torus` line of a map outside the corpus."""
+    digest = _sha(report_json(_without_bounds(run("torus", spec))).encode())
+    print(f"torus {name} {digest}", flush=True)
+
+
 def _print_classify(name: str, spec) -> None:
-    """The `derived` line of a map outside the corpus and its scan lines."""
+    """The `derived` line of a map outside the corpus, its scan lines and
+    its `torus` line."""
     (report, steps, _, _) = _run_recording("classify", spec, None)
     digest = _sha(report_json(_without_bounds(report)).encode())
     print(f"derived {name} {digest}", flush=True)
     for k, step in enumerate(steps):
         print(f"scan {name} {k} {_step_digest(step)}", flush=True)
+    _print_torus(name, spec)
 
 
 def _name(source: str) -> str:
@@ -266,6 +289,8 @@ def main() -> None:
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
     for source in ENDPOINT_MAPS:
         _print_classify(_name(source), parse(source))
+    for source in TORUS_MAPS:
+        _print_torus(_name(source), parse(source))
     for source in FOLD_LOOP_MAPS:
         _print_tt(source)
 
