@@ -13,13 +13,12 @@ input that cannot be read), 3 internal inconsistency.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endotorus.words import Endomorphism, reduce_word, show_word
 from endotorus.traintrack import (
@@ -48,11 +47,10 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass
-class EndoSpec:
+class EndoSpec(NamedTuple):
     rank: int
     endo: Endomorphism
-    warnings: list = field(default_factory=list)
+    warnings: list
     expect: Optional[str] = None
 
     def render(self) -> str:
@@ -350,7 +348,7 @@ def run(command: str, spec: EndoSpec, flags: Optional[dict] = None) -> dict:
             "images": [show_word(im) for im in spec.endo.images],
             "text": spec.render(),
         },
-        "bounds": asdict(bounds),
+        "bounds": bounds.as_dict(),
         "warnings": spec.warnings,
     }
     if spec.expect:
@@ -426,6 +424,7 @@ _FLAG_SPELLING = {"max_iterations": "max-iter"}   # flags not named after their 
 
 
 def main(argv=None) -> int:
+    import argparse   # here, so that `import endotorus.cli` does not load it
     ap = argparse.ArgumentParser(
         prog="endotorus",
         description="train tracks, Nielsen paths and mapping-torus "
@@ -435,9 +434,10 @@ def main(argv=None) -> int:
                     help="a DSL file ('-' for stdin); batch mode takes many")
     ap.add_argument("--cmd", default="classify", choices=COMMANDS,
                     help="pipeline command for batch mode")
-    for f in fields(Bounds):
-        flag = _FLAG_SPELLING.get(f.name, f.name.replace("_", "-"))
-        ap.add_argument(f"--{flag}", dest=f.name, type=int, default=f.default)
+    defaults = Bounds().as_dict()
+    for (name, default) in defaults.items():
+        flag = _FLAG_SPELLING.get(name, name.replace("_", "-"))
+        ap.add_argument(f"--{flag}", dest=name, type=int, default=default)
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--timing", action="store_true",
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         ap.error(f"{args.command} takes one input; for several, use "
                  f"'batch --cmd {args.command}'")
 
-    flags = {f.name: getattr(args, f.name) for f in fields(Bounds)}
+    flags = {name: getattr(args, name) for name in defaults}
     try:
         Bounds(**flags)
     except ValueError as exc:
@@ -493,6 +493,13 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
 
+
+# The imports are done.  Move every object they made to the permanent
+# generation, so that no later collection scans the start-up heap: left
+# young, it is scanned by a generation-1 collection that falls inside the
+# first `run` or before it, depending only on how much the imports
+# allocated.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

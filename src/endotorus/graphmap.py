@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import add, itemgetter, mul, sub
@@ -39,12 +38,16 @@ EdgePath = tuple  # tuple[int, ...] of signed edge ids
 POINT_TOL = 1e-7  # metric positions closer than this are one point
 
 
-@dataclass(frozen=True)
 class MarkedGraph:
-    nv: int
-    edges: dict            # unoriented id -> (init, term)
-    lengths: dict          # unoriented id -> float
-    base: int = 0
+    def __init__(self, nv: int, edges: dict, lengths: dict, base: int = 0):
+        self.nv = nv
+        self.edges = edges        # unoriented id -> (init, term)
+        self.lengths = lengths    # unoriented id -> float
+        self.base = base
+
+    def __repr__(self) -> str:
+        return (f"MarkedGraph(nv={self.nv!r}, edges={self.edges!r}, "
+                f"lengths={self.lengths!r}, base={self.base!r})")
 
     def edge_ids(self) -> list:
         return sorted(self.edges)
@@ -345,8 +348,7 @@ def edge_digraph(gm: GraphMap) -> EdgeDigraph:
     return EdgeDigraph(tuple(succ), tuple(counts), tuple(map(tuple, pred)))
 
 
-@dataclass
-class TransitionData:
+class TransitionData(NamedTuple):
     edge_order: tuple
     digraph: EdgeDigraph   # the nonzero entries of the transition matrix
     lam: float

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endotorus.words import CyclicWord, cyclic_canonical, invert
 from endotorus.graphmap import (
@@ -73,8 +72,7 @@ from endotorus.traintrack import (
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NielsenPath:
+class NielsenPath(NamedTuple):
     alpha: tuple          # legal half ending at the junction
     beta: tuple           # legal half leaving the junction
     period: int           # minimal per with f^per(rho) = rho or its reverse
@@ -89,8 +87,7 @@ class NielsenPath:
         return min(p, invert(p))
 
 
-@dataclass
-class NielsenOrbit:
+class NielsenOrbit(NamedTuple):
     paths: list            # edge paths rho_0 .. rho_m, rho_i = tight f(rho_{i-1})
     junctions: list        # index of the illegal turn in each path
     connectors: list       # tau_1 .. tau_m, tau_0 closing
@@ -101,8 +98,7 @@ class NielsenOrbit:
         return sum(gm.graph.path_length(p) for p in self.paths)
 
 
-@dataclass
-class NielsenLoops:
+class NielsenLoops(NamedTuple):
     loops: list            # cyclically tight edge paths
     multiplicities: dict   # unoriented edge -> times covered
     classes: list          # CyclicWord per loop (ambient conjugacy classes)
@@ -110,17 +106,15 @@ class NielsenLoops:
     link_components: list  # per vertex: components of its link (1: a circle)
 
 
-@dataclass
-class StableRepresentative:
+class StableRepresentative(NamedTuple):
     tt: TrainTrack
     orbits: list
     radius: float          # cancellation radius of the scan that found the orbits
-    fold_log: list = field(default_factory=list)
+    fold_log: list         # each fold's volume bookkeeping
     stable: bool = True
 
 
-@dataclass
-class Atoroidal:
+class Atoroidal(NamedTuple):
     period_bound: int
     radius: float          # bounded-cancellation scan radius used
 
@@ -130,8 +124,7 @@ class Atoroidal:
         return min(INTERIOR_BOUND, self.period_bound)
 
 
-@dataclass
-class Toroidal:
+class Toroidal(NamedTuple):
     witness: CyclicWord
     period: int
     source: str            # "nielsen loops", or "both" with the word search
@@ -502,7 +495,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     radius = tt.radius
     tt, pinps = scan_pinps(tt, period_bound)
     if not pinps:
-        return StableRepresentative(tt, [], radius)
+        return StableRepresentative(tt, [], radius, [])
     log: list = []
 
     def returned(entry, stable: bool) -> StableRepresentative:

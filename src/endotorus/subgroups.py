@@ -16,8 +16,7 @@ of the intersection in petal coordinates off the labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from endotorus.words import (
     Endomorphism,
@@ -396,8 +395,7 @@ def preimage(endo: Endomorphism, G: SubgroupGraph) -> SubgroupGraph:
 # free factors and rank-one systems (Whitehead's cut-vertex lemma)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FreeFactorResult:
+class FreeFactorResult(NamedTuple):
     status: str                    # "contained" | "not_contained"
     factor: Optional[list] = None  # basis of a proper free factor containing G
 

@@ -16,9 +16,8 @@ every CLI command are views of one analysis.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endotorus import subgroups as sg
 from endotorus.nielsen import (
@@ -52,8 +51,7 @@ from endotorus.words import (
 )
 
 
-@dataclass
-class SurfaceRealization:
+class SurfaceRealization(NamedTuple):
     genus: int
     boundary_count: int
     transitive_boundary: bool
@@ -74,8 +72,7 @@ class SurfaceRealization:
         }
 
 
-@dataclass
-class NotSurface:
+class NotSurface(NamedTuple):
     reason: str
     vertex: Optional[int] = None
 
@@ -224,27 +221,45 @@ def _factor_cycle(endo: Endomorphism, basis: list,
 # the per-input analysis and the verdict lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Bounds:
     """Every bound of the pipeline, each at least 1.  All of them reach
     every stage that uses them, whichever view of the analysis is asked
-    for.  The free-factor and finite-order tests are exact and take none."""
-    max_period: int = 6         # periodic-class word search: period
-    max_len: int = 12           # periodic-class word search: cyclic length
-    period_bound: int = 8       # Nielsen path scan
-    max_iterations: int = 500   # train-track folding budget
-    kmax: int = 6               # preimage chain depth (the torus report)
+    for.  The free-factor and finite-order tests are exact and take none.
+    A `Bounds` is never changed after it is made."""
 
-    def __post_init__(self):
-        for (name, value) in asdict(self).items():
+    def __init__(self, max_period: int = 6, max_len: int = 12,
+                 period_bound: int = 8, max_iterations: int = 500,
+                 kmax: int = 6):
+        self.max_period = max_period          # periodic-class word search: period
+        self.max_len = max_len                # periodic-class word search: cyclic length
+        self.period_bound = period_bound      # Nielsen path scan
+        self.max_iterations = max_iterations  # train-track folding budget
+        self.kmax = kmax                      # preimage chain depth (the torus report)
+        for (name, value) in self.as_dict().items():
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value}")
 
+    def as_dict(self) -> dict:
+        """Each bound by name, in the order of the signature."""
+        return dict(vars(self))
 
-@dataclass
-class Verdict:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"Bounds({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class Verdict(NamedTuple):
     kind: str   # reducible | geometric | irreducible_atoroidal | finite_order | unknown
     injective: bool
+    notes: list
+    bounds: dict
     witness: Optional[ReductionWitness] = None
     surface: Optional[SurfaceRealization] = None
     finite_order: Optional[FiniteOrderCertificate] = None
@@ -253,8 +268,6 @@ class Verdict:
     stable: Optional[StableRepresentative] = None
     loops: Optional[NielsenLoops] = None
     irreducibility: str = ""
-    notes: list = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)
 
 
 class Analysis:
@@ -352,12 +365,11 @@ class Analysis:
         stabilization, Nielsen loops, surface realization; the word search
         cross-checks the Nielsen loops."""
         notes: list = []
-        bounds = asdict(self.bounds)
+        bounds = self.bounds.as_dict()
         del bounds["kmax"]   # the preimage chain plays no part in a verdict
 
         def conclude(kind: str, **found) -> Verdict:
-            return Verdict(kind, self.injective, notes=notes, bounds=bounds,
-                           **found)
+            return Verdict(kind, self.injective, notes, bounds, **found)
 
         if not self.injective:
             notes.append("endomorphism is not injective (image rank is "

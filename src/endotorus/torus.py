@@ -13,8 +13,7 @@ witness's verification, and the self-map is composed and checked once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endotorus.words import (
     Endomorphism,
@@ -34,8 +33,7 @@ from endotorus.surface import Analysis, Bounds
 # witness subgroups and preimage chains
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WitnessSubgroup:
+class WitnessSubgroup(NamedTuple):
     """<A, t^n x> inside the mapping torus, carrying chi = 0."""
     fiber_basis: list          # basis of A
     power: int                 # n

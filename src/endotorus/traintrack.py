@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from endotorus.words import (
     Endomorphism,
@@ -99,11 +98,15 @@ def illegal_crossings(gm: GraphMap, gate_map: dict) -> list:
 # result types
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TrainTrack:
-    gm: GraphMap                  # edge lengths are the eigenmetric, volume 1
-    gate_map: dict
-    data: TransitionData
+    def __init__(self, gm: GraphMap, gate_map: dict, data: TransitionData):
+        self.gm = gm              # edge lengths are the eigenmetric, volume 1
+        self.gate_map = gate_map
+        self.data = data
+
+    def __repr__(self) -> str:
+        return (f"TrainTrack(gm={self.gm!r}, gate_map={self.gate_map!r}, "
+                f"data={self.data!r})")
 
     @property
     def stretch(self) -> float:
@@ -121,30 +124,48 @@ class TrainTrack:
         return 2.0 * bcc_metric / (self.stretch - 1.0)
 
 
-@dataclass
 class InvariantFactor:
-    basis: list            # words generating A_i
-    conjugator: Word       # x_i with phi(A_i) <= x_i A_{i+1} x_i^{-1}
-    # Stallings graph of A_i, kept by verify_reduction_witness
-    graph: Optional[sg.SubgroupGraph] = field(default=None, compare=False,
-                                              repr=False)
+    def __init__(self, basis: list, conjugator: Word,
+                 graph: Optional[sg.SubgroupGraph] = None):
+        self.basis = basis              # words generating A_i
+        self.conjugator = conjugator    # x_i with phi(A_i) <= x_i A_{i+1} x_i^{-1}
+        # Stallings graph of A_i, kept by verify_reduction_witness; left
+        # out of equality and repr
+        self.graph = graph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis and self.conjugator == other.conjugator
+
+    def __repr__(self) -> str:
+        return (f"InvariantFactor(basis={self.basis!r}, "
+                f"conjugator={self.conjugator!r})")
 
 
-@dataclass
 class ReductionWitness:
-    factors: list          # [InvariantFactor, ...], indices cyclic
-    provenance: str
-    verified: bool = False
+    def __init__(self, factors: list, provenance: str, verified: bool = False):
+        self.factors = factors          # [InvariantFactor, ...], indices cyclic
+        self.provenance = provenance
+        self.verified = verified        # set by verify_reduction_witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.factors, self.provenance, self.verified)
+                == (other.factors, other.provenance, other.verified))
+
+    def __repr__(self) -> str:
+        return (f"ReductionWitness(factors={self.factors!r}, "
+                f"provenance={self.provenance!r}, verified={self.verified!r})")
 
 
-@dataclass
-class FiniteOrderCertificate:
+class FiniteOrderCertificate(NamedTuple):
     power: int
     conjugator: Word       # phi^power = conjugation by this word
 
 
-@dataclass
-class Unknown:
+class Unknown(NamedTuple):
     reason: str
     iterations: int = 0
 
@@ -337,24 +358,24 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
 
 
 def verify_reduction_witness(endo: Endomorphism, witness: ReductionWitness) -> bool:
-    """Membership check: phi(basis of A_i) inside x_i A_{i+1} x_i^-1, plus
-    properness of the system.  Each factor keeps the Stallings graph folded
-    for the check, so the views of a verified witness fold none again."""
+    """Properness of the system, plus the membership check: phi(basis of
+    A_i) inside x_i A_{i+1} x_i^-1.  Proper means every basis nonempty,
+    the basis sizes summing to at most the rank, and below it for a single
+    factor.  Each factor keeps the Stallings graph folded for the check,
+    so the views of a verified witness fold none again."""
     k = len(witness.factors)
-    total_rank = 0
+    ranks = [len(f.basis) for f in witness.factors]
+    if k == 0 or min(ranks) == 0 or sum(ranks) > endo.rank \
+            or (k == 1 and ranks[0] == endo.rank):
+        return False
     for i, f in enumerate(witness.factors):
         nxt = witness.factors[(i + 1) % k]
         nxt.graph = sg.stallings(endo.rank, nxt.basis)
-        total_rank += len(f.basis)
         x = f.conjugator
         for w in f.basis:
             img = endo.apply(w)
             if not nxt.graph.contains(concat(invert(x), img, x)):
                 return False
-    if k == 1 and total_rank >= endo.rank:
-        return False
-    if total_rank == 0:
-        return False
     witness.verified = True
     return True
 

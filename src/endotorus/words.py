@@ -9,7 +9,6 @@ parse_word("abA") == (1, 2, -1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -126,12 +125,23 @@ def cyclic_canonical(w: Sequence[int], unoriented: bool = False) -> Word:
     return tuple(map(_letter, best))
 
 
-@dataclass(frozen=True)
 class CyclicWord:
     """Conjugacy class of an element, canonicalized without orientation
     (the class of w and of w^-1 coincide)."""
 
-    letters: Word
+    def __init__(self, letters: Word):
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"CyclicWord(letters={self.letters!r})"
 
     @staticmethod
     def of(w: Sequence[int]) -> "CyclicWord":
@@ -175,21 +185,29 @@ def find_conjugator(u: Sequence[int], v: Sequence[int]) -> Optional[Word]:
 # endomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Endomorphism:
     """A self-map of F given on the generators.  Images are stored reduced;
     injectivity is a computed certificate (subgroups.is_injective), never an
     input assumption."""
 
-    rank: int
-    images: tuple  # tuple[Word, ...], one per generator
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, images: tuple):
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        if len(self.images) != self.rank:
+        if len(images) != rank:
             raise ValueError("need one image per generator")
-        object.__setattr__(self, "images", tuple(reduce_word(im) for im in self.images))
+        self.rank = rank
+        self.images = tuple(reduce_word(im) for im in images)  # one Word per generator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.images))
+
+    def __repr__(self) -> str:
+        return f"Endomorphism(rank={self.rank!r}, images={self.images!r})"
 
     @staticmethod
     def identity(rank: int) -> "Endomorphism":

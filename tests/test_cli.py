@@ -1,12 +1,11 @@
 import json
 import subprocess
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from endotorus import cli, surface
+from endotorus import cli, graphmap, nielsen, surface, torus, traintrack, words
 from endotorus import subgroups as sg
 from endotorus.cli import COMMANDS, ParseError, main, parse, report_json, run
 from endotorus.surface import Bounds, InternalInconsistency
@@ -155,7 +154,7 @@ class TestCommandLine:
     def test_flag_defaults_are_the_bounds(self, capsys):
         assert main(["tt", str(CORPUS / "swap_finite_order.endo"), "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["bounds"] == asdict(Bounds())
+        assert rep["bounds"] == Bounds().as_dict()
 
     def test_one_input_per_single_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -231,7 +230,7 @@ class TestCommandLine:
         assert reason in reports["report"]["characterization"]["notes"]
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    @pytest.mark.parametrize("name", [f.name for f in fields(Bounds)])
+    @pytest.mark.parametrize("name", list(Bounds().as_dict()))
     def test_bound_below_one_is_a_usage_error(self, name, value, capsys):
         # a search cut at 0 finds nothing, and the pipeline would read that
         # as a bounded negative (or a cross-check failure, exit 3)
@@ -325,14 +324,83 @@ class TestCommandLine:
 
 class TestStartUp:
     def test_cli_import_loads_no_fractions_or_multiprocessing(self):
-        # every CLI process pays for what `import endotorus.cli` loads
+        # every CLI process pays for what `import endotorus.cli` loads;
+        # `dataclasses` alone brings `inspect`, and only `main` needs
+        # `argparse`
         code = ("import sys; before = set(sys.modules); import endotorus.cli; "
-                "print(sorted({'fractions', 'decimal', 'multiprocessing'} "
+                "print(sorted({'fractions', 'decimal', 'multiprocessing', "
+                "'dataclasses', 'inspect', 'argparse'} "
                 "& (set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, cwd=ROOT)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_freezes_the_start_up_heap(self):
+        # no collection during a command scans what the imports made
+        code = "import gc, endotorus.cli; print(gc.get_freeze_count())"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
+
+
+PLAIN = (dict, list, tuple, str, int, float, bool, type(None))
+
+
+def _plain(obj) -> bool:
+    """Whether `obj` is built of plain JSON-like values only; a record
+    that is a NamedTuple is a tuple subclass and fails."""
+    if type(obj) not in PLAIN:
+        return False
+    if type(obj) is dict:
+        return all(map(_plain, obj.values()))
+    if type(obj) in (list, tuple):
+        return all(map(_plain, obj))
+    return True
+
+
+class TestRecords:
+    def test_bounds_by_name(self):
+        assert Bounds().as_dict() == {"max_period": 6, "max_len": 12,
+                                      "period_bound": 8,
+                                      "max_iterations": 500, "kmax": 6}
+        assert list(Bounds(kmax=2).as_dict().values()) == [6, 12, 8, 500, 2]
+        assert repr(Bounds(kmax=2)) == ("Bounds(max_period=6, max_len=12, "
+                                        "period_bound=8, max_iterations=500, "
+                                        "kmax=2)")
+
+    def test_bounds_equal_and_hash_by_value(self):
+        assert Bounds() == Bounds(max_len=12)
+        assert hash(Bounds()) == hash(Bounds(max_len=12))
+        assert Bounds() != Bounds(kmax=2)
+
+    def test_no_record_shares_a_mutable_default(self):
+        for module in (words, graphmap, sg, traintrack, nielsen, surface,
+                       torus, cli):
+            for value in vars(module).values():
+                defaults = getattr(value, "_field_defaults", {})
+                if isinstance(value, type):
+                    assert not [d for d in defaults.values()
+                                if isinstance(d, (list, dict, set))], value
+
+    def test_no_record_reaches_the_rendering(self, monkeypatch):
+        # `_round_floats` and the text rendering's json.dumps would show a
+        # NamedTuple record as a list
+        seen = []
+        real = cli._round_floats
+
+        def recording(obj, digits=10):
+            seen.append(obj)
+            return real(obj, digits)
+
+        monkeypatch.setattr(cli, "_round_floats", recording)
+        for path in sorted(CORPUS.glob("*.endo")):
+            spec = parse(path.read_text())
+            for command in COMMANDS:
+                seen.clear()
+                run(command, spec)
+                assert _plain(seen[0]), (command, path.stem)
 
 
 class TestBatch:

@@ -47,7 +47,7 @@ class TestRealize:
 def realize_arcs(tt, arcs):
     """`realize_surface` of the loops that the arcs close into."""
     orbits = arc_orbits(arcs)
-    return realize_surface(StableRepresentative(tt, orbits, 1.0),
+    return realize_surface(StableRepresentative(tt, orbits, 1.0, []),
                            nielsen_loops(tt, orbits))
 
 

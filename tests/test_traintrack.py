@@ -555,3 +555,30 @@ class TestWitnessVerification:
         bad = ReductionWitness(
             [type(result.factors[0])([parse_word("c")], ())], "tampered")
         assert not verify_reduction_witness(PSI, bad)
+
+    @staticmethod
+    def witness(*bases):
+        """A_1 -> A_2 -> ... -> A_1 with trivial conjugators, each A_i given
+        by the texts of its basis."""
+        return ReductionWitness(
+            [tt_module.InvariantFactor([parse_word(w) for w in basis], ())
+             for basis in bases], "test")
+
+    def test_two_copies_of_the_whole_group_are_rejected(self):
+        # each factor keeps the invariance, but the system is not proper
+        witness = self.witness(["a", "b"], ["a", "b"])
+        assert not verify_reduction_witness(SWAP, witness)
+        assert not witness.verified
+
+    def test_two_rank_one_factors_verify(self):
+        witness = self.witness(["a"], ["b"])
+        assert verify_reduction_witness(SWAP, witness)
+        assert witness.verified
+
+    def test_an_empty_factor_is_rejected(self):
+        # a -> a, b -> 1 sends <b> into the trivial group and the trivial
+        # group anywhere, so only the empty basis fails
+        kill_b = Endomorphism(2, (parse_word("a"), ()))
+        witness = self.witness(["b"], [])
+        assert not verify_reduction_witness(kill_b, witness)
+        assert not witness.verified

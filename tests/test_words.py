@@ -184,7 +184,33 @@ class TestConjugacy:
             assert is_conjugate(u, w)
 
 
+class TestEndomorphismRecord:
+    def test_images_are_reduced(self):
+        endo = Endomorphism(2, (parse_word("aAb"), (2, 1, -1)))
+        assert endo.images == ((2,), (2,))
+
+    @pytest.mark.parametrize("rank,images", [(0, ()), (2, ((1,),)),
+                                             (2, ((1,), (2,), (1,)))])
+    def test_bad_rank_or_image_count(self, rank, images):
+        with pytest.raises(ValueError):
+            Endomorphism(rank, images)
+
+    def test_equal_maps_hash_equal(self):
+        endo = Endomorphism(2, (parse_word("aAb"), (1,)))
+        assert endo == SWAP and hash(endo) == hash(SWAP)
+        assert len({endo, SWAP, PHI}) == 2
+        assert endo != PHI and endo != (2, endo.images)
+        assert repr(endo) == "Endomorphism(rank=2, images=((2,), (1,)))"
+
+
 class TestCyclicWord:
+    def test_equal_classes_hash_equal(self):
+        u = CyclicWord.of(parse_word("abAB"))
+        assert u == CyclicWord.of(parse_word("BAba")) and hash(u) == hash(
+            CyclicWord.of(parse_word("BAba")))
+        assert len(u) == 4 and str(u) == "[abAB]"
+        assert u != u.letters
+
     def test_canonical_of_rotations(self):
         w = parse_word("abAB")
         for k in range(len(w)):

@@ -4,7 +4,8 @@ periodic-class word search on the corpus.
 
     PYTHONPATH=src python3 tools/corpus_digest.py > digest.txt
 
-The first line is `bounds <json>`, the default `Bounds` as JSON.  Then,
+The first line is `bounds <json>`, the default `Bounds` as JSON, read off
+the `bounds` entry of a `classify` report at the default flags.  Then,
 for each command and each input in `corpus/`, at the default flags, it
 prints one line `command input sha256`, the hash of the input's
 `report_json` bytes with the report's `bounds` objects (the top-level one
@@ -75,7 +76,6 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from endotorus import graphmap, nielsen, surface, traintrack
@@ -255,8 +255,9 @@ def _print_tt(source: str) -> None:
 
 
 def main() -> None:
-    print(f"bounds {json.dumps(asdict(surface.Bounds()), sort_keys=True)}", flush=True)
     paths = sorted(CORPUS.glob("*.endo"))
+    bounds = run("classify", parse(paths[0].read_text()))["bounds"]
+    print(f"bounds {json.dumps(bounds, sort_keys=True)}", flush=True)
     for path in paths:
         spec = parse(path.read_text())
         moves: list = []
@@ -283,7 +284,7 @@ def main() -> None:
         spec = parse(path.read_text())
         square = spec.endo.power(2)
         if sum(map(len, square.images)) <= 40:
-            _print_classify(f"{path.stem}^2", EndoSpec(spec.rank, square))
+            _print_classify(f"{path.stem}^2", EndoSpec(spec.rank, square, []))
     for k in range(3, 7):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
