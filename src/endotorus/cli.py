@@ -7,8 +7,8 @@ comment until end of line.  An image written as a lone 1 is the empty
 word: the generator maps to the identity.  A corpus file may carry
 '# expect: <verdict>'.
 
-Exit codes: 0 success, 1 parse error, 2 usage error (a bound below 1 or an
-input that cannot be read), 3 internal inconsistency.
+Exit codes: 0 success, 1 parse error, 2 usage error (a bound or `--jobs`
+below 1, or an input that cannot be read), 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -367,7 +367,12 @@ def report_json(report: dict) -> str:
 
 
 def _render_text(report: dict) -> str:
-    lines = [f"input: {report['input']['text']}"]
+    """The report as text lines: every top-level entry but `schema`,
+    `command` and `bounds` shows."""
+    source = report["input"]
+    name = f"{source['name']}: " if "name" in source else ""
+    lines = [f"input: {name}{source['text']}"]
+    lines.extend(f"warning: {w}" for w in report["warnings"])
     if "verdict" in report:
         v = report["verdict"]
         lines.append(f"verdict: {v['kind']}  (injective: {v['injective']})")
@@ -399,6 +404,8 @@ def _render_text(report: dict) -> str:
                 "finite_order", "reduction_witness", "unknown", "error"):
         if key in report:
             lines.append(f"{key}: {json.dumps(report[key], sort_keys=True, default=str)}")
+    if "timing_seconds" in report:
+        lines.append(f"timing: {report['timing_seconds']} s")
     return "\n".join(lines)
 
 
@@ -438,7 +445,8 @@ def main(argv=None) -> int:
     for (name, default) in defaults.items():
         flag = _FLAG_SPELLING.get(name, name.replace("_", "-"))
         ap.add_argument(f"--{flag}", dest=name, type=int, default=default)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="batch worker processes, at most one per input")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--timing", action="store_true",
                     help="include wall-clock timing (breaks byte determinism)")
@@ -452,6 +460,8 @@ def main(argv=None) -> int:
         Bounds(**flags)
     except ValueError as exc:
         ap.error(str(exc))
+    if args.jobs < 1:
+        ap.error(f"jobs must be at least 1, not {args.jobs}")
 
     if args.command == "batch":
         paths = []
@@ -473,10 +483,11 @@ def main(argv=None) -> int:
         if args.command == "batch":
             tasks = [(args.cmd, text, p.name, flags, args.timing)
                      for (p, text) in zip(paths, texts)]
-            if args.jobs > 1:
+            workers = min(args.jobs, len(tasks))
+            if workers > 1:
                 # imported here: only a parallel batch pays for it
                 from multiprocessing import Pool
-                with Pool(args.jobs) as pool:
+                with Pool(workers) as pool:
                     reports = pool.map(_run_single, tasks)
             else:
                 reports = [_run_single(t) for t in tasks]

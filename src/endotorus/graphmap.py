@@ -16,8 +16,10 @@ Every move is its push map: a dict sending each edge id the move removes to
 its path in the new graph.  `push_path` applies one to any edge path (e
 becomes push[e], -e the reverse path, every other edge stays, and the result
 is freely reduced), and `GraphMap._move` carries the edge images through
-it.  Applying the map itself is the same substitution, with the edge images
-as the push map.
+it.  So edge images are reduced paths by construction, with no tightening
+step: the rose's are reduced words, and a subdivision or a refinement slices
+reduced paths.  Applying the map itself is the same substitution, with the
+edge images as the push map.
 
 Oriented edges are signed integers (+e, -e) over positive unoriented ids.
 """
@@ -131,15 +133,14 @@ class GraphMap:
 
     `history` holds the push maps of the move that made this map, which is
     what `transport_path` reads: one for a single move, one per step for a
-    composite move (`traintrack.fold_at_pair`).  A tighten or a change of
-    metric keeps it; the rose has none."""
+    composite move (`traintrack.fold_at_pair`).  A change of metric keeps
+    it; the rose has none."""
 
     def __init__(self, graph: MarkedGraph, vimg: dict, eimg: dict,
-                 rank: int, labels: dict, twist: Word = (), history: tuple = ()):
+                 labels: dict, twist: Word = (), history: tuple = ()):
         self.graph = graph
         self.vimg = dict(vimg)
         self.eimg = {e: tuple(p) for (e, p) in eimg.items()}
-        self.rank = rank
         self.labels = dict(labels)         # unoriented id -> word along +e
         self.twist = tuple(twist)          # phi(w) = twist . f_*(w) . twist^-1
         self.history = tuple(history)      # push maps of the last move
@@ -175,7 +176,7 @@ class GraphMap:
                             {i: 1.0 for i in range(1, r + 1)})
         eimg = {i: tuple(endo.images[i - 1]) for i in range(1, r + 1)}
         labels = {i: (i,) for i in range(1, r + 1)}
-        return GraphMap(graph, {0: 0}, eimg, r, labels)
+        return GraphMap(graph, {0: 0}, eimg, labels)
 
     def _move(self, push: dict, new_edges: dict, new_vimg: Optional[dict] = None,
               rename: Optional[Sequence[int]] = None,
@@ -217,14 +218,9 @@ class GraphMap:
         vimg.update(new_vimg or {})
         twist = concat(self.twist, invert(h.get(self.vimg[g.base], ())))
         graph = MarkedGraph(len(vimg), edges, lengths, ren[g.base])
-        return GraphMap(graph, vimg, eimg, self.rank, labels, twist, (push,))
+        return GraphMap(graph, vimg, eimg, labels, twist, (push,))
 
     # -- moves --------------------------------------------------------------------
-
-    def tighten(self) -> "GraphMap":
-        eimg = {e: reduce_word(p) for (e, p) in self.eimg.items()}
-        return GraphMap(self.graph, self.vimg, eimg, self.rank, self.labels,
-                        self.twist, self.history)
 
     def subdivide(self, edge: int, k: int) -> "GraphMap":
         """Split edge at the point mapping to position k of its image path;
@@ -403,11 +399,12 @@ def transition_matrix(gm: GraphMap, digraph: EdgeDigraph) -> TransitionData:
     Handel 1992, section 5).  So after a stabilization fold or a refinement
     the start is already an eigenvector and the loop ends in a few steps.
     It ends when no entry changes by 1e-16 or more, when the iterate
-    repeats the one two steps back (floats can settle into a two-cycle),
-    or after 2000 steps.  lambda is the Rayleigh quotient of the last
-    iterate, snapped to an integer within 1e-12.  On a reducible M with a
-    defective dominant eigenvalue it is not the Perron root (a -> a,
-    b -> ab reads 1.000999 for 1), and no flag reads it."""
+    repeats the one two steps back or the one of the last step 1, 2, 4,
+    8, ... (floats can settle into a cycle of any length), or after 2000
+    steps.  lambda is the Rayleigh quotient of the last iterate, snapped to
+    an integer within 1e-12.  On a reducible M with a defective dominant
+    eigenvalue it is not the Perron root (a -> a, b -> ab reads 1.000999
+    for 1), and no flag reads it."""
     order = tuple(gm.graph.edge_ids())
     n = len(order)
     (irreducible, expanding) = transition_flags(digraph)
@@ -434,7 +431,7 @@ def transition_matrix(gm: GraphMap, digraph: EdgeDigraph) -> TransitionData:
     v = [gm.graph.lengths[e] for e in order]
     if n and min(v) <= 0:
         v = [1.0] * n
-    back = None            # the iterate before v
+    back = saved = None    # the iterate before v, and of the last step 2^k
     lam = 0.0
     steps = 0
     if n:
@@ -444,9 +441,11 @@ def transition_matrix(gm: GraphMap, digraph: EdgeDigraph) -> TransitionData:
             if s == 0:
                 break
             w = [x / s for x in w]
-            if max(map(abs, map(sub, w, v))) < 1e-16 or w == back:
+            if max(map(abs, map(sub, w, v))) < 1e-16 or w in (back, saved):
                 v = w
                 break
+            if steps & (steps - 1) == 0:
+                saved = w
             (back, v) = (v, w)
         mv = times(v)
         denom = sum(x * x for x in v)
@@ -472,8 +471,7 @@ def with_eigenmetric(gm: GraphMap, data: TransitionData) -> GraphMap:
         return gm
     lengths = {e: data.eigenmetric[i] for i, e in enumerate(data.edge_order)}
     graph = MarkedGraph(gm.graph.nv, dict(gm.graph.edges), lengths, gm.graph.base)
-    return GraphMap(graph, gm.vimg, gm.eimg, gm.rank, gm.labels, gm.twist,
-                    gm.history)
+    return GraphMap(graph, gm.vimg, gm.eimg, gm.labels, gm.twist, gm.history)
 
 
 def refine_at_points(gm: GraphMap, cuts: dict) -> GraphMap:

@@ -63,8 +63,7 @@ from endotorus.traintrack import (
     direction_map,
     fold_at_pair,
     gates,
-    is_illegal_turn,
-    legality,
+    illegal_turns,
 )
 
 
@@ -257,8 +256,7 @@ def _admit(tt: TrainTrack, X: tuple, Y: tuple, at_x, at_y, period_bound: int,
     key = min(rho, invert(rho))
     if key in found:
         return True
-    if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
-           for k in range(len(rho) - 1)) != 1:
+    if len(illegal_turns(tt.gate_map, rho)) != 1:
         return False
     back = _least_return(tt.gm, rho, period_bound, radius)
     if back is None:
@@ -378,10 +376,8 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
             key = min(img, invert(img))
             if key not in by_canonical:
                 raise AssertionError("orbit left the enumerated set")
-            illegal = [i for i in range(len(img) - 1)
-                       if is_illegal_turn(tt.gate_map, -img[i], img[i + 1])]
             paths.append(img)
-            junctions.append(illegal[0])
+            junctions.append(illegal_turns(tt.gate_map, img)[0])
             cur = img
         for q in paths:
             used.add(min(q, invert(q)))
@@ -460,9 +456,10 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
     found: dict = {}
     for p in pinps:
         rho = transport_path(gm, p.path)
-        (legal, k) = legality(tt.gate_map, rho)
-        if legal:
+        turns = illegal_turns(tt.gate_map, rho)
+        if not turns:
             return None
+        k = turns[0]
         (X, Y) = (rho[:k + 1], invert(rho[k + 1:]))
         if X[0] == Y[0]:
             return None
@@ -524,7 +521,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
         (_, oi, _, d1, d2) = candidates[0]
         gm = tt.gm
         try:
-            folded = fold_at_pair(gm, d1, d2).tighten()
+            folded = fold_at_pair(gm, d1, d2)
             moved = [transport_path(folded, p) for p in orbits[oi].paths]
             tt2 = TrainTrack(folded, gates(folded),
                              transition_matrix(folded, edge_digraph(folded)))

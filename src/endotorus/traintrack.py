@@ -2,8 +2,8 @@
 or a certified obstruction: a reduction witness (invariant proper free factor
 system) or a finite-order certificate.
 
-The folding loop never inverts the endomorphism; all moves (tighten,
-subdivide, fold, collapse) make sense for injective non-surjective maps.
+The folding loop never inverts the endomorphism; all moves (subdivide,
+fold, collapse) make sense for injective non-surjective maps.
 """
 
 from __future__ import annotations
@@ -69,29 +69,21 @@ def gates(gm: GraphMap, dmap: Optional[dict] = None) -> dict:
     return {d: ids.setdefault(dmap[d], len(ids)) for d in dirs}
 
 
-def is_illegal_turn(gate_map: dict, d1: int, d2: int) -> bool:
-    return gate_map[d1] == gate_map[d2]
-
-
-def legality(gate_map: dict, path) -> tuple:
-    """(True, None) for a legal path, else (False, index of first illegal
-    turn), where turn i sits between path[i] and path[i+1]."""
-    for i in range(len(path) - 1):
-        if is_illegal_turn(gate_map, -path[i], path[i + 1]):
-            return (False, i)
-    return (True, None)
+def illegal_turns(gate_map: dict, path) -> list:
+    """The indices of the illegal turns of an edge path, in increasing
+    order: turn i, between path[i] and path[i + 1], is illegal when the
+    directions -path[i] and path[i + 1] lie in one gate.  A path is legal
+    when the list is empty."""
+    return [i for i in range(len(path) - 1)
+            if gate_map[-path[i]] == gate_map[path[i + 1]]]
 
 
 def illegal_crossings(gm: GraphMap, gate_map: dict) -> list:
-    """Illegal turns crossed by edge images: (edge, position, d1, d2)."""
-    out = []
-    for e in gm.graph.edge_ids():
-        p = gm.eimg[e]
-        for i in range(len(p) - 1):
-            d1, d2 = -p[i], p[i + 1]
-            if is_illegal_turn(gate_map, d1, d2):
-                out.append((e, i, d1, d2))
-    return out
+    """Illegal turns crossed by edge images: (edge, position, d1, d2), in
+    edge order.  A one-edge image, as most are on a long fold loop, has no
+    turn and is passed over."""
+    return [(e, i, -p[i], p[i + 1]) for (e, p) in sorted(gm.eimg.items())
+            if len(p) > 1 for i in illegal_turns(gate_map, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +469,6 @@ def find_train_track(endo: Endomorphism, max_iterations: int = 500):
     """
     gm = GraphMap.rose(endo)
     for iteration in range(max_iterations):
-        gm = gm.tighten()
         trivial = {e for e in gm.graph.edge_ids() if gm.eimg[e] == ()}
         if trivial:
             loops = {e for e in trivial

@@ -51,9 +51,10 @@ def euler_char(p: HNNPresentation) -> int:
 # ---------------------------------------------------------------------------
 
 def check_consistency(gm) -> None:
-    """Each edge image is an edge path from the image of the edge's initial
-    vertex to the image of its terminal one; a trivial image needs both
-    ends sent to one vertex."""
+    """Each edge image is a reduced edge path from the image of the edge's
+    initial vertex to the image of its terminal one; a trivial image needs
+    both ends sent to one vertex.  No move tightens, so a move that left an
+    image unreduced fails here."""
     g = gm.graph
     for e in g.edge_ids():
         p = gm.eimg[e]
@@ -61,6 +62,8 @@ def check_consistency(gm) -> None:
             assert all(g.term_of(p[i]) == g.init_of(p[i + 1])
                        for i in range(len(p) - 1)), \
                 f"image of edge {e} is not a path"
+            assert all(p[i] != -p[i + 1] for i in range(len(p) - 1)), \
+                f"image of edge {e} is not reduced"
             assert g.init_of(p[0]) == gm.vimg[g.init_of(e)]
             assert g.term_of(p[-1]) == gm.vimg[g.term_of(e)]
         else:
@@ -113,7 +116,7 @@ def identity_track(nv, edges):
                         {e: 1.0 for e in range(1, len(edges) + 1)})
     labels = {e: () if e < nv else (e - nv + 1,) for e in graph.edges}
     gm = GraphMap(graph, {v: v for v in range(nv)},
-                  {e: (e,) for e in graph.edges}, len(edges) - nv + 1, labels)
+                  {e: (e,) for e in graph.edges}, labels)
     return TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
 
 

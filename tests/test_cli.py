@@ -1,4 +1,6 @@
+import inspect
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -375,6 +377,20 @@ class TestRecords:
         assert hash(Bounds()) == hash(Bounds(max_len=12))
         assert Bounds() != Bounds(kmax=2)
 
+    def test_stage_defaults_are_the_bounds(self):
+        # a stage called without its bound uses the `Bounds()` field it
+        # stands for
+        defaults = Bounds().as_dict()
+        for (function, parameter, field) in (
+                (traintrack.find_train_track, "max_iterations", "max_iterations"),
+                (nielsen.scan_pinps, "period_bound", "period_bound"),
+                (nielsen.stabilize, "period_bound", "period_bound"),
+                (words.periodic_conjugacy_search, "max_period", "max_period"),
+                (words.periodic_conjugacy_search, "max_len", "max_len"),
+                (torus.fiber_chain, "k_max", "kmax")):
+            default = inspect.signature(function).parameters[parameter].default
+            assert default == defaults[field], (function.__name__, parameter)
+
     def test_no_record_shares_a_mutable_default(self):
         for module in (words, graphmap, sg, traintrack, nielsen, surface,
                        torus, cli):
@@ -403,6 +419,64 @@ class TestRecords:
                 assert _plain(seen[0]), (command, path.stem)
 
 
+# entries the text view leaves out, and the label of each entry whose text
+# line is not named after its key
+NOT_IN_TEXT = {"schema", "command", "bounds"}
+TEXT_LABEL = {"warnings": "warning", "timing_seconds": "timing"}
+
+
+def assert_text_shows_every_entry(report: dict, text: str) -> None:
+    """Every top-level entry of the report but `NOT_IN_TEXT` starts a line
+    of the text; an empty list has nothing to show."""
+    labels = {line.split(":", 1)[0] for line in text.splitlines()}
+    for key in report.keys() - NOT_IN_TEXT:
+        if report[key] != []:
+            assert TEXT_LABEL.get(key, key) in labels, key
+
+
+class TestTextView:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.endo")))
+    def test_every_entry_reaches_the_text(self, name, monkeypatch):
+        spec = parse((CORPUS / f"{name}.endo").read_text())
+        analysis = surface.Analysis(spec.endo, Bounds())
+        monkeypatch.setattr(cli, "Analysis", lambda endo, bounds: analysis)
+        for command in COMMANDS:
+            report = run(command, spec)
+            assert_text_shows_every_entry(report, cli._render_text(report))
+
+    def test_warnings_reach_the_text(self, tmp_path, capsys):
+        path = tmp_path / "unreduced.endo"
+        path.write_text("rank 2; a -> a b B; b -> b a;")
+        assert main(["classify", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"]
+        assert main(["classify", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert_text_shows_every_entry(report, text)
+        assert text.splitlines()[:2] == [
+            "input: rank 2; a -> a; b -> b a;",
+            "warning: image of 'a' was not reduced; reduced form used"]
+
+    def test_batch_timing_and_names_reach_the_text(self, capsys):
+        files = [str(CORPUS / n) for n in ("swap_finite_order.endo",
+                                           "dehn_twist.endo")]
+        assert main(["batch", "--cmd", "tt", "--timing", "--json", *files]) == 0
+        reports = list(map(json.loads, capsys.readouterr().out.splitlines()))
+        assert main(["batch", "--cmd", "tt", "--timing", *files]) == 0
+        # one block of lines per input, each starting at its input line
+        blocks: list = []
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("input: "):
+                blocks.append([])
+            blocks[-1].append(line)
+        assert len(blocks) == len(reports) == 2
+        for (report, block) in zip(reports, blocks):
+            assert "timing_seconds" in report
+            assert_text_shows_every_entry(report, "\n".join(block))
+            source = report["input"]
+            assert block[0] == f"input: {source['name']}: {source['text']}"
+
+
 class TestBatch:
     def test_batch_order_stable_under_jobs(self, tmp_path):
         names = ["swap_finite_order.endo", "identity_rank2.endo",
@@ -428,6 +502,44 @@ class TestBatch:
         assert proc.returncode == 0, proc.stderr
         (line,) = proc.stdout.splitlines()
         assert json.loads(line)["verdict"]["kind"] == "geometric"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(CORPUS / "swap_finite_order.endo"),
+                  "--jobs", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"jobs must be at least 1, not {value}" in err
+
+    def test_jobs_start_at_most_one_worker_per_input(self, monkeypatch, capsys):
+        # a recorder in place of the pool: no process is started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks):
+                return list(map(function, tasks))
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        files = [str(CORPUS / n) for n in ("swap_finite_order.endo",
+                                           "identity_rank2.endo",
+                                           "dehn_twist.endo")]
+        for (count, jobs) in ((3, "64"), (3, "2"), (1, "64")):
+            assert main(["batch", "--cmd", "tt", "--jobs", jobs,
+                         *files[:count]]) == 0
+        assert started == [3, 2]
+        out = capsys.readouterr().out
+        assert sum(line.startswith("input: ") for line in out.splitlines()) == 7
 
     def test_batch_timing(self):
         proc = subprocess.run(

@@ -59,16 +59,19 @@ class TestRose:
 
 
 class TestTighten:
+    # images are reduced by construction; `check_consistency`, run after
+    # every move the tests make, holds each map to it
+
     def test_cancelling_image(self):
         gm = rose(Endomorphism(2, (parse_word("abBa"), parse_word("b"))))
+        assert gm.eimg[1] == (1, 1)
         # parse_word already reduces; build an unreduced image by hand
         gm.eimg[1] = (1, 2, -2, 1)
-        tight = gm.tighten()
-        assert tight.eimg[1] == (1, 1)
+        with pytest.raises(AssertionError, match="not reduced"):
+            check_consistency(gm)
 
     def test_already_tight(self):
-        gm = rose(PHI)
-        assert gm.tighten().eimg == gm.eimg
+        check_consistency(rose(PHI))
 
     def test_tighten_path(self):
         # edge paths tighten by free reduction on signed edge ids
@@ -203,7 +206,7 @@ def off_base_map():
                         {e: 1.0 for e in (1, 2, 3, 4)})
     eimg = {1: (-2, 1), 2: (-2, 1), 3: (3, -1, 2, 4, -2, 1),
             4: (-1, 2, 4, -2, 1)}
-    return GraphMap(graph, {0: 2, 1: 1, 2: 1}, eimg, 2,
+    return GraphMap(graph, {0: 2, 1: 1, 2: 1}, eimg,
                     {1: (2,), 2: (), 3: (1,), 4: (2,)})
 
 
@@ -225,10 +228,10 @@ class TestTwist:
         assert collapsed.twist == ()
         assert_marked(collapsed, self.ENDO)
 
-    def test_subdivide_and_tighten_keep_the_twist(self):
+    def test_subdivide_and_metric_keep_the_twist(self):
         folded = off_base_map().fold(1, 2)
         split = folded.subdivide(3, 1)
-        assert split.twist == folded.twist == split.tighten().twist
+        assert split.twist == folded.twist
         data = transition_matrix(split, edge_digraph(split))
         assert with_eigenmetric(split, data).twist == folded.twist
         assert_marked(split, self.ENDO)
@@ -315,7 +318,7 @@ def reference_transition_matrix(gm):
     v = [gm.graph.lengths[e] for e in order]
     if not all(x > 0 for x in v):
         v = [1.0] * n
-    back = None
+    back = saved = None
     lam = 0.0
     steps = 0
     if n:
@@ -325,9 +328,11 @@ def reference_transition_matrix(gm):
             if s == 0:
                 break
             w = [x / s for x in w]
-            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16 or w == back:
+            if max(abs(w[i] - v[i]) for i in range(n)) < 1e-16 or w in (back, saved):
                 v = w
                 break
+            if steps in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+                saved = w
             (back, v) = (v, w)
         mv = [sum(m[i][j] * v[j] for j in range(n)) for i in range(n)]
         denom = sum(x * x for x in v)
@@ -418,7 +423,7 @@ class TestTransitionOracle:
                             {i: 1.0 for i in range(1, n + 1)})
         eimg = {i: tuple(j for (j, x) in enumerate(row, 1) for _ in range(x))
                 for (i, row) in enumerate(matrix, 1)}
-        gm = GraphMap(graph, {0: 0}, eimg, n, {i: (i,) for i in range(1, n + 1)})
+        gm = GraphMap(graph, {0: 0}, eimg, {i: (i,) for i in range(1, n + 1)})
         data = transition_matrix(gm, edge_digraph(gm))
         assert data.as_lists() == matrix
         assert data.irreducible == reference_strongly_connected(matrix)
@@ -485,8 +490,7 @@ def with_lengths(gm, lengths):
     """The graph map with its edge lengths replaced."""
     g = gm.graph
     graph = MarkedGraph(g.nv, dict(g.edges), dict(lengths), g.base)
-    return GraphMap(graph, gm.vimg, gm.eimg, gm.rank, gm.labels, gm.twist,
-                    gm.history)
+    return GraphMap(graph, gm.vimg, gm.eimg, gm.labels, gm.twist, gm.history)
 
 
 def cold_start(gm):
@@ -542,6 +546,20 @@ class TestWarmStart:
         assert data.as_lists() == [[2, 2, 2], [1, 1, 0], [1, 2, 1]]
         assert data.steps < 100
         assert data.lam == 3.8751297941627785
+
+    @pytest.mark.parametrize("images", [("bb", "abbb"), ("aaab", "aa")])
+    def test_a_longer_float_cycle_stops_the_iteration(self, images):
+        # M = ((0, 2), (1, 3)) and ((3, 1), (2, 0)), both with lambda^2 =
+        # 3 lambda + 2: from ones the iterates settle into a cycle longer
+        # than two steps, and used to run out the 2000-step budget
+        endo = Endomorphism(2, tuple(map(parse_word, images)))
+        gm = rose(endo)
+        data = transition_matrix(gm, edge_digraph(gm))
+        assert data.steps < 100
+        assert abs(data.lam - (3 + math.sqrt(17)) / 2) <= 1e-12
+        assert_warm_is_cold(gm)
+        # the rose is a train track, so the fold loop returns this data
+        assert find_train_track(endo).data == data
 
     def test_geometric_classify_takes_few_steps(self):
         # from ones, these calls took 3,793 steps
@@ -608,6 +626,7 @@ class TestLabels:
     @settings(max_examples=50, deadline=None)
     def test_every_intermediate_graph_is_marked(self, endo):
         for gm in moved_graph_maps(endo):
+            check_consistency(gm)
             assert_marked(gm, endo)
 
 
@@ -634,6 +653,17 @@ class TestPushMaps:
     @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
     def test_corpus_moves_carry_their_paths(self, name):
         pairs = moves(parse((CORPUS / f"{name}.endo").read_text()).endo)
+        assert pairs
+        for (before, after) in pairs:
+            assert_pushed(before, after)
+
+    @pytest.mark.parametrize("text", [
+        # fold loops that run out the fold budget, and a -> a^k b, b -> a
+        "a -> A b; b -> b a;", "a -> A b a; b -> b a;",
+        "a -> a b A; b -> a b;", "a -> b a; b -> b b a B;",
+        "a -> a a a b; b -> a;", "a -> a a a a a a b; b -> a;"])
+    def test_long_fold_loops_carry_their_paths(self, text):
+        pairs = moves(parse(f"rank 2; {text}").endo)
         assert pairs
         for (before, after) in pairs:
             assert_pushed(before, after)

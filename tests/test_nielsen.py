@@ -34,7 +34,6 @@ from endotorus.traintrack import (
     TrainTrack,
     find_train_track,
     gates,
-    is_illegal_turn,
 )
 from endotorus.nielsen import (
     INTERIOR_BOUND,
@@ -205,7 +204,7 @@ class TestLoops:
         graph = MarkedGraph(4, {1: (0, 1), 4: (1, 2), 3: (0, 3), 2: (3, 2),
                                 5: (0, 0)}, {e: 1.0 for e in range(1, 6)})
         gm = GraphMap(graph, {v: v for v in range(4)},
-                      {e: (e,) for e in range(1, 6)}, 2,
+                      {e: (e,) for e in range(1, 6)},
                       {1: (1,), 2: (), 3: (), 4: (), 5: (2,)})
         assert graph.shortest_path(0, 2) == (1, 4)
         assert graph.shortest_path(2, 0) == (-2, -3)
@@ -332,7 +331,7 @@ def reference_enumerate(tt, period_bound, radius, tol=POINT_TOL):
             if j >= len(pos2) or abs(pos2[j] - p) > tol:
                 continue
             (e1, e2) = (r1[i], r2[j])
-            if e1 == e2 or not is_illegal_turn(tt.gate_map, -e1, -e2) \
+            if e1 == e2 or tt.gate_map[-e1] != tt.gate_map[-e2] \
                     or gm.graph.term_of(e1) != gm.graph.term_of(e2):
                 continue
             (X, Y) = (r1[:i + 1], r2[:j + 1])
@@ -340,7 +339,7 @@ def reference_enumerate(tt, period_bound, radius, tol=POINT_TOL):
             key = min(rho, invert(rho))
             if key in found:
                 continue
-            if sum(is_illegal_turn(tt.gate_map, -rho[k], rho[k + 1])
+            if sum(tt.gate_map[-rho[k]] == tt.gate_map[rho[k + 1]]
                    for k in range(len(rho) - 1)) != 1:
                 continue
             back = nielsen._least_return(gm, rho, period_bound, radius)

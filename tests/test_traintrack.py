@@ -28,9 +28,9 @@ from endotorus.traintrack import (
     find_train_track,
     gates,
     illegal_crossings,
+    illegal_turns,
     invariant_sets,
     is_finite_order,
-    legality,
     verify_reduction_witness,
 )
 from endotorus import subgroups as sg
@@ -213,10 +213,13 @@ class TestGates:
     def test_legality_along_paths(self):
         gm = GraphMap.rose(GOLDEN)
         gate_map = gates(gm)
-        assert legality(gate_map, (1,)) == (True, None)
-        assert legality(gate_map, (1, -1)) == (False, 0)      # degenerate turn
-        assert legality(gate_map, (1, 2)) == (True, None)     # turn {A, b} legal
-        assert legality(gate_map, (-1, 2)) == (False, 0)      # turn {a, b} illegal
+        assert illegal_turns(gate_map, ()) == []
+        assert illegal_turns(gate_map, (1,)) == []
+        assert illegal_turns(gate_map, (1, -1)) == [0]      # degenerate turn
+        assert illegal_turns(gate_map, (1, 2)) == []        # turn {A, b} legal
+        assert illegal_turns(gate_map, (-1, 2)) == [0]      # turn {a, b} illegal
+        # every illegal turn, in order, not only the first
+        assert illegal_turns(gate_map, (-1, 2, 1, 2, -1, 2)) == [0, 4]
 
 
 class TestInvariantSubgraph:
@@ -297,7 +300,7 @@ class TestInvariantSets:
         graph = MarkedGraph(2, {1: (0, 0), 2: (1, 1), 3: (0, 1)},
                             {1: 1.0, 2: 1.0, 3: 1.0}, base)
         eimg = {1: (3, 2, -3, 1), 2: (-3, 1, 3, 2), 3: (3,)}
-        return GraphMap(graph, {0: 0, 1: 1}, eimg, 2, {1: (1,), 2: (2,), 3: ()})
+        return GraphMap(graph, {0: 0, 1: 1}, eimg, {1: (1,), 2: (2,), 3: ()})
 
     @pytest.mark.parametrize("base", [0, 1])
     def test_forest_branch_collapses_to_one_vertex(self, base):
@@ -319,7 +322,7 @@ class TestInvariantSets:
                             {e: 1.0 for e in (1, 2, 3, 4)})
         eimg = {1: (1, 2), 2: (-2,), 3: (3, 1, 2, 4, -2, -1),
                 4: (2, 4, -2, -1, 3, 1)}
-        gm = GraphMap(graph, {0: 0, 1: 2, 2: 1}, eimg, 2,
+        gm = GraphMap(graph, {0: 0, 1: 2, 2: 1}, eimg,
                       {1: (), 2: (), 3: (1,), 4: (2,)})
         check_consistency(gm)
         assert invariant_sets(gm, edge_digraph(gm)) == (None, frozenset({1, 2}))
@@ -417,8 +420,7 @@ class TestFindTrainTrack:
         # edge images legal, volume one
         assert abs(result.gm.graph.volume() - 1.0) < 1e-9
         for e in result.gm.graph.edge_ids():
-            ok, _ = legality(result.gate_map, result.gm.eimg[e])
-            assert ok
+            assert illegal_turns(result.gate_map, result.gm.eimg[e]) == []
 
     def test_extension_reduction(self):
         result = find_train_track(PSI)
