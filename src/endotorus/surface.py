@@ -169,13 +169,17 @@ def _class_cycle(endo: Endomorphism, w, bound: int) -> Optional[list]:
 
 
 def _letter_cycle_witness(endo: Endomorphism) -> Optional[ReductionWitness]:
-    """Detect generators whose conjugacy classes permute among single-letter
-    classes: a cyclic free factor system of rank-one factors.  The orbits
-    run under phi with every generator whose class does not go to a letter
-    class sent to 1, which ends an orbit at its first longer class instead
-    of letting it grow for `rank` steps."""
-    onto_letters = Endomorphism(endo.rank, tuple(
-        im if len(cyclic_reduce(im)) == 1 else () for im in endo.images))
+    """Detect generators whose conjugacy classes go, up to powers, around a
+    cycle of single-letter classes: a cyclic free factor system of rank-one
+    factors.  The orbits run under the map that sends each generator whose
+    image is conjugate to a power of one letter to that letter, and every
+    other generator to 1, which ends an orbit at its first class that is no
+    letter class instead of letting it grow for `rank` steps."""
+    roots = []
+    for im in endo.images:
+        c = cyclic_reduce(im)
+        roots.append(c[:1] if c and c.count(c[0]) == len(c) else ())
+    onto_letters = Endomorphism(endo.rank, tuple(roots))
     for g in range(1, endo.rank + 1):
         reps = _class_cycle(onto_letters, (g,), endo.rank)
         if reps is None:
@@ -201,15 +205,17 @@ def _factor_cycle(endo: Endomorphism, basis: list,
                   provenance: str) -> Optional[ReductionWitness]:
     """The rank-one factors <basis[i]>, each sent by phi into a conjugate of
     the next, cyclically, as a verified witness; None when some image is
-    conjugate to neither the next word nor its inverse, or the witness
-    fails verification."""
+    conjugate to no power target^k or target^-k (k >= 1) of the next word,
+    or the witness fails verification."""
     factors = []
     for (i, w) in enumerate(basis):
         target = basis[(i + 1) % len(basis)]
         img = endo.apply(w)
-        x = find_conjugator(target, img)
+        # target^k has a cyclic reduction k times as long as target's
+        power = target * max(1, len(cyclic_reduce(img)) // len(cyclic_reduce(target)))
+        x = find_conjugator(power, img)
         if x is None:
-            x = find_conjugator(invert(target), img)
+            x = find_conjugator(invert(power), img)
         if x is None:
             return None
         factors.append(InvariantFactor([w], x))
@@ -306,9 +312,9 @@ class Analysis:
     @cached_property
     def reduction_witness(self) -> Optional[ReductionWitness]:
         """Bounded search for an invariant proper free factor system: image
-        containment, single-letter class cycles, periodic primitive classes,
-        and invariant subgraphs (through the folding loop, injective maps
-        only).  None is a bounded negative."""
+        containment, cycles of single-letter classes up to powers, periodic
+        primitive classes, and invariant subgraphs (through the folding
+        loop, injective maps only).  None is a bounded negative."""
         ffc = self.image_factor
         if ffc.contained:
             witness = ReductionWitness([InvariantFactor(ffc.factor, ())],

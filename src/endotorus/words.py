@@ -313,18 +313,23 @@ def _kernel_trivial(m) -> bool:
     return True
 
 
-# A balanced prefix with r <= COMPLETION_LETTERS letters still to come is
-# dropped, with its subtree, when no r letters that balance it can make its
-# area admissible (r = 1 is the closing letter, which is placed exactly).
-# The completions are those of the word's first letter (`_PeriodFilter`).
-# On plastic_rank3 at length 12 the check at r = 5 drops 78% of the
-# prefixes that reach it, and the walk makes 9,020 calls, against 18,038
-# with first-letter-blind tables for 4 letters.  Its search, the only
-# corpus search at rank 3, took 0.070, 0.038, 0.030, 0.031 and 0.040 s of
-# CPU time with tables for 3, 4, 5, 6 and 7 letters (medians of 11
-# interleaved cold runs on a 2-vCPU Xeon, Python 3.11).  6 letters save
-# another 972 calls there but no time, and 7 letters save none.
+# A balanced prefix with TAIL_LETTERS < r <= COMPLETION_LETTERS letters
+# still to come is dropped, with its subtree, when no r letters that
+# balance it can make its area admissible; the completions are those of
+# the word's first letter (`_PeriodFilter.completions`).  The last
+# TAIL_LETTERS letters of a balanced word are not walked: they are read
+# from the exact tails of the first letter, filed under the state before
+# them (`_PeriodFilter.tails`).  On plastic_rank3 at length 12 the walk
+# makes 4,023 calls, none past depth 8, against 9,020 with tables alone
+# for up to 5 letters and 18,038 with first-letter-blind tables for 4.
+# Its search, the only corpus search at rank 3, took 0.0275 s of CPU time
+# with tables alone, and 0.0226, 0.0188 and 0.0174 s with tails of 3, 4
+# and 5 letters (medians of 21 interleaved cold runs on a 2-vCPU Xeon,
+# Python 3.11).  With tails of 4 letters, tables for 6 were slower.
+# Tails of 5 letters leave the tables unused; that change would remove
+# them.
 COMPLETION_LETTERS = 5
+TAIL_LETTERS = 4
 
 
 class _Memo(dict):
@@ -372,7 +377,10 @@ class _PeriodFilter:
     H made by r letters of ord at least the first's, the last of them not
     the first's inverse, that bring v back to 0.  `completable` maps (first ord, r,
     packed v, packed H) of a prefix with r letters to come to whether one
-    of those changes gives an admissible area.
+    of those changes gives an admissible area.  `tails` maps (first ord,
+    r), r <= TAIL_LETTERS, to the exact versions of those completions,
+    built on first use: the reduced words themselves, each with its change
+    of H, in lexicographic order under the packed v before them.
 
     Two exact shortcuts read the kernels of these conditions.  When every
     M^n - I, and with reversing every M^n + I, n <= max_period, has trivial
@@ -384,7 +392,8 @@ class _PeriodFilter:
     additive and one-to-one on the coordinates that occur, so a prefix is
     then completable exactly when -H is one of the area changes in its
     completion table: one set lookup, which the generator makes inline,
-    in place of a `completable` lookup."""
+    in place of a `completable` lookup; and the tails that can end it are
+    those filed under (v, -H), so `tails` files them under (v, change)."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
@@ -406,8 +415,9 @@ class _PeriodFilter:
                 for (i, j) in pairs))
         self.balanced_only = self._admits_only_zero(self.vector_powers)
 
-        # a prefix's v, its area, and an area plus a completion's change
-        # all have coordinates below (max_len + COMPLETION_LETTERS)^2, so
+        # a prefix's v, its area, and an area plus a completion's or a
+        # tail's change all have coordinates below
+        # (max_len + COMPLETION_LETTERS)^2, as TAIL_LETTERS is smaller, so
         # half a digit leaves a factor of 2 to spare
         bits = self.bits = (2 * (max_len + COMPLETION_LETTERS) ** 2).bit_length() + 1
         half = 1 << (bits - 1)
@@ -424,6 +434,7 @@ class _PeriodFilter:
         self.by_area = _Memo(self._area_ok)
         self.completions = _Memo(self._completion_tables)
         self.completable = _Memo(self._completable)
+        self.tails = _Memo(self._tail_table)
 
     def step(self, vv: int, hh: int, o: int) -> tuple:
         """Packed (v, H) after appending the letter with ord o."""
@@ -493,6 +504,35 @@ class _PeriodFilter:
             tables.append(cur)
         return tables
 
+    def _tail_table(self, key: tuple) -> dict:
+        """The exact tails of r letters in words whose first letter has
+        ord `first`, for key = (first, r): every reduced word of r letters
+        of ord at least the first's, the last not the first's inverse,
+        with its change d of packed H.  Filed under the packed v before
+        it, which the tail brings back to 0, and with `_zero_area_only`
+        under (v, d); each list is in lexicographic order.  Built from the
+        tails of r - 1 letters, one letter in front."""
+        (first, r) = key
+        zero_only = self._zero_area_only
+        if r == 0:
+            return {(self.zero, 0) if zero_only else self.zero: [((), 0)]}
+        table: dict = {}
+        for (after, entries) in self.tails[first, r - 1].items():
+            if zero_only:
+                after = after[0]
+            for (tail, d) in entries:
+                # the letter after the tail's end is w[1], cyclically
+                nxt = tail[0] if tail else first
+                for o in range(first, 2 * self.rank):
+                    if o ^ 1 != nxt:
+                        vv = after - self.vstep[o]
+                        d2 = d + self.step(vv, 0, o)[1]
+                        table.setdefault((vv, d2) if zero_only else vv,
+                                         []).append(((o,) + tail, d2))
+        for entries in table.values():
+            entries.sort()
+        return table
+
 
 def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                             filt: _PeriodFilter) -> list:
@@ -516,21 +556,32 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     tree, one O(1) update per letter (`_PeriodFilter`).  Each finished word
     is looked up in the filter by its vector, or by its area when it is
     balanced, and a word that no period admits is never built.  When
-    balanced_only, a prefix with at most COMPLETION_LETTERS letters to come
-    is dropped with its whole subtree when no balancing completion can make
-    its area admissible.  The completions are read from the tables of w[1]
+    balanced_only, a prefix with more than TAIL_LETTERS and at most
+    COMPLETION_LETTERS letters to come is dropped with its whole subtree
+    when no balancing completion can make its area admissible.  The
+    completions are read from the tables of w[1]
     (`_PeriodFilter.completions`): letters no less than w[1], the last not
     w[1]^-1, as every word here ends.  So the check starts at the second
     letter, once w[1] is placed.  When H = 0 is the only admissible area
-    it is one set lookup, made inline."""
+    it is one set lookup, made inline.
+
+    The last min(TAIL_LETTERS, length - 1) letters of a balanced word are
+    not walked: the prefix's state picks them from the exact tails of w[1]
+    (`_PeriodFilter.tails`), those that balance it, by one dict lookup when
+    H = 0 is the only admissible area and by one `by_area` check per tail
+    otherwise.  A tail is kept when its first letter does not cancel the
+    prefix's last and the necklace and bracelet rules pass letter by
+    letter, so the words and their order are those of the full walk."""
     nsym = 2 * rank
     w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
     sums = [0] * rank       # exponent sum per generator of w[1:t]
     out: list[tuple] = []
     (vstep, amask, abias, ashift) = (filt.vstep, filt.amask, filt.abias, filt.ashift)
     (zero, by_vector, by_area) = (filt.zero, filt.by_vector, filt.by_area)
-    (tables, completable) = (filt.completions, filt.completable)
-    check_from = COMPLETION_LETTERS if balanced_only else 0
+    (tables, completable, tails) = (filt.completions, filt.completable, filt.tails)
+    # letters to come at the tail lookup (-1: none), and at most at the check
+    (tail_len, check_from) = ((min(TAIL_LETTERS, length - 1), COMPLETION_LETTERS)
+                              if balanced_only else (-1, 0))
     zero_only = balanced_only and filt._zero_area_only
 
     def gen(t, p, pending, vv, hh):
@@ -541,9 +592,8 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
         first_inv = w[1] ^ 1 if t > 1 else -1
         letters = range(start, nsym) if t > 1 else range(0, nsym, 2)
         if t == length:
-            # last letter: w must close up cyclically reduced and be a
-            # necklace.  The last letter of a balanced word leaves H as it
-            # is: the other generators' sums before it are already 0
+            # last letter of an unbalanced walk: w must close up
+            # cyclically reduced and be a necklace
             for c in letters:
                 if c == cancel or c == first_inv or (c == start and length % p):
                     continue
@@ -554,9 +604,8 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                     out.append((tuple(w[1:]), ok))
             return
         rem = length - t
-        closing = balanced_only and rem == 1
         # the completion table of w's first letter, from the second letter on
-        comp = tables[w[1]][rem] if rem <= check_from and t > 1 else None
+        comp = tables[w[1]][rem] if tail_len < rem <= check_from and t > 1 else None
         for c in letters:
             if c == cancel:
                 continue
@@ -577,10 +626,9 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                 # w[1..t] would be its own inverse (t odd) or cancel with
                 # the next one (t even).  A smaller run puts a rotation
                 # of w^-1 before every extension of w[1..t]; a larger one
-                # never lets this rotation win.  The last letter, the
-                # balancing letter included, never equals first_inv (w
-                # must stay cyclically reduced), so each rotation of w^-1
-                # that could win is settled here.
+                # never lets this rotation win.  The last letter never
+                # equals first_inv (w must stay cyclically reduced), so
+                # each rotation of w^-1 that could win is settled here.
                 i = 2
                 while w[t + 1 - i] ^ 1 == w[i]:
                     i += 1
@@ -589,25 +637,34 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
             q = p if c == start else t
             x = ((vv & amask[c]) - abias[c]) << ashift[c]
             h2 = hh - x if c & 1 else hh + x
-            if closing:
-                # one generator is off by one after c, and only its letter
-                # of the other sign can close the word
-                if new:
-                    z = 2 * g + (new > 0)
-                else:
-                    h = 0
-                    while h == g or not sums[h]:
-                        h += 1
-                    z = 2 * h + (sums[h] > 0)
-                s = w[length - q]
-                if not (z < s or z == c ^ 1 or z == first_inv
-                        or (z == s and length % q)):
-                    ok = by_area[h2]
-                    if ok is not None:
-                        w[length] = z
-                        out.append((tuple(w[1:]), ok))
-                continue
             v2 = vv + vstep[c]
+            if rem == tail_len:
+                # the tails that balance w[1..t]; the necklace and
+                # bracelet rules above, run on the tail's letters
+                last_inv = w[1] ^ 1  # first_inv, which is -1 at t = 1
+                for (tail, d) in tails[w[1], rem].get((v2, -h2) if zero_only else v2, ()):
+                    ok = by_area[h2 + d]
+                    if ok is None or tail[0] == c ^ 1:
+                        continue
+                    (s, ps) = (t, q)
+                    for y in tail:
+                        s += 1
+                        z = w[s - ps]
+                        if y < z:
+                            break
+                        if y != z:
+                            ps = s
+                        w[s] = y
+                        if y == last_inv:
+                            i = 2
+                            while w[s + 1 - i] ^ 1 == w[i]:
+                                i += 1
+                            if w[s + 1 - i] ^ 1 < w[i]:
+                                break
+                    else:
+                        if not length % ps:
+                            out.append((tuple(w[1:]), ok))
+                continue
             if comp is not None:
                 if zero_only:
                     if -h2 not in comp.get(v2, ()):
@@ -677,7 +734,8 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     only the kernels of the M^n - I to be trivial, so after an oriented
     match a map with eigenvalue -1 (M + I singular) generates balanced
     words only.  When no nonzero half-area is admitted either, the check
-    that a balanced prefix can still be completed is one set lookup.
+    that a balanced prefix can still be completed is one set lookup, and
+    so is finding the tails that end it.
     Both rules drop only what the filter rejects anyway, so the candidates
     and the witness are unchanged.  None is a bounded negative, never a
     proof of atoroidality.

@@ -4,7 +4,7 @@ import pytest
 
 from endotorus.words import CyclicWord, Endomorphism, parse_word
 from endotorus.nielsen import StableRepresentative, nielsen_loops, stabilize
-from endotorus.traintrack import find_train_track
+from endotorus.traintrack import find_train_track, verify_reduction_witness
 from endotorus import surface
 from endotorus.surface import (
     NotSurface,
@@ -113,6 +113,24 @@ class TestReductionSearch:
                                 parse_word("abcab")))
         assert surface._letter_cycle_witness(endo) is None
         assert max(lengths) == 1
+
+    # each image is conjugate to a power of the next letter in a cycle of
+    # letter classes, so the letters span an invariant free factor system
+    @pytest.mark.parametrize("images, bases", [
+        (("bb", "A"), [[(1,)], [(2,)]]),
+        (("AB", "Abba"), [[(2,)]]),
+        (("b", "aaaa"), [[(1,)], [(2,)]]),
+        (("CC", "a", "BB"), [[(1,)], [(3,)], [(2,)]]),
+        (("b", "C", "aa"), [[(1,)], [(2,)], [(3,)]]),
+    ])
+    def test_letter_classes_up_to_powers(self, images, bases):
+        endo = Endomorphism(len(images), tuple(map(parse_word, images)))
+        v = classify(endo)
+        assert v.kind == "reducible"
+        assert v.witness.provenance == "generator classes permute"
+        assert [f.basis for f in v.witness.factors] == bases
+        v.witness.verified = False
+        assert verify_reduction_witness(endo, v.witness)
 
 
 class TestClassify:

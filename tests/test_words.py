@@ -11,6 +11,7 @@ from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
     COMPLETION_LETTERS,
+    TAIL_LETTERS,
     CyclicWord,
     Endomorphism,
     _PeriodFilter,
@@ -600,6 +601,13 @@ def balanced_only_maps(rank, max_image, max_period):
         lambda e: _PeriodFilter(e, max_period, 1).balanced_only)
 
 
+def zero_area_maps(rank, max_image, max_period):
+    """Maps under which no nonzero half-area can be periodic, at any period
+    up to max_period, oriented or reversing."""
+    return endomorphisms(rank, max_image).filter(
+        lambda e: _PeriodFilter(e, max_period, 1)._zero_area_only)
+
+
 class TestClassTwoFilter:
     @given(endomorphisms(2), st.integers(1, 4), st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
@@ -621,14 +629,19 @@ class TestClassTwoFilter:
         assert periodic_conjugacy_search(endo, max_period, max_len) == \
             unfiltered_search(endo, max_period, max_len)
 
-    # (rank, balanced_only, longest word): the unbalanced rank-3 lists grow
-    # fastest, and the subtree check fires from length 6
-    @given(st.sampled_from([(2, False, 10), (2, True, 12), (3, False, 6),
-                            (3, True, 10)]).flatmap(
-        lambda case: st.tuples(st.just(case[1]), endomorphisms(case[0], 3),
-                               st.integers(1, 4), st.integers(1, case[2]),
-                               st.booleans())))
-    @settings(max_examples=40, deadline=None)
+    # (rank, balanced_only, shortest and longest word, only H = 0): the
+    # unbalanced rank-3 lists grow fastest, the subtree check fires from
+    # length 6, and maps that admit only H = 0 read their tails by one
+    # lookup, which serves every word longer than TAIL_LETTERS + 1
+    @given(st.sampled_from([
+        (2, False, 1, 10, False), (2, True, 1, 12, False), (3, False, 1, 6, False),
+        (3, True, 1, 10, False), (2, True, TAIL_LETTERS + 2, 12, True),
+        (3, True, TAIL_LETTERS + 2, 10, True)]).flatmap(
+        lambda case: st.tuples(
+            st.just(case[1]),
+            zero_area_maps(case[0], 3, 4) if case[4] else endomorphisms(case[0], 3),
+            st.integers(1, 4), st.integers(case[2], case[3]), st.booleans())))
+    @settings(max_examples=60, deadline=None)
     def test_generator_keeps_exactly_the_admitted_words(self, case):
         (balanced_only, endo, max_period, length, reversing) = case
         rank = endo.rank
@@ -879,6 +892,43 @@ class TestCompletionCheck:
                 if word_admitted:
                     assert filt.completable[w[0], rem, pv, ph]
 
+    @given(canonical_balanced_words(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_real_words_end_in_listed_tails(self, case, data):
+        # the tails are exactly the reduced words of r letters no less than
+        # w[1], the last not w[1]^-1, each filed under its own state
+        (rank, w) = case
+        endo = data.draw(endomorphisms(rank, 3))
+        filt = _PeriodFilter(endo, data.draw(st.integers(1, 4)), len(w),
+                             data.draw(st.booleans()))
+        r = min(TAIL_LETTERS, len(w) - 1)
+        table = filt.tails[w[0], r]
+        listed = []
+        for (key, entries) in table.items():
+            assert entries == sorted(entries)
+            for (tail, d) in entries:
+                listed.append(tail)
+                (vv, hh) = (key[0] if filt._zero_area_only else key, 0)
+                for o in tail:
+                    (vv, hh) = filt.step(vv, hh, o)
+                assert vv == filt.zero and hh == d
+                if filt._zero_area_only:
+                    assert key[1] == d
+        assert sorted(listed) == [
+            tail for tail in itertools.product(range(w[0], 2 * rank), repeat=r)
+            if tail[-1] != w[0] ^ 1
+            and reduce_word(map(_letter, tail)) == tuple(map(_letter, tail))]
+
+        # the word's own last r letters are listed under its prefix's state
+        (pv, ph) = (filt.zero, 0)
+        for o in w[:-r]:
+            (pv, ph) = filt.step(pv, ph, o)
+        (vv, hh) = (pv, ph)
+        for o in w[-r:]:
+            (vv, hh) = filt.step(vv, hh, o)
+        key = (pv, hh - ph) if filt._zero_area_only else pv
+        assert (w[-r:], hh - ph) in table[key]
+
     def test_plastic_rank3_checks_by_one_lookup(self):
         endo = corpus_endo("plastic_rank3")
         filt = _PeriodFilter(endo, 6, 12)
@@ -924,7 +974,7 @@ class TestCompletionCheck:
         finally:
             sys.setprofile(previous)
         assert len(pruned) == 726
-        assert len(calls) < 10_000
+        assert len(calls) < 4_100
         # the same words as the walk without the completion check
         monkeypatch.setattr(words_module, "COMPLETION_LETTERS", 0)
         unchecked = _PeriodFilter(endo, 6, 12)
