@@ -226,11 +226,13 @@ def _loops_dict(loops: NielsenLoops) -> dict:
 
 
 def _witness_dict(w: ReductionWitness) -> dict:
+    """A witness reaches a report only as `verify_reduction_witness`
+    returned it."""
     return {
         "factors": [[show_word(b) for b in f.basis] for f in w.factors],
         "conjugators": [show_word(f.conjugator) for f in w.factors],
         "provenance": w.provenance,
-        "verified": w.verified,
+        "verified": True,
     }
 
 
@@ -366,9 +368,14 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
+# entries that `_render_text` shows in lines of their own, or not at all
+_NOT_AN_ENTRY_LINE = frozenset({"schema", "command", "input", "bounds", "warnings",
+                                "verdict", "timing_seconds"})
+
+
 def _render_text(report: dict) -> str:
     """The report as text lines: every top-level entry but `schema`,
-    `command` and `bounds` shows."""
+    `command` and `bounds` shows, the command's entries in report order."""
     source = report["input"]
     name = f"{source['name']}: " if "name" in source else ""
     lines = [f"input: {name}{source['text']}"]
@@ -397,13 +404,9 @@ def _render_text(report: dict) -> str:
                          f"{a['interior_endpoint_period_bound']}")
         for note in v.get("notes", []):
             lines.append(f"note: {note}")
-    for key in ("train_track", "surface", "minimality", "applicable",
-                "inapplicable_reason", "witness_subgroup", "fiber_chain",
-                "witness_error", "z2_witness", "characterization",
-                "stabilization", "nielsen_loops", "not_surface",
-                "finite_order", "reduction_witness", "unknown", "error"):
-        if key in report:
-            lines.append(f"{key}: {json.dumps(report[key], sort_keys=True, default=str)}")
+    for (key, value) in report.items():
+        if key not in _NOT_AN_ENTRY_LINE:
+            lines.append(f"{key}: {json.dumps(value, sort_keys=True, default=str)}")
     if "timing_seconds" in report:
         lines.append(f"timing: {report['timing_seconds']} s")
     return "\n".join(lines)
@@ -414,16 +417,16 @@ def _render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_single(args_tuple):
-    """Parse and run one input; with `timing`, record the wall time of both
-    (this breaks byte determinism)."""
-    (command, text, name, flags, timing) = args_tuple
+    """Run one parsed input.  `parse_s` is the wall time of its parse, or
+    None without timing; with it, the report records the wall time of
+    parse and run (this breaks byte determinism)."""
+    (command, spec, name, flags, parse_s) = args_tuple
     t0 = time.monotonic()
-    spec = parse(text)
     rep = run(command, spec, flags)
     if name is not None:
         rep["input"]["name"] = name
-    if timing:
-        rep["timing_seconds"] = round(time.monotonic() - t0, 3)
+    if parse_s is not None:
+        rep["timing_seconds"] = round(parse_s + time.monotonic() - t0, 3)
     return rep
 
 
@@ -479,10 +482,23 @@ def main(argv=None) -> int:
                   f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return 2
 
+    # every input is parsed before any runs, so a batch that holds a parse
+    # error prints no report; it names the input that failed
+    batch = args.command == "batch"
+    tasks = []
+    for (path, text) in zip(paths, texts):
+        t0 = time.monotonic()
+        try:
+            spec = parse(text)
+        except ParseError as exc:
+            print(f"error: {f'{path}: ' if batch else ''}{exc}", file=sys.stderr)
+            return 1
+        parse_s = time.monotonic() - t0 if args.timing else None
+        tasks.append((args.cmd if batch else args.command, spec,
+                      path.name if batch else None, flags, parse_s))
+
     try:
-        if args.command == "batch":
-            tasks = [(args.cmd, text, p.name, flags, args.timing)
-                     for (p, text) in zip(paths, texts)]
+        if batch:
             workers = min(args.jobs, len(tasks))
             if workers > 1:
                 # imported here: only a parallel batch pays for it
@@ -494,12 +510,9 @@ def main(argv=None) -> int:
             for rep in reports:
                 print(report_json(rep) if args.json else _render_text(rep))
             return 0
-        rep = _run_single((args.command, texts[0], None, flags, args.timing))
+        rep = _run_single(tasks[0])
         print(report_json(rep) if args.json else _render_text(rep))
         return 0
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

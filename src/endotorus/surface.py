@@ -77,7 +77,7 @@ class NotSurface(NamedTuple):
     vertex: Optional[int] = None
 
 
-def _orientable(gm, loops) -> bool:
+def _orientable(loops) -> bool:
     """The thickened graph is orientable iff the loops can be oriented so
     that every edge is crossed once in each direction (bipartiteness of the
     conflict graph on loops)."""
@@ -136,7 +136,7 @@ def realize_surface(stable: StableRepresentative, loops: NielsenLoops):
     E = len(gm.graph.edges)
     chi = V - E
     b = len(loops.loops)
-    orientable = _orientable(gm, loops.loops)
+    orientable = _orientable(loops.loops)
     if orientable:
         if (2 - chi - b) % 2 != 0:
             return NotSurface("Euler characteristic parity mismatch")
@@ -219,8 +219,7 @@ def _factor_cycle(endo: Endomorphism, basis: list,
         if x is None:
             return None
         factors.append(InvariantFactor([w], x))
-    witness = ReductionWitness(factors, provenance)
-    return witness if verify_reduction_witness(endo, witness) else None
+    return verify_reduction_witness(endo, ReductionWitness(factors, provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +316,10 @@ class Analysis:
         loop, injective maps only).  None is a bounded negative."""
         ffc = self.image_factor
         if ffc.contained:
-            witness = ReductionWitness([InvariantFactor(ffc.factor, ())],
-                                       "image lies in a proper free factor")
-            if verify_reduction_witness(self.endo, witness):
+            witness = verify_reduction_witness(self.endo, ReductionWitness(
+                [InvariantFactor(ffc.factor, ())],
+                "image lies in a proper free factor"))
+            if witness is not None:
                 return witness
         witness = _letter_cycle_witness(self.endo)
         if witness is None and self.word_hit is not None:

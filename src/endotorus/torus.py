@@ -62,10 +62,10 @@ def witness_subgroup(endo: Endomorphism,
     the one-step conjugators (Horner: x <- phi(x) x_i).  Checks A proper and
     psi(A) <= A by membership for psi = i_{x^-1} . phi^n, which the chain
     reuses.  chi = 0: the presentation ascends from A to itself."""
-    if not witness.verified:
-        raise ValueError("the reduction witness is not verified")
     first = witness.factors[0]
     graph = first.graph
+    if graph is None:
+        raise ValueError("the reduction witness is not verified")
     if graph.index() == 1:
         raise ValueError("witness fiber must be a proper subgroup")
     n = len(witness.factors)

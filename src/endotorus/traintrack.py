@@ -116,40 +116,16 @@ class TrainTrack:
         return 2.0 * bcc_metric / (self.stretch - 1.0)
 
 
-class InvariantFactor:
-    def __init__(self, basis: list, conjugator: Word,
-                 graph: Optional[sg.SubgroupGraph] = None):
-        self.basis = basis              # words generating A_i
-        self.conjugator = conjugator    # x_i with phi(A_i) <= x_i A_{i+1} x_i^{-1}
-        # Stallings graph of A_i, kept by verify_reduction_witness; left
-        # out of equality and repr
-        self.graph = graph
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.basis == other.basis and self.conjugator == other.conjugator
-
-    def __repr__(self) -> str:
-        return (f"InvariantFactor(basis={self.basis!r}, "
-                f"conjugator={self.conjugator!r})")
+class InvariantFactor(NamedTuple):
+    basis: list                 # words generating A_i
+    conjugator: Word            # x_i with phi(A_i) <= x_i A_{i+1} x_i^{-1}
+    # Stallings graph of A_i, folded by verify_reduction_witness
+    graph: Optional[sg.SubgroupGraph] = None
 
 
-class ReductionWitness:
-    def __init__(self, factors: list, provenance: str, verified: bool = False):
-        self.factors = factors          # [InvariantFactor, ...], indices cyclic
-        self.provenance = provenance
-        self.verified = verified        # set by verify_reduction_witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.factors, self.provenance, self.verified)
-                == (other.factors, other.provenance, other.verified))
-
-    def __repr__(self) -> str:
-        return (f"ReductionWitness(factors={self.factors!r}, "
-                f"provenance={self.provenance!r}, verified={self.verified!r})")
+class ReductionWitness(NamedTuple):
+    factors: list               # [InvariantFactor, ...], indices cyclic
+    provenance: str
 
 
 class FiniteOrderCertificate(NamedTuple):
@@ -345,31 +321,32 @@ def build_reduction_witness(gm: GraphMap, endo: Endomorphism, edge_set,
         x = concat(gm.twist, gm.path_to_word(
             gm.map_path(gamma_i) + invert(delta) + invert(gamma_j)))
         factors.append(InvariantFactor(basis, x))
-    witness = ReductionWitness(factors, provenance)
-    return witness if verify_reduction_witness(endo, witness) else None
+    return verify_reduction_witness(endo, ReductionWitness(factors, provenance))
 
 
-def verify_reduction_witness(endo: Endomorphism, witness: ReductionWitness) -> bool:
+def verify_reduction_witness(endo: Endomorphism,
+                             witness: ReductionWitness) -> Optional[ReductionWitness]:
     """Properness of the system, plus the membership check: phi(basis of
     A_i) inside x_i A_{i+1} x_i^-1.  Proper means every basis nonempty,
     the basis sizes summing to at most the rank, and below it for a single
-    factor.  Each factor keeps the Stallings graph folded for the check,
-    so the views of a verified witness fold none again."""
+    factor.  Returns the witness with each factor carrying the Stallings
+    graph folded for the check, so its views fold none again; None when a
+    check fails."""
     k = len(witness.factors)
     ranks = [len(f.basis) for f in witness.factors]
     if k == 0 or min(ranks) == 0 or sum(ranks) > endo.rank \
             or (k == 1 and ranks[0] == endo.rank):
-        return False
-    for i, f in enumerate(witness.factors):
-        nxt = witness.factors[(i + 1) % k]
-        nxt.graph = sg.stallings(endo.rank, nxt.basis)
-        x = f.conjugator
-        for w in f.basis:
-            img = endo.apply(w)
-            if not nxt.graph.contains(concat(invert(x), img, x)):
-                return False
-    witness.verified = True
-    return True
+        return None
+    factors = []
+    for (j, f) in enumerate(witness.factors):
+        graph = sg.stallings(endo.rank, f.basis)
+        prev = witness.factors[j - 1]    # cyclically, A_{j-1} -> A_j
+        x = prev.conjugator
+        for w in prev.basis:
+            if not graph.contains(concat(invert(x), endo.apply(w), x)):
+                return None
+        factors.append(f._replace(graph=graph))
+    return witness._replace(factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -541,6 +541,22 @@ class TestBatch:
         out = capsys.readouterr().out
         assert sum(line.startswith("input: ") for line in out.splitlines()) == 7
 
+    def test_a_parse_error_names_its_input_before_any_run(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # the bad input sits between two good ones; none of them runs
+        (tmp_path / "a_good.endo").write_text("rank 2; a -> b; b -> a;")
+        (tmp_path / "b_bad.endo").write_text("rank 2; a -> a b")
+        (tmp_path / "c_good.endo").write_text("rank 2; a -> a b; b -> a;")
+        calls = []
+        real = cli.run
+        monkeypatch.setattr(cli, "run",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["batch", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err == (f"error: {tmp_path / 'b_bad.endo'}: parse error at "
+                       f"offset 16: unterminated image (missing ';')\n")
+
     def test_batch_timing(self):
         proc = subprocess.run(
             [sys.executable, "-m", "endotorus.cli", "batch", "--cmd", "tt",

@@ -57,6 +57,9 @@ PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
 SWAP = Endomorphism(2, (parse_word("b"), parse_word("a")))
 PERIOD_TWO = Endomorphism(2, (parse_word("BA"), parse_word("A")))
+# geometric with the golden stretch; like PERIOD_TWO it stabilizes with one
+# orbit of two periodic Nielsen paths
+SHIFT_TWIST = Endomorphism(2, (parse_word("b"), parse_word("aB")))
 COMMUTATOR = CyclicWord.of(parse_word("abAB"))
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -146,6 +149,15 @@ class TestOrbit:
         assert orbit.orientation_reversal
         assert len(orbit.paths) == 1
         assert any(orbit.connectors)
+        assert verify_orbit_relations(tt, orbit)
+
+    @pytest.mark.parametrize("endo", [PERIOD_TWO, SHIFT_TWIST],
+                             ids=["period_two", "shift_twist"])
+    def test_an_orbit_of_two_paths(self, endo):
+        tt, pinps = scan_pinps(find_train_track(endo), 8)
+        (orbit,) = group_orbits(tt, pinps)
+        assert len(orbit.paths) == 2 and not orbit.orientation_reversal
+        assert tt.gm.map_path(orbit.paths[0]) == orbit.paths[1]
         assert verify_orbit_relations(tt, orbit)
 
 
@@ -577,17 +589,19 @@ class TestLongPeriodRays:
 
 GOLDEN_NAMES = ("golden_geometric", "golden_mirror", "golden_transpose")
 I_B = Endomorphism.inner(2, parse_word("b"))
-# the corpus inputs with periodic Nielsen paths, three squares, and i_b
-# after each geometric input that has a train track: i_b after
-# composite_geometric and after golden_geometric has none yet (ROADMAP
-# item 1), so stabilize never runs on them
+# the corpus inputs with periodic Nielsen paths, three squares, i_b after
+# each geometric input that has a train track (i_b after
+# composite_geometric and after golden_geometric has none yet, ROADMAP
+# item 1, so stabilize never runs on them), and two maps that end with an
+# orbit of two paths
 CARRY_CASES = (
     [(n, corpus_endo(n)) for n in
      ("composite_geometric", "double_cover_geometric", "expanding_double",
       *GOLDEN_NAMES, "nonsurjective_mixed")]
     + [(f"{n}^2", corpus_endo(n).power(2)) for n in GOLDEN_NAMES]
     + [(f"i_b*{n}", I_B.compose(corpus_endo(n))) for n in
-       ("double_cover_geometric", "golden_mirror", "golden_transpose")])
+       ("double_cover_geometric", "golden_mirror", "golden_transpose")]
+    + [("period_two", PERIOD_TWO), ("shift_twist", SHIFT_TWIST)])
 
 
 def carried_steps(endo, steps=nielsen.STABILIZE_STEPS):

@@ -2,9 +2,16 @@ import math
 
 import pytest
 
+from endotorus.cli import parse, run
 from endotorus.words import CyclicWord, Endomorphism, parse_word
 from endotorus.nielsen import StableRepresentative, nielsen_loops, stabilize
-from endotorus.traintrack import find_train_track, verify_reduction_witness
+from endotorus.traintrack import (
+    InvariantFactor,
+    ReductionWitness,
+    Unknown,
+    find_train_track,
+    verify_reduction_witness,
+)
 from endotorus import surface
 from endotorus.surface import (
     NotSurface,
@@ -42,6 +49,20 @@ class TestRealize:
         surf = realize_surface(stable, loops)
         g = stable.tt.gm.graph
         assert 2 - 2 * surf.genus - surf.boundary_count == g.nv - len(g.edges)
+
+
+class TestOrientable:
+    @pytest.mark.parametrize("loops, orientable", [
+        # one loop over a one-edge graph, crossing the edge twice the same way
+        ([(1, 1)], False),
+        # edge 1 asks for opposite orientations of the loops, edge 2 the same
+        ([(1, 2), (1, -2)], False),
+        # reversing the second loop crosses edge 1 once each way
+        ([(1,), (1,)], True),
+        ([(1, 2, -1, -2)], True),
+    ])
+    def test_loop_orientations(self, loops, orientable):
+        assert surface._orientable(loops) is orientable
 
 
 def realize_arcs(tt, arcs):
@@ -88,7 +109,7 @@ class TestReductionSearch:
 
     def test_extension_found(self):
         w = reduction_search(PSI)
-        assert w is not None and w.verified
+        assert w is not None and w.factors[0].graph is not None
 
     def test_swap_letter_cycle(self):
         w = reduction_search(SWAP)
@@ -129,8 +150,21 @@ class TestReductionSearch:
         assert v.kind == "reducible"
         assert v.witness.provenance == "generator classes permute"
         assert [f.basis for f in v.witness.factors] == bases
-        v.witness.verified = False
-        assert verify_reduction_witness(endo, v.witness)
+        assert verify_reduction_witness(endo, v.witness._replace(
+            factors=[f._replace(graph=None) for f in v.witness.factors]))
+
+    def test_an_invariant_class_that_is_no_letter_verifies(self):
+        # phi(aB) = BaBa = B (aB)^2 b: the one factor <aB> with conjugator B
+        endo = Endomorphism(2, (parse_word("BaB"), parse_word("A")))
+        witness = ReductionWitness(
+            [InvariantFactor([parse_word("aB")], parse_word("B"))], "test")
+        assert verify_reduction_witness(endo, witness)
+
+    @pytest.mark.xfail(strict=True, reason="neither the letter cycles nor the "
+                       "word search sees the invariant class aB")
+    def test_an_invariant_class_that_is_no_letter_is_found(self):
+        endo = Endomorphism(2, (parse_word("BaB"), parse_word("A")))
+        assert classify(endo).kind == "reducible"
 
 
 class TestClassify:
@@ -151,7 +185,18 @@ class TestClassify:
     def test_extension(self):
         v = classify(PSI)
         assert v.kind == "reducible" and not v.injective
-        assert v.witness is not None and v.witness.verified
+        assert v.witness is not None and v.witness.factors[0].graph is not None
+
+    def test_a_train_track_search_that_gives_up(self, monkeypatch):
+        monkeypatch.setattr(surface, "find_train_track", lambda endo, **kw:
+                            Unknown("iteration budget exhausted", 500))
+        spec = parse("rank 2; a -> a b; b -> b a;")   # remark_irreducible_atoroidal
+        verdict = run("classify", spec)["verdict"]
+        assert verdict["kind"] == "unknown"
+        assert verdict["notes"] == [
+            "train track search: iteration budget exhausted"]
+        assert run("tt", spec)["unknown"] == {
+            "reason": "iteration budget exhausted", "iterations": 500}
 
     def test_swap(self):
         v = classify(SWAP)

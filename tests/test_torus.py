@@ -51,22 +51,20 @@ def verified(endo, *bases):
     """The reduction witness A_1 -> A_2 -> ... -> A_1 with trivial
     conjugators, each A_i given by the texts of its basis; it must pass
     `verify_reduction_witness`."""
-    witness = ReductionWitness(
+    witness = verify_reduction_witness(endo, ReductionWitness(
         [InvariantFactor([parse_word(w) for w in basis], ()) for basis in bases],
-        "test")
-    assert verify_reduction_witness(endo, witness)
+        "test"))
+    assert witness
     return witness
 
 
 def marked_verified(endo, *bases):
-    """The witness of `verified`, marked verified by hand, with each
-    factor's graph folded, for systems that its check refuses."""
-    witness = ReductionWitness(
-        [InvariantFactor([parse_word(w) for w in basis], ()) for basis in bases],
-        "test", verified=True)
-    for f in witness.factors:
-        f.graph = sg.stallings(endo.rank, f.basis)
-    return witness
+    """The witness of `verified`, marked verified by hand by folding each
+    factor's graph, for systems that its check refuses."""
+    return ReductionWitness(
+        [InvariantFactor(basis, (), sg.stallings(endo.rank, basis))
+         for basis in ([parse_word(w) for w in texts] for texts in bases)],
+        "test")
 
 
 class TestWitnessSubgroup:
@@ -88,9 +86,7 @@ class TestWitnessSubgroup:
 
     def test_rechecks_invariance(self):
         # a witness marked verified by hand, which phi does not keep
-        witness = ReductionWitness([InvariantFactor([parse_word("a")], ())],
-                                   "test", verified=True)
-        witness.factors[0].graph = sg.stallings(2, [parse_word("a")])
+        witness = marked_verified(PHI, ["a"])
         with pytest.raises(ValueError, match="invariance"):
             witness_subgroup(PHI, witness)
 

@@ -425,7 +425,7 @@ class TestFindTrainTrack:
     def test_extension_reduction(self):
         result = find_train_track(PSI)
         assert isinstance(result, ReductionWitness)
-        assert result.verified
+        assert result.factors[0].graph is not None
         assert len(result.factors) == 1
         factor = sg.stallings(3, result.factors[0].basis)
         assert factor.contains(parse_word("a")) and factor.contains(parse_word("b"))
@@ -452,7 +452,7 @@ class TestFindTrainTrack:
         twist = Endomorphism(2, (parse_word("a"), parse_word("ba")))
         result = find_train_track(twist)
         assert isinstance(result, ReductionWitness)
-        assert result.verified
+        assert result.factors[0].graph is not None
         basis = result.factors[0].basis
         assert sg.stallings(2, basis) == sg.stallings(2, [parse_word("a")])
 
@@ -569,18 +569,20 @@ class TestWitnessVerification:
     def test_two_copies_of_the_whole_group_are_rejected(self):
         # each factor keeps the invariance, but the system is not proper
         witness = self.witness(["a", "b"], ["a", "b"])
-        assert not verify_reduction_witness(SWAP, witness)
-        assert not witness.verified
+        assert verify_reduction_witness(SWAP, witness) is None
 
     def test_two_rank_one_factors_verify(self):
         witness = self.witness(["a"], ["b"])
-        assert verify_reduction_witness(SWAP, witness)
-        assert witness.verified
+        # the same witness with each factor's Stallings graph; the argument
+        # is left as it was
+        assert verify_reduction_witness(SWAP, witness) == ReductionWitness(
+            [f._replace(graph=sg.stallings(2, f.basis)) for f in witness.factors],
+            "test")
+        assert all(f.graph is None for f in witness.factors)
 
     def test_an_empty_factor_is_rejected(self):
         # a -> a, b -> 1 sends <b> into the trivial group and the trivial
         # group anywhere, so only the empty basis fails
         kill_b = Endomorphism(2, (parse_word("a"), ()))
         witness = self.witness(["b"], [])
-        assert not verify_reduction_witness(kill_b, witness)
-        assert not witness.verified
+        assert verify_reduction_witness(kill_b, witness) is None

@@ -44,10 +44,12 @@ After the corpus come maps outside it, whose `classify` refines the
 train track into up to 362 edges where the corpus stays under two dozen:
 the square of each corpus input whose square's images have at most 40
 letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
-named `a->a^kb,b->a`, then five rank-3 maps (`ENDPOINT_MAPS`) with
+named `a->a^kb,b->a`, then `a -> b, b -> a B` (`TWO_PATH_ORBIT`), whose
+stabilization ends with an orbit of two periodic Nielsen paths where each
+corpus orbit has one, then five rank-3 maps (`ENDPOINT_MAPS`) with
 periodic Nielsen paths whose ends are interior points of period above 3,
-which the scan cannot see, named by their images without spaces, as
-`a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
+which the scan cannot see.  These six are named by their images without
+spaces, as `a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
 `classify` report without bounds, followed by its `scan` lines as above
 and by `torus name sha256`, the hash of its `torus` report without
 bounds.  Three more maps (`TORUS_MAPS`) print only their `torus` line:
@@ -109,6 +111,7 @@ TORUS_MAPS = (
     "rank 3; a -> C A A B; b -> 1; c -> b C B B;",
     "rank 3; a -> b a a b; b -> c c; c -> c;",
 )
+TWO_PATH_ORBIT = "rank 2; a -> b; b -> a B;"
 ENDPOINT_MAPS = (
     "rank 3; a -> a c; b -> a; c -> b;",
     "rank 3; a -> c c; b -> a; c -> b c;",
@@ -288,6 +291,7 @@ def main() -> None:
     for k in range(3, 7):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
+    _print_classify(_name(TWO_PATH_ORBIT), parse(TWO_PATH_ORBIT))
     for source in ENDPOINT_MAPS:
         _print_classify(_name(source), parse(source))
     for source in TORUS_MAPS:
