@@ -108,7 +108,7 @@ def parse(text: str) -> EndoSpec:
     expect_str("rank")
     skip_ws()
     start = pos
-    while pos < n and clean[pos].isdigit():
+    while pos < n and "0" <= clean[pos] <= "9":
         pos += 1
     if start == pos:
         raise ParseError("expected a rank integer", pos)
@@ -127,7 +127,7 @@ def parse(text: str) -> EndoSpec:
         if pos >= n:
             break
         ch = clean[pos]
-        if not ch.isalpha() or not ch.islower():
+        if not "a" <= ch <= "z":
             raise ParseError("expected a generator name", pos)
         gen = ord(ch) - ord("a") + 1
         if gen > rank:
@@ -150,7 +150,7 @@ def parse(text: str) -> EndoSpec:
             if c == ";":
                 pos += 1
                 break
-            if not c.isalpha():
+            if not (c.isascii() and c.isalpha()):
                 raise ParseError(f"unexpected character {c!r} in image", pos)
             letter = (ord(c.lower()) - ord("a") + 1) * (1 if c.islower() else -1)
             if abs(letter) > rank:

@@ -21,15 +21,16 @@ illegal turn of an indivisible Nielsen path sends the other Nielsen paths to
 Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
 paths are carried instead of rescanned: each goes through the fold's push
 maps and must pass the scan's own acceptance rule, `_admit`, on the folded
-track, and if one fails the folded track is scanned.  Interior periodic
-points become vertices only inside the scan.  A carry therefore cannot see
-two kinds of path: one that no earlier path goes to, and one that ends at
-an interior periodic point which the scan's refinement would have made a
-vertex.  One guard covers both: whenever the paths of the representative
-that `stabilize` returns were carried, that representative is prepared and
-scanned once more, and if the lists differ the scanned orbits are returned
-with stable=False.  The Nielsen data that leaves `stabilize` is always a
-scan's.
+track, and if one fails the folded track is scanned.  `_admit` reads only a
+candidate's two halves, so a scan hit and a carried path meet one rule.
+Interior periodic points become vertices only inside the scan.  A carry
+therefore cannot see two kinds of path: one that no earlier path goes to,
+and one that ends at an interior periodic point which the scan's refinement
+would have made a vertex.  One guard covers both: whenever the paths of the
+representative that `stabilize` returns were carried, that representative is
+prepared and scanned once more, and if the lists differ the scanned orbits
+are returned with stable=False.  The Nielsen data that leaves `stabilize` is
+always a scan's.
 
 The refinement and the Nielsen loops are read off directly, with no
 search.  The scan cuts each edge e at the interior fixed points of f, f^2
@@ -43,12 +44,16 @@ of the pairings taken are the surface test, which the surface layer reads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain, combinations, islice
+from itertools import chain, combinations, islice
 from typing import NamedTuple, Optional
 
-from endotorus.words import CyclicWord, cyclic_canonical, invert
+from endotorus.words import (
+    CyclicWord,
+    InternalInconsistency,
+    cyclic_canonical,
+    invert,
+)
 from endotorus.graphmap import (
     POINT_TOL,
     GraphMap,
@@ -231,25 +236,28 @@ def _least_return(gm: GraphMap, rho, period_bound: int, radius: float):
     return None
 
 
-def _admit(tt: TrainTrack, X: tuple, Y: tuple, at_x, at_y, period_bound: int,
+def _admit(tt: TrainTrack, X: tuple, Y: tuple, period_bound: int,
            radius: float, found: dict) -> bool:
-    """The one acceptance rule for a candidate rho = X . reverse(Y), with X
-    and Y legal halves that start at the earlier and the later direction of
-    their pair.  `at_x` and `at_y` hold the metric positions of the vertices
-    along X and Y, as prefix sums of edge lengths (a longer list, such as
-    the positions along the eigenray X starts, is fine).  X ends within the
-    cut radius; Y ends within POINT_TOL of it, at the first vertex of Y at
-    or after X's end less POINT_TOL; the halves end in two edges at one
-    vertex, and rho has exactly one illegal turn; some f^n with n up to the
-    bound returns rho or its reverse within the half-length bound.  An
-    accepted rho goes into `found` under min(rho, reverse(rho)).  Returns
-    whether `found` holds that key."""
-    (i, j) = (len(X) - 1, len(Y) - 1)
-    p = at_x[i]
-    if p > radius + 1e-9 or abs(at_y[j] - p) > POINT_TOL \
-            or (j and at_y[j - 1] >= p - POINT_TOL):
+    """The one acceptance rule for a candidate rho = X . reverse(Y), given
+    its two legal halves in either order; halves from one direction fail.
+    The half from the earlier direction of `all_directions()`, by
+    (|d|, d < 0), becomes X.  Where a half ends is its `path_length`, up
+    to Python 3.11 the same float additions as the eigenray's positions.
+    X ends within the radius; Y ends within POINT_TOL of X's end, at the
+    first vertex of Y at or after X's end less POINT_TOL; the halves end
+    in two edges at one vertex, and rho has exactly one illegal turn; some
+    f^n with n up to the bound returns rho or its reverse within the
+    half-length bound.  An accepted rho goes into `found` under
+    min(rho, reverse(rho)).  Returns whether `found` holds that key."""
+    if X[0] == Y[0]:
         return False
+    if (abs(Y[0]), Y[0] < 0) < (abs(X[0]), X[0] < 0):
+        (X, Y) = (Y, X)
     g = tt.gm.graph
+    (p, q) = (g.path_length(X), g.path_length(Y[:-1]))
+    if p > radius + 1e-9 or abs(q + g.lengths[abs(Y[-1])] - p) > POINT_TOL \
+            or (len(Y) > 1 and q >= p - POINT_TOL):
+        return False
     if X[-1] == Y[-1] or g.term_of(X[-1]) != g.term_of(Y[-1]):
         return False
     rho = X + invert(Y)
@@ -275,23 +283,22 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
     qualifies when some f^per with per up to the bound fixes both directions
     or swaps them.  Each direction grows its eigenray to the cut.  A junction
     of X . reverse(Y) needs an illegal turn between the reversed last edges
-    of X and Y, so every ray vertex within the radius goes into a bucket
-    keyed by the gate of that reversed edge; one sorted sweep per bucket
-    finds the positions the rays share.  Only gates holding two or more
-    directions get a bucket, and the sweep skips two entries with the same
-    junction edge.  Both are exact: X and Y ending in one edge e meet in no
-    turn, and a gate of one direction -e holds only entries with junction
-    edge e.  Most gates are of that kind, since most vertices of a refined
-    representative are valence-two periodic cuts with one direction per
-    gate.  A hit (i on the first ray, j on the second) is kept when j is the
-    first vertex of the second ray at or after the first ray's position less
-    POINT_TOL, as in a two-pointer merge of the pair's rays.  Each candidate
-    goes through `_admit`, in (pair, position) order."""
+    of X and Y, so every ray vertex within reach goes into a bucket keyed
+    by the gate of that reversed edge.  One sorted sweep per bucket
+    pairs the entries within POINT_TOL, and each ray then keeps only its
+    letters.  Only gates holding two or more directions get a bucket, and
+    the sweep skips two entries with the same junction edge.  Both are
+    exact: X and Y ending in one edge e meet in no turn, and a gate of one
+    direction -e holds only entries with junction edge e.  Most gates are
+    of that kind, since most vertices of a refined representative are
+    valence-two periodic cuts with one direction per gate.  An entry pair
+    of a qualifying direction pair, taken in direction order, gives the
+    halves of a candidate, and `_admit` decides, in (pair, position) order,
+    where they may end and whether the candidate is a Nielsen path."""
     if not tt.data.expanding:
         raise ValueError("periodic Nielsen path scan needs an expanding "
                          "irreducible train track")
     gm = tt.gm
-    lengths = gm.graph.lengths
     dirs = gm.graph.all_directions()
     order = {d: i for i, d in enumerate(dirs)}
     # first letter of f^per(e_d) is the per-th iterate of the direction map
@@ -307,10 +314,10 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
         pairs.update((d, first[d]) for d in dirs
                      if order[d] < order[first[d]] and first[first[d]] == d)
 
-    cut = radius + 1e-9    # the first ray's side of a junction
-    reach = cut + 2 * POINT_TOL
+    # X ends within radius + 1e-9, and Y up to POINT_TOL past X's end
+    reach = radius + 1e-9 + 2 * POINT_TOL
     image = {d: gm.image_of_edge(d) for d in dirs}
-    rays: dict = {}        # direction -> (eigenray, vertex positions)
+    rays: dict = {}        # direction -> eigenray
     buckets: dict = {}     # gate -> [(position, direction, index, edge)]
     # junction edge e -> gate of -e, for the gates of two or more directions
     # (a gate with one direction -e has only junction edge e: never a turn)
@@ -320,10 +327,11 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
         step, x = 1, dmap[d]   # least period of d, for the ray's growth
         while x != d:
             step, x = step + 1, dmap[x]
-        rays[d] = (r, pos) = _ray(image, lengths, d, step, reach)
-        for i, e in enumerate(r[:bisect_right(pos, reach)]):
-            if e in junction:
-                buckets.setdefault(junction[e], []).append((pos[i], d, i, e))
+        (rays[d], pos) = _ray(image, gm.graph.lengths, d, step, reach)
+        for i, (e, p) in enumerate(zip(rays[d], pos)):
+            if e in junction and p <= reach:
+                buckets.setdefault(junction[e], []).append((p, d, i, e))
+        del pos
 
     hits = []
     for bucket in buckets.values():
@@ -335,17 +343,16 @@ def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
                     break
                 if ea == eb:          # one edge: no turn at the junction
                     continue
-                for (d1, i, p1, d2, j) in ((da, ia, p, db, ib),
-                                           (db, ib, q, da, ia)):
-                    if (d1, d2) in pairs and p1 <= cut \
-                            and j == bisect_left(rays[d2][1], p1 - POINT_TOL):
-                        hits.append((order[d1], order[d2], i, j, d1, d2))
+                (d1, i, d2, j) = (da, ia, db, ib) if order[da] < order[db] \
+                    else (db, ib, da, ia)
+                if (d1, d2) in pairs:
+                    hits.append((order[d1], order[d2], i, j, d1, d2))
     hits.sort()
 
     found: dict = {}
     for (_, _, i, j, d1, d2) in hits:
-        _admit(tt, rays[d1][0][:i + 1], rays[d2][0][:j + 1], rays[d1][1],
-               rays[d2][1], period_bound, radius, found)
+        _admit(tt, rays[d1][:i + 1], rays[d2][:j + 1], period_bound, radius,
+               found)
     return [found[k] for k in sorted(found)]
 
 
@@ -375,7 +382,7 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
                 break
             key = min(img, invert(img))
             if key not in by_canonical:
-                raise AssertionError("orbit left the enumerated set")
+                raise InternalInconsistency("orbit left the enumerated set")
             paths.append(img)
             junctions.append(illegal_turns(tt.gate_map, img)[0])
             cur = img
@@ -388,7 +395,7 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
             alpha_cur = paths[i][:junctions[i] + 1]
             f_alpha = gm.map_path(alpha_prev)
             if f_alpha[:len(alpha_cur)] != alpha_cur:
-                raise AssertionError("orbit relation failed on the alpha half")
+                raise InternalInconsistency("orbit relation failed on the alpha half")
             connectors.append(tuple(f_alpha[len(alpha_cur):]))
         # closing connector
         alpha_last = paths[-1][:junctions[-1] + 1]
@@ -398,7 +405,7 @@ def group_orbits(tt: TrainTrack, pinps: list) -> list:
         else:
             target = paths[0][:junctions[0] + 1]
         if f_alpha[:len(target)] != target:
-            raise AssertionError("orbit closing relation failed")
+            raise InternalInconsistency("orbit closing relation failed")
         connectors.insert(0, tuple(f_alpha[len(target):]))
         orbits.append(NielsenOrbit(paths, junctions, connectors, p.period, reversal))
     return orbits
@@ -443,31 +450,21 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
            radius: float) -> Optional[list]:
     """The periodic Nielsen paths of a folded train track, as the images of
     those before the fold.  Each path goes through the fold's push maps
-    (`transport_path`), splits at its first illegal turn into X . reverse(Y)
-    with X from the earlier direction, and must pass `_admit` at the given
-    radius, as a scan hit would.  Returns the paths in the scan's order, or
+    (`transport_path`), splits at its first illegal turn into two halves,
+    and must pass `_admit` at the given radius, as a scan hit would.  Returns the paths in the scan's order, or
     None when the track is not expanding and irreducible or some path fails
     (the caller then scans)."""
     if not tt.data.expanding:
         return None
-    gm = tt.gm
-    lengths = gm.graph.lengths
-    order = {d: i for i, d in enumerate(gm.graph.all_directions())}
     found: dict = {}
     for p in pinps:
-        rho = transport_path(gm, p.path)
+        rho = transport_path(tt.gm, p.path)
         turns = illegal_turns(tt.gate_map, rho)
         if not turns:
             return None
         k = turns[0]
-        (X, Y) = (rho[:k + 1], invert(rho[k + 1:]))
-        if X[0] == Y[0]:
-            return None
-        if order[X[0]] > order[Y[0]]:
-            (X, Y) = (Y, X)
-        if not _admit(tt, X, Y, list(accumulate(lengths[abs(e)] for e in X)),
-                      list(accumulate(lengths[abs(e)] for e in Y)),
-                      period_bound, radius, found):
+        if not _admit(tt, rho[:k + 1], invert(rho[k + 1:]), period_bound,
+                      radius, found):
             return None
     return [found[k] for k in sorted(found)]
 

@@ -331,7 +331,7 @@ class ImageGraph:
         spelled = reduce_word(y for x in w for y in (
             self.gens[x - 1] if x > 0 else invert(self.gens[-x - 1])))
         if spelled != letters:
-            raise AssertionError("edge labels do not spell the loop")
+            raise InternalInconsistency("edge labels do not spell the loop")
         return w
 
     def express(self, h: Sequence[int]) -> Word:

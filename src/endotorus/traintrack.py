@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 from endotorus.words import (
     Endomorphism,
+    InternalInconsistency,
     Word,
     _mat_mul,
     concat,
@@ -407,7 +408,7 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
         else:
             gm, d2 = _subdivide_head(gm, d2, len(c))
         steps += gm.history
-    raise AssertionError("fold did not stabilize")
+    raise InternalInconsistency("fold did not stabilize")
 
 
 def _select_fold(gm: GraphMap, gate_map: dict, dmap: dict):

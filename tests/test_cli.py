@@ -47,12 +47,26 @@ class TestParse:
     def test_whitespace_insensitive(self):
         a = parse("rank 2;a->ab;b->ba;")
         b = parse("rank 2 ;  a ->  a   b ; b -> b a ;")
-        assert a.endo == b.endo
+        c = parse("rank 2;\u3000a ->\u00a0a b;\u2029b -> b a;")   # Unicode spaces
+        assert a.endo == b.endo == c.endo
 
     def test_unreduced_image_warns(self):
         spec = parse("rank 2; a -> a b B a; b -> b;")
         assert spec.endo.images[0] == parse_word("aa")
         assert spec.warnings
+
+    @pytest.mark.parametrize("text,offset", [
+        ("rank \u00b2; a -> a; b -> b;", 5),      # superscript two
+        ("rank \u0662; a -> a; b -> b;", 5),      # Arabic-Indic two
+        ("rank 2; a -> \u0130; b -> a;", 13),     # dotted capital I
+        ("rank 2; \u00aa -> a; b -> a;", 8),      # feminine ordinal
+        ("rank 2; a -> a; b -> \u01c5;", 21),     # title-case DZ caron
+    ])
+    def test_non_ascii_letters_and_digits_are_rejected(self, text, offset):
+        # rank digits, generator names and image letters are ASCII only
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == offset
 
     def test_comments_and_expect(self):
         spec = parse("# expect: geometric\nrank 2; a -> a b; b -> a;")
@@ -315,6 +329,14 @@ class TestCommandLine:
         assert main(["torus", str(path)]) == 0
         assert 'witness_error: "generator image must be nontrivial"' in \
             capsys.readouterr().out.splitlines()
+
+    def test_non_ascii_rank_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "superscript.endo"
+        path.write_text("rank \u00b2; a -> a; b -> b;", encoding="utf-8")
+        assert main(["classify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: parse error at offset 5: expected a rank integer\n"
 
     def test_exit_one_on_parse_error(self):
         proc = subprocess.run(

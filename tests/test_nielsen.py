@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from endotorus import nielsen
-from endotorus.cli import parse
+from endotorus.cli import main, parse
 from endotorus.graphmap import (
     POINT_TOL,
     GraphMap,
@@ -25,6 +25,7 @@ from endotorus.surface import classify
 from endotorus.words import (
     CyclicWord,
     Endomorphism,
+    InternalInconsistency,
     cyclic_canonical,
     invert,
     parse_word,
@@ -159,6 +160,16 @@ class TestOrbit:
         assert len(orbit.paths) == 2 and not orbit.orientation_reversal
         assert tt.gm.map_path(orbit.paths[0]) == orbit.paths[1]
         assert verify_orbit_relations(tt, orbit)
+
+    def test_an_orbit_that_leaves_the_paths_is_inconsistent(self):
+        # the first path of the stable orbit of two goes to the second one,
+        # which the list leaves out: a certified invariant fails
+        stable = stabilize(find_train_track(SHIFT_TWIST))
+        (tt, pinps) = scan_pinps(stable.tt)
+        assert tt is stable.tt and len(pinps) == 2
+        with pytest.raises(InternalInconsistency,
+                           match="orbit left the enumerated set"):
+            group_orbits(tt, pinps[:1])
 
 
 class TestStabilize:
@@ -554,6 +565,20 @@ class TestLongPeriodRays:
             assert peak < 1 << 20
             assert r == reference_ray(gm, d, 8, tt.radius)[:len(r)]
 
+    def test_a_scan_keeps_no_ray_positions(self):
+        # each eigenray drops its vertex positions once its junction entries
+        # are made: traced, this scan peaks at 14.9 MiB, and at 26.1 MiB
+        # when every ray held its positions to the end of the sweep
+        tt = find_train_track(parse("rank 2; a -> a a a a a a b; b -> a;").endo)
+        tracemalloc.start()
+        try:
+            (_, pinps) = scan_pinps(tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pinps
+        assert peak < 20 << 20
+
     def test_classify_under_a_one_gigabyte_cap(self):
         # in a child process, so that running out of memory fails this test
         # instead of killing the suite
@@ -670,6 +695,39 @@ class TestCarry:
         assert stable.fold_log and not stable.stable
         assert [o.paths for o in stable.orbits] == \
             [o.paths for o in group_orbits(tt, pinps)]
+
+    def test_a_carry_that_splits_an_orbit_exits_three(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # without the second path of the orbit of two, grouping the carried
+        # paths fails a certified invariant: exit code 3, not an error entry
+        real = nielsen._carry
+
+        def dropping(*args):
+            out = real(*args)
+            return out and out[:-1]
+
+        monkeypatch.setattr(nielsen, "_carry", dropping)
+        path = tmp_path / "shift_twist.endo"
+        path.write_text("rank 2; a -> b; b -> a B;")
+        assert main(["classify", str(path)]) == 3
+        (out, err) = capsys.readouterr()
+        assert out == ""
+        assert err == "internal inconsistency: orbit left the enumerated set\n"
+
+    @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
+                             ids=[name for (name, _) in CARRY_CASES])
+    def test_admit_reads_the_halves_in_either_order(self, endo):
+        # every path that a scan or a carry accepts inside `stabilize`, on
+        # each corpus input with such paths and the maps derived from them,
+        # is stored as the same NielsenPath whichever half comes first
+        for (tt, period_bound, radius, out) in rescans(endo):
+            for p in out:
+                halves = (p.alpha, invert(p.beta))
+                for (X, Y) in (halves, halves[::-1]):
+                    found: dict = {}
+                    assert nielsen._admit(tt, X, Y, period_bound, radius,
+                                          found)
+                    assert found == {p.canonical(): p}
 
 
 class TestEigenmetricCarry:

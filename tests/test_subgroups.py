@@ -186,7 +186,8 @@ class TestRewriting:
     def test_wrong_label_raises(self):
         ig = ImageGraph(PHI.rank, PHI.images)
         ig.labels = {e: () for e in ig.labels}
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalInconsistency,
+                           match="edge labels do not spell the loop"):
             ig.express(PHI.apply(parse_word("ab")))
 
     def test_invert_golden(self):

@@ -41,15 +41,17 @@ lines of an input are `search input max_period,max_len result`: what
 search's witnesses shows even where no report byte reads them.
 
 After the corpus come maps outside it, whose `classify` refines the
-train track into up to 362 edges where the corpus stays under two dozen:
+train track into up to 594 edges where the corpus stays under two dozen:
 the square of each corpus input whose square's images have at most 40
 letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
 named `a->a^kb,b->a`, then `a -> b, b -> a B` (`TWO_PATH_ORBIT`), whose
 stabilization ends with an orbit of two periodic Nielsen paths where each
-corpus orbit has one, then five rank-3 maps (`ENDPOINT_MAPS`) with
-periodic Nielsen paths whose ends are interior points of period above 3,
-which the scan cannot see.  These six are named by their images without
-spaces, as `a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
+corpus orbit has one, then `a -> A A A B A A A A B, b -> A A A A B`
+(`LONG_PERIOD`), whose refinement has 594 edges and directions of period
+6 and more, then five rank-3 maps (`ENDPOINT_MAPS`) with periodic Nielsen
+paths whose ends are interior points of period above 3, which the scan
+cannot see.  These seven are named by their images without spaces, as
+`a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
 `classify` report without bounds, followed by its `scan` lines as above
 and by `torus name sha256`, the hash of its `torus` report without
 bounds.  Three more maps (`TORUS_MAPS`) print only their `torus` line:
@@ -112,6 +114,7 @@ TORUS_MAPS = (
     "rank 3; a -> b a a b; b -> c c; c -> c;",
 )
 TWO_PATH_ORBIT = "rank 2; a -> b; b -> a B;"
+LONG_PERIOD = "rank 2; a -> A A A B A A A A B; b -> A A A A B;"
 ENDPOINT_MAPS = (
     "rank 3; a -> a c; b -> a; c -> b;",
     "rank 3; a -> c c; b -> a; c -> b c;",
@@ -291,7 +294,8 @@ def main() -> None:
     for k in range(3, 7):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
-    _print_classify(_name(TWO_PATH_ORBIT), parse(TWO_PATH_ORBIT))
+    for source in (TWO_PATH_ORBIT, LONG_PERIOD):
+        _print_classify(_name(source), parse(source))
     for source in ENDPOINT_MAPS:
         _print_classify(_name(source), parse(source))
     for source in TORUS_MAPS:
