@@ -29,9 +29,9 @@ def parse_word(text: str) -> Word:
     for ch in text:
         if ch.isspace():
             continue
-        if ch.islower():
+        if "a" <= ch <= "z":
             letters.append(ord(ch) - ord("a") + 1)
-        elif ch.isupper():
+        elif "A" <= ch <= "Z":
             letters.append(-(ord(ch) - ord("A") + 1))
         else:
             raise ValueError(f"bad letter {ch!r}")
@@ -195,6 +195,8 @@ class Endomorphism:
             raise ValueError("rank must be at least 1")
         if len(images) != rank:
             raise ValueError("need one image per generator")
+        if any(abs(x) > rank for im in images for x in im):
+            raise ValueError(f"image letter outside rank {rank}")
         self.rank = rank
         self.images = tuple(reduce_word(im) for im in images)  # one Word per generator
 
@@ -313,26 +315,19 @@ def _kernel_trivial(m) -> bool:
     return True
 
 
-# A balanced prefix with TAIL_LETTERS < r <= COMPLETION_LETTERS letters
-# still to come is dropped, with its subtree, when no r letters that
-# balance it can make its area admissible; the completions are those of
-# the word's first letter (`_PeriodFilter.completions`).  The last
-# TAIL_LETTERS letters of a balanced word are not walked: they are read
-# from the exact tails of the first letter, filed under the state before
-# them (`_PeriodFilter.tails`).  On plastic_rank3 at length 12 the walk
-# makes 4,023 calls, none past depth 8, against 9,020 with tables alone
-# for up to 5 letters and 18,038 with first-letter-blind tables for 4.
-# Its search, the only corpus search at rank 3, took 0.0275 s of CPU time
-# with tables alone, and 0.0226, 0.0188 and 0.0174 s with tails of 3, 4
-# and 5 letters (medians of 21 interleaved cold runs on a 2-vCPU Xeon,
-# Python 3.11).  With tails of 4 letters, tables for 6 were slower.
-# Tails of 5 letters (tables unused) list the same candidates and are a
-# little faster up to rank 3, but their tables grow with the rank: on
-# `a -> b, b -> c, c -> d, d -> e, e -> a b` at (6, 9) the search took
-# 0.17 s of CPU time against 0.06 s, its traced peak 33.5 MB against
-# 12.7 MB, and that family's rank-8 map at (6, 10) ran out of a 600 MB
-# address space where tails of 4 finish in 1.2 s.  So tails stop at 4.
-COMPLETION_LETTERS = 5
+# The last TAIL_LETTERS letters of a balanced word are not walked: they
+# are read from the exact tails of the word's first letter, filed under
+# the state before them (`_PeriodFilter.tails`).  On plastic_rank3 at
+# length 12 the walk makes 3,949 calls.  That search, the only corpus
+# search at rank 3, took 0.0226, 0.0188 and 0.0174 s of CPU time with
+# tails of 3, 4 and 5 letters (medians of 21 interleaved cold runs on a
+# 2-vCPU Xeon, Python 3.11).  Tails of 5 letters list the same
+# candidates and are a little faster up to rank 3, but their tables grow
+# with the rank: on `a -> b, b -> c, c -> d, d -> e, e -> a b` at (6, 9)
+# the search took 0.17 s of CPU time against 0.06 s, its traced peak
+# 33.5 MB against 12.7 MB, and that family's rank-8 map at (6, 10) ran
+# out of a 600 MB address space where tails of 4 finish in 1.2 s.  So
+# tails stop at 4.
 TAIL_LETTERS = 4
 
 
@@ -375,16 +370,12 @@ class _PeriodFilter:
 
     A canonical word (`_canonical_cyclic_words`) starts with its least
     letter, a generator, and closes cyclically reduced, so its last letter
-    is not the inverse of its first.  `completions` maps the ord of that
-    first letter to one table per r = 0..COMPLETION_LETTERS, built on the
-    first lookup, at most `rank` of them: packed v -> the changes of packed
-    H made by r letters of ord at least the first's, the last of them not
-    the first's inverse, that bring v back to 0.  `completable` maps (first ord, r,
-    packed v, packed H) of a prefix with r letters to come to whether one
-    of those changes gives an admissible area.  `tails` maps (first ord,
-    r), r <= TAIL_LETTERS, to the exact versions of those completions,
-    built on first use: the reduced words themselves, each with its change
-    of H, in lexicographic order under the packed v before them.
+    is not the inverse of its first.  `tails` maps (first ord, r),
+    r <= TAIL_LETTERS, for the ord of that first letter, to the words that
+    can end such a word, built on first use: every reduced word of r
+    letters of ord at least the first's, the last of them not the first's
+    inverse, with its change of packed H, in lexicographic order under the
+    packed v before it, which it brings back to 0.
 
     Two exact shortcuts read the kernels of these conditions.  When every
     M^n - I, and with reversing every M^n + I, n <= max_period, has trivial
@@ -393,11 +384,15 @@ class _PeriodFilter:
     do not count, since M^n v = -v is never asked for.  When the exterior
     squares' kernels are all trivial in the same sense (`_zero_area_only`,
     computed on first use), H = 0 is the only admissible area.  Packing is
-    additive and one-to-one on the coordinates that occur, so a prefix is
-    then completable exactly when -H is one of the area changes in its
-    completion table: one set lookup, which the generator makes inline,
-    in place of a `completable` lookup; and the tails that can end it are
-    those filed under (v, -H), so `tails` files them under (v, change)."""
+    additive and one-to-one on the coordinates that occur, so the tails
+    that can end a prefix are then those filed under (v, -H), and `tails`
+    files them under (v, change).  For such a filter `completions` maps a
+    first ord to packed v -> the changes of packed H made by one letter of
+    ord at least the first's and then a tail of TAIL_LETTERS letters that
+    brings v back to 0, built on first use.  Every real completion of
+    TAIL_LETTERS + 1 letters is one of these, so a prefix with that many
+    letters to come whose -H is not listed under its v has no admissible
+    completion."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
@@ -421,9 +416,9 @@ class _PeriodFilter:
 
         # a prefix's v, its area, and an area plus a completion's or a
         # tail's change all have coordinates below
-        # (max_len + COMPLETION_LETTERS)^2, as TAIL_LETTERS is smaller, so
-        # half a digit leaves a factor of 2 to spare
-        bits = self.bits = (2 * (max_len + COMPLETION_LETTERS) ** 2).bit_length() + 1
+        # (max_len + TAIL_LETTERS + 1)^2, so half a digit leaves a factor
+        # of 2 to spare
+        bits = self.bits = (2 * (max_len + TAIL_LETTERS + 1) ** 2).bit_length() + 1
         half = 1 << (bits - 1)
         self.zero = sum(half << (bits * i) for i in range(rank))
         # per ord o: the change of packed v, and the mask, offset and
@@ -436,8 +431,7 @@ class _PeriodFilter:
                        for o in range(2 * rank)]
         self.by_vector = _Memo(self._vector_ok)
         self.by_area = _Memo(self._area_ok)
-        self.completions = _Memo(self._completion_tables)
-        self.completable = _Memo(self._completable)
+        self.completions = _Memo(self._completion_table)
         self.tails = _Memo(self._tail_table)
 
     def step(self, vv: int, hh: int, o: int) -> tuple:
@@ -484,30 +478,6 @@ class _PeriodFilter:
         """Whether H = 0 is the only admissible half-area."""
         return self._admits_only_zero(self.area_powers)
 
-    def _completable(self, state: tuple) -> bool:
-        (first, rem, vv, hh) = state
-        by_area = self.by_area
-        return any(by_area[hh + d] is not None
-                   for d in self.completions[first][rem].get(vv, ()))
-
-    def _completion_tables(self, first: int) -> list:
-        """The completion tables of words whose first letter has ord
-        `first`, built backward from the last letter.  Reduction inside the
-        completion and necklace order are ignored, so each table
-        over-approximates what a real completion reaches."""
-        ords = range(first, 2 * self.rank)
-        last = [o for o in ords if o != first ^ 1]
-        tables = [{self.zero: {0}}]
-        for letters in [last] + [ords] * (COMPLETION_LETTERS - 1):
-            cur: dict = {}
-            for after, deltas in tables[-1].items():
-                for o in letters:
-                    vv = after - self.vstep[o]
-                    x = self.step(vv, 0, o)[1]
-                    cur.setdefault(vv, set()).update(x + d for d in deltas)
-            tables.append(cur)
-        return tables
-
     def _tail_table(self, key: tuple) -> dict:
         """The exact tails of r letters in words whose first letter has
         ord `first`, for key = (first, r): every reduced word of r letters
@@ -537,6 +507,21 @@ class _PeriodFilter:
             entries.sort()
         return table
 
+    def _completion_table(self, first: int) -> dict:
+        """The `completions` of a zero-area filter for first ord `first`:
+        one letter in front of each tail of TAIL_LETTERS letters, with no
+        cancellation check at their junction, one `step` per (v, letter)."""
+        areas: dict = {}
+        for (after, d) in self.tails[first, TAIL_LETTERS]:
+            areas.setdefault(after, []).append(d)
+        table: dict = {}
+        for (after, deltas) in areas.items():
+            for o in range(first, 2 * self.rank):
+                vv = after - self.vstep[o]
+                x = self.step(vv, 0, o)[1]
+                table.setdefault(vv, set()).update([x + d for d in deltas])
+        return table
+
 
 def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                             filt: _PeriodFilter) -> list:
@@ -560,14 +545,11 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     tree, one O(1) update per letter (`_PeriodFilter`).  Each finished word
     is looked up in the filter by its vector, or by its area when it is
     balanced, and a word that no period admits is never built.  When
-    balanced_only, a prefix with more than TAIL_LETTERS and at most
-    COMPLETION_LETTERS letters to come is dropped with its whole subtree
-    when no balancing completion can make its area admissible.  The
-    completions are read from the tables of w[1]
-    (`_PeriodFilter.completions`): letters no less than w[1], the last not
-    w[1]^-1, as every word here ends.  So the check starts at the second
-    letter, once w[1] is placed.  When H = 0 is the only admissible area
-    it is one set lookup, made inline.
+    balanced_only and H = 0 is the only admissible area, a prefix with
+    TAIL_LETTERS + 1 letters to come is dropped with its whole subtree
+    when its -H is not among the area changes that the completions of w[1]
+    list under its v (`_PeriodFilter.completions`): one set lookup, made
+    inline from the second letter on, once w[1] is placed.
 
     The last min(TAIL_LETTERS, length - 1) letters of a balanced word are
     not walked: the prefix's state picks them from the exact tails of w[1]
@@ -582,10 +564,9 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     out: list[tuple] = []
     (vstep, amask, abias, ashift) = (filt.vstep, filt.amask, filt.abias, filt.ashift)
     (zero, by_vector, by_area) = (filt.zero, filt.by_vector, filt.by_area)
-    (tables, completable, tails) = (filt.completions, filt.completable, filt.tails)
-    # letters to come at the tail lookup (-1: none), and at most at the check
-    (tail_len, check_from) = ((min(TAIL_LETTERS, length - 1), COMPLETION_LETTERS)
-                              if balanced_only else (-1, 0))
+    (completions, tails) = (filt.completions, filt.tails)
+    # letters to come at the tail lookup (-1: none)
+    tail_len = min(TAIL_LETTERS, length - 1) if balanced_only else -1
     zero_only = balanced_only and filt._zero_area_only
 
     def gen(t, p, pending, vv, hh):
@@ -608,8 +589,9 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                     out.append((tuple(w[1:]), ok))
             return
         rem = length - t
-        # the completion table of w's first letter, from the second letter on
-        comp = tables[w[1]][rem] if tail_len < rem <= check_from and t > 1 else None
+        # the completions of w's first letter, from the second letter on
+        comp = (completions[w[1]] if zero_only and rem == TAIL_LETTERS + 1
+                and t > 1 else None)
         for c in letters:
             if c == cancel:
                 continue
@@ -669,12 +651,8 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
                         if not length % ps:
                             out.append((tuple(w[1:]), ok))
                 continue
-            if comp is not None:
-                if zero_only:
-                    if -h2 not in comp.get(v2, ()):
-                        continue
-                elif not completable[w[1], rem, v2, h2]:
-                    continue
+            if comp is not None and -h2 not in comp.get(v2, ()):
+                continue
             sums[g] = new
             gen(t + 1, q, new_pending, v2, h2)
             sums[g] = old
@@ -737,9 +715,10 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     balanced words are generated; without reversing matches that needs
     only the kernels of the M^n - I to be trivial, so after an oriented
     match a map with eigenvalue -1 (M + I singular) generates balanced
-    words only.  When no nonzero half-area is admitted either, the check
-    that a balanced prefix can still be completed is one set lookup, and
-    so is finding the tails that end it.
+    words only.  When no nonzero half-area is admitted either, one set
+    lookup checks that a balanced prefix with TAIL_LETTERS + 1 letters to
+    come can still be completed, and one dict lookup finds the tails that
+    end it.
     Both rules drop only what the filter rejects anyway, so the candidates
     and the witness are unchanged.  None is a bounded negative, never a
     proof of atoroidality.

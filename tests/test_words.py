@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
-    COMPLETION_LETTERS,
     TAIL_LETTERS,
     CyclicWord,
     Endomorphism,
@@ -84,6 +83,13 @@ class TestParse:
 
     def test_parse_reduces(self):
         assert parse_word("aA") == ()
+
+    @pytest.mark.parametrize("text", ["\u00e9", "\u0130", "\u00aa", "a\u01c5b",
+                                      "\uff41", "1", "a-b"])
+    def test_non_ascii_letters_are_rejected(self, text):
+        # str.islower and str.isupper hold for these, or for none of them
+        with pytest.raises(ValueError, match="bad letter"):
+            parse_word(text)
 
 
 class TestApply:
@@ -195,6 +201,13 @@ class TestEndomorphismRecord:
     def test_bad_rank_or_image_count(self, rank, images):
         with pytest.raises(ValueError):
             Endomorphism(rank, images)
+
+    @pytest.mark.parametrize("images", [((3,), (1,)), ((1,), (2, -3)),
+                                        ((1, 4, -4), (2,))])
+    def test_image_letters_outside_the_rank(self, images):
+        # a letter outside the rank made a map whose apply leaves F
+        with pytest.raises(ValueError, match="outside rank 2"):
+            Endomorphism(2, images)
 
     def test_equal_maps_hash_equal(self):
         endo = Endomorphism(2, (parse_word("aAb"), (1,)))
@@ -630,9 +643,10 @@ class TestClassTwoFilter:
             unfiltered_search(endo, max_period, max_len)
 
     # (rank, balanced_only, shortest and longest word, only H = 0): the
-    # unbalanced rank-3 lists grow fastest, the subtree check fires from
-    # length 6, and maps that admit only H = 0 read their tails by one
-    # lookup, which serves every word longer than TAIL_LETTERS + 1
+    # unbalanced rank-3 lists grow fastest, and maps that admit only H = 0
+    # read their tails by one lookup, which serves every word longer than
+    # TAIL_LETTERS + 1, and make the subtree check, which fires from
+    # length TAIL_LETTERS + 3
     @given(st.sampled_from([
         (2, False, 1, 10, False), (2, True, 1, 12, False), (3, False, 1, 6, False),
         (3, True, 1, 10, False), (2, True, TAIL_LETTERS + 2, 12, True),
@@ -769,82 +783,47 @@ class TestOrientedNarrowing:
             unfiltered_search(endo, max_period, max_len)
 
 
-def area_admitted(endo, max_period, reversing, area):
-    """Whether some period n <= max_period sends the half-area to itself, or
-    with reversing to its negative, under the exterior square of M^n."""
-    m = power = endo.abelianized()
-    neg = tuple(-c for c in area)
-    for _ in range(max_period):
-        image = tuple(sum(a * c for a, c in zip(row, area))
-                      for row in wedge_square(power))
-        if image == area or (reversing and image == neg):
-            return True
-        power = _mat_mul(m, power)
-    return False
-
-
-@st.composite
-def completion_states(draw):
-    """(filter, its map, first ord, rem, packed v, packed H): the state of a
-    prefix that is either random or the real prefix of a word, with rem
-    letters to come, in a word whose first letter has the first ord."""
-    rank = draw(st.integers(2, 3))
-    # inner automorphisms act trivially on v and H, so every H is admitted
-    endo = draw(st.one_of(endomorphisms(rank, 3), words(rank, 3).map(
-        lambda x: Endomorphism.inner(rank, x))))
-    (max_period, reversing) = (draw(st.integers(1, 4)), draw(st.booleans()))
-    filt = _PeriodFilter(endo, max_period, 12, reversing)
-    first = 2 * draw(st.integers(0, rank - 1))
-    rem = draw(st.integers(0, COMPLETION_LETTERS))
-    if draw(st.booleans()):
-        # a real prefix; at times one that its own inverse closes up
-        prefix = draw(st.lists(letters(rank), max_size=12 - rem))
-        if draw(st.booleans()):
-            prefix = prefix[:rem]
-            rem = len(prefix)
-        (vv, hh) = (filt.zero, 0)
-        for o in word_key(prefix):
-            (vv, hh) = filt.step(vv, hh, o)
-    else:
-        bits = filt.bits
-        v = draw(st.lists(st.integers(-rem, rem), min_size=rank, max_size=rank))
-        area = draw(st.lists(st.integers(-8, 8), min_size=rank * (rank - 1) // 2,
-                             max_size=rank * (rank - 1) // 2))
-        vv = filt.zero + sum(x << (bits * i) for (i, x) in enumerate(v))
-        hh = sum(x << (bits * k) for (k, x) in enumerate(area))
-    return (filt, endo, first, rem, vv, hh)
-
-
-def brute_completable(endo, max_period, reversing, first, rem, v, area):
-    """Whether some rem letters of ord at least `first`, the last of them
-    not the inverse of that first letter, bring the exponent vector v back
-    to 0 with an admitted half-area, found by enumerating the letters.  v and area are unpacked,
-    the pairs of area ordered by j, then i."""
-    rank = endo.rank
-    pairs = [(i, j) for j in range(rank) for i in range(j)]
-    admitted_areas = {}
-
-    def walk(k, v, area):
-        if k == rem:
-            key = tuple(area[p] for p in pairs)
-            if key not in admitted_areas:
-                admitted_areas[key] = area_admitted(endo, max_period,
-                                                    reversing, key)
-            return not any(v) and admitted_areas[key]
-        if sum(map(abs, v)) > rem - k:
-            return False
-        for o in range(first, 2 * rank):
-            if k == rem - 1 and o == first ^ 1:
-                continue
-            (g, sign) = (o >> 1, -1 if o & 1 else 1)
-            after = dict(area)
+def brute_completions(filt, first):
+    """The completions of a zero-area filter from their definition: packed
+    v -> the changes of packed H made by one letter of ord at least
+    `first` and then a reduced tail of TAIL_LETTERS such letters, the last
+    not the inverse of that first letter, that together bring v back to 0.
+    The changes are summed letter by letter on unpacked coordinates."""
+    (rank, bits) = (filt.rank, filt.bits)
+    table = {}
+    for word in itertools.product(range(first, 2 * rank), repeat=TAIL_LETTERS + 1):
+        tail = tuple(map(_letter, word[1:]))
+        if word[-1] == first ^ 1 or reduce_word(tail) != tail:
+            continue
+        v = [0] * rank
+        for x in map(_letter, word):
+            v[abs(x) - 1] -= 1 if x > 0 else -1
+        before = tuple(v)
+        area = {(i, j): 0 for j in range(rank) for i in range(j)}
+        for x in map(_letter, word):
+            (g, sign) = (abs(x) - 1, 1 if x > 0 else -1)
             for i in range(g):
-                after[i, g] += sign * v[i]
-            if walk(k + 1, v[:g] + (v[g] + sign,) + v[g + 1:], after):
-                return True
-        return False
+                area[i, g] += sign * v[i]
+            v[g] += sign
+        assert not any(v)
+        packed_v = filt.zero + sum(x << (bits * i) for (i, x) in enumerate(before))
+        packed_d = sum(x << (bits * k) for (k, x) in enumerate(area.values()))
+        table.setdefault(packed_v, set()).add(packed_d)
+    return table
 
-    return walk(0, tuple(v), dict(zip(pairs, area)))
+
+class ListsEveryArea(dict):
+    """A stand-in for `_PeriodFilter.completions` that lists every area
+    change under every v, so that the generator's check drops nothing."""
+
+    def __missing__(self, first):
+        return self
+
+    def get(self, vv, default=None):
+        return self
+
+    def __contains__(self, d):
+        return True
 
 
 @st.composite
@@ -859,38 +838,36 @@ def canonical_balanced_words(draw):
 
 
 class TestCompletionCheck:
-    @given(completion_states())
-    @settings(max_examples=150, deadline=None)
-    def test_completable_matches_its_definition(self, state):
-        (filt, endo, first, rem, vv, hh) = state
-        rank = endo.rank
-        v = filt.digits(vv - filt.zero, rank)
-        area = filt.digits(hh, rank * (rank - 1) // 2)
-        assert filt.completable[first, rem, vv, hh] == brute_completable(
-            endo, filt.max_period, filt.reversing, first, rem, v, area)
+    @given(st.integers(2, 3).flatmap(lambda rank: st.tuples(
+        zero_area_maps(rank, 3, 4), st.integers(0, rank - 1),
+        st.integers(1, 4), st.integers(TAIL_LETTERS + 2, 12), st.booleans())))
+    @settings(max_examples=20, deadline=None)
+    def test_completions_match_their_definition(self, case):
+        (endo, g, max_period, max_len, reversing) = case
+        filt = _PeriodFilter(endo, max_period, max_len, reversing)
+        assert filt._zero_area_only
+        assert filt.completions[2 * g] == brute_completions(filt, 2 * g)
 
     @given(canonical_balanced_words(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_real_words_pass_the_check(self, case, data):
-        # the prune drops only prefixes that no real word extends
+        # the prune drops only prefixes that no real word extends: the
+        # area change of a word's last TAIL_LETTERS + 1 letters is listed
+        # under the state before them
         (rank, w) = case
-        endo = data.draw(endomorphisms(rank, 3))
+        assume(len(w) > TAIL_LETTERS + 1)
+        endo = data.draw(zero_area_maps(rank, 3, 4))
         filt = _PeriodFilter(endo, data.draw(st.integers(1, 4)), len(w),
                              data.draw(st.booleans()))
-        (vv, hh) = (filt.zero, 0)
-        states = [(vv, hh)]
-        for o in w:
+        assert filt._zero_area_only
+        (pv, ph) = (filt.zero, 0)
+        for o in w[:-(TAIL_LETTERS + 1)]:
+            (pv, ph) = filt.step(pv, ph, o)
+        (vv, hh) = (pv, ph)
+        for o in w[-(TAIL_LETTERS + 1):]:
             (vv, hh) = filt.step(vv, hh, o)
-            states.append((vv, hh))
         assert vv == filt.zero
-        word_admitted = filt.by_area[hh] is not None
-        for (t, (pv, ph)) in enumerate(states):
-            rem = len(w) - t
-            if rem <= COMPLETION_LETTERS:
-                # the real completion's area change is in the table
-                assert hh - ph in filt.completions[w[0]][rem][pv]
-                if word_admitted:
-                    assert filt.completable[w[0], rem, pv, ph]
+        assert hh - ph in filt.completions[w[0]][pv]
 
     @given(canonical_balanced_words(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -934,30 +911,35 @@ class TestCompletionCheck:
         filt = _PeriodFilter(endo, 6, 12)
         assert filt.balanced_only and filt._zero_area_only
 
-        # on the states of real balanced words' prefixes, the one lookup
-        # agrees with the check that reads by_area
-        for c in reference_candidates(3, 8, True)[::7]:
-            (vv, hh) = (filt.zero, 0)
-            for (t, o) in enumerate(c, 1):
-                (vv, hh) = filt.step(vv, hh, o)
-                rem = len(c) - t
-                if rem <= COMPLETION_LETTERS:
-                    table = filt.completions[c[0]][rem]
-                    assert (-hh in table.get(vv, ())) == \
-                        filt.completable[c[0], rem, vv, hh]
-
-        # and the generator makes that lookup instead of reading the memo
-        class Refuse(dict):
-            def __missing__(self, key):
-                raise AssertionError("the generator read completable")
-
-        fresh = _PeriodFilter(endo, 6, 12)
-        fresh.completable = Refuse()
+        # the check drops no word: the lists are those of a walk whose
+        # lookup always succeeds
+        unchecked = _PeriodFilter(endo, 6, 12)
+        unchecked.completions = ListsEveryArea()
         for length in range(1, 11):
-            assert _canonical_cyclic_words(3, length, True, fresh) == \
-                _canonical_cyclic_words(3, length, True, filt)
+            assert _canonical_cyclic_words(3, length, True, filt) == \
+                _canonical_cyclic_words(3, length, True, unchecked)
+        # and every table it read is the one of the definition
+        assert filt.completions
+        for (first, table) in filt.completions.items():
+            assert table == brute_completions(filt, first)
 
-    def test_plastic_rank3_walk_is_pinned(self, monkeypatch):
+        # a filter that admits a nonzero area makes no check at all, and
+        # the spy sees the check of a zero-area filter
+        class Refuse(dict):
+            def __missing__(self, first):
+                raise AssertionError("the generator read the completions")
+
+        golden = _PeriodFilter(corpus_endo("golden_geometric"), 6, 12)
+        assert golden.balanced_only and not golden._zero_area_only
+        golden.completions = Refuse()
+        for length in range(1, 13):
+            _canonical_cyclic_words(2, length, True, golden)
+        spied = _PeriodFilter(endo, 6, 12)
+        spied.completions = Refuse()
+        with pytest.raises(AssertionError, match="read the completions"):
+            _canonical_cyclic_words(3, 12, True, spied)
+
+    def test_plastic_rank3_walk_is_pinned(self):
         # frames of the generator's recursive walk at length 12
         endo = corpus_endo("plastic_rank3")
         calls = []
@@ -974,10 +956,10 @@ class TestCompletionCheck:
         finally:
             sys.setprofile(previous)
         assert len(pruned) == 726
-        assert len(calls) < 4_100
+        assert len(calls) < 4_000
         # the same words as the walk without the completion check
-        monkeypatch.setattr(words_module, "COMPLETION_LETTERS", 0)
         unchecked = _PeriodFilter(endo, 6, 12)
+        unchecked.completions = ListsEveryArea()
         assert _canonical_cyclic_words(3, 12, True, unchecked) == pruned
 
 

@@ -34,11 +34,16 @@ moves shows even where no report reads them.  Next comes
 moves make, in the same order: vertex count, edge ends, the lengths in
 insertion order (the order `MarkedGraph.volume` sums them in), base, edge
 and vertex images, labels and the move's push maps, so a change in any of
-them shows even between moves where no report reads it.  The last two
-lines of an input are `search input max_period,max_len result`: what
+them shows even between moves where no report reads it.  Then come two
+lines `search input max_period,max_len result`: what
 `periodic_conjugacy_search` returns at the default bounds (6, 12) and at
 (3, 8), as `witness,period,orientation` or `none`, so a change in the
-search's witnesses shows even where no report byte reads them.
+search's witnesses shows even where no report byte reads them.  An
+input whose search at the default bounds generates balanced words only
+then prints `words input sha256`: the hash of the candidate lists that
+`_canonical_cyclic_words` returns for lengths 1 to 12 under that search's
+first filter, on its map restricted to the eventual alphabet, so a change
+in the generator's prunes that keeps the witnesses still shows.
 
 After the corpus come maps outside it, whose `classify` refines the
 train track into up to 594 edges where the corpus stays under two dozen:
@@ -85,7 +90,13 @@ from pathlib import Path
 from endotorus import graphmap, nielsen, surface, traintrack
 from endotorus.cli import COMMANDS, EndoSpec, parse, report_json, run
 from endotorus.graphmap import GraphMap
-from endotorus.words import periodic_conjugacy_search, show_word
+from endotorus.words import (
+    _canonical_cyclic_words,
+    _on_eventual_alphabet,
+    _PeriodFilter,
+    periodic_conjugacy_search,
+    show_word,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 MOVE_COMMANDS = ("classify", "tt")
@@ -225,6 +236,20 @@ def _run_recording(command: str, spec, states) -> tuple:
         return run(command, spec), steps, moves, power[0]
 
 
+def _print_words(name: str, endo) -> None:
+    """The `words` line of an input whose default search generates
+    balanced words only; nothing for any other input."""
+    restricted = _on_eventual_alphabet(endo)
+    if restricted is None:
+        return
+    (max_period, max_len) = SEARCH_BOUNDS[0]
+    filt = _PeriodFilter(restricted[0], max_period, max_len)
+    if filt.balanced_only:
+        lists = [_canonical_cyclic_words(filt.rank, length, True, filt)
+                 for length in range(1, max_len + 1)]
+        print(f"words {name} {_sha(repr(lists).encode())}", flush=True)
+
+
 def _print_torus(name: str, spec) -> None:
     """The `torus` line of a map outside the corpus."""
     digest = _sha(report_json(_without_bounds(run("torus", spec))).encode())
@@ -286,6 +311,7 @@ def main() -> None:
             result = "none" if hit is None else \
                 f"{show_word(hit[0])},{hit[1]},{hit[2]:+d}"
             print(f"search {path.stem} {max_period},{max_len} {result}", flush=True)
+        _print_words(path.stem, spec.endo)
     for path in paths:
         spec = parse(path.read_text())
         square = spec.endo.power(2)
