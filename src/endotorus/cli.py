@@ -8,7 +8,8 @@ word: the generator maps to the identity.  A corpus file may carry
 '# expect: <verdict>'.
 
 Exit codes: 0 success, 1 parse error, 2 usage error (a bound or `--jobs`
-below 1, or an input that cannot be read), 3 internal inconsistency.
+below 1, a batch with no input, or an input that cannot be read), 3
+internal inconsistency.
 """
 
 from __future__ import annotations
@@ -471,6 +472,9 @@ def main(argv=None) -> int:
         for item in args.inputs:
             p = Path(item)
             paths.extend(sorted(p.glob("*.endo")) if p.is_dir() else [p])
+        if not paths:
+            ap.error("batch needs an input: a file, '-' or a directory that "
+                     "holds .endo files")
     else:
         paths = [args.inputs[0] if args.inputs else "-"]
     texts = []

@@ -16,21 +16,24 @@ and two halves ending in the same edge meet in no turn.  The
 bounded-cancellation radius caps the scan, and each ray is read lazily,
 letter by letter, only up to it: no whole f^step image is ever built.
 
-Stabilization folds at the illegal turns of these paths.  Folding at the
-illegal turn of an indivisible Nielsen path sends the other Nielsen paths to
-Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
+Stabilization folds at the illegal turns of these paths, on a lean
+representative: a scan refines the train track at every interior periodic
+point, and `_lean_scan` keeps only the cut points that end a path found, an
+f-invariant set, and reads each path on the track refined there, merging
+each run of consecutive pieces into its lean edge, exactly.  Folding at the
+illegal turn of an indivisible Nielsen path sends the other Nielsen paths
+to Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
 paths are carried instead of rescanned: each goes through the fold's push
 maps and must pass the scan's own acceptance rule, `_admit`, on the folded
 track, and if one fails the folded track is scanned.  `_admit` reads only a
-candidate's two halves, so a scan hit and a carried path meet one rule.
-Interior periodic points become vertices only inside the scan.  A carry
-therefore cannot see two kinds of path: one that no earlier path goes to,
-and one that ends at an interior periodic point which the scan's refinement
-would have made a vertex.  One guard covers both: whenever the paths of the
-representative that `stabilize` returns were carried, that representative is
-prepared and scanned once more, and if the lists differ the scanned orbits
-are returned with stable=False.  The Nielsen data that leaves `stabilize` is
-always a scan's.
+candidate's two halves, so a scan hit, a coarsened path and a carried path
+meet one rule.  A carry cannot see two kinds of path: one that no earlier
+path goes to, and one that ends at an interior periodic point that is no
+vertex of the lean representative.  One guard covers both: whenever the
+paths of the representative that `stabilize` returns were carried, it is
+scanned and coarsened once more, and if the lists differ the scanned orbits
+are returned with stable=False.  The Nielsen data that leaves `stabilize`
+is always a scan's.
 
 The refinement and the Nielsen loops are read off directly, with no
 search.  The scan cuts each edge e at the interior fixed points of f, f^2
@@ -45,7 +48,7 @@ of the pairings taken are the surface test, which the surface layer reads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from typing import NamedTuple, Optional
 
 from endotorus.words import (
@@ -113,7 +116,8 @@ class NielsenLoops(NamedTuple):
 class StableRepresentative(NamedTuple):
     tt: TrainTrack
     orbits: list
-    radius: float          # cancellation radius of the scan that found the orbits
+    radius: float          # radius of the scan that found the orbits: that of
+                           # the track it refined, not of the lean tt
     fold_log: list         # each fold's volume bookkeeping
     stable: bool = True
 
@@ -446,19 +450,14 @@ def _signature(tt: TrainTrack, orbits: list) -> tuple:
 STABILIZE_STEPS = 24   # fold budget before stabilization gives up
 
 
-def _carry(tt: TrainTrack, pinps: list, period_bound: int,
-           radius: float) -> Optional[list]:
-    """The periodic Nielsen paths of a folded train track, as the images of
-    those before the fold.  Each path goes through the fold's push maps
-    (`transport_path`), splits at its first illegal turn into two halves,
-    and must pass `_admit` at the given radius, as a scan hit would.  Returns the paths in the scan's order, or
-    None when the track is not expanding and irreducible or some path fails
-    (the caller then scans)."""
-    if not tt.data.expanding:
-        return None
+def _readmit(tt: TrainTrack, paths, period_bound: int,
+             radius: float) -> Optional[list]:
+    """The periodic Nielsen paths of `tt` that `paths` are, in the scan's
+    order: each path splits at its first illegal turn into two halves and
+    must pass `_admit` at the given radius, as a scan hit would.  None when
+    some path fails."""
     found: dict = {}
-    for p in pinps:
-        rho = transport_path(tt.gm, p.path)
+    for rho in paths:
         turns = illegal_turns(tt.gate_map, rho)
         if not turns:
             return None
@@ -467,6 +466,83 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
                       radius, found):
             return None
     return [found[k] for k in sorted(found)]
+
+
+def _carry(tt: TrainTrack, pinps: list, period_bound: int,
+           radius: float) -> Optional[list]:
+    """The periodic Nielsen paths of a folded train track, as the images of
+    those before the fold: each path goes through the fold's push maps
+    (`transport_path`) and is read back by `_readmit`.  None when the track
+    is not expanding and irreducible or some path fails (the caller then
+    scans)."""
+    if not tt.data.expanding:
+        return None
+    return _readmit(tt, [transport_path(tt.gm, p.path) for p in pinps],
+                    period_bound, radius)
+
+
+def _lean_scan(tt: TrainTrack, period_bound: int) -> tuple:
+    """Scan, then coarsen: (representative, periodic Nielsen paths).  The
+    representative is `tt` refined only at the cut points of the scan's
+    refinement that end a path found, or that refinement when none is
+    found.  The refinement's push map (`history`) sends each cut edge of
+    `tt` to its pieces in order, cut i being the end of piece i, so each
+    lean edge is a run of consecutive pieces, and a path is read on the
+    lean track run by run, exactly.  Each path read must pass `_admit` at
+    the scan's radius, as a carried path does; a path that does not, or
+    one that ends inside a lean edge, or an end set that is not
+    f-invariant (`refine_at_points` checks), fails a certified invariant."""
+    radius = tt.radius
+    (prepared, pinps) = scan_pinps(tt, period_bound)
+    if not pinps:
+        return prepared, []
+    push = {} if prepared is tt else prepared.gm.history[0]
+    g = prepared.gm.graph
+    ends = {v for p in pinps
+            for v in (g.init_of(p.path[0]), g.term_of(p.path[-1]))}
+    kept: dict = {}                  # edge of tt -> indices of the cuts kept
+    for (e, pieces) in push.items():
+        idx = [i for (i, x) in enumerate(pieces[:-1]) if g.term_of(x) in ends]
+        if idx:
+            kept[e] = idx
+    lean = tt
+    if kept:
+        at = {e: list(accumulate(g.lengths[x] for x in push[e])) for e in kept}
+        try:
+            gm = refine_at_points(tt.gm, {e: [at[e][i] for i in idx]
+                                          for (e, idx) in kept.items()})
+        except ValueError as exc:
+            raise InternalInconsistency(
+                f"the Nielsen paths' ends are not invariant: {exc}") from None
+        lean = TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
+    lean_pieces = lean.gm.history[0] if kept else {}
+    runs: dict = {}                  # lean edge -> its pieces in `prepared`
+    owner: dict = {}                 # piece -> its lean edge
+    for e in tt.gm.graph.edge_ids():
+        pieces = push.get(e, (e,))
+        bounds = [0, *(i + 1 for i in kept.get(e, ())), len(pieces)]
+        for (edge, a, b) in zip(lean_pieces.get(e, (e,)), bounds, bounds[1:]):
+            runs[edge] = pieces[a:b]
+            owner.update(dict.fromkeys(pieces[a:b], edge))
+
+    def read(path) -> tuple:
+        (out, i) = ([], 0)
+        while i < len(path):
+            edge = owner[abs(path[i])]
+            run = runs[edge] if path[i] > 0 else invert(runs[edge])
+            if path[i:i + len(run)] != run:
+                raise InternalInconsistency(
+                    "a Nielsen path ends inside an edge of the lean track")
+            out.append(edge if path[i] > 0 else -edge)
+            i += len(run)
+        return tuple(out)
+
+    read_back = _readmit(lean, [read(p.path) for p in pinps], period_bound,
+                         radius)
+    if read_back is None:
+        raise InternalInconsistency(
+            "a coarsened Nielsen path fails the acceptance rule")
+    return lean, read_back
 
 
 def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
@@ -479,15 +555,21 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     a fold fails, a representative is returned with stable=False; its
     orbits and the fold log remain valid data.
 
+    The folds work on a lean representative: `_lean_scan` scans the
+    refinement at every interior periodic point and keeps only the cut
+    points that end a path found: the folds are made only at the paths'
+    illegal turns (Bestvina-Handel 1992, section 5), so no other cut point
+    does any work there.  A scan that finds no path returns the scanned
+    refinement.
     After each fold the paths are carried across it (`_carry`) instead of
     rescanned, and a failed carry means a scan.  A carry cannot see a path
     that no earlier path goes to, nor one that ends at an interior periodic
-    point that only the scan's refinement makes a vertex.  So the paths of
+    point that is no vertex of the lean representative.  So the paths of
     the returned representative always come from a scan: when they were
-    carried, `scan_pinps` prepares and scans it once more, and if the lists
-    differ the scanned orbits are returned with stable=False."""
+    carried, `_lean_scan` runs on it once more, and if the lists differ the
+    scanned orbits are returned with stable=False."""
     radius = tt.radius
-    tt, pinps = scan_pinps(tt, period_bound)
+    (tt, pinps) = _lean_scan(tt, period_bound)
     if not pinps:
         return StableRepresentative(tt, [], radius, [])
     log: list = []
@@ -495,7 +577,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     def returned(entry, stable: bool) -> StableRepresentative:
         (tt, orbits, radius, pinps, carried) = entry
         if carried:
-            (tt, scanned) = scan_pinps(tt, period_bound)
+            (tt, scanned) = _lean_scan(tt, period_bound)
             if scanned != pinps:
                 return StableRepresentative(tt, group_orbits(tt, scanned),
                                             radius, log, stable=False)
@@ -526,7 +608,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             pinps2 = _carry(tt2, pinps, period_bound, radius2)
             carried = pinps2 is not None
             if not carried:
-                tt2, pinps2 = scan_pinps(tt2, period_bound)
+                (tt2, pinps2) = _lean_scan(tt2, period_bound)
             orbits2 = group_orbits(tt2, pinps2)
         except ValueError:
             return returned(entry, False)

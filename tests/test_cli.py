@@ -535,6 +535,20 @@ class TestBatch:
         assert out == ""
         assert f"jobs must be at least 1, not {value}" in err
 
+    @pytest.mark.parametrize("inputs", [[], ["empty"]], ids=["none", "empty"])
+    def test_a_batch_with_no_input_is_a_usage_error(self, inputs, tmp_path,
+                                                    capsys):
+        # no path at all, or a directory without a .endo file in it
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "notes.txt").write_text("rank 2; a -> b; b -> a;")
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", *(str(tmp_path / item) for item in inputs)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: endotorus ")
+        assert "batch needs an input" in err
+
     def test_jobs_start_at_most_one_worker_per_input(self, monkeypatch, capsys):
         # a recorder in place of the pool: no process is started
         started = []

@@ -43,6 +43,7 @@ from endotorus.nielsen import (
     NielsenPath,
     StableRepresentative,
     _enumerate_on,
+    _lean_scan,
     _ray,
     critical_equation,
     group_orbits,
@@ -165,7 +166,7 @@ class TestOrbit:
         # the first path of the stable orbit of two goes to the second one,
         # which the list leaves out: a certified invariant fails
         stable = stabilize(find_train_track(SHIFT_TWIST))
-        (tt, pinps) = scan_pinps(stable.tt)
+        (tt, pinps) = _lean_scan(stable.tt, 8)
         assert tt is stable.tt and len(pinps) == 2
         with pytest.raises(InternalInconsistency,
                            match="orbit left the enumerated set"):
@@ -260,14 +261,14 @@ class TestVerdict:
 
     def test_radius_belongs_to_the_returned_scan(self, monkeypatch):
         scanned = {}
-        real = nielsen.scan_pinps
+        real = nielsen._lean_scan
 
-        def spy(tt, period_bound=8):
+        def spy(tt, period_bound):
             out = real(tt, period_bound)
             scanned[id(out[0])] = tt.radius
             return out
 
-        monkeypatch.setattr(nielsen, "scan_pinps", spy)
+        monkeypatch.setattr(nielsen, "_lean_scan", spy)
         for endo in (GOLDEN, corpus_endo("composite_geometric")):
             stable = stabilize(find_train_track(endo))
             assert stable.fold_log and stable.radius == scanned[id(stable.tt)]
@@ -644,9 +645,11 @@ class TestCarry:
                              ids=[name for (name, _) in CARRY_CASES])
     def test_every_carry_is_the_scan(self, endo):
         for (tt, period_bound, radius, out) in carried_steps(endo):
-            # no carried track needs the refinement that the scan would add
-            assert prepare_representative(
-                tt, min(INTERIOR_BOUND, period_bound)) is tt
+            # the full scan of each carried track, coarsened onto it, is the
+            # carried list, and the track keeps every end it needs
+            assert radius == tt.radius
+            (lean, scanned) = _lean_scan(tt, period_bound)
+            assert lean is tt and scanned == out
             assert out == _enumerate_on(tt, period_bound, radius)
             assert out == reference_enumerate(tt, period_bound, radius)
 
@@ -657,8 +660,9 @@ class TestCarry:
         # reference, which takes minutes per representative there
         for (tt, period_bound, radius, out) in \
                 carried_steps(corpus_endo(name).power(2), steps=2):
-            assert prepare_representative(
-                tt, min(INTERIOR_BOUND, period_bound)) is tt
+            assert radius == tt.radius
+            (lean, scanned) = _lean_scan(tt, period_bound)
+            assert lean is tt and scanned == out
             assert out == _enumerate_on(tt, period_bound, radius)
 
     @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
@@ -690,7 +694,7 @@ class TestCarry:
 
         monkeypatch.setattr(nielsen, "_carry", dropping)
         stable = stabilize(find_train_track(corpus_endo(name)))
-        (tt, pinps) = scan_pinps(stable.tt)
+        (tt, pinps) = _lean_scan(stable.tt, 8)
         assert tt is stable.tt and pinps
         assert stable.fold_log and not stable.stable
         assert [o.paths for o in stable.orbits] == \
@@ -728,6 +732,78 @@ class TestCarry:
                     assert nielsen._admit(tt, X, Y, period_bound, radius,
                                           found)
                     assert found == {p.canonical(): p}
+
+
+# ---------------------------------------------------------------------------
+# the lean representative: the scan's paths, read on the train track refined
+# only at their ends, are what a scan of that track finds, and stabilization
+# on it converges (ROADMAP item 4)
+# ---------------------------------------------------------------------------
+
+def a_to_the_k_b(k):
+    return parse(f"rank 2; a -> {'a ' * k}b; b -> a;").endo
+
+
+def euler_characteristic(tt):
+    return tt.gm.graph.nv - len(tt.gm.graph.edges)
+
+
+class TestLeanRepresentative:
+    @given(st.tuples(WORDS, WORDS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_random_rank2_coarsening_is_the_lean_scan(self, images):
+        period_bound = 3
+        tt = expanding_train_track(images)
+        (lean, paths) = _lean_scan(tt, period_bound)
+        if not paths:
+            lean = tt
+        assert paths == _enumerate_on(lean, period_bound, tt.radius)
+        # the lean track adds one vertex per path end that is no vertex of tt
+        g = lean.gm.graph
+        ends = {v for p in paths
+                for v in (g.init_of(p.path[0]), g.term_of(p.path[-1]))}
+        assert set(range(tt.gm.graph.nv, g.nv)) <= ends
+        assert euler_characteristic(lean) == euler_characteristic(tt)
+
+    def test_a_coarsened_path_must_pass_admit(self, monkeypatch):
+        # a path read on the lean track that the acceptance rule turns down
+        # fails a certified invariant
+        monkeypatch.setattr(nielsen, "_readmit", lambda *args: None)
+        with pytest.raises(InternalInconsistency,
+                           match="coarsened Nielsen path fails"):
+            stabilize(golden_tt())
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_a_to_the_k_b_stabilizes_within_k_folds(self, k):
+        verdict = classify(a_to_the_k_b(k))
+        assert verdict.kind == "geometric"
+        assert verdict.stable.stable and len(verdict.stable.fold_log) <= k
+        surface = verdict.surface
+        assert (surface.genus, surface.boundary_count) == (1, 1)
+        assert abs(surface.stretch - (k + math.sqrt(k * k + 4)) / 2) <= 1e-9
+
+    def test_the_square_of_composite_geometric_stabilizes(self):
+        verdict = classify(corpus_endo("composite_geometric").power(2))
+        assert verdict.kind == "geometric" and verdict.stable.stable
+
+    @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES]
+                             + [a_to_the_k_b(k) for k in (3, 4)],
+                             ids=[name for (name, _) in CARRY_CASES]
+                             + ["a->a^3b,b->a", "a->a^4b,b->a"])
+    def test_the_stable_representative_keeps_chi(self, endo):
+        tt = find_train_track(endo)
+        stable = stabilize(tt)
+        assert stable.orbits
+        assert euler_characteristic(stable.tt) == euler_characteristic(tt)
+
+    def test_double_cover_geometric_runs_out_of_folds(self):
+        # each partial fold shrinks a segment of a path of two one-edge legs
+        # and adds an edge; this waits for the valence-two normalization of
+        # ROADMAP item 1
+        stable = stabilize(find_train_track(corpus_endo("double_cover_geometric")))
+        assert not stable.stable
+        assert len(stable.fold_log) == nielsen.STABILIZE_STEPS == 24
 
 
 class TestEigenmetricCarry:
