@@ -285,8 +285,6 @@ def _verdict_dict(v: Verdict) -> dict:
                            "source": v.toroidal.source}
     if v.atoroidal is not None:
         out["atoroidal"] = {"period_bound": v.atoroidal.period_bound,
-                            "interior_endpoint_period_bound":
-                                v.atoroidal.interior_endpoint_period_bound,
                             "radius": v.atoroidal.radius}
     if v.loops is not None:
         out["nielsen_loops"] = _loops_dict(v.loops)
@@ -299,6 +297,10 @@ def _verdict_dict(v: Verdict) -> dict:
 # running commands
 # ---------------------------------------------------------------------------
 
+_NOT_INJECTIVE = ("endomorphism is not injective: no stable representative "
+                  "(stabilization needs an injective map)")
+
+
 def _command_view(command: str, analysis: Analysis) -> dict:
     """The report entries of one command, read from the analysis."""
     if command == "classify":
@@ -310,6 +312,9 @@ def _command_view(command: str, analysis: Analysis) -> dict:
         return _obstruction_dict(tt)
     if command == "nielsen":
         stable = analysis.stable
+        if stable is None and not analysis.injective \
+                and isinstance(analysis.train_track, TrainTrack):
+            return {"unknown": {"reason": _NOT_INJECTIVE}}
         if stable is None:
             out = _obstruction_dict(analysis.train_track)
             if "unknown" in out:   # this view reports no fold count
@@ -324,6 +329,8 @@ def _command_view(command: str, analysis: Analysis) -> dict:
         return out
     if command == "surface":
         surf = analysis.surface
+        if surf is None and not analysis.injective:
+            return {"not_surface": {"reason": _NOT_INJECTIVE}}
         if surf is None:
             return {"not_surface": {
                 "reason": "no stable representative with a Nielsen path "
@@ -401,8 +408,7 @@ def _render_text(report: dict) -> str:
         if "atoroidal" in v:
             a = v["atoroidal"]
             lines.append(f"atoroidal within bounds: period <= "
-                         f"{a['period_bound']}, interior endpoint period <= "
-                         f"{a['interior_endpoint_period_bound']}")
+                         f"{a['period_bound']}")
         for note in v.get("notes", []):
             lines.append(f"note: {note}")
     for (key, value) in report.items():

@@ -1,54 +1,45 @@
 """Periodic Nielsen paths on expanding irreducible train tracks.
 
-A periodic indivisible Nielsen path rho splits as alpha . beta with both
-halves legal and exactly one illegal turn at the junction.  Writing
-rho = X . reverse(Y), invariance rel endpoints under F = f^per unpacks to the
-prefix-closure equations F(X) = X.G, F(Y) = Y.G (oriented closure) or
-F(X) = Y.G, F(Y) = X.G (orientation reversing) with a common overflow G.
-Both X and Y are therefore prefixes of eigenrays shot from periodic
-directions, of equal eigenmetric length.  The eigenray of a direction does
-not depend on the power of f that grows it, so enumeration grows one ray per
-direction, as the fixed point of the substitution e -> f^step(e), indexes
-the ray vertices by the gate of their junction edge, and iterates each
-candidate once, to its least return.  Only gates of two or more directions
-are indexed: every junction edge in a one-direction gate is the same edge,
-and two halves ending in the same edge meet in no turn.  The
-bounded-cancellation radius caps the scan, and each ray is read lazily,
-letter by letter, only up to it: no whole f^step image is ever built.
+A periodic indivisible Nielsen path rho of period p has exactly one
+illegal turn, at a vertex v, between two directions d1 and d2 of one gate.
+Writing rho = reverse(alpha) . beta with alpha and beta legal paths from v
+that start with d1 and d2, invariance rel endpoints under F = f^p reads
+F(alpha) = gamma . alpha and F(beta) = gamma . beta, or, when F reverses
+rho, F(alpha) = gamma . beta and F(beta) = gamma . alpha, with gamma the
+common prefix of F(alpha) and F(beta) (Bestvina-Handel 1992, section 5;
+E. C. Turner, "Finding indivisible Nielsen paths for a train track map",
+1995).  So both halves end at L = |gamma| / (lambda^p - 1), in general
+inside an edge.  The scan grows the halves from every illegal turn of the
+train track, for every period up to the bound: it reads F(alpha) and F(beta)
+as stacked lazy substitutions until they part, and then lets each image
+spell its half up to L, trying the legal continuations of a half depth
+first wherever the images do not decide it.  The bounded-cancellation
+radius caps L.  Only the ends found become vertices: the train track is
+refined at the paths' interior ends, an f-invariant set, and each path
+must pass the acceptance rule, `_admit`, on the refined track.
 
-Stabilization folds at the illegal turns of these paths, on a lean
-representative: a scan refines the train track at every interior periodic
-point, and `_lean_scan` keeps only the cut points that end a path found, an
-f-invariant set, and reads each path on the track refined there, merging
-each run of consecutive pieces into its lean edge, exactly.  Folding at the
+Stabilization folds at the illegal turns of these paths.  Folding at the
 illegal turn of an indivisible Nielsen path sends the other Nielsen paths
 to Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
 paths are carried instead of rescanned: each goes through the fold's push
-maps and must pass the scan's own acceptance rule, `_admit`, on the folded
-track, and if one fails the folded track is scanned.  `_admit` reads only a
-candidate's two halves, so a scan hit, a coarsened path and a carried path
-meet one rule.  A carry cannot see two kinds of path: one that no earlier
-path goes to, and one that ends at an interior periodic point that is no
-vertex of the lean representative.  One guard covers both: whenever the
-paths of the representative that `stabilize` returns were carried, it is
-scanned and coarsened once more, and if the lists differ the scanned orbits
-are returned with stable=False.  The Nielsen data that leaves `stabilize`
-is always a scan's.
+maps and must pass `_admit` on the folded track, and if one fails the
+folded track is scanned.  `_admit` reads only a candidate's two halves,
+so a grown path and a carried path meet one rule.  A carry cannot see a
+path that no earlier path goes to, so whenever the paths of the
+representative that `stabilize` returns were carried, it is scanned once
+more, and if the lists differ the scanned orbits are returned with
+stable=False.  The Nielsen data that leaves `stabilize` is always a
+scan's.
 
-The refinement and the Nielsen loops are read off directly, with no
-search.  The scan cuts each edge e at the interior fixed points of f, f^2
-and f^3 (up to INTERIOR_BOUND), one per occurrence of e or its reverse in
-the f^per-image of e; f sends each of them to another or to a vertex, so
-they need no closure under f.  The Nielsen loops pair the orbit paths'
-ends vertex by vertex, since whether a junction is tight and whether a
-vertex link is one circle are both decided at one vertex; the link counts
-of the pairings taken are the surface test, which the surface layer reads.
+The Nielsen loops pair the orbit paths' ends vertex by vertex, with no
+search, since whether a junction is tight and whether a vertex link is one
+circle are both decided at one vertex; the link counts of the pairings
+taken are the surface test, which the surface layer reads.
 """
-
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, chain, combinations, islice
+from bisect import bisect_left
+from itertools import chain, combinations, islice
 from typing import NamedTuple, Optional
 
 from endotorus.words import (
@@ -61,6 +52,7 @@ from endotorus.graphmap import (
     POINT_TOL,
     GraphMap,
     edge_digraph,
+    push_path,
     reach,
     refine_at_points,
     transition_matrix,
@@ -117,7 +109,7 @@ class StableRepresentative(NamedTuple):
     tt: TrainTrack
     orbits: list
     radius: float          # radius of the scan that found the orbits: that of
-                           # the track it refined, not of the lean tt
+                           # the track it scanned, not of the refined tt
     fold_log: list         # each fold's volume bookkeeping
     stable: bool = True
 
@@ -125,11 +117,6 @@ class StableRepresentative(NamedTuple):
 class Atoroidal(NamedTuple):
     period_bound: int
     radius: float          # bounded-cancellation scan radius used
-
-    @property
-    def interior_endpoint_period_bound(self) -> int:
-        """The greatest period of an interior path end the scan can see."""
-        return min(INTERIOR_BOUND, self.period_bound)
 
 
 class Toroidal(NamedTuple):
@@ -142,85 +129,211 @@ class Toroidal(NamedTuple):
 # enumeration
 # ---------------------------------------------------------------------------
 
-INTERIOR_BOUND = 3   # periods whose interior periodic points become vertices
-
-
-def _ray(image: dict, lengths: dict, d: int, step: int, reach: float):
-    """(eigenray, vertex positions) of direction d under F = f^step, up to
-    its first vertex at or beyond `reach`.  Edge images on a train track
-    never cancel and d's period under the direction map divides `step`, so
-    F(d) starts with d and the eigenray is the fixed point
-    x = F(x[0]) F(x[1]) ... of e -> F(e).  F is `step` lazy substitutions
-    by `image` (direction -> f-image) stacked on the ray's own letters, so
-    the ray is made only up to the reach.  The ray is (d,) when F(d) = d."""
-    ray = [d]
-    letters = iter(ray)
-    for _ in range(step):
-        letters = chain.from_iterable(map(image.__getitem__, letters))
-    next(letters)            # F(d) starts with d
-    positions = [lengths[abs(d)]]
-    for e in letters:
-        if positions[-1] >= reach:
-            break
-        ray.append(e)
-        positions.append(positions[-1] + lengths[abs(e)])
-    return tuple(ray), positions
-
-
-def interior_periodic_cuts(tt: TrainTrack, interior_bound: int) -> dict:
-    """Interior fixed points of f^per for per up to the bound, where the
-    graph is refined.  The metric is the eigenmetric and f^per(e) is a
-    legal path, so f^per maps e onto each letter of f^per(e) affinely,
-    stretched by lambda^per.  Each occurrence of +e or -e in f^per(e),
-    after `acc` of the image's length, therefore holds exactly one fixed
-    point of f^per in e: at acc / (lambda^per - 1) from e's initial vertex
-    for +e, and at (acc + l(e)) / (lambda^per + 1) for -e (a flip point).
-    f sends a fixed point of f^per to another one or to a vertex, so the
-    points found form an f-invariant set and need no closure.  A point
-    within POINT_TOL of a vertex or of a point already found is dropped."""
-    gm = tt.gm
-    lengths = gm.graph.lengths
-    cuts: dict = {e: [] for e in gm.graph.edge_ids()}
-    paths = {e: (e,) for e in cuts}   # f^per(e)
-    for per in range(1, interior_bound + 1):
-        stretch = tt.stretch ** per
-        for e in cuts:
-            paths[e] = gm.map_path(paths[e])
-            le = lengths[e]
-            acc = 0.0
-            for x in paths[e]:
-                if abs(x) == e:
-                    p = acc / (stretch - 1.0) if x > 0 \
-                        else (acc + le) / (stretch + 1.0)
-                    if POINT_TOL <= p <= le - POINT_TOL \
-                            and all(abs(q - p) >= POINT_TOL for q in cuts[e]):
-                        cuts[e].append(p)
-                acc += lengths[abs(x)]
-    return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
-
-
-def prepare_representative(tt: TrainTrack, interior_bound: int) -> TrainTrack:
-    """Subdivide at interior periodic points so that every periodic Nielsen
-    path of period up to the bound has vertex endpoints."""
-    cuts = interior_periodic_cuts(tt, interior_bound)
-    if not cuts:
-        return tt
-    gm2 = refine_at_points(tt.gm, cuts)
-    data = transition_matrix(gm2, edge_digraph(gm2))
-    return TrainTrack(gm2, gates(gm2), data)
+END_TOL = 1e-12    # two ends closer than END_TOL * radius are one point
 
 
 def scan_pinps(tt: TrainTrack, period_bound: int = 8) -> tuple:
-    """Prepare the representative (interior periodic points of period up to
-    INTERIOR_BOUND become vertices) and enumerate its periodic indivisible
-    Nielsen paths.  Returns (prepared train track, list of NielsenPath).
-
-    The cancellation radius is that of the incoming representative (the
-    value `stabilize` records for it); the refinement preserves the map and
-    the metric, so the bound carries over."""
+    """The periodic indivisible Nielsen paths of period up to the bound:
+    (train track, list of NielsenPath).  The train track is `tt` refined
+    at the interior ends of the paths, or `tt` itself when every end is a
+    vertex.  Each path is grown from its illegal turn (`_grown_halves`),
+    read on that track and handed to `_readmit`, the acceptance rule that
+    a carried path meets too; a grown path that fails it, or ends that are
+    not f-invariant (`refine_at_points` checks), fail a certified
+    invariant.  The cancellation radius is that of `tt`: the refinement
+    preserves the map and the metric, so the bound carries over.
+    ValueError when `tt` is not expanding and irreducible, or when f kills
+    a loop."""
+    if not tt.data.expanding:
+        raise ValueError("periodic Nielsen path scan needs an expanding "
+                         "irreducible train track")
     radius = tt.radius
-    tt = prepare_representative(tt, min(INTERIOR_BOUND, period_bound))
-    return tt, _enumerate_on(tt, period_bound, radius)
+    tol = END_TOL * radius
+    g = tt.gm.graph
+    grown = list(_grown_halves(tt, period_bound, radius, tol))
+
+    def interior(half, L):
+        """(edge, position from its initial vertex) of the half's end, or
+        None when the end is the last edge's terminal vertex."""
+        (d, s) = (half[-1], L - g.path_length(half[:-1]))
+        e = abs(d)
+        if s >= g.lengths[e] - tol:
+            return None
+        return (e, s if d > 0 else g.lengths[e] - s)
+
+    points = [(interior(A, L), interior(B, L)) for (A, B, L) in grown]
+    cuts: dict = {}
+    for (e, x) in sorted(pt for pair in points for pt in pair if pt):
+        if not cuts.get(e) or x > cuts[e][-1] + tol:
+            cuts.setdefault(e, []).append(x)
+    (lean, push) = (tt, {})
+    if cuts:
+        try:
+            gm = refine_at_points(tt.gm, cuts)
+        except ValueError as exc:
+            raise InternalInconsistency(
+                f"the Nielsen paths' ends are not invariant: {exc}") from None
+        lean = TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
+        push = gm.history[0]
+
+    def read(half, point) -> tuple:
+        """The half as a path of `lean`, which has a vertex at its end."""
+        if point is None:
+            return push_path(half, push)
+        (e, x) = point
+        i = bisect_left(cuts[e], x - tol)
+        pieces = push[e]
+        return push_path(half[:-1], push) + (
+            pieces[:i + 1] if half[-1] > 0 else invert(pieces[i + 1:]))
+
+    paths = _readmit(lean, [invert(read(A, pa)) + read(B, pb) for
+                            ((A, B, _), (pa, pb)) in zip(grown, points)],
+                     period_bound, radius)
+    if paths is None:
+        raise InternalInconsistency(
+            "a grown Nielsen path fails the acceptance rule")
+    return lean, paths
+
+
+def _grown_halves(tt: TrainTrack, period_bound: int, radius: float,
+                  tol: float):
+    """(alpha, beta, L) for every pair of legal halves, grown from an
+    illegal turn {d1, d2} of `tt`, that solve the Nielsen equations of
+    some F = f^p, p up to the bound: F(alpha) = gamma alpha and F(beta) =
+    gamma beta, or F(alpha) = gamma beta and F(beta) = gamma alpha
+    (reversing), gamma the common prefix of F(alpha) and F(beta).  alpha
+    starts with d1 and beta with d2; both run to L = |gamma| / (lambda^p -
+    1) <= radius, inside their last edges or at their ends (within `tol`).
+    A path of least period q is found at every multiple of q, and every
+    q up to the bound has one above half the bound, so only those p are
+    tried.
+
+    F(alpha) and F(beta) are stacks of items (k, d), each standing for
+    f^k(d), of length lambda^k l(d): equal items at the tops of both are
+    dropped whole, so no F-image is built.  A half is not known ahead of
+    its image (F expands, so each letter of a half is spelled by the image
+    of a later one): a half whose stack runs dry takes each legal next
+    edge in turn, depth first, whose image can go on as the other stack
+    or the half demands.  Until the stacks part they agree (gamma); where
+    they part, their letters are d1 and d2 or, reversing, d2 and d1; from
+    there each stack spells a half, letter by letter, to L.  Two halves
+    with equal images that end at one vertex close a loop that f kills:
+    ValueError."""
+    gm = tt.gm
+    g = gm.graph
+    gate = tt.gate_map
+    dmap = direction_map(gm)
+    onward = {d: [c for c in g.directions_at(g.term_of(d))
+                  if gate[c] != gate[-d]] for d in dmap}
+    power = [tt.stretch ** k for k in range(period_bound + 1)]
+    lead: dict = {}      # item -> the first letter of its image
+    size: dict = {}      # item -> the length of its image
+    below: dict = {}     # item -> its items one level down, last first
+    for d in dmap:
+        (x, image) = (d, gm.image_of_edge(d)[::-1])
+        for k in range(period_bound + 1):
+            (lead[k, d], size[k, d]) = (x, power[k] * g.lengths[abs(d)])
+            below[k + 1, d] = tuple((k, c) for c in image)
+            x = dmap[x]
+
+    def grow(p, cap, state):
+        """Run one branch of the search, state = [halves, stacks, letters
+        of each half stacked, length of gamma read, (swap, L, letters
+        spelt, their length) once the stacks part], until it ends.  The
+        halves when they are found, (i, letters) when half i must take an
+        edge whose image starts with one of the letters (any when None),
+        or None when the branch fails."""
+        (halves, stacks, taken, common, parted) = state
+        (d1, d2) = (halves[0][0], halves[1][0])
+        (sa, sb) = stacks
+        while parted is None:             # reading gamma
+            if not sa or not sb:          # stack the halves' next letters
+                for (i, stack) in enumerate(stacks):
+                    if not stack and taken[i] < len(halves[i]):
+                        stack.append((p, halves[i][taken[i]]))
+                        taken[i] += 1
+            if not sa or not sb:
+                state[3] = common
+                if sa or sb:              # the image goes on, or parts
+                    x = lead[(sa or sb)[-1]]
+                    return (int(not sb), {d1, d2} if x in (d1, d2) else {x})
+                if g.term_of(halves[0][-1]) == g.term_of(halves[1][-1]):
+                    raise ValueError(
+                        "two legal paths with equal images close a loop "
+                        "that the map kills: it is not injective")
+                return (0, None)
+            (x, y) = (sa[-1], sb[-1])
+            if x == y:
+                sa.pop()
+                sb.pop()
+                common += size[x]
+                if common > cap:
+                    return None
+            elif lead[x] != lead[y]:
+                if {lead[x], lead[y]} != {d1, d2}:
+                    return None
+                parted = state[4] = (int(lead[x] != d1),
+                                     common / (power[p] - 1.0),
+                                     [0, 0], [0.0, 0.0])
+            else:                         # expand the higher item, or both
+                if x[0] >= y[0]:
+                    sa.extend(below[sa.pop()])
+                if y[0] >= x[0]:
+                    sb.extend(below[sb.pop()])
+        (swap, L, spelt, at) = parted
+        while True:                       # spelling the halves
+            (dry, moved) = (None, False)
+            for (i, stack) in enumerate(stacks):
+                target = halves[i ^ swap]
+                while at[i] < L - tol:
+                    if not stack:
+                        if taken[i] == len(halves[i]):
+                            dry = i if dry is None else dry
+                            break
+                        stack.append((p, halves[i][taken[i]]))
+                        taken[i] += 1
+                    while stack[-1][0]:
+                        stack.extend(below[stack.pop()])
+                    e = stack.pop()[1]
+                    if spelt[i] == len(target):
+                        target.append(e)
+                    elif target[spelt[i]] != e:
+                        return None
+                    spelt[i] += 1
+                    at[i] += g.lengths[abs(e)]
+                    moved = True
+            if dry is None:
+                return (tuple(halves[0][:spelt[swap]]),
+                        tuple(halves[1][:spelt[1 ^ swap]]), L)
+            if not moved:
+                target = halves[dry ^ swap]
+                return (dry, {target[spelt[dry]]}
+                        if spelt[dry] < len(target) else None)
+
+    for v in range(g.nv):
+        for (d1, d2) in combinations(g.directions_at(v), 2):
+            for p in range(period_bound // 2 + 1, period_bound + 1):
+                if gate[d1] != gate[d2] or lead[p, d1] != lead[p, d2]:
+                    continue              # no illegal turn, or no gamma
+                cap = (radius + tol) * (power[p] - 1.0)
+                todo = [[[[d1], [d2]], [[], []], [0, 0], 0.0, None]]
+                while todo:
+                    state = todo.pop()
+                    out = grow(p, cap, state)
+                    if out is None or len(out) == 3:
+                        if out:
+                            yield out
+                        continue
+                    (i, want) = out
+                    (halves, stacks, taken, common, parted) = state
+                    for c in onward[halves[i][-1]]:
+                        if want is None or lead[p, c] in want:
+                            copy = [list(h) for h in halves]
+                            copy[i].append(c)
+                            todo.append([copy, [list(s) for s in stacks],
+                                         list(taken), common, parted and (
+                                             *parted[:2], list(parted[2]),
+                                             list(parted[3]))])
 
 
 def _least_return(gm: GraphMap, rho, period_bound: int, radius: float):
@@ -245,8 +358,7 @@ def _admit(tt: TrainTrack, X: tuple, Y: tuple, period_bound: int,
     """The one acceptance rule for a candidate rho = X . reverse(Y), given
     its two legal halves in either order; halves from one direction fail.
     The half from the earlier direction of `all_directions()`, by
-    (|d|, d < 0), becomes X.  Where a half ends is its `path_length`, up
-    to Python 3.11 the same float additions as the eigenray's positions.
+    (|d|, d < 0), becomes X.  Where a half ends is its `path_length`.
     X ends within the radius; Y ends within POINT_TOL of X's end, at the
     first vertex of Y at or after X's end less POINT_TOL; the halves end
     in two edges at one vertex, and rho has exactly one illegal turn; some
@@ -280,84 +392,6 @@ def _admit(tt: TrainTrack, X: tuple, Y: tuple, period_bound: int,
         (X, Y) = (Y, X)
     found[key] = NielsenPath(X, invert(Y), per, reversal)
     return True
-
-
-def _enumerate_on(tt: TrainTrack, period_bound: int, radius: float) -> list:
-    """Scan the periodic direction pairs through one junction index.  A pair
-    qualifies when some f^per with per up to the bound fixes both directions
-    or swaps them.  Each direction grows its eigenray to the cut.  A junction
-    of X . reverse(Y) needs an illegal turn between the reversed last edges
-    of X and Y, so every ray vertex within reach goes into a bucket keyed
-    by the gate of that reversed edge.  One sorted sweep per bucket
-    pairs the entries within POINT_TOL, and each ray then keeps only its
-    letters.  Only gates holding two or more directions get a bucket, and
-    the sweep skips two entries with the same junction edge.  Both are
-    exact: X and Y ending in one edge e meet in no turn, and a gate of one
-    direction -e holds only entries with junction edge e.  Most gates are
-    of that kind, since most vertices of a refined representative are
-    valence-two periodic cuts with one direction per gate.  An entry pair
-    of a qualifying direction pair, taken in direction order, gives the
-    halves of a candidate, and `_admit` decides, in (pair, position) order,
-    where they may end and whether the candidate is a Nielsen path."""
-    if not tt.data.expanding:
-        raise ValueError("periodic Nielsen path scan needs an expanding "
-                         "irreducible train track")
-    gm = tt.gm
-    dirs = gm.graph.all_directions()
-    order = {d: i for i, d in enumerate(dirs)}
-    # first letter of f^per(e_d) is the per-th iterate of the direction map
-    # (edge images on a train track never cancel)
-    dmap = direction_map(gm)
-
-    pairs = set()          # unordered, kept in direction order
-    first = {d: d for d in dirs}
-    for _ in range(period_bound):
-        first = {d: dmap[first[d]] for d in dirs}
-        fixed = [d for d in dirs if first[d] == d]
-        pairs.update(combinations(fixed, 2))
-        pairs.update((d, first[d]) for d in dirs
-                     if order[d] < order[first[d]] and first[first[d]] == d)
-
-    # X ends within radius + 1e-9, and Y up to POINT_TOL past X's end
-    reach = radius + 1e-9 + 2 * POINT_TOL
-    image = {d: gm.image_of_edge(d) for d in dirs}
-    rays: dict = {}        # direction -> eigenray
-    buckets: dict = {}     # gate -> [(position, direction, index, edge)]
-    # junction edge e -> gate of -e, for the gates of two or more directions
-    # (a gate with one direction -e has only junction edge e: never a turn)
-    size = Counter(tt.gate_map.values())
-    junction = {-d: g for (d, g) in tt.gate_map.items() if size[g] > 1}
-    for d in sorted({d for pair in pairs for d in pair}, key=order.get):
-        step, x = 1, dmap[d]   # least period of d, for the ray's growth
-        while x != d:
-            step, x = step + 1, dmap[x]
-        (rays[d], pos) = _ray(image, gm.graph.lengths, d, step, reach)
-        for i, (e, p) in enumerate(zip(rays[d], pos)):
-            if e in junction and p <= reach:
-                buckets.setdefault(junction[e], []).append((p, d, i, e))
-        del pos
-
-    hits = []
-    for bucket in buckets.values():
-        bucket.sort()
-        for k, (p, da, ia, ea) in enumerate(bucket):
-            for m in range(k + 1, len(bucket)):
-                (q, db, ib, eb) = bucket[m]
-                if q - p > POINT_TOL:
-                    break
-                if ea == eb:          # one edge: no turn at the junction
-                    continue
-                (d1, i, d2, j) = (da, ia, db, ib) if order[da] < order[db] \
-                    else (db, ib, da, ia)
-                if (d1, d2) in pairs:
-                    hits.append((order[d1], order[d2], i, j, d1, d2))
-    hits.sort()
-
-    found: dict = {}
-    for (_, _, i, j, d1, d2) in hits:
-        _admit(tt, rays[d1][:i + 1], rays[d2][:j + 1], period_bound, radius,
-               found)
-    return [found[k] for k in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -481,70 +515,6 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
                     period_bound, radius)
 
 
-def _lean_scan(tt: TrainTrack, period_bound: int) -> tuple:
-    """Scan, then coarsen: (representative, periodic Nielsen paths).  The
-    representative is `tt` refined only at the cut points of the scan's
-    refinement that end a path found, or that refinement when none is
-    found.  The refinement's push map (`history`) sends each cut edge of
-    `tt` to its pieces in order, cut i being the end of piece i, so each
-    lean edge is a run of consecutive pieces, and a path is read on the
-    lean track run by run, exactly.  Each path read must pass `_admit` at
-    the scan's radius, as a carried path does; a path that does not, or
-    one that ends inside a lean edge, or an end set that is not
-    f-invariant (`refine_at_points` checks), fails a certified invariant."""
-    radius = tt.radius
-    (prepared, pinps) = scan_pinps(tt, period_bound)
-    if not pinps:
-        return prepared, []
-    push = {} if prepared is tt else prepared.gm.history[0]
-    g = prepared.gm.graph
-    ends = {v for p in pinps
-            for v in (g.init_of(p.path[0]), g.term_of(p.path[-1]))}
-    kept: dict = {}                  # edge of tt -> indices of the cuts kept
-    for (e, pieces) in push.items():
-        idx = [i for (i, x) in enumerate(pieces[:-1]) if g.term_of(x) in ends]
-        if idx:
-            kept[e] = idx
-    lean = tt
-    if kept:
-        at = {e: list(accumulate(g.lengths[x] for x in push[e])) for e in kept}
-        try:
-            gm = refine_at_points(tt.gm, {e: [at[e][i] for i in idx]
-                                          for (e, idx) in kept.items()})
-        except ValueError as exc:
-            raise InternalInconsistency(
-                f"the Nielsen paths' ends are not invariant: {exc}") from None
-        lean = TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
-    lean_pieces = lean.gm.history[0] if kept else {}
-    runs: dict = {}                  # lean edge -> its pieces in `prepared`
-    owner: dict = {}                 # piece -> its lean edge
-    for e in tt.gm.graph.edge_ids():
-        pieces = push.get(e, (e,))
-        bounds = [0, *(i + 1 for i in kept.get(e, ())), len(pieces)]
-        for (edge, a, b) in zip(lean_pieces.get(e, (e,)), bounds, bounds[1:]):
-            runs[edge] = pieces[a:b]
-            owner.update(dict.fromkeys(pieces[a:b], edge))
-
-    def read(path) -> tuple:
-        (out, i) = ([], 0)
-        while i < len(path):
-            edge = owner[abs(path[i])]
-            run = runs[edge] if path[i] > 0 else invert(runs[edge])
-            if path[i:i + len(run)] != run:
-                raise InternalInconsistency(
-                    "a Nielsen path ends inside an edge of the lean track")
-            out.append(edge if path[i] > 0 else -edge)
-            i += len(run)
-        return tuple(out)
-
-    read_back = _readmit(lean, [read(p.path) for p in pinps], period_bound,
-                         radius)
-    if read_back is None:
-        raise InternalInconsistency(
-            "a coarsened Nielsen path fails the acceptance rule")
-    return lean, read_back
-
-
 def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     """Fold periodic Nielsen path orbits of a train track representative
     until the representative repeats projectively.  Each step folds the
@@ -555,21 +525,18 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     a fold fails, a representative is returned with stable=False; its
     orbits and the fold log remain valid data.
 
-    The folds work on a lean representative: `_lean_scan` scans the
-    refinement at every interior periodic point and keeps only the cut
-    points that end a path found: the folds are made only at the paths'
-    illegal turns (Bestvina-Handel 1992, section 5), so no other cut point
-    does any work there.  A scan that finds no path returns the scanned
-    refinement.
+    The folds work on the train track refined at the paths' interior ends
+    only (`scan_pinps`): they are made at the paths' illegal turns
+    (Bestvina-Handel 1992, section 5), so no other point needs to be a
+    vertex.  A scan that finds no path returns `tt` itself.
     After each fold the paths are carried across it (`_carry`) instead of
     rescanned, and a failed carry means a scan.  A carry cannot see a path
-    that no earlier path goes to, nor one that ends at an interior periodic
-    point that is no vertex of the lean representative.  So the paths of
-    the returned representative always come from a scan: when they were
-    carried, `_lean_scan` runs on it once more, and if the lists differ the
-    scanned orbits are returned with stable=False."""
+    that no earlier path goes to.  So the paths of the returned
+    representative always come from a scan: when they were carried, the
+    scan runs on it once more, and if the lists differ the scanned orbits
+    are returned with stable=False."""
     radius = tt.radius
-    (tt, pinps) = _lean_scan(tt, period_bound)
+    (tt, pinps) = scan_pinps(tt, period_bound)
     if not pinps:
         return StableRepresentative(tt, [], radius, [])
     log: list = []
@@ -577,7 +544,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     def returned(entry, stable: bool) -> StableRepresentative:
         (tt, orbits, radius, pinps, carried) = entry
         if carried:
-            (tt, scanned) = _lean_scan(tt, period_bound)
+            (tt, scanned) = scan_pinps(tt, period_bound)
             if scanned != pinps:
                 return StableRepresentative(tt, group_orbits(tt, scanned),
                                             radius, log, stable=False)
@@ -608,7 +575,7 @@ def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
             pinps2 = _carry(tt2, pinps, period_bound, radius2)
             carried = pinps2 is not None
             if not carried:
-                (tt2, pinps2) = _lean_scan(tt2, period_bound)
+                (tt2, pinps2) = scan_pinps(tt2, period_bound)
             orbits2 = group_orbits(tt2, pinps2)
         except ValueError:
             return returned(entry, False)

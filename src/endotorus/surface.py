@@ -337,11 +337,13 @@ class Analysis:
 
     @cached_property
     def stable(self) -> Optional[StableRepresentative]:
-        """None when the train track stage ended in an obstruction."""
-        tt = self.train_track
-        if not isinstance(tt, TrainTrack):
+        """None when the map is not injective (legal paths with equal
+        images then multiply in the Nielsen path scan, and the verdict reads
+        no stabilization), or when the train track stage ended in an
+        obstruction."""
+        if not self.injective or not isinstance(self.train_track, TrainTrack):
             return None
-        return stabilize(tt, period_bound=self.bounds.period_bound)
+        return stabilize(self.train_track, period_bound=self.bounds.period_bound)
 
     @cached_property
     def loops(self):

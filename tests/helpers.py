@@ -6,7 +6,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from endotorus import subgroups as sg
-from endotorus.graphmap import GraphMap, MarkedGraph, edge_digraph, transition_matrix
+from endotorus.graphmap import (
+    POINT_TOL,
+    GraphMap,
+    MarkedGraph,
+    edge_digraph,
+    refine_at_points,
+    transition_matrix,
+)
 from endotorus.nielsen import NielsenOrbit
 from endotorus.subgroups import SubgroupGraph
 from endotorus.traintrack import ReductionWitness, TrainTrack, gates
@@ -24,6 +31,82 @@ def is_conjugate(u, v, unoriented=False):
     """Exact conjugacy in F via canonical cyclic forms.  Orientation matters
     unless unoriented=True, which also identifies v with v^-1."""
     return cyclic_canonical(u, unoriented) == cyclic_canonical(v, unoriented)
+
+
+# ---------------------------------------------------------------------------
+# interior periodic points: the fixed points of f^per found once, then closed
+# under the single map, the set that the Nielsen path scan once refined at
+# ---------------------------------------------------------------------------
+
+def reference_point_image(gm, e, pos):
+    """Image of the interior point at metric position pos on edge e, as
+    (edge, position from that edge's initial vertex)."""
+    img = gm.eimg[e]
+    le = gm.graph.lengths[e]
+    total = sum(gm.graph.lengths[abs(x)] for x in img)
+    t = pos / le * total
+    acc = 0.0
+    for x in img:
+        lx = gm.graph.lengths[abs(x)]
+        if t <= acc + lx + 1e-12:
+            inner = t - acc
+            return (abs(x), inner) if x > 0 else (abs(x), lx - inner)
+        acc += lx
+    x = img[-1]
+    return (abs(x), gm.graph.lengths[abs(x)] if x > 0 else 0.0)
+
+
+def reference_cuts(tt, interior_bound):
+    """Interior fixed points of f^per for per up to the bound, closed under
+    the map."""
+    gm = tt.gm
+    lam = tt.stretch
+    cuts = {e: [] for e in gm.graph.edge_ids()}
+
+    def add(e, p):
+        le = gm.graph.lengths[e]
+        if p < POINT_TOL or p > le - POINT_TOL:
+            return False
+        for q in cuts[e]:
+            if abs(q - p) < POINT_TOL:
+                return False
+        cuts[e].append(p)
+        return True
+
+    paths = {e: (e,) for e in gm.graph.edge_ids()}   # f^per(e)
+    for per in range(1, interior_bound + 1):
+        stretch = lam ** per
+        for e in gm.graph.edge_ids():
+            paths[e] = gm.map_path(paths[e])
+            le = gm.graph.lengths[e]
+            acc = 0.0
+            for x in paths[e]:
+                lx = gm.graph.lengths[abs(x)]
+                if abs(x) == e:
+                    if x > 0:
+                        p = acc / (stretch - 1.0)
+                    else:
+                        p = (acc + le) / (stretch + 1.0)
+                    add(e, p)
+                acc += lx
+    # close under the single map
+    for _ in range(4 * interior_bound + 4):
+        new = False
+        for e in sorted(cuts):
+            for p in list(cuts[e]):
+                (e2, p2) = reference_point_image(gm, e, p)
+                if add(e2, p2):
+                    new = True
+        if not new:
+            break
+    return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
+
+
+def reference_refinement(tt, interior_bound):
+    """The train track refined at every interior periodic point of period up
+    to the bound (`reference_cuts`)."""
+    gm = refine_at_points(tt.gm, reference_cuts(tt, interior_bound))
+    return TrainTrack(gm, gates(gm), transition_matrix(gm, edge_digraph(gm)))
 
 
 # ---------------------------------------------------------------------------

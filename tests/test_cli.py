@@ -16,6 +16,16 @@ from endotorus.words import Endomorphism, parse_word, periodic_conjugacy_search
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
+# rank-3 maps with periodic Nielsen paths whose ends are interior points of
+# period 4 or more
+ENDPOINT_MAPS = (
+    "rank 3; a -> a c; b -> a; c -> b;",
+    "rank 3; a -> c c; b -> a; c -> b c;",
+    "rank 3; a -> c; b -> a; c -> b c;",
+    "rank 3; a -> C B A; b -> C; c -> A;",
+    "rank 3; a -> b c a; b -> a; c -> b;",
+)
+
 
 class TestParse:
     def test_remark_map(self):
@@ -298,24 +308,34 @@ class TestCommandLine:
             parse(text)
         assert exc.value.position == text.index("27")
 
-    @pytest.mark.parametrize("flags,bounds", [([], (8, 3)),
-                                              (["--period-bound", "2"], (2, 2))])
+    @pytest.mark.parametrize("flags,bounds", [([], (8,)),
+                                              (["--period-bound", "2"], (2,))])
     def test_atoroidal_names_the_endpoint_period_it_covered(
             self, flags, bounds, tmp_path, capsys):
-        # the scan makes vertices only of interior periodic points of period
-        # up to 3, so a Nielsen path ending at one of period 4 goes unseen;
-        # on this map a scan refined to period 4 finds two of period 2
-        path = tmp_path / "endpoints.endo"
-        path.write_text("rank 3; a -> a c; b -> a; c -> b;")
+        # the scan grows every Nielsen path of period up to the bound from
+        # its illegal turn, wherever its ends lie, so the period bound is
+        # the one bound the atoroidal entry names
+        path = tmp_path / "remark.endo"
+        path.write_text("rank 2; a -> a b; b -> b a;")
         assert main(["classify", str(path), "--json", *flags]) == 0
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["kind"] == "irreducible_atoroidal"
-        atoroidal = verdict["atoroidal"]
-        assert (atoroidal["period_bound"],
-                atoroidal["interior_endpoint_period_bound"]) == bounds
+        assert verdict["atoroidal"] == {"period_bound": bounds[0],
+                                        "radius": 3.0}
         assert main(["classify", str(path), *flags]) == 0
-        assert (f"atoroidal within bounds: period <= {bounds[0]}, interior "
-                f"endpoint period <= {bounds[1]}") in capsys.readouterr().out
+        assert f"atoroidal within bounds: period <= {bounds[0]}\n" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ENDPOINT_MAPS)
+    def test_no_endpoint_map_is_atoroidal(self, source):
+        # each has periodic Nielsen paths whose ends are interior points of
+        # period 4 or more; none closes into Nielsen loops
+        verdict = run("classify", parse(source))["verdict"]
+        assert verdict["kind"] != "irreducible_atoroidal"
+        assert verdict["kind"] == "unknown"
+        assert verdict["notes"][-1] == \
+            "nielsen loops: orbit paths do not close into Nielsen loops"
+        assert verdict["stabilization"]["has_orbit"]
 
     def test_torus_text_shows_its_conclusions(self, tmp_path, capsys):
         assert main(["torus", str(CORPUS / "golden_geometric.endo")]) == 0

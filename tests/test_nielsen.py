@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from itertools import accumulate, combinations
@@ -21,6 +22,7 @@ from endotorus.graphmap import (
     edge_digraph,
     transition_matrix,
 )
+from endotorus.subgroups import is_injective
 from endotorus.surface import classify
 from endotorus.words import (
     CyclicWord,
@@ -37,23 +39,25 @@ from endotorus.traintrack import (
     gates,
 )
 from endotorus.nielsen import (
-    INTERIOR_BOUND,
     NielsenLoops,
     NielsenOrbit,
     NielsenPath,
     StableRepresentative,
-    _enumerate_on,
-    _lean_scan,
-    _ray,
     critical_equation,
     group_orbits,
     nielsen_loops,
-    prepare_representative,
     scan_pinps,
     stabilize,
 )
 
-from helpers import TWO_ROSES, arc_orbits, identity_track
+from helpers import (
+    TWO_ROSES,
+    arc_orbits,
+    identity_track,
+    reference_cuts,
+    reference_point_image,
+    reference_refinement,
+)
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -121,10 +125,17 @@ class TestEnumerate:
         assert cls == COMMUTATOR
         assert p.alpha and p.beta
 
+    def test_a_reversing_path_is_found_at_its_own_period(self):
+        # at period bound 1 the commutator path is seen only through the
+        # reversing equations f(alpha) = gamma beta, f(beta) = gamma alpha
+        (_, pinps) = scan_pinps(golden_tt(), 1)
+        assert [(p.period, p.reversal) for p in pinps] == [(1, True)]
+
     def test_period_two_paths(self):
+        # read on the train track refined at their interior ends only
         tt, pinps = scan_pinps(find_train_track(PERIOD_TWO), 8)
         assert [p.period for p in pinps] == [2, 2]
-        assert sorted(len(p.path) for p in pinps) == [4, 8]
+        assert sorted(len(p.path) for p in pinps) == [2, 4]
 
     @pytest.mark.parametrize("endo", [PERIOD_TWO, corpus_endo("golden_geometric")])
     def test_period_is_the_least_return(self, endo):
@@ -136,6 +147,20 @@ class TestEnumerate:
                 img = tt.gm.map_path(img)
                 assert (img in (p.path, invert(p.path))) == (n == p.period)
             assert img == (invert(p.path) if p.reversal else p.path)
+
+    @pytest.mark.parametrize("source", ["rank 2; a -> a b; b -> a b;",
+                                        "rank 3; a -> b; b -> a c B a; c -> b b;"],
+                             ids=["equal_images", "rank3"])
+    def test_a_loop_that_f_kills_stops_the_scan(self, source):
+        # legal paths with equal images multiply on a map that is not
+        # injective; the scan stops at the first two that close a loop
+        endo = parse(source).endo
+        tt = find_train_track(endo)
+        assert isinstance(tt, TrainTrack) and not is_injective(endo)
+        start = time.process_time()
+        with pytest.raises(ValueError, match="loop that the map kills"):
+            scan_pinps(tt)
+        assert time.process_time() - start < 1.0
 
     def test_rejects_non_expanding(self):
         result = find_train_track(SWAP)
@@ -166,7 +191,7 @@ class TestOrbit:
         # the first path of the stable orbit of two goes to the second one,
         # which the list leaves out: a certified invariant fails
         stable = stabilize(find_train_track(SHIFT_TWIST))
-        (tt, pinps) = _lean_scan(stable.tt, 8)
+        (tt, pinps) = scan_pinps(stable.tt, 8)
         assert tt is stable.tt and len(pinps) == 2
         with pytest.raises(InternalInconsistency,
                            match="orbit left the enumerated set"):
@@ -251,24 +276,24 @@ class TestVerdict:
         assert tt.radius > 0
 
     def test_reported_radius_is_the_scan_radius(self):
-        # the refinement lengthens edge images, so the refined graph's own
-        # bound (27/7) is not the one the scan used
+        # a scan that finds no path refines nothing, so the track returned
+        # is the one scanned, with the scan's radius
         tt = find_train_track(PHI)
         stable = stabilize(tt)
         assert stable.radius == tt.radius == 3.0
-        assert stable.tt.radius != stable.radius
+        assert stable.tt is tt
         assert classify(PHI).atoroidal.radius == stable.radius
 
     def test_radius_belongs_to_the_returned_scan(self, monkeypatch):
         scanned = {}
-        real = nielsen._lean_scan
+        real = nielsen.scan_pinps
 
         def spy(tt, period_bound):
             out = real(tt, period_bound)
             scanned[id(out[0])] = tt.radius
             return out
 
-        monkeypatch.setattr(nielsen, "_lean_scan", spy)
+        monkeypatch.setattr(nielsen, "scan_pinps", spy)
         for endo in (GOLDEN, corpus_endo("composite_geometric")):
             stable = stabilize(find_train_track(endo))
             assert stable.fold_log and stable.radius == scanned[id(stable.tt)]
@@ -276,8 +301,11 @@ class TestVerdict:
 
 
 # ---------------------------------------------------------------------------
-# scan oracle: the per-pair two-pointer merge over eigenrays grown by
-# remap-and-truncate, kept here as the reference for the junction index
+# scan oracle: the train track refined at every interior periodic point of
+# period up to 3 (`reference_cuts`), and on it the per-pair two-pointer merge
+# over eigenrays grown by remap-and-truncate.  The merge needs both ends of a
+# path at vertices, so it finds the paths the scan grows from their illegal
+# turns, except those with an end of period above 3
 # ---------------------------------------------------------------------------
 
 GEOMETRIC_CLASSIFY = ("composite_geometric", "double_cover_geometric",
@@ -377,80 +405,48 @@ def reference_enumerate(tt, period_bound, radius, tol=POINT_TOL):
 
 
 def rescans(endo):
-    """(prepared train track, period bound, radius, paths) of every
-    representative that `stabilize` visits on the endomorphism's train
-    track, whether a scan found its paths or a fold carried them."""
+    """(train track, period bound, radius, paths) of every representative
+    that `stabilize` visits on the endomorphism's train track, whether a
+    scan found its paths or a fold carried them."""
     return [call[1:] for call in stabilize_steps(endo)[1] if call[4] is not None]
 
 
 def stabilize_steps(endo, steps=nielsen.STABILIZE_STEPS):
     """(stable representative, calls) of `stabilize`, held to at most
     `steps` folds, on the endomorphism's train track.  The calls are
-    (function, train track, period bound, radius, result) of every scan
-    (`_enumerate_on`) and every carry (`_carry`, None when it fails), in
-    call order."""
+    (function, train track, period bound, radius, paths) of every scan
+    (`scan_pinps`, with the track it returns and the radius of the track
+    it scanned) and every carry (`_carry`, None when it fails), in call
+    order."""
     calls = []
 
     def recording(name, real):
-        def call(tt, *args):
-            out = real(tt, *args)
-            calls.append((name, tt, args[-2], args[-1], out))
+        def call(*args):
+            out = real(*args)
+            if name == "scan_pinps":
+                calls.append((name, out[0], args[1], args[0].radius, out[1]))
+            else:
+                calls.append((name, args[0], *args[2:], out))
             return out
         return call
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nielsen, "STABILIZE_STEPS", steps)
-        for name in ("_enumerate_on", "_carry"):
+        for name in ("scan_pinps", "_carry"):
             patch.setattr(nielsen, name, recording(name, getattr(nielsen, name)))
         stable = stabilize(find_train_track(endo))
     return stable, calls
 
 
-def periodic_directions(gm, period_bound):
-    """(direction, least period under the direction map) for each direction
-    whose period is at most the bound: the directions a scan pairs."""
-    dmap = {d: gm.image_of_edge(d)[0] for d in gm.graph.all_directions()}
-    out = []
-    for d in dmap:
-        step, x = 1, dmap[d]
-        while x != d and step < period_bound:
-            step, x = step + 1, dmap[x]
-        if x == d:
-            out.append((d, step))
-    return out
-
-
-def direction_images(gm):
-    return {d: gm.image_of_edge(d) for d in gm.graph.all_directions()}
-
-
-def assert_rays_are_eigenrays(tt, period_bound, radius):
-    gm = tt.gm
-    lengths = gm.graph.lengths
-    image = direction_images(gm)
-    for (d, step) in periodic_directions(gm, period_bound):
-        (r, pos) = _ray(image, lengths, d, step, radius)
-        assert r[0] == d
-        assert pos == list(accumulate(lengths[abs(e)] for e in r))
-        mapped = r
-        for _ in range(step):
-            mapped = gm.map_path(mapped)
-        assert mapped[:len(r)] == r
-        assert gm.graph.path_length(r) >= radius - 1e-9 or mapped == r
-        # the ray stops at its first vertex at or beyond the target
-        assert mapped == r or (pos[-1] >= radius
-                               and (len(pos) == 1 or pos[-2] < radius))
-        assert reference_ray(gm, d, step, radius)[:len(r)] == r
-
-
-def random_train_track(images, period_bound):
+def expanding_train_track(images):
+    """The train track of an injective map with the images, when it is
+    expanding and irreducible: the scan's domain."""
     endo = Endomorphism(len(images), tuple(images))
-    assume(all(endo.images))
+    assume(all(endo.images) and is_injective(endo))
     tt = find_train_track(endo, max_iterations=30)
     assume(isinstance(tt, TrainTrack) and tt.data.expanding
            and tt.data.irreducible)
-    return (prepare_representative(tt, min(INTERIOR_BOUND, period_bound)),
-            tt.radius)
+    return tt
 
 
 WORDS = st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)
@@ -472,27 +468,89 @@ def rank3_images(draw):
     return images
 
 
-def assert_scan_matches_reference(tt, period_bound, radius, tol=POINT_TOL):
-    """The scan and the reference, at the tolerance, find the same paths
-    and hand the same candidates to `_least_return` in the same order, so
-    a change in the junctions found shows even when no Nielsen path
-    depends on it.  Returns the paths."""
-    candidates = []
-    real = nielsen._least_return
+def end_points(track, tt, path):
+    """The two ends of a path of `track`, a refinement of `tt` or `tt`
+    itself: ('v', vertex) for a vertex of `tt`, else (edge of `tt`,
+    position from its initial vertex)."""
+    g = track.gm.graph
+    points = {v: ("v", v) for v in range(tt.gm.graph.nv)}
+    if track.gm is not tt.gm:
+        for (e, pieces) in track.gm.history[0].items():
+            at = 0.0
+            for x in pieces[:-1]:
+                at += g.lengths[x]
+                points[g.term_of(x)] = (e, at)
+    return (points[g.init_of(path[0])], points[g.term_of(path[-1])])
 
-    def recording(gm, rho, period_bound, radius):
-        candidates.append(rho)
-        return real(gm, rho, period_bound, radius)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nielsen, "_least_return", recording)
-        patch.setattr(nielsen, "POINT_TOL", tol)
-        out = _enumerate_on(tt, period_bound, radius)
-        scanned = list(candidates)
-        candidates.clear()
-        assert reference_enumerate(tt, period_bound, radius, tol) == out
-        assert candidates == scanned
-    return out
+def signature(track, tt, p):
+    """What two scans of `tt` agree on for a path p of `track`, whichever
+    edges it is read in: its turn, in the directions of `tt`, its period,
+    its orientation, its half length and its ends."""
+    origin = {d: d for d in tt.gm.graph.all_directions()}
+    if track.gm is not tt.gm:
+        for (e, pieces) in track.gm.history[0].items():
+            origin.update({x: e for x in pieces})
+            origin.update({-x: -e for x in pieces})
+    return (frozenset((origin[-p.alpha[-1]], origin[p.beta[0]])), p.period,
+            p.reversal, round(track.gm.graph.path_length(p.path) / 2, 9),
+            frozenset((e, x if e == "v" else round(x, 7))
+                      for (e, x) in end_points(track, tt, p.path)))
+
+
+def point_period(gm, point, bound):
+    """The least n <= bound with f^n fixing an interior point (edge,
+    position), or None."""
+    (e, x) = point
+    image = point
+    for n in range(1, bound + 1):
+        image = reference_point_image(gm, *image)
+        if image[0] == e and abs(image[1] - x) < 1e-6:
+            return n
+    return None
+
+
+def reference_signatures(tt, period_bound, tol=POINT_TOL):
+    """The signatures of the paths that the pair merge, at the tolerance,
+    finds on the refinement at the interior periodic points of period up
+    to 3."""
+    prepared = reference_refinement(tt, min(3, period_bound))
+    return {signature(prepared, tt, p) for p in
+            reference_enumerate(prepared, period_bound, tt.radius, tol)}
+
+
+def assert_scan_matches_reference(tt, period_bound):
+    """Every path that the pair merge finds on the refinement at the
+    interior periodic points of period up to 3 the scan finds too, with the
+    same turn, period, orientation, half length and ends; every other path
+    the scan finds has an end of period above 3, which that refinement
+    lacks, so the two lists are equal when no end has period above 3.
+    Returns the scan's (train track, paths)."""
+    (lean, paths) = scan_pinps(tt, period_bound)
+    expected = reference_signatures(tt, period_bound)
+    found = {signature(lean, tt, p): p for p in paths}
+    assert len(found) == len(paths)
+    assert expected <= found.keys()
+    for key in found.keys() - expected:
+        periods = [point_period(tt.gm, end, 4 * period_bound)
+                   for end in end_points(lean, tt, found[key].path)
+                   if end[0] != "v"]
+        assert any(n is not None and n > 3 for n in periods)
+    return lean, paths
+
+
+def assert_halves_are_eigenrays(tt, paths):
+    """Each half of each path, read from its end, is a prefix of the
+    eigenray of its first direction: the prefix-closure equations."""
+    gm = tt.gm
+    dmap = {d: gm.image_of_edge(d)[0] for d in gm.graph.all_directions()}
+    for p in paths:
+        for half in (p.alpha, invert(p.beta)):
+            step, x = 1, dmap[half[0]]
+            while x != half[0]:
+                step, x = step + 1, dmap[x]
+            ray = reference_ray(gm, half[0], step, gm.graph.path_length(half))
+            assert ray[:len(half)] == half
 
 
 class TestScanOracle:
@@ -500,32 +558,32 @@ class TestScanOracle:
     def test_every_rescan_matches_the_pair_merge(self, name):
         calls = rescans(corpus_endo(name))
         assert calls
-        for (tt, period_bound, radius, out) in calls:
-            assert assert_scan_matches_reference(tt, period_bound, radius) == out
+        for (tt, period_bound, _, _) in calls:
+            assert_scan_matches_reference(tt, period_bound)
 
     @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
     def test_coarse_tolerance_matches_the_pair_merge(self, name):
         # a tolerance wider than the short edges puts several vertices of a
-        # ray within reach of one position and lets the second ray's side
-        # reach past the radius: the matching rule must still be the merge's
-        for (tt, period_bound, radius, _) in rescans(corpus_endo(name))[:3]:
+        # ray within reach of one position: the merge then finds no path
+        # that the scan, which matches no positions, does not find
+        for (tt, period_bound, _, _) in rescans(corpus_endo(name))[:3]:
+            (lean, paths) = scan_pinps(tt, period_bound)
+            found = {signature(lean, tt, p) for p in paths}
             for tol in (0.01, 0.05):
-                assert_scan_matches_reference(tt, period_bound, radius, tol)
+                assert reference_signatures(tt, period_bound, tol) <= found
 
     @pytest.mark.parametrize("name", GEOMETRIC_CLASSIFY)
     def test_eigenrays_are_prefixes_of_their_images(self, name):
-        for (tt, period_bound, radius, _) in rescans(corpus_endo(name))[:4]:
-            assert_rays_are_eigenrays(tt, period_bound, radius)
+        for (tt, _, _, paths) in rescans(corpus_endo(name))[:4]:
+            assert_halves_are_eigenrays(tt, paths)
 
     @given(st.tuples(WORDS, WORDS))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_random_rank2_scans_match_the_pair_merge(self, images):
-        period_bound = 3
-        (tt, radius) = random_train_track(images, period_bound)
-        assert_rays_are_eigenrays(tt, period_bound, radius)
-        for tol in (POINT_TOL, 0.05):
-            assert_scan_matches_reference(tt, period_bound, radius, tol)
+        tt = expanding_train_track(images)
+        (lean, paths) = assert_scan_matches_reference(tt, 3)
+        assert_halves_are_eigenrays(lean, paths)
 
     @given(rank3_images())
     @settings(max_examples=25, deadline=None,
@@ -534,42 +592,44 @@ class TestScanOracle:
         # gates with three or more directions, and gates of several
         # directions at vertices other than the base, which the rank-2
         # maps rarely have
-        period_bound = 3
-        (tt, radius) = random_train_track(images, period_bound)
-        assert_rays_are_eigenrays(tt, period_bound, radius)
-        for tol in (POINT_TOL, 0.05):
-            assert_scan_matches_reference(tt, period_bound, radius, tol)
+        tt = expanding_train_track(images)
+        (lean, paths) = assert_scan_matches_reference(tt, 3)
+        assert_halves_are_eigenrays(lean, paths)
 
 
 # a = A A A B A A A A B, b = A A A A B (trace -8, det -1, lambda = 4 + sqrt 17):
-# the refinement gives directions of period 6 and more, whose whole
-# f^period images run to hundreds of thousands of letters
+# the whole f^8 images of its edges run to millions of letters, and its
+# train track refined at every interior periodic point of period up to 3
+# has 594 edges
 LONG_PERIOD = "rank 2; a -> A A A B A A A A B; b -> A A A A B;"
+# a rank-2 automorphism with lambda about 12.9, whose refinement at every
+# interior periodic point of period up to 3 has 2,312 edges
+WIDE_REFINEMENT = "rank 2; a -> b b A b; b -> b b A b b A b b b A b b b A b b b A b;"
+
+
+def a_to_the_k_b(k):
+    return parse(f"rank 2; a -> {'a ' * k}b; b -> a;").endo
 
 
 class TestLongPeriodRays:
     def test_a_ray_makes_only_the_letters_it_keeps(self):
+        # the images are read as stacked lazy substitutions, so one scan
+        # makes only the letters that its halves compare and keep: traced,
+        # it peaks at 16 KiB, where a classify that refined the train track
+        # at every interior periodic point of period up to 3 took 107 MB
         tt = find_train_track(parse(LONG_PERIOD).endo)
-        gm = tt.gm
-        assert len(gm.graph.edges) == 2
-        image = direction_images(gm)
-        periodic = periodic_directions(gm, 8)
-        assert periodic
-        for (d, step) in periodic:
-            assert 8 % step == 0
-            tracemalloc.start()
-            try:
-                (r, _) = _ray(image, gm.graph.lengths, d, 8, tt.radius)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
-            assert r == reference_ray(gm, d, 8, tt.radius)[:len(r)]
+        assert len(tt.gm.graph.edges) == 2
+        tracemalloc.start()
+        try:
+            (_, pinps) = scan_pinps(tt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pinps
+        assert peak < 1 << 18
 
     def test_a_scan_keeps_no_ray_positions(self):
-        # each eigenray drops its vertex positions once its junction entries
-        # are made: traced, this scan peaks at 14.9 MiB, and at 26.1 MiB
-        # when every ray held its positions to the end of the sweep
+        # traced, this scan peaks at 17 KiB (14.9 MiB on the refinement)
         tt = find_train_track(parse("rank 2; a -> a a a a a a b; b -> a;").endo)
         tracemalloc.start()
         try:
@@ -578,7 +638,18 @@ class TestLongPeriodRays:
         finally:
             tracemalloc.stop()
         assert pinps
-        assert peak < 20 << 20
+        assert peak < 1 << 18
+
+    @pytest.mark.parametrize("endo", [parse(LONG_PERIOD).endo,
+                                      parse(WIDE_REFINEMENT).endo,
+                                      a_to_the_k_b(12), a_to_the_k_b(16)],
+                             ids=["long_period", "wide_refinement",
+                                  "a->a^12b,b->a", "a->a^16b,b->a"])
+    def test_classifies_geometric_in_under_a_second(self, endo):
+        start = time.process_time()
+        verdict = classify(endo)
+        assert time.process_time() - start < 1.0
+        assert verdict.kind == "geometric"
 
     def test_classify_under_a_one_gigabyte_cap(self):
         # in a child process, so that running out of memory fails this test
@@ -643,32 +714,38 @@ def carried_steps(endo, steps=nielsen.STABILIZE_STEPS):
 class TestCarry:
     @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
                              ids=[name for (name, _) in CARRY_CASES])
+    def test_the_first_scan_matches_the_pair_merge(self, endo):
+        # the scan that each stabilization starts with; the squares of
+        # composite_geometric and double_cover_geometric pass too, but take
+        # over a minute each on their period-3 refinements
+        assert assert_scan_matches_reference(find_train_track(endo), 8)[1]
+
+    @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
+                             ids=[name for (name, _) in CARRY_CASES])
     def test_every_carry_is_the_scan(self, endo):
         for (tt, period_bound, radius, out) in carried_steps(endo):
-            # the full scan of each carried track, coarsened onto it, is the
-            # carried list, and the track keeps every end it needs
+            # a scan of each carried track is the carried list, and the
+            # track keeps every end it needs
             assert radius == tt.radius
-            (lean, scanned) = _lean_scan(tt, period_bound)
+            (lean, scanned) = scan_pinps(tt, period_bound)
             assert lean is tt and scanned == out
-            assert out == _enumerate_on(tt, period_bound, radius)
             assert out == reference_enumerate(tt, period_bound, radius)
 
     @pytest.mark.parametrize("name", ("composite_geometric",
                                       "double_cover_geometric"))
     def test_squares_carry_the_scan(self, name):
-        # the squares refine to about 360 edges: two folds, and no
-        # reference, which takes minutes per representative there
+        # the squares' reference refinements have about 360 edges: two
+        # folds, and no reference, which takes minutes per representative
         for (tt, period_bound, radius, out) in \
                 carried_steps(corpus_endo(name).power(2), steps=2):
             assert radius == tt.radius
-            (lean, scanned) = _lean_scan(tt, period_bound)
+            (lean, scanned) = scan_pinps(tt, period_bound)
             assert lean is tt and scanned == out
-            assert out == _enumerate_on(tt, period_bound, radius)
 
     @pytest.mark.parametrize("endo", [endo for (_, endo) in CARRY_CASES],
                              ids=[name for (name, _) in CARRY_CASES])
     def test_only_the_scan_refines(self, endo, monkeypatch):
-        # interior periodic points are sought once per scan, never per fold
+        # the track is refined at most once per scan, never per fold
         calls = Counter()
 
         def counting(name):
@@ -679,11 +756,11 @@ class TestCarry:
                 return real(*args)
             return call
 
-        for name in ("scan_pinps", "interior_periodic_cuts"):
+        for name in ("scan_pinps", "refine_at_points"):
             monkeypatch.setattr(nielsen, name, counting(name))
         stable = stabilize(find_train_track(endo))
         assert stable.fold_log and calls["scan_pinps"] >= 1
-        assert calls["interior_periodic_cuts"] == calls["scan_pinps"]
+        assert calls["refine_at_points"] <= calls["scan_pinps"]
 
     @pytest.mark.parametrize("name", ("golden_geometric", "composite_geometric"))
     def test_a_dropped_path_falls_back_to_the_scan(self, name, monkeypatch):
@@ -694,7 +771,7 @@ class TestCarry:
 
         monkeypatch.setattr(nielsen, "_carry", dropping)
         stable = stabilize(find_train_track(corpus_endo(name)))
-        (tt, pinps) = _lean_scan(stable.tt, 8)
+        (tt, pinps) = scan_pinps(stable.tt, 8)
         assert tt is stable.tt and pinps
         assert stable.fold_log and not stable.stable
         assert [o.paths for o in stable.orbits] == \
@@ -735,14 +812,10 @@ class TestCarry:
 
 
 # ---------------------------------------------------------------------------
-# the lean representative: the scan's paths, read on the train track refined
-# only at their ends, are what a scan of that track finds, and stabilization
-# on it converges (ROADMAP item 4)
+# the lean representative: the scan refines the train track only at the
+# paths' interior ends, a scan of that track finds the same paths on it, and
+# stabilization on it converges (ROADMAP item 4)
 # ---------------------------------------------------------------------------
-
-def a_to_the_k_b(k):
-    return parse(f"rank 2; a -> {'a ' * k}b; b -> a;").endo
-
 
 def euler_characteristic(tt):
     return tt.gm.graph.nv - len(tt.gm.graph.edges)
@@ -755,10 +828,10 @@ class TestLeanRepresentative:
     def test_random_rank2_coarsening_is_the_lean_scan(self, images):
         period_bound = 3
         tt = expanding_train_track(images)
-        (lean, paths) = _lean_scan(tt, period_bound)
-        if not paths:
-            lean = tt
-        assert paths == _enumerate_on(lean, period_bound, tt.radius)
+        (lean, paths) = assert_scan_matches_reference(tt, period_bound)
+        assert paths or lean is tt
+        (again, rescanned) = scan_pinps(lean, period_bound)
+        assert again is lean and rescanned == paths
         # the lean track adds one vertex per path end that is no vertex of tt
         g = lean.gm.graph
         ends = {v for p in paths
@@ -767,11 +840,11 @@ class TestLeanRepresentative:
         assert euler_characteristic(lean) == euler_characteristic(tt)
 
     def test_a_coarsened_path_must_pass_admit(self, monkeypatch):
-        # a path read on the lean track that the acceptance rule turns down
-        # fails a certified invariant
+        # a grown path, read on the lean track, that the acceptance rule
+        # turns down fails a certified invariant
         monkeypatch.setattr(nielsen, "_readmit", lambda *args: None)
         with pytest.raises(InternalInconsistency,
-                           match="coarsened Nielsen path fails"):
+                           match="grown Nielsen path fails"):
             stabilize(golden_tt())
 
     @pytest.mark.parametrize("k", range(3, 7))
@@ -834,138 +907,76 @@ class TestEigenmetricCarry:
 
 
 # ---------------------------------------------------------------------------
-# cut-set oracle: the interior periodic points found once, then closed under
-# the single map, as the refinement found them before it read the fixed-point
-# set as f-invariant
+# cut-set oracle: every vertex the scan adds is an interior periodic point,
+# and one of period up to 3 is a point of the closure under the single map of
+# the interior fixed points of f, f^2 and f^3 (`reference_cuts`)
 # ---------------------------------------------------------------------------
 
-def reference_point_image(gm, e, pos):
-    """Image of the interior point at metric position pos on edge e, as
-    (edge, position from that edge's initial vertex)."""
-    img = gm.eimg[e]
-    le = gm.graph.lengths[e]
-    total = sum(gm.graph.lengths[abs(x)] for x in img)
-    t = pos / le * total
-    acc = 0.0
-    for x in img:
-        lx = gm.graph.lengths[abs(x)]
-        if t <= acc + lx + 1e-12:
-            inner = t - acc
-            return (abs(x), inner) if x > 0 else (abs(x), lx - inner)
-        acc += lx
-    x = img[-1]
-    return (abs(x), gm.graph.lengths[abs(x)] if x > 0 else 0.0)
+def assert_cuts_match_reference(tt, lean, period_bound):
+    """Every vertex that `lean`, the scan's track, adds to `tt` is an
+    interior point fixed by some f^n with n up to twice the bound, and one
+    with n up to 3 is a point of `reference_cuts(tt, 3)`.  Returns the
+    cuts, edge by edge."""
+    cuts = {}
+    if lean is not tt:
+        g = lean.gm.graph
+        for (e, pieces) in lean.gm.history[0].items():
+            cuts[e] = list(accumulate(g.lengths[x] for x in pieces[:-1]))
+    closure = reference_cuts(tt, 3)
+    for (e, xs) in cuts.items():
+        for x in xs:
+            n = point_period(tt.gm, (e, x), 2 * period_bound)
+            assert n is not None
+            if n <= 3:
+                assert any(abs(x - y) < 1e-9 for y in closure.get(e, ()))
+    return cuts
 
 
-def reference_cuts(tt, interior_bound):
-    """Interior fixed points of f^per for per up to the bound, closed under
-    the map."""
-    gm = tt.gm
-    lam = tt.stretch
-    cuts = {e: [] for e in gm.graph.edge_ids()}
-
-    def add(e, p):
-        le = gm.graph.lengths[e]
-        if p < POINT_TOL or p > le - POINT_TOL:
-            return False
-        for q in cuts[e]:
-            if abs(q - p) < POINT_TOL:
-                return False
-        cuts[e].append(p)
-        return True
-
-    paths = {e: (e,) for e in gm.graph.edge_ids()}   # f^per(e)
-    for per in range(1, interior_bound + 1):
-        stretch = lam ** per
-        for e in gm.graph.edge_ids():
-            paths[e] = gm.map_path(paths[e])
-            le = gm.graph.lengths[e]
-            acc = 0.0
-            for x in paths[e]:
-                lx = gm.graph.lengths[abs(x)]
-                if abs(x) == e:
-                    if x > 0:
-                        p = acc / (stretch - 1.0)
-                    else:
-                        p = (acc + le) / (stretch + 1.0)
-                    add(e, p)
-                acc += lx
-    # close under the single map
-    for _ in range(4 * interior_bound + 4):
-        new = False
-        for e in sorted(cuts):
-            for p in list(cuts[e]):
-                (e2, p2) = reference_point_image(gm, e, p)
-                if add(e2, p2):
-                    new = True
-        if not new:
-            break
-    return {e: sorted(ps) for (e, ps) in cuts.items() if ps}
-
-
-def assert_cuts_match_reference(tt, interior_bound):
-    """The same edges, in the same order, with the same floats."""
-    out = nielsen.interior_periodic_cuts(tt, interior_bound)
-    assert list(out.items()) == list(reference_cuts(tt, interior_bound).items())
-    return out
-
-
-def classify_cut_calls(endo):
-    """(train track, bound) of every `interior_periodic_cuts` call that
+def classify_scans(endo):
+    """(train track, returned track, period bound) of every scan that
     `classify` makes on the endomorphism."""
     calls = []
-    real = nielsen.interior_periodic_cuts
+    real = nielsen.scan_pinps
 
-    def recording(tt, interior_bound):
-        calls.append((tt, interior_bound))
-        return real(tt, interior_bound)
+    def recording(tt, period_bound):
+        out = real(tt, period_bound)
+        calls.append((tt, out[0], period_bound))
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nielsen, "interior_periodic_cuts", recording)
+        patch.setattr(nielsen, "scan_pinps", recording)
         classify(endo)
     return calls
-
-
-def expanding_train_track(images):
-    endo = Endomorphism(len(images), tuple(images))
-    assume(all(endo.images))
-    tt = find_train_track(endo, max_iterations=30)
-    assume(isinstance(tt, TrainTrack) and tt.data.expanding
-           and tt.data.irreducible)
-    return tt
 
 
 class TestCutOracle:
     def test_every_corpus_refinement_matches_the_closure(self):
         calls = [call for path in sorted(CORPUS.glob("*.endo"))
-                 for call in classify_cut_calls(parse(path.read_text()).endo)]
+                 for call in classify_scans(parse(path.read_text()).endo)]
         assert len(calls) >= 7
-        assert any(assert_cuts_match_reference(tt, bound)
-                   for (tt, bound) in calls)
+        assert any([assert_cuts_match_reference(*call) for call in calls])
 
     @pytest.mark.parametrize("name", ("golden_geometric", "composite_geometric",
                                       "double_cover_geometric"))
     def test_square_refinements_match_the_closure(self, name):
-        # the squares of the last two cut their 2-edge train tracks into
-        # about 360 edges
-        calls = classify_cut_calls(corpus_endo(name).power(2))
+        calls = classify_scans(corpus_endo(name).power(2))
         assert calls
-        for (tt, bound) in calls:
-            assert assert_cuts_match_reference(tt, bound)
+        for call in calls:
+            assert_cuts_match_reference(*call)
 
     @given(st.tuples(WORDS, WORDS))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_random_rank2_cuts_match_the_closure(self, images):
-        assert_cuts_match_reference(expanding_train_track(images),
-                                    INTERIOR_BOUND)
+        tt = expanding_train_track(images)
+        assert_cuts_match_reference(tt, scan_pinps(tt, 3)[0], 3)
 
     @given(rank3_images())
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_random_rank3_cuts_match_the_closure(self, images):
-        assert_cuts_match_reference(expanding_train_track(images),
-                                    INTERIOR_BOUND)
+        tt = expanding_train_track(images)
+        assert_cuts_match_reference(tt, scan_pinps(tt, 3)[0], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from endotorus.words import (
     reduce_word,
 )
 from endotorus.graphmap import GraphMap, MarkedGraph, edge_digraph, transition_matrix
-from endotorus.nielsen import scan_pinps
 from endotorus.surface import classify
 from endotorus.traintrack import (
     FiniteOrderCertificate,
@@ -36,7 +35,7 @@ from endotorus.traintrack import (
 from endotorus import subgroups as sg
 from endotorus import graphmap
 from endotorus import traintrack as tt_module
-from helpers import check_consistency
+from helpers import check_consistency, reference_refinement
 
 PHI = Endomorphism(2, (parse_word("ab"), parse_word("ba")))
 GOLDEN = Endomorphism(2, (parse_word("ab"), parse_word("a")))
@@ -172,7 +171,7 @@ class TestGates:
         tt = find_train_track(parse((CORPUS / f"{name}.endo").read_text()).endo)
         assert isinstance(tt, TrainTrack)
         assert tt.gate_map == gates(tt.gm) == reference_gates(tt.gm)
-        prepared = scan_pinps(tt)[0].gm     # refined at interior periodic points
+        prepared = reference_refinement(tt, 3).gm   # many interior cuts
         assert gates(prepared) == reference_gates(prepared)
 
     @given(subdivided_roses())

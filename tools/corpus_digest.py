@@ -45,18 +45,20 @@ then prints `words input sha256`: the hash of the candidate lists that
 first filter, on its map restricted to the eventual alphabet, so a change
 in the generator's prunes that keeps the witnesses still shows.
 
-After the corpus come maps outside it, whose `classify` refines the
-train track into up to 594 edges where the corpus stays under two dozen:
-the square of each corpus input whose square's images have at most 40
-letters in all, named `input^2`, then `a -> a^k b, b -> a` for k = 3..6,
-named `a->a^kb,b->a`, then `a -> b, b -> a B` (`TWO_PATH_ORBIT`), whose
+After the corpus come maps outside it, with larger stretch factors, longer
+stabilizations or paths that the corpus lacks: the square of each corpus
+input whose square's images have at most 40 letters in all, named
+`input^2`, then `a -> a^k b, b -> a` for k = 3..6, 12 and 16, named
+`a->a^kb,b->a`, then `a -> b, b -> a B` (`TWO_PATH_ORBIT`), whose
 stabilization ends with an orbit of two periodic Nielsen paths where each
 corpus orbit has one, then `a -> A A A B A A A A B, b -> A A A A B`
-(`LONG_PERIOD`), whose refinement has 594 edges and directions of period
-6 and more, then five rank-3 maps (`ENDPOINT_MAPS`) with periodic Nielsen
-paths whose ends are interior points of period above 3, which the scan
-cannot see.  These seven are named by their images without spaces, as
-`a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
+(`LONG_PERIOD`), whose f^8 images run to millions of letters, then
+`a -> b b A b, b -> b b A b b A b b b A b b b A b b b A b`
+(`WIDE_REFINEMENT`, lambda about 12.9), whose refinement at every interior
+periodic point of period up to 3 would have 2,312 edges, then five rank-3
+maps (`ENDPOINT_MAPS`) with periodic Nielsen paths whose ends are interior
+points of period 4 or more.  These eight are named by their images without
+spaces, as `a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
 `classify` report without bounds, followed by its `scan` lines as above
 and by `torus name sha256`, the hash of its `torus` report without
 bounds.  Three more maps (`TORUS_MAPS`) print only their `torus` line:
@@ -126,6 +128,7 @@ TORUS_MAPS = (
 )
 TWO_PATH_ORBIT = "rank 2; a -> b; b -> a B;"
 LONG_PERIOD = "rank 2; a -> A A A B A A A A B; b -> A A A A B;"
+WIDE_REFINEMENT = "rank 2; a -> b b A b; b -> b b A b b A b b b A b b b A b b b A b;"
 ENDPOINT_MAPS = (
     "rank 3; a -> a c; b -> a; c -> b;",
     "rank 3; a -> c c; b -> a; c -> b c;",
@@ -317,10 +320,10 @@ def main() -> None:
         square = spec.endo.power(2)
         if sum(map(len, square.images)) <= 40:
             _print_classify(f"{path.stem}^2", EndoSpec(spec.rank, square, []))
-    for k in range(3, 7):
+    for k in (3, 4, 5, 6, 12, 16):
         _print_classify(f"a->a^{k}b,b->a",
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
-    for source in (TWO_PATH_ORBIT, LONG_PERIOD):
+    for source in (TWO_PATH_ORBIT, LONG_PERIOD, WIDE_REFINEMENT):
         _print_classify(_name(source), parse(source))
     for source in ENDPOINT_MAPS:
         _print_classify(_name(source), parse(source))
