@@ -119,6 +119,11 @@ def push_path(path: Sequence[int], push: dict) -> EdgePath:
     return tuple(out)
 
 
+def _fold_push(d1: int, d2: int) -> dict:
+    """The push map of the fold of d2 onto d1."""
+    return {abs(d2): (d1,) if d2 > 0 else (-d1,)}
+
+
 # ---------------------------------------------------------------------------
 # graph maps
 # ---------------------------------------------------------------------------
@@ -242,28 +247,50 @@ class GraphMap:
             e2: ((w, b), total * (1 - ratio), push_path(p[k:], push), ()),
         }, new_vimg={w: g.term_of(p[k - 1]) if k > 0 else self.vimg[a]})
 
-    def fold(self, d1: int, d2: int) -> "GraphMap":
-        """Identify two distinct oriented edges with the same initial vertex
-        and identical image paths.  Rejects folds that would drop the rank
-        (parallel edges), which cannot occur for injective maps.  The
-        highest vertex takes the removed vertex's id, so ids stay
-        0..nv-1."""
+    def _fold_refusal(self, d1: int, d2: int) -> Optional[str]:
+        """Why `fold` cannot identify d1 and d2, or None when it can: two
+        distinct edges from one vertex to two vertices whose images agree
+        once d2 is d1, after the fold's push {|d2| -> d1}.  Equal images
+        agree, and so do f(d1) = gamma . d1 and f(d2) = gamma . d2, the two
+        halves of a Nielsen path, which the fold sends to the empty path."""
         g = self.graph
         if abs(d1) == abs(d2):
-            raise ValueError("cannot fold an edge with itself")
+            return "cannot fold an edge with itself"
         if g.init_of(d1) != g.init_of(d2):
-            raise ValueError("fold requires a common initial vertex")
-        if self.image_of_edge(d1) != self.image_of_edge(d2):
-            raise ValueError("full fold requires equal image paths")
+            return "fold requires a common initial vertex"
+        if g.term_of(d1) == g.term_of(d2):
+            return "parallel fold would drop the graph rank"
+        push = _fold_push(d1, d2)
+        if push_path(self.image_of_edge(d1), push) \
+                != push_path(self.image_of_edge(d2), push):
+            return ("fold requires images that agree once the edges are "
+                    "identified")
+        return None
+
+    def folds_whole(self, d1: int, d2: int) -> bool:
+        """Whether `fold` accepts d1 and d2, whose images need not be equal
+        (`_fold_refusal`)."""
+        return self._fold_refusal(d1, d2) is None
+
+    def fold(self, d1: int, d2: int) -> "GraphMap":
+        """Identify two distinct oriented edges with the same initial vertex
+        whose images agree once the edges are identified (`_fold_refusal`),
+        so a fold of the two halves of a Nielsen path identifies them whole.
+        Rejects folds that would drop the rank (parallel edges), which
+        cannot occur for injective maps, so the fold keeps the fundamental
+        group.  The highest vertex takes the removed vertex's id, so ids
+        stay 0..nv-1."""
+        reason = self._fold_refusal(d1, d2)
+        if reason is not None:
+            raise ValueError(reason)
+        g = self.graph
         v1, v2 = g.term_of(d1), g.term_of(d2)
-        if v1 == v2:
-            raise ValueError("parallel fold would drop the graph rank")
         last = g.nv - 1
         merged = [v1 if v == v2 else v for v in range(g.nv)]
         # c is the word of the connector v2 -> v1; the base keeps its
         # attachment, so base loops are never conjugated
         c = concat(self.label_of(-d2), self.label_of(d1))
-        return self._move({abs(d2): (d1,) if d2 > 0 else (-d1,)}, {},
+        return self._move(_fold_push(d1, d2), {},
                           rename=[v2 if v == last else v for v in merged],
                           h={v1: c} if v2 == g.base else {v2: invert(c)})
 

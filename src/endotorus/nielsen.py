@@ -18,14 +18,20 @@ radius caps L.  Only the ends found become vertices: the train track is
 refined at the paths' interior ends, an f-invariant set, and each path
 must pass the acceptance rule, `_admit`, on the refined track.
 
-Stabilization folds at the illegal turns of these paths.  Folding at the
-illegal turn of an indivisible Nielsen path sends the other Nielsen paths
-to Nielsen paths (Bestvina-Handel 1992, section 5), so after each fold the
-paths are carried instead of rescanned: each goes through the fold's push
-maps and must pass `_admit` on the folded track, and if one fails the
-folded track is scanned.  `_admit` reads only a candidate's two halves,
-so a grown path and a carried path meet one rule.  A carry cannot see a
-path that no earlier path goes to, so whenever the paths of the
+Stabilization folds at the illegal turns of these paths.  When both halves
+of a path are whole edges E1 and E2 to two vertices, with f(E1) = gamma . E1
+and f(E2) = gamma . E2, their images agree once the edges are identified,
+and the fold identifies them whole (`traintrack.fold_at_pair`): the path
+goes to the empty path, as in Bestvina-Handel 1992, section 5, where a fold
+of the segments that map onto gamma alone would leave the same two halves,
+shorter, to fold again.  Folding at the illegal turn of an indivisible
+Nielsen path sends the other Nielsen paths to Nielsen paths (same
+section), so after each fold the paths are carried instead of rescanned:
+each goes through the fold's push maps, a path sent to the empty path is
+gone, and every other one must pass `_admit` on the folded track; if one
+fails the folded track is scanned.  `_admit` reads only a candidate's two
+halves, so a grown path and a carried path meet one rule.  A carry cannot
+see a path that no earlier path goes to, so whenever the paths of the
 representative that `stabilize` returns were carried, it is scanned once
 more, and if the lists differ the scanned orbits are returned with
 stable=False.  The Nielsen data that leaves `stabilize` is always a
@@ -506,24 +512,26 @@ def _carry(tt: TrainTrack, pinps: list, period_bound: int,
            radius: float) -> Optional[list]:
     """The periodic Nielsen paths of a folded train track, as the images of
     those before the fold: each path goes through the fold's push maps
-    (`transport_path`) and is read back by `_readmit`.  None when the track
-    is not expanding and irreducible or some path fails (the caller then
-    scans)."""
+    (`transport_path`) and is read back by `_readmit`.  A path the fold
+    sends to the empty path, as a whole fold of its two halves does, is
+    gone.  None when the track is not expanding and irreducible or some
+    path fails (the caller then scans)."""
     if not tt.data.expanding:
         return None
-    return _readmit(tt, [transport_path(tt.gm, p.path) for p in pinps],
-                    period_bound, radius)
+    moved = (transport_path(tt.gm, p.path) for p in pinps)
+    return _readmit(tt, [rho for rho in moved if rho], period_bound, radius)
 
 
 def stabilize(tt: TrainTrack, period_bound: int = 8) -> StableRepresentative:
     """Fold periodic Nielsen path orbits of a train track representative
     until the representative repeats projectively.  Each step folds the
     first candidate junction (full folds first) whose connector is
-    nontrivial and logs the volume bookkeeping: x is the eigenmetric length
-    of the folded segment, and the folded orbit's paths are transported
-    across the fold.  When the budget of STABILIZE_STEPS folds runs out, or
-    a fold fails, a representative is returned with stable=False; its
-    orbits and the fold log remain valid data.
+    nontrivial, whole when its edges' images agree once they are identified
+    (`fold_at_pair`), and logs the volume bookkeeping: x is the eigenmetric
+    length of the folded segment, and the folded orbit's paths are
+    transported across the fold.  When the budget of STABILIZE_STEPS folds
+    runs out, or a fold fails, a representative is returned with
+    stable=False; its orbits and the fold log remain valid data.
 
     The folds work on the train track refined at the paths' interior ends
     only (`scan_pinps`): they are made at the paths' illegal turns

@@ -375,9 +375,15 @@ def _subdivide_head(gm: GraphMap, d: int, k: int):
 
 
 def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
-    """Fold two directions whose images share their first edge, subdividing
-    as needed; full folds happen when the image paths coincide.  The result's
-    `history` lists the push map of every subdivision and of the fold."""
+    """Fold two directions whose images share their first edge.  When their
+    edges go to two vertices and their images agree once the edges are
+    identified (`GraphMap.folds_whole`), the edges fold whole: edges with
+    equal images, and also the two halves of a Nielsen path, with
+    f(E1) = gamma . E1 and f(E2) = gamma . E2, which the fold removes as in
+    Bestvina-Handel 1992, section 5.  Otherwise an edge whose image runs
+    past the common prefix of the two images is split where its image
+    leaves it, until the images coincide.  The result's `history` lists the
+    push map of every subdivision and of the fold."""
     steps: tuple = ()
     for _ in range(8):
         if abs(d1) == abs(d2):
@@ -398,7 +404,7 @@ def fold_at_pair(gm: GraphMap, d1: int, d2: int) -> GraphMap:
         p2 = gm.image_of_edge(d2)
         if not p1 or not p2 or p1[0] != p2[0]:
             raise ValueError("directions do not share an initial image edge")
-        if p1 == p2:
+        if p1 == p2 or gm.folds_whole(d1, d2):
             folded = gm.fold(d1, d2)
             folded.history = steps + folded.history
             return folded

@@ -102,7 +102,7 @@ def test_torus_reads_no_verdict(monkeypatch):
 # each stage hands on what it computed, and no later stage builds it again
 
 @pytest.mark.parametrize("name,vertices", [
-    ("composite_geometric", 1), ("double_cover_geometric", 2),
+    ("composite_geometric", 1), ("double_cover_geometric", 1),
     ("golden_geometric", 1), ("golden_mirror", 1), ("golden_transpose", 1)])
 def test_vertex_links_are_counted_once(monkeypatch, name, vertices):
     """The surface reads the link counts that the Nielsen loops made for

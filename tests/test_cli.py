@@ -241,7 +241,7 @@ class TestCommandLine:
     def test_unclosed_orbit_paths_report_unknown(self, monkeypatch):
         # the orbit paths of this map do not close into Nielsen loops; each
         # command reports an unknown that names the stage, not an error
-        spec = parse("rank 2; a -> b a b a b a; b -> a;")
+        spec = parse("rank 3; a -> a c; b -> a; c -> b;")
         analysis = surface.Analysis(spec.endo, Bounds())
         monkeypatch.setattr(cli, "Analysis", lambda endo, bounds: analysis)
         reason = "nielsen loops: orbit paths do not close into Nielsen loops"

@@ -170,9 +170,37 @@ class TestMoves:
         assert_marked(split, GOLDEN)
 
     def test_fold_rejects_mismatched_images(self):
-        gm = rose(PHI)
-        with pytest.raises(ValueError):
-            gm.fold(1, 2)
+        # 2 and -4 leave vertex 0 for two vertices, and their images, 3 4 2
+        # and -2 -4, read 3 and the empty path once -4 is 2
+        gm = nielsen_legs_map()
+        assert not gm.folds_whole(2, -4)
+        with pytest.raises(ValueError, match="agree"):
+            gm.fold(2, -4)
+
+    def test_fold_rejects_parallel_edges(self):
+        # the two loops of a rose agree once identified, a -> ab, b -> ba
+        # as much as a -> ab, b -> ab, but identifying them drops the rank
+        for endo in (PHI, Endomorphism(2, (parse_word("ab"), parse_word("ab")))):
+            gm = rose(endo)
+            assert not gm.folds_whole(1, 2)
+            with pytest.raises(ValueError, match="parallel"):
+                gm.fold(1, 2)
+
+    def test_fold_identifies_the_legs_of_a_nielsen_path_whole(self):
+        # f(2) = 3 4 . 2 and f(3) = 3 4 . 3: the images differ, and agree
+        # once 3 is 2; the fold sends the Nielsen path -2 3 to the empty
+        # path and the valence-two vertex 1 away
+        gm = nielsen_legs_map()
+        check_consistency(gm)
+        assert_marked(gm, DOUBLE_COVER)
+        assert gm.image_of_edge(2) != gm.image_of_edge(3)
+        assert gm.folds_whole(2, 3)
+        folded = gm.fold(2, 3)
+        check_consistency(folded)
+        assert_marked(folded, DOUBLE_COVER)
+        assert folded.graph.nv == 1 and sorted(folded.graph.edges) == [2, 4]
+        assert folded.eimg == {2: (2, 4, 2), 4: (4, 2)}
+        assert transport_path(folded, (-2, 3)) == ()
 
     def test_fold_bookkeeping_volumes(self):
         gm = rose(GOLDEN)
@@ -196,6 +224,19 @@ class TestPullback:
         assert folded.labels == {3: (2,), 4: (-2, 1)}
         assert folded.twist == ()
         assert_marked(folded, GOLDEN)
+
+
+DOUBLE_COVER = Endomorphism(2, (parse_word("aab"), parse_word("ab")))
+
+
+def nielsen_legs_map():
+    """A map of a -> aab, b -> ab: edges 3: 0 -> 1 (label a) and 4: 1 -> 0
+    (label 1) make the loop a, and the loop 2 at 0 reads b.  The Nielsen
+    path -2 3 has the legs 2 and 3, with f(2) = 3 4 2 and f(3) = 3 4 3."""
+    graph = MarkedGraph(2, {3: (0, 1), 4: (1, 0), 2: (0, 0)},
+                        {3: 1.0, 4: 1.0, 2: 1.0})
+    return GraphMap(graph, {0: 0, 1: 1}, {3: (3, 4, 3), 4: (4, 2), 2: (3, 4, 2)},
+                    {3: (1,), 4: (), 2: (2,)})
 
 
 def off_base_map():
@@ -248,7 +289,7 @@ class TestMoveDispatcher:
     def test_invalid_descriptors_rejected(self):
         gm = rose(PHI)
         with pytest.raises(ValueError):
-            gm.fold(1, 2)                 # images differ
+            gm.fold(1, 2)                 # parallel edges
         with pytest.raises(ValueError):
             gm.collapse_forest({1})       # a loop is not a forest
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from endotorus import nielsen
+from endotorus import nielsen, surface
 from endotorus.cli import main, parse
 from endotorus.graphmap import (
     POINT_TOL,
@@ -22,7 +22,7 @@ from endotorus.graphmap import (
     edge_digraph,
     transition_matrix,
 )
-from endotorus.subgroups import is_injective
+from endotorus.subgroups import SubgroupGraph, is_injective
 from endotorus.surface import classify
 from endotorus.words import (
     CyclicWord,
@@ -37,6 +37,7 @@ from endotorus.traintrack import (
     TrainTrack,
     find_train_track,
     gates,
+    illegal_crossings,
 )
 from endotorus.nielsen import (
     NielsenLoops,
@@ -870,13 +871,113 @@ class TestLeanRepresentative:
         assert stable.orbits
         assert euler_characteristic(stable.tt) == euler_characteristic(tt)
 
-    def test_double_cover_geometric_runs_out_of_folds(self):
-        # each partial fold shrinks a segment of a path of two one-edge legs
-        # and adds an edge; this waits for the valence-two normalization of
-        # ROADMAP item 1
-        stable = stabilize(find_train_track(corpus_endo("double_cover_geometric")))
-        assert not stable.stable
-        assert len(stable.fold_log) == nielsen.STABILIZE_STEPS == 24
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_double_cover_geometric_stabilizes(self, power):
+        # a path of two one-edge halves E1, E2 with f(Ei) = gamma . Ei: the
+        # fold identifies the halves whole, where a partial fold would leave
+        # the same halves, shorter, and one more edge, fold after fold
+        endo = corpus_endo("double_cover_geometric").power(power)
+        stable = stabilize(find_train_track(endo))
+        assert stable.stable and len(stable.fold_log) <= 2
+        g = stable.tt.gm.graph
+        assert (g.nv, len(g.edges)) == (1, 2)
+        assert abs(stable.tt.stretch - ((3 + math.sqrt(5)) / 2) ** power) <= 1e-9
+        verdict = classify(endo)
+        assert verdict.kind == "geometric" and verdict.stable.stable
+        assert verdict.loops.classes == [COMMUTATOR]
+
+    @pytest.mark.parametrize("source", ["rank 2; a -> b a b a b a; b -> a;",
+                                        "rank 2; a -> a a a b; b -> a a;"])
+    def test_folds_remove_the_paths_of_irreducible_nonsurjective_maps(self, source):
+        # neither M nor M^2 has a rational eigenvalue, so no primitive p
+        # has phi(p) ~ p^k and no primitive basis p, q has phi(p) ~ q^j and
+        # phi(q) ~ p^l: the map is irreducible; a nonsurjective irreducible
+        # map has a hyperbolic mapping torus (Mutanguha, Bull. LMS 2020), so
+        # it is atoroidal, and the stabilizing folds leave no Nielsen path
+        endo = parse(source).endo
+        assert SubgroupGraph.from_generators(2, endo.images).index() != 1
+        for m in (endo.abelianized(), endo.power(2).abelianized()):
+            assert not has_rational_eigenvalue(m)
+        verdict = classify(endo)
+        assert verdict.kind == "irreducible_atoroidal"
+        assert verdict.stable.stable and not verdict.stable.orbits
+
+
+def has_rational_eigenvalue(m) -> bool:
+    """Whether the integer 2x2 matrix m has a rational eigenvalue: whether
+    the discriminant of x^2 - t x + d is a square."""
+    disc = (m[0][0] + m[1][1]) ** 2 - 4 * (m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    return disc >= 0 and math.isqrt(disc) ** 2 == disc
+
+
+# the Nielsen generators of Aut(F2): a <-> b, a -> A and a -> a b
+NIELSEN_GENERATORS = (Endomorphism(2, ((2,), (1,))),
+                      Endomorphism(2, ((-1,), (2,))),
+                      Endomorphism(2, ((1, 2), (2,))))
+
+
+@st.composite
+def rank_two_automorphisms(draw):
+    """A product of 3-8 Nielsen generators."""
+    endo = Endomorphism.identity(2)
+    for g in draw(st.lists(st.sampled_from(NIELSEN_GENERATORS),
+                           min_size=3, max_size=8)):
+        endo = g.compose(endo)
+    return endo
+
+
+def rank_two_rule(endo):
+    """The verdict and stretch of a rank-2 automorphism, read off the trace
+    t and determinant d of its abelianization M: finite order when M = +-I,
+    d = 1 and |t| < 2, or d = -1 and t = 0; a Dehn twist, reducible, when
+    d = 1 and |t| = 2; otherwise Anosov, geometric with the larger root of
+    x^2 - |t| x + d."""
+    m = endo.abelianized()
+    (t, d) = (m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    if m in (((1, 0), (0, 1)), ((-1, 0), (0, -1))) or \
+            (d == 1 and abs(t) < 2) or (d == -1 and t == 0):
+        return ("finite_order", 1.0)
+    if d == 1 and abs(t) == 2:
+        return ("reducible", 1.0)
+    return ("geometric", (abs(t) + math.sqrt(t * t - 4 * d)) / 2)
+
+
+def stabilized_representatives(endo):
+    """(verdict, the train track that `classify` stabilizes or None, every
+    representative whose paths stabilization groups into orbits)."""
+    stabilized = []
+    representatives = []
+    (real_stabilize, real_group) = (surface.stabilize, nielsen.group_orbits)
+
+    def stabilizing(tt, **bounds):
+        stabilized.append(tt)
+        return real_stabilize(tt, **bounds)
+
+    def grouping(tt, pinps):
+        representatives.append(tt)
+        return real_group(tt, pinps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surface, "stabilize", stabilizing)
+        patch.setattr(nielsen, "group_orbits", grouping)
+        verdict = classify(endo)
+    return verdict, (stabilized or [None])[0], representatives
+
+
+class TestRankTwoAutomorphisms:
+    @given(rank_two_automorphisms())
+    @settings(max_examples=60, deadline=None)
+    def test_stabilization_keeps_a_train_track_and_the_rule(self, endo):
+        (verdict, tt, representatives) = stabilized_representatives(endo)
+        for rep in representatives:
+            assert illegal_crossings(rep.gm, rep.gate_map) == []
+            assert abs(rep.stretch - tt.stretch) <= 1e-9
+            assert euler_characteristic(rep) == euler_characteristic(tt) == -1
+        (kind, stretch) = rank_two_rule(endo)
+        if verdict.kind != "unknown":
+            assert verdict.kind == kind
+        if verdict.kind == "geometric":
+            assert abs(verdict.surface.stretch - stretch) <= 1e-9
 
 
 class TestEigenmetricCarry:

@@ -57,12 +57,15 @@ corpus orbit has one, then `a -> A A A B A A A A B, b -> A A A A B`
 (`WIDE_REFINEMENT`, lambda about 12.9), whose refinement at every interior
 periodic point of period up to 3 would have 2,312 edges, then five rank-3
 maps (`ENDPOINT_MAPS`) with periodic Nielsen paths whose ends are interior
-points of period 4 or more.  These eight are named by their images without
-spaces, as `a->b,b->aB` and `a->ac,b->a,c->b`.  Each prints `derived name sha256`, the hash of its
-`classify` report without bounds, followed by its `scan` lines as above
-and by `torus name sha256`, the hash of its `torus` report without
-bounds.  Three more maps (`TORUS_MAPS`) print only their `torus` line:
-`a->a,b->1`, a trivial image whose preimage chain ends in F;
+points of period 4 or more, then two nonsurjective rank-2 maps
+(`FOLDED_AWAY`) whose periodic Nielsen paths the stabilizing folds remove,
+so that they classify `irreducible_atoroidal`.  These ten are named by
+their images without spaces, as `a->b,b->aB` and `a->ac,b->a,c->b`.  Each
+prints `derived name sha256`, the hash of its `classify` report without
+bounds, followed by its `scan` lines as above and by `torus name sha256`,
+the hash of its `torus` report without bounds.  Three more maps
+(`TORUS_MAPS`) print only their `torus` line: `a->a,b->1`, a trivial
+image whose preimage chain ends in F;
 `a->CAAB,b->1,c->bCBB`, whose chain fails with "generator image must be
 nontrivial"; and `a->baab,b->cc,c->c`, whose chain fails on the
 non-injective preimage.  They reach the witness subgroup and the chain
@@ -135,6 +138,12 @@ ENDPOINT_MAPS = (
     "rank 3; a -> c; b -> a; c -> b c;",
     "rank 3; a -> C B A; b -> C; c -> A;",
     "rank 3; a -> b c a; b -> a; c -> b;",
+)
+# nonsurjective rank-2 maps whose stabilizing folds leave no periodic
+# Nielsen path, one of them a whole fold of a path's two halves
+FOLDED_AWAY = (
+    "rank 2; a -> b a b a b a; b -> a;",
+    "rank 2; a -> a a a b; b -> a a;",
 )
 
 
@@ -325,7 +334,7 @@ def main() -> None:
                         parse(f"rank 2; a -> {'a ' * k}b; b -> a;"))
     for source in (TWO_PATH_ORBIT, LONG_PERIOD, WIDE_REFINEMENT):
         _print_classify(_name(source), parse(source))
-    for source in ENDPOINT_MAPS:
+    for source in ENDPOINT_MAPS + FOLDED_AWAY:
         _print_classify(_name(source), parse(source))
     for source in TORUS_MAPS:
         _print_torus(_name(source), parse(source))
