@@ -9,7 +9,7 @@ parse_word("abA") == (1, 2, -1).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -317,17 +317,19 @@ def _kernel_trivial(m) -> bool:
 
 # The last TAIL_LETTERS letters of a balanced word are not walked: they
 # are read from the exact tails of the word's first letter, filed under
-# the state before them (`_PeriodFilter.tails`).  On plastic_rank3 at
-# length 12 the walk makes 3,949 calls.  That search, the only corpus
-# search at rank 3, took 0.0226, 0.0188 and 0.0174 s of CPU time with
-# tails of 3, 4 and 5 letters (medians of 21 interleaved cold runs on a
-# 2-vCPU Xeon, Python 3.11).  Tails of 5 letters list the same
-# candidates and are a little faster up to rank 3, but their tables grow
-# with the rank: on `a -> b, b -> c, c -> d, d -> e, e -> a b` at (6, 9)
-# the search took 0.17 s of CPU time against 0.06 s, its traced peak
-# 33.5 MB against 12.7 MB, and that family's rank-8 map at (6, 10) ran
-# out of a 600 MB address space where tails of 4 finish in 1.2 s.  So
-# tails stop at 4.
+# the state before them (`_PeriodFilter.tails`).  Walked, plastic_rank3's
+# search makes 3,949 calls at length 12 and took 0.0226, 0.0188 and
+# 0.0174 s of CPU time with tails of 3, 4 and 5 letters (medians of 21
+# interleaved cold runs on a 2-vCPU Xeon, Python 3.11).  The default
+# search now reads those zero-area words from GAMMA3_NECKLACES
+# (`_candidates`), so the tails serve the walks of other filters, of
+# rank 4 and up and of lengths above GAMMA3_MAX_LEN.  Tails of 5 letters
+# list the same candidates and were a little faster up to rank 3, but
+# their tables grow with the rank: on `a -> b, b -> c, c -> d, d -> e,
+# e -> a b` at (6, 9) the search took 0.17 s of CPU time against 0.06 s,
+# its traced peak 33.5 MB against 12.7 MB, and that family's rank-8 map
+# at (6, 10) ran out of a 600 MB address space where tails of 4 finish
+# in 1.2 s.  So tails stop at 4.
 TAIL_LETTERS = 4
 
 
@@ -557,7 +559,13 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     H = 0 is the only admissible area and by one `by_area` check per tail
     otherwise.  A tail is kept when its first letter does not cancel the
     prefix's last and the necklace and bracelet rules pass letter by
-    letter, so the words and their order are those of the full walk."""
+    letter, so the words and their order are those of the full walk.
+
+    `periodic_conjugacy_search` calls this through `_candidates`, which
+    reads the lists of a zero-area filter at ranks 2 and 3 up to
+    GAMMA3_MAX_LEN letters from GAMMA3_NECKLACES; the walk serves every
+    other filter, rank and length, and is the reference that table is
+    checked against."""
     nsym = 2 * rank
     w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
     sums = [0] * rank       # exponent sum per generator of w[1:t]
@@ -663,6 +671,210 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
     return out
 
 
+# The zero-area candidates of ranks 2 and 3 up to GAMMA3_MAX_LEN letters.
+# Under a filter that admits only v = 0 and H = 0, the walk lists the
+# cyclically reduced words of gamma_3 = [F,[F,F]] (the kernel of
+# F -> F/[F,[F,F]], Magnus-Karrass-Solitar ch. 5), one per class and
+# inverse class, and every prune it makes reads only the rank, the length
+# and the packing, never phi.  So the list depends on rank and length
+# alone, and `_candidates` reads it from here.  These are the walk's words
+# at rank 3, in its order, lexicographic in ords (a < A < b < B < c < C);
+# the rank-2 words are those with no c.  Lengths without a word are left
+# out.  tests/test_words.py regenerates the table with the walk.
+GAMMA3_MAX_LEN = 12
+GAMMA3_NECKLACES = {
+    8: ("aabABBAb aaBAbbAB aacACCAc aaCAccAC abaBAbAB abAbaBAB acaCAcAC "
+        "acAcaCAC bbcBCCBc bbCBccBC bcbCBcBC bcBcbCBC"),
+    10: ("aaabABABAb aaaBAbAbAB aaacACACAc aaaCAcAcAC aabaBAAbAB aaBabAABAb "
+         "aacaCAAcAC aaCacAACAc ababABBBAb abacACBCAc abaCAcBcAC abAbAbaBBB "
+         "abAbbaBABB abABcaBAbC abABcAbaBC abABcbaBAC abABcBAbaC abABCaBAbc "
+         "abABCAbaBc abABCBAbac abAcaBAbCB abAcaCBcAC abAcAbaBCB abAcBAbaCB "
+         "abACacBCAc abACAbaBcB abACBAbacB abbAbaBBAB abcaCABcAC abcAbaBCAB "
+         "abcACaBCAc abcBAbaCAB abcBCAbCBc abcBCABcbC abcBCAcbCB abcBCACBcb "
+         "abCacABCAc abCAbaBcAB abCAcaBcAC abCBcAbcBC abCBcABCbc abCBcAcBCb "
+         "abCBcACbcB aBacACbCAc aBaCAcbcAC aBcaCAbcAC aBcbABaCAb aBcbCAbcBC "
+         "aBcbCABCbc aBcbCAcBCb aBcbCACbcB aBCacAbCAc aBCbcAbCBc aBCbcABcbC "
+         "aBCbcAcbCB aBCbcACBcb acacACCCAc acAbaCAcBC acAbcaCABC acABcaCAbC "
+         "acAcAcaCCC acAccaCACC acACbcaCAB accAcaCCAC bbbcBCBCBc bbbCBcBcBC "
+         "bbcbCBBcBC bbCbcBBCBc bcbcBCCCBc bcBcBcbCCC bcBccbCBCC bccBcbCCBC"),
+    12: ("aaaabAABBAAb aaaabABAABAb aaaaBAAbbAAB aaaaBAbAAbAB aaaacAACCAAc "
+         "aaaacACAACAc aaaaCAAccAAC aaaaCAcAAcAC aaabaBAAAbAB aaabAABaBAAb "
+         "aaabAABBBAbb aaabbABBBAAb aaaBabAAABAb aaaBAAbabAAB aaaBAAbbbABB "
+         "aaaBBAbbbAAB aaacaCAAAcAC aaacAACaCAAc aaacAACCCAcc aaaccACCCAAc "
+         "aaaCacAAACAc aaaCAAcacAAC aaaCAAcccACC aaaCCAcccAAC aabaaBAAbAAB "
+         "aababABBABAb aabaBBAbbAAB aabacACBACAc aabaCAcBAcAC aabAAbaaBAAB "
+         "aabAAbbaBBAB aabAABaBBAbb aabAABAbbaBB aabAABBAbbaB aabAbaBBAbAB "
+         "aabAbbaBBAAB aabABAbAbaBB aabABAbbaBAB aabABABaBAbb aabABABBAbab "
+         "aabABAcaBAbC aabABAcAbaBC aabABAcbaBAC aabABAcBAbaC aabABACaBAbc "
+         "aabABACAbaBc aabABACbaBAc aabABACBAbac aabABcBCAcbC aabABCBcACbc "
+         "aabAcaCBAcAC aabAcBCBAcbC aabAcBCCBcAb aabACacBACAc aabACBcBACbc "
+         "aabACBccBCAb aabbaBABAbAB aabbaBBAbAAB aabbABaBABAb aabbABBBBAbb "
+         "aabcaCABAcAC aabcABCCBAcb aabcACaBACAc aabcACBBCAcb aabcACBCBAbc "
+         "aabcBAbCBCAc aabcBACbCBAc aabcBACCABcb aabcBCAAbCBc aabcBCAABcbC "
+         "aabcBCAAcbCB aabcBCAACBcb aabCacABACAc aabCABccBACb aabCAcaBAcAC "
+         "aabCAcBBcACb aabCAcBcBAbC aabCBAbcBcAC aabCBAcbcBAC aabCBAccABCb "
+         "aabCBcAAbcBC aabCBcAABCbc aabCBcAAcBCb aabCBcAACbcB aaBaBAbbAbAB "
+         "aaBacACbACAc aaBaCAcbAcAC aaBAbAbabABB aaBAbAbbABaB aaBAbABABabb "
+         "aaBAbABBabAb aaBAbAcabABC aaBAbAcABabC aaBAbAcbABaC aaBAbAcBabAC "
+         "aaBAbACabABc aaBAbACABabc aaBAbACbABac aaBAbACBabAc aaBAbcbCAcBC "
+         "aaBAbCbcACBc aaBABabbABAb aaBABBabbAAb aaBAcaCbAcAC aaBAcbCbAcBC "
+         "aaBAcbCCbcAB aaBACacbACAc aaBACbcbACBc aaBACbccbCAB aaBBabAbABAb "
+         "aaBBAbabAbAB aaBBAbbbbABB aaBcaCAbAcAC aaBcAbCCbAcB aaBcACabACAc "
+         "aaBcACbbCAcB aaBcACbCbABc aaBcbABCbCAc aaBcbACBCbAc aaBcbACCAbcB "
+         "aaBcbCAAbcBC aaBcbCAABCbc aaBcbCAAcBCb aaBcbCAACbcB aaBCacAbACAc "
+         "aaBCAbccbACB aaBCAcabAcAC aaBCAcbbcACB aaBCAcbcbABC aaBCbABcbcAC "
+         "aaBCbAcBcbAC aaBCbAccAbCB aaBCbcAAbCBc aaBCbcAABcbC aaBCbcAAcbCB "
+         "aaBCbcAACBcb aacaaCAAcAAC aacabABCABAb aacaBAbCAbAB aacacACCACAc "
+         "aacaCCAccAAC aacAAcaaCAAC aacAAccaCCAC aacAACaCCAcc aacAACAccaCC "
+         "aacAACCAccaC aacAbaBCAbAB aacAbCBBCbAc aacAbCBCAbcB aacABabCABAb "
+         "aacABCbbCBAc aacABCbCABcb aacAcaCCAcAC aacAccaCCAAC aacACAbaCAcB "
+         "aacACAbAcaCB aacACAbcaCAB aacACAbCAcaB aacACABaCAcb aacACABAcaCb "
+         "aacACABcaCAb aacACABCAcab aacACAcAcaCC aacACAccaCAC aacACACaCAcc "
+         "aacACACCAcac aacACbCBAbcB aacACBCbABcb aacbaBACAbAB aacbABaCABAb "
+         "aacbABCBCAcb aacbABCCBAbc aacbACBBCAbc aacbCABBACbc aacbCABcBCAb "
+         "aacbCAcBCBAb aacBabACABAb aacBAbaCAbAB aacBAbCbCAcB aacBAbCCbABc "
+         "aacBACbbCABc aacBCAbbACBc aacBCAbcbCAB aacBCAcbCbAB aaccaCACAcAC "
+         "aaccaCCAcAAC aaccACaCACAc aaccACCCCAcc aaCabABcABAb aaCaBAbcAbAB "
+         "aaCaCAccAcAC aaCAbaBcAbAB aaCAbcBBcbAC aaCAbcBcAbCB aaCABabcABAb "
+         "aaCABcbbcBAC aaCABcbcABCb aaCAcAbacACB aaCAcAbACacB aaCAcAbcACaB "
+         "aaCAcAbCacAB aaCAcABacACb aaCAcABACacb aaCAcABcACab aaCAcABCacAb "
+         "aaCAcAcacACC aaCAcAccACaC aaCAcACACacc aaCAcACCacAc aaCAcbcBAbCB "
+         "aaCAcBcbABCb aaCACaccACAc aaCACCaccAAc aaCbaBAcAbAB aaCbABacABAb "
+         "aaCbABcBcACb aaCbABccBAbC aaCbAcBBcAbC aaCbcABBAcbC aaCbcABCBcAb "
+         "aaCbcACBcBAb aaCBabAcABAb aaCBAbacAbAB aaCBAbcbcACB aaCBAbccbABC "
+         "aaCBAcbbcABC aaCBcAbbAcBC aaCBcAbCbcAB aaCBcACbcbAB aaCCacAcACAc "
+         "aaCCAcacAcAC aaCCAccccACC ababcBACCBAc ababCBAccBAC abaBAcbCAcBC "
+         "abaBACbcACBc abaBBAbbbABB abaBcACbCAcB abaBcACCbABc abaBcbABCCAc "
+         "abaBCAcbcACB abaBCAccbABC abaBCbABccAC abacABCbCBAc abacABCCABcb "
+         "abacACCBAbcB abacBAbCCAcB abacBACbCABc abacBCAbACBc abacBCAcbCAB "
+         "abaCABcbcBAC abaCABccABCb abaCAccBAbCB abaCBAbccACB abaCBAcbcABC "
+         "abaCBcAbAcBC abaCBcACbcAB abAbacBCACBc abAbaCBcAcBC abAbbAbaBBBB "
+         "abAbbbaBABBB abAbcaBAbCBB abAbcaBACCBc abAbcaCBcACB abAbcAbaBCBB "
+         "abAbcbaBACBB abAbcBAbaCBB abAbcBCCaBAc abAbCaBAbcBB abAbCaBAccBC "
+         "abAbCacBCAcB abAbCAbaBcBB abAbCbaBAcBB abAbCBAbacBB abAbCBccaBAC "
+         "abABacBCAcbC abABaCBcACbc abABBBBAbabb abABBcaBAbCb abABBcAbaBCb "
+         "abABBcACbcaC abABBcbaBACb abABBcBAbaCb abABBCaBAbcb abABBCAbaBcb "
+         "abABBCAcbCac abABBCbaBAcb abABBCBAbacb abABcaCBcACb abABcACbcaCB "
+         "abABcbAbaBBC abABcBBAbabC abABccaBAbCC abABccAbaBCC abABccbaBACC "
+         "abABccBAbaCC abABCacBCAcb abABCAcbCacB abABCbAbaBBc abABCBBAbabc "
+         "abABCCaBAbcc abABCCAbaBcc abABCCBAbacc abAcabCBcBAC abAcaBABcbCC "
+         "abAcaBAcbCBC abAcaBACbCBc abAcaBACBcbC abAcaBACCBcb abAcaBBcbCAC "
+         "abAcaBcbCBAC abAcaBCBcbAC abAcacbCBBAC abAcAbaCBcBC abAcAcbCaBBC "
+         "abAcACbcaCBB abAcbaCBcABC abAcbAbaBBCB abAcbCaBAcBC abAcbCacBCAB "
+         "abAcbCBcaBAC abAcBaCBcAbC abAcBAcbCaBC abAcBBAbabCB abAcBBAcbCaC "
+         "abAcBBcAbaCC abAcBcAbaCBC abAcBcbCaBAC abAcBCaCBcAb abAcBCAbaCBc "
+         "abAcBCAcbCaB abAcBCBcAbaC abAcBCCaBAcb abAccaBAbCCB abAccAbaBCCB "
+         "abAccAbaCBBC abAccBAbaCCB abACabcBCBAc abACaBBCbcAc abACaBcBCbAc "
+         "abACaBCbcBAc abACaCbcBBAc abACAbacBCBc abACAcbCacBB abACACbcaBBc "
+         "abACbacBCABc abACbAbaBBcB abACbcaBACBc abACbcaCBcAB abACBacBCAbc "
+         "abACBACbcaBc abACBBAbabcB abACBBACbcac abACBBCAbacc abACBcacBCAb "
+         "abACBcAbacBC abACBcACbcaB abACBcbcaBAC abACBcBCAbac abACBccaBACb "
+         "abACBCAbacBc abACCAbaBccB abACCAbacBBc abACCBAbaccB abbaBBAbbABB "
+         "abbaBcACCAcB abbaBCAccACB abbacABCCBAc abbacACBBCAc abbacBACCABc "
+         "abbaCABccBAC abbaCAcBBcAC abbaCBAccABC abbAbbaBBABB abbABBBAbbaB "
+         "abbAcaCBBcAC abbACacBBCAc abbbAbaBBBAB abbcaCABBcAC abbcaCBAcACB "
+         "abbcaCBcACAB abbcAbaBCBAB abbcACaBBCAc abbcBAbaCBAB abbcBACaCBAc "
+         "abbcBCBAbCBc abbcBCBABcbC abbcBCBAcbCB abbcBCBACBcb abbCacABBCAc "
+         "abbCacBACAcB abbCacBCAcAB abbCAbaBcBAB abbCAcaBBcAC abbCBAbacBAB "
+         "abbCBAcacBAC abbCBcBAbcBC abbCBcBABCbc abbCBcBAcBCb abbCBcBACbcB "
+         "abcabCBAcBAC abcaBCAcbACB abcacACCBCAc abcaCAcBAbCB abcaCBAbcACB "
+         "abcaCBAcbABC abcaCBcACbAB abcAbaCBAcBC abcAbcaCBACB abcABaCCBcAb "
+         "abcABcbaCBAC abcABCaCBAcb abcABCAcbaCB abcABCBAcbaC abcAcaCBAbCB "
+         "abcAcaCCBcAC abcAcbaBCACB abcACAbcaCBB abcACAcbaBCB abcACbaBCAcB "
+         "abcACbcaCBAB abcACBaBCAcb abcACBCAcbaB abcACCAcbaBB abcACCBAbcaB "
+         "abcbaBCAcACB abcbaCABcBAC abcbAbaBBCAB abcBabCBAcAC abcBaCABcbAC "
+         "abcBaCAcAbCB abcBAbAcaCCB abcBAbcaCACB abcBAbCaCAcB abcBAbCAcaCB "
+         "abcBAbCBaCAc abcBAbCCAcaB abcBABcbaCAC abcBAcabCBAC abcBAcaCAbCB "
+         "abcBAcbaCABC abcBACaCABcb abcBACABcbaC abcBACAcabCB abcBACbaCABc "
+         "abcBCAbbCBcB abcBCAbcbCBB abcBCABBcbCb abcBCABCBcbb abcBCAcBcbCC "
+         "abcBCAccbCBC abcBCACbCBcc abcBCACCBcbc abcBCCABacAb abccaCACBcAC "
+         "abccAbaBCCAB abccACaCBCAc abccBAbaCCAB abCaBcACbAcB abCacBAbCAcB "
+         "abCacBACbABc abCacBCAcbAB abCaCAccBcAC abCAbacBACBc abCAbCacBAcB "
+         "abCABaccBCAb abCABcacBACb abCABcACbacB abCABcbacBAC abCABcBACbac "
+         "abCAcacBAbCB abCAcAbCacBB abCAcACbaBcB abCAcbaBcACB abCAcbCacBAB "
+         "abCAcBaBcACb abCAcBcACbaB abCAccACbaBB abCAccBAbCaB abCACaccBCAc "
+         "abCACbaBcAcB abCbaBcACAcB abCbAbaBBcAB abCBacABCbAc abCBacACAbcB "
+         "abCBcAbbcBCB abCBcAbCbcBB abCBcABBCbcb abCBcABcBCbb abCBcAcbcBCC "
+         "abCBcAccBCbC abCBcACBCbcc abCBcACCbcBc abCBccABaCAb abCCacAcBCAc "
+         "abCCAbaBccAB abCCAcacBcAC aBaBcbACCbAc aBaBCbAccbAC aBacAbCBCbAc "
+         "aBacAbCCAbcB aBacACCbABcb aBacbABCCAcb aBacbACBCAbc aBacbCAcBCAb "
+         "aBaCAbcBcbAC aBaCAbccAbCB aBaCAccbABCb aBaCbABccACb aBaCbAcBcAbC "
+         "aBaCbcACBcAb aBBacAbCCbAc aBBacACbbCAc aBBacbACCAbc aBBaCAbccbAC "
+         "aBBaCAcbbcAC aBBaCbAccAbC aBBcaCAbbcAC aBBcaCbAcACb aBBcaCbcACAb "
+         "aBBcbABaCbAb aBBcbACaCbAc aBBcbCbAbcBC aBBcbCbABCbc aBBcbCbAcBCb "
+         "aBBcbCbACbcB aBBCacAbbCAc aBBCacbACAcb aBBCacbCAcAb aBBCbABacbAb "
+         "aBBCbAcacbAC aBBCbcbAbCBc aBBCbcbABcbC aBBCbcbAcbCB aBBCbcbACBcb "
+         "aBcaBCbAcbAC aBcacACCbCAc aBcaCAcbABCb aBcaCbABcACb aBcAbaCbAcBC "
+         "aBcAbaCCbcAB aBcAbcBaCbAC aBcAbCaCbAcB aBcAbCAcBaCb aBcAbCbAcBaC "
+         "aBcABcaCbACb aBcAcaCbABCb aBcAcaCCbcAC aBcACABcaCbb aBcACbcaCbAB "
+         "aBcbaBCbAcAC aBcbaCAcABCb aBcbAbcBaCAC aBcbABcaCACb aBcbABCaCAcb "
+         "aBcbABCAcaCb aBcbABCbaCAc aBcbAcaBCbAC aBcbAcaCABCb aBcbAcBaCAbC "
+         "aBcbACaCAbcB aBcbACAbcBaC aBcbACAcaBCb aBcbACBaCAbc aBcbCAbbcBCB "
+         "aBcbCAbCbcBB aBcbCABBCbcb aBcbCABcBCbb aBcbCAcbcBCC aBcbCAccBCbC "
+         "aBcbCACBCbcc aBcbCACCbcBc aBcbCCAbacAB aBcBaCAbcbAC aBccaCACbcAC "
+         "aBccACaCbCAc aBccbABaCCAb aBCacbABCAcb aBCaCAccbcAC aBCAbacbACBc "
+         "aBCAbaccbCAB aBCAbcacbACB aBCAbcACBacb aBCAbcbACBac aBCAbcBacbAC "
+         "aBCABCacbAcb aBCAcacbABCb aBCAcABCacbb aBCAcbCacbAB aBCACaccbCAc "
+         "aBCbacACABcb aBCbcAbbCBcB aBCbcAbcbCBB aBCbcABBcbCb aBCbcABCBcbb "
+         "aBCbcAcBcbCC aBCbcAccbCBC aBCbcACbCBcc aBCbcACCBcbc aBCbccAbaCAB "
+         "aBCCacAcbCAc aBCCAcacbcAC acacbCABBCAb acacBCAbbCAB acaCCAcccACC "
+         "acAbacBCbCAB acAbaCAbcBCB acAbaCABBCbc acAbaCABcBCb acAbaCABCbcB "
+         "acAbaCACbcBB acAbaCbcBCAB acAbaCBCbcAB acAbbaCAcBBC acAbbcaCABBC "
+         "acAbbcBaCACB acAbbcBCaCAB acAbcAcaCCBC acAbcBaCAbCB acAbcBCbaCAB "
+         "acAbccaCACBC acAbCaCAbcBB acAbCaCAccBC acAbCAbcBaCB acAbCbcBaCAB "
+         "acAbCCAcacBC acABacbCBCAb acABaCbCBcAb acABaCBcbCAb acABBcaCAbbC "
+         "acABBcbaCACb acABBcbCaCAb acABcAcaCCbC acABcbaCABCb acABccaCACbC "
+         "acABCaCABcbb acABCaCAccbC acABCABcbaCb acABCbcbaCAB acABCCAcacbC "
+         "acAcbcaCABCC acAcBcaCAbCC acAccAcaCCCC acAcccaCACCC acACbbcaCABB "
+         "acACbcAcaCCB acACbccaCACB acACbCCAcacB acACBcAcaCCb acACBccaCACb "
+         "acACBCCAcacb acACCCCAcacc acbacBCAbCAB acbcBCCAbCBc acbcBCCABcbC "
+         "acbcBCCAcbCB acbcBCCACBcb acbCAbacBCAB acBcbCCAbcBC acBcbCCABCbc "
+         "acBcbCCAcBCb acBcbCCACbcB accaCCAccACC accAccaCCACC accACCCAccaC "
+         "acccAcaCCCAC aCaCbcABBcAb aCaCBcAbbcAB aCbaCBcAbcAB aCbcAbaCBcAB "
+         "aCbCBccAbcBC aCbCBccABCbc aCbCBccAcBCb aCbCBccACbcB aCBCbccAbCBc "
+         "aCBCbccABcbC aCBCbccAcbCB aCBCbccACBcb bbbbcBBCCBBc bbbbcBCBBCBc "
+         "bbbbCBBccBBC bbbbCBcBBcBC bbbcbCBBBcBC bbbcBBCbCBBc bbbcBBCCCBcc "
+         "bbbccBCCCBBc bbbCbcBBBCBc bbbCBBcbcBBC bbbCBBcccBCC bbbCCBcccBBC "
+         "bbcbbCBBcBBC bbcbcBCCBCBc bbcbCCBccBBC bbcBBcbbCBBC bbcBBccbCCBC "
+         "bbcBBCbCCBcc bbcBBCBccbCC bbcBBCCBccbC bbcBcbCCBcBC bbcBccbCCBBC "
+         "bbcBCBcBcbCC bbcBCBccbCBC bbcBCBCbCBcc bbcBCBCCBcbc bbccbCBCBcBC "
+         "bbccbCCBcBBC bbccBCbCBCBc bbccBCCCCBcc bbCbCBccBcBC bbCBcBcbcBCC "
+         "bbCBcBccBCbC bbCBcBCBCbcc bbCBcBCCbcBc bbCBCbccBCBc bbCBCCbccBBc "
+         "bbCCbcBcBCBc bbCCBcbcBcBC bbCCBccccBCC bcbCCBcccBCC bcBccBcbCCCC "
+         "bcBcccbCBCCC bcBCCCCBcbcc bccbCCBccBCC bccBccbCCBCC bccBCCCBccbC "
+         "bcccBcbCCCBC"),
+}
+_LETTER_ORDS = bytes.maketrans(b"aAbBcC", bytes(range(6)))  # for translate
+
+
+@lru_cache(maxsize=None)
+def _gamma3_words(rank: int, length: int) -> tuple:
+    """The words of GAMMA3_NECKLACES of one length, at rank 2 those with
+    no c, as ords in the table's order; parsed when first asked for."""
+    words = GAMMA3_NECKLACES.get(length, "").split()
+    if rank == 2:
+        words = [w for w in words if "c" not in w and "C" not in w]
+    ords = " ".join(words).encode().translate(_LETTER_ORDS)
+    return tuple(map(tuple, ords.split()))
+
+
+def _candidates(rank: int, length: int, filt: _PeriodFilter) -> list:
+    """The candidates of one length that `periodic_conjugacy_search` tries,
+    as `_canonical_cyclic_words` lists them under `filt`: (word, (ok_plus,
+    ok_minus)) in lexicographic order.
+
+    When `filt` admits only balanced words and only H = 0, at rank 2 or 3
+    and at most GAMMA3_MAX_LEN letters, they are read from GAMMA3_NECKLACES,
+    each with the flags `by_area[0]`: H = 0 comes back to itself under
+    every power, so every period admits it, oriented, and reversing when
+    `filt` asks for that.  Every other filter, rank and length walks."""
+    if (2 <= rank <= 3 and length <= GAMMA3_MAX_LEN and filt.balanced_only
+            and filt._zero_area_only):
+        flags = filt.by_area[0]
+        return [(w, flags) for w in _gamma3_words(rank, length)]
+    return _canonical_cyclic_words(rank, length, filt.balanced_only, filt)
+
+
 def _on_eventual_alphabet(endo: Endomorphism) -> Optional[tuple]:
     """(phi restricted to <S>, S) for the eventual alphabet S of phi, or
     None when S is empty.
@@ -698,8 +910,8 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     Returns (witness: Word, n, orientation) or None.  Oriented matches win:
     the least oriented period is reported, and a reversing witness only when
     no oriented one exists within the bounds.  Candidates are one word per
-    class and inverse class (_canonical_cyclic_words), run in (length,
-    FKM) order, and ties go to the first.  A class and its inverse have the
+    class and inverse class (`_candidates`), run in (length, FKM) order,
+    and ties go to the first.  A class and its inverse have the
     same periods, so one candidate covers both; the inverse class's
     canonical form is computed only when a reversing test is reached.
 
@@ -720,8 +932,11 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     come can still be completed, and one dict lookup finds the tails that
     end it.
     Both rules drop only what the filter rejects anyway, so the candidates
-    and the witness are unchanged.  None is a bounded negative, never a
-    proof of atoroidality.
+    and the witness are unchanged.  Those candidates, the words of
+    [F,[F,F]], depend on the rank and the length alone, and at ranks 2
+    and 3 up to GAMMA3_MAX_LEN letters they are read from the committed
+    table GAMMA3_NECKLACES instead of walked.  None is a bounded
+    negative, never a proof of atoroidality.
 
     The search runs on phi restricted to its eventual alphabet S
     (`_on_eventual_alphabet`), the generators whose letters occur in every
@@ -751,8 +966,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     best_plus = None   # (n, ords)
     best_minus = None
     for length in range(1, max_len + 1):
-        for cand, (ok_plus, ok_minus) in _canonical_cyclic_words(
-                rank, length, filt.balanced_only, filt):
+        for cand, (ok_plus, ok_minus) in _candidates(rank, length, filt):
             cand_inv = None  # the inverse class's form, when first needed
             u = cand
             limit = max_period

@@ -22,8 +22,10 @@ from endotorus.words import (
     Word,
     concat,
     cyclic_canonical,
+    _letter,
     invert,
     reduce_word,
+    show_word,
 )
 
 
@@ -342,3 +344,34 @@ def reference_witness_block(endo: Endomorphism, witness: ReductionWitness,
         return {"witness_subgroup": ws.as_dict(), "fiber_chain": chain}
     except ValueError as exc:
         return {"witness_error": str(exc)}
+
+
+# ---------------------------------------------------------------------------
+# the committed table of zero-area candidates
+# ---------------------------------------------------------------------------
+
+def necklace_table(walked: dict) -> dict:
+    """`words.GAMMA3_NECKLACES` read off the walk's lists: length -> the
+    words of that length, in the walk's order, as letters separated by
+    spaces.  Lengths without a word are left out."""
+    return {length: " ".join(show_word(tuple(map(_letter, w))) for w in ws)
+            for (length, ws) in walked.items() if ws}
+
+
+def necklace_table_source(table: dict) -> str:
+    """The source text of `words.GAMMA3_NECKLACES` for `table`, one string
+    per length, wrapped at whole words within 79 columns."""
+    lines = ["GAMMA3_NECKLACES = {"]
+    for (length, text) in table.items():
+        words = text.split()
+        per_line = 68 // (length + 1)
+        chunks = [" ".join(words[i:i + per_line])
+                  for i in range(0, len(words), per_line)]
+        head = f"    {length}: ("
+        lines.append(f'{head}"{chunks[0]}')
+        for chunk in chunks[1:]:
+            lines[-1] += ' "'
+            lines.append(f'{" " * len(head)}"{chunk}')
+        lines[-1] += '"),'
+    lines.append("}")
+    return "\n".join(lines) + "\n"

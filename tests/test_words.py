@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,10 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
+    GAMMA3_MAX_LEN,
+    GAMMA3_NECKLACES,
     TAIL_LETTERS,
     CyclicWord,
     Endomorphism,
     _PeriodFilter,
+    _candidates,
     _canonical_cyclic_words,
     _invert_ords,
     _kernel_trivial,
@@ -34,7 +38,7 @@ from endotorus.words import (
     word_key,
 )
 
-from helpers import is_conjugate
+from helpers import is_conjugate, necklace_table, necklace_table_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -47,8 +51,8 @@ def letters(rank):
     return st.integers(-rank, rank).filter(lambda x: x != 0)
 
 
-def words(rank, max_size=10):
-    return st.lists(letters(rank), max_size=max_size).map(tuple)
+def words(rank, max_size=10, min_size=0):
+    return st.lists(letters(rank), min_size=min_size, max_size=max_size).map(tuple)
 
 
 class TestReduce:
@@ -334,8 +338,9 @@ def reference_search(endo, max_period, max_len):
     return plus if plus is not None else minus
 
 
-def endomorphisms(rank, max_image=4):
-    return st.lists(words(rank, max_image), min_size=rank, max_size=rank).map(
+def endomorphisms(rank, max_image=4, min_image=0):
+    return st.lists(words(rank, max_image, min_image), min_size=rank,
+                    max_size=rank).map(
         lambda images: Endomorphism(rank, tuple(images)))
 
 
@@ -614,10 +619,10 @@ def balanced_only_maps(rank, max_image, max_period):
         lambda e: _PeriodFilter(e, max_period, 1).balanced_only)
 
 
-def zero_area_maps(rank, max_image, max_period):
+def zero_area_maps(rank, max_image, max_period, min_image=0):
     """Maps under which no nonzero half-area can be periodic, at any period
     up to max_period, oriented or reversing."""
-    return endomorphisms(rank, max_image).filter(
+    return endomorphisms(rank, max_image, min_image).filter(
         lambda e: _PeriodFilter(e, max_period, 1)._zero_area_only)
 
 
@@ -762,13 +767,13 @@ class TestOrientedNarrowing:
     def test_narrowed_search_generates_balanced_words_only(self, monkeypatch,
                                                            name):
         calls = []
-        generate = words_module._canonical_cyclic_words
+        candidates = words_module._candidates
 
-        def record(rank, length, balanced_only, filt):
-            calls.append((length, balanced_only))
-            return generate(rank, length, balanced_only, filt)
+        def record(rank, length, filt):
+            calls.append((length, filt.balanced_only))
+            return candidates(rank, length, filt)
 
-        monkeypatch.setattr(words_module, "_canonical_cyclic_words", record)
+        monkeypatch.setattr(words_module, "_candidates", record)
         (witness, n, orientation) = periodic_conjugacy_search(corpus_endo(name))
         assert (n, orientation) == (2, +1)
         # M^2 - I is singular, so the full filter admits unbalanced words;
@@ -1023,22 +1028,114 @@ class TestEventualAlphabet:
             raise AssertionError("no candidate should be generated")
 
         assert _on_eventual_alphabet(endo) is None
-        monkeypatch.setattr(words_module, "_canonical_cyclic_words", refuse)
+        monkeypatch.setattr(words_module, "_candidates", refuse)
         assert periodic_conjugacy_search(endo, 6, 12) is None
 
     def test_corpus_extension_searches_rank_two(self, monkeypatch):
         ranks = []
-        generate = words_module._canonical_cyclic_words
+        candidates = words_module._candidates
 
         def record(rank, *args):
             ranks.append(rank)
-            return generate(rank, *args)
+            return candidates(rank, *args)
 
-        monkeypatch.setattr(words_module, "_canonical_cyclic_words", record)
+        monkeypatch.setattr(words_module, "_candidates", record)
         endo = parse((CORPUS / "remark_extension_reducible.endo").read_text()).endo
         assert endo.rank == 3
         assert periodic_conjugacy_search(endo) is None
         assert ranks and set(ranks) == {2}
+
+
+# M = 2I: every M^n - I, M^n + I and the exterior squares' counterparts
+# are invertible, so the filter admits only v = 0 and H = 0
+DOUBLING = {rank: Endomorphism(rank, tuple((g, g) for g in range(1, rank + 1)))
+            for rank in (1, 2, 3, 4)}
+
+
+def walks_balanced_words(endo, max_period):
+    """Whether the search at max_period generates balanced words only, or
+    no word, beyond 8 letters: the filter of phi restricted to its
+    eventual alphabet admits no nonzero exponent vector, or the search to 8
+    letters ends in an oriented match of period 1, or of a period n whose
+    narrowed filter (periods below n, oriented only) admits none.  A
+    search that walks unbalanced words to 14 letters takes minutes."""
+    restricted = _on_eventual_alphabet(endo)
+    if restricted is None or _PeriodFilter(restricted[0], max_period, 1).balanced_only:
+        return True
+    found = periodic_conjugacy_search(endo, max_period, 8)
+    return found is not None and found[2] == +1 and (
+        found[1] == 1
+        or _PeriodFilter(restricted[0], found[1] - 1, 1, reversing=False).balanced_only)
+
+
+def walk_candidates(rank, length, filt):
+    """`_candidates` without the table: the walk for every filter."""
+    return _canonical_cyclic_words(rank, length, filt.balanced_only, filt)
+
+
+class TestZeroAreaTable:
+    @pytest.mark.parametrize("reversing", [True, False])
+    def test_table_is_the_walk(self, monkeypatch, reversing):
+        filters = {rank: _PeriodFilter(DOUBLING[rank], 6, GAMMA3_MAX_LEN, reversing)
+                   for rank in (2, 3)}
+        walked = {rank: {length: _canonical_cyclic_words(rank, length, True, filt)
+                         for length in range(1, GAMMA3_MAX_LEN + 1)}
+                  for (rank, filt) in filters.items()}
+        table = necklace_table({length: [w for (w, _) in walk]
+                                for (length, walk) in walked[3].items()})
+        assert GAMMA3_NECKLACES == table, (
+            "GAMMA3_NECKLACES is not the walk's; in src/endotorus/words.py "
+            "it should read\n" + necklace_table_source(table))
+
+        def refuse(*args):
+            raise AssertionError("the table's filter walked")
+
+        # the words, their flags and their order, read without a walk
+        monkeypatch.setattr(words_module, "_canonical_cyclic_words", refuse)
+        for (rank, filt) in filters.items():
+            assert filt.balanced_only and filt._zero_area_only
+            for length in range(1, GAMMA3_MAX_LEN + 1):
+                assert _candidates(rank, length, filt) == walked[rank][length]
+
+    # each case meets the table's conditions but one: the rank, the
+    # length, or the area (golden_geometric's first filter admits H != 0)
+    @pytest.mark.parametrize("endo, lengths, zero_area", [
+        (DOUBLING[1], range(1, 9), True),
+        (DOUBLING[4], range(1, 9), True),
+        (DOUBLING[3], (GAMMA3_MAX_LEN + 1,), True),
+        (DOUBLING[2], (GAMMA3_MAX_LEN + 1, GAMMA3_MAX_LEN + 2), True),
+        (corpus_endo("golden_geometric"), range(1, GAMMA3_MAX_LEN + 1), False),
+    ], ids=["rank1", "rank4", "rank3-length13", "rank2-length13-14",
+            "golden_geometric"])
+    def test_every_other_case_walks(self, monkeypatch, endo, lengths,
+                                    zero_area):
+        filt = _PeriodFilter(endo, 6, max(lengths))
+        assert filt.balanced_only and filt._zero_area_only == zero_area
+        calls = []
+
+        def record(rank, length, balanced_only, filt):
+            calls.append(length)
+            return walk_candidates(rank, length, filt)
+
+        monkeypatch.setattr(words_module, "_canonical_cyclic_words", record)
+        for length in lengths:
+            assert _candidates(endo.rank, length, filt) == \
+                walk_candidates(endo.rank, length, filt)
+        assert calls == list(lengths)
+
+    # the table serves lengths up to GAMMA3_MAX_LEN and the walk the rest,
+    # also under the narrowed filter after an oriented match
+    @given(st.one_of(zero_area_maps(2, 3, 6, min_image=1),
+                     zero_area_maps(3, 3, 6, min_image=1), shrinking_maps()),
+           st.integers(1, 6), st.integers(8, GAMMA3_MAX_LEN + 2))
+    @settings(max_examples=100, deadline=None)
+    def test_search_matches_the_walk(self, endo, max_period, max_len):
+        assume(walks_balanced_words(endo, max_period))
+        found = periodic_conjugacy_search(endo, max_period, max_len)
+        with mock.patch.object(words_module, "_candidates", walk_candidates):
+            assert periodic_conjugacy_search(endo, max_period, max_len) == found
+        if max_len <= 8:
+            assert found == unfiltered_search(endo, max_period, max_len)
 
 
 # The search's result on every corpus input at the default bounds

@@ -41,9 +41,11 @@ lines `search input max_period,max_len result`: what
 search's witnesses shows even where no report byte reads them.  An
 input whose search at the default bounds generates balanced words only
 then prints `words input sha256`: the hash of the candidate lists that
-`_canonical_cyclic_words` returns for lengths 1 to 12 under that search's
-first filter, on its map restricted to the eventual alphabet, so a change
-in the generator's prunes that keeps the witnesses still shows.
+`_candidates` returns for lengths 1 to 12 under that search's first
+filter, on its map restricted to the eventual alphabet, the lists the
+search reads, whether walked or taken from the table of zero-area words,
+so a change in the generator's prunes or in that table that keeps the
+witnesses still shows.
 
 After the corpus come maps outside it, with larger stretch factors, longer
 stabilizations or paths that the corpus lacks: the square of each corpus
@@ -96,7 +98,7 @@ from endotorus import graphmap, nielsen, surface, traintrack
 from endotorus.cli import COMMANDS, EndoSpec, parse, report_json, run
 from endotorus.graphmap import GraphMap
 from endotorus.words import (
-    _canonical_cyclic_words,
+    _candidates,
     _on_eventual_alphabet,
     _PeriodFilter,
     periodic_conjugacy_search,
@@ -257,7 +259,7 @@ def _print_words(name: str, endo) -> None:
     (max_period, max_len) = SEARCH_BOUNDS[0]
     filt = _PeriodFilter(restricted[0], max_period, max_len)
     if filt.balanced_only:
-        lists = [_canonical_cyclic_words(filt.rank, length, True, filt)
+        lists = [_candidates(filt.rank, length, filt)
                  for length in range(1, max_len + 1)]
         print(f"words {name} {_sha(repr(lists).encode())}", flush=True)
 
