@@ -9,7 +9,8 @@ parse_word("abA") == (1, 2, -1).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+import math
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -315,6 +316,37 @@ def _kernel_trivial(m) -> bool:
     return True
 
 
+def _row_space(rows) -> tuple:
+    """The rational row space of integer rows, as its reduced echelon form
+    with each row scaled to coprime integers and a positive pivot: equal
+    spaces give equal tuples.  Every row is kept coprime as it is
+    reduced, so the entries stay small."""
+    rows = [row for row in rows if any(row)]
+    basis: list = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        g = math.gcd(*pivot) if pivot[col] > 0 else -math.gcd(*pivot)
+        pivot = [x // g for x in pivot]
+        rows = [row for row in (_clear(row, pivot, col) for row in rows) if any(row)]
+        basis = [_clear(row, pivot, col) for row in basis]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
+
+
+def _clear(row: list, pivot: list, col: int) -> list:
+    """row with its entry at col cleared by the pivot row, whose entry
+    there is positive, divided by the gcd of its entries."""
+    if not row[col]:
+        return row
+    (a, b) = (pivot[col], row[col])
+    row = [a * x - b * y for (x, y) in zip(row, pivot)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 # The last TAIL_LETTERS letters of a balanced word are not walked: they
 # are read from the exact tails of the word's first letter, filed under
 # the state before them (`_PeriodFilter.tails`).  Walked, plastic_rank3's
@@ -394,27 +426,32 @@ class _PeriodFilter:
     brings v back to 0, built on first use.  Every real completion of
     TAIL_LETTERS + 1 letters is one of these, so a prefix with that many
     letters to come whose -H is not listed under its v has no admissible
-    completion."""
+    completion.
+
+    The words of [F,[F,F]] that `_candidates` reads from GAMMA3_NECKLACES
+    have v = 0 and H = 0, and `class_three` reads them one quotient
+    further, in the free abelian gamma_3/gamma_4, where phi acts by
+    Phi(X) = M X adj(M) on their images X (GAMMA3_IMAGES): a class of
+    oriented period n needs Phi^n X = X, and a reversing one Phi^n X = -X,
+    so Phi^2n X = X.  After an oriented match the search narrows the
+    filter to the periods below it (`narrowed`)."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
         rank = endo.rank
         self.rank = rank
-        self.max_period = max_period
-        self.reversing = reversing
         pairs = [(i, j) for j in range(rank) for i in range(j)]
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         m = endo.abelianized()
         cur = ident
-        self.vector_powers = []  # M^n for n = 1..max_period
-        self.area_powers = []    # the exterior square of M^n
+        vector_powers = []  # M^n for n = 1..max_period
+        area_powers = []    # the exterior square of M^n
         for _ in range(max_period):
             cur = _mat_mul(m, cur)
-            self.vector_powers.append(cur)
-            self.area_powers.append(tuple(
+            vector_powers.append(cur)
+            area_powers.append(tuple(
                 tuple(cur[i][k] * cur[j][l] - cur[j][k] * cur[i][l] for (k, l) in pairs)
                 for (i, j) in pairs))
-        self.balanced_only = self._admits_only_zero(self.vector_powers)
 
         # a prefix's v, its area, and an area plus a completion's or a
         # tail's change all have coordinates below
@@ -431,10 +468,34 @@ class _PeriodFilter:
         self.abias = [self.zero & mask for mask in self.amask]
         self.ashift = [bits * ((o >> 1) * ((o >> 1) - 1) // 2)
                        for o in range(2 * rank)]
+        self._admit(vector_powers, area_powers, reversing)
+
+    def _admit(self, vector_powers: list, area_powers: list,
+               reversing: bool) -> None:
+        """Set what depends on the periods: the powers, the verdicts and
+        the tables built on first use."""
+        self.max_period = len(vector_powers)
+        self.reversing = reversing
+        self.vector_powers = vector_powers
+        self.area_powers = area_powers
+        self.balanced_only = self._admits_only_zero(vector_powers)
         self.by_vector = _Memo(self._vector_ok)
         self.by_area = _Memo(self._area_ok)
         self.completions = _Memo(self._completion_table)
         self.tails = _Memo(self._tail_table)
+
+    def narrowed(self, max_period: int) -> "_PeriodFilter":
+        """The filter of the periods up to max_period, oriented only, for
+        the same map and max_len.  The powers below max_period and the
+        packing, which reads only the rank and max_len, are this filter's;
+        the kernel flags, the verdicts, the tables and the class-three
+        kernels are the narrowed filter's own."""
+        new = object.__new__(_PeriodFilter)
+        for name in ("rank", "bits", "zero", "vstep", "amask", "abias", "ashift"):
+            setattr(new, name, getattr(self, name))
+        new._admit(self.vector_powers[:max_period],
+                   self.area_powers[:max_period], False)
+        return new
 
     def step(self, vv: int, hh: int, o: int) -> tuple:
         """Packed (v, H) after appending the letter with ord o."""
@@ -479,6 +540,47 @@ class _PeriodFilter:
     def _zero_area_only(self) -> bool:
         """Whether H = 0 is the only admissible half-area."""
         return self._admits_only_zero(self.area_powers)
+
+    @cached_property
+    def class_three(self) -> dict:
+        """m -> the rows of ker(Phi^m - I) on the traceless X that the rank
+        reads (`_row_space`), at ranks 2 and 3, for each m that is
+        divisibility-maximal among the periods n <= max_period and, with
+        reversing, their doubles 2n: X_w of a class of oriented period n
+        lies in the kernel of Phi^n - I, of a reversing one in that of
+        Phi^2n - I, and ker(Phi^m - I) lies in ker(Phi^km - I).  A kept
+        m above max_period is even, so M^m is the square of a stored
+        power; no power above 2 * max_period is formed."""
+        (top, powers) = (self.max_period, self.vector_powers)
+        periods = set(range(1, top + 1))
+        if self.reversing:
+            top *= 2
+            periods.update(range(2, top + 1, 2))
+        if self.rank == 2:
+            # F_2 in F_3: M is lifted to diag(M, 1)
+            powers = [(a[0] + (0,), a[1] + (0,), (0, 0, 1)) for a in powers]
+        coords = _CLASS_THREE_COORDS[self.rank]
+        kernels = {}
+        for m in sorted(periods):
+            if any(k in periods for k in range(2 * m, top + 1, m)):
+                continue
+            p = powers[m - 1] if m <= len(powers) else \
+                _mat_mul(powers[m // 2 - 1], powers[m // 2 - 1])
+            # adj(P), from the cofactors of the 3x3 matrix P
+            q = [[p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
+                  - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3]
+                  for j in range(3)] for i in range(3)]
+
+            def phi(k, a):
+                # entry k = 3i + j of Phi^m(E_a), a = 3r + s: P_ir adj(P)_sj
+                return p[k // 3][a // 3] * q[a % 3][k % 3]
+
+            # X_22 = -X_00 - X_11 folds into the columns of X_00 and X_11
+            rows = _row_space([[phi(k, a) - (phi(k, 8) if a in (0, 4) else 0)
+                                - (a == k) for a in coords] for k in coords])
+            kernels[m] = tuple(tuple(row[coords.index(a)] if a in coords else 0
+                                     for a in range(9)) for row in rows)
+        return kernels
 
     def _tail_table(self, key: tuple) -> dict:
         """The exact tails of r letters in words whose first letter has
@@ -563,9 +665,9 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
 
     `periodic_conjugacy_search` calls this through `_candidates`, which
     reads the lists of a zero-area filter at ranks 2 and 3 up to
-    GAMMA3_MAX_LEN letters from GAMMA3_NECKLACES; the walk serves every
-    other filter, rank and length, and is the reference that table is
-    checked against."""
+    GAMMA3_MAX_LEN letters from GAMMA3_NECKLACES and keeps the words that
+    the class-three rule admits; the walk serves every other filter, rank
+    and length, and is the reference that table is checked against."""
     nsym = 2 * rank
     w = [0] * (length + 1)  # w[1:] holds the word; w[0] seeds position 1
     sums = [0] * rank       # exponent sum per generator of w[1:t]
@@ -677,10 +779,13 @@ def _canonical_cyclic_words(rank: int, length: int, balanced_only: bool,
 # F -> F/[F,[F,F]], Magnus-Karrass-Solitar ch. 5), one per class and
 # inverse class, and every prune it makes reads only the rank, the length
 # and the packing, never phi.  So the list depends on rank and length
-# alone, and `_candidates` reads it from here.  These are the walk's words
+# alone, and `_candidates` reads it from here, keeping only the words that
+# the class-three rule admits (GAMMA3_IMAGES).  These are the walk's words
 # at rank 3, in its order, lexicographic in ords (a < A < b < B < c < C);
-# the rank-2 words are those with no c.  Lengths without a word are left
-# out.  tests/test_words.py regenerates the table with the walk.
+# the rank-2 words are those with no c.  The words of one length are
+# separated by single spaces, so the k-th starts at k (length + 1).
+# Lengths without a word are left out.  tests/test_words.py regenerates
+# the table with the walk.
 GAMMA3_MAX_LEN = 12
 GAMMA3_NECKLACES = {
     8: ("aabABBAb aaBAbbAB aacACCAc aaCAccAC abaBAbAB abAbaBAB acaCAcAC "
@@ -846,32 +951,214 @@ GAMMA3_NECKLACES = {
 }
 _LETTER_ORDS = bytes.maketrans(b"aAbBcC", bytes(range(6)))  # for translate
 
+# The class-three image X_w of each word w of GAMMA3_NECKLACES, in the same
+# order.  w lies in gamma_3, and its image in the free abelian quotient
+# gamma_3/gamma_4 is the degree-3 part of its Magnus expansion (a -> 1 +
+# X_a), sent to a traceless integer 3x3 matrix by e_x e_y e_z ->
+# e_x (e_y x e_z)^T.  X is a class function, X(w^-1) = -X(w), and phi moves
+# it by Phi(X) = M X adj(M) for the abelianized 3x3 matrix M, singular or
+# not, since My x Mz = adj(M)^T (y x z).  A word with no c has X_02 and
+# X_12 alone nonzero, and there Phi is x -> det(M) M x.  Each entry v of X,
+# row by row, is the character chr(ord("M") + v), 9 per word; no entry of
+# a word up to GAMMA3_MAX_LEN letters leaves [-12, 12], and no X is 0.
+# tests/test_words.py regenerates the table from the Magnus expansion.
+GAMMA3_IMAGES = {
+    8: ("MMPMMPMMMMMJMMPMMMMJMMMMMJMMPMMMMMJMMMJMMMMMMMMMMMJMMMMPMMMMMMMMMMMMMMPM"
+        "MMMPMMPMMMMMJMMPMMMMMJMMMMMMMMMMMJMM"),
+    10: ("MMSMMPMMMMMGMMPMMMMGMMMMMJMMSMMMMMJMMMGMMMMMMMMSMMMMMMMSMMMMMMMMGMMMMMMM"
+         "MMPMMSMMMNJMMKMMJNLPMMOMMJLMMPMMGMMMMMMMMGMMMNMMMNPMMKNMPMNMMMKNMMMNMMMK"
+         "NMPMNPMMKLMMMLPMMOLMPMLMMMOLMPMLPMMONMMMNMMMKLMMMOMMMLNMPMNJMMKNMPMNMMMK"
+         "NMMMKMMMNLMPMLJMMOLMPMLMMMOMMMMMGMMMLPMMOMMMLNMMMNJMMKNMMMKMMJNNMMMNMMMK"
+         "OMMMLMPMLOMMPLMMMLOMMMLMMMLOMMPLMPMLNJMMKMMMNLMMMLJMMOLMMMOMMJLKMMMNMPMN"
+         "KMMJNMMMNKMMJNMPMNKMMMNMMMNLJMMOMMJLNPMMKMMJNNPMMKMMMNLMMMLMMMOKMMPNMMMN"
+         "KMMMNMJMNKMMMNMMMNKMMPNMJMNLJMMOMMMLOMMJLMMMLOMMMLMJMLOMMJLMJMLOMMMLMMML"
+         "MJMMMMMGMLMMMOMMMLLMMMOMMPLNMMMKMMPNMJMMMMMSMMMMMMMMSMLMMMOMMMLMMMMMMMSM"
+         "MMMSMMPMMMMMGMMPMMMMMGMMMMMMMMSMMMMMMMMPMMSMMMMMPMMGMMMMMMMMGMMMMMMMMGMM"),
+    12: ("MMYMMSMMMMMVMMPMMMMMAMMSMMMMMDMMPMMMMAMMMMMGMMDMMMMMJMMYMMMMMGMMVMMMMMJM"
+         "MMDMMMMMMMMSMMSMMMMMVMMVMMMMMVMMVMMMMMVMMMMMMMMGMMSMMMMMDMMVMMMMMDMMVMMM"
+         "MVMMMMMMMMGMMMMMGMMDMMMMMDMMDMMMMMDMMDMMMMMMMMSMMMMMGMMVMMMMMDMMVMMMMMDM"
+         "MMAMMMMMMMMSMMSMMMMMDMMPMMMNGMMKMMJNLSMMOMMJLMMMMMGMMMMMPMMDMMMMMPMMVMMM"
+         "MMVMMJMMMMMVMMPMMMMMJMMJMMMMMJMMDMMMMMSMMJMMMMMPMMJMMMMMPMMSMMMMMSMMSMMM"
+         "NMPMNPMMKNMSMNMMMKNMPMNMMMKNMSMNPMMKLMPMLPMMOLMSMLMMMOLMPMLMMMOLMSMLPMMO"
+         "OMPMLPMMLKMPMNPMMNLPMMOMMMLOMPPLPMMLMMPPMPPMMNJMMKMMMNKMPJNPMMNMMPJMPPMM"
+         "MMGMMJMMMMMDMMJMMMMMPMMSMMMMMSMMYMMMLSMMOMMMLOJPPIPPJONJMMKMMJNOJPMIPMJO"
+         "MJPMJPMJPOJMMLMMJLOJMMLMPJLQJMPKMPJKQMMMKMPMKQMMPKMMMKQMMMKMMMKQMMPKMPMK"
+         "NGMMKMMMNKPPJQPPJKLPMMOMMJLKPPMQPMJKMPPMPPMJJKPMMNMMJNKPMMNMPJNIPMJOMPJO"
+         "IMMMOMPMOIMMJOMMMOIMMJOMPMOIMMMOMMMOMMGMMSMMMLGMMOMMJLNSMMKMMJNMMJMMSMMM"
+         "MMGMMSMMMMMGMMJMMMMMJMMJMMMLMJMLPMMOLMGMLMMMOLMGMLPMMOLMJMLMMMONMJMNPMMK"
+         "NMGMNMMMKNMGMNPMMKNMJMNMMMKKMJMNPMMNOMJMLPMMLMMPMMJMMMMMPMMDMMMNPMMKMMMN"
+         "KMJPNPMMNMMJPMPJMMLJMMOMMMLOMJJLPMMLMMJJMPJMMMMSMMJMMMMMJMMSMMMMMGMMYMMM"
+         "NSMMKMMMNKJJPQPJJKLJMMOMMJLKJJMQPMJKMJJMPPMJJKJMMNMMJNKJMMNMJJNIJMPOMJJO"
+         "IMMPOMMMOIMMMOMJMOIMMMOMMMOIMMPOMJMOLGMMOMMMLOPJJIPJJONPMMKMMJNOPJMIPMJO"
+         "MPJMJPMJPOPMMLMMJLOPMMLMJJLQPMJKMJJKQMMJKMMMKQMMMKMJMKQMMJKMJMKQMMMKMMMK"
+         "MYMMMMMMMLMSMLPMMONMGMNPMMKMGMMMMMGMMVMMMMMJMMMMMMMMSMMJMMMMMVMMJMMMMMDM"
+         "MDMMMMMPMMDMMMMMJMNMJMNMMMKMJMJMMJJMKJMMNMJJNLMPMLMMMOMJMJMMPJMOJMMLMPJL"
+         "MPMMMMMPMMPMMMMMVMLJMMOMMJLLGMMOMMMLLJMMOMMMLLGMMOMMJLNJMMKMMJNNGMMKMMMN"
+         "NJMMKMMMNNGMMKMMJNMGMMMMMPMMJMMMMMPMMJMMMMMGMMGMMMMMGMKJMMNMMJNOJMMLMMJL"
+         "NMGMNMMMKLMPMLPMMOMJPMJPMJPKJPMKPMJQKJPJKPJJQIMPJOPJMOKMPJNPMMNKMPMNPMMN"
+         "LMSMLMMMONMJMNPMMKMJJMPPMJJOJJMOPMJIOJJJOPPJIQMJJKPPMKOMJJLPMMLOMJMLPMML"
+         "MSMMMMMPMMVMMMMMPMMJMMMMMGMMGMMMMMAMNMSMNPMMKLMGMLPMMOMSMMMMMGMLMJMLMMMO"
+         "MPMPMMJJMOPMMLMJJLNMPMNMMMKMPMPMMPJMKPMMNMPJNNPMMKMMJNNSMMKMMMNNSMMKMMJN"
+         "NPMMKMMMNLPMMOMMJLLSMMOMMMLLSMMOMMJLLPMMOMMMLMPMMMMMGMMSMMMMMGMMSMMMMMPM"
+         "MPMMMMMPMOPMMLMMJLKPMMNMMJNMJMMMMMPMMJMMMMMVMLMGMLMMMONMPMNPMMKMPPMPPMJJ"
+         "OPPMOPMJIOPPPOPJJIQMPPKPJMKOMPPLPMMLOMPMLPMMLNMSMNMMMKLMJMLPMMOMPJMJPMJP"
+         "KPJMKPMJQKPJPKPPJQIMJPOPPMOKMJPNPMMNKMJMNPMMNMGMMMMMPMMPMMMMMGMMSMMMMMAM"
+         "PJMPJMPJMJPMJPMPJMKMJMNMMMNOMJMLMMMLMMGMMSMMMLJJMOMMJLNJJMNMMJKLJMMLMMJO"
+         "NPJMKMMJNLPJMLMMJONPMMNMMJKNJMMKMPJNPJMPJMPJMLJMMLMMJONJJMNMMJKPJJMMMPJJ"
+         "QMJMKMPMKOMJMLMMMLLPMMOMPJLJPMJPMPJMNPMMNMMJKLPJMLMMJOJPJMMMPJPIMJMOMPMO"
+         "KMJMNMMMNOMMPLJPMLKMMJNJPMNMMPMMDMMMMMMMMDMMMNMMMNJMMKNMMPNJPMKLMMMOJMML"
+         "NMPMNGMMKNMMMNGMMKNMPMNJMMKLMMPLMPMOLMMMLJMMOLMMJLJPMONMMMKJMMNLMPMLGMMO"
+         "LMMMLGMMOLMPMLJMMONMMJNMPMKOMMMLPMMLKMMMNPMMNMMPMMVMMMNMMMNSMMKNMPMNPMMK"
+         "LMPMOPMMLNMMMNPMMKNMPMNSMMKLMMMLSMMOLMPMLPMMONMPMKPMMNLMMMLPMMOLMPMLSMMO"
+         "LMMMOPMMLLMPMOMMMLNMPMNJMMKNMPMNSMMKOMMMOPMMIOMPMOMMMIOMMMOMMMIOMPMOPMMI"
+         "NMMMKPMMNNMPMKMMMNLMPMLJMMOLMPMLSMMOKMMMKPMMQKMPMKMMMQKMPMKPMMQLMMJOMMML"
+         "NMMPNMJMKNMMMNMJMKNMMMNMPMKNMMPNMMMKNMMPNMPMKLMMPOMJMLLMMMOMJMLLMMPOMMML"
+         "LMMJOMJMLNMPJNJMMKPMPJMJJMJLMPMOJMMLLMMJOJMMLNMPMNGMMKMMMJMJMMMOMMMLJMML"
+         "NMMJNMMMKLMMPOPMMLPMPMMMJMJNMPMNPMMKPMPPMPJMJOMPPOPJMIOMPMOMJMINMMMNMJMK"
+         "KMMPNPPMNMMPMMMPMMOMPMLMMMLNMPPNPMMKLMMPLPPMOOMMMOMMMIOMPMOJMMIOMPJOJJMI"
+         "OMPMOMMMINMMPKMMMNNMMJKMJMNNMMJKMMMNNMMMKMJMNNMMPKMJMNLMPPLJMMONMPMKJMMN"
+         "JMPPMJJMPNMMPKJMMNLMPMLGMMOMMMPMJMMMKMMMNJMMNNMMJKPMMNJMPMMMJMPLMPMLPMMO"
+         "JMPJMPJMPKMPJKPJMQOMMJLPPMLMMPMMMPMMKMPMNMMMNNMMMNMPMKLMPJLPMMONMMJNPPMK"
+         "KMPMKMJMQKMPMKJMMQKMPPKJJMQKMPMKMMMQMMGMMMMMMMJJMMJMJMMPJMMJMJMOJMPIMPJO"
+         "OJMMIMMJOQJJPKJPJKKPMJQMPJKKPMMQMMJKIPJJOJPJOMMMMMAMMMMMSMMSMMMKMMMQMMMK"
+         "OMMMIMMMOMMMMMDMMMKPMMQMMMKLPJMOJMMLLMJMOJMMLNMMMNGMMKOMMMIMMJONMMMNJMMK"
+         "NMMPKMPJNOMMPLMPMLOMMSLMMMLOMMPLMMMLOMMSLMPMLOJMMIMMMONJJMKJMMNNMJMKJMMN"
+         "LMMMLGMMOKMMMQMMJKLMMMLJMMOLMMJOMPJLKMMJNMPMNKMMGNMMMNKMMGNMPMNKMMJNMMMN"
+         "JPMJPMMMMOPJMLMMMLNJMMKMMGNNPMMNMMMKMPJMMMMMMKPJMNMMMNLMJMOMMMLLMMJOJMML"
+         "MMMMPJMPJLMMPLPPMONMMMNMJPKMMMPJPPJPOJPMLMMMLPJPPJPMMMNMMMNMMPKLMMMOMMPL"
+         "OMMMOJMPILJPMOJMMLNJPMNJMMKMMMMMJMJMLMMMOJMMLOMMMIPMJONJPMKMMJNMJPMMJMJM"
+         "LJPMLMMJONPJMNJMMKKPMJQMMMKNMMMNGMMKKPMMNMMMNMPMPMMMMMOPMMLMMMLNJMMNMMPK"
+         "NMMMNMMPKNMMMNMMJKNJMMNMMMKOMMMLMMJLNJMMNMMJKOMMPLMJPLMMMMMMJPMOMMMLMMPL"
+         "NMMMNMJPKOMMPLMPJLQJMPKMMMKOJMMLMMMLNMMMNMPJKOMMJLMPMLOMMJLMMMLOMMSLMMML"
+         "OMMSLMPMLOMMPLMJMLOMMMLMJMLOMMMLMSMLOMMPLMSMLNMMPNMPMKLPMMOMMPLOMMMOJMMI"
+         "NMMMKMMGNOMMMOMMMIKJJMNMMMNMJJMMMMMMOJJMLMMMLNMJMKMMMNLPMMOMMGLNMMPKJMMN"
+         "MMMMJJMPPNMMJNPPMKMMMJPPPJJKPPMNMMMNNMMMNMPJKJPPJPPMMMNMMMNMMJKNPPMKJMMN"
+         "LPPMLJMMOMMMMMJMJMNMMMKJMMNKMMMQPMJKLPPMOMMJLMPPMMJMJMNPPMNMMJKNMMMKMMPN"
+         "KMMMKJMPQLJJMLJMMOLMMMLGMMOMJMJMMMMMKJMMNMMMNKMMPNMPMNKMMPNMMMNKMMGNMMMN"
+         "KMMGNMPMNKMMMNMSMNKMMJNMSMNKMMJNMJMNKMMMNMJMNLMMJLMPMONJMMKMMPNKMMMKJMMQ"
+         "LMMMOMMGLJJMPPMJJMPPMJJMJJMLJMMOMJJLJJMPPMJJMNJMMNMMJKLJPMLMMJOJJPMMMJJP"
+         "KMPMNMMMNNPMMKMJJNPPMJJMJJMLPMMLMMJONPPMNMMJKPPPMMMJJJOMPMLMMMLKJMPQMJJK"
+         "KJMMQMMJKIJPPOJJJOOPMJIMJJOOPMMIMMJOQPPJKJJJKOPMMIMMMONPPMKJMMNNMPMKJMMN"
+         "LMMMLJMMOLMMPOMJJLKMMSNMMMNKMMPNMJMNKMMPNMMMNKMMSNMJMNKJMMQMMMKLJPMOJMML"
+         "LMPMOJMMLNMMMNJMMKNMMJKMJJNOMMGLMMMLOMMJLMJMLOMMGLMJMLOMMJLMMMLPPMJJMMMM"
+         "LJMMOMMGLLPMMLMMMOMPPMMMMMMLMMPOPMMLNMMPNPJMKLMMMLMPPOMMMPPPJJJKJJMNMMMN"
+         "JJJPPPMMMMMMMJJMPPLMMMLMMPONMMMKMMPNNJJMKJMMNLMMMOPMMLOPMMLMMMLKPMMNMMMN"
+         "KMMPNMPPNLMMMLMMPOLMMMLMMJOLJMMLMMMOKMMMNMMJNMMMMMMPPMKMMMNMMPNLMMMLMPPO"
+         "KMMPNMJJNIJMPOMMMOKJMMNMMMNLMMMLMJJOKMMSNMMMNKMMSNMJMNKMMJNMJMNKMMJNMMMN"
+         "KMMPNMPMNKMMMNMPMNKMMMNMGMNKMMPNMGMNLMMPLMJMOOPMJIMMMONPMMKMMPNLMMMOMMGL"
+         "KMMMKMMMQMJPMMMMMMNPMMKMMGNNMMJKPMMNLMMJLPJMOMMMJJPJJPOPJMLMMMLPPJJJPMMM"
+         "LMMMLMJJOMMMMPJMPJLMMMLMMJOLPJMOJMMLNMMMKPMMNLMMMOMMPLOJMMLMMMLOMMGLMMML"
+         "OMMGLMJMLOMMPLMJMLOMMPLMMMLOMMMLMGMLOMMJLMGMLOMMJLMPMLOMMMLMPMLNMMJNMJMK"
+         "LJMMOMMPLNMMMKMMGNJMPJMPJMPPMJJMPPMJMSMMMMMGMNMMMNMPMKLMMPOMMMLLMMJOMJML"
+         "LMMJOMMMLLMMMOMJMLLMMPOMJMLNMMPNMMMKNMMMNMJMKKMMMQMMMKKMMMQMMPKLMMPOMPPL"
+         "LMMPOMPMLLJMMOMMSLMMMMMMPPMLMMMOMPMLLMMMOMMSLLMMPOMJJLLMMMOMMJLJJMPPMMMM"
+         "LMMPOMMMLLJMMOMMJLLMMMLMJMOLMMMLMPMOLMMPLMMMOOMMMIMMPONMMPKMJPNNMMPKMJMN"
+         "NJMMKMMSNMMMMMMJPMNMMMKMMSNNMMPKMPJNNMMMKMMJNPJMPJMMMMLMMJOMMMLNJMMKMMJN"
+         "LMMMOMMSLNMMMKMMSNMJMMMMMVMMMMMMMMVMKMMMQMMMKLJMMOMMPLLMMMOMMPLLJMMOMMGL"
+         "NJMMKMMPNNMMMKMMPNNJMMKMMGNMJMMMMMDMPMJMMMPMJOMMMLMSMLOMMPLMPMLOMMMLMPML"
+         "OMMPLMSMLMMMPMJMMMKMMPNMJMNKMMMNMGMNKMMMNMJMNKMMPNMGMNMSMMMMMMMMMMMMMMYM"
+         "MGMMMMMGMMMMMMMMVMPMPPMPJMJJMJPMPPMPJMJMMMPMPMMMJMJMMMKMMMNMSMNKMMJNMPMN"
+         "KMMJNMSMNKMMMNMPMNOMMJLMJMLOMMMLMGMLOMMJLMGMLOMMMLMJMLMMMYMMSMMMMMVMMPMM"
+         "MMMAMMSMMMMMDMMPMMMMMDMMMMMMMMSMMSMMMMMVMMVMMMMMVMMVMMMMMVMMMMMMMMGMMSMM"
+         "MMMDMMVMMMMMDMMVMMMMMAMMMMMMMMSMMSMMMMMDMMPMMMMMMMMGMMMMMPMMDMMMMMPMMVMM"
+         "MMMVMMJMMMMMVMMPMMMMMJMMJMMMMMJMMDMMMMMSMMJMMMMMPMMJMMMMMPMMSMMMMMSMMSMM"
+         "MMMGMMJMMMMMDMMJMMMMMPMMSMMMMMSMMYMMMMMGMMSMMMMMJMMSMMMMMGMMSMMMMMGMMJMM"
+         "MMMJMMJMMMMMPMMJMMMMMPMMDMMMMMSMMJMMMMMJMMSMMMMMGMMYMMMMMGMMSMMMMMPMMDMM"
+         "MMMMMMDMMMMMPMMVMMMMMGMMMMMMMMMMMAMMMMMSMMSMMMMMMMMDMM"),
+}
+_IMAGE_ZERO = ord("M")
+# the entries of X that fix it: at rank 2, X_02 and X_12, the only ones a
+# word with no c makes nonzero; at rank 3 all but X_22 = -X_00 - X_11
+_CLASS_THREE_COORDS = {2: (2, 5), 3: tuple(range(8))}
 
-@lru_cache(maxsize=None)
-def _gamma3_words(rank: int, length: int) -> tuple:
-    """The words of GAMMA3_NECKLACES of one length, at rank 2 those with
-    no c, as ords in the table's order; parsed when first asked for."""
-    words = GAMMA3_NECKLACES.get(length, "").split()
-    if rank == 2:
-        words = [w for w in words if "c" not in w and "C" not in w]
-    ords = " ".join(words).encode().translate(_LETTER_ORDS)
-    return tuple(map(tuple, ords.split()))
+
+def _class_three_words(rank: int, length: int, kernels) -> list:
+    """The words of GAMMA3_NECKLACES of one length, at rank 2 those with no
+    c, whose image X (GAMMA3_IMAGES) every row of some kernel in `kernels`
+    annihilates, as ords in the table's order.  A kernel is a tuple of
+    independent 9-entry rows, zero off _CLASS_THREE_COORDS[rank], as
+    `_PeriodFilter.class_three` gives them; one with no rows keeps every
+    word.  Equal kernels, and kernels that only X = 0 meets (a row per
+    entry of _CLASS_THREE_COORDS[rank]), are dropped first.  Only the words
+    kept are decoded, by index: the words of one length sit length + 1
+    characters apart.
+
+    A row is checked on all the images at once.  Column j of the images,
+    their stored characters c = X_j + _IMAGE_ZERO, is packed into one int
+    with one lane per word.  The row's positive part times the columns,
+    and its negative part times the columns plus the row's sum times
+    _IMAGE_ZERO in every lane, agree in exactly the lanes where row . X =
+    0.  Every lane stays below half its width, so no carry crosses a lane,
+    and one add and one mask flag the zero lanes of their xor."""
+    coords = _CLASS_THREE_COORDS[rank]
+    kernels = [rows for rows in dict.fromkeys(kernels) if len(rows) < len(coords)]
+    text = GAMMA3_NECKLACES.get(length)
+    if not kernels or text is None:
+        return []
+    images = GAMMA3_IMAGES[length].encode()
+    count = len(images) // 9
+    # the characters run from A to Y, so a lane holds at most
+    # ord("Y") |row|_1 < 2^8 |row|_1
+    widest = max((sum(map(abs, row)) for rows in kernels for row in rows), default=0)
+    size = (widest << 8).bit_length() // 8 + 1
+    lanes = bytearray(count * size)
+    lanes[::size] = b"\1" * count
+    ones = int.from_bytes(lanes, "little")
+    high = ones << (8 * size - 1)
+    columns: dict = {}
+    kept = 0
+    for rows in kernels:
+        flags = high
+        for row in rows:
+            if not flags:
+                break
+            (plus, minus) = (0, 0)
+            for (j, x) in enumerate(row):
+                if x:
+                    if j not in columns:
+                        lanes[::size] = images[j::9]
+                        columns[j] = int.from_bytes(lanes, "little")
+                    if x > 0:
+                        plus += x * columns[j]
+                    else:
+                        minus -= x * columns[j]
+            shift = _IMAGE_ZERO * sum(row)  # row . c - row . X
+            if shift > 0:
+                minus += shift * ones
+            else:
+                plus -= shift * ones
+            flags &= ~((plus ^ minus) + high - ones)
+        kept |= flags
+    out = []
+    while kept:
+        low = kept & -kept
+        k = low.bit_length() // (8 * size) - 1
+        word = text[k * (length + 1):k * (length + 1) + length]
+        if rank == 3 or "c" not in word.lower():
+            out.append(tuple(word.encode().translate(_LETTER_ORDS)))
+        kept ^= low
+    return out
 
 
 def _candidates(rank: int, length: int, filt: _PeriodFilter) -> list:
-    """The candidates of one length that `periodic_conjugacy_search` tries,
-    as `_canonical_cyclic_words` lists them under `filt`: (word, (ok_plus,
-    ok_minus)) in lexicographic order.
+    """The candidates of one length that `periodic_conjugacy_search` tries:
+    (word, (ok_plus, ok_minus)) in lexicographic order.
 
     When `filt` admits only balanced words and only H = 0, at rank 2 or 3
-    and at most GAMMA3_MAX_LEN letters, they are read from GAMMA3_NECKLACES,
-    each with the flags `by_area[0]`: H = 0 comes back to itself under
-    every power, so every period admits it, oriented, and reversing when
-    `filt` asks for that.  Every other filter, rank and length walks."""
+    and at most GAMMA3_MAX_LEN letters, the words that the walk would list
+    are those of GAMMA3_NECKLACES, and of those only the ones whose
+    class-three image lies in the kernel of some Phi^m - I of
+    `filt.class_three` can be periodic (`_class_three_words`).  Each comes
+    with the flags `by_area[0]`: H = 0 comes back to itself under every
+    power, so every period admits it, oriented, and reversing when `filt`
+    asks for that.  Every other filter, rank and length walks
+    (`_canonical_cyclic_words`), and the class-three rule does not cut
+    those candidates."""
     if (2 <= rank <= 3 and length <= GAMMA3_MAX_LEN and filt.balanced_only
             and filt._zero_area_only):
         flags = filt.by_area[0]
-        return [(w, flags) for w in _gamma3_words(rank, length)]
+        return [(w, flags) for w in
+                _class_three_words(rank, length, filt.class_three.values())]
     return _canonical_cyclic_words(rank, length, filt.balanced_only, filt)
 
 
@@ -921,7 +1208,8 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     n), and hands on the periods and orientations that the filter admits;
     an iterate is compared only at those.  After an oriented match at
     period n, longer words go through the filter of the periods below n,
-    without reversing matches, since nothing else can still win.  The
+    without reversing matches, since nothing else can still win; it is
+    derived from the first (`_PeriodFilter.narrowed`).  The
     conditions are necessary, so the witness is the one an unfiltered
     search finds.  When no nonzero exponent vector is admitted, only
     balanced words are generated; without reversing matches that needs
@@ -935,7 +1223,12 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     and the witness are unchanged.  Those candidates, the words of
     [F,[F,F]], depend on the rank and the length alone, and at ranks 2
     and 3 up to GAMMA3_MAX_LEN letters they are read from the committed
-    table GAMMA3_NECKLACES instead of walked.  None is a bounded
+    table GAMMA3_NECKLACES instead of walked.  Of those, only the words
+    whose class-three image X in gamma_3/gamma_4 (GAMMA3_IMAGES) some
+    admitted power of phi's action Phi fixes are tried
+    (`_PeriodFilter.class_three`, `_class_three_words`), a necessary
+    condition again; the walked candidates of ranks 4 and up and of
+    lengths above GAMMA3_MAX_LEN are not cut by it.  None is a bounded
     negative, never a proof of atoroidality.
 
     The search runs on phi restricted to its eventual alphabet S
@@ -1012,8 +1305,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 break
             if filt.max_period >= best_plus[0]:
                 # later lengths need an oriented period below the best
-                filt = _PeriodFilter(endo, best_plus[0] - 1, max_len,
-                                     reversing=False)
+                filt = filt.narrowed(best_plus[0] - 1)
     # the witness in the generators of phi: ord o stands for alphabet[o >> 1]
     for (best, orientation) in ((best_plus, +1), (best_minus, -1)):
         if best is not None:

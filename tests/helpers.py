@@ -1,5 +1,6 @@
 """Helpers that only the tests call."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -373,5 +374,62 @@ def necklace_table_source(table: dict) -> str:
             lines[-1] += ' "'
             lines.append(f'{" " * len(head)}"{chunk}')
         lines[-1] += '"),'
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the class-three image of a word of [F,[F,F]]
+# ---------------------------------------------------------------------------
+
+def class_three_image(word) -> tuple:
+    """X_w of a word of [F,[F,F]] in at most three generators, from its
+    Magnus expansion (a -> 1 + X_a, a^-1 -> 1 - X_a + X_a^2 - X_a^3, cut
+    at degree 3): the degree-3 part, sent to a 3x3 integer matrix by
+    e_x e_y e_z -> e_x (e_y x e_z)^T, as its 9 entries row by row.  Raises
+    ValueError when the word is not in [F,[F,F]] (a part of degree 1 or 2
+    is left)."""
+    c1 = [0] * 3
+    c2 = [[0] * 3 for _ in range(3)]
+    c3 = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for letter in word:
+        (g, s) = (abs(letter) - 1, 1 if letter > 0 else -1)
+        # multiply on the right by 1 + s X_g (+ X_g^2 - X_g^3 when s < 0)
+        for x in range(3):
+            for y in range(3):
+                c3[x][y][g] += s * c2[x][y]
+            if s < 0:
+                c3[x][g][g] += c1[x]
+        if s < 0:
+            c3[g][g][g] -= 1
+        for x in range(3):
+            c2[x][g] += s * c1[x]
+        if s < 0:
+            c2[g][g] += 1
+        c1[g] += s
+    if any(c1) or any(map(any, c2)):
+        raise ValueError(f"{show_word(word)} is not in [F,[F,F]]")
+    image = [[0] * 3 for _ in range(3)]
+    for (x, y, z) in itertools.product(range(3), repeat=3):
+        if y != z:
+            # e_y x e_z = sign * e_k, with k the third index
+            k = 3 - y - z
+            sign = 1 if (y, z) in ((0, 1), (1, 2), (2, 0)) else -1
+            image[x][k] += sign * c3[x][y][z]
+    return tuple(v for row in image for v in row)
+
+
+def class_three_source(images: dict) -> str:
+    """The source text of `words.GAMMA3_IMAGES` for length -> the images
+    of that length's table words in table order: each entry v as the
+    character chr(ord("M") + v), 9 per word, 8 words to a line."""
+    lines = ["GAMMA3_IMAGES = {"]
+    for (length, entries) in images.items():
+        text = "".join(chr(ord("M") + v) for image in entries for v in image)
+        chunks = [text[i:i + 72] for i in range(0, len(text), 72)]
+        head = f"    {length}: ("
+        lines.append(f'{head}"{chunks[0]}"')
+        lines.extend(f'{" " * len(head)}"{chunk}"' for chunk in chunks[1:])
+        lines[-1] += "),"
     lines.append("}")
     return "\n".join(lines) + "\n"

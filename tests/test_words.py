@@ -1,5 +1,7 @@
 import itertools
+import math
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -11,14 +13,17 @@ from hypothesis import assume, given, settings, strategies as st
 from endotorus import words as words_module
 from endotorus.cli import parse
 from endotorus.words import (
+    GAMMA3_IMAGES,
     GAMMA3_MAX_LEN,
     GAMMA3_NECKLACES,
     TAIL_LETTERS,
     CyclicWord,
     Endomorphism,
+    _CLASS_THREE_COORDS,
     _PeriodFilter,
     _candidates,
     _canonical_cyclic_words,
+    _class_three_words,
     _invert_ords,
     _kernel_trivial,
     _least_rotation,
@@ -38,7 +43,13 @@ from endotorus.words import (
     word_key,
 )
 
-from helpers import is_conjugate, necklace_table, necklace_table_source
+from helpers import (
+    class_three_image,
+    class_three_source,
+    is_conjugate,
+    necklace_table,
+    necklace_table_source,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -725,10 +736,10 @@ def corpus_endo(name):
 
 
 @st.composite
-def integer_matrices(draw, max_size=6):
+def integer_matrices(draw, max_size=6, min_size=0):
     """Square integer matrices, half of them singular by construction: one
     row is an integer combination of the others."""
-    n = draw(st.integers(0, max_size))
+    n = draw(st.integers(min_size, max_size))
     rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n and draw(st.booleans()):
@@ -1090,12 +1101,16 @@ class TestZeroAreaTable:
         def refuse(*args):
             raise AssertionError("the table's filter walked")
 
-        # the words, their flags and their order, read without a walk
+        # read without a walk: the walk's words, flags and order, of the
+        # words whose class-three image some admitted power of Phi fixes
         monkeypatch.setattr(words_module, "_canonical_cyclic_words", refuse)
         for (rank, filt) in filters.items():
             assert filt.balanced_only and filt._zero_area_only
             for length in range(1, GAMMA3_MAX_LEN + 1):
-                assert _candidates(rank, length, filt) == walked[rank][length]
+                assert _candidates(rank, length, filt) == [
+                    (w, ok) for (w, ok) in walked[rank][length]
+                    if class_three_periodic(DOUBLING[rank], 6, reversing,
+                                            class_three_image(tuple(map(_letter, w))))]
 
     # each case meets the table's conditions but one: the rank, the
     # length, or the area (golden_geometric's first filter admits H != 0)
@@ -1136,6 +1151,324 @@ class TestZeroAreaTable:
             assert periodic_conjugacy_search(endo, max_period, max_len) == found
         if max_len <= 8:
             assert found == unfiltered_search(endo, max_period, max_len)
+
+
+# ---------------------------------------------------------------------------
+# the class-three filter: images in gamma_3/gamma_4 and the kernels of Phi
+# ---------------------------------------------------------------------------
+
+def commutator(u, v):
+    return concat(u, v, invert(u), invert(v))
+
+
+@st.composite
+def gamma3_words(draw, rank):
+    """Words of [F,[F,F]] in `rank` generators: products of one to three
+    [u,[v,w]] and their inverses."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        (u, v, w) = (draw(words(rank, 3)) for _ in range(3))
+        c = commutator(u, commutator(v, w))
+        parts.append(c if draw(st.booleans()) else invert(c))
+    return concat(*parts)
+
+
+def adjugate(m):
+    """adj(M): entry ij is (-1)^(i+j) times the minor of M without row j
+    and column i."""
+    n = len(m)
+    if n == 2:
+        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+    def minor(r, c):
+        ((p, q), (s, t)) = [[m[i][j] for j in range(n) if j != c]
+                            for i in range(n) if i != r]
+        return p * t - q * s
+
+    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n))
+                 for i in range(n))
+
+
+def class_three_action(m, image):
+    """Phi(X) for the abelianized matrix M: M X adj(M) at rank 3, and at
+    rank 2, where X_02 and X_12 alone can be nonzero, (X_02, X_12) ->
+    det(M) M (X_02, X_12)."""
+    if len(m) == 2:
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        x = (image[2], image[5])
+        y = [det * (row[0] * x[0] + row[1] * x[1]) for row in m]
+        return (0, 0, y[0], 0, 0, y[1], 0, 0, 0)
+    x = [image[3 * i:3 * i + 3] for i in range(3)]
+    out = _mat_mul(_mat_mul(m, x), adjugate(m))
+    return tuple(v for row in out for v in row)
+
+
+def class_three_periodic(endo, max_period, reversing, image):
+    """Whether Phi^n fixes the class-three image, for some n <= max_period,
+    or with reversing some n = 2k, k <= max_period: the definition, one
+    power of Phi at a time."""
+    m = endo.abelianized()
+    periods = set(range(1, max_period + 1))
+    if reversing:
+        periods |= set(range(2, 2 * max_period + 1, 2))
+    moved = image
+    for n in range(1, max(periods) + 1):
+        moved = class_three_action(m, moved)
+        if n in periods and moved == image:
+            return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def table_words(rank, length):
+    """The words of GAMMA3_NECKLACES of one length, at rank 2 those with no
+    c, as (ords, class-three image)."""
+    return [(word_key(parse_word(w)), class_three_image(parse_word(w)))
+            for w in GAMMA3_NECKLACES.get(length, "").split()
+            if rank == 3 or "c" not in w.lower()]
+
+
+def integer_annihilator(vectors, coords):
+    """Independent integer rows, 9 entries each and zero off `coords`, whose
+    common kernel on the entries in `coords` is the span of the vectors'
+    entries there: a basis of the rational null space of those vectors,
+    by Gaussian elimination over the rationals."""
+    a = [[Fraction(v[c]) for c in coords] for v in vectors]
+    pivots = []
+    for col in range(len(coords)):
+        piv = next((r for r in range(len(pivots), len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        (a[r], a[piv]) = (a[piv], a[r])
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                a[i] = [x - a[i][col] * y for (x, y) in zip(a[i], a[r])]
+        pivots.append(col)
+    rows = []
+    for free in (c for c in range(len(coords)) if c not in pivots):
+        row = [Fraction(0)] * len(coords)
+        row[free] = Fraction(1)
+        for (r, col) in enumerate(pivots):
+            row[col] = -a[r][free]
+        scale = 1
+        for x in row:
+            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+        full = [0] * 9
+        for (c, x) in zip(coords, row):
+            full[c] = int(x * scale)
+        rows.append(tuple(full))
+    return tuple(rows)
+
+
+def dot(row, image):
+    return sum(x * y for (x, y) in zip(row, image))
+
+
+class TestClassThreeImage:
+    @given(st.integers(2, 3).flatmap(
+        lambda r: st.tuples(gamma3_words(r), words(r, 6), words(r, 3))))
+    @settings(max_examples=150, deadline=None)
+    def test_a_class_function_that_inversion_negates(self, case):
+        (w, x, y) = case
+        image = class_three_image(w)
+        assert class_three_image(conjugate(w, x)) == image
+        assert class_three_image(invert(w)) == tuple(-v for v in image)
+        assert image[0] + image[4] + image[8] == 0
+        # gamma_4 lies in the kernel
+        assert class_three_image(commutator(y, w)) == (0,) * 9
+
+    @given(st.integers(2, 3).flatmap(lambda r: st.tuples(
+        gamma3_words(r), integer_matrices(r, r),
+        st.lists(st.tuples(words(r, 2), words(r, 2)), min_size=r, max_size=r))))
+    @settings(max_examples=150, deadline=None)
+    def test_phi_moves_the_image_by_m_and_its_adjugate(self, case):
+        # phi(g_j) = g_1^M_1j ... g_r^M_rj [s_j, t_j]: any image with the
+        # exponent sums of column j, singular M included
+        (w, m, extras) = case
+        rank = len(m)
+        images = tuple(
+            concat(*[(i + 1,) * m[i][j] if m[i][j] > 0 else (-(i + 1),) * -m[i][j]
+                     for i in range(rank)], commutator(*extras[j]))
+            for j in range(rank))
+        endo = Endomorphism(rank, images)
+        assert endo.abelianized() == m
+        assert class_three_image(endo.apply(w)) == \
+            class_three_action(m, class_three_image(w))
+
+    def test_the_table_images_are_the_magnus_expansion(self):
+        images = {length: [class_three_image(parse_word(w)) for w in text.split()]
+                  for (length, text) in GAMMA3_NECKLACES.items()}
+        rendered = {length: "".join(chr(ord("M") + v) for x in xs for v in x)
+                    for (length, xs) in images.items()}
+        assert GAMMA3_IMAGES == rendered, (
+            "GAMMA3_IMAGES is not the Magnus expansion's; in "
+            "src/endotorus/words.py it should read\n" + class_three_source(images))
+
+    def test_no_table_word_lies_in_gamma4(self):
+        # so a kernel that only X = 0 meets keeps no word; every entry of
+        # X is stored as one letter from A (-12) to Y (12)
+        for (length, text) in GAMMA3_NECKLACES.items():
+            for w in text.split():
+                image = class_three_image(parse_word(w))
+                assert any(image), w
+                assert max(map(abs, image)) <= 12
+                if "c" not in w.lower():
+                    assert [i for (i, v) in enumerate(image) if v] in ([2], [5], [2, 5])
+
+
+class TestClassThreeWords:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_no_rows_keep_every_table_word(self, rank):
+        for length in range(1, GAMMA3_MAX_LEN + 1):
+            expected = [ords for (ords, _) in table_words(rank, length)]
+            assert _class_three_words(rank, length, [()]) == expected
+            assert _class_three_words(rank, length, [(), ()]) == expected
+            assert _class_three_words(rank, length, []) == []
+
+    @given(st.sampled_from([(rank, length, k) for rank in (2, 3)
+                            for length in (8, 10, 12)
+                            for k in range(len(table_words(rank, length)))]))
+    @settings(max_examples=60, deadline=None)
+    def test_the_annihilator_of_one_image_keeps_its_multiples(self, case):
+        (rank, length, k) = case
+        table = table_words(rank, length)
+        (ords, image) = table[k]
+        rows = integer_annihilator([image], _CLASS_THREE_COORDS[rank])
+        assert len(rows) == len(_CLASS_THREE_COORDS[rank]) - 1
+        kept = _class_three_words(rank, length, [rows])
+        # exactly the words whose image is a rational multiple of X_w (all
+        # the 2x2 minors of the two images vanish), among them every word
+        # with the image X_w
+        assert kept == [o for (o, x) in table
+                        if all(x[i] * image[j] == x[j] * image[i]
+                               for i in range(9) for j in range(i))]
+        assert {o for (o, x) in table if x == image} <= set(kept)
+        assert ords in kept
+
+    # rows with large entries and two kernels at once: lanes wide enough
+    # for any row, and a word kept by either kernel
+    @given(st.sampled_from([(rank, length) for rank in (2, 3) for length in (8, 10, 12)])
+           .flatmap(lambda case: st.tuples(
+               st.just(case),
+               st.lists(st.lists(st.integers(0, len(table_words(*case)) - 1),
+                                 min_size=1, max_size=3), min_size=1, max_size=2),
+               st.lists(st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                        min_size=8, max_size=8))))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_keep_exactly_the_images_they_annihilate(self, case):
+        ((rank, length), spans, scales) = case
+        table = table_words(rank, length)
+        images = [image for (_, image) in table]
+        kernels = []
+        for span in spans:
+            rows = integer_annihilator([images[k] for k in span],
+                                       _CLASS_THREE_COORDS[rank])
+            # scaled, and each row plus a multiple of the next: the same
+            # kernel through other rows
+            rows = [tuple(scale * x for x in row) for (row, scale) in zip(rows, scales)]
+            rows = [tuple(x + 3 * y for (x, y) in zip(row, after))
+                    for (row, after) in zip(rows, rows[1:])] + rows[-1:]
+            kernels.append(tuple(rows))
+        assert _class_three_words(rank, length, kernels) == [
+            ords for (ords, image) in table
+            if any(all(dot(row, image) == 0 for row in rows) for rows in kernels)]
+
+
+# the zero-area map of the bounded-kernels test: the kept powers of a
+# reversing filter at max_period 24 are 26, 28, ..., 48
+BOUNDED_MAP = "rank 3; a -> b c c a b c b A c c; b -> c a a b a; c -> a b c b a c;"
+
+
+def uncut_candidates(rank, length, filt):
+    """`_candidates` without the class-three cut: every table word where
+    the table serves, the walk elsewhere."""
+    if (2 <= rank <= 3 and length <= GAMMA3_MAX_LEN and filt.balanced_only
+            and filt._zero_area_only):
+        return [(w, filt.by_area[0]) for w in _class_three_words(rank, length, [()])]
+    return walk_candidates(rank, length, filt)
+
+
+def table_maps(rank):
+    """Maps of images of 1 to 3 letters whose search reads the table: the
+    filter at max_period 6 admits only v = 0 and H = 0."""
+    def reads_table(endo):
+        filt = _PeriodFilter(endo, 6, 1)
+        return filt.balanced_only and filt._zero_area_only
+    return endomorphisms(rank, 3, 1).filter(reads_table)
+
+
+class TestClassThreeFilter:
+    # kernels of every dimension: none (plastic_rank3, a -> b, b -> a b),
+    # some (the unipotent maps), and everything (the maps of finite order)
+    @pytest.mark.parametrize("source", [
+        "rank 2; a -> b; b -> a b;", "rank 2; a -> a; b -> a b;",
+        "rank 2; a -> B; b -> a;", "rank 2; a -> a a; b -> a;",
+        "rank 3; a -> b; b -> c; c -> a b;", "rank 3; a -> a; b -> b; c -> c a;",
+        "rank 3; a -> b; b -> c; c -> a;", "rank 3; a -> a b; b -> b c; c -> c;",
+        "rank 3; a -> A; b -> b a; c -> C B;"])
+    def test_kernels_keep_what_the_definition_keeps(self, source):
+        endo = parse(source).endo
+        rank = endo.rank
+        for (max_period, reversing) in ((6, True), (5, False), (2, True)):
+            filt = _PeriodFilter(endo, max_period, GAMMA3_MAX_LEN, reversing)
+            for length in (8, 10, 12):
+                assert _class_three_words(rank, length, filt.class_three.values()) == [
+                    ords for (ords, image) in table_words(rank, length)
+                    if class_three_periodic(endo, max_period, reversing, image)]
+
+    def test_only_divisibility_maximal_powers_are_kept(self):
+        endo = corpus_endo("plastic_rank3")
+        assert sorted(_PeriodFilter(endo, 6, 12).class_three) == [8, 10, 12]
+        assert sorted(_PeriodFilter(endo, 6, 12, reversing=False).class_three) == [4, 5, 6]
+        assert sorted(_PeriodFilter(endo, 1, 12, reversing=False).class_three) == [1]
+        # M X M^-1 = X for the automorphism's M holds on the traceless
+        # part of span{I, M, M^2}: 6 rows on the 8 traceless entries
+        kernels = _PeriodFilter(endo, 6, 12).class_three
+        assert {len(rows) for rows in kernels.values()} == {6}
+        assert len(set(kernels.values())) == 1
+
+    def test_kernels_at_period_24_stay_cheap(self):
+        # every kept power is at most 2 * max_period; one power of Phi at
+        # the lcm of the periods would take seconds
+        start = time.process_time()
+        filt = _PeriodFilter(parse(BOUNDED_MAP).endo, 24, GAMMA3_MAX_LEN)
+        assert filt.balanced_only and filt._zero_area_only
+        kernels = filt.class_three
+        elapsed = time.process_time() - start
+        assert sorted(kernels) == list(range(26, 49, 2))
+        assert elapsed < 0.1
+
+    @given(st.integers(2, 3).flatmap(lambda r: endomorphisms(r, 3)),
+           st.integers(2, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_narrowed_filter_is_a_fresh_one(self, endo, max_period, data):
+        n = data.draw(st.integers(1, max_period - 1))
+        first = _PeriodFilter(endo, max_period, GAMMA3_MAX_LEN)
+        built = (first.class_three, first._zero_area_only, first.by_area[0])
+        narrowed = first.narrowed(n)
+        assert (first.class_three, first._zero_area_only, first.by_area[0]) == built
+        fresh = _PeriodFilter(endo, n, GAMMA3_MAX_LEN, reversing=False)
+        for name in ("rank", "max_period", "reversing", "vector_powers",
+                     "area_powers", "bits", "zero", "vstep", "amask", "abias",
+                     "ashift", "balanced_only", "_zero_area_only", "class_three"):
+            assert getattr(narrowed, name) == getattr(fresh, name), name
+        assert narrowed.by_area is not first.by_area
+        for w in data.draw(st.lists(words(endo.rank, 12), max_size=10)):
+            (vv, hh) = (fresh.zero, 0)
+            for o in word_key(w):
+                (vv, hh) = fresh.step(vv, hh, o)
+            if vv != fresh.zero:
+                assert narrowed.by_vector[vv] == fresh.by_vector[vv]
+            assert narrowed.by_area[hh] == fresh.by_area[hh]
+
+    @given(st.one_of(table_maps(2), table_maps(3)), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_the_uncut_table(self, endo, max_period):
+        found = periodic_conjugacy_search(endo, max_period, GAMMA3_MAX_LEN)
+        with mock.patch.object(words_module, "_candidates", uncut_candidates):
+            assert periodic_conjugacy_search(endo, max_period, GAMMA3_MAX_LEN) == found
 
 
 # The search's result on every corpus input at the default bounds

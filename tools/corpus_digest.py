@@ -43,9 +43,15 @@ input whose search at the default bounds generates balanced words only
 then prints `words input sha256`: the hash of the candidate lists that
 `_candidates` returns for lengths 1 to 12 under that search's first
 filter, on its map restricted to the eventual alphabet, the lists the
-search reads, whether walked or taken from the table of zero-area words,
-so a change in the generator's prunes or in that table that keeps the
-witnesses still shows.
+search reads, whether walked or taken from the table of zero-area words
+and cut by the class-three rule, so a change in the generator's prunes, in
+that table or in the cut that keeps the witnesses still shows.  An input
+whose search reads that table (rank 2 or 3, only v = 0 and H = 0
+admitted) then prints `classthree input m=... dims=... kept=...`: the
+divisibility-maximal powers m of that filter's class-three kernels, the
+dimension of each kernel ker(Phi^m - I) on the traceless images, and for
+each length with table words the words kept over the table words of that
+rank, as `length:kept/total`.
 
 After the corpus come maps outside it, with larger stretch factors, longer
 stabilizations or paths that the corpus lacks: the square of each corpus
@@ -98,7 +104,9 @@ from endotorus import graphmap, nielsen, surface, traintrack
 from endotorus.cli import COMMANDS, EndoSpec, parse, report_json, run
 from endotorus.graphmap import GraphMap
 from endotorus.words import (
+    _CLASS_THREE_COORDS,
     _candidates,
+    _class_three_words,
     _on_eventual_alphabet,
     _PeriodFilter,
     periodic_conjugacy_search,
@@ -252,7 +260,8 @@ def _run_recording(command: str, spec, states) -> tuple:
 
 def _print_words(name: str, endo) -> None:
     """The `words` line of an input whose default search generates
-    balanced words only; nothing for any other input."""
+    balanced words only, and its `classthree` line when that search reads
+    the table of zero-area words; nothing for any other input."""
     restricted = _on_eventual_alphabet(endo)
     if restricted is None:
         return
@@ -262,6 +271,18 @@ def _print_words(name: str, endo) -> None:
         lists = [_candidates(filt.rank, length, filt)
                  for length in range(1, max_len + 1)]
         print(f"words {name} {_sha(repr(lists).encode())}", flush=True)
+        if 2 <= filt.rank <= 3 and filt._zero_area_only:
+            kernels = filt.class_three
+            coords = len(_CLASS_THREE_COORDS[filt.rank])
+            dims = [coords - len(rows) for rows in kernels.values()]
+            kept = []
+            for length in range(1, max_len + 1):
+                table = _class_three_words(filt.rank, length, [()])
+                if table:
+                    kept.append(f"{length}:{len(lists[length - 1])}/{len(table)}")
+            print(f"classthree {name} m={','.join(map(str, kernels))} "
+                  f"dims={','.join(map(str, dims))} kept={','.join(kept)}",
+                  flush=True)
 
 
 def _print_torus(name: str, spec) -> None:
