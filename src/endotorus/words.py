@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -433,25 +434,27 @@ class _PeriodFilter:
     further, in the free abelian gamma_3/gamma_4, where phi acts by
     Phi(X) = M X adj(M) on their images X (GAMMA3_IMAGES): a class of
     oriented period n needs Phi^n X = X, and a reversing one Phi^n X = -X,
-    so Phi^2n X = X.  After an oriented match the search narrows the
-    filter to the periods below it (`narrowed`)."""
+    so Phi^2n X = X."""
 
     def __init__(self, endo: Endomorphism, max_period: int, max_len: int,
                  reversing: bool = True):
         rank = endo.rank
         self.rank = rank
+        self.max_period = max_period
+        self.reversing = reversing
         pairs = [(i, j) for j in range(rank) for i in range(j)]
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         m = endo.abelianized()
         cur = ident
-        vector_powers = []  # M^n for n = 1..max_period
-        area_powers = []    # the exterior square of M^n
+        self.vector_powers = []  # M^n for n = 1..max_period
+        self.area_powers = []    # the exterior square of M^n
         for _ in range(max_period):
             cur = _mat_mul(m, cur)
-            vector_powers.append(cur)
-            area_powers.append(tuple(
+            self.vector_powers.append(cur)
+            self.area_powers.append(tuple(
                 tuple(cur[i][k] * cur[j][l] - cur[j][k] * cur[i][l] for (k, l) in pairs)
                 for (i, j) in pairs))
+        self.balanced_only = self._admits_only_zero(self.vector_powers)
 
         # a prefix's v, its area, and an area plus a completion's or a
         # tail's change all have coordinates below
@@ -468,34 +471,10 @@ class _PeriodFilter:
         self.abias = [self.zero & mask for mask in self.amask]
         self.ashift = [bits * ((o >> 1) * ((o >> 1) - 1) // 2)
                        for o in range(2 * rank)]
-        self._admit(vector_powers, area_powers, reversing)
-
-    def _admit(self, vector_powers: list, area_powers: list,
-               reversing: bool) -> None:
-        """Set what depends on the periods: the powers, the verdicts and
-        the tables built on first use."""
-        self.max_period = len(vector_powers)
-        self.reversing = reversing
-        self.vector_powers = vector_powers
-        self.area_powers = area_powers
-        self.balanced_only = self._admits_only_zero(vector_powers)
         self.by_vector = _Memo(self._vector_ok)
         self.by_area = _Memo(self._area_ok)
         self.completions = _Memo(self._completion_table)
         self.tails = _Memo(self._tail_table)
-
-    def narrowed(self, max_period: int) -> "_PeriodFilter":
-        """The filter of the periods up to max_period, oriented only, for
-        the same map and max_len.  The powers below max_period and the
-        packing, which reads only the rank and max_len, are this filter's;
-        the kernel flags, the verdicts, the tables and the class-three
-        kernels are the narrowed filter's own."""
-        new = object.__new__(_PeriodFilter)
-        for name in ("rank", "bits", "zero", "vstep", "amask", "abias", "ashift"):
-            setattr(new, name, getattr(self, name))
-        new._admit(self.vector_powers[:max_period],
-                   self.area_powers[:max_period], False)
-        return new
 
     def step(self, vv: int, hh: int, o: int) -> tuple:
         """Packed (v, H) after appending the letter with ord o."""
@@ -1081,62 +1060,28 @@ def _class_three_words(rank: int, length: int, kernels) -> list:
     word.  Equal kernels, and kernels that only X = 0 meets (a row per
     entry of _CLASS_THREE_COORDS[rank]), are dropped first.  Only the words
     kept are decoded, by index: the words of one length sit length + 1
-    characters apart.
-
-    A row is checked on all the images at once.  Column j of the images,
-    their stored characters c = X_j + _IMAGE_ZERO, is packed into one int
-    with one lane per word.  The row's positive part times the columns,
-    and its negative part times the columns plus the row's sum times
-    _IMAGE_ZERO in every lane, agree in exactly the lanes where row . X =
-    0.  Every lane stays below half its width, so no carry crosses a lane,
-    and one add and one mask flag the zero lanes of their xor."""
+    characters apart."""
     coords = _CLASS_THREE_COORDS[rank]
     kernels = [rows for rows in dict.fromkeys(kernels) if len(rows) < len(coords)]
     text = GAMMA3_NECKLACES.get(length)
     if not kernels or text is None:
         return []
-    images = GAMMA3_IMAGES[length].encode()
-    count = len(images) // 9
-    # the characters run from A to Y, so a lane holds at most
-    # ord("Y") |row|_1 < 2^8 |row|_1
-    widest = max((sum(map(abs, row)) for rows in kernels for row in rows), default=0)
-    size = (widest << 8).bit_length() // 8 + 1
-    lanes = bytearray(count * size)
-    lanes[::size] = b"\1" * count
-    ones = int.from_bytes(lanes, "little")
-    high = ones << (8 * size - 1)
-    columns: dict = {}
-    kept = 0
+    images = list(zip(*[iter(GAMMA3_IMAGES[length].encode())] * 9))
+    kept: set = set()
     for rows in kernels:
-        flags = high
+        survivors = range(len(images))
         for row in rows:
-            if not flags:
-                break
-            (plus, minus) = (0, 0)
-            for (j, x) in enumerate(row):
-                if x:
-                    if j not in columns:
-                        lanes[::size] = images[j::9]
-                        columns[j] = int.from_bytes(lanes, "little")
-                    if x > 0:
-                        plus += x * columns[j]
-                    else:
-                        minus -= x * columns[j]
-            shift = _IMAGE_ZERO * sum(row)  # row . c - row . X
-            if shift > 0:
-                minus += shift * ones
-            else:
-                plus -= shift * ones
-            flags &= ~((plus ^ minus) + high - ones)
-        kept |= flags
+            # row . X = 0 where row . c = row . (_IMAGE_ZERO, ...) for the
+            # stored characters c
+            zero = _IMAGE_ZERO * sum(row)
+            survivors = [k for k in survivors
+                         if sum(map(operator.mul, row, images[k])) == zero]
+        kept.update(survivors)
     out = []
-    while kept:
-        low = kept & -kept
-        k = low.bit_length() // (8 * size) - 1
+    for k in sorted(kept):
         word = text[k * (length + 1):k * (length + 1) + length]
         if rank == 3 or "c" not in word.lower():
             out.append(tuple(word.encode().translate(_LETTER_ORDS)))
-        kept ^= low
     return out
 
 
@@ -1208,8 +1153,7 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
     n), and hands on the periods and orientations that the filter admits;
     an iterate is compared only at those.  After an oriented match at
     period n, longer words go through the filter of the periods below n,
-    without reversing matches, since nothing else can still win; it is
-    derived from the first (`_PeriodFilter.narrowed`).  The
+    without reversing matches, since nothing else can still win.  The
     conditions are necessary, so the witness is the one an unfiltered
     search finds.  When no nonzero exponent vector is admitted, only
     balanced words are generated; without reversing matches that needs
@@ -1305,7 +1249,8 @@ def periodic_conjugacy_search(endo: Endomorphism, max_period: int = 6,
                 break
             if filt.max_period >= best_plus[0]:
                 # later lengths need an oriented period below the best
-                filt = filt.narrowed(best_plus[0] - 1)
+                filt = _PeriodFilter(endo, best_plus[0] - 1, max_len,
+                                     reversing=False)
     # the witness in the generators of phi: ord o stands for alphabet[o >> 1]
     for (best, orientation) in ((best_plus, +1), (best_minus, -1)):
         if best is not None:
